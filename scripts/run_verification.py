@@ -10,10 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from congeg.quadrature import (audit_rows_to_csv, normalization_audit,
-                               orthogonality_check)
+from congeg.cli import SUITES
+from congeg.quadrature import audit_rows_to_csv
 from congeg.verify import (ParamGrid, reports_to_json, reports_to_text,
-                           run_asserted_checks, run_recorded_audits)
+                           run_recorded_audits)
 
 
 def main() -> int:
@@ -27,11 +27,9 @@ def main() -> int:
     args = parser.parse_args()
 
     grid = ParamGrid(n_max=args.n_max)
-    audit = normalization_audit()
-    reports = run_asserted_checks(grid)
-    reports.append(orthogonality_check(n_max=min(args.n_max, 8)))
-    reports.append(audit)
-    reports.extend(run_recorded_audits())
+    by_suite = {name: build(grid, False) for name, build in SUITES.items()}
+    audit = by_suite["normalization-audit"]
+    reports = list(by_suite.values()) + run_recorded_audits()
 
     print(reports_to_text(reports))
     if args.json_out is not None:

@@ -9,9 +9,8 @@ Convention used throughout: x^a means sign(x) |x|^a, so every family member
 is defined on [-1, 1] and keeps its parity; at a = 1 everything reduces to
 the classical Gegenbauer family.
 """
-from .alphapoly import (AlphaPoly, AlphaScalar, DomainError, GammaRatio,
-                        ParameterError, conformable_gamma, gamma_quotient,
-                        pochhammer)
+from .alphapoly import (AlphaPoly, DomainError, GammaRatio, ParameterError,
+                        gamma_quotient, pochhammer)
 from .gegenbauer import (GegenbauerSpec, UltrasphericalSpec, chebyshev_t,
                          chebyshev_t_rodrigues, classical_oracle, from_recurrence,
                          from_rodrigues, from_series, legendre, ultraspherical,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError",
     "AlphaPoly",
-    "AlphaScalar",
     "AuditRow",
     "DomainError",
     "GammaRatio",
@@ -47,7 +45,6 @@ __all__ = [
     "chebyshev_t_rodrigues",
     "classical_norm",
     "classical_oracle",
-    "conformable_gamma",
     "conformable_inner_product",
     "conformable_inner_product_direct",
     "from_recurrence",

@@ -1,16 +1,19 @@
 """Exact arithmetic in the fractional power basis x^(k*a).
 
-An AlphaPoly is a finite combination sum_k c_k * x^(k*a) with order
-0 < a <= 1.  Coefficients are exact: each c_k is a rational number times
-integer powers of the order symbol a (an AlphaScalar), so identity checks
-can assert exact zero instead of a small float residual.  The order enters
-coefficients only through differentiation: the conformable derivative acts
-on the basis as
+An AlphaPoly is a finite combination a^g * sum_k c_k * x^(k*a) with order
+0 < a <= 1, rational coefficients c_k and an integer grade g.  Everything
+is exact, so identity checks can assert exact zero instead of a small
+float residual.  The order symbol a enters only through differentiation:
+the conformable derivative acts on the basis as
 
     d_alpha : x^(k*a)  ->  a * k * x^((k-1)*a),
 
-so each application contributes exactly one power of a per coefficient,
-and prefactors carrying a^(-n) cancel symbolically against n derivatives.
+so each application multiplies every term by exactly one a, and the
+result is again a single power of a times a rational polynomial.  Every
+expression the package builds is homogeneous in a in this way, so one
+grade per polynomial carries the order symbol: derivatives raise it,
+products add grades, prefactors carrying a^(-n) lower it, and adding two
+nonzero polynomials of different grades is rejected.
 
 Fractional powers of negative arguments are evaluated under the
 signed-power convention
@@ -21,29 +24,28 @@ which extends the basis to [-1, 1], preserves parity (even/odd index
 support gives even/odd functions of x) and reduces to the ordinary power
 at a = 1.
 
-The zero polynomial is the empty coefficient tuple; trailing zero
-coefficients are trimmed on construction.
+The zero polynomial is the empty coefficient tuple and has grade 0;
+trailing zero coefficients are trimmed on construction.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Iterator, Union
 
 __all__ = [
     "AlphaPoly",
-    "AlphaScalar",
     "DomainError",
     "GammaRatio",
     "ParameterError",
-    "conformable_gamma",
     "gamma_quotient",
     "pochhammer",
 ]
 
 RationalLike = Union[int, str, Fraction]
-ScalarLike = Union[int, Fraction, "AlphaScalar"]
 
 
 class ParameterError(ValueError):
@@ -76,146 +78,12 @@ def _as_order(value: Union[int, str, Fraction, float]) -> Union[Fraction, float]
     return value
 
 
-# ---------------------------------------------------------------------------
-# scalars: Laurent polynomials in the order symbol
-
-
-@dataclass(frozen=True, eq=False)
-class AlphaScalar:
-    """Exact scalar of the form sum_i c_i * a^(p_i).
-
-    A Laurent polynomial in the order symbol a over the rationals.  `terms`
-    holds (power, coefficient) pairs, ascending in power, no zero
-    coefficients.  Use the factories (`of`, arithmetic operators) rather
-    than the raw constructor.
-    """
-
-    terms: tuple[tuple[int, Fraction], ...] = ()
-
-    @staticmethod
-    def of(value: RationalLike, power: int = 0) -> AlphaScalar:
-        c = _as_fraction(value)
-        if not c:
-            return AlphaScalar()
-        return AlphaScalar(((int(power), c),))
-
-    @staticmethod
-    def _from_map(powers: dict[int, Fraction]) -> AlphaScalar:
-        return AlphaScalar(tuple(sorted((p, c) for p, c in powers.items() if c)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _coerced(self, other: ScalarLike) -> AlphaScalar | None:
-        if isinstance(other, AlphaScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return AlphaScalar.of(other)
-        return None
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, AlphaScalar):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == AlphaScalar.of(other).terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # A pure rational must hash like the rational it equals.
-        if not self.terms:
-            return hash(Fraction(0))
-        if len(self.terms) == 1 and self.terms[0][0] == 0:
-            return hash(self.terms[0][1])
-        return hash(self.terms)
-
-    def __add__(self, other: ScalarLike) -> AlphaScalar:
-        rhs = self._coerced(other)
-        if rhs is None:
-            return NotImplemented
-        acc = dict(self.terms)
-        for p, c in rhs.terms:
-            acc[p] = acc.get(p, Fraction(0)) + c
-        return AlphaScalar._from_map(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> AlphaScalar:
-        return AlphaScalar(tuple((p, -c) for p, c in self.terms))
-
-    def __sub__(self, other: ScalarLike) -> AlphaScalar:
-        rhs = self._coerced(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: ScalarLike) -> AlphaScalar:
-        return -(self - other)
-
-    def __mul__(self, other: ScalarLike) -> AlphaScalar:
-        rhs = self._coerced(other)
-        if rhs is None:
-            return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for p, c in self.terms:
-            for q, d in rhs.terms:
-                acc[p + q] = acc.get(p + q, Fraction(0)) + c * d
-        return AlphaScalar._from_map(acc)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalLike) -> AlphaScalar:
-        d = _as_fraction(other)
-        if not d:
-            raise ZeroDivisionError("division of AlphaScalar by zero")
-        return AlphaScalar(tuple((p, c / d) for p, c in self.terms))
-
-    def shift(self, power: int) -> AlphaScalar:
-        """Multiply by a**power (exact)."""
-        return AlphaScalar(tuple((p + power, c) for p, c in self.terms))
-
-    def eval(self, alpha: float) -> float:
-        """Numeric value once the order is fixed."""
-        a = float(alpha)
-        return math.fsum(float(c) * a ** p for p, c in self.terms)
-
-    def subs(self, alpha: RationalLike) -> Fraction:
-        """Exact value at a rational order."""
-        a = _as_fraction(alpha)
-        if not a and any(p < 0 for p, _ in self.terms):
-            raise DomainError("negative power of a zero order")
-        return sum((c * a ** p for p, c in self.terms), Fraction(0))
-
-    def as_fraction(self) -> Fraction:
-        """The value as a plain rational; rejects order-dependent scalars."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and self.terms[0][0] == 0:
-            return self.terms[0][1]
-        raise ParameterError(f"scalar {self} carries powers of the order symbol")
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for p, c in self.terms:
-            if p == 0:
-                parts.append(f"{c}")
-                continue
-            base = "a" if p == 1 else f"a^{p}"
-            if c == 1:
-                parts.append(base)
-            elif c == -1:
-                parts.append(f"-{base}")
-            else:
-                parts.append(f"{c}*{base}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"AlphaScalar({self})"
+def _as_coeff(value: Union[int, Fraction]) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise ParameterError(f"coefficient {value!r} is not exact")
 
 
 # ---------------------------------------------------------------------------
@@ -224,30 +92,29 @@ class AlphaScalar:
 
 @dataclass(frozen=True, eq=False)
 class AlphaPoly:
-    """Polynomial sum_k coeffs[k] * x^(k*a) with exact coefficients.
+    """Polynomial a^grade * sum_k coeffs[k] * x^(k*a), exact throughout.
 
     `alpha` is the order, in (0, 1], kept exact when given as a rational.
-    Coefficient entries may be ints, Fractions or AlphaScalars; they are
-    normalized to AlphaScalar and trailing zeros are trimmed.
+    Coefficients may be ints or Fractions; they are normalized to Fraction
+    and trailing zeros are trimmed.  `grade` is the power of the order
+    symbol a that multiplies the whole polynomial; the zero polynomial
+    has grade 0 and adds to any grade.
     """
 
     alpha: Union[Fraction, float]
-    coeffs: tuple[AlphaScalar, ...] = ()
+    coeffs: tuple[Fraction, ...] = ()
+    grade: int = 0
 
     def __post_init__(self) -> None:
         a = _as_order(self.alpha)
-        normalized = []
-        for c in self.coeffs:
-            if isinstance(c, AlphaScalar):
-                normalized.append(c)
-            elif isinstance(c, (int, Fraction)):
-                normalized.append(AlphaScalar.of(c))
-            else:
-                raise ParameterError(f"coefficient {c!r} is not exact")
-        while normalized and normalized[-1].is_zero:
+        if not isinstance(self.grade, int):
+            raise ParameterError(f"grade must be an integer, got {self.grade!r}")
+        normalized = [_as_coeff(c) for c in self.coeffs]
+        while normalized and not normalized[-1]:
             normalized.pop()
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "coeffs", tuple(normalized))
+        object.__setattr__(self, "grade", self.grade if normalized else 0)
 
     # -- constructors
 
@@ -256,11 +123,12 @@ class AlphaPoly:
         return AlphaPoly(alpha, ())
 
     @staticmethod
-    def constant(alpha: Union[Fraction, float], value: ScalarLike) -> AlphaPoly:
+    def constant(alpha: Union[Fraction, float], value: Union[int, Fraction]) -> AlphaPoly:
         return AlphaPoly(alpha, (value,))
 
     @staticmethod
-    def monomial(alpha: Union[Fraction, float], k: int, coeff: ScalarLike = 1) -> AlphaPoly:
+    def monomial(alpha: Union[Fraction, float], k: int,
+                 coeff: Union[int, Fraction] = 1) -> AlphaPoly:
         if k < 0:
             raise ParameterError("basis index must be nonnegative")
         return AlphaPoly(alpha, (0,) * k + (coeff,))
@@ -279,10 +147,11 @@ class AlphaPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlphaPoly):
             return NotImplemented
-        return self.alpha == other.alpha and self.coeffs == other.coeffs
+        return (self.alpha == other.alpha and self.grade == other.grade
+                and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.alpha, self.coeffs))
+        return hash((self.alpha, self.grade, self.coeffs))
 
     def _require_same_order(self, other: AlphaPoly) -> None:
         if self.alpha != other.alpha:
@@ -295,38 +164,44 @@ class AlphaPoly:
         if not isinstance(other, AlphaPoly):
             return NotImplemented
         self._require_same_order(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = AlphaScalar()
-        mine = self.coeffs + (zero,) * (n - len(self.coeffs))
-        theirs = other.coeffs + (zero,) * (n - len(other.coeffs))
-        return AlphaPoly(self.alpha, tuple(a + b for a, b in zip(mine, theirs)))
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        if self.grade != other.grade:
+            raise ParameterError(
+                f"cannot add terms of grades {self.grade} and {other.grade} "
+                "in the order symbol")
+        return AlphaPoly(self.alpha, tuple(
+            a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)),
+            self.grade)
 
     def __neg__(self) -> AlphaPoly:
-        return AlphaPoly(self.alpha, tuple(-c for c in self.coeffs))
+        return AlphaPoly(self.alpha, tuple(-c for c in self.coeffs), self.grade)
 
     def __sub__(self, other: AlphaPoly) -> AlphaPoly:
         if not isinstance(other, AlphaPoly):
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: Union[AlphaPoly, ScalarLike]) -> AlphaPoly:
+    def __mul__(self, other: Union[AlphaPoly, int, Fraction]) -> AlphaPoly:
         if isinstance(other, AlphaPoly):
             self._require_same_order(other)
             if self.is_zero or other.is_zero:
                 return AlphaPoly.zero(self.alpha)
-            out = [AlphaScalar() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                if a.is_zero:
+                if not a:
                     continue
                 for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return AlphaPoly(self.alpha, tuple(out))
-        if isinstance(other, (int, Fraction, AlphaScalar)):
+                    out[i + j] += a * b
+            return AlphaPoly(self.alpha, tuple(out), self.grade + other.grade)
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other: ScalarLike) -> AlphaPoly:
-        if isinstance(other, (int, Fraction, AlphaScalar)):
+    def __rmul__(self, other: Union[int, Fraction]) -> AlphaPoly:
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
@@ -342,10 +217,11 @@ class AlphaPoly:
             out = out * self
         return out
 
-    def scale(self, factor: ScalarLike) -> AlphaPoly:
-        if not isinstance(factor, AlphaScalar):
-            factor = AlphaScalar.of(factor)
-        return AlphaPoly(self.alpha, tuple(c * factor for c in self.coeffs))
+    def scale(self, factor: RationalLike, power: int = 0) -> AlphaPoly:
+        """Multiply by factor * a**power (exact)."""
+        r = _as_fraction(factor)
+        return AlphaPoly(self.alpha, tuple(c * r for c in self.coeffs),
+                         self.grade + power)
 
     def shift(self, k: int = 1) -> AlphaPoly:
         """Multiply by x^(k*a), shifting every basis index up by k."""
@@ -353,68 +229,75 @@ class AlphaPoly:
             raise ParameterError("basis shift must be nonnegative")
         if self.is_zero:
             return self
-        return AlphaPoly(self.alpha, (0,) * k + self.coeffs)
+        return AlphaPoly(self.alpha, (0,) * k + self.coeffs, self.grade)
 
     # -- calculus and evaluation
 
     def d_alpha(self) -> AlphaPoly:
         """Conformable derivative: x^(k*a) -> a*k*x^((k-1)*a), exactly."""
-        return AlphaPoly(
-            self.alpha,
-            tuple(c * AlphaScalar.of(k, 1) for k, c in enumerate(self.coeffs) if k)
-            if len(self.coeffs) > 1 else (),
-        )
+        return AlphaPoly(self.alpha, tuple(k * c for k, c in enumerate(self.coeffs) if k),
+                         self.grade + 1)
+
+    @cached_property
+    def _float_coeffs(self) -> tuple[float, ...]:
+        scale = float(self.alpha) ** self.grade
+        return tuple(float(c) * scale for c in self.coeffs)
 
     def evaluate(self, x: float) -> float:
         """Value at x under the signed-power convention."""
         if not self.coeffs:
             return 0.0
-        a = float(self.alpha)
         xf = float(x)
-        u = math.copysign(abs(xf) ** a, xf)
+        u = math.copysign(abs(xf) ** float(self.alpha), xf)
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * u + c.eval(a)
+        for c in reversed(self._float_coeffs):
+            acc = acc * u + c
         return acc
 
     def __call__(self, x: float) -> float:
         return self.evaluate(x)
 
-    def coefficient_sum(self) -> AlphaScalar:
+    def coefficient_sum(self) -> Fraction:
         """Exact value at x = 1 (all basis monomials are 1 there)."""
-        total = AlphaScalar()
-        for c in self.coeffs:
-            total = total + c
-        return total
+        return sum(self.rational_coeffs(), Fraction(0))
 
     def rational_coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients as plain rationals; rejects order-dependent ones."""
-        return tuple(c.as_fraction() for c in self.coeffs)
+        if self.grade:
+            raise ParameterError(
+                f"polynomial {self} carries a power of the order symbol")
+        return self.coeffs
 
     # -- display
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
+        g = self.grade
+        power = "a" if g == 1 else f"a^{g}"
         out: list[str] = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
-            if c.is_zero:
+            if not c:
                 continue
             basis = "" if k == 0 else ("x^a" if k == 1 else f"x^{k}a")
-            try:
-                r = c.as_fraction()
-                negative = r < 0
-                mag = abs(r)
+            if g:
+                # order-dependent coefficients print whole, in parentheses
+                negative = False
+                if c == 1:
+                    scalar = power
+                elif c == -1:
+                    scalar = f"-{power}"
+                else:
+                    scalar = f"{c}*{power}"
+                body = f"({scalar}) {basis}".rstrip()
+            else:
+                negative = c < 0
+                mag = abs(c)
                 if not basis:
                     body = f"{mag}"
                 elif mag == 1:
                     body = basis
                 else:
                     body = f"{mag} {basis}"
-            except ParameterError:
-                negative = False
-                body = f"({c}) {basis}".rstrip()
             if not out:
                 out.append(("-" if negative else "") + body)
             else:
@@ -504,13 +387,3 @@ class GammaRatio:
     def __iter__(self) -> Iterator[tuple[Fraction, ...]]:
         return iter((self.num, self.den))
 
-
-def conformable_gamma(p: float, alpha: float) -> float:
-    """Order-alpha gamma value a^((p+a-1)/a) * Gamma((p+a-1)/a)."""
-    a = float(alpha)
-    if not 0 < a <= 1:
-        raise ParameterError(f"order must lie in (0, 1], got {alpha}")
-    arg = (float(p) + a - 1.0) / a
-    if arg <= 0 and float(arg).is_integer():
-        raise DomainError(f"gamma pole at argument {arg}")
-    return a ** arg * math.gamma(arg)

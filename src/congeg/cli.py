@@ -21,21 +21,27 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .alphapoly import DomainError, ParameterError
 from .gegenbauer import GegenbauerSpec, from_recurrence, from_series
-from .quadrature import (AccuracyError, audit_rows_to_csv, normalization_audit,
-                         orthogonality_check)
-from .verify import (ParamGrid, check_constructor_agreement,
-                     check_derivative_ladder, check_endpoint_values,
-                     check_generating_function, check_ode_annihilation,
-                     check_recurrences, check_special_cases, reports_to_json,
-                     reports_to_text, run_recorded_audits)
+from .quadrature import (AccuracyError, audit_rows_to_csv, default_audit_grid,
+                         normalization_audit, orthogonality_check)
+from .verify import SUITES as EXACT_SUITES, ParamGrid, VerificationReport
+from .verify import reports_to_json, reports_to_text, run_recorded_audits
 
-__all__ = ["main"]
+__all__ = ["SUITES", "main"]
+
+# Every asserted suite by `verify --suite` name, in report order: the exact
+# suites, then the quadrature ones.  Every verify run appends the recorded
+# audits.
+SUITES: dict[str, Callable[[ParamGrid, bool], VerificationReport]] = {
+    **EXACT_SUITES,
+    "orthogonality": lambda grid, inject: orthogonality_check(n_max=min(grid.n_max, 8)),
+    "normalization-audit": lambda grid, inject: normalization_audit(),
+}
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run asserted identity checks and recorded audits")
     v.add_argument("--n-max", type=int, default=None,
                    help="highest degree in the sweep")
-    v.add_argument("--suite", choices=sorted(_SUITES), default=None,
+    v.add_argument("--suite", choices=sorted(("all", *SUITES)), default=None,
                    help="run a single asserted suite (default: all)")
     v.add_argument("--json", action="store_true", default=None,
                    help="emit the report as JSON")
@@ -142,6 +148,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_bool(value: object) -> bool:
+    # bool("false") is True, so flags take JSON booleans only
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 # config keys are coerced per destination so JSON numbers and strings both work
 _COERCERS = {
     "n": int,
@@ -153,9 +166,9 @@ _COERCERS = {
     "x": lambda v: [float(item) for item in v],
     "tol": float,
     "suite": str,
-    "signed_domain": bool,
-    "json": bool,
-    "inject_defect": bool,
+    "signed_domain": _json_bool,
+    "json": _json_bool,
+    "inject_defect": _json_bool,
     "out": str,
 }
 
@@ -180,7 +193,12 @@ def _apply_config(args: argparse.Namespace) -> None:
                 f"config key {key!r} is not an option of the "
                 f"{args.command!r} subcommand")
         if getattr(args, dest) is None:
-            setattr(args, dest, _COERCERS[dest](raw))
+            try:
+                value = _COERCERS[dest](raw)
+            except (ValueError, TypeError, ArithmeticError,
+                    argparse.ArgumentTypeError) as exc:
+                raise ParameterError(f"config key {key!r}: {exc}") from exc
+            setattr(args, dest, value)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -239,37 +257,19 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     return 0
 
 
-# asserted suites by name; every verify run appends the recorded audits
-_SUITES = ("all", "constructors", "ode", "generating-function", "ladder",
-           "recurrences", "endpoints", "special-cases", "orthogonality",
-           "normalization-audit")
-
-
-def _asserted_reports(grid: ParamGrid, suite: str, inject: bool) -> list:
-    builders = (
-        ("constructors", lambda: check_constructor_agreement(grid)),
-        ("ode", lambda: check_ode_annihilation(grid, inject_defect=inject)),
-        ("generating-function", lambda: check_generating_function()),
-        ("ladder", lambda: check_derivative_ladder(grid)),
-        ("recurrences", lambda: check_recurrences(grid)),
-        ("endpoints", lambda: check_endpoint_values(grid)),
-        ("special-cases", lambda: check_special_cases()),
-        ("orthogonality", lambda: orthogonality_check(n_max=min(grid.n_max, 8))),
-        ("normalization-audit", lambda: normalization_audit()),
-    )
-    return [build() for name, build in builders if suite in ("all", name)]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     d = VerifyDefaults()
     n_max = d.n_max if args.n_max is None else args.n_max
     suite = "all" if args.suite is None else args.suite
-    if suite not in _SUITES:
-        raise ParameterError(f"unknown suite {suite!r}; choose from {', '.join(_SUITES)}")
+    if suite != "all" and suite not in SUITES:
+        raise ParameterError(
+            f"unknown suite {suite!r}; choose from {', '.join(('all', *SUITES))}")
     if n_max < 3:
         raise ParameterError(f"--n-max must be >= 3 for the sweeps, got {n_max}")
     grid = ParamGrid(n_max=n_max)
-    reports = _asserted_reports(grid, suite, bool(args.inject_defect))
+    inject = bool(args.inject_defect)
+    reports = [build(grid, inject) for name, build in SUITES.items()
+               if suite in ("all", name)]
     reports.extend(run_recorded_audits())
     if args.json:
         print(reports_to_json(reports))
@@ -290,11 +290,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     tol = d.tol if args.tol is None else args.tol
     if n_max < 0:
         raise ParameterError(f"--n-max must be >= 0, got {n_max}")
-    grid = [(n, lam, alpha)
-            for lam in (Fraction(1), Fraction(3))
-            for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(1))
-            for n in range(n_max + 1)]
-    report = normalization_audit(grid, rel_tol=tol)
+    report = normalization_audit(default_audit_grid(n_max), rel_tol=tol)
     csv_text = audit_rows_to_csv(report.table)
     if args.out:
         Path(args.out).write_text(csv_text)

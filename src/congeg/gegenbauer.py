@@ -19,7 +19,6 @@ from typing import Union
 
 from .alphapoly import (
     AlphaPoly,
-    AlphaScalar,
     GammaRatio,
     ParameterError,
     RationalLike,
@@ -130,17 +129,21 @@ def _rodrigues_kernel(alpha: Union[Fraction, float], n: int, c: Fraction) -> Alp
         sum_k binom(n,k) G(n+c+1)^2 / (G(c+k+1) G(n+c-k+1))
               * a^n * (x^a + 1)^k * (x^a - 1)^(n-k)
 
-    The a^n from the n derivatives is carried symbolically.
+    The sum is taken by Horner's rule in (x^a + 1), carrying the power of
+    (x^a - 1) along, so it costs O(n^2).  The a^n from the n derivatives is
+    the kernel's grade.
     """
     plus = AlphaPoly(alpha, (1, 1))
     minus = AlphaPoly(alpha, (-1, 1))
     total = AlphaPoly.zero(alpha)
+    minus_power = AlphaPoly.constant(alpha, 1)  # (x^a - 1)^(n-k)
     top = n + c + 1
-    for k in range(n + 1):
+    for k in range(n, -1, -1):
         factor = math.comb(n, k) * GammaRatio.of(
             (top, top), (c + k + 1, top - k)).to_fraction()
-        total = total + (plus ** k) * (minus ** (n - k)) * AlphaScalar.of(factor, 0)
-    return total.scale(AlphaScalar.of(1, n))
+        total = total * plus + minus_power.scale(factor)
+        minus_power = minus_power * minus
+    return total.scale(1, power=n)
 
 
 def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
@@ -154,8 +157,7 @@ def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
     magnitude = GammaRatio.of(
         (2 * lam + n, lam + _HALF), (2 * lam, n + lam + _HALF)
     ).to_fraction() / (Fraction(2) ** n * math.factorial(n))
-    prefactor = AlphaScalar.of(magnitude, -n)
-    return _rodrigues_kernel(alpha, n, lam - _HALF).scale(prefactor)
+    return _rodrigues_kernel(alpha, n, lam - _HALF).scale(magnitude, power=-n)
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +183,8 @@ def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
     b = float(beta)
     prefactor = math.gamma(n + 2 * b + 1) / (
         2.0 ** (n + b) * math.factorial(n) * math.gamma(n + b + 1))
-    out = []
-    for coeff in kernel.coeffs:
-        if coeff.is_zero:
-            out.append(0.0)
-            continue
-        (power, rational), = coeff.terms  # kernel coefficients are r * a^n
-        if power != n:
-            raise AssertionError("kernel coefficient lost its order power")
-        out.append(float(rational) * prefactor)
-    return tuple(out)
+    # the prefactor's a^(-n) cancels the kernel's grade n, so neither is applied
+    return tuple(float(c) * prefactor for c in kernel.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +221,7 @@ def chebyshev_t_rodrigues(n: int, alpha: Union[Fraction, float]) -> AlphaPoly:
     audit records."""
     _check_degree(n)
     magnitude = Fraction(2 ** n * math.factorial(n), math.factorial(2 * n))
-    prefactor = AlphaScalar.of(magnitude, -n)
-    return _rodrigues_kernel(_as_order(alpha), n, -_HALF).scale(prefactor)
+    return _rodrigues_kernel(_as_order(alpha), n, -_HALF).scale(magnitude, power=-n)
 
 
 def classical_oracle(n: int, lam: RationalLike) -> list[Fraction]:

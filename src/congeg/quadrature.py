@@ -339,11 +339,12 @@ class AuditRow:
     rel_diff_quadrature_vs_derived: float
 
 
-def default_audit_grid() -> list[tuple[int, Fraction, Fraction]]:
+def default_audit_grid(n_max: int = 6) -> list[tuple[int, Fraction, Fraction]]:
+    """Degrees 0..n_max for weights 1, 3 and orders 1/4, 1/2, 1."""
     return [(n, lam, alpha)
             for lam in (Fraction(1), Fraction(3))
             for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(1))
-            for n in range(7)]
+            for n in range(n_max + 1)]
 
 
 def normalization_audit(

@@ -1,13 +1,11 @@
-"""Exact arithmetic layer: scalars, polynomials, gamma helpers."""
-import math
+"""Exact arithmetic layer: graded polynomials, gamma helpers."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congeg.alphapoly import (AlphaPoly, AlphaScalar, DomainError, GammaRatio,
-                              ParameterError, conformable_gamma,
+from congeg.alphapoly import (AlphaPoly, DomainError, GammaRatio, ParameterError,
                               gamma_quotient, pochhammer)
 
 HALF = Fraction(1, 2)
@@ -18,52 +16,60 @@ coeff_lists = st.lists(rationals, max_size=6)
 
 
 # ---------------------------------------------------------------------------
-# AlphaScalar
+# grade: the power of the order symbol on the whole polynomial
 
 
-class TestAlphaScalar:
-    def test_of_and_str(self):
-        assert str(AlphaScalar.of(6, 1)) == "6*a"
-        assert str(AlphaScalar.of(Fraction(3, 2), 2)) == "3/2*a^2"
-        assert str(AlphaScalar.of(5)) == "5"
-        assert str(AlphaScalar.of(0)) == "0"
-
-    def test_compares_with_rationals(self):
-        assert AlphaScalar.of(Fraction(3, 2)) == Fraction(3, 2)
-        assert AlphaScalar.of(3) == 3
-        assert AlphaScalar.of(3, 1) != 3
-
-    def test_hash_matches_plain_rational(self):
-        assert hash(AlphaScalar.of(Fraction(3, 2))) == hash(Fraction(3, 2))
-        assert hash(AlphaScalar.of(7)) == hash(7)
-
-    def test_arithmetic(self):
-        s = (AlphaScalar.of(2, 1) + AlphaScalar.of(3)) * AlphaScalar.of(1, 1)
-        assert s.terms == ((1, Fraction(3)), (2, Fraction(2)))
-        assert s - s == AlphaScalar.of(0)
-        assert -AlphaScalar.of(4, 2) == AlphaScalar.of(-4, 2)
-        assert AlphaScalar.of(6, 1) / 3 == AlphaScalar.of(2, 1)
-
-    def test_eval_and_subs(self):
-        s = AlphaScalar.of(9, 2)
-        assert s.eval(0.5) == 2.25
-        assert s.subs(HALF) == Fraction(9, 4)
-
-    def test_as_fraction_rejects_order_terms(self):
-        assert AlphaScalar.of(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
+class TestGrade:
+    def test_mixed_grade_addition_rejected(self):
+        p = AlphaPoly.monomial(HALF, 1)
         with pytest.raises(ParameterError):
-            AlphaScalar.of(1, 1).as_fraction()
+            p + p.scale(1, power=1)
+        with pytest.raises(ParameterError):
+            p - p.d_alpha()
 
-    def test_shift(self):
-        assert AlphaScalar.of(5, 1).shift(-1) == AlphaScalar.of(5)
+    def test_zero_adds_to_any_grade(self):
+        p = AlphaPoly(HALF, (1, 2), grade=3)
+        z = AlphaPoly.zero(HALF)
+        assert p + z == p and z + p == p
+        assert z.scale(5, power=2) == z
+        assert p - p == z
 
-    @given(rationals, rationals, rationals,
-           st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
-    def test_distributive(self, x, y, z, p, q, r):
-        a = AlphaScalar.of(x, p)
-        b = AlphaScalar.of(y, q)
-        c = AlphaScalar.of(z, r)
-        assert (a + b) * c == a * c + b * c
+    @given(orders, coeff_lists, st.integers(-3, 3))
+    def test_derivative_raises_grade(self, alpha, cs, g):
+        p = AlphaPoly(alpha, tuple(cs), grade=g)
+        if p.degree >= 1:
+            assert p.d_alpha().grade == g + 1
+
+    @given(orders, coeff_lists, coeff_lists, st.integers(-3, 3), st.integers(-3, 3))
+    def test_product_adds_grades(self, alpha, cs, ds, g, h):
+        p = AlphaPoly(alpha, tuple(cs), grade=g)
+        q = AlphaPoly(alpha, tuple(ds), grade=h)
+        if not (p.is_zero or q.is_zero):
+            assert (p * q).grade == g + h
+            assert p.scale(2, power=h).grade == g + h
+
+    def test_grade_in_equality_and_hash(self):
+        p = AlphaPoly(HALF, (1, 2))
+        assert p != p.scale(1, power=1)
+        assert p.scale(1, power=1).scale(1, power=-1) == p
+        assert hash(p.scale(1, power=2)) == hash(AlphaPoly(HALF, (1, 2), grade=2))
+
+    def test_rational_views_reject_grade(self):
+        p = AlphaPoly(HALF, (1, 2), grade=1)
+        with pytest.raises(ParameterError):
+            p.rational_coeffs()
+        with pytest.raises(ParameterError):
+            p.coefficient_sum()
+
+    def test_graded_str(self):
+        assert str(AlphaPoly(HALF, (0, 9), grade=2)) == "(9*a^2) x^a"
+        assert str(AlphaPoly(HALF, (-1, 0, 1), grade=1)) == "(a) x^2a + (-a)"
+        assert str(AlphaPoly(HALF, (Fraction(3, 2),), grade=-1)) == "(3/2*a^-1)"
+
+    def test_graded_evaluate(self):
+        p = AlphaPoly(Fraction(1), (1, 3), grade=5)
+        assert p.evaluate(2.0) == 7.0
+        assert AlphaPoly(HALF, (0, 6), grade=2).evaluate(0.25) == 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +132,7 @@ class TestDerivative:
     def test_basis_action(self):
         # x^(3a) goes to 3a x^(2a)
         p = AlphaPoly.monomial(HALF, 3)
-        expected = AlphaPoly.monomial(HALF, 2, AlphaScalar.of(3, 1))
+        expected = AlphaPoly(HALF, (0, 0, 3), grade=1)
         assert p.d_alpha() == expected
 
     def test_constant_dies(self):
@@ -258,16 +264,3 @@ class TestGammaRatio:
         direct = gamma_quotient(a + j, a) * gamma_quotient(a + k, a + j + k)
         assert ratio == direct
 
-
-class TestConformableGamma:
-    def test_order_one_reduces_to_gamma(self):
-        assert conformable_gamma(Fraction(7, 2), Fraction(1)) == pytest.approx(
-            math.gamma(3.5), rel=1e-15)
-
-    def test_frozen_half_order(self):
-        got = conformable_gamma(Fraction(3, 4), HALF)
-        assert got == pytest.approx(math.sqrt(math.pi / 2), rel=1e-14)
-
-    def test_pole(self):
-        with pytest.raises(DomainError):
-            conformable_gamma(HALF, HALF)

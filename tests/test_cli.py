@@ -244,6 +244,25 @@ class TestConfigFile:
         code, _, err = run(capsys, "table", "--config", "/nonexistent/cfg.json")
         assert code == 2 and "No such file" in err
 
+    @pytest.mark.parametrize("command,values", [
+        ("table", {"lambda": "x"}),
+        ("eval", {"n": "abc", "x": [0.5]}),
+        ("plot-data", {"signed_domain": "false"}),
+    ])
+    def test_uncoercible_value_exits_2(self, tmp_path, capsys, command, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert next(iter(values)) in err
+
+    def test_flag_takes_json_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"signed_domain": True, "samples": 3}))
+        code, out, _ = run(capsys, "plot-data", "--config", str(cfg))
+        assert code == 0
+        assert out.splitlines()[1].startswith("-1.0,")
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congeg.alphapoly import AlphaScalar, ParameterError, pochhammer
-from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, chebyshev_t,
-                               chebyshev_t_rodrigues, classical_oracle,
+from congeg.alphapoly import ParameterError, pochhammer
+from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_kernel,
+                               chebyshev_t, chebyshev_t_rodrigues, classical_oracle,
                                from_recurrence, from_rodrigues, from_series,
                                legendre, ultraspherical,
                                ultraspherical_rodrigues)
@@ -109,20 +109,21 @@ class TestRouteAgreement:
             assert from_recurrence(spec) == s
             assert from_rodrigues(spec) == s
 
-    @given(st.integers(0, 6), weights, orders)
+    @given(st.integers(0, 32), weights, orders)
     @settings(max_examples=40, deadline=None)
     def test_routes_agree_off_grid(self, n, lam, alpha):
         spec = GegenbauerSpec(n, lam, alpha)
         s = from_series(spec)
         assert from_recurrence(spec) == s
-        assert from_rodrigues(spec) == s
+        rodrigues = from_rodrigues(spec)
+        assert rodrigues.grade == 0
+        assert rodrigues == s
 
     @given(st.integers(1, 8), weights, orders)
     @settings(max_examples=40, deadline=None)
     def test_derivative_ladder_single_step(self, n, lam, alpha):
         lhs = from_series(GegenbauerSpec(n, lam, alpha)).d_alpha()
-        rhs = from_series(GegenbauerSpec(n - 1, lam + 1, alpha)).scale(
-            AlphaScalar.of(2 * lam, 1))
+        rhs = from_series(GegenbauerSpec(n - 1, lam + 1, alpha)).scale(2 * lam, power=1)
         assert lhs == rhs
 
 
@@ -135,6 +136,12 @@ class TestUltraspherical:
     def test_beta_validation(self):
         with pytest.raises(ParameterError):
             UltrasphericalSpec(2, Fraction(-1, 2), HALF)
+
+    @given(st.integers(0, 12), st.sampled_from([Fraction(0), HALF, Fraction(3, 2)]), orders)
+    @settings(max_examples=20, deadline=None)
+    def test_rodrigues_kernel_has_grade_n(self, n, beta, alpha):
+        # n conformable derivatives contribute a^n, cancelled by the prefactor
+        assert _rodrigues_kernel(alpha, n, beta).grade == n
 
     def test_rodrigues_frozen_value(self):
         # series gives 2 u; the route carries the extra 2^b G(b+1/2)/sqrt(pi)

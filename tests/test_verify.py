@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from congeg.alphapoly import AlphaPoly, AlphaScalar, ParameterError
+from congeg.alphapoly import AlphaPoly, ParameterError
 from congeg.gegenbauer import GegenbauerSpec, from_series
 from congeg.verify import (ParamGrid, VerificationReport, check_constructor_agreement,
                            check_derivative_ladder, check_endpoint_values,
@@ -33,7 +33,7 @@ class TestOdeResidual:
         # x^a under the (n=2, weight=3) operator leaves 9 a^2 x^a
         spec = GegenbauerSpec(2, Fraction(3), HALF)
         residual = ode_residual(AlphaPoly.monomial(HALF, 1), spec)
-        assert residual == AlphaPoly(HALF, (AlphaScalar.of(0), AlphaScalar.of(9, 2)))
+        assert residual == AlphaPoly(HALF, (0, 9), grade=2)
         assert str(residual) == "(9*a^2) x^a"
 
     def test_order_mismatch_rejected(self):
