@@ -2,15 +2,15 @@
 
 Exact constructors for ultraspherical-type polynomials in the conformable
 setting (polynomials in x^a with rational coefficients), three agreeing
-construction routes, identity verification sweeps, weighted-quadrature
-inner products, and a CLI.
+construction routes, identity verification sweeps, exact weighted inner
+products, and a CLI.
 
 Convention used throughout: x^a means sign(x) |x|^a, so every family member
 is defined on [-1, 1] and keeps its parity; at a = 1 everything reduces to
 the classical Gegenbauer family.
 """
-from .alphapoly import (AlphaPoly, DomainError, GammaRatio, ParameterError,
-                        gamma_quotient, pochhammer)
+from .alphapoly import (AlphaPoly, DomainError, ParameterError, gamma_quotient,
+                        pochhammer)
 from .gegenbauer import (GegenbauerSpec, UltrasphericalSpec, chebyshev_t,
                          chebyshev_t_rodrigues, classical_oracle, from_recurrence,
                          from_rodrigues, from_series, legendre, ultraspherical,
@@ -32,7 +32,6 @@ __all__ = [
     "AlphaPoly",
     "AuditRow",
     "DomainError",
-    "GammaRatio",
     "GegenbauerSpec",
     "ParamGrid",
     "ParameterError",

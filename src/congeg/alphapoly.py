@@ -34,12 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 __all__ = [
     "AlphaPoly",
     "DomainError",
-    "GammaRatio",
     "ParameterError",
     "gamma_quotient",
     "pochhammer",
@@ -343,47 +342,3 @@ def gamma_quotient(num: RationalLike, den: RationalLike) -> Fraction:
     if not p:
         raise DomainError(f"gamma pole at argument {a}")
     return 1 / p
-
-
-@dataclass(frozen=True)
-class GammaRatio:
-    """Exact ratio prod Gamma(num_i) / prod Gamma(den_j).
-
-    Arguments are bucketed by fractional part; within a bucket numerator and
-    denominator counts must balance (every numerator argument is an integer
-    away from a denominator argument), and each pair reduces to a rising
-    factorial.  Substituting rational arguments therefore evaluates exactly.
-    """
-
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(num: Iterable[RationalLike], den: Iterable[RationalLike]) -> GammaRatio:
-        return GammaRatio(
-            tuple(sorted(_as_fraction(v) for v in num)),
-            tuple(sorted(_as_fraction(v) for v in den)),
-        )
-
-    def _buckets(self, args: Iterable[Fraction]) -> dict[Fraction, list[Fraction]]:
-        out: dict[Fraction, list[Fraction]] = {}
-        for v in args:
-            out.setdefault(v - math.floor(v), []).append(v)
-        return out
-
-    def to_fraction(self) -> Fraction:
-        tops = self._buckets(self.num)
-        bottoms = self._buckets(self.den)
-        if set(tops) != set(bottoms) or any(
-                len(tops[k]) != len(bottoms[k]) for k in tops):
-            raise ParameterError(
-                "gamma arguments do not pair up an integer apart")
-        out = Fraction(1)
-        for key, top in tops.items():
-            for a, b in zip(sorted(top), sorted(bottoms[key])):
-                out *= gamma_quotient(a, b)
-        return out
-
-    def __iter__(self) -> Iterator[tuple[Fraction, ...]]:
-        return iter((self.num, self.den))
-

@@ -39,7 +39,7 @@ __all__ = ["SUITES", "main"]
 # audits.
 SUITES: dict[str, Callable[[ParamGrid, bool], VerificationReport]] = {
     **EXACT_SUITES,
-    "orthogonality": lambda grid, inject: orthogonality_check(n_max=min(grid.n_max, 8)),
+    "orthogonality": lambda grid, inject: orthogonality_check(n_max=grid.n_max),
     "normalization-audit": lambda grid, inject: normalization_audit(),
 }
 
@@ -148,27 +148,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_bool(value: object) -> bool:
-    # bool("false") is True, so flags take JSON booleans only
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
+def _json_typed(kinds: tuple, what: str,
+                convert: Callable[[object], object] = lambda v: v):
+    """Config coercer that first requires a JSON type: bool("false") is True,
+    int(2.7) truncates, int(True) is 1, and a string iterates by character."""
+    def coerce(value: object) -> object:
+        if type(value) not in kinds:
+            raise ValueError(f"expected {what}, got {value!r}")
+        return convert(value)
+    return coerce
 
+
+_COUNT = _json_typed((int, str), "an integer", int)
+_FLAG = _json_typed((bool,), "true or false")
 
 # config keys are coerced per destination so JSON numbers and strings both work
 _COERCERS = {
-    "n": int,
-    "n_max": int,
-    "samples": int,
+    "n": _COUNT,
+    "n_max": _COUNT,
+    "samples": _COUNT,
     "lam": _fraction,
     "alpha": _fraction,
-    "alphas": lambda v: tuple(_fraction(item) for item in v),
-    "x": lambda v: [float(item) for item in v],
+    "alphas": _json_typed((list,), "a JSON array",
+                          lambda v: tuple(_fraction(item) for item in v)),
+    "x": _json_typed((list,), "a JSON array", lambda v: [float(item) for item in v]),
     "tol": float,
     "suite": str,
-    "signed_domain": _json_bool,
-    "json": _json_bool,
-    "inject_defect": _json_bool,
+    "signed_domain": _FLAG,
+    "json": _FLAG,
+    "inject_defect": _FLAG,
     "out": str,
 }
 

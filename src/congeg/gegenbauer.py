@@ -19,11 +19,11 @@ from typing import Union
 
 from .alphapoly import (
     AlphaPoly,
-    GammaRatio,
     ParameterError,
     RationalLike,
     _as_fraction,
     _as_order,
+    gamma_quotient,
     pochhammer,
 )
 
@@ -130,19 +130,20 @@ def _rodrigues_kernel(alpha: Union[Fraction, float], n: int, c: Fraction) -> Alp
               * a^n * (x^a + 1)^k * (x^a - 1)^(n-k)
 
     The sum is taken by Horner's rule in (x^a + 1), carrying the power of
-    (x^a - 1) along, so it costs O(n^2).  The a^n from the n derivatives is
-    the kernel's grade.
+    (x^a - 1) along, so it costs O(n^2).  The factor at k = n is (c+1)_n,
+    and each next one follows from the ratio of consecutive factors,
+    k (c+k) / ((n-k+1) (n+c+1-k)).  The a^n from the n derivatives is the
+    kernel's grade.
     """
     plus = AlphaPoly(alpha, (1, 1))
     minus = AlphaPoly(alpha, (-1, 1))
     total = AlphaPoly.zero(alpha)
     minus_power = AlphaPoly.constant(alpha, 1)  # (x^a - 1)^(n-k)
-    top = n + c + 1
+    factor = pochhammer(c + 1, n)
     for k in range(n, -1, -1):
-        factor = math.comb(n, k) * GammaRatio.of(
-            (top, top), (c + k + 1, top - k)).to_fraction()
         total = total * plus + minus_power.scale(factor)
         minus_power = minus_power * minus
+        factor = factor * k * (c + k) / ((n - k + 1) * (n + c + 1 - k))
     return total.scale(1, power=n)
 
 
@@ -154,9 +155,9 @@ def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
     carries a^(-n), which cancels the kernel's a^n exactly; the (-1)^n of
     (-2a)^n cancels the kernel's extracted sign."""
     n, lam, alpha = spec.n, spec.lam, spec.alpha
-    magnitude = GammaRatio.of(
-        (2 * lam + n, lam + _HALF), (2 * lam, n + lam + _HALF)
-    ).to_fraction() / (Fraction(2) ** n * math.factorial(n))
+    magnitude = (gamma_quotient(2 * lam + n, 2 * lam)
+                 / gamma_quotient(n + lam + _HALF, lam + _HALF)
+                 / (Fraction(2) ** n * math.factorial(n)))
     return _rodrigues_kernel(alpha, n, lam - _HALF).scale(magnitude, power=-n)
 
 

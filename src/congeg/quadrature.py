@@ -4,25 +4,31 @@ normalization audit.
 The measure on [-1, 1] is d^a x = |x|^(a-1) dx with weight
 (1 - x^(2a))^(lam - 1/2) under the signed-power convention
 x^a = sign(x) |x|^a.  Substituting u = sign(x) |x|^a reduces the inner
-product to (1/a) times the classical Gegenbauer inner product on [-1, 1];
-the substituted route is the primary one, and the direct x-domain route is
-kept as an independent consistency check.
+product to (1/a) times the classical Gegenbauer inner product on [-1, 1].
 
-Integration is composite Gauss-Legendre on panels graded geometrically
-toward the integrable endpoint singularities (and, on the x route, toward
-the measure singularity at 0).  Convergence is judged against the L1 mass
-of the integrand so that exact zeros (orthogonality) terminate.
+The substituted route is the primary one and does no quadrature: the
+weight (1 - u^2)^(lam - 1/2) has the moments mu_2k = mu_0 (1/2)_k / (lam+1)_k,
+with mu_0 = B(1/2, lam + 1/2) and odd moments zero, so each inner product
+is an exact rational sum times one float constant.
+
+The direct x-domain route is kept as an independent floating-point check;
+its integrand is not polynomial.  It uses composite Gauss-Legendre on panels
+graded geometrically toward the integrable endpoint singularities and the
+measure singularity at 0.  Convergence is judged against the L1 mass of the
+integrand so that exact zeros (orthogonality) terminate.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .alphapoly import DomainError, ParameterError, _as_fraction, _as_order
+from .alphapoly import DomainError, ParameterError, _as_fraction, _as_order, pochhammer
 from .gegenbauer import GegenbauerSpec, from_series
 from .verify import VerificationReport
 
@@ -42,6 +48,7 @@ __all__ = [
     "orthogonality_check",
 ]
 
+_HALF = Fraction(1, 2)
 _MAX_DOUBLINGS = 8
 _EDGE_DEPTH = 50    # geometric levels toward weight singularities at +-1
 _ZERO_DEPTH = 120   # geometric levels toward the measure singularity at 0
@@ -142,33 +149,52 @@ def _float_coeffs(n: int, lam: Fraction) -> np.ndarray:
 # inner products
 
 
+@lru_cache(maxsize=256)
+def _scaled_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
+    """Classical (order 1) series coefficients as integers over one common
+    denominator.  Cached so a sweep over pairs builds each degree once."""
+    coeffs = from_series(GegenbauerSpec(n, lam, Fraction(1))).rational_coeffs()
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
 def conformable_inner_product(
-        m: int, n: int, lam: Union[int, Fraction], alpha: Union[Fraction, float],
-        cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
+        m: int, n: int, lam: Union[int, Fraction],
+        alpha: Union[Fraction, float]) -> QuadratureResult:
     """<C_m, C_n> under the conformable weighted measure, through the exact
-    substitution u = sign(x) |x|^a (value = classical integral / a)."""
-    cfg = cfg or DEFAULT_CONFIG
+    substitution u = sign(x) |x|^a: the classical integral, an exact sum of
+    coefficient products against the weight's moments, divided by a.
+
+    The error is a bound on the rounding of the final float scaling (0.0
+    when the sum is exactly zero); no evaluation nodes are used."""
     lam = _as_fraction(lam)
     if lam <= 0:
         raise ParameterError(f"weight parameter must be positive, got {lam}")
     a = float(_as_order(alpha))
-    pm = _float_coeffs(m, lam)
-    pn = _float_coeffs(n, lam)
-    expo = float(lam) - 0.5
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        weight = ((1.0 - u) * (1.0 + u)) ** expo
-        return weight * np.polynomial.polynomial.polyval(u, pm) \
-            * np.polynomial.polynomial.polyval(u, pn)
-
-    def rescaled(r: QuadratureResult) -> QuadratureResult:
-        return QuadratureResult(r.value / a, r.error / a, r.nodes_used)
-
-    try:
-        res = _adaptive(integrand, -1.0, 1.0, cfg, _EDGE_DEPTH, _EDGE_DEPTH)
-    except AccuracyError as exc:
-        raise AccuracyError(str(exc), rescaled(exc.best)) from None
-    return rescaled(res)
+    (c, c_den), (d, d_den) = _scaled_coeffs(m, lam), _scaled_coeffs(n, lam)
+    # sum over i + j even of c_i d_j mu_(i+j), grouped by k = (i + j) / 2.
+    # mu_2k = mu_0 (1/2)_k / (lam + 1)_k, and mu_0 = B(1/2, lam + 1/2) is
+    # B(1/2, base + 1/2) (base + 1/2)_s / (base + 1)_s for s = floor(lam),
+    # so only B(1/2, base + 1/2), with base in [0, 1), is left in floats
+    shift = math.floor(lam)
+    base = lam - shift
+    moment = pochhammer(base + _HALF, shift) / pochhammer(base + 1, shift)
+    total = Fraction(0)
+    for k in range((len(c) + len(d)) // 2):
+        lo, hi = max(0, 2 * k - len(d) + 1), min(len(c), 2 * k + 1)
+        total += moment * sum(c[i] * d[2 * k - i] for i in range(lo, hi))
+        moment *= (k + _HALF) / (lam + 1 + k)
+    if base == 0:
+        beta = math.pi              # B(1/2, 1/2)
+    elif base == _HALF:
+        beta = 2.0                  # B(1/2, 1)
+    else:
+        beta = (math.sqrt(math.pi) * math.gamma(float(base + _HALF))
+                / math.gamma(float(base + 1)))
+    value = float(total / (c_den * d_den)) * beta / a
+    # two math.gamma calls (measured within 7 units of 2^-53 on [1/2, 2])
+    # plus about six correctly rounded steps stay under 32 units of 2^-53
+    return QuadratureResult(value, 16 * sys.float_info.epsilon * abs(value), 0)
 
 
 def conformable_inner_product_direct(
@@ -243,7 +269,7 @@ def normalization_closed_form(n: int, lam, alpha) -> float:
         2^(1-2 lam) a^(-2/a) G(n+2lam) G(lam+n) G(5/2 - a - 1/a)
         G(n+lam+3/2 - 1/a) / (n! G(lam)^2 G(lam+n+1/2) G(n+lam+2-a))
 
-    Kept exactly as stated so the audit can compare it against quadrature;
+    Kept exactly as stated so the audit can compare it against the diagonal;
     known to disagree (the audit flags it) and to hit gamma poles at some
     orders, e.g. a = 1/2."""
     lam, alpha, inv = _norm_args(n, lam, alpha)
@@ -294,21 +320,20 @@ def orthogonality_check(
         n_max: int = 8,
         lambdas: Sequence[Union[int, Fraction]] = (Fraction(1), Fraction(3)),
         alphas: Sequence[Union[Fraction, float]] = (Fraction(1, 2), Fraction(1)),
-        cfg: Optional[QuadratureConfig] = None, tol: float = 1e-8) -> VerificationReport:
+        tol: float = 1e-8) -> VerificationReport:
     """Off-diagonal inner products vanish relative to the diagonal scale:
     |<C_m, C_n>| <= tol * sqrt(<C_m,C_m> <C_n,C_n>) for all m != n."""
-    cfg = cfg or DEFAULT_CONFIG
     grid = (f"m != n <= {n_max}, weight in {{{', '.join(str(v) for v in lambdas)}}}, "
             f"order in {{{', '.join(str(a) for a in alphas)}}}")
     worst = 0.0
     witness = None
     for lam in lambdas:
         for alpha in alphas:
-            diag = [conformable_inner_product(k, k, lam, alpha, cfg).value
+            diag = [conformable_inner_product(k, k, lam, alpha).value
                     for k in range(n_max + 1)]
             for m_deg in range(n_max + 1):
                 for n_deg in range(m_deg + 1, n_max + 1):
-                    cross = conformable_inner_product(m_deg, n_deg, lam, alpha, cfg).value
+                    cross = conformable_inner_product(m_deg, n_deg, lam, alpha).value
                     scaled = abs(cross) / math.sqrt(diag[m_deg] * diag[n_deg])
                     if scaled > worst:
                         worst = scaled
@@ -324,7 +349,8 @@ def orthogonality_check(
 
 @dataclass(frozen=True)
 class AuditRow:
-    """One normalization-audit line: quadrature against the three formulas.
+    """One normalization-audit line: the exact diagonal inner product (field
+    `quadrature`, the audit CSV's column name) against the three formulas.
 
     closed_form / gamma_product are NaN where the formula hits a gamma pole.
     """
@@ -349,16 +375,15 @@ def default_audit_grid(n_max: int = 6) -> list[tuple[int, Fraction, Fraction]]:
 
 def normalization_audit(
         grid: Optional[Iterable[tuple[int, Union[int, Fraction], Union[Fraction, float]]]] = None,
-        cfg: Optional[QuadratureConfig] = None, rel_tol: float = 1e-6) -> VerificationReport:
-    """Tabulate, for each (n, weight, order): the quadrature diagonal, the
+        rel_tol: float = 1e-6) -> VerificationReport:
+    """Tabulate, for each (n, weight, order): the exact diagonal, the
     closed form, the pre-simplification product form, and the
     substitution-derived classical value / order.
 
-    Asserted: quadrature agrees with the derived value within rel_tol.
+    Asserted: the diagonal agrees with the derived value within rel_tol.
     Recorded: rows where either formula candidate deviates from the derived
     value (or hits a pole) are flagged in the notes, never asserted.
     """
-    cfg = cfg or DEFAULT_CONFIG
     rows: list[AuditRow] = []
     flagged: list[str] = []
     worst = 0.0
@@ -366,7 +391,7 @@ def normalization_audit(
     triples = list(grid) if grid is not None else default_audit_grid()
     for n, lam, alpha in triples:
         lam = _as_fraction(lam)
-        quad = conformable_inner_product(n, n, lam, alpha, cfg).value
+        quad = conformable_inner_product(n, n, lam, alpha).value
         derived = classical_norm(n, lam) / float(alpha)
         try:
             closed = normalization_closed_form(n, lam, alpha)

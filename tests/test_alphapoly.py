@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congeg.alphapoly import (AlphaPoly, DomainError, GammaRatio, ParameterError,
-                              gamma_quotient, pochhammer)
+from congeg.alphapoly import (AlphaPoly, DomainError, ParameterError, gamma_quotient,
+                              pochhammer)
 
 HALF = Fraction(1, 2)
 
@@ -245,22 +245,3 @@ class TestGammaQuotient:
            st.integers(0, 6))
     def test_matches_pochhammer(self, a, k):
         assert gamma_quotient(a + k, a) == pochhammer(a, k)
-
-
-class TestGammaRatio:
-    def test_reduces_bucketwise(self):
-        ratio = GammaRatio.of((Fraction(7, 2), Fraction(3)),
-                              (Fraction(3, 2), Fraction(5)))
-        assert ratio.to_fraction() == Fraction(5, 16)
-
-    def test_unbalanced_buckets_rejected(self):
-        with pytest.raises(ParameterError):
-            GammaRatio.of((Fraction(1, 2),), (Fraction(1, 3),)).to_fraction()
-
-    @given(st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=8),
-           st.integers(0, 5), st.integers(0, 5))
-    def test_agrees_with_quotient_product(self, a, j, k):
-        ratio = GammaRatio.of((a + j, a + k), (a, a + j + k)).to_fraction()
-        direct = gamma_quotient(a + j, a) * gamma_quotient(a + k, a + j + k)
-        assert ratio == direct
-

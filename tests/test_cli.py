@@ -248,13 +248,21 @@ class TestConfigFile:
         ("table", {"lambda": "x"}),
         ("eval", {"n": "abc", "x": [0.5]}),
         ("plot-data", {"signed_domain": "false"}),
+        # a string for a list key used to be read character by character
+        ("eval", {"x": "12", "n": 1, "lambda": "3", "alpha": "1"}),
+        ("plot-data", {"alphas": "1/2"}),
+        # int() used to truncate floats and take booleans
+        ("table", {"n_max": 2.7}),
+        ("eval", {"n": True, "x": [0.5]}),
+        ("plot-data", {"samples": "3.5"}),
     ])
     def test_uncoercible_value_exits_2(self, tmp_path, capsys, command, values):
+        # the offending key comes first
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2 and out == ""
-        assert next(iter(values)) in err
+        assert f"config key '{next(iter(values))}'" in err
 
     def test_flag_takes_json_boolean(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -78,6 +78,32 @@ class TestOffDiagonals:
         assert rep.status == "numeric-pass"
         assert rep.max_residual is not None and rep.max_residual <= 1e-8
 
+    def test_high_degree_sweep_is_exactly_zero(self):
+        # the moment sums are exact, so every off-diagonal is exactly 0.0
+        rep = orthogonality_check(
+            n_max=32, lambdas=(HALF, ONE, Fraction(5, 2), Fraction(3)))
+        assert rep.status == "numeric-pass"
+        assert rep.max_residual == 0.0
+
+
+class TestExactDiagonals:
+    @pytest.mark.parametrize("n,lam,alpha", [
+        (30, HALF, QUARTER), (40, Fraction(5, 2), Fraction(1, 3)),
+        (60, Fraction(3), ONE), (60, Fraction(343, 11), Fraction(2, 3)),
+    ])
+    def test_within_error_of_high_precision_reference(self, n, lam, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
+            ref = (mpmath.pi * mpmath.mpf(2) ** (1 - 2 * lam_mp)
+                   * mpmath.gamma(n + 2 * lam_mp)
+                   / (mpmath.factorial(n) * (n + lam_mp) * mpmath.gamma(lam_mp) ** 2)
+                   * alpha.denominator / alpha.numerator)
+            got = conformable_inner_product(n, n, lam, alpha)
+            assert got.nodes_used == 0
+            assert 0.0 < got.error <= 1e-14 * got.value
+            assert abs(mpmath.mpf(got.value) - ref) <= got.error
+
 
 class TestDirectRoute:
     @pytest.mark.parametrize("m,n,lam,alpha", [
@@ -143,6 +169,11 @@ class TestAudit:
         assert report.status == "numeric-pass"
         assert report.max_residual is not None and report.max_residual <= 1e-6
 
+    def test_high_degree_grid_passes(self):
+        rep = normalization_audit(default_audit_grid(32))
+        assert len(rep.table) == 6 * 33
+        assert rep.status == "numeric-pass"
+
     def test_grid_shape(self, report):
         assert len(report.table) == len(default_audit_grid()) == 42
 
@@ -184,7 +215,7 @@ class TestAccuracyBudget:
         monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 0)
         cfg = QuadratureConfig(nodes=2, panels=1, rel_tol=1e-300)
         with pytest.raises(AccuracyError) as info:
-            conformable_inner_product(2, 2, Fraction(3), HALF, cfg)
+            conformable_inner_product_direct(2, 2, Fraction(3), HALF, cfg)
         best = info.value.best
         assert isinstance(best, QuadratureResult)
         assert best.value == pytest.approx(classical_norm(2, Fraction(3)) / 0.5,
