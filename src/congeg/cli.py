@@ -159,6 +159,13 @@ def _json_typed(kinds: tuple, what: str,
     return coerce
 
 
+def _tolerance(value: float) -> float:
+    # the chained comparison also rejects nan and inf
+    if not 0 < value < 1:
+        raise ValueError(f"must lie strictly between 0 and 1, got {value!r}")
+    return value
+
+
 _COUNT = _json_typed((int, str), "an integer", int)
 _FLAG = _json_typed((bool,), "true or false")
 
@@ -172,7 +179,7 @@ _COERCERS = {
     "alphas": _json_typed((list,), "a JSON array",
                           lambda v: tuple(_fraction(item) for item in v)),
     "x": _json_typed((list,), "a JSON array", lambda v: [float(item) for item in v]),
-    "tol": float,
+    "tol": _json_typed((int, float), "a number", lambda v: _tolerance(float(v))),
     "suite": str,
     "signed_domain": _FLAG,
     "json": _FLAG,
@@ -298,6 +305,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     tol = d.tol if args.tol is None else args.tol
     if n_max < 0:
         raise ParameterError(f"--n-max must be >= 0, got {n_max}")
+    try:
+        _tolerance(tol)
+    except ValueError as exc:
+        raise ParameterError(f"--tol {exc}") from None
     report = normalization_audit(default_audit_grid(n_max), rel_tol=tol)
     csv_text = audit_rows_to_csv(report.table)
     if args.out:

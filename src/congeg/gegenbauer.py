@@ -6,6 +6,13 @@ coefficient sequence, and that sequence does not depend on the order a: the
 factor a^n contributed by n conformable derivatives in the Rodrigues route
 cancels symbolically against the a^(-n) in its prefactor.
 
+Each route runs in Python integers: with the weight lam = p/q it carries
+integer coefficients over one running integer denominator (a power of q
+times factorials for the series and the recurrence, a product of the
+Leibniz ratios for the Rodrigues kernel) and builds one Fraction per output
+coefficient at the end.  No route calls another; each keeps its own
+derivation, so their agreement remains a check.
+
 Special cases: weight 1/2 gives the Legendre family, weight 1 the Chebyshev
 second-kind family, and the first-kind family (the weight -> 0 limit) is
 provided directly through its classical coefficients.
@@ -24,7 +31,6 @@ from .alphapoly import (
     _as_fraction,
     _as_order,
     gamma_quotient,
-    pochhammer,
 )
 
 __all__ = [
@@ -94,57 +100,80 @@ class UltrasphericalSpec:
 
 def from_series(spec: GegenbauerSpec) -> AlphaPoly:
     """Explicit series: coefficient of x^((n-2s)*a) is
-    (-1)^s (lam)_(n-s) 2^(n-2s) / (s! (n-2s)!)."""
-    n, lam = spec.n, spec.lam
+    (-1)^s (lam)_(n-s) 2^(n-2s) / (s! (n-2s)!).
+
+    Each term follows from the previous one by the ratio
+    -k (k-1) / (4 (s+1) (lam+n-s-1)) with k = n - 2s, carried as an integer
+    numerator over a running integer denominator."""
+    n, p, q = spec.n, spec.lam.numerator, spec.lam.denominator
+    num = 2 ** n  # term s = 0: 2^n (lam)_n / n! = 2^n prod(p + q i) / (q^n n!)
+    for i in range(n):
+        num *= p + q * i
+    den = q ** n * math.factorial(n)
     coeffs = [Fraction(0)] * (n + 1)
     for s in range(n // 2 + 1):
         k = n - 2 * s
-        coeffs[k] = (
-            Fraction(-1) ** s
-            * pochhammer(lam, n - s)
-            * Fraction(2) ** k
-            / (math.factorial(s) * math.factorial(k))
-        )
+        coeffs[k] = Fraction(num, den)
+        num *= -k * (k - 1) * q
+        den *= 4 * (s + 1) * (p + q * (n - s - 1))
     return AlphaPoly(spec.alpha, tuple(coeffs))
 
 
 def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
     """Three-term recurrence (m+1) C_(m+1) = 2(m+lam) x^a C_m - (m+2lam-1) C_(m-1),
-    seeded with C_0 = 1 and C_1 = 2 lam x^a."""
-    lam, alpha = spec.lam, spec.alpha
-    prev = AlphaPoly.constant(alpha, 1)
-    if spec.n == 0:
-        return prev
-    cur = AlphaPoly(alpha, (0, 2 * lam))
-    for m in range(1, spec.n):
-        nxt = (cur.shift(1).scale(2 * (m + lam)) - prev.scale(m + 2 * lam - 1)) / (m + 1)
+    seeded with C_(-1) = 0 and C_0 = 1.
+
+    With lam = p/q it runs on P_m = q^m m! C_m, whose coefficients are
+    integers: P_(m+1) = 2(qm+p) x^a P_m - qm(qm+2p-q) P_(m-1).  Only the
+    entries of the member's parity are touched; C_n = P_n / (q^n n!)."""
+    n, p, q = spec.n, spec.lam.numerator, spec.lam.denominator
+    prev: list[int] = []
+    cur = [1]
+    for m in range(n):
+        up, down = 2 * (q * m + p), q * m * (q * m + 2 * p - q)
+        nxt = [0] * (m + 2)
+        for k in range(m % 2, m + 1, 2):
+            nxt[k + 1] = up * cur[k]
+        for k in range((m + 1) % 2, m, 2):
+            nxt[k] -= down * prev[k]
         prev, cur = cur, nxt
-    return cur
+    den = q ** n * math.factorial(n)
+    return AlphaPoly(spec.alpha, tuple(Fraction(c, den) for c in cur))
 
 
 def _rodrigues_kernel(alpha: Union[Fraction, float], n: int, c: Fraction) -> AlphaPoly:
     """Leibniz expansion of the n-fold conformable derivative of
     (1 - x^(2a))^(n+c), divided by (1 - x^(2a))^c and by the sign (-1)^n:
 
-        sum_k binom(n,k) G(n+c+1)^2 / (G(c+k+1) G(n+c-k+1))
-              * a^n * (x^a + 1)^k * (x^a - 1)^(n-k)
+        sum_k f_k * a^n * (x^a + 1)^k * (x^a - 1)^(n-k),
+        f_k = binom(n,k) G(n+c+1)^2 / (G(c+k+1) G(n+c-k+1)).
 
     The sum is taken by Horner's rule in (x^a + 1), carrying the power of
-    (x^a - 1) along, so it costs O(n^2).  The factor at k = n is (c+1)_n,
-    and each next one follows from the ratio of consecutive factors,
-    k (c+k) / ((n-k+1) (n+c+1-k)).  The a^n from the n derivatives is the
-    kernel's grade.
+    (x^a - 1) along, on integer coefficient lists, so each product with
+    (x^a +- 1) is a shift and an add; it costs O(n^2).  With c = r/t the
+    factor f_n is (c+1)_n = prod_(i=1..n) (r + t i) / t^n, and each next one
+    follows from the ratio f_(k-1)/f_k = k (r + t k) / step with
+    step = (n-k+1) (t (n+1-k) + r).  The running total is kept over the
+    factor's denominator, so it is multiplied by step whenever that
+    denominator is.  The a^n from the n derivatives is the kernel's grade.
     """
-    plus = AlphaPoly(alpha, (1, 1))
-    minus = AlphaPoly(alpha, (-1, 1))
-    total = AlphaPoly.zero(alpha)
-    minus_power = AlphaPoly.constant(alpha, 1)  # (x^a - 1)^(n-k)
-    factor = pochhammer(c + 1, n)
+    r, t = c.numerator, c.denominator
+    num, den = 1, t ** n
+    for i in range(1, n + 1):
+        num *= r + t * i
+    total: list[int] = []   # sum so far, integer coefficients over den
+    minus_power = [1]       # (x^a - 1)^(n-k)
     for k in range(n, -1, -1):
-        total = total * plus + minus_power.scale(factor)
-        minus_power = minus_power * minus
-        factor = factor * k * (c + k) / ((n - k + 1) * (n + c + 1 - k))
-    return total.scale(1, power=n)
+        # total * (x^a + 1) + f_k * (x^a - 1)^(n-k)
+        total = [lo + hi + num * m
+                 for lo, hi, m in zip([0] + total, total + [0], minus_power)]
+        if k:
+            step = (n - k + 1) * (t * (n + 1 - k) + r)
+            num *= k * (r + t * k)
+            den *= step
+            total = [v * step for v in total]
+            minus_power = [lo - hi for lo, hi in zip([0] + minus_power, minus_power + [0])]
+    return AlphaPoly(alpha, tuple(Fraction(v, den) for v in total), n)
 
 
 def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:

@@ -149,13 +149,33 @@ def _float_coeffs(n: int, lam: Fraction) -> np.ndarray:
 # inner products
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 @lru_cache(maxsize=256)
 def _scaled_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
     """Classical (order 1) series coefficients as integers over one common
     denominator.  Cached so a sweep over pairs builds each degree once."""
-    coeffs = from_series(GegenbauerSpec(n, lam, Fraction(1))).rational_coeffs()
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+    return _over_common_denominator(
+        from_series(GegenbauerSpec(n, lam, Fraction(1))).rational_coeffs())
+
+
+@lru_cache(maxsize=256)
+def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
+    """mu_2k / B(1/2, base + 1/2) for k < count, as integers over one common
+    denominator.  mu_2k = mu_0 (1/2)_k / (lam + 1)_k, and mu_0 = B(1/2, lam + 1/2)
+    is B(1/2, base + 1/2) (base + 1/2)_s / (base + 1)_s for s = floor(lam),
+    base = lam - s, so the rational part of every moment is exact here."""
+    shift = math.floor(lam)
+    base = lam - shift
+    moment = pochhammer(base + _HALF, shift) / pochhammer(base + 1, shift)
+    moments = []
+    for k in range(count):
+        moments.append(moment)
+        moment *= (k + _HALF) / (lam + 1 + k)
+    return _over_common_denominator(moments)
 
 
 def conformable_inner_product(
@@ -172,18 +192,14 @@ def conformable_inner_product(
         raise ParameterError(f"weight parameter must be positive, got {lam}")
     a = float(_as_order(alpha))
     (c, c_den), (d, d_den) = _scaled_coeffs(m, lam), _scaled_coeffs(n, lam)
-    # sum over i + j even of c_i d_j mu_(i+j), grouped by k = (i + j) / 2.
-    # mu_2k = mu_0 (1/2)_k / (lam + 1)_k, and mu_0 = B(1/2, lam + 1/2) is
-    # B(1/2, base + 1/2) (base + 1/2)_s / (base + 1)_s for s = floor(lam),
-    # so only B(1/2, base + 1/2), with base in [0, 1), is left in floats
-    shift = math.floor(lam)
-    base = lam - shift
-    moment = pochhammer(base + _HALF, shift) / pochhammer(base + 1, shift)
-    total = Fraction(0)
-    for k in range((len(c) + len(d)) // 2):
+    moments, mu_den = _scaled_moments(lam, (len(c) + len(d)) // 2)
+    # sum over i + j even of c_i d_j mu_(i+j), grouped by k = (i + j) / 2;
+    # only B(1/2, base + 1/2), with base in [0, 1), is left in floats
+    total = 0
+    for k, moment in enumerate(moments):
         lo, hi = max(0, 2 * k - len(d) + 1), min(len(c), 2 * k + 1)
         total += moment * sum(c[i] * d[2 * k - i] for i in range(lo, hi))
-        moment *= (k + _HALF) / (lam + 1 + k)
+    base = lam - math.floor(lam)
     if base == 0:
         beta = math.pi              # B(1/2, 1/2)
     elif base == _HALF:
@@ -191,7 +207,8 @@ def conformable_inner_product(
     else:
         beta = (math.sqrt(math.pi) * math.gamma(float(base + _HALF))
                 / math.gamma(float(base + 1)))
-    value = float(total / (c_den * d_den)) * beta / a
+    # int / int is correctly rounded, so this is the exact sum rounded once
+    value = total / (mu_den * c_den * d_den) * beta / a
     # two math.gamma calls (measured within 7 units of 2^-53 on [1/2, 2])
     # plus about six correctly rounded steps stay under 32 units of 2^-53
     return QuadratureResult(value, 16 * sys.float_info.epsilon * abs(value), 0)

@@ -200,6 +200,12 @@ class TestAuditCommand:
         assert "normalization-audit" in out
         assert "nan" in target.read_text()  # order 1/2 pole rows
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1", "0", "-0.5"])
+    def test_tolerance_outside_unit_interval_exits_2(self, capsys, tol):
+        code, out, err = run(capsys, "audit", "--n-max", "1", "--tol", tol)
+        assert code == 2 and out == ""
+        assert "error: --tol " in err
+
 
 class TestConfigFile:
     def test_values_fill_unset_options(self, tmp_path, capsys):
@@ -255,6 +261,13 @@ class TestConfigFile:
         ("table", {"n_max": 2.7}),
         ("eval", {"n": True, "x": [0.5]}),
         ("plot-data", {"samples": "3.5"}),
+        # float() used to take booleans and strings, and nothing bounded tol
+        ("audit", {"tol": True, "n_max": 1}),
+        ("audit", {"tol": "nan", "n_max": 1}),
+        ("audit", {"tol": float("nan"), "n_max": 1}),
+        ("audit", {"tol": float("inf"), "n_max": 1}),
+        ("audit", {"tol": 1, "n_max": 1}),
+        ("audit", {"tol": 0.0, "n_max": 1}),
     ])
     def test_uncoercible_value_exits_2(self, tmp_path, capsys, command, values):
         # the offending key comes first

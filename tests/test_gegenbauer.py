@@ -119,6 +119,17 @@ class TestRouteAgreement:
         assert rodrigues.grade == 0
         assert rodrigues == s
 
+    # weight denominators other than 1 and 2 exercise the q^m and t^n scaling
+    # of the integer recurrence and Rodrigues kernels
+    @pytest.mark.parametrize("lam", [Fraction(2, 7), Fraction(343, 11), Fraction(5, 3)])
+    def test_routes_match_oracle_to_degree_64(self, lam):
+        for n in (0, 1, 2, 3, 7, 16, 31, 48, 63, 64):
+            oracle = tuple(classical_oracle(n, lam))
+            spec = GegenbauerSpec(n, lam, Fraction(2, 3))
+            for route in (from_series, from_recurrence, from_rodrigues):
+                poly = route(spec)
+                assert poly.grade == 0 and poly.rational_coeffs() == oracle
+
     @given(st.integers(1, 8), weights, orders)
     @settings(max_examples=40, deadline=None)
     def test_derivative_ladder_single_step(self, n, lam, alpha):
@@ -137,7 +148,8 @@ class TestUltraspherical:
         with pytest.raises(ParameterError):
             UltrasphericalSpec(2, Fraction(-1, 2), HALF)
 
-    @given(st.integers(0, 12), st.sampled_from([Fraction(0), HALF, Fraction(3, 2)]), orders)
+    @given(st.integers(0, 12),
+           st.sampled_from([Fraction(-1, 3), Fraction(0), HALF, Fraction(3, 2)]), orders)
     @settings(max_examples=20, deadline=None)
     def test_rodrigues_kernel_has_grade_n(self, n, beta, alpha):
         # n conformable derivatives contribute a^n, cancelled by the prefactor
@@ -168,7 +180,7 @@ class TestUltraspherical:
 class TestFirstKind:
     @pytest.mark.parametrize("alpha", [HALF, ONE])
     def test_rodrigues_equals_recurrence_exactly(self, alpha):
-        for n in range(9):
+        for n in range(41):
             assert chebyshev_t_rodrigues(n, alpha) == chebyshev_t(n, alpha)
 
     def test_endpoint_is_one(self):
