@@ -1,6 +1,13 @@
-"""Layer micro-benchmarks: the three exact constructors and the exact inner
-product at degrees 8, 32 and 64, plus the end-to-end wall time of
-`congeg verify --n-max 24` in a fresh interpreter.
+"""Layer micro-benchmarks, one or more per layer:
+
+- exact arithmetic: `ode_residual` of a family member at degrees 8, 32, 64;
+- the three exact constructors at degrees 8, 32, 64;
+- float evaluation: `evaluate` over 2001 points at degree 64;
+- quadrature: the exact inner product at degrees 8, 32, 64;
+- verification: one `check_ode_annihilation` sweep at n_max 12, and the
+  recorded audits computed afresh;
+- the CLI process: end-to-end wall time of default `congeg verify`,
+  `verify --n-max 24`, `plot-data` and `audit`, each in a fresh interpreter.
 
 This directory is outside the test suite's `testpaths`; run it explicitly
 from the repository root:
@@ -21,10 +28,18 @@ import pytest
 import congeg
 from congeg.gegenbauer import GegenbauerSpec, from_recurrence, from_rodrigues, from_series
 from congeg.quadrature import conformable_inner_product
+from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
+                           check_ode_annihilation, ode_residual)
 
 DEGREES = (8, 32, 64)
 LAM = Fraction(5, 2)
 ALPHA = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_ode_residual(benchmark, n):
+    spec = GegenbauerSpec(n, LAM, ALPHA)
+    assert benchmark(ode_residual, from_series(spec), spec).is_zero
 
 
 @pytest.mark.parametrize("n", DEGREES)
@@ -35,6 +50,13 @@ def test_constructor(benchmark, route, n):
     assert benchmark(route, spec) == from_series(spec)
 
 
+def test_evaluate_2001_points(benchmark):
+    poly = from_series(GegenbauerSpec(64, LAM, ALPHA))
+    xs = [i / 2000 for i in range(2001)]
+    values = benchmark(lambda: [poly.evaluate(x) for x in xs])
+    assert len(values) == len(xs)
+
+
 @pytest.mark.parametrize("n", DEGREES)
 def test_inner_product(benchmark, n):
     # steady state of a sweep: the per-degree caches are filled by the first round
@@ -42,9 +64,21 @@ def test_inner_product(benchmark, n):
     assert result.value > 0 and result.nodes_used == 0
 
 
-def test_cli_verify_n_max_24(benchmark):
+def test_ode_sweep(benchmark):
+    assert benchmark(check_ode_annihilation, ParamGrid(n_max=12)).passed
+
+
+def test_recorded_audits(benchmark):
+    reports = benchmark(lambda: audit_ultraspherical() + audit_chebyshev_limit())
+    assert len(reports) == 5
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("verify", "--n-max", "24"),
+                                  ("plot-data",), ("audit",)],
+                         ids=" ".join)
+def test_cli(benchmark, argv):
     env = {**os.environ, "PYTHONPATH": str(Path(congeg.__file__).resolve().parents[1])}
-    cmd = [sys.executable, "-m", "congeg", "verify", "--n-max", "24"]
+    cmd = [sys.executable, "-m", "congeg", *argv]
     proc = benchmark.pedantic(subprocess.run, args=(cmd,),
                               kwargs={"env": env, "capture_output": True},
                               rounds=5, iterations=1)

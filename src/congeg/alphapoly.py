@@ -26,6 +26,12 @@ at a = 1.
 
 The zero polynomial is the empty coefficient tuple and has grade 0;
 trailing zero coefficients are trimmed on construction.
+
+The public constructor validates the order and every coefficient.  The
+results of arithmetic, and of the constructors in `gegenbauer`, come from
+the private `AlphaPoly._of` instead, which only trims: everything that
+reaches it is already validated, the order taken from a polynomial or a
+parameter spec and every coefficient a Fraction.
 """
 from __future__ import annotations
 
@@ -115,6 +121,19 @@ class AlphaPoly:
         object.__setattr__(self, "coeffs", tuple(normalized))
         object.__setattr__(self, "grade", self.grade if normalized else 0)
 
+    @classmethod
+    def _of(cls, alpha: Union[Fraction, float], coeffs: list[Fraction],
+            grade: int) -> AlphaPoly:
+        """Build from parts that are already valid: a checked order and a
+        list of Fractions, which is trimmed in place.  Skips validation."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "alpha", alpha)
+        object.__setattr__(poly, "coeffs", tuple(coeffs))
+        object.__setattr__(poly, "grade", grade if coeffs else 0)
+        return poly
+
     # -- constructors
 
     @staticmethod
@@ -171,12 +190,12 @@ class AlphaPoly:
             raise ParameterError(
                 f"cannot add terms of grades {self.grade} and {other.grade} "
                 "in the order symbol")
-        return AlphaPoly(self.alpha, tuple(
-            a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)),
+        return AlphaPoly._of(self.alpha, [
+            a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)],
             self.grade)
 
     def __neg__(self) -> AlphaPoly:
-        return AlphaPoly(self.alpha, tuple(-c for c in self.coeffs), self.grade)
+        return AlphaPoly._of(self.alpha, [-c for c in self.coeffs], self.grade)
 
     def __sub__(self, other: AlphaPoly) -> AlphaPoly:
         if not isinstance(other, AlphaPoly):
@@ -187,14 +206,14 @@ class AlphaPoly:
         if isinstance(other, AlphaPoly):
             self._require_same_order(other)
             if self.is_zero or other.is_zero:
-                return AlphaPoly.zero(self.alpha)
+                return AlphaPoly._of(self.alpha, [], 0)
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if not a:
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-            return AlphaPoly(self.alpha, tuple(out), self.grade + other.grade)
+            return AlphaPoly._of(self.alpha, out, self.grade + other.grade)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -219,8 +238,10 @@ class AlphaPoly:
     def scale(self, factor: RationalLike, power: int = 0) -> AlphaPoly:
         """Multiply by factor * a**power (exact)."""
         r = _as_fraction(factor)
-        return AlphaPoly(self.alpha, tuple(c * r for c in self.coeffs),
-                         self.grade + power)
+        grade = self.grade + power
+        if not isinstance(grade, int):
+            raise ParameterError(f"grade must be an integer, got {grade!r}")
+        return AlphaPoly._of(self.alpha, [c * r for c in self.coeffs], grade)
 
     def shift(self, k: int = 1) -> AlphaPoly:
         """Multiply by x^(k*a), shifting every basis index up by k."""
@@ -228,28 +249,33 @@ class AlphaPoly:
             raise ParameterError("basis shift must be nonnegative")
         if self.is_zero:
             return self
-        return AlphaPoly(self.alpha, (0,) * k + self.coeffs, self.grade)
+        return AlphaPoly._of(self.alpha, [Fraction(0)] * k + list(self.coeffs),
+                             self.grade)
 
     # -- calculus and evaluation
 
     def d_alpha(self) -> AlphaPoly:
         """Conformable derivative: x^(k*a) -> a*k*x^((k-1)*a), exactly."""
-        return AlphaPoly(self.alpha, tuple(k * c for k, c in enumerate(self.coeffs) if k),
-                         self.grade + 1)
+        return AlphaPoly._of(
+            self.alpha, [k * c for k, c in enumerate(self.coeffs) if k], self.grade + 1)
 
     @cached_property
-    def _float_coeffs(self) -> tuple[float, ...]:
-        scale = float(self.alpha) ** self.grade
-        return tuple(float(c) * scale for c in self.coeffs)
+    def _horner(self) -> tuple[float, tuple[float, ...]]:
+        """The order as a float, and the float coefficients with the grade's
+        power of the order folded in, highest index first."""
+        a = float(self.alpha)
+        scale = a ** self.grade
+        return a, tuple(float(c) * scale for c in reversed(self.coeffs))
 
     def evaluate(self, x: float) -> float:
         """Value at x under the signed-power convention."""
         if not self.coeffs:
             return 0.0
+        a, coeffs = self._horner
         xf = float(x)
-        u = math.copysign(abs(xf) ** float(self.alpha), xf)
+        u = math.copysign(abs(xf) ** a, xf)
         acc = 0.0
-        for c in reversed(self._float_coeffs):
+        for c in coeffs:
             acc = acc * u + c
         return acc
 

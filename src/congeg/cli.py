@@ -16,6 +16,7 @@ command line win over config values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -78,7 +79,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared: each parse fills a
+    fresh Namespace, so no option carries over from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="congeg",
         description="Conformable Gegenbauer polynomial family: tables, "

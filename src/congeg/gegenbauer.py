@@ -116,7 +116,7 @@ def from_series(spec: GegenbauerSpec) -> AlphaPoly:
         coeffs[k] = Fraction(num, den)
         num *= -k * (k - 1) * q
         den *= 4 * (s + 1) * (p + q * (n - s - 1))
-    return AlphaPoly(spec.alpha, tuple(coeffs))
+    return AlphaPoly._of(spec.alpha, coeffs, 0)
 
 
 def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
@@ -138,7 +138,7 @@ def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
             nxt[k] -= down * prev[k]
         prev, cur = cur, nxt
     den = q ** n * math.factorial(n)
-    return AlphaPoly(spec.alpha, tuple(Fraction(c, den) for c in cur))
+    return AlphaPoly._of(spec.alpha, [Fraction(c, den) for c in cur], 0)
 
 
 def _rodrigues_kernel(alpha: Union[Fraction, float], n: int, c: Fraction) -> AlphaPoly:
@@ -173,7 +173,7 @@ def _rodrigues_kernel(alpha: Union[Fraction, float], n: int, c: Fraction) -> Alp
             den *= step
             total = [v * step for v in total]
             minus_power = [lo - hi for lo, hi in zip([0] + minus_power, minus_power + [0])]
-    return AlphaPoly(alpha, tuple(Fraction(v, den) for v in total), n)
+    return AlphaPoly._of(alpha, [Fraction(v, den) for v in total], n)
 
 
 def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:

@@ -11,6 +11,7 @@ findings, not gates: callers must never let them fail a run.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -412,16 +413,19 @@ def check_special_cases(
     (the natural evaluation scale; pointwise relative error is ill-defined
     at interior roots)."""
     grid = f"n <= {n_max}, order in {{{', '.join(str(a) for a in alphas)}}}"
+    weights = (_HALF, Fraction(1), Fraction(3))
+    oracle = {(n, lam): classical_oracle(n, lam)
+              for lam in weights for n in range(n_max + 1)}
     for n in range(n_max + 1):
         closed_t = _chebyshev_t_closed(n)
         for alpha in alphas:
             leg = legendre(n, alpha).rational_coeffs()
-            if list(leg) + [Fraction(0)] * (n + 1 - len(leg)) != classical_oracle(n, _HALF):
+            if list(leg) + [Fraction(0)] * (n + 1 - len(leg)) != oracle[n, _HALF]:
                 return VerificationReport(
                     "special-cases", grid, "fail",
                     witness=f"legendre n={n}, order={alpha}")
             second = from_series(GegenbauerSpec(n, Fraction(1), alpha)).rational_coeffs()
-            if list(second) + [Fraction(0)] * (n + 1 - len(second)) != classical_oracle(n, 1):
+            if list(second) + [Fraction(0)] * (n + 1 - len(second)) != oracle[n, 1]:
                 return VerificationReport(
                     "special-cases", grid, "fail",
                     witness=f"second-kind n={n}, order={alpha}")
@@ -432,12 +436,12 @@ def check_special_cases(
                     witness=f"first-kind n={n}, order={alpha}")
     worst = 0.0
     xs = np.linspace(-1.0, 1.0, samples)
-    for lam in (_HALF, Fraction(1), Fraction(3)):
+    for lam in weights:
         for n in range(n_max + 1):
             p = from_series(GegenbauerSpec(n, lam, Fraction(1)))
-            oracle = np.array([float(c) for c in classical_oracle(n, lam)])
-            scale = max(1.0, float(np.sum(np.abs(oracle))))
-            reference = np.polynomial.polynomial.polyval(xs, oracle)
+            coeffs = np.array([float(c) for c in oracle[n, lam]])
+            scale = max(1.0, float(np.sum(np.abs(coeffs))))
+            reference = np.polynomial.polynomial.polyval(xs, coeffs)
             ours = np.array([p.evaluate(float(x)) for x in xs])
             worst = max(worst, float(np.max(np.abs(ours - reference))) / scale)
             if worst > rel_tol:
@@ -610,6 +614,14 @@ def run_asserted_checks(
     return [build(grid, inject_defect) for build in SUITES.values()]
 
 
+@functools.cache
+def _recorded_audits() -> tuple[VerificationReport, ...]:
+    return tuple(audit_ultraspherical() + audit_chebyshev_limit())
+
+
 def run_recorded_audits() -> list[VerificationReport]:
-    """All recorded audits owned by this module."""
-    return audit_ultraspherical() + audit_chebyshev_limit()
+    """All recorded audits owned by this module.
+
+    They take no input, so they are computed once per process; each call
+    returns a new list of the same frozen reports."""
+    return list(_recorded_audits())

@@ -73,6 +73,63 @@ class TestGrade:
 
 
 # ---------------------------------------------------------------------------
+# results of arithmetic skip the public constructor's checks, so they must
+# already be what it would build
+
+
+def assert_normalized(p):
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    assert p.coeffs or p.grade == 0
+    assert AlphaPoly(p.alpha, p.coeffs, p.grade) == p
+
+
+class TestArithmeticResults:
+    @given(orders, coeff_lists, coeff_lists, rationals, st.integers(-2, 2),
+           st.integers(0, 3))
+    def test_results_are_normalized(self, alpha, cs, ds, r, g, k):
+        p = AlphaPoly(alpha, tuple(cs), grade=g)
+        q = AlphaPoly(alpha, tuple(ds), grade=g)
+        for result in (p + q, p - q, -p, p * q, p * r, r * p, p.scale(r, power=2),
+                       p.shift(k), p.d_alpha(), p - p, p ** 2):
+            assert_normalized(result)
+
+    def test_cancelled_top_terms_are_trimmed(self):
+        p = AlphaPoly(HALF, (1, 2, 3), grade=1)
+        q = AlphaPoly(HALF, (0, 0, 3), grade=1)
+        assert (p - q).coeffs == (Fraction(1), Fraction(2))
+        assert (p - p).coeffs == () and (p - p).grade == 0
+        assert p.scale(0, power=2).grade == 0
+        assert AlphaPoly.constant(HALF, 5).d_alpha().grade == 0
+
+    def test_shift_pads_with_fractions(self):
+        p = AlphaPoly(HALF, (Fraction(1, 3),), grade=2).shift(3)
+        assert p.coeffs == (0, 0, 0, Fraction(1, 3)) and p.grade == 2
+        assert_normalized(p)
+
+    def test_mixed_grade_sum_still_raises(self):
+        p = AlphaPoly(HALF, (1, 2), grade=1)
+        with pytest.raises(ParameterError):
+            p + AlphaPoly(HALF, (1,), grade=2)
+        with pytest.raises(ParameterError):
+            p - p.shift(1).d_alpha()
+
+    def test_non_integer_power_raises(self):
+        for p in (AlphaPoly(HALF, (1, 2)), AlphaPoly.zero(HALF)):
+            with pytest.raises(ParameterError):
+                p.scale(3, power=Fraction(1, 2))
+            with pytest.raises(ParameterError):
+                p.scale(3, power=1.0)
+
+    def test_public_constructor_still_validates(self):
+        # an order outside (0, 1] is covered by test_order_validation
+        with pytest.raises(ParameterError):
+            AlphaPoly(HALF, (1, 0.5))
+        with pytest.raises(ParameterError):
+            AlphaPoly(HALF, (1,), grade=Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
 # AlphaPoly structure
 
 

@@ -291,6 +291,31 @@ class TestConfigFile:
         assert code == 2 and "JSON" in err
 
 
+class TestRepeatedCalls:
+    """The parser is built once per process; one call's options must not
+    leak into the next."""
+
+    @staticmethod
+    def alone(*argv):
+        proc = subprocess.run([sys.executable, "-m", "congeg", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        return proc.stdout
+
+    @pytest.mark.parametrize("first,second", [
+        (("plot-data", "--samples", "3", "--alpha", "1/3", "--alpha", "2/3"),
+         ("plot-data", "--samples", "3")),
+        (("verify", "--suite", "ode"), ("verify",)),
+    ])
+    def test_back_to_back_calls_match_fresh_processes(self, capsys, first, second):
+        outputs = []
+        for argv in (first, second):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs == [self.alone(*first), self.alone(*second)]
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congeg.alphapoly import ParameterError, pochhammer
+from congeg.alphapoly import AlphaPoly, ParameterError, pochhammer
 from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_kernel,
                                chebyshev_t, chebyshev_t_rodrigues, classical_oracle,
                                from_recurrence, from_rodrigues, from_series,
@@ -129,6 +129,17 @@ class TestRouteAgreement:
             for route in (from_series, from_recurrence, from_rodrigues):
                 poly = route(spec)
                 assert poly.grade == 0 and poly.rational_coeffs() == oracle
+
+    @given(st.integers(0, 24), weights, orders)
+    @settings(max_examples=40, deadline=None)
+    def test_routes_build_normalized_polynomials(self, n, lam, alpha):
+        # the routes build their results without the public constructor's checks
+        spec = GegenbauerSpec(n, lam, alpha)
+        for poly in (from_series(spec), from_recurrence(spec), from_rodrigues(spec),
+                     _rodrigues_kernel(spec.alpha, n, lam - HALF)):
+            assert all(type(c) is Fraction for c in poly.coeffs)
+            assert poly.coeffs[-1] != 0
+            assert AlphaPoly(poly.alpha, poly.coeffs, poly.grade) == poly
 
     @given(st.integers(1, 8), weights, orders)
     @settings(max_examples=40, deadline=None)

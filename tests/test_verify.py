@@ -6,7 +6,8 @@ import pytest
 
 from congeg.alphapoly import AlphaPoly, ParameterError
 from congeg.gegenbauer import GegenbauerSpec, from_series
-from congeg.verify import (ParamGrid, VerificationReport, check_constructor_agreement,
+from congeg.verify import (ParamGrid, VerificationReport, audit_chebyshev_limit,
+                           audit_ultraspherical, check_constructor_agreement,
                            check_derivative_ladder, check_endpoint_values,
                            check_generating_function, check_ode_annihilation,
                            check_recurrences, check_special_cases,
@@ -131,6 +132,20 @@ class TestRecordedAudits:
         rep = audits["chebyshev-derivative-ladder"]
         assert rep.status == "fail"
         assert "n/2" in rep.notes
+
+
+class TestRecordedAuditsOncePerProcess:
+    def test_each_call_returns_its_own_list(self):
+        first = run_recorded_audits()
+        second = run_recorded_audits()
+        assert first == second and first is not second
+        first.clear()
+        assert len(second) == 5
+        assert run_recorded_audits() == second
+
+    def test_direct_audit_calls_follow_their_arguments(self):
+        reports = audit_ultraspherical(n_max=2) + audit_chebyshev_limit(n_max=3)
+        assert [r.grid.split(",")[0] for r in reports] == ["n <= 2"] * 3 + ["n <= 3"] * 2
 
 
 class TestReportPlumbing:
