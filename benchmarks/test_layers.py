@@ -3,7 +3,8 @@
 - exact arithmetic: `ode_residual` of a family member at degrees 8, 32, 64;
 - the three exact constructors at degrees 8, 32, 64;
 - float evaluation: `evaluate` over 2001 points at degree 64;
-- quadrature: the exact inner product at degrees 8, 32, 64;
+- quadrature: the exact inner product at degrees 8, 32, 64, and the direct
+  x-route at degrees (7, 9) and (12, 12), order 1/4;
 - verification: one `check_ode_annihilation` sweep at n_max 12, and the
   recorded audits computed afresh;
 - the CLI process: end-to-end wall time of default `congeg verify`,
@@ -27,7 +28,7 @@ import pytest
 
 import congeg
 from congeg.gegenbauer import GegenbauerSpec, from_recurrence, from_rodrigues, from_series
-from congeg.quadrature import conformable_inner_product
+from congeg.quadrature import conformable_inner_product, conformable_inner_product_direct
 from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
                            check_ode_annihilation, ode_residual)
 
@@ -62,6 +63,15 @@ def test_inner_product(benchmark, n):
     # steady state of a sweep: the per-degree caches are filled by the first round
     result = benchmark(conformable_inner_product, n, n, LAM, ALPHA)
     assert result.value > 0 and result.nodes_used == 0
+
+
+@pytest.mark.parametrize("m,n", [(7, 9), (12, 12)])
+def test_direct_inner_product(benchmark, m, n):
+    order = Fraction(1, 4)
+    result = benchmark(conformable_inner_product_direct, m, n, LAM, order)
+    exact = conformable_inner_product(m, n, LAM, order).value
+    scale = conformable_inner_product(n, n, LAM, order).value
+    assert abs(result.value - exact) <= 1e-7 * scale
 
 
 def test_ode_sweep(benchmark):

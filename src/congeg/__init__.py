@@ -15,8 +15,8 @@ from .gegenbauer import (GegenbauerSpec, UltrasphericalSpec, chebyshev_t,
                          chebyshev_t_rodrigues, classical_oracle, from_recurrence,
                          from_rodrigues, from_series, legendre, ultraspherical,
                          ultraspherical_rodrigues)
-from .quadrature import (AccuracyError, AuditRow, QuadratureConfig,
-                         QuadratureResult, audit_rows_to_csv, classical_norm,
+from .quadrature import (AccuracyError, AuditRow, QuadratureResult,
+                         audit_rows_to_csv, classical_norm,
                          conformable_inner_product,
                          conformable_inner_product_direct, normalization_audit,
                          normalization_closed_form, normalization_gamma_product,
@@ -35,7 +35,6 @@ __all__ = [
     "GegenbauerSpec",
     "ParamGrid",
     "ParameterError",
-    "QuadratureConfig",
     "QuadratureResult",
     "UltrasphericalSpec",
     "VerificationReport",

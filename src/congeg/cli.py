@@ -234,8 +234,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _csv_rows(poly, alpha: Fraction, xs: Sequence[float]) -> list[str]:
-    a = float(alpha)
-    return [f"{float(x)!r},{a!r},{poly.evaluate(float(x))!r}" for x in xs]
+    a = repr(float(alpha))
+    return [f"{float(x)!r},{a},{poly.evaluate(float(x))!r}" for x in xs]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -269,10 +269,11 @@ def classical_oracle(n: int, lam: RationalLike) -> list[Fraction]:
         return prev
     cur = [Fraction(0), 2 * lam]
     for m in range(2, n + 1):
+        up, down = 2 * (m - 1 + lam) / m, (m + 2 * lam - 2) / m
         nxt = [Fraction(0)] * (m + 1)
         for j, coeff in enumerate(cur):
-            nxt[j + 1] += 2 * (m - 1 + lam) / m * coeff
+            nxt[j + 1] += up * coeff
         for j, coeff in enumerate(prev):
-            nxt[j] -= (m + 2 * lam - 2) / m * coeff
+            nxt[j] -= down * coeff
         prev, cur = cur, nxt
     return cur

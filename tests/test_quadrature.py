@@ -6,9 +6,8 @@ import pytest
 
 import congeg.quadrature as quadrature
 from congeg.alphapoly import DomainError, ParameterError
-from congeg.quadrature import (AccuracyError, QuadratureConfig, QuadratureResult,
-                               audit_rows_to_csv, classical_norm,
-                               conformable_inner_product,
+from congeg.quadrature import (AccuracyError, QuadratureResult, audit_rows_to_csv,
+                               classical_norm, conformable_inner_product,
                                conformable_inner_product_direct,
                                default_audit_grid, normalization_audit,
                                normalization_closed_form,
@@ -20,20 +19,6 @@ QUARTER = Fraction(1, 4)
 
 CSV_HEADER = ("n,lambda,alpha,quadrature,closed_form,gamma_product,derived,"
               "rel_diff_quadrature_vs_derived")
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert (cfg.nodes, cfg.panels, cfg.rel_tol) == (16, 8, 1e-10)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"nodes": 1}, {"nodes": 2.5}, {"panels": 0}, {"rel_tol": 0.0},
-        {"rel_tol": -1e-3},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ParameterError):
-            QuadratureConfig(**kwargs)
 
 
 class TestDiagonals:
@@ -105,20 +90,33 @@ class TestExactDiagonals:
             assert abs(mpmath.mpf(got.value) - ref) <= got.error
 
 
+WEIGHTS = (HALF, ONE, Fraction(5, 2), Fraction(3))
+ORDERS = (QUARTER, HALF, Fraction(3, 4), ONE)
+_FIRST_CASES = [(2, 2, Fraction(3), HALF), (1, 1, ONE, QUARTER),
+                (3, 3, ONE, Fraction(3, 4)), (1, 3, Fraction(3), HALF), (0, 0, HALF, ONE)]
+# the benchmark's direct grid, m <= n <= 12 over four weights and four orders,
+# after the first cases (which keep their test ids), and one case at degree 26
+DIRECT_CASES = _FIRST_CASES + [
+    (m, n, lam, alpha) for lam in WEIGHTS for alpha in ORDERS
+    for n in range(13) for m in range(n + 1)
+    if (m, n, lam, alpha) not in _FIRST_CASES] + [(26, 26, ONE, QUARTER)]
+
+
 class TestDirectRoute:
-    @pytest.mark.parametrize("m,n,lam,alpha", [
-        (2, 2, Fraction(3), HALF),
-        (1, 1, ONE, QUARTER),
-        (3, 3, ONE, Fraction(3, 4)),
-        (1, 3, Fraction(3), HALF),
-        (0, 0, HALF, ONE),
-    ])
+    @pytest.mark.parametrize("m,n,lam,alpha", DIRECT_CASES)
     def test_agrees_with_substituted_route(self, m, n, lam, alpha):
         direct = conformable_inner_product_direct(m, n, lam, alpha)
-        subst = conformable_inner_product(m, n, lam, alpha)
-        scale = max(abs(subst.value),
-                    conformable_inner_product(m, m, lam, alpha).value)
-        assert abs(direct.value - subst.value) <= 1e-7 * scale
+        exact = conformable_inner_product(m, n, lam, alpha).value
+        scale = math.sqrt(conformable_inner_product(m, m, lam, alpha).value
+                          * conformable_inner_product(n, n, lam, alpha).value)
+        assert direct.nodes_used == 642
+        assert abs(direct.value - exact) <= direct.error
+        assert abs(direct.value - exact) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("degree", [-1, 1.5, True])
+    def test_bad_degree(self, degree):
+        with pytest.raises(ParameterError):
+            conformable_inner_product_direct(degree, 1, ONE, ONE)
 
 
 class TestNormalizationFormulas:
@@ -210,14 +208,13 @@ class TestAudit:
 
 class TestAccuracyBudget:
     def test_budget_exhaustion_carries_best(self, monkeypatch):
-        # a 2-node rule cannot hit 1e-300 relative, so the one permitted
-        # pass (doubling budget patched to zero) must give up
-        monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 0)
-        cfg = QuadratureConfig(nodes=2, panels=1, rel_tol=1e-300)
+        # at degree 24 the nested h = 1/16 rule is about 4e-13 (relative)
+        # off the full rule, far above 1e-300; at low degree both can agree
+        # to the last bit, which no tolerance rejects
+        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-300)
         with pytest.raises(AccuracyError) as info:
-            conformable_inner_product_direct(2, 2, Fraction(3), HALF, cfg)
+            conformable_inner_product_direct(24, 24, Fraction(3), ONE)
         best = info.value.best
         assert isinstance(best, QuadratureResult)
-        assert best.value == pytest.approx(classical_norm(2, Fraction(3)) / 0.5,
-                                           rel=1e-3)
-        assert best.error > 0.0
+        assert best.value == pytest.approx(classical_norm(24, Fraction(3)), rel=1e-3)
+        assert best.error > 0.0 and best.nodes_used == 642
