@@ -1,12 +1,14 @@
 """Layer micro-benchmarks, one or more per layer:
 
-- exact arithmetic: `ode_residual` of a family member at degrees 8, 32, 64;
+- exact arithmetic: `ode_residual` of a family member at degrees 8, 32, 64,
+  and `+`, `*`, `scale` and `d_alpha` on degree-64 members;
 - the three exact constructors at degrees 8, 32, 64;
-- float evaluation: `evaluate` over 2001 points at degree 64;
+- float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
-- verification: one `check_ode_annihilation` sweep at n_max 12, and the
-  recorded audits computed afresh;
+- verification: one `check_ode_annihilation` sweep at n_max 12, the other
+  exact sweeps (constructors, recurrences, ladder, endpoints, special
+  cases) at n_max 12, and the recorded audits computed afresh;
 - the CLI process: end-to-end wall time of default `congeg verify`,
   `verify --n-max 24`, `plot-data` and `audit`, each in a fresh interpreter.
 
@@ -30,11 +32,14 @@ import congeg
 from congeg.gegenbauer import GegenbauerSpec, from_recurrence, from_rodrigues, from_series
 from congeg.quadrature import conformable_inner_product, conformable_inner_product_direct
 from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
-                           check_ode_annihilation, ode_residual)
+                           check_constructor_agreement, check_derivative_ladder,
+                           check_endpoint_values, check_ode_annihilation,
+                           check_recurrences, check_special_cases, ode_residual)
 
 DEGREES = (8, 32, 64)
 LAM = Fraction(5, 2)
 ALPHA = Fraction(1, 2)
+GRID_12 = ParamGrid(n_max=12)
 
 
 @pytest.mark.parametrize("n", DEGREES)
@@ -51,8 +56,26 @@ def test_constructor(benchmark, route, n):
     assert benchmark(route, spec) == from_series(spec)
 
 
-def test_evaluate_2001_points(benchmark):
-    poly = from_series(GegenbauerSpec(64, LAM, ALPHA))
+# degree-64 members at two weights, so sums run over the lcm of unequal
+# denominators
+POLY_OPS = {
+    "add": lambda p, q: p + q,
+    "mul": lambda p, q: p * q,
+    "scale": lambda p, q: p.scale(Fraction(7, 3)),
+    "d_alpha": lambda p, q: p.d_alpha(),
+}
+
+
+@pytest.mark.parametrize("op", POLY_OPS)
+def test_poly_op(benchmark, op):
+    p = from_series(GegenbauerSpec(64, LAM, ALPHA))
+    q = from_series(GegenbauerSpec(64, Fraction(2, 7), ALPHA))
+    assert not benchmark(POLY_OPS[op], p, q).is_zero
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_evaluate_2001_points(benchmark, n):
+    poly = from_series(GegenbauerSpec(n, LAM, ALPHA))
     xs = [i / 2000 for i in range(2001)]
     values = benchmark(lambda: [poly.evaluate(x) for x in xs])
     assert len(values) == len(xs)
@@ -75,7 +98,21 @@ def test_direct_inner_product(benchmark, m, n):
 
 
 def test_ode_sweep(benchmark):
-    assert benchmark(check_ode_annihilation, ParamGrid(n_max=12)).passed
+    assert benchmark(check_ode_annihilation, GRID_12).passed
+
+
+EXACT_SWEEPS = {
+    "constructors": lambda: check_constructor_agreement(GRID_12),
+    "recurrences": lambda: check_recurrences(GRID_12, n_max=12),
+    "ladder": lambda: check_derivative_ladder(GRID_12, n_max=12),
+    "endpoints": lambda: check_endpoint_values(GRID_12),
+    "special-cases": lambda: check_special_cases(n_max=12),
+}
+
+
+@pytest.mark.parametrize("suite", EXACT_SWEEPS)
+def test_exact_sweep(benchmark, suite):
+    assert benchmark(EXACT_SWEEPS[suite]).passed
 
 
 def test_recorded_audits(benchmark):

@@ -24,23 +24,30 @@ which extends the basis to [-1, 1], preserves parity (even/odd index
 support gives even/odd functions of x) and reduces to the ordinary power
 at a = 1.
 
-The zero polynomial is the empty coefficient tuple and has grade 0;
-trailing zero coefficients are trimmed on construction.
+The rational coefficients are stored as integer numerators over one
+common positive denominator, so arithmetic runs on Python integers: a sum
+works over the lcm of the two denominators, a product is an integer
+convolution over their product, and shift and d_alpha keep the
+denominator.  `AlphaPoly._of(alpha, nums, den, grade)` is the one place a
+result is put in canonical form: it trims trailing zero numerators and
+divides out gcd(den, *nums), so every polynomial has den > 0, gcd 1 and a
+nonzero last numerator, and the zero polynomial is nums () over den 1 with
+grade 0.  Equal polynomials therefore have equal (alpha, grade, den, nums).
+The Fraction coefficients are a view, built on demand.
 
 The public constructor validates the order and every coefficient.  The
 results of arithmetic, and of the constructors in `gegenbauer`, come from
-the private `AlphaPoly._of` instead, which only trims: everything that
-reaches it is already validated, the order taken from a polynomial or a
-parameter spec and every coefficient a Fraction.
+`_of` instead, which skips validation: everything that reaches it is
+already valid, the order taken from a polynomial or a parameter spec, the
+numerators integers and the denominator a positive integer.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
-from typing import Union
+from typing import Iterable, Union
 
 __all__ = [
     "AlphaPoly",
@@ -95,44 +102,62 @@ def _as_coeff(value: Union[int, Fraction]) -> Fraction:
 # polynomials in x^(k*a)
 
 
-@dataclass(frozen=True, eq=False)
 class AlphaPoly:
-    """Polynomial a^grade * sum_k coeffs[k] * x^(k*a), exact throughout.
+    """Polynomial a^grade * sum_k (nums[k] / den) * x^(k*a), exact throughout.
 
     `alpha` is the order, in (0, 1], kept exact when given as a rational.
-    Coefficients may be ints or Fractions; they are normalized to Fraction
-    and trailing zeros are trimmed.  `grade` is the power of the order
-    symbol a that multiplies the whole polynomial; the zero polynomial
-    has grade 0 and adds to any grade.
+    The coefficients are stored as the tuple of integer numerators `nums`
+    over one positive integer denominator `den`, in lowest terms, with no
+    trailing zero; `coeffs` is the tuple of Fractions they stand for, built
+    on first use.  The public constructor takes coefficients as ints or
+    Fractions.  `grade` is the power of the order symbol a that multiplies
+    the whole polynomial.  The zero polynomial is nums () over den 1, has
+    grade 0 and adds to any grade.  Instances are immutable.
     """
 
     alpha: Union[Fraction, float]
-    coeffs: tuple[Fraction, ...] = ()
-    grade: int = 0
+    nums: tuple[int, ...]
+    den: int
+    grade: int
 
-    def __post_init__(self) -> None:
-        a = _as_order(self.alpha)
-        if not isinstance(self.grade, int):
-            raise ParameterError(f"grade must be an integer, got {self.grade!r}")
-        normalized = [_as_coeff(c) for c in self.coeffs]
-        while normalized and not normalized[-1]:
-            normalized.pop()
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "coeffs", tuple(normalized))
-        object.__setattr__(self, "grade", self.grade if normalized else 0)
+    def __init__(self, alpha: Union[Fraction, float],
+                 coeffs: Iterable[Union[int, Fraction]] = (), grade: int = 0) -> None:
+        a = _as_order(alpha)
+        if not isinstance(grade, int):
+            raise ParameterError(f"grade must be an integer, got {grade!r}")
+        fracs = [_as_coeff(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        self._store(a, [c.numerator * (den // c.denominator) for c in fracs], den, grade)
 
     @classmethod
-    def _of(cls, alpha: Union[Fraction, float], coeffs: list[Fraction],
+    def _of(cls, alpha: Union[Fraction, float], nums: list[int], den: int,
             grade: int) -> AlphaPoly:
-        """Build from parts that are already valid: a checked order and a
-        list of Fractions, which is trimmed in place.  Skips validation."""
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+        """Build from parts that are already valid: a checked order, a list of
+        integer numerators, which is trimmed in place, and a positive integer
+        denominator.  Skips validation."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "alpha", alpha)
-        object.__setattr__(poly, "coeffs", tuple(coeffs))
-        object.__setattr__(poly, "grade", grade if coeffs else 0)
+        poly._store(alpha, nums, den, grade)
         return poly
+
+    def _store(self, alpha: Union[Fraction, float], nums: list[int], den: int,
+               grade: int) -> None:
+        """Trim trailing zeros and reduce nums/den to lowest terms with one gcd."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            den, grade = 1, 0
+        else:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = [v // g for v in nums]
+                den //= g
+        self.__dict__.update(alpha=alpha, nums=tuple(nums), den=den, grade=grade)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"AlphaPoly is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"AlphaPoly is immutable; cannot delete {name!r}")
 
     # -- constructors
 
@@ -153,23 +178,28 @@ class AlphaPoly:
 
     # -- structure
 
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest index first."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
+
     @property
     def degree(self) -> int:
         """Highest basis index with a nonzero coefficient; -1 for zero."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlphaPoly):
             return NotImplemented
         return (self.alpha == other.alpha and self.grade == other.grade
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.alpha, self.grade, self.coeffs))
+        return hash((self.alpha, self.grade, self.den, self.nums))
 
     def _require_same_order(self, other: AlphaPoly) -> None:
         if self.alpha != other.alpha:
@@ -190,12 +220,14 @@ class AlphaPoly:
             raise ParameterError(
                 f"cannot add terms of grades {self.grade} and {other.grade} "
                 "in the order symbol")
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
         return AlphaPoly._of(self.alpha, [
-            a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)],
-            self.grade)
+            a * f + b * g for a, b in zip_longest(self.nums, other.nums, fillvalue=0)],
+            den, self.grade)
 
     def __neg__(self) -> AlphaPoly:
-        return AlphaPoly._of(self.alpha, [-c for c in self.coeffs], self.grade)
+        return AlphaPoly._of(self.alpha, [-v for v in self.nums], self.den, self.grade)
 
     def __sub__(self, other: AlphaPoly) -> AlphaPoly:
         if not isinstance(other, AlphaPoly):
@@ -206,14 +238,15 @@ class AlphaPoly:
         if isinstance(other, AlphaPoly):
             self._require_same_order(other)
             if self.is_zero or other.is_zero:
-                return AlphaPoly._of(self.alpha, [], 0)
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
+                return AlphaPoly._of(self.alpha, [], 1, 0)
+            out = [0] * (len(self.nums) + len(other.nums) - 1)
+            for i, a in enumerate(self.nums):
                 if not a:
                     continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return AlphaPoly._of(self.alpha, out, self.grade + other.grade)
+                for j, b in enumerate(other.nums, i):
+                    out[j] += a * b
+            return AlphaPoly._of(self.alpha, out, self.den * other.den,
+                                 self.grade + other.grade)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -225,7 +258,9 @@ class AlphaPoly:
 
     def __truediv__(self, other: RationalLike) -> AlphaPoly:
         d = _as_fraction(other)
-        return self.scale(Fraction(1) / d)
+        if not d:
+            raise ParameterError("division of a polynomial by zero")
+        return self.scale(1 / d)
 
     def __pow__(self, exponent: int) -> AlphaPoly:
         if not isinstance(exponent, int) or exponent < 0:
@@ -241,7 +276,9 @@ class AlphaPoly:
         grade = self.grade + power
         if not isinstance(grade, int):
             raise ParameterError(f"grade must be an integer, got {grade!r}")
-        return AlphaPoly._of(self.alpha, [c * r for c in self.coeffs], grade)
+        m = r.numerator
+        return AlphaPoly._of(self.alpha, [v * m for v in self.nums],
+                             self.den * r.denominator, grade)
 
     def shift(self, k: int = 1) -> AlphaPoly:
         """Multiply by x^(k*a), shifting every basis index up by k."""
@@ -249,27 +286,28 @@ class AlphaPoly:
             raise ParameterError("basis shift must be nonnegative")
         if self.is_zero:
             return self
-        return AlphaPoly._of(self.alpha, [Fraction(0)] * k + list(self.coeffs),
-                             self.grade)
+        return AlphaPoly._of(self.alpha, [0] * k + list(self.nums), self.den, self.grade)
 
     # -- calculus and evaluation
 
     def d_alpha(self) -> AlphaPoly:
         """Conformable derivative: x^(k*a) -> a*k*x^((k-1)*a), exactly."""
-        return AlphaPoly._of(
-            self.alpha, [k * c for k, c in enumerate(self.coeffs) if k], self.grade + 1)
+        return AlphaPoly._of(self.alpha, [k * v for k, v in enumerate(self.nums) if k],
+                             self.den, self.grade + 1)
 
     @cached_property
     def _horner(self) -> tuple[float, tuple[float, ...]]:
         """The order as a float, and the float coefficients with the grade's
-        power of the order folded in, highest index first."""
+        power of the order folded in, highest index first.  Each v / den is
+        an int quotient, so it is the coefficient correctly rounded."""
         a = float(self.alpha)
         scale = a ** self.grade
-        return a, tuple(float(c) * scale for c in reversed(self.coeffs))
+        den = self.den
+        return a, tuple(v / den * scale for v in reversed(self.nums))
 
     def evaluate(self, x: float) -> float:
         """Value at x under the signed-power convention."""
-        if not self.coeffs:
+        if not self.nums:
             return 0.0
         a, coeffs = self._horner
         xf = float(x)
@@ -284,14 +322,18 @@ class AlphaPoly:
 
     def coefficient_sum(self) -> Fraction:
         """Exact value at x = 1 (all basis monomials are 1 there)."""
-        return sum(self.rational_coeffs(), Fraction(0))
+        self._require_rational()
+        return Fraction(sum(self.nums), self.den)
 
     def rational_coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients as plain rationals; rejects order-dependent ones."""
+        self._require_rational()
+        return self.coeffs
+
+    def _require_rational(self) -> None:
         if self.grade:
             raise ParameterError(
                 f"polynomial {self} carries a power of the order symbol")
-        return self.coeffs
 
     # -- display
 
@@ -339,13 +381,14 @@ class AlphaPoly:
 
 def pochhammer(base: RationalLike, m: int) -> Fraction:
     """Rising factorial (base)_m = base*(base+1)*...*(base+m-1), exactly."""
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ParameterError(f"rising factorial needs a nonnegative integer, got {m!r}")
     b = _as_fraction(base)
-    out = Fraction(1)
+    p, q = b.numerator, b.denominator
+    num = 1  # prod (b + i) = prod (p + q i) / q^m
     for i in range(m):
-        out *= b + i
-    return out
+        num *= p + q * i
+    return Fraction(num, q ** m)
 
 
 def gamma_quotient(num: RationalLike, den: RationalLike) -> Fraction:

@@ -9,8 +9,9 @@ cancels symbolically against the a^(-n) in its prefactor.
 Each route runs in Python integers: with the weight lam = p/q it carries
 integer coefficients over one running integer denominator (a power of q
 times factorials for the series and the recurrence, a product of the
-Leibniz ratios for the Rodrigues kernel) and builds one Fraction per output
-coefficient at the end.  No route calls another; each keeps its own
+Leibniz ratios for the Rodrigues kernel) and hands both to `AlphaPoly._of`,
+which stores them as they are, reduced by one gcd; no route builds a
+Fraction per coefficient.  No route calls another; each keeps its own
 derivation, so their agreement remains a check.
 
 Special cases: weight 1/2 gives the Legendre family, weight 1 the Chebyshev
@@ -104,19 +105,27 @@ def from_series(spec: GegenbauerSpec) -> AlphaPoly:
 
     Each term follows from the previous one by the ratio
     -k (k-1) / (4 (s+1) (lam+n-s-1)) with k = n - 2s, carried as an integer
-    numerator over a running integer denominator."""
+    numerator over a running integer denominator.  A second pass, from the
+    last term up, multiplies each term by the denominator steps after it,
+    so all share the final denominator at one product per term."""
     n, p, q = spec.n, spec.lam.numerator, spec.lam.denominator
     num = 2 ** n  # term s = 0: 2^n (lam)_n / n! = 2^n prod(p + q i) / (q^n n!)
     for i in range(n):
         num *= p + q * i
-    den = q ** n * math.factorial(n)
-    coeffs = [Fraction(0)] * (n + 1)
+    nums = [0] * (n + 1)
+    steps = []  # term s is nums[n - 2s] / (q^n n! steps[0] ... steps[s-1])
     for s in range(n // 2 + 1):
         k = n - 2 * s
-        coeffs[k] = Fraction(num, den)
-        num *= -k * (k - 1) * q
-        den *= 4 * (s + 1) * (p + q * (n - s - 1))
-    return AlphaPoly._of(spec.alpha, coeffs, 0)
+        nums[k] = num
+        if k > 1:
+            steps.append(4 * (s + 1) * (p + q * (n - s - 1)))
+            num *= -k * (k - 1) * q
+    tail = 1
+    for s in range(len(steps), 0, -1):
+        nums[n - 2 * s] *= tail
+        tail *= steps[s - 1]
+    nums[n] *= tail
+    return AlphaPoly._of(spec.alpha, nums, q ** n * math.factorial(n) * tail, 0)
 
 
 def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
@@ -137,8 +146,7 @@ def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
         for k in range((m + 1) % 2, m, 2):
             nxt[k] -= down * prev[k]
         prev, cur = cur, nxt
-    den = q ** n * math.factorial(n)
-    return AlphaPoly._of(spec.alpha, [Fraction(c, den) for c in cur], 0)
+    return AlphaPoly._of(spec.alpha, cur, q ** n * math.factorial(n), 0)
 
 
 def _rodrigues_kernel(alpha: Union[Fraction, float], n: int, c: Fraction) -> AlphaPoly:
@@ -173,7 +181,7 @@ def _rodrigues_kernel(alpha: Union[Fraction, float], n: int, c: Fraction) -> Alp
             den *= step
             total = [v * step for v in total]
             minus_power = [lo - hi for lo, hi in zip([0] + minus_power, minus_power + [0])]
-    return AlphaPoly._of(alpha, [Fraction(v, den) for v in total], n)
+    return AlphaPoly._of(alpha, total, den, n)
 
 
 def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
@@ -214,7 +222,7 @@ def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
     prefactor = math.gamma(n + 2 * b + 1) / (
         2.0 ** (n + b) * math.factorial(n) * math.gamma(n + b + 1))
     # the prefactor's a^(-n) cancels the kernel's grade n, so neither is applied
-    return tuple(float(c) * prefactor for c in kernel.coeffs)
+    return tuple(v / kernel.den * prefactor for v in kernel.nums)
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,8 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...
 def _scaled_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
     """Classical (order 1) series coefficients as integers over one common
     denominator.  Cached so a sweep over pairs builds each degree once."""
-    return _over_common_denominator(
-        from_series(GegenbauerSpec(n, lam, Fraction(1))).rational_coeffs())
+    poly = from_series(GegenbauerSpec(n, lam, Fraction(1)))
+    return poly.nums, poly.den
 
 
 @lru_cache(maxsize=256)
@@ -229,8 +229,7 @@ def _checked_gamma(arg: Union[Fraction, float]) -> float:
 
 
 def _norm_args(n: int, lam, alpha):
-    if not isinstance(n, int) or n < 0:
-        raise ParameterError(f"degree must be a nonnegative integer, got {n!r}")
+    _check_degree(n)
     lam = _as_fraction(lam)
     if lam <= 0:
         raise ParameterError(f"weight parameter must be positive, got {lam}")
@@ -281,6 +280,7 @@ def classical_norm(n: int, lam) -> float:
     """Classical Gegenbauer diagonal value
     pi 2^(1-2lam) G(n+2lam) / (n! (n+lam) G(lam)^2); the substitution
     predicts the conformable diagonal as this divided by the order."""
+    _check_degree(n)
     lam = _as_fraction(lam)
     if lam <= 0:
         raise ParameterError(f"weight parameter must be positive, got {lam}")

@@ -304,11 +304,11 @@ def check_constructor_agreement(grid: ParamGrid = STANDARD_GRID) -> Verification
                     "constructor-agreement", grid.describe(), "fail",
                     witness=f"{spec}: series = {series}; {other_name} = {other}")
         key = (spec.n, spec.lam)
-        if key in by_weight and by_weight[key] != series.coeffs:
+        if key in by_weight and by_weight[key] != (series.nums, series.den):
             return VerificationReport(
                 "constructor-agreement", grid.describe(), "fail",
                 witness=f"{spec}: coefficients depend on the order")
-        by_weight[key] = series.coeffs
+        by_weight[key] = series.nums, series.den
         count += 1
     return VerificationReport(
         "constructor-agreement", grid.describe(), "exact-pass",

@@ -1,5 +1,7 @@
 """Exact arithmetic layer: graded polynomials, gamma helpers."""
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,14 @@ def assert_normalized(p):
     assert not p.coeffs or p.coeffs[-1] != 0
     assert p.coeffs or p.grade == 0
     assert AlphaPoly(p.alpha, p.coeffs, p.grade) == p
+    # the integer storage behind the view is in its one canonical form
+    assert p.den > 0 and type(p.den) is int
+    assert all(type(v) is int for v in p.nums)
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    if p.is_zero:
+        assert (p.nums, p.den, p.grade) == ((), 1, 0)
+    assert p.coeffs == tuple(Fraction(v, p.den) for v in p.nums)
 
 
 class TestArithmeticResults:
@@ -90,8 +100,8 @@ class TestArithmeticResults:
     def test_results_are_normalized(self, alpha, cs, ds, r, g, k):
         p = AlphaPoly(alpha, tuple(cs), grade=g)
         q = AlphaPoly(alpha, tuple(ds), grade=g)
-        for result in (p + q, p - q, -p, p * q, p * r, r * p, p.scale(r, power=2),
-                       p.shift(k), p.d_alpha(), p - p, p ** 2):
+        for result in (p, p + q, p - q, -p, p * q, p * r, r * p, p.scale(r, power=2),
+                       p.shift(k), p.d_alpha(), p - p, p ** 2, p / 3):
             assert_normalized(result)
 
     def test_cancelled_top_terms_are_trimmed(self):
@@ -127,6 +137,100 @@ class TestArithmeticResults:
             AlphaPoly(HALF, (1, 0.5))
         with pytest.raises(ParameterError):
             AlphaPoly(HALF, (1,), grade=Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# integer storage: every result equals a per-coefficient Fraction reference
+# (canonical form is checked by assert_normalized above)
+
+
+def assert_matches(result, coeffs, grade):
+    """`result` holds the Fraction reference `coeffs`, trimmed, at `grade`."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    assert result.coeffs == tuple(coeffs)
+    assert result.grade == (grade if coeffs else 0)
+
+
+def ref_mul(cs, ds):
+    if not (cs and ds):
+        return []
+    out = [Fraction(0)] * (len(cs) + len(ds) - 1)
+    for i, a in enumerate(cs):
+        for j, b in enumerate(ds):
+            out[i + j] += a * b
+    return out
+
+
+class TestIntegerStorage:
+    @given(orders, coeff_lists, coeff_lists, st.integers(-2, 2))
+    def test_sum_and_difference(self, alpha, cs, ds, g):
+        p, q = AlphaPoly(alpha, tuple(cs), g), AlphaPoly(alpha, tuple(ds), g)
+        pairs = list(zip_longest(p.coeffs, q.coeffs, fillvalue=Fraction(0)))
+        assert_matches(p + q, [a + b for a, b in pairs], g)
+        assert_matches(p - q, [a - b for a, b in pairs], g)
+        assert_matches(-p, [-a for a in p.coeffs], g)
+
+    @given(orders, coeff_lists, coeff_lists, st.integers(-2, 2), st.integers(-2, 2))
+    def test_product(self, alpha, cs, ds, g, h):
+        p, q = AlphaPoly(alpha, tuple(cs), g), AlphaPoly(alpha, tuple(ds), h)
+        assert_matches(p * q, ref_mul(p.coeffs, q.coeffs), g + h)
+
+    @given(orders, st.lists(rationals, max_size=4), st.integers(0, 4))
+    @settings(deadline=None)
+    def test_power(self, alpha, cs, e):
+        p = AlphaPoly(alpha, tuple(cs))
+        want = [Fraction(1)]
+        for _ in range(e):
+            want = ref_mul(want, p.coeffs)
+        assert_matches(p ** e, want, 0)
+
+    @given(orders, coeff_lists, rationals, st.integers(-2, 2), st.integers(0, 4))
+    def test_scale_shift_and_derivative(self, alpha, cs, r, power, k):
+        p = AlphaPoly(alpha, tuple(cs), 1)
+        assert_matches(p.scale(r, power), [c * r for c in p.coeffs], 1 + power)
+        assert_matches(p * r, [c * r for c in p.coeffs], 1)
+        assert r * p == p * r
+        assert_matches(p.shift(k), [Fraction(0)] * k + list(p.coeffs), 1)
+        assert_matches(p.d_alpha(), [k * c for k, c in enumerate(p.coeffs) if k], 2)
+
+    @given(orders, coeff_lists, st.integers(1, 50))
+    def test_equal_polynomials_hash_equal(self, alpha, cs, m):
+        p = AlphaPoly(alpha, tuple(cs))
+        # the same polynomial by a detour: scaled up and back down, and rebuilt
+        # from its coefficients with an explicit trailing zero
+        detour = (p.scale(m) + AlphaPoly.zero(alpha)).scale(Fraction(1, m))
+        rebuilt = AlphaPoly(alpha, p.coeffs + (Fraction(0),))
+        assert p == detour == rebuilt
+        assert hash(p) == hash(detour) == hash(rebuilt)
+        assert (p.nums, p.den) == (detour.nums, detour.den)
+
+    def test_zero_forms(self):
+        for z in (AlphaPoly.zero(HALF), AlphaPoly(HALF, (0, 0), grade=3),
+                  AlphaPoly(HALF, (1, 2), grade=2).scale(0, power=1),
+                  AlphaPoly.constant(HALF, 7).d_alpha()):
+            assert (z.nums, z.den, z.grade) == ((), 1, 0)
+            assert z == AlphaPoly.zero(HALF) and hash(z) == hash(AlphaPoly.zero(HALF))
+
+    def test_storage_example(self):
+        p = AlphaPoly(HALF, (Fraction(1, 6), Fraction(-3, 4), 2))
+        assert (p.nums, p.den) == ((2, -9, 24), 12)
+        assert p.coeffs == (Fraction(1, 6), Fraction(-3, 4), Fraction(2))
+
+    def test_immutable(self):
+        p = AlphaPoly(HALF, (1, 2))
+        with pytest.raises(AttributeError):
+            p.den = 3
+        with pytest.raises(AttributeError):
+            del p.nums
+
+    def test_division(self):
+        p = AlphaPoly(HALF, (1, 2))
+        assert p / Fraction(2, 3) == AlphaPoly(HALF, (Fraction(3, 2), 3))
+        for zero in (0, Fraction(0), "0"):
+            with pytest.raises(ParameterError):
+                p / zero
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +360,29 @@ class TestEvaluate:
         p = AlphaPoly(HALF, (Fraction(-3), Fraction(0), Fraction(24)))
         assert p.coefficient_sum() == Fraction(21)
 
+    @given(orders, coeff_lists, st.integers(-3, 3),
+           st.floats(-1.0, 1.0, allow_nan=False))
+    def test_bit_identical_to_fraction_horner(self, alpha, cs, g, x):
+        # the integer storage rounds each coefficient as float(Fraction) does
+        p = AlphaPoly(alpha, tuple(cs), g)
+        a = float(alpha)
+        scale = a ** p.grade
+        u = math.copysign(abs(x) ** a, x)
+        acc = 0.0
+        for c in reversed(p.coeffs):
+            acc = acc * u + float(c) * scale
+        assert p.evaluate(x) == acc
+
+    def test_bit_identical_at_high_degree(self):
+        # huge numerators over a huge common denominator still round once
+        p = AlphaPoly(Fraction(1, 3), tuple(Fraction(1, 3 ** k + 1) * (-7) ** k
+                                            for k in range(80)))
+        u = 0.37 ** (1 / 3)
+        acc = 0.0
+        for c in reversed(p.coeffs):
+            acc = acc * u + float(c)
+        assert p.evaluate(0.37) == acc
+
 
 # ---------------------------------------------------------------------------
 # gamma helpers
@@ -270,6 +397,17 @@ class TestPochhammer:
     def test_validation(self):
         with pytest.raises(ParameterError):
             pochhammer(Fraction(1), -1)
+        for m in (True, False, 1.0):
+            with pytest.raises(ParameterError):
+                pochhammer(1, m)
+
+    @given(rationals, st.integers(0, 12))
+    def test_matches_fraction_product(self, x, m):
+        want = Fraction(1)
+        for i in range(m):
+            want *= x + i
+        got = pochhammer(x, m)
+        assert type(got) is Fraction and got == want
 
     @given(rationals, st.integers(0, 8))
     def test_recurrence(self, x, m):

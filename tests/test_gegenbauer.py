@@ -130,6 +130,18 @@ class TestRouteAgreement:
                 poly = route(spec)
                 assert poly.grade == 0 and poly.rational_coeffs() == oracle
 
+    @pytest.mark.parametrize("lam", [Fraction(2, 7), Fraction(5, 2), Fraction(343, 11)])
+    def test_routes_store_identical_integers_to_degree_64(self, lam):
+        # each route hands its own integers and running denominator to one
+        # reduction, so the stored numerators and denominator must coincide
+        for n in range(65):
+            spec = GegenbauerSpec(n, lam, HALF)
+            s = from_series(spec)
+            for route in (from_recurrence, from_rodrigues):
+                poly = route(spec)
+                assert (poly.nums, poly.den) == (s.nums, s.den), (route.__name__, n)
+            assert math.gcd(s.den, *s.nums) == 1 and s.nums[-1] != 0
+
     @given(st.integers(0, 24), weights, orders)
     @settings(max_examples=40, deadline=None)
     def test_routes_build_normalized_polynomials(self, n, lam, alpha):

@@ -156,6 +156,16 @@ class TestNormalizationFormulas:
         with pytest.raises(ParameterError):
             normalization_closed_form(0, Fraction(-1), ONE)
 
+    @pytest.mark.parametrize("degree", [-1, 1.5, True, False])
+    def test_bad_degree(self, degree):
+        # the same degree check as the constructors: a bool is not a degree
+        with pytest.raises(ParameterError):
+            normalization_closed_form(degree, ONE, ONE)
+        with pytest.raises(ParameterError):
+            normalization_gamma_product(degree, ONE, ONE)
+        with pytest.raises(ParameterError):
+            classical_norm(degree, ONE)
+
 
 @pytest.fixture(scope="module")
 def report():
