@@ -2,18 +2,17 @@
 """Full verification run: every asserted identity suite over the standard
 grid, the quadrature sweeps, and the recorded audits.
 
-Prints the text report; optionally writes the JSON form and the
-normalization audit table alongside it.  Exits 0 only if every asserted
-check passes (recorded audits never gate).
+Prints the text report of `congeg verify --n-max 12`; optionally writes the
+JSON form and the normalization audit table alongside it.  Exits 0 only if
+every asserted check passes (recorded audits never gate).
 """
 import argparse
 import sys
 from pathlib import Path
 
-from congeg.cli import SUITES
 from congeg.quadrature import audit_rows_to_csv
-from congeg.verify import (ParamGrid, reports_to_json, reports_to_text,
-                           run_recorded_audits)
+from congeg.report import reports_to_json, reports_to_text, summary
+from congeg.verify import ParamGrid, run_asserted_checks, run_recorded_audits
 
 
 def main() -> int:
@@ -26,10 +25,8 @@ def main() -> int:
                         help="also write the normalization audit table here")
     args = parser.parse_args()
 
-    grid = ParamGrid(n_max=args.n_max)
-    by_suite = {name: build(grid, False) for name, build in SUITES.items()}
-    audit = by_suite["normalization-audit"]
-    reports = list(by_suite.values()) + run_recorded_audits()
+    reports = run_asserted_checks(ParamGrid(n_max=args.n_max)) + run_recorded_audits()
+    audit = next(r for r in reports if r.identity == "normalization-audit")
 
     print(reports_to_text(reports))
     if args.json_out is not None:
@@ -39,11 +36,9 @@ def main() -> int:
         args.audit_csv.write_text(audit_rows_to_csv(audit.table))
         print(f"audit table: {args.audit_csv}")
 
-    gating = [r for r in reports if r.asserted]
-    failed = [r for r in gating if not r.passed]
-    print(f"\nasserted: {len(gating) - len(failed)}/{len(gating)} passed; "
-          f"recorded audits: {sum(1 for r in reports if not r.asserted)}")
-    return 0 if not failed else 1
+    line, status = summary(reports)
+    print(f"\n{line}")
+    return status
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from .quadrature import (AccuracyError, AuditRow, QuadratureResult,
                          conformable_inner_product_direct, normalization_audit,
                          normalization_closed_form, normalization_gamma_product,
                          orthogonality_check)
-from .verify import (ParamGrid, VerificationReport, ode_residual,
-                     reports_to_json, reports_to_text, run_asserted_checks,
+from .report import VerificationReport, reports_to_json, reports_to_text
+from .verify import (ParamGrid, ode_residual, run_asserted_checks,
                      run_recorded_audits)
 
 __version__ = "0.1.0"

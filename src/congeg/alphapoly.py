@@ -70,9 +70,12 @@ class DomainError(ValueError):
 
 def _as_fraction(value: RationalLike) -> Fraction:
     # Floats are admitted because every float is exactly a dyadic rational;
-    # the conversion itself loses nothing.
+    # the conversion itself loses nothing.  A bool is an int to Python, but
+    # True standing for 1 is a caller's mistake, so it is refused.
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ParameterError(f"expected an exact rational, got {value!r}")
     try:
         return Fraction(value)
     except (TypeError, ValueError) as exc:
@@ -81,7 +84,7 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 def _as_order(value: Union[int, str, Fraction, float]) -> Union[Fraction, float]:
     """Validate a derivative order: a real in (0, 1], exact when rational."""
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         value = Fraction(value)
     if not isinstance(value, (Fraction, float)):
         raise ParameterError(f"order must be a real number, got {value!r}")
@@ -93,7 +96,7 @@ def _as_order(value: Union[int, str, Fraction, float]) -> Union[Fraction, float]
 def _as_coeff(value: Union[int, Fraction]) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ParameterError(f"coefficient {value!r} is not exact")
 
@@ -123,7 +126,7 @@ class AlphaPoly:
     def __init__(self, alpha: Union[Fraction, float],
                  coeffs: Iterable[Union[int, Fraction]] = (), grade: int = 0) -> None:
         a = _as_order(alpha)
-        if not isinstance(grade, int):
+        if not isinstance(grade, int) or isinstance(grade, bool):
             raise ParameterError(f"grade must be an integer, got {grade!r}")
         fracs = [_as_coeff(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in fracs))
@@ -273,12 +276,11 @@ class AlphaPoly:
     def scale(self, factor: RationalLike, power: int = 0) -> AlphaPoly:
         """Multiply by factor * a**power (exact)."""
         r = _as_fraction(factor)
-        grade = self.grade + power
-        if not isinstance(grade, int):
-            raise ParameterError(f"grade must be an integer, got {grade!r}")
+        if not isinstance(power, int) or isinstance(power, bool):
+            raise ParameterError(f"power must be an integer, got {power!r}")
         m = r.numerator
         return AlphaPoly._of(self.alpha, [v * m for v in self.nums],
-                             self.den * r.denominator, grade)
+                             self.den * r.denominator, self.grade + power)
 
     def shift(self, k: int = 1) -> AlphaPoly:
         """Multiply by x^(k*a), shifting every basis index up by k."""

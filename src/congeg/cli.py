@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -29,47 +28,24 @@ import numpy as np
 from .alphapoly import DomainError, ParameterError
 from .gegenbauer import GegenbauerSpec, from_recurrence, from_series
 from .quadrature import (AccuracyError, audit_rows_to_csv, default_audit_grid,
-                         normalization_audit, orthogonality_check)
-from .verify import SUITES as EXACT_SUITES, ParamGrid, VerificationReport
-from .verify import reports_to_json, reports_to_text, run_recorded_audits
+                         normalization_audit)
+from .report import reports_to_json, reports_to_text, summary
+from .verify import SUITES, ParamGrid, run_recorded_audits
 
-__all__ = ["SUITES", "main"]
+__all__ = ["main"]
 
-# Every asserted suite by `verify --suite` name, in report order: the exact
-# suites, then the quadrature ones.  Every verify run appends the recorded
-# audits.
-SUITES: dict[str, Callable[[ParamGrid, bool], VerificationReport]] = {
-    **EXACT_SUITES,
-    "orthogonality": lambda grid, inject: orthogonality_check(n_max=grid.n_max),
-    "normalization-audit": lambda grid, inject: normalization_audit(),
+# Per subcommand, the value of each option that neither the command line nor
+# the config file set.  eval has no default for --n or --x.
+_DEFAULTS = {
+    "table": {"n_max": 6, "lam": Fraction(3), "alpha": Fraction(1, 2)},
+    "eval": {"lam": Fraction(3), "alpha": Fraction(1, 2)},
+    "plot-data": {"n": 4, "lam": Fraction(3),
+                  "alphas": (Fraction(1, 2), Fraction(7, 10), Fraction(9, 10),
+                             Fraction(1)),
+                  "samples": 201, "signed_domain": False},
+    "verify": {"n_max": 8, "suite": "all"},
+    "audit": {"n_max": 6, "tol": 1e-6},
 }
-
-
-@dataclass(frozen=True)
-class TableDefaults:
-    n_max: int = 6
-    lam: Fraction = Fraction(3)
-    alpha: Fraction = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class PlotDataDefaults:
-    n: int = 4
-    lam: Fraction = Fraction(3)
-    alphas: tuple = (Fraction(1, 2), Fraction(7, 10), Fraction(9, 10), Fraction(1))
-    samples: int = 201
-    signed_domain: bool = False
-
-
-@dataclass(frozen=True)
-class VerifyDefaults:
-    n_max: int = 8
-
-
-@dataclass(frozen=True)
-class AuditDefaults:
-    n_max: int = 6
-    tol: float = 1e-6
 
 
 def _fraction(text: str) -> Fraction:
@@ -193,16 +169,17 @@ _COERCERS = {
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill options the command line left unset from the JSON config file."""
-    if not getattr(args, "config", None):
-        return
-    text = Path(args.config).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParameterError("config file must hold a JSON object")
+    """Fill every option the command line left unset: from the JSON config
+    file first, then from the subcommand's defaults."""
+    data = {}
+    if getattr(args, "config", None):
+        text = Path(args.config).read_text()
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ParameterError("config file must hold a JSON object")
     for key, raw in data.items():
         dest = key.replace("-", "_")
         if dest == "lambda":
@@ -218,17 +195,16 @@ def _apply_config(args: argparse.Namespace) -> None:
                     argparse.ArgumentTypeError) as exc:
                 raise ParameterError(f"config key {key!r}: {exc}") from exc
             setattr(args, dest, value)
+    for dest, value in _DEFAULTS[args.command].items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    d = TableDefaults()
-    n_max = d.n_max if args.n_max is None else args.n_max
-    lam = d.lam if args.lam is None else args.lam
-    alpha = d.alpha if args.alpha is None else args.alpha
-    if n_max < 0:
-        raise ParameterError(f"--n-max must be >= 0, got {n_max}")
-    lines = [str(from_series(GegenbauerSpec(k, lam, alpha)))
-             for k in range(n_max + 1)]
+    if args.n_max < 0:
+        raise ParameterError(f"--n-max must be >= 0, got {args.n_max}")
+    lines = [str(from_series(GegenbauerSpec(k, args.lam, args.alpha)))
+             for k in range(args.n_max + 1)]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -239,33 +215,24 @@ def _csv_rows(poly, alpha: Fraction, xs: Sequence[float]) -> list[str]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    d = TableDefaults()
-    n = args.n
-    if n is None:
+    if args.n is None:
         raise ParameterError("eval requires --n")
     if args.x is None:
         raise ParameterError("eval requires --x with at least one point")
-    lam = d.lam if args.lam is None else args.lam
-    alpha = d.alpha if args.alpha is None else args.alpha
-    poly = from_recurrence(GegenbauerSpec(n, lam, alpha))
-    sys.stdout.write("\n".join(["x,alpha,value"] + _csv_rows(poly, alpha, args.x)) + "\n")
+    poly = from_recurrence(GegenbauerSpec(args.n, args.lam, args.alpha))
+    sys.stdout.write("\n".join(["x,alpha,value"] + _csv_rows(poly, args.alpha, args.x))
+                     + "\n")
     return 0
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
-    d = PlotDataDefaults()
-    n = d.n if args.n is None else args.n
-    lam = d.lam if args.lam is None else args.lam
-    alphas = d.alphas if args.alphas is None else tuple(args.alphas)
-    samples = d.samples if args.samples is None else args.samples
-    signed = d.signed_domain if args.signed_domain is None else args.signed_domain
-    if samples < 2:
-        raise ParameterError(f"--samples must be >= 2, got {samples}")
-    lo = -1.0 if signed else 0.0
-    xs = [float(x) for x in np.linspace(lo, 1.0, samples)]
+    if args.samples < 2:
+        raise ParameterError(f"--samples must be >= 2, got {args.samples}")
+    lo = -1.0 if args.signed_domain else 0.0
+    xs = [float(x) for x in np.linspace(lo, 1.0, args.samples)]
     lines = ["x,alpha,value"]
-    for alpha in sorted(set(alphas)):
-        poly = from_series(GegenbauerSpec(n, lam, alpha))
+    for alpha in sorted(set(args.alphas)):
+        poly = from_series(GegenbauerSpec(args.n, args.lam, alpha))
         lines.extend(_csv_rows(poly, alpha, xs))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -277,43 +244,34 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    d = VerifyDefaults()
-    n_max = d.n_max if args.n_max is None else args.n_max
-    suite = "all" if args.suite is None else args.suite
-    if suite != "all" and suite not in SUITES:
+    if args.suite != "all" and args.suite not in SUITES:
         raise ParameterError(
-            f"unknown suite {suite!r}; choose from {', '.join(('all', *SUITES))}")
-    if n_max < 3:
-        raise ParameterError(f"--n-max must be >= 3 for the sweeps, got {n_max}")
-    grid = ParamGrid(n_max=n_max)
+            f"unknown suite {args.suite!r}; choose from {', '.join(('all', *SUITES))}")
+    if args.n_max < 3:
+        raise ParameterError(f"--n-max must be >= 3 for the sweeps, got {args.n_max}")
+    grid = ParamGrid(n_max=args.n_max)
     inject = bool(args.inject_defect)
     reports = [build(grid, inject) for name, build in SUITES.items()
-               if suite in ("all", name)]
+               if args.suite in ("all", name)]
     reports.extend(run_recorded_audits())
+    line, status = summary(reports)
     if args.json:
         print(reports_to_json(reports))
     else:
         print(reports_to_text(reports))
-    gating = [r for r in reports if r.asserted]
-    failed = [r for r in gating if not r.passed]
-    if not args.json:
         print()
-        print(f"asserted: {len(gating) - len(failed)}/{len(gating)} passed; "
-              f"recorded audits: {sum(1 for r in reports if not r.asserted)}")
-    return 0 if not failed else 1
+        print(line)
+    return status
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    d = AuditDefaults()
-    n_max = d.n_max if args.n_max is None else args.n_max
-    tol = d.tol if args.tol is None else args.tol
-    if n_max < 0:
-        raise ParameterError(f"--n-max must be >= 0, got {n_max}")
+    if args.n_max < 0:
+        raise ParameterError(f"--n-max must be >= 0, got {args.n_max}")
     try:
-        _tolerance(tol)
+        _tolerance(args.tol)
     except ValueError as exc:
         raise ParameterError(f"--tol {exc}") from None
-    report = normalization_audit(default_audit_grid(n_max), rel_tol=tol)
+    report = normalization_audit(default_audit_grid(args.n_max), rel_tol=args.tol)
     csv_text = audit_rows_to_csv(report.table)
     if args.out:
         Path(args.out).write_text(csv_text)

@@ -57,6 +57,13 @@ def _check_degree(n: int) -> int:
     return n
 
 
+def _check_weight(lam: RationalLike) -> Fraction:
+    lam = _as_fraction(lam)
+    if lam <= 0:
+        raise ParameterError(f"weight parameter must be positive, got {lam}")
+    return lam
+
+
 @dataclass(frozen=True)
 class GegenbauerSpec:
     """Parameter triple: degree n >= 0, weight lam > 0, order alpha in (0, 1]."""
@@ -67,10 +74,7 @@ class GegenbauerSpec:
 
     def __post_init__(self) -> None:
         _check_degree(self.n)
-        lam = _as_fraction(self.lam)
-        if lam <= 0:
-            raise ParameterError(f"weight parameter must be positive, got {lam}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _check_weight(self.lam))
         object.__setattr__(self, "alpha", _as_order(self.alpha))
 
 
@@ -269,9 +273,7 @@ def classical_oracle(n: int, lam: RationalLike) -> list[Fraction]:
     Independent oracle for tests; the constructors never call it.
     """
     _check_degree(n)
-    lam = _as_fraction(lam)
-    if lam <= 0:
-        raise ParameterError(f"weight parameter must be positive, got {lam}")
+    lam = _check_weight(lam)
     prev = [Fraction(1)]
     if n == 0:
         return prev

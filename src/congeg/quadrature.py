@@ -30,9 +30,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .alphapoly import DomainError, ParameterError, _as_fraction, _as_order, pochhammer
-from .gegenbauer import GegenbauerSpec, _check_degree, from_series
-from .verify import VerificationReport
+from .alphapoly import DomainError, _as_order, pochhammer
+from .gegenbauer import GegenbauerSpec, _check_degree, _check_weight, from_series
+from .report import VerificationReport
 
 __all__ = [
     "AccuracyError",
@@ -147,9 +147,7 @@ def conformable_inner_product(
 
     The error is a bound on the rounding of the final float scaling (0.0
     when the sum is exactly zero); no evaluation nodes are used."""
-    lam = _as_fraction(lam)
-    if lam <= 0:
-        raise ParameterError(f"weight parameter must be positive, got {lam}")
+    lam = _check_weight(lam)
     a = float(_as_order(alpha))
     (c, c_den), (d, d_den) = _scaled_coeffs(m, lam), _scaled_coeffs(n, lam)
     moments, mu_den = _scaled_moments(lam, (len(c) + len(d)) // 2)
@@ -189,9 +187,7 @@ def conformable_inner_product_direct(
     exceeds 1e-10 of the L1 mass."""
     _check_degree(m)
     _check_degree(n)
-    lam = _as_fraction(lam)
-    if lam <= 0:
-        raise ParameterError(f"weight parameter must be positive, got {lam}")
+    lam = _check_weight(lam)
     a = float(_as_order(alpha))
     log_x, w = _tanh_sinh_nodes()
     xa = np.exp(a * log_x)
@@ -230,9 +226,7 @@ def _checked_gamma(arg: Union[Fraction, float]) -> float:
 
 def _norm_args(n: int, lam, alpha):
     _check_degree(n)
-    lam = _as_fraction(lam)
-    if lam <= 0:
-        raise ParameterError(f"weight parameter must be positive, got {lam}")
+    lam = _check_weight(lam)
     alpha = _as_order(alpha)
     inv = 1 / alpha if isinstance(alpha, Fraction) else 1.0 / alpha
     return lam, alpha, inv
@@ -281,9 +275,7 @@ def classical_norm(n: int, lam) -> float:
     pi 2^(1-2lam) G(n+2lam) / (n! (n+lam) G(lam)^2); the substitution
     predicts the conformable diagonal as this divided by the order."""
     _check_degree(n)
-    lam = _as_fraction(lam)
-    if lam <= 0:
-        raise ParameterError(f"weight parameter must be positive, got {lam}")
+    lam = _check_weight(lam)
     return (math.pi * 2.0 ** float(1 - 2 * lam) * math.gamma(float(2 * lam) + n)
             / (math.factorial(n) * float(n + lam) * math.gamma(float(lam)) ** 2))
 
@@ -366,7 +358,7 @@ def normalization_audit(
     witness = None
     triples = list(grid) if grid is not None else default_audit_grid()
     for n, lam, alpha in triples:
-        lam = _as_fraction(lam)
+        lam = _check_weight(lam)
         quad = conformable_inner_product(n, n, lam, alpha).value
         derived = classical_norm(n, lam) / float(alpha)
         try:

@@ -2,8 +2,10 @@
 
 Asserted checks (exact unless stated): construction-route agreement,
 differential-equation annihilation, generating-function coefficients, the
-derivative ladder, recurrences, endpoint values, and the classical special
-cases (numeric at order 1).
+derivative ladder, recurrences, endpoint values, the classical special
+cases (numeric at order 1), and, from `quadrature`, orthogonality and the
+normalization of the exact diagonal against the derived value (numeric).
+`SUITES` is the one table of them.
 
 Recorded audits evaluate variant operator and normalization forms and write
 their measured residuals or constant factors into the report.  They are
@@ -12,11 +14,10 @@ findings, not gates: callers must never let them fail a run.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .alphapoly import AlphaPoly, ParameterError, gamma_quotient, pochhammer
 from .gegenbauer import (
     GegenbauerSpec,
     UltrasphericalSpec,
+    _check_weight,
     chebyshev_t,
     chebyshev_t_rodrigues,
     classical_oracle,
@@ -34,12 +36,13 @@ from .gegenbauer import (
     ultraspherical,
     ultraspherical_rodrigues,
 )
+from .quadrature import normalization_audit, orthogonality_check
+from .report import VerificationReport
 
 __all__ = [
     "ParamGrid",
     "STANDARD_GRID",
     "SUITES",
-    "VerificationReport",
     "audit_chebyshev_limit",
     "audit_ultraspherical",
     "check_constructor_agreement",
@@ -54,73 +57,12 @@ __all__ = [
     "generating_function_coeffs",
     "ode_residual",
     "recurrence_checks",
-    "reports_to_json",
-    "reports_to_text",
     "run_asserted_checks",
     "run_recorded_audits",
     "ultraspherical_ode_residual",
 ]
 
 _HALF = Fraction(1, 2)
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one identity check over one parameter grid.
-
-    status is "exact-pass" (symbolic zero), "numeric-pass" (residual within
-    tolerance, see max_residual) or "fail" (witness pins the first offender).
-    `asserted` is False for recorded audits, which never gate a run.
-    """
-
-    identity: str
-    grid: str
-    status: str
-    max_residual: Optional[float] = None
-    witness: Optional[str] = None
-    notes: str = ""
-    asserted: bool = True
-    table: tuple = field(default=(), repr=False)
-
-    @property
-    def passed(self) -> bool:
-        return self.status in ("exact-pass", "numeric-pass")
-
-    def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "grid": self.grid,
-            "status": self.status,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-            "notes": self.notes,
-            "asserted": self.asserted,
-        }
-
-    def to_text(self) -> str:
-        lines = [f"identity: {self.identity}", f"  grid: {self.grid}",
-                 f"  status: {self.status}"]
-        if self.max_residual is not None:
-            lines.append(f"  max_residual: {self.max_residual!r}")
-        if self.witness:
-            lines.append(f"  witness: {self.witness}")
-        if self.notes:
-            lines.append(f"  notes: {self.notes}")
-        if not self.asserted:
-            lines.append("  (recorded audit; does not gate the run)")
-        return "\n".join(lines)
-
-
-def reports_to_text(reports: Iterable[VerificationReport]) -> str:
-    return "\n\n".join(r.to_text() for r in reports)
-
-
-def reports_to_json(reports: Iterable[VerificationReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +152,7 @@ def generating_function_coeffs(lam: Fraction, max_n: int) -> list[list[Fraction]
     each row ascending in u.  Independent expansion through the generalized
     binomial series in w = 2 u s - s^2; row n reproduces the degree-n family
     member's coefficients."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ParameterError(f"weight parameter must be positive, got {lam}")
+    lam = _check_weight(lam)
     if max_n < 0:
         raise ParameterError("series order must be nonnegative")
     rows = [[Fraction(0)] * (n + 1) for n in range(max_n + 1)]
@@ -592,7 +532,7 @@ def audit_chebyshev_limit(
 # drivers
 
 
-# The exact asserted suites by `verify --suite` name, in report order.  Each
+# Every asserted suite by `verify --suite` name, in report order.  Each
 # builder takes the grid and the defect-injection test hook, and looks its
 # check up by name at call time, so a check rebound in this module (as the
 # perfbench tracer does) is the one that runs.
@@ -604,13 +544,15 @@ SUITES: dict[str, Callable[[ParamGrid, bool], VerificationReport]] = {
     "recurrences": lambda grid, inject: check_recurrences(grid),
     "endpoints": lambda grid, inject: check_endpoint_values(grid),
     "special-cases": lambda grid, inject: check_special_cases(),
+    "orthogonality": lambda grid, inject: orthogonality_check(n_max=grid.n_max),
+    "normalization-audit": lambda grid, inject: normalization_audit(),
 }
 
 
 def run_asserted_checks(
         grid: ParamGrid = STANDARD_GRID, *,
         inject_defect: bool = False) -> list[VerificationReport]:
-    """All exact/numeric identity checks owned by this module."""
+    """Every asserted suite of `SUITES`, in report order."""
     return [build(grid, inject_defect) for build in SUITES.values()]
 
 

@@ -440,3 +440,37 @@ class TestGammaQuotient:
            st.integers(0, 6))
     def test_matches_pochhammer(self, a, k):
         assert gamma_quotient(a + k, a) == pochhammer(a, k)
+
+
+class TestBoolRejected:
+    """A bool is an int to Python, but True must not pass as the exact 1."""
+
+    def test_rational(self):
+        p = AlphaPoly(HALF, (1, 2))
+        for call in (lambda: p.scale(True), lambda: p / True,
+                     lambda: pochhammer(True, 2), lambda: gamma_quotient(3, False)):
+            with pytest.raises(ParameterError, match="exact rational"):
+                call()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_order(self, flag):
+        with pytest.raises(ParameterError, match="order must be a real number"):
+            AlphaPoly(flag, (1,))
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_coefficient(self, flag):
+        with pytest.raises(ParameterError, match="is not exact"):
+            AlphaPoly(HALF, (1, flag))
+        with pytest.raises(ParameterError, match="is not exact"):
+            AlphaPoly.constant(HALF, flag)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_grade(self, flag):
+        with pytest.raises(ParameterError, match="grade must be an integer"):
+            AlphaPoly(HALF, (1, 2), grade=flag)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_scale_power(self, flag):
+        for p in (AlphaPoly(HALF, (1, 2), grade=1), AlphaPoly.zero(HALF)):
+            with pytest.raises(ParameterError, match="power must be an integer"):
+                p.scale(2, power=flag)

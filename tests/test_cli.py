@@ -1,7 +1,9 @@
 """CLI subcommands, exit codes, CSV determinism, config merging."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +325,27 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["1", "6 x^a"]
+
+
+class TestVerificationScript:
+    def test_equals_verify_plus_files(self, capsys, tmp_path):
+        """scripts/run_verification.py prints what `verify` prints, plus the
+        paths of the JSON report and audit table it writes, which equal
+        `verify --json` and `audit`."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        json_out, audit_csv = tmp_path / "report.json", tmp_path / "audit.csv"
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_verification.py"),
+             "--n-max", "4", "--json-out", str(json_out), "--audit-csv", str(audit_csv)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        _, text, _ = run(capsys, "verify", "--n-max", "4")
+        assert proc.stdout == text.replace(
+            "\n\nasserted:",
+            f"\n\nJSON report: {json_out}\naudit table: {audit_csv}\n\nasserted:")
+        assert json_out.read_text() == run(capsys, "verify", "--n-max", "4", "--json")[1]
+        assert audit_csv.read_text() == run(capsys, "audit")[1]

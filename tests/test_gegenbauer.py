@@ -12,6 +12,10 @@ from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_ke
                                from_recurrence, from_rodrigues, from_series,
                                legendre, ultraspherical,
                                ultraspherical_rodrigues)
+from congeg.quadrature import (classical_norm, conformable_inner_product,
+                               conformable_inner_product_direct,
+                               normalization_closed_form)
+from congeg.verify import generating_function_coeffs
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -215,3 +219,40 @@ class TestFirstKind:
         poly = chebyshev_t(5, ONE)
         for t in (0.3, 1.1, 2.5):
             assert poly.evaluate(math.cos(t)) == pytest.approx(math.cos(5 * t), abs=1e-13)
+
+
+# every entry point that takes a weight, through the one weight check
+WEIGHT_ENTRY_POINTS = {
+    "GegenbauerSpec": lambda lam: GegenbauerSpec(2, lam, HALF),
+    "classical_oracle": lambda lam: classical_oracle(2, lam),
+    "generating_function_coeffs": lambda lam: generating_function_coeffs(lam, 2),
+    "conformable_inner_product": lambda lam: conformable_inner_product(1, 1, lam, HALF),
+    "conformable_inner_product_direct":
+        lambda lam: conformable_inner_product_direct(1, 1, lam, HALF),
+    "normalization_closed_form": lambda lam: normalization_closed_form(1, lam, ONE),
+    "classical_norm": lambda lam: classical_norm(1, lam),
+}
+
+
+class TestWeightCheck:
+    @pytest.mark.parametrize("entry", WEIGHT_ENTRY_POINTS.values(), ids=WEIGHT_ENTRY_POINTS)
+    @pytest.mark.parametrize("lam", [0, Fraction(-1, 2), -3])
+    def test_nonpositive(self, entry, lam):
+        with pytest.raises(ParameterError, match="weight parameter must be positive"):
+            entry(lam)
+
+    @pytest.mark.parametrize("entry", WEIGHT_ENTRY_POINTS.values(), ids=WEIGHT_ENTRY_POINTS)
+    @pytest.mark.parametrize("lam", [True, False, "x", None])
+    def test_not_exact(self, entry, lam):
+        with pytest.raises(ParameterError, match="exact rational"):
+            entry(lam)
+
+    def test_bool_order(self):
+        # GegenbauerSpec(2, True, True) once built weight 1 at order 1
+        for alpha in (True, False):
+            with pytest.raises(ParameterError, match="order must be a real number"):
+                GegenbauerSpec(2, ONE, alpha)
+        with pytest.raises(ParameterError):
+            GegenbauerSpec(2, True, True)
+        with pytest.raises(ParameterError):
+            conformable_inner_product(1, 1, True, True)

@@ -6,14 +6,14 @@ import pytest
 
 from congeg.alphapoly import AlphaPoly, ParameterError
 from congeg.gegenbauer import GegenbauerSpec, from_series
-from congeg.verify import (ParamGrid, VerificationReport, audit_chebyshev_limit,
-                           audit_ultraspherical, check_constructor_agreement,
-                           check_derivative_ladder, check_endpoint_values,
-                           check_generating_function, check_ode_annihilation,
-                           check_recurrences, check_special_cases,
-                           diff_relation_check, generating_function_coeffs,
-                           ode_residual, recurrence_checks, reports_to_json,
-                           reports_to_text, run_asserted_checks,
+from congeg.report import VerificationReport, reports_to_json, reports_to_text
+from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
+                           check_constructor_agreement, check_derivative_ladder,
+                           check_endpoint_values, check_generating_function,
+                           check_ode_annihilation, check_recurrences,
+                           check_special_cases, diff_relation_check,
+                           generating_function_coeffs, ode_residual,
+                           recurrence_checks, run_asserted_checks,
                            run_recorded_audits, ultraspherical_ode_residual)
 
 HALF = Fraction(1, 2)
@@ -75,7 +75,7 @@ class TestSingleIdentityChecks:
 class TestSweeps:
     def test_all_asserted_pass(self):
         reports = run_asserted_checks(SMALL)
-        assert len(reports) == 7
+        assert len(reports) == 9
         assert all(r.passed for r in reports)
         assert all(r.asserted for r in reports)
 
@@ -83,7 +83,8 @@ class TestSweeps:
         names = [r.identity for r in run_asserted_checks(SMALL)]
         assert names == ["constructor-agreement", "ode-annihilation",
                          "generating-function", "derivative-ladder",
-                         "recurrences", "endpoint-value", "special-cases"]
+                         "recurrences", "endpoint-value", "special-cases",
+                         "orthogonality", "normalization-audit"]
 
     def test_injected_defect_is_caught(self):
         rep = check_ode_annihilation(SMALL, inject_defect=True)
