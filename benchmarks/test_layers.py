@@ -1,8 +1,9 @@
 """Layer micro-benchmarks, one or more per layer:
 
 - exact arithmetic: `ode_residual` of a family member at degrees 8, 32, 64,
-  and `+`, `*`, `scale` and `d_alpha` on degree-64 members;
-- the three exact constructors at degrees 8, 32, 64;
+  and `+`, `*`, `scale`, `shift` and `d_alpha` on degree-64 members;
+- the three exact constructors at degrees 8, 32, 64, and the validation of
+  their parameters (`GegenbauerSpec` construction);
 - float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
@@ -56,12 +57,18 @@ def test_constructor(benchmark, route, n):
     assert benchmark(route, spec) == from_series(spec)
 
 
+def test_spec(benchmark):
+    # every sweep case builds at least one spec, each validating all three fields
+    assert benchmark(GegenbauerSpec, 12, LAM, ALPHA).alpha == ALPHA
+
+
 # degree-64 members at two weights, so sums run over the lcm of unequal
 # denominators
 POLY_OPS = {
     "add": lambda p, q: p + q,
     "mul": lambda p, q: p * q,
     "scale": lambda p, q: p.scale(Fraction(7, 3)),
+    "shift": lambda p, q: p.shift(1),
     "d_alpha": lambda p, q: p.d_alpha(),
 }
 

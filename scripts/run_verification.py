@@ -4,12 +4,14 @@ grid, the quadrature sweeps, and the recorded audits.
 
 Prints the text report of `congeg verify --n-max 12`; optionally writes the
 JSON form and the normalization audit table alongside it.  Exits 0 only if
-every asserted check passes (recorded audits never gate).
+every asserted check passes (recorded audits never gate), and 2, as
+`congeg verify` does, when --n-max is below 3.
 """
 import argparse
 import sys
 from pathlib import Path
 
+from congeg.alphapoly import ParameterError
 from congeg.quadrature import audit_rows_to_csv
 from congeg.report import reports_to_json, reports_to_text, summary
 from congeg.verify import ParamGrid, run_asserted_checks, run_recorded_audits
@@ -25,7 +27,11 @@ def main() -> int:
                         help="also write the normalization audit table here")
     args = parser.parse_args()
 
-    reports = run_asserted_checks(ParamGrid(n_max=args.n_max)) + run_recorded_audits()
+    try:
+        reports = run_asserted_checks(ParamGrid(n_max=args.n_max)) + run_recorded_audits()
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     audit = next(r for r in reports if r.identity == "normalization-audit")
 
     print(reports_to_text(reports))

@@ -1,10 +1,11 @@
 """Exact arithmetic in the fractional power basis x^(k*a).
 
-An AlphaPoly is a finite combination a^g * sum_k c_k * x^(k*a) with order
-0 < a <= 1, rational coefficients c_k and an integer grade g.  Everything
-is exact, so identity checks can assert exact zero instead of a small
-float residual.  The order symbol a enters only through differentiation:
-the conformable derivative acts on the basis as
+An AlphaPoly is a finite combination a^g * sum_k c_k * x^(k*a) with a
+rational order 0 < a <= 1 (a float order is the binary fraction it is),
+rational coefficients c_k and an integer grade g.  Everything is exact, so
+identity checks can assert exact zero instead of a small float residual.
+The order symbol a enters only through differentiation: the conformable
+derivative acts on the basis as
 
     d_alpha : x^(k*a)  ->  a * k * x^((k-1)*a),
 
@@ -57,7 +58,7 @@ __all__ = [
     "pochhammer",
 ]
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = Union[int, float, str, Fraction]
 
 
 class ParameterError(ValueError):
@@ -69,27 +70,35 @@ class DomainError(ValueError):
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
-    # Floats are admitted because every float is exactly a dyadic rational;
-    # the conversion itself loses nothing.  A bool is an int to Python, but
-    # True standing for 1 is a caller's mistake, so it is refused.
+    # Floats are admitted because every finite one is exactly a dyadic
+    # rational; the conversion loses nothing.  nan, inf and "1/0" have no
+    # rational value.  A bool is an int to Python, but True standing for 1
+    # is a caller's mistake, so it is refused.
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ParameterError(f"expected an exact rational, got {value!r}")
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ParameterError(f"expected an exact rational, got {value!r}") from exc
 
 
-def _as_order(value: Union[int, str, Fraction, float]) -> Union[Fraction, float]:
-    """Validate a derivative order: a real in (0, 1], exact when rational."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        value = Fraction(value)
-    if not isinstance(value, (Fraction, float)):
-        raise ParameterError(f"order must be a real number, got {value!r}")
-    if not 0 < value <= 1:
-        raise ParameterError(f"order must lie in (0, 1], got {value}")
+def _as_order(value: RationalLike) -> Fraction:
+    """Validate a derivative order: an exact rational in (0, 1]."""
+    try:
+        a = _as_fraction(value)
+    except ParameterError:
+        raise ParameterError(f"order must be a real number, got {value!r}") from None
+    if not 0 < a <= 1:
+        raise ParameterError(f"order must lie in (0, 1], got {a}")
+    return a
+
+
+def _as_count(value: int, what: str) -> int:
+    """Validate a count (a degree, length or index): a nonnegative int, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ParameterError(f"{what} must be a nonnegative integer, got {value!r}")
     return value
 
 
@@ -108,7 +117,7 @@ def _as_coeff(value: Union[int, Fraction]) -> Fraction:
 class AlphaPoly:
     """Polynomial a^grade * sum_k (nums[k] / den) * x^(k*a), exact throughout.
 
-    `alpha` is the order, in (0, 1], kept exact when given as a rational.
+    `alpha` is the order, an exact rational in (0, 1].
     The coefficients are stored as the tuple of integer numerators `nums`
     over one positive integer denominator `den`, in lowest terms, with no
     trailing zero; `coeffs` is the tuple of Fractions they stand for, built
@@ -118,12 +127,12 @@ class AlphaPoly:
     grade 0 and adds to any grade.  Instances are immutable.
     """
 
-    alpha: Union[Fraction, float]
+    alpha: Fraction
     nums: tuple[int, ...]
     den: int
     grade: int
 
-    def __init__(self, alpha: Union[Fraction, float],
+    def __init__(self, alpha: RationalLike,
                  coeffs: Iterable[Union[int, Fraction]] = (), grade: int = 0) -> None:
         a = _as_order(alpha)
         if not isinstance(grade, int) or isinstance(grade, bool):
@@ -133,7 +142,7 @@ class AlphaPoly:
         self._store(a, [c.numerator * (den // c.denominator) for c in fracs], den, grade)
 
     @classmethod
-    def _of(cls, alpha: Union[Fraction, float], nums: list[int], den: int,
+    def _of(cls, alpha: Fraction, nums: list[int], den: int,
             grade: int) -> AlphaPoly:
         """Build from parts that are already valid: a checked order, a list of
         integer numerators, which is trimmed in place, and a positive integer
@@ -142,7 +151,7 @@ class AlphaPoly:
         poly._store(alpha, nums, den, grade)
         return poly
 
-    def _store(self, alpha: Union[Fraction, float], nums: list[int], den: int,
+    def _store(self, alpha: Fraction, nums: list[int], den: int,
                grade: int) -> None:
         """Trim trailing zeros and reduce nums/den to lowest terms with one gcd."""
         while nums and not nums[-1]:
@@ -165,19 +174,17 @@ class AlphaPoly:
     # -- constructors
 
     @staticmethod
-    def zero(alpha: Union[Fraction, float]) -> AlphaPoly:
+    def zero(alpha: RationalLike) -> AlphaPoly:
         return AlphaPoly(alpha, ())
 
     @staticmethod
-    def constant(alpha: Union[Fraction, float], value: Union[int, Fraction]) -> AlphaPoly:
+    def constant(alpha: RationalLike, value: Union[int, Fraction]) -> AlphaPoly:
         return AlphaPoly(alpha, (value,))
 
     @staticmethod
-    def monomial(alpha: Union[Fraction, float], k: int,
+    def monomial(alpha: RationalLike, k: int,
                  coeff: Union[int, Fraction] = 1) -> AlphaPoly:
-        if k < 0:
-            raise ParameterError("basis index must be nonnegative")
-        return AlphaPoly(alpha, (0,) * k + (coeff,))
+        return AlphaPoly(alpha, (0,) * _as_count(k, "basis index") + (coeff,))
 
     # -- structure
 
@@ -266,10 +273,8 @@ class AlphaPoly:
         return self.scale(1 / d)
 
     def __pow__(self, exponent: int) -> AlphaPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ParameterError("polynomial powers must be nonnegative integers")
         out = AlphaPoly.constant(self.alpha, 1)
-        for _ in range(exponent):
+        for _ in range(_as_count(exponent, "polynomial power")):
             out = out * self
         return out
 
@@ -284,8 +289,7 @@ class AlphaPoly:
 
     def shift(self, k: int = 1) -> AlphaPoly:
         """Multiply by x^(k*a), shifting every basis index up by k."""
-        if k < 0:
-            raise ParameterError("basis shift must be nonnegative")
+        _as_count(k, "basis shift")
         if self.is_zero:
             return self
         return AlphaPoly._of(self.alpha, [0] * k + list(self.nums), self.den, self.grade)
@@ -383,8 +387,7 @@ class AlphaPoly:
 
 def pochhammer(base: RationalLike, m: int) -> Fraction:
     """Rising factorial (base)_m = base*(base+1)*...*(base+m-1), exactly."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ParameterError(f"rising factorial needs a nonnegative integer, got {m!r}")
+    _as_count(m, "rising factorial length")
     b = _as_fraction(base)
     p, q = b.numerator, b.denominator
     num = 1  # prod (b + i) = prod (p + q i) / q^m

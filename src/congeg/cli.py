@@ -25,12 +25,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .alphapoly import DomainError, ParameterError
+from .alphapoly import DomainError, ParameterError, _as_count
 from .gegenbauer import GegenbauerSpec, from_recurrence, from_series
 from .quadrature import (AccuracyError, audit_rows_to_csv, default_audit_grid,
                          normalization_audit)
 from .report import reports_to_json, reports_to_text, summary
-from .verify import SUITES, ParamGrid, run_recorded_audits
+from .verify import SUITES, ParamGrid, run_asserted_checks, run_recorded_audits
 
 __all__ = ["main"]
 
@@ -147,6 +147,7 @@ def _tolerance(value: float) -> float:
 
 
 _COUNT = _json_typed((int, str), "an integer", int)
+_NUMBER = _json_typed((int, float), "a number", float)
 _FLAG = _json_typed((bool,), "true or false")
 
 # config keys are coerced per destination so JSON numbers and strings both work
@@ -158,8 +159,8 @@ _COERCERS = {
     "alpha": _fraction,
     "alphas": _json_typed((list,), "a JSON array",
                           lambda v: tuple(_fraction(item) for item in v)),
-    "x": _json_typed((list,), "a JSON array", lambda v: [float(item) for item in v]),
-    "tol": _json_typed((int, float), "a number", lambda v: _tolerance(float(v))),
+    "x": _json_typed((list,), "a JSON array", lambda v: [_NUMBER(item) for item in v]),
+    "tol": lambda v: _tolerance(_NUMBER(v)),
     "suite": str,
     "signed_domain": _FLAG,
     "json": _FLAG,
@@ -201,8 +202,7 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.n_max < 0:
-        raise ParameterError(f"--n-max must be >= 0, got {args.n_max}")
+    _as_count(args.n_max, "--n-max")
     lines = [str(from_series(GegenbauerSpec(k, args.lam, args.alpha)))
              for k in range(args.n_max + 1)]
     sys.stdout.write("\n".join(lines) + "\n")
@@ -244,15 +244,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite != "all" and args.suite not in SUITES:
-        raise ParameterError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(('all', *SUITES))}")
-    if args.n_max < 3:
-        raise ParameterError(f"--n-max must be >= 3 for the sweeps, got {args.n_max}")
-    grid = ParamGrid(n_max=args.n_max)
-    inject = bool(args.inject_defect)
-    reports = [build(grid, inject) for name, build in SUITES.items()
-               if args.suite in ("all", name)]
+    reports = run_asserted_checks(ParamGrid(n_max=args.n_max), suite=args.suite,
+                                  inject_defect=bool(args.inject_defect))
     reports.extend(run_recorded_audits())
     line, status = summary(reports)
     if args.json:
@@ -265,8 +258,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    if args.n_max < 0:
-        raise ParameterError(f"--n-max must be >= 0, got {args.n_max}")
+    _as_count(args.n_max, "--n-max")
     try:
         _tolerance(args.tol)
     except ValueError as exc:

@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .alphapoly import (
     AlphaPoly,
     ParameterError,
     RationalLike,
+    _as_count,
     _as_fraction,
     _as_order,
     gamma_quotient,
@@ -51,12 +51,6 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
-def _check_degree(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ParameterError(f"degree must be a nonnegative integer, got {n!r}")
-    return n
-
-
 def _check_weight(lam: RationalLike) -> Fraction:
     lam = _as_fraction(lam)
     if lam <= 0:
@@ -70,10 +64,10 @@ class GegenbauerSpec:
 
     n: int
     lam: Fraction
-    alpha: Union[Fraction, float]
+    alpha: Fraction
 
     def __post_init__(self) -> None:
-        _check_degree(self.n)
+        _as_count(self.n, "degree")
         object.__setattr__(self, "lam", _check_weight(self.lam))
         object.__setattr__(self, "alpha", _as_order(self.alpha))
 
@@ -84,10 +78,10 @@ class UltrasphericalSpec:
 
     n: int
     beta: Fraction
-    alpha: Union[Fraction, float]
+    alpha: Fraction
 
     def __post_init__(self) -> None:
-        _check_degree(self.n)
+        _as_count(self.n, "degree")
         beta = _as_fraction(self.beta)
         if beta <= Fraction(-1, 2):
             raise ParameterError(f"shifted weight must exceed -1/2, got {beta}")
@@ -153,7 +147,7 @@ def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
     return AlphaPoly._of(spec.alpha, cur, q ** n * math.factorial(n), 0)
 
 
-def _rodrigues_kernel(alpha: Union[Fraction, float], n: int, c: Fraction) -> AlphaPoly:
+def _rodrigues_kernel(alpha: Fraction, n: int, c: Fraction) -> AlphaPoly:
     """Leibniz expansion of the n-fold conformable derivative of
     (1 - x^(2a))^(n+c), divided by (1 - x^(2a))^c and by the sign (-1)^n:
 
@@ -233,18 +227,18 @@ def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
 # special cases
 
 
-def legendre(n: int, alpha: Union[Fraction, float]) -> AlphaPoly:
+def legendre(n: int, alpha: RationalLike) -> AlphaPoly:
     """Weight 1/2: the conformable Legendre polynomial."""
-    return from_series(GegenbauerSpec(_check_degree(n), _HALF, alpha))
+    return from_series(GegenbauerSpec(n, _HALF, alpha))
 
 
-def chebyshev_t(n: int, alpha: Union[Fraction, float]) -> AlphaPoly:
+def chebyshev_t(n: int, alpha: RationalLike) -> AlphaPoly:
     """First-kind Chebyshev coefficients on the x^(k*a) basis.
 
     The weight -> 0 limit of the family is degenerate (every polynomial's
     limit is 0 for n >= 1), so the first kind is pinned by convention to the
     classical T_n coefficients."""
-    _check_degree(n)
+    _as_count(n, "degree")
     alpha = _as_order(alpha)
     prev = AlphaPoly.constant(alpha, 1)
     if n == 0:
@@ -255,13 +249,13 @@ def chebyshev_t(n: int, alpha: Union[Fraction, float]) -> AlphaPoly:
     return cur
 
 
-def chebyshev_t_rodrigues(n: int, alpha: Union[Fraction, float]) -> AlphaPoly:
+def chebyshev_t_rodrigues(n: int, alpha: RationalLike) -> AlphaPoly:
     """First-kind polynomials through the Rodrigues route at the weight -> 0
     boundary (exponent n - 1/2), prefactor 2^n n! / (a^n (2n)!).
 
     Exact; agrees with `chebyshev_t` identically, which the verification
     audit records."""
-    _check_degree(n)
+    _as_count(n, "degree")
     magnitude = Fraction(2 ** n * math.factorial(n), math.factorial(2 * n))
     return _rodrigues_kernel(_as_order(alpha), n, -_HALF).scale(magnitude, power=-n)
 
@@ -272,7 +266,7 @@ def classical_oracle(n: int, lam: RationalLike) -> list[Fraction]:
 
     Independent oracle for tests; the constructors never call it.
     """
-    _check_degree(n)
+    _as_count(n, "degree")
     lam = _check_weight(lam)
     prev = [Fraction(1)]
     if n == 0:

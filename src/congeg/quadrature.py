@@ -26,12 +26,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .alphapoly import DomainError, _as_order, pochhammer
-from .gegenbauer import GegenbauerSpec, _check_degree, _check_weight, from_series
+from .alphapoly import DomainError, RationalLike, _as_count, _as_order, pochhammer
+from .gegenbauer import GegenbauerSpec, _check_weight, from_series
 from .report import VerificationReport
 
 __all__ = [
@@ -139,8 +139,8 @@ def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
 
 
 def conformable_inner_product(
-        m: int, n: int, lam: Union[int, Fraction],
-        alpha: Union[Fraction, float]) -> QuadratureResult:
+        m: int, n: int, lam: RationalLike,
+        alpha: RationalLike) -> QuadratureResult:
     """<C_m, C_n> under the conformable weighted measure, through the exact
     substitution u = sign(x) |x|^a: the classical integral, an exact sum of
     coefficient products against the weight's moments, divided by a.
@@ -173,8 +173,8 @@ def conformable_inner_product(
 
 
 def conformable_inner_product_direct(
-        m: int, n: int, lam: Union[int, Fraction],
-        alpha: Union[Fraction, float]) -> QuadratureResult:
+        m: int, n: int, lam: RationalLike,
+        alpha: RationalLike) -> QuadratureResult:
     """The same inner product integrated directly in x (no substitution);
     independent consistency check for the substituted route.
 
@@ -185,8 +185,8 @@ def conformable_inner_product_direct(
     error is |I_h - I_2h| against the nested h = 1/16 rule plus the rounding
     of the sum, nodes * eps * L1 mass; AccuracyError when |I_h - I_2h|
     exceeds 1e-10 of the L1 mass."""
-    _check_degree(m)
-    _check_degree(n)
+    _as_count(m, "degree")
+    _as_count(n, "degree")
     lam = _check_weight(lam)
     a = float(_as_order(alpha))
     log_x, w = _tanh_sinh_nodes()
@@ -213,23 +213,17 @@ def conformable_inner_product_direct(
 # normalization formulas
 
 
-def _checked_gamma(arg: Union[Fraction, float]) -> float:
-    if isinstance(arg, Fraction):
-        if arg <= 0 and arg.denominator == 1:
-            raise DomainError(f"gamma pole at argument {arg}")
-        return math.gamma(float(arg))
-    f = float(arg)
-    if f <= 0 and f.is_integer():
-        raise DomainError(f"gamma pole at argument {f}")
-    return math.gamma(f)
+def _checked_gamma(arg: Fraction) -> float:
+    if arg <= 0 and arg.denominator == 1:
+        raise DomainError(f"gamma pole at argument {arg}")
+    return math.gamma(float(arg))
 
 
 def _norm_args(n: int, lam, alpha):
-    _check_degree(n)
+    _as_count(n, "degree")
     lam = _check_weight(lam)
     alpha = _as_order(alpha)
-    inv = 1 / alpha if isinstance(alpha, Fraction) else 1.0 / alpha
-    return lam, alpha, inv
+    return lam, alpha, 1 / alpha
 
 
 def normalization_closed_form(n: int, lam, alpha) -> float:
@@ -274,7 +268,7 @@ def classical_norm(n: int, lam) -> float:
     """Classical Gegenbauer diagonal value
     pi 2^(1-2lam) G(n+2lam) / (n! (n+lam) G(lam)^2); the substitution
     predicts the conformable diagonal as this divided by the order."""
-    _check_degree(n)
+    _as_count(n, "degree")
     lam = _check_weight(lam)
     return (math.pi * 2.0 ** float(1 - 2 * lam) * math.gamma(float(2 * lam) + n)
             / (math.factorial(n) * float(n + lam) * math.gamma(float(lam)) ** 2))
@@ -286,8 +280,8 @@ def classical_norm(n: int, lam) -> float:
 
 def orthogonality_check(
         n_max: int = 8,
-        lambdas: Sequence[Union[int, Fraction]] = (Fraction(1), Fraction(3)),
-        alphas: Sequence[Union[Fraction, float]] = (Fraction(1, 2), Fraction(1)),
+        lambdas: Sequence[RationalLike] = (Fraction(1), Fraction(3)),
+        alphas: Sequence[RationalLike] = (Fraction(1, 2), Fraction(1)),
         tol: float = 1e-8) -> VerificationReport:
     """Off-diagonal inner products vanish relative to the diagonal scale:
     |<C_m, C_n>| <= tol * sqrt(<C_m,C_m> <C_n,C_n>) for all m != n."""
@@ -325,7 +319,7 @@ class AuditRow:
 
     n: int
     lam: Fraction
-    alpha: Union[Fraction, float]
+    alpha: Fraction
     quadrature: float
     closed_form: float
     gamma_product: float
@@ -342,7 +336,7 @@ def default_audit_grid(n_max: int = 6) -> list[tuple[int, Fraction, Fraction]]:
 
 
 def normalization_audit(
-        grid: Optional[Iterable[tuple[int, Union[int, Fraction], Union[Fraction, float]]]] = None,
+        grid: Optional[Iterable[tuple[int, RationalLike, RationalLike]]] = None,
         rel_tol: float = 1e-6) -> VerificationReport:
     """Tabulate, for each (n, weight, order): the exact diagonal, the
     closed form, the pre-simplification product form, and the
@@ -358,7 +352,7 @@ def normalization_audit(
     witness = None
     triples = list(grid) if grid is not None else default_audit_grid()
     for n, lam, alpha in triples:
-        lam = _check_weight(lam)
+        lam, alpha = _check_weight(lam), _as_order(alpha)
         quad = conformable_inner_product(n, n, lam, alpha).value
         derived = classical_norm(n, lam) / float(alpha)
         try:

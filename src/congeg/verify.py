@@ -17,11 +17,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .alphapoly import AlphaPoly, ParameterError, gamma_quotient, pochhammer
+from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_count, gamma_quotient,
+                        pochhammer)
 from .gegenbauer import (
     GegenbauerSpec,
     UltrasphericalSpec,
@@ -75,7 +76,7 @@ class ParamGrid:
 
     n_max: int = 12
     lambdas: tuple[Fraction, ...] = (_HALF, Fraction(1), Fraction(5, 2), Fraction(3))
-    alphas: tuple[Union[Fraction, float], ...] = (
+    alphas: tuple[Fraction, ...] = (
         Fraction(1, 4), _HALF, Fraction(3, 4), Fraction(1))
 
     def specs(self, n_max: Optional[int] = None) -> Iterator[GegenbauerSpec]:
@@ -126,25 +127,19 @@ def ode_residual(p: AlphaPoly, spec: GegenbauerSpec) -> AlphaPoly:
 
 def ultraspherical_ode_residual(
         p: AlphaPoly, spec: UltrasphericalSpec, *, printed_form: bool = True) -> AlphaPoly:
-    """Operator for the shifted-weight family.
+    """Operator for the shifted-weight family: `ode_residual` at
+    lam = beta + 1/2.
 
-    With printed_form=True the second-derivative term carries no
-    (1 - x^(2a)) factor (the variant form under audit; it annihilates only
-    n <= 1).  With printed_form=False the factor is restored, matching the
-    weighted operator at lam = beta + 1/2, and the residual is exactly zero.
+    With printed_form=False that weighted operator is applied as it is, and
+    the residual is exactly zero.  With printed_form=True the
+    second-derivative term carries no (1 - x^(2a)) factor (the variant form
+    under audit; it annihilates only n <= 1), which adds x^(2a) DD to the
+    residual.
     """
-    if p.alpha != spec.alpha:
-        raise ParameterError(
-            f"polynomial order {p.alpha} does not match spec order {spec.alpha}")
-    d1 = p.d_alpha()
-    d2 = d1.d_alpha()
+    residual = ode_residual(p, GegenbauerSpec(spec.n, spec.lam, spec.alpha))
     if printed_form:
-        leading = d2
-    else:
-        leading = AlphaPoly(p.alpha, (1, 0, -1)) * d2
-    damping = d1.shift(1).scale(2 * (spec.beta + 1), power=1)
-    eigen = p.scale(spec.n * (spec.n + 2 * spec.beta + 1), power=2)
-    return leading - damping + eigen
+        return residual + p.d_alpha().d_alpha().shift(2)
+    return residual
 
 
 def generating_function_coeffs(lam: Fraction, max_n: int) -> list[list[Fraction]]:
@@ -153,8 +148,7 @@ def generating_function_coeffs(lam: Fraction, max_n: int) -> list[list[Fraction]
     binomial series in w = 2 u s - s^2; row n reproduces the degree-n family
     member's coefficients."""
     lam = _check_weight(lam)
-    if max_n < 0:
-        raise ParameterError("series order must be nonnegative")
+    _as_count(max_n, "series order")
     rows = [[Fraction(0)] * (n + 1) for n in range(max_n + 1)]
     for j in range(max_n + 1):
         scale = pochhammer(lam, j) / math.factorial(j)
@@ -171,7 +165,7 @@ def generating_function_coeffs(lam: Fraction, max_n: int) -> list[list[Fraction]
 def diff_relation_check(spec: GegenbauerSpec, m: int) -> VerificationReport:
     """m-fold derivative ladder: d_alpha^m C_n^(lam) equals
     2^m a^m (lam)_m C_(n-m)^(lam+m), exactly."""
-    if not isinstance(m, int) or m < 0 or m > spec.n:
+    if _as_count(m, "ladder length") > spec.n:
         raise ParameterError(f"ladder length must satisfy 0 <= m <= n, got {m!r}")
     lhs = from_series(spec)
     for _ in range(m):
@@ -342,7 +336,7 @@ def _chebyshev_t_closed(n: int) -> list[Fraction]:
 
 
 def check_special_cases(
-        alphas: Sequence[Union[Fraction, float]] = (_HALF, Fraction(1)),
+        alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
         n_max: int = 10, samples: int = 200, rel_tol: float = 1e-12) -> VerificationReport:
     """Weight 1/2 matches Legendre, weight 1 matches second-kind Chebyshev,
     the first-kind coefficients match their closed form (all exact), and at
@@ -400,7 +394,7 @@ def check_special_cases(
 
 def audit_ultraspherical(
         betas: Sequence[Fraction] = (Fraction(0), _HALF, Fraction(3, 2)),
-        alphas: Sequence[Union[Fraction, float]] = (_HALF, Fraction(1)),
+        alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
         n_max: int = 6) -> list[VerificationReport]:
     """Recorded findings for the shifted-weight family: the variant operator,
     the series-form consistency, and the alternate Rodrigues normalization."""
@@ -486,7 +480,7 @@ def audit_ultraspherical(
 
 
 def audit_chebyshev_limit(
-        alphas: Sequence[Union[Fraction, float]] = (_HALF, Fraction(1)),
+        alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
         n_max: int = 8, m_max: int = 3) -> list[VerificationReport]:
     """Recorded findings at the first-kind (weight -> 0) boundary."""
     grid = f"n <= {n_max}, order in {{{', '.join(str(a) for a in alphas)}}}"
@@ -550,10 +544,17 @@ SUITES: dict[str, Callable[[ParamGrid, bool], VerificationReport]] = {
 
 
 def run_asserted_checks(
-        grid: ParamGrid = STANDARD_GRID, *,
+        grid: ParamGrid = STANDARD_GRID, *, suite: str = "all",
         inject_defect: bool = False) -> list[VerificationReport]:
-    """Every asserted suite of `SUITES`, in report order."""
-    return [build(grid, inject_defect) for build in SUITES.values()]
+    """The asserted suites of `SUITES` in report order: every one, or only
+    the one named by `suite`.  The sweeps need a grid reaching degree 3."""
+    if suite != "all" and suite not in SUITES:
+        raise ParameterError(
+            f"unknown suite {suite!r}; choose from {', '.join(('all', *SUITES))}")
+    if grid.n_max < 3:
+        raise ParameterError(f"--n-max must be >= 3 for the sweeps, got {grid.n_max}")
+    return [build(grid, inject_defect) for name, build in SUITES.items()
+            if suite in ("all", name)]
 
 
 @functools.cache

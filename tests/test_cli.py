@@ -38,6 +38,12 @@ class TestTable:
         assert out == ""
         assert "order" in err
 
+    @pytest.mark.parametrize("command", ["table", "audit"])
+    def test_negative_degree_exits_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--n-max", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --n-max must be a nonnegative integer, got -1\n"
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["table", "--alpha", "zebra"])
@@ -270,6 +276,8 @@ class TestConfigFile:
         ("audit", {"tol": float("inf"), "n_max": 1}),
         ("audit", {"tol": 1, "n_max": 1}),
         ("audit", {"tol": 0.0, "n_max": 1}),
+        # float() used to read JSON booleans as the points 1.0 and 0.0
+        ("eval", {"x": [True], "n": 1, "lambda": "3", "alpha": "1"}),
     ])
     def test_uncoercible_value_exits_2(self, tmp_path, capsys, command, values):
         # the offending key comes first
@@ -349,3 +357,29 @@ class TestVerificationScript:
             f"\n\nJSON report: {json_out}\naudit table: {audit_csv}\n\nasserted:")
         assert json_out.read_text() == run(capsys, "verify", "--n-max", "4", "--json")[1]
         assert audit_csv.read_text() == run(capsys, "audit")[1]
+
+    def test_grid_below_degree_3_exits_2(self):
+        # it once checked nothing and reported every suite passed
+        proc = _run_script("run_verification.py", "--n-max", "2")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: --n-max must be >= 3 for the sweeps, got 2\n"
+
+
+class TestFigureScript:
+    def test_writes_the_golden_csvs(self, tmp_path):
+        proc = _run_script("make_figure_data.py", "--out-dir", str(tmp_path))
+        assert proc.returncode == 0 and proc.stderr == ""
+        golden = Path(__file__).resolve().parent / "golden"
+        for n in range(1, 6):
+            name = f"plot_data_n{n}.csv"
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
+
+
+def _run_script(name, *args):
+    """Run scripts/<name> in a fresh interpreter that imports this tree's src."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env)

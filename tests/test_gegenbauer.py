@@ -15,7 +15,7 @@ from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_ke
 from congeg.quadrature import (classical_norm, conformable_inner_product,
                                conformable_inner_product_direct,
                                normalization_closed_form)
-from congeg.verify import generating_function_coeffs
+from congeg.verify import diff_relation_check, generating_function_coeffs
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -242,7 +242,7 @@ class TestWeightCheck:
             entry(lam)
 
     @pytest.mark.parametrize("entry", WEIGHT_ENTRY_POINTS.values(), ids=WEIGHT_ENTRY_POINTS)
-    @pytest.mark.parametrize("lam", [True, False, "x", None])
+    @pytest.mark.parametrize("lam", [True, False, "x", None, float("inf"), "1/0"])
     def test_not_exact(self, entry, lam):
         with pytest.raises(ParameterError, match="exact rational"):
             entry(lam)
@@ -256,3 +256,47 @@ class TestWeightCheck:
             GegenbauerSpec(2, True, True)
         with pytest.raises(ParameterError):
             conformable_inner_product(1, 1, True, True)
+
+
+# every entry point that takes a count, through the one count check
+COUNT_ENTRY_POINTS = {
+    "GegenbauerSpec": lambda k: GegenbauerSpec(k, ONE, HALF),
+    "pochhammer": lambda k: pochhammer(HALF, k),
+    "__pow__": lambda k: AlphaPoly(HALF, (1, 2)) ** k,
+    "monomial": lambda k: AlphaPoly.monomial(HALF, k),
+    "shift": lambda k: AlphaPoly(HALF, (1, 2)).shift(k),
+    "generating_function_coeffs": lambda k: generating_function_coeffs(ONE, k),
+    "diff_relation_check": lambda k: diff_relation_check(GegenbauerSpec(3, ONE, HALF), k),
+}
+
+
+class TestCountCheck:
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS.values(), ids=COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("k", [True, 1.5, -1])
+    def test_not_a_count(self, entry, k):
+        # True once ran as 1; 1.5 raised a bare TypeError in some of them
+        with pytest.raises(ParameterError, match="must be a nonnegative integer"):
+            entry(k)
+
+
+class TestExactOrder:
+    def test_float_order_is_its_binary_fraction(self):
+        alpha = GegenbauerSpec(3, 1, 0.7).alpha
+        assert type(alpha) is Fraction and alpha == Fraction(0.7)
+
+    def test_float_order_evaluates_as_its_fraction(self):
+        by_float = from_series(GegenbauerSpec(5, Fraction(5, 2), 0.7))
+        by_fraction = from_series(GegenbauerSpec(5, Fraction(5, 2), Fraction(0.7)))
+        assert by_float == by_fraction
+        for x in (-0.9, -0.25, 0.0, 0.3, 0.77, 1.0):
+            assert by_float.evaluate(x) == by_fraction.evaluate(x)
+
+    @pytest.mark.parametrize("alpha", [None, "x", float("nan"), float("inf"), "1/0"])
+    def test_not_a_real_order(self, alpha):
+        with pytest.raises(ParameterError, match="order must be a real number"):
+            GegenbauerSpec(2, ONE, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
+    def test_float_order_outside_range(self, alpha):
+        with pytest.raises(ParameterError, match=r"order must lie in \(0, 1\]"):
+            GegenbauerSpec(2, ONE, alpha)

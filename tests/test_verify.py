@@ -189,3 +189,31 @@ class TestUltrasphericalOperator:
         bad = UltrasphericalSpec(3, HALF, HALF)
         assert not ultraspherical_ode_residual(ultraspherical(bad), bad,
                                                printed_form=True).is_zero
+
+    @pytest.mark.parametrize("n,beta,alpha", [
+        (3, HALF, HALF), (5, Fraction(0), Fraction(1)), (6, Fraction(3, 2), Fraction(1, 4))])
+    def test_printed_form_term_by_term(self, n, beta, alpha):
+        # D2 - a (2 beta + 2) x^a D + a^2 n (n + 2 beta + 1), written out
+        from congeg.gegenbauer import UltrasphericalSpec, ultraspherical
+        spec = UltrasphericalSpec(n, beta, alpha)
+        p = ultraspherical(spec)
+        d1 = p.d_alpha()
+        printed = (d1.d_alpha() - d1.shift(1).scale(2 * (beta + 1), power=1)
+                   + p.scale(n * (n + 2 * beta + 1), power=2))
+        assert ultraspherical_ode_residual(p, spec, printed_form=True) == printed
+
+
+class TestRunAssertedChecks:
+    def test_one_suite(self):
+        reports = run_asserted_checks(SMALL, suite="ode")
+        assert [r.identity for r in reports] == ["ode-annihilation"]
+
+    def test_unknown_suite(self):
+        with pytest.raises(ParameterError, match="unknown suite 'bogus'"):
+            run_asserted_checks(SMALL, suite="bogus")
+
+    @pytest.mark.parametrize("n_max", [2, 0, -1])
+    def test_grid_below_degree_3(self, n_max):
+        # an empty grid once passed every suite after checking nothing
+        with pytest.raises(ParameterError, match="must be >= 3"):
+            run_asserted_checks(ParamGrid(n_max=n_max))
