@@ -2,16 +2,20 @@
 
 - exact arithmetic: `ode_residual` of a family member at degrees 8, 32, 64,
   and `+`, `*`, `scale`, `shift` and `d_alpha` on degree-64 members;
-- the three exact constructors at degrees 8, 32, 64, and the validation of
-  their parameters (`GegenbauerSpec` construction);
+- the three exact constructors at degrees 8, 32, 64, each round from cold
+  memos, and the validation of their parameters (`GegenbauerSpec`
+  construction);
 - float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
 - verification: one `check_ode_annihilation` sweep at n_max 12, the other
   exact sweeps (constructors, recurrences, ladder, endpoints, special
-  cases) at n_max 12, and the recorded audits computed afresh;
+  cases) at n_max 12, with the memos warm after the first round as in a
+  long-lived process, `orthogonality_check` at n_max 48 from cold memos, and
+  the recorded audits computed afresh;
 - the CLI process: end-to-end wall time of default `congeg verify`,
-  `verify --n-max 24`, `plot-data` and `audit`, each in a fresh interpreter.
+  `verify --n-max 24`, `verify --n-max 48`, `plot-data` and `audit`, each
+  in a fresh interpreter, so nothing is reused between runs.
 
 This directory is outside the test suite's `testpaths`; run it explicitly
 from the repository root:
@@ -30,8 +34,11 @@ from pathlib import Path
 import pytest
 
 import congeg
+import congeg.gegenbauer as gegenbauer
+import congeg.quadrature as quadrature
 from congeg.gegenbauer import GegenbauerSpec, from_recurrence, from_rodrigues, from_series
-from congeg.quadrature import conformable_inner_product, conformable_inner_product_direct
+from congeg.quadrature import (conformable_inner_product, conformable_inner_product_direct,
+                               orthogonality_check)
 from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_ode_annihilation,
@@ -41,6 +48,16 @@ DEGREES = (8, 32, 64)
 LAM = Fraction(5, 2)
 ALPHA = Fraction(1, 2)
 GRID_12 = ParamGrid(n_max=12)
+
+
+def _clear_memos():
+    """Empty every memo of the constructors and the inner products, so the
+    next call builds from scratch.  Found by attribute, so a tree with other
+    memos, or none, is timed the same way."""
+    for module in (gegenbauer, quadrature):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 @pytest.mark.parametrize("n", DEGREES)
@@ -53,8 +70,11 @@ def test_ode_residual(benchmark, n):
 @pytest.mark.parametrize("route", [from_series, from_recurrence, from_rodrigues],
                          ids=lambda route: route.__name__)
 def test_constructor(benchmark, route, n):
+    # a memo hit would time a copy, not the route
     spec = GegenbauerSpec(n, LAM, ALPHA)
-    assert benchmark(route, spec) == from_series(spec)
+    poly = benchmark.pedantic(route, args=(spec,), setup=_clear_memos,
+                              rounds=100, iterations=1)
+    assert poly == from_series(spec)
 
 
 def test_spec(benchmark):
@@ -122,12 +142,19 @@ def test_exact_sweep(benchmark, suite):
     assert benchmark(EXACT_SWEEPS[suite]).passed
 
 
+def test_orthogonality_cold(benchmark):
+    report = benchmark.pedantic(orthogonality_check, kwargs={"n_max": 48},
+                                setup=_clear_memos, rounds=5, iterations=1)
+    assert report.passed
+
+
 def test_recorded_audits(benchmark):
     reports = benchmark(lambda: audit_ultraspherical() + audit_chebyshev_limit())
     assert len(reports) == 5
 
 
 @pytest.mark.parametrize("argv", [("verify",), ("verify", "--n-max", "24"),
+                                  ("verify", "--n-max", "48"),
                                   ("plot-data",), ("audit",)],
                          ids=" ".join)
 def test_cli(benchmark, argv):

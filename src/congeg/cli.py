@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -219,6 +220,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ParameterError("eval requires --n")
     if args.x is None:
         raise ParameterError("eval requires --x with at least one point")
+    for x in args.x:
+        if not math.isfinite(x):
+            raise ParameterError(f"eval points must be finite, got {x!r}")
     poly = from_recurrence(GegenbauerSpec(args.n, args.lam, args.alpha))
     sys.stdout.write("\n".join(["x,alpha,value"] + _csv_rows(poly, args.alpha, args.x))
                      + "\n")

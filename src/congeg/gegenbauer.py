@@ -9,10 +9,16 @@ cancels symbolically against the a^(-n) in its prefactor.
 Each route runs in Python integers: with the weight lam = p/q it carries
 integer coefficients over one running integer denominator (a power of q
 times factorials for the series and the recurrence, a product of the
-Leibniz ratios for the Rodrigues kernel) and hands both to `AlphaPoly._of`,
-which stores them as they are, reduced by one gcd; no route builds a
-Fraction per coefficient.  No route calls another; each keeps its own
-derivation, so their agreement remains a check.
+Leibniz ratios for the Rodrigues kernel); no route builds a Fraction per
+coefficient.  No route calls another; each keeps its own derivation, so
+their agreement remains a check.
+
+Because the coefficients do not depend on the order, each route's integer
+work is memoized per process by (n, lam) in its own bounded cache, in
+lowest terms; the public function attaches the spec's order through
+`AlphaPoly._of`.  No route reads another's memo, so a sweep over several
+orders builds each member once per route and still compares three
+independent results.
 
 Special cases: weight 1/2 gives the Legendre family, weight 1 the Chebyshev
 second-kind family, and the first-kind family (the weight -> 0 limit) is
@@ -23,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .alphapoly import (
     AlphaPoly,
@@ -49,6 +56,12 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
+_ONE = Fraction(1)
+# Entries per route memo.  A sweep scans the degrees of every weight once per
+# order, so an LRU memo smaller than that cycle never hits: at --n-max 96 the
+# standard grid's 4 weights take 4 * 97 entries, and the ladder, recurrence
+# and orthogonality suites add shifted weights and lower degrees.
+_MEMO_SIZE = 1024
 
 
 def _check_weight(lam: RationalLike) -> Fraction:
@@ -97,16 +110,22 @@ class UltrasphericalSpec:
 # construction routes
 
 
-def from_series(spec: GegenbauerSpec) -> AlphaPoly:
-    """Explicit series: coefficient of x^((n-2s)*a) is
-    (-1)^s (lam)_(n-s) 2^(n-2s) / (s! (n-2s)!).
+def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den in `AlphaPoly`'s canonical form, for a memo to keep."""
+    poly = AlphaPoly._of(_ONE, nums, den, 0)
+    return poly.nums, poly.den
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _series_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
+    """Body of `from_series`, in lowest terms.
 
     Each term follows from the previous one by the ratio
     -k (k-1) / (4 (s+1) (lam+n-s-1)) with k = n - 2s, carried as an integer
     numerator over a running integer denominator.  A second pass, from the
     last term up, multiplies each term by the denominator steps after it,
     so all share the final denominator at one product per term."""
-    n, p, q = spec.n, spec.lam.numerator, spec.lam.denominator
+    p, q = lam.numerator, lam.denominator
     num = 2 ** n  # term s = 0: 2^n (lam)_n / n! = 2^n prod(p + q i) / (q^n n!)
     for i in range(n):
         num *= p + q * i
@@ -123,17 +142,24 @@ def from_series(spec: GegenbauerSpec) -> AlphaPoly:
         nums[n - 2 * s] *= tail
         tail *= steps[s - 1]
     nums[n] *= tail
-    return AlphaPoly._of(spec.alpha, nums, q ** n * math.factorial(n) * tail, 0)
+    return _lowest_terms(nums, q ** n * math.factorial(n) * tail)
 
 
-def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
-    """Three-term recurrence (m+1) C_(m+1) = 2(m+lam) x^a C_m - (m+2lam-1) C_(m-1),
-    seeded with C_(-1) = 0 and C_0 = 1.
+def from_series(spec: GegenbauerSpec) -> AlphaPoly:
+    """Explicit series: coefficient of x^((n-2s)*a) is
+    (-1)^s (lam)_(n-s) 2^(n-2s) / (s! (n-2s)!)."""
+    nums, den = _series_coeffs(spec.n, spec.lam)
+    return AlphaPoly._of(spec.alpha, list(nums), den, 0)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _recurrence_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
+    """Body of `from_recurrence`, in lowest terms.
 
     With lam = p/q it runs on P_m = q^m m! C_m, whose coefficients are
     integers: P_(m+1) = 2(qm+p) x^a P_m - qm(qm+2p-q) P_(m-1).  Only the
     entries of the member's parity are touched; C_n = P_n / (q^n n!)."""
-    n, p, q = spec.n, spec.lam.numerator, spec.lam.denominator
+    p, q = lam.numerator, lam.denominator
     prev: list[int] = []
     cur = [1]
     for m in range(n):
@@ -144,7 +170,14 @@ def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
         for k in range((m + 1) % 2, m, 2):
             nxt[k] -= down * prev[k]
         prev, cur = cur, nxt
-    return AlphaPoly._of(spec.alpha, cur, q ** n * math.factorial(n), 0)
+    return _lowest_terms(cur, q ** n * math.factorial(n))
+
+
+def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
+    """Three-term recurrence (m+1) C_(m+1) = 2(m+lam) x^a C_m - (m+2lam-1) C_(m-1),
+    seeded with C_(-1) = 0 and C_0 = 1."""
+    nums, den = _recurrence_coeffs(spec.n, spec.lam)
+    return AlphaPoly._of(spec.alpha, list(nums), den, 0)
 
 
 def _rodrigues_kernel(alpha: Fraction, n: int, c: Fraction) -> AlphaPoly:
@@ -182,6 +215,17 @@ def _rodrigues_kernel(alpha: Fraction, n: int, c: Fraction) -> AlphaPoly:
     return AlphaPoly._of(alpha, total, den, n)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _rodrigues_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
+    """Body of `from_rodrigues`, in lowest terms; the kernel runs at order 1,
+    which its integers do not depend on."""
+    magnitude = (gamma_quotient(2 * lam + n, 2 * lam)
+                 / gamma_quotient(n + lam + _HALF, lam + _HALF)
+                 / (Fraction(2) ** n * math.factorial(n)))
+    poly = _rodrigues_kernel(_ONE, n, lam - _HALF).scale(magnitude, power=-n)
+    return poly.nums, poly.den
+
+
 def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
     """Rodrigues product form.  The prefactor
 
@@ -189,11 +233,8 @@ def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
 
     carries a^(-n), which cancels the kernel's a^n exactly; the (-1)^n of
     (-2a)^n cancels the kernel's extracted sign."""
-    n, lam, alpha = spec.n, spec.lam, spec.alpha
-    magnitude = (gamma_quotient(2 * lam + n, 2 * lam)
-                 / gamma_quotient(n + lam + _HALF, lam + _HALF)
-                 / (Fraction(2) ** n * math.factorial(n)))
-    return _rodrigues_kernel(alpha, n, lam - _HALF).scale(magnitude, power=-n)
+    nums, den = _rodrigues_coeffs(spec.n, spec.lam)
+    return AlphaPoly._of(spec.alpha, list(nums), den, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +305,18 @@ def classical_oracle(n: int, lam: RationalLike) -> list[Fraction]:
     """Classical Gegenbauer coefficients (ascending powers of the plain
     variable) by the standard three-term recurrence on coefficient lists.
 
-    Independent oracle for tests; the constructors never call it.
+    Independent oracle for tests; the constructors never call it.  Memoized
+    by (n, lam) like the routes; each call returns a new list.
     """
     _as_count(n, "degree")
-    lam = _check_weight(lam)
+    return list(_oracle_coeffs(n, _check_weight(lam)))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _oracle_coeffs(n: int, lam: Fraction) -> tuple[Fraction, ...]:
     prev = [Fraction(1)]
     if n == 0:
-        return prev
+        return tuple(prev)
     cur = [Fraction(0), 2 * lam]
     for m in range(2, n + 1):
         up, down = 2 * (m - 1 + lam) / m, (m + 2 * lam - 2) / m
@@ -280,4 +326,4 @@ def classical_oracle(n: int, lam: RationalLike) -> list[Fraction]:
         for j, coeff in enumerate(prev):
             nxt[j] -= down * coeff
         prev, cur = cur, nxt
-    return cur
+    return tuple(cur)

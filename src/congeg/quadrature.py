@@ -22,6 +22,7 @@ pass.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .alphapoly import DomainError, RationalLike, _as_count, _as_order, pochhammer
-from .gegenbauer import GegenbauerSpec, _check_weight, from_series
+from .gegenbauer import _check_weight, _series_coeffs
 from .report import VerificationReport
 
 __all__ = [
@@ -115,14 +116,6 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...
 
 
 @lru_cache(maxsize=256)
-def _scaled_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
-    """Classical (order 1) series coefficients as integers over one common
-    denominator.  Cached so a sweep over pairs builds each degree once."""
-    poly = from_series(GegenbauerSpec(n, lam, Fraction(1)))
-    return poly.nums, poly.den
-
-
-@lru_cache(maxsize=256)
 def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
     """mu_2k / B(1/2, base + 1/2) for k < count, as integers over one common
     denominator.  mu_2k = mu_0 (1/2)_k / (lam + 1)_k, and mu_0 = B(1/2, lam + 1/2)
@@ -138,6 +131,20 @@ def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
     return _over_common_denominator(moments)
 
 
+@lru_cache(maxsize=256)
+def _moment_weighted(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
+    """W_i = sum over j, i + j even, of d_j mu_((i+j)/2) / B(1/2, base + 1/2)
+    for i <= n, with d the coefficients of C_n^(lam), as integers over one
+    common denominator: <C_m, C_n> for any m <= n is then the dot product of
+    C_m's coefficients with W.  256 entries hold a sweep's 2 weights to
+    degree 96."""
+    d, d_den = _series_coeffs(n, lam)
+    moments, mu_den = _scaled_moments(lam, n + 1)
+    return (tuple(sum(d[j] * moments[(i + j) // 2] for j in range(i % 2, n + 1, 2))
+                  for i in range(n + 1)),
+            mu_den * d_den)
+
+
 def conformable_inner_product(
         m: int, n: int, lam: RationalLike,
         alpha: RationalLike) -> QuadratureResult:
@@ -149,14 +156,12 @@ def conformable_inner_product(
     when the sum is exactly zero); no evaluation nodes are used."""
     lam = _check_weight(lam)
     a = float(_as_order(alpha))
-    (c, c_den), (d, d_den) = _scaled_coeffs(m, lam), _scaled_coeffs(n, lam)
-    moments, mu_den = _scaled_moments(lam, (len(c) + len(d)) // 2)
-    # sum over i + j even of c_i d_j mu_(i+j), grouped by k = (i + j) / 2;
-    # only B(1/2, base + 1/2), with base in [0, 1), is left in floats
-    total = 0
-    for k, moment in enumerate(moments):
-        lo, hi = max(0, 2 * k - len(d) + 1), min(len(c), 2 * k + 1)
-        total += moment * sum(c[i] * d[2 * k - i] for i in range(lo, hi))
+    m, n = sorted((_as_count(m, "degree"), _as_count(n, "degree")))
+    c, c_den = _series_coeffs(m, lam)
+    weighted, w_den = _moment_weighted(n, lam)
+    # sum over i + j even of c_i d_j mu_(i+j) is sum_i c_i W_i; only
+    # B(1/2, base + 1/2), with base in [0, 1), is left in floats
+    total = sum(map(operator.mul, c, weighted))
     base = lam - math.floor(lam)
     if base == 0:
         beta = math.pi              # B(1/2, 1/2)
@@ -166,7 +171,7 @@ def conformable_inner_product(
         beta = (math.sqrt(math.pi) * math.gamma(float(base + _HALF))
                 / math.gamma(float(base + 1)))
     # int / int is correctly rounded, so this is the exact sum rounded once
-    value = total / (mu_den * c_den * d_den) * beta / a
+    value = total / (c_den * w_den) * beta / a
     # two math.gamma calls (measured within 7 units of 2^-53 on [1/2, 2])
     # plus about six correctly rounded steps stay under 32 units of 2^-53
     return QuadratureResult(value, 16 * sys.float_info.epsilon * abs(value), 0)

@@ -21,8 +21,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_count, gamma_quotient,
-                        pochhammer)
+from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_count, _as_order,
+                        gamma_quotient, pochhammer)
 from .gegenbauer import (
     GegenbauerSpec,
     UltrasphericalSpec,
@@ -72,12 +72,21 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Cartesian sweep over degree, weight and order."""
+    """Cartesian sweep over degree, weight and order.  The weights and orders
+    are checked like a spec's and stored as tuples of Fractions; n_max must
+    be an int, and a negative one gives an empty grid, which
+    `run_asserted_checks` refuses with the rest below degree 3."""
 
     n_max: int = 12
     lambdas: tuple[Fraction, ...] = (_HALF, Fraction(1), Fraction(5, 2), Fraction(3))
     alphas: tuple[Fraction, ...] = (
         Fraction(1, 4), _HALF, Fraction(3, 4), Fraction(1))
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n_max, int) or isinstance(self.n_max, bool):
+            raise ParameterError(f"n_max must be an integer, got {self.n_max!r}")
+        object.__setattr__(self, "lambdas", tuple(_check_weight(v) for v in self.lambdas))
+        object.__setattr__(self, "alphas", tuple(_as_order(v) for v in self.alphas))
 
     def specs(self, n_max: Optional[int] = None) -> Iterator[GegenbauerSpec]:
         top = self.n_max if n_max is None else min(n_max, self.n_max)

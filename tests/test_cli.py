@@ -80,6 +80,28 @@ class TestEval:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize("points", [["--x", "nan", "2"], ["--x", "inf", "2"],
+                                        ["--x", "-inf"], ["--x=-inf"]])
+    def test_non_finite_point_exits_2(self, capsys, points):
+        # these once printed nan with exit 0; argparse reads a bare -inf as
+        # an option and exits 2 itself
+        argv = ["eval", "--n", "2", "--lambda", "3", "--alpha", "1", *points]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "error: " in err
+
+    def test_non_finite_config_point_exits_2(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 2, "lambda": "3", "alpha": "1", "x": [NaN]}')
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
 
 class TestPlotData:
     def test_default_shape(self, capsys):

@@ -172,6 +172,27 @@ class TestReportPlumbing:
         grid = ParamGrid(n_max=2)
         assert len(list(grid.specs())) == 3 * 4 * 4
 
+    @pytest.mark.parametrize("fields", [
+        {"n_max": 3.5}, {"n_max": True}, {"n_max": "4"},
+        {"lambdas": (HALF, 0)}, {"alphas": (Fraction(2),)}, {"alphas": ("x",)},
+    ])
+    def test_param_grid_rejects_bad_fields(self, fields):
+        # n_max=3.5 once raised a bare TypeError inside the first sweep
+        with pytest.raises(ParameterError):
+            ParamGrid(**fields)
+
+    def test_param_grid_negative_degree_is_refused_by_the_sweeps(self):
+        grid = ParamGrid(n_max=-1)
+        assert list(grid.specs()) == []
+        with pytest.raises(ParameterError, match="must be >= 3"):
+            run_asserted_checks(grid)
+
+    def test_param_grid_stores_fractions(self):
+        grid = ParamGrid(n_max=3, lambdas=["1/2", 3], alphas=[0.5, 1])
+        assert grid.lambdas == (HALF, Fraction(3))
+        assert grid.alphas == (HALF, Fraction(1))
+        assert all(type(v) is Fraction for v in grid.lambdas + grid.alphas)
+
 
 class TestUltrasphericalOperator:
     def test_full_operator_annihilates(self):
