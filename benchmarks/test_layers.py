@@ -14,8 +14,9 @@
   long-lived process, `orthogonality_check` at n_max 48 from cold memos, and
   the recorded audits computed afresh;
 - the CLI process: end-to-end wall time of default `congeg verify`,
-  `verify --n-max 24`, `verify --n-max 48`, `plot-data` and `audit`, each
-  in a fresh interpreter, so nothing is reused between runs.
+  `verify --n-max 24`, `verify --n-max 48`, `plot-data`, `audit`, and the
+  start-up-bound `eval --n 4 --x 0.5` and `table`, each in a fresh
+  interpreter, so nothing is reused between runs.
 
 This directory is outside the test suite's `testpaths`; run it explicitly
 from the repository root:
@@ -155,7 +156,8 @@ def test_recorded_audits(benchmark):
 
 @pytest.mark.parametrize("argv", [("verify",), ("verify", "--n-max", "24"),
                                   ("verify", "--n-max", "48"),
-                                  ("plot-data",), ("audit",)],
+                                  ("plot-data",), ("audit",),
+                                  ("eval", "--n", "4", "--x", "0.5"), ("table",)],
                          ids=" ".join)
 def test_cli(benchmark, argv):
     env = {**os.environ, "PYTHONPATH": str(Path(congeg.__file__).resolve().parents[1])}

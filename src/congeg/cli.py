@@ -24,14 +24,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .alphapoly import DomainError, ParameterError, _as_count
 from .gegenbauer import GegenbauerSpec, from_recurrence, from_series
 from .quadrature import (AccuracyError, audit_rows_to_csv, default_audit_grid,
                          normalization_audit)
 from .report import reports_to_json, reports_to_text, summary
-from .verify import SUITES, ParamGrid, run_asserted_checks, run_recorded_audits
+from .verify import (SUITES, ParamGrid, _sample_grid, run_asserted_checks,
+                     run_recorded_audits)
 
 __all__ = ["main"]
 
@@ -150,6 +149,7 @@ def _tolerance(value: float) -> float:
 _COUNT = _json_typed((int, str), "an integer", int)
 _NUMBER = _json_typed((int, float), "a number", float)
 _FLAG = _json_typed((bool,), "true or false")
+_STRING = _json_typed((str,), "a string")
 
 # config keys are coerced per destination so JSON numbers and strings both work
 _COERCERS = {
@@ -162,11 +162,11 @@ _COERCERS = {
                           lambda v: tuple(_fraction(item) for item in v)),
     "x": _json_typed((list,), "a JSON array", lambda v: [_NUMBER(item) for item in v]),
     "tol": lambda v: _tolerance(_NUMBER(v)),
-    "suite": str,
+    "suite": _STRING,
     "signed_domain": _FLAG,
     "json": _FLAG,
     "inject_defect": _FLAG,
-    "out": str,
+    "out": _STRING,
 }
 
 
@@ -175,10 +175,9 @@ def _apply_config(args: argparse.Namespace) -> None:
     file first, then from the subcommand's defaults."""
     data = {}
     if getattr(args, "config", None):
-        text = Path(args.config).read_text()
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParameterError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ParameterError("config file must hold a JSON object")
@@ -218,7 +217,7 @@ def _csv_rows(poly, alpha: Fraction, xs: Sequence[float]) -> list[str]:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ParameterError("eval requires --n")
-    if args.x is None:
+    if not args.x:
         raise ParameterError("eval requires --x with at least one point")
     for x in args.x:
         if not math.isfinite(x):
@@ -230,10 +229,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
-    if args.samples < 2:
-        raise ParameterError(f"--samples must be >= 2, got {args.samples}")
-    lo = -1.0 if args.signed_domain else 0.0
-    xs = [float(x) for x in np.linspace(lo, 1.0, args.samples)]
+    if not args.alphas:
+        raise ParameterError("plot-data requires at least one --alpha")
+    xs = _sample_grid(-1.0 if args.signed_domain else 0.0, args.samples)
     lines = ["x,alpha,value"]
     for alpha in sorted(set(args.alphas)):
         poly = from_series(GegenbauerSpec(args.n, args.lam, alpha))

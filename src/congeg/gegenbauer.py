@@ -7,11 +7,11 @@ factor a^n contributed by n conformable derivatives in the Rodrigues route
 cancels symbolically against the a^(-n) in its prefactor.
 
 Each route runs in Python integers: with the weight lam = p/q it carries
-integer coefficients over one running integer denominator (a power of q
-times factorials for the series and the recurrence, a product of the
-Leibniz ratios for the Rodrigues kernel); no route builds a Fraction per
-coefficient.  No route calls another; each keeps its own derivation, so
-their agreement remains a check.
+integer coefficients over one integer denominator (a power of q times
+factorials for the series and the recurrence, a fixed power of the
+denominator of lam - 1/2 for the Rodrigues kernel); no route builds a
+Fraction per coefficient.  No route calls another; each keeps its own
+derivation, so their agreement remains a check.
 
 Because the coefficients do not depend on the order, each route's integer
 work is memoized per process by (n, lam) in its own bounded cache, in
@@ -189,30 +189,26 @@ def _rodrigues_kernel(alpha: Fraction, n: int, c: Fraction) -> AlphaPoly:
 
     The sum is taken by Horner's rule in (x^a + 1), carrying the power of
     (x^a - 1) along, on integer coefficient lists, so each product with
-    (x^a +- 1) is a shift and an add; it costs O(n^2).  With c = r/t the
-    factor f_n is (c+1)_n = prod_(i=1..n) (r + t i) / t^n, and each next one
-    follows from the ratio f_(k-1)/f_k = k (r + t k) / step with
-    step = (n-k+1) (t (n+1-k) + r).  The running total is kept over the
-    factor's denominator, so it is multiplied by step whenever that
-    denominator is.  The a^n from the n derivatives is the kernel's grade.
+    (x^a +- 1) is a shift and an add; it costs O(n^2).  With c = r/t each
+    f_k has n factors (c + j) over t, so every t^n f_k is an integer: from
+    t^n f_n = prod_(i=1..n) (r + t i) each next one follows exactly by the
+    ratio f_(k-1)/f_k = k (r + t k) / ((n-k+1) (t (n+1-k) + r)), and the
+    sum stays over t^n.  The a^n from the n derivatives is the kernel's grade.
     """
     r, t = c.numerator, c.denominator
-    num, den = 1, t ** n
+    num = 1
     for i in range(1, n + 1):
         num *= r + t * i
-    total: list[int] = []   # sum so far, integer coefficients over den
+    total: list[int] = []   # sum so far, integer coefficients over t^n
     minus_power = [1]       # (x^a - 1)^(n-k)
     for k in range(n, -1, -1):
         # total * (x^a + 1) + f_k * (x^a - 1)^(n-k)
         total = [lo + hi + num * m
                  for lo, hi, m in zip([0] + total, total + [0], minus_power)]
         if k:
-            step = (n - k + 1) * (t * (n + 1 - k) + r)
-            num *= k * (r + t * k)
-            den *= step
-            total = [v * step for v in total]
+            num = num * k * (r + t * k) // ((n - k + 1) * (t * (n + 1 - k) + r))
             minus_power = [lo - hi for lo, hi in zip([0] + minus_power, minus_power + [0])]
-    return AlphaPoly._of(alpha, total, den, n)
+    return AlphaPoly._of(alpha, total, t ** n, n)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

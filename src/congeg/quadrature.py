@@ -17,7 +17,7 @@ its integrand is not polynomial.  It applies one fixed tanh-sinh rule
 node spacing absorbs the integrable singularities at 0 and +-1 without
 grading, and judges it against the nested rule of twice the step,
 relative to the integrand's L1 mass so that exact zeros (orthogonality)
-pass.
+pass.  It is the package's one user of numpy, imported on its first call.
 """
 from __future__ import annotations
 
@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .alphapoly import DomainError, RationalLike, _as_count, _as_order, pochhammer
 from .gegenbauer import _check_weight, _series_coeffs
@@ -80,11 +78,12 @@ class AccuracyError(RuntimeError):
 
 
 @cache
-def _tanh_sinh_nodes() -> tuple[np.ndarray, np.ndarray]:
+def _tanh_sinh_nodes():
     """log x and the weights of the tanh-sinh rule on (0, 1), nodes
     x = 1/(1 + exp(-2s)) with s = (pi/2) sinh t, t = k h.  The weight
     h dx/dt = h pi cosh t x (1 - x) is h pi cosh t / (2 cosh s)^2.  Built on
     first use, not at import; read-only, since every call shares them."""
+    import numpy as np
     t = np.arange(-_T_MAX * _STEPS, _T_MAX * _STEPS + 1) / _STEPS
     s = np.pi / 2 * np.sinh(t)
     # log x = -log1p(exp(-2s)) straight from s: near 0 a rounded 1 - x has
@@ -95,10 +94,10 @@ def _tanh_sinh_nodes() -> tuple[np.ndarray, np.ndarray]:
     return log_x, weights
 
 
-def _gegenbauer_values(m: int, n: int, lam: float,
-                       u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C_m(u) and C_n(u) by the classical three-term recurrence in floats."""
-    prev, values = np.zeros_like(u), [np.ones_like(u)]
+def _gegenbauer_values(m: int, n: int, lam: float, u):
+    """C_m(u) and C_n(u) by the classical three-term recurrence in floats;
+    the scalar seeds broadcast against u, so this needs no numpy itself."""
+    prev, values = 0.0, [1.0]
     for k in range(max(m, n)):
         cur = values[-1]
         values.append((2 * (k + lam) * u * cur - (k + 2 * lam - 1) * prev) / (k + 1))
@@ -190,6 +189,7 @@ def conformable_inner_product_direct(
     error is |I_h - I_2h| against the nested h = 1/16 rule plus the rounding
     of the sum, nodes * eps * L1 mass; AccuracyError when |I_h - I_2h|
     exceeds 1e-10 of the L1 mass."""
+    import numpy as np
     _as_count(m, "degree")
     _as_count(n, "degree")
     lam = _check_weight(lam)

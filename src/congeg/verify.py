@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_count, _as_order,
                         gamma_quotient, pochhammer)
 from .gegenbauer import (
@@ -290,12 +288,11 @@ def check_generating_function(
     for lam in lambdas:
         rows = generating_function_coeffs(Fraction(lam), n_max)
         for n, row in enumerate(rows):
-            coeffs = from_series(GegenbauerSpec(n, Fraction(lam), Fraction(1))).rational_coeffs()
-            padded = list(coeffs) + [Fraction(0)] * (n + 1 - len(coeffs))
-            if row != padded:
+            coeffs = list(from_series(GegenbauerSpec(n, lam, 1)).rational_coeffs())
+            if row != coeffs:
                 return VerificationReport(
                     "generating-function", grid, "fail",
-                    witness=f"n={n}, weight={lam}: {row} != {padded}")
+                    witness=f"n={n}, weight={lam}: {row} != {coeffs}")
     return VerificationReport("generating-function", grid, "exact-pass")
 
 
@@ -344,6 +341,22 @@ def _chebyshev_t_closed(n: int) -> list[Fraction]:
     return out
 
 
+def _sample_grid(lo: float, samples: int) -> list[float]:
+    """lo + i * step for i < samples - 1, then exactly 1.0: linspace's floats."""
+    if samples < 2:
+        raise ParameterError(f"--samples must be >= 2, got {samples}")
+    step = (1.0 - lo) / (samples - 1)
+    return [lo + i * step for i in range(samples - 1)] + [1.0]
+
+
+def _horner(coeffs: Sequence[float], xs: Sequence[float]) -> list[float]:
+    """sum c_i x^i at every x, top coefficient first: polyval's order of operations."""
+    values = [0.0] * len(xs)
+    for c in reversed(coeffs):
+        values = [v * x + c for v, x in zip(values, xs)]
+    return values
+
+
 def check_special_cases(
         alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
         n_max: int = 10, samples: int = 200, rel_tol: float = 1e-12) -> VerificationReport:
@@ -360,33 +373,24 @@ def check_special_cases(
     oracle = {(n, lam): classical_oracle(n, lam)
               for lam in weights for n in range(n_max + 1)}
     for n in range(n_max + 1):
-        closed_t = _chebyshev_t_closed(n)
         for alpha in alphas:
-            leg = legendre(n, alpha).rational_coeffs()
-            if list(leg) + [Fraction(0)] * (n + 1 - len(leg)) != oracle[n, _HALF]:
-                return VerificationReport(
-                    "special-cases", grid, "fail",
-                    witness=f"legendre n={n}, order={alpha}")
-            second = from_series(GegenbauerSpec(n, Fraction(1), alpha)).rational_coeffs()
-            if list(second) + [Fraction(0)] * (n + 1 - len(second)) != oracle[n, 1]:
-                return VerificationReport(
-                    "special-cases", grid, "fail",
-                    witness=f"second-kind n={n}, order={alpha}")
-            first = chebyshev_t(n, alpha).rational_coeffs()
-            if list(first) + [Fraction(0)] * (n + 1 - len(first)) != closed_t:
-                return VerificationReport(
-                    "special-cases", grid, "fail",
-                    witness=f"first-kind n={n}, order={alpha}")
+            for name, poly, expected in (
+                    ("legendre", legendre(n, alpha), oracle[n, _HALF]),
+                    ("second-kind", from_series(GegenbauerSpec(n, 1, alpha)), oracle[n, 1]),
+                    ("first-kind", chebyshev_t(n, alpha), _chebyshev_t_closed(n))):
+                if list(poly.rational_coeffs()) != expected:
+                    return VerificationReport(
+                        "special-cases", grid, "fail",
+                        witness=f"{name} n={n}, order={alpha}")
     worst = 0.0
-    xs = np.linspace(-1.0, 1.0, samples)
+    xs = _sample_grid(-1.0, samples)
     for lam in weights:
         for n in range(n_max + 1):
             p = from_series(GegenbauerSpec(n, lam, Fraction(1)))
-            coeffs = np.array([float(c) for c in oracle[n, lam]])
-            scale = max(1.0, float(np.sum(np.abs(coeffs))))
-            reference = np.polynomial.polynomial.polyval(xs, coeffs)
-            ours = np.array([p.evaluate(float(x)) for x in xs])
-            worst = max(worst, float(np.max(np.abs(ours - reference))) / scale)
+            coeffs = [float(c) for c in oracle[n, lam]]
+            scale = max(1.0, sum(abs(c) for c in coeffs))
+            errors = (abs(y - ref) for y, ref in zip(map(p.evaluate, xs), _horner(coeffs, xs)))
+            worst = max(worst, max(errors) / scale)
             if worst > rel_tol:
                 return VerificationReport(
                     "special-cases", grid, "fail", max_residual=worst,

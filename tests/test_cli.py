@@ -323,6 +323,47 @@ class TestConfigFile:
         assert code == 2 and "JSON" in err
 
 
+class TestConfigExitCodes:
+    """Config values the command line cannot express still end in exit 2
+    with an error line, print nothing and write no file."""
+
+    @staticmethod
+    def refused(tmp_path, monkeypatch, capsys, command, raw):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+        return err
+
+    def test_non_utf8_file(self, tmp_path, monkeypatch, capsys):
+        err = self.refused(tmp_path, monkeypatch, capsys, "table", b'{"n_max": 2}\xff')
+        assert "config file is not valid JSON" in err
+
+    @pytest.mark.parametrize("value", [None, 5, ["a.csv"]])
+    def test_out_must_be_a_string(self, tmp_path, monkeypatch, capsys, value):
+        raw = json.dumps({"out": value, "n": 1, "samples": 2}).encode()
+        err = self.refused(tmp_path, monkeypatch, capsys, "plot-data", raw)
+        assert "config key 'out': expected a string" in err
+
+    def test_suite_must_be_a_string(self, tmp_path, monkeypatch, capsys):
+        raw = json.dumps({"suite": 5}).encode()
+        err = self.refused(tmp_path, monkeypatch, capsys, "verify", raw)
+        assert "config key 'suite': expected a string" in err
+
+    def test_eval_with_no_points(self, tmp_path, monkeypatch, capsys):
+        raw = json.dumps({"n": 1, "x": []}).encode()
+        err = self.refused(tmp_path, monkeypatch, capsys, "eval", raw)
+        assert "eval requires --x with at least one point" in err
+
+    def test_plot_data_with_no_orders(self, tmp_path, monkeypatch, capsys):
+        raw = json.dumps({"alphas": [], "out": "grid.csv"}).encode()
+        err = self.refused(tmp_path, monkeypatch, capsys, "plot-data", raw)
+        assert "plot-data requires at least one --alpha" in err
+
+
 class TestRepeatedCalls:
     """The parser is built once per process; one call's options must not
     leak into the next."""

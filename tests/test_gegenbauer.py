@@ -300,3 +300,24 @@ class TestExactOrder:
     def test_float_order_outside_range(self, alpha):
         with pytest.raises(ParameterError, match=r"order must lie in \(0, 1\]"):
             GegenbauerSpec(2, ONE, alpha)
+
+
+def _leibniz_reference(n, c):
+    """sum_k binom(n,k) (c+k+1)_(n-k) (n+c-k+1)_k (u+1)^k (u-1)^(n-k), summed
+    term by term in Fractions."""
+    total = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        term = [math.comb(n, k) * pochhammer(c + k + 1, n - k) * pochhammer(n + c - k + 1, k)]
+        for root in [-1] * k + [1] * (n - k):
+            # multiply by (u - root)
+            term = [lo - root * hi for lo, hi in zip([Fraction(0)] + term, term + [0])]
+        total = [a + b for a, b in zip(total, term)]
+    return tuple(total)
+
+
+@pytest.mark.parametrize("lam", [ONE, Fraction(5, 2), Fraction(2, 7)])
+def test_rodrigues_kernel_matches_leibniz_sum(lam):
+    # the kernel keeps every term over the one denominator t^n of c = r/t
+    for c in (lam - HALF, -HALF, lam):
+        for n in range(13):
+            assert _rodrigues_kernel(HALF, n, c) == AlphaPoly(HALF, _leibniz_reference(n, c), n)

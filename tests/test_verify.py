@@ -2,12 +2,14 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from congeg.alphapoly import AlphaPoly, ParameterError
-from congeg.gegenbauer import GegenbauerSpec, from_series
+from congeg.gegenbauer import GegenbauerSpec, classical_oracle, from_series
 from congeg.report import VerificationReport, reports_to_json, reports_to_text
-from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
+from congeg.verify import (ParamGrid, _horner, _sample_grid, audit_chebyshev_limit,
+                           audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_generating_function,
                            check_ode_annihilation, check_recurrences,
@@ -238,3 +240,27 @@ class TestRunAssertedChecks:
         # an empty grid once passed every suite after checking nothing
         with pytest.raises(ParameterError, match="must be >= 3"):
             run_asserted_checks(ParamGrid(n_max=n_max))
+
+
+class TestPlainFloatReferences:
+    """The sample grid and the Horner reference give numpy's floats, so
+    plot-data and special-cases do not need numpy."""
+
+    @pytest.mark.parametrize("lo", [0.0, -1.0])
+    @pytest.mark.parametrize("samples", [2, 3, 7, 10, 33, 200, 201, 2001])
+    def test_sample_grid_is_linspace(self, lo, samples):
+        expected = [float(x).hex() for x in np.linspace(lo, 1.0, samples)]
+        assert [x.hex() for x in _sample_grid(lo, samples)] == expected
+
+    @pytest.mark.parametrize("samples", [1, 0, -3])
+    def test_sample_grid_needs_two_points(self, samples):
+        with pytest.raises(ParameterError, match="samples must be >= 2"):
+            _sample_grid(0.0, samples)
+
+    @pytest.mark.parametrize("lam", [HALF, Fraction(1), Fraction(3)])
+    def test_horner_is_polyval(self, lam):
+        xs = _sample_grid(-1.0, 200)
+        for n in range(41):
+            coeffs = [float(c) for c in classical_oracle(n, lam)]
+            expected = np.polynomial.polynomial.polyval(np.array(xs), np.array(coeffs))
+            assert _horner(coeffs, xs) == [float(v) for v in expected]
