@@ -8,11 +8,12 @@
 - float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
+- the normalization audit over `default_audit_grid(32)` in process (198 rows);
 - verification: one `check_ode_annihilation` sweep at n_max 12, the other
   exact sweeps (constructors, recurrences, ladder, endpoints, special
   cases) at n_max 12, with the memos warm after the first round as in a
-  long-lived process, `orthogonality_check` at n_max 48 from cold memos, and
-  the recorded audits computed afresh;
+  long-lived process, `orthogonality_check` at n_max 48 from cold memos and
+  at n_max 32 with them warm, and the recorded audits computed afresh;
 - the CLI process: end-to-end wall time of default `congeg verify`,
   `verify --n-max 24`, `verify --n-max 48`, `plot-data`, `audit`, and the
   start-up-bound `eval --n 4 --x 0.5` and `table`, each in a fresh
@@ -39,7 +40,7 @@ import congeg.gegenbauer as gegenbauer
 import congeg.quadrature as quadrature
 from congeg.gegenbauer import GegenbauerSpec, from_recurrence, from_rodrigues, from_series
 from congeg.quadrature import (conformable_inner_product, conformable_inner_product_direct,
-                               orthogonality_check)
+                               default_audit_grid, normalization_audit, orthogonality_check)
 from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_ode_annihilation,
@@ -125,6 +126,11 @@ def test_direct_inner_product(benchmark, m, n):
     assert abs(result.value - exact) <= 1e-7 * scale
 
 
+def test_audit_sweep(benchmark):
+    grid = default_audit_grid(32)
+    assert benchmark(normalization_audit, grid).passed
+
+
 def test_ode_sweep(benchmark):
     assert benchmark(check_ode_annihilation, GRID_12).passed
 
@@ -147,6 +153,11 @@ def test_orthogonality_cold(benchmark):
     report = benchmark.pedantic(orthogonality_check, kwargs={"n_max": 48},
                                 setup=_clear_memos, rounds=5, iterations=1)
     assert report.passed
+
+
+def test_orthogonality_warm(benchmark):
+    # the first round fills the memos; the rest time a sweep's per-pair cost
+    assert benchmark(orthogonality_check, n_max=32).passed
 
 
 def test_recorded_audits(benchmark):

@@ -55,6 +55,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _out_path(text: str) -> str:
+    # an empty path names no file, and must not pass for "not given"
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, got an empty path")
+    return text
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and then shared: each parse fills a
@@ -99,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="points per curve")
     pd.add_argument("--signed-domain", action="store_true", default=None,
                     help="sample x in [-1, 1] instead of [0, 1]")
-    pd.add_argument("--out", type=str, default=None,
+    pd.add_argument("--out", type=_out_path, default=None,
                     help="write CSV here instead of stdout")
     common(pd)
 
@@ -121,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="highest degree per (weight, order) cell")
     a.add_argument("--tol", type=float, default=None,
                    help="asserted relative tolerance, quadrature vs derived")
-    a.add_argument("--out", type=str, default=None,
+    a.add_argument("--out", type=_out_path, default=None,
                    help="write the CSV here instead of stdout")
     common(a)
 
@@ -166,7 +173,7 @@ _COERCERS = {
     "signed_domain": _FLAG,
     "json": _FLAG,
     "inject_defect": _FLAG,
-    "out": _STRING,
+    "out": _json_typed((str,), "a string", _out_path),
 }
 
 
@@ -237,7 +244,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         poly = from_series(GegenbauerSpec(args.n, args.lam, alpha))
         lines.extend(_csv_rows(poly, alpha, xs))
     text = "\n".join(lines) + "\n"
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text)
         print(f"wrote {len(lines) - 1} rows to {args.out}")
     else:
@@ -267,7 +274,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise ParameterError(f"--tol {exc}") from None
     report = normalization_audit(default_audit_grid(args.n_max), rel_tol=args.tol)
     csv_text = audit_rows_to_csv(report.table)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(csv_text)
         print(f"wrote {len(report.table)} rows to {args.out}")
         print(report.to_text())

@@ -18,6 +18,16 @@ node spacing absorbs the integrable singularities at 0 and +-1 without
 grading, and judges it against the nested rule of twice the step,
 relative to the integrand's L1 mass so that exact zeros (orthogonality)
 pass.  It is the package's one user of numpy, imported on its first call.
+
+Work is done once per (weight, order), not once per degree.  A small typed
+cache of cells holds, per checked pair: the order as a float,
+B(1/2, base + 1/2) (itself memoized per weight), and, computed on first
+use, the normalization formulas' degree-free factors G(lam), G(2 lam),
+G(lam + 1/2), G(5/2 - a - 1/a) and 2^(1 - 2 lam), a^(-2/a) and
+a^(1/2 - 2/a); a pole of G(5/2 - a - 1/a) is kept as its exact argument
+and raises a fresh DomainError on every use.  Per degree or pair, an inner
+product looks up two memoized integer vectors and takes one dot product, and
+a formula builds its degree-dependent gamma arguments from integers.
 """
 from __future__ import annotations
 
@@ -26,7 +36,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .alphapoly import DomainError, RationalLike, _as_count, _as_order, pochhammer
@@ -144,6 +154,107 @@ def _moment_weighted(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
             mu_den * d_den)
 
 
+@lru_cache(maxsize=256)
+def _beta(lam: Fraction) -> float:
+    """B(1/2, base + 1/2) for base = lam - floor(lam) in [0, 1): the one
+    float factor of every moment of the weight."""
+    base = lam - math.floor(lam)
+    if base == 0:
+        return math.pi              # B(1/2, 1/2)
+    if base == _HALF:
+        return 2.0                  # B(1/2, 1)
+    return (math.sqrt(math.pi) * math.gamma(float(base + _HALF))
+            / math.gamma(float(base + 1)))
+
+
+def _checked_gamma(num: int, den: int) -> float:
+    """Gamma(num / den); DomainError at a pole, an integer <= 0."""
+    if den == 1 and num <= 0:
+        raise DomainError(f"gamma pole at argument {num}")
+    # int / int is correctly rounded, as float(Fraction(num, den)) is
+    return math.gamma(num / den)
+
+
+class _Cell:
+    """One checked (weight, order) and everything the inner product and the
+    normalization formulas need of it that does not depend on the degree.
+
+    The exact parts, the order as a float and B(1/2, base + 1/2) are set
+    here.  The formulas' gamma values and powers are computed on first use
+    and then kept; one that overflows, or a gamma factor at a pole, is never
+    kept, so it raises afresh on every use, at the point of its formula
+    where it always did (an audit row turns a pole into NaN, but an
+    overflow stops the audit)."""
+
+    def __init__(self, lam: RationalLike, alpha: RationalLike):
+        self.lam = _check_weight(lam)
+        self.alpha = _as_order(alpha)
+        self.a = float(self.alpha)
+        self.beta = _beta(self.lam)
+        self.p, self.q = self.lam.numerator, self.lam.denominator
+        inv = 1 / self.alpha
+        # gamma arguments as integer pairs: 5/2 - a - 1/a, and the shifts s
+        # and t of the rows' n + lam + 3/2 - 1/a = n + s, n + lam + 2 - a = n + t
+        const = 5 * _HALF - self.alpha - inv
+        s = self.lam + 3 * _HALF - inv
+        t = self.lam + 2 - self.alpha
+        self.const = const.numerator, const.denominator
+        self.s_num, self.s_den = s.numerator, s.denominator
+        self.t_num, self.t_den = t.numerator, t.denominator
+
+    @cached_property
+    def gamma_lam(self) -> float:
+        return math.gamma(self.p / self.q)
+
+    @cached_property
+    def gamma_2lam(self) -> float:
+        return math.gamma(2 * self.p / self.q)
+
+    @cached_property
+    def gamma_lam_half(self) -> float:
+        return math.gamma((2 * self.p + self.q) / (2 * self.q))
+
+    @cached_property
+    def gamma_const(self) -> float:
+        """Gamma(5/2 - a - 1/a), or a fresh DomainError at its pole."""
+        return _checked_gamma(*self.const)
+
+    @cached_property
+    def pi_two(self) -> float:
+        return math.pi * 2.0 ** float(1 - 2 * self.lam)
+
+    @cached_property
+    def closed_scale(self) -> float:
+        return 2.0 ** float(1 - 2 * self.lam) * self.a ** (-2.0 / self.a)
+
+    @cached_property
+    def product_scale(self) -> float:
+        return self.a ** (0.5 - 2.0 / self.a)
+
+
+_cells = lru_cache(maxsize=256, typed=True)(_Cell)
+
+
+def _cell(lam: RationalLike, alpha: RationalLike) -> _Cell:
+    """The checked cell of (weight, order), built once per distinct pair.
+    The cache is typed, so True never meets the entry of 1; an unhashable
+    argument, which is no rational, skips it and fails the checks."""
+    try:
+        return _cells(lam, alpha)
+    except TypeError:
+        return _Cell(lam, alpha)
+
+
+def _inner_product(m: int, n: int, cell: _Cell) -> float:
+    """<C_m, C_n> for checked degrees m <= n."""
+    c, c_den = _series_coeffs(m, cell.lam)
+    weighted, w_den = _moment_weighted(n, cell.lam)
+    # sum over i + j even of c_i d_j mu_(i+j) is sum_i c_i W_i; only
+    # B(1/2, base + 1/2), with base in [0, 1), is left in floats.
+    # int / int is correctly rounded, so this is the exact sum rounded once
+    return sum(map(operator.mul, c, weighted)) / (c_den * w_den) * cell.beta / cell.a
+
+
 def conformable_inner_product(
         m: int, n: int, lam: RationalLike,
         alpha: RationalLike) -> QuadratureResult:
@@ -153,24 +264,9 @@ def conformable_inner_product(
 
     The error is a bound on the rounding of the final float scaling (0.0
     when the sum is exactly zero); no evaluation nodes are used."""
-    lam = _check_weight(lam)
-    a = float(_as_order(alpha))
+    cell = _cell(lam, alpha)
     m, n = sorted((_as_count(m, "degree"), _as_count(n, "degree")))
-    c, c_den = _series_coeffs(m, lam)
-    weighted, w_den = _moment_weighted(n, lam)
-    # sum over i + j even of c_i d_j mu_(i+j) is sum_i c_i W_i; only
-    # B(1/2, base + 1/2), with base in [0, 1), is left in floats
-    total = sum(map(operator.mul, c, weighted))
-    base = lam - math.floor(lam)
-    if base == 0:
-        beta = math.pi              # B(1/2, 1/2)
-    elif base == _HALF:
-        beta = 2.0                  # B(1/2, 1)
-    else:
-        beta = (math.sqrt(math.pi) * math.gamma(float(base + _HALF))
-                / math.gamma(float(base + 1)))
-    # int / int is correctly rounded, so this is the exact sum rounded once
-    value = total / (c_den * w_den) * beta / a
+    value = _inner_product(m, n, cell)
     # two math.gamma calls (measured within 7 units of 2^-53 on [1/2, 2])
     # plus about six correctly rounded steps stay under 32 units of 2^-53
     return QuadratureResult(value, 16 * sys.float_info.epsilon * abs(value), 0)
@@ -218,17 +314,38 @@ def conformable_inner_product_direct(
 # normalization formulas
 
 
-def _checked_gamma(arg: Fraction) -> float:
-    if arg <= 0 and arg.denominator == 1:
-        raise DomainError(f"gamma pole at argument {arg}")
-    return math.gamma(float(arg))
+# Each public formula checks its arguments and calls its kernel, which the
+# audit calls too.  A kernel takes the degree and a cell, builds the gamma
+# arguments that depend on the degree from integers, and multiplies the
+# factors in the order of the formula as written.
 
 
-def _norm_args(n: int, lam, alpha):
-    _as_count(n, "degree")
-    lam = _check_weight(lam)
-    alpha = _as_order(alpha)
-    return lam, alpha, 1 / alpha
+def _classical_norm(n: int, cell: _Cell) -> float:
+    p, q = cell.p, cell.q
+    return (cell.pi_two * math.gamma(2 * p / q + n)
+            / (math.factorial(n) * ((n * q + p) / q) * cell.gamma_lam ** 2))
+
+
+def _closed_form(n: int, cell: _Cell) -> float:
+    p, q = cell.p, cell.q
+    top = (math.gamma((n * q + 2 * p) / q) * math.gamma((n * q + p) / q)
+           * cell.gamma_const
+           * _checked_gamma(n * cell.s_den + cell.s_num, cell.s_den))
+    bottom = (math.factorial(n) * cell.gamma_lam ** 2
+              * math.gamma((2 * (n * q + p) + q) / (2 * q))
+              * math.gamma((n * cell.t_den + cell.t_num) / cell.t_den))
+    return cell.closed_scale * top / bottom
+
+
+def _gamma_product(n: int, cell: _Cell) -> float:
+    p, q = cell.p, cell.q
+    top = (cell.gamma_lam_half * math.gamma((n * q + 2 * p) / q)
+           * math.gamma((n * q + p) / q) * cell.gamma_const
+           * _checked_gamma(n * cell.s_den + cell.s_num, cell.s_den))
+    bottom = (math.factorial(n) * cell.gamma_2lam
+              * math.gamma((2 * (n * q + p) + q) / (2 * q)) * cell.gamma_lam
+              * math.gamma((n * cell.t_den + cell.t_num) / cell.t_den))
+    return cell.product_scale * top / bottom
 
 
 def normalization_closed_form(n: int, lam, alpha) -> float:
@@ -240,14 +357,8 @@ def normalization_closed_form(n: int, lam, alpha) -> float:
     Kept exactly as stated so the audit can compare it against the diagonal;
     known to disagree (the audit flags it) and to hit gamma poles at some
     orders, e.g. a = 1/2."""
-    lam, alpha, inv = _norm_args(n, lam, alpha)
-    half = Fraction(1, 2)
-    top = (_checked_gamma(n + 2 * lam) * _checked_gamma(lam + n)
-           * _checked_gamma(5 * half - alpha - inv)
-           * _checked_gamma(n + lam + 3 * half - inv))
-    bottom = (math.factorial(n) * _checked_gamma(lam) ** 2
-              * _checked_gamma(lam + n + half) * _checked_gamma(n + lam + 2 - alpha))
-    return 2.0 ** float(1 - 2 * lam) * float(alpha) ** (-2.0 / float(alpha)) * top / bottom
+    _as_count(n, "degree")
+    return _closed_form(n, _cell(lam, alpha))
 
 
 def normalization_gamma_product(n: int, lam, alpha) -> float:
@@ -258,15 +369,8 @@ def normalization_gamma_product(n: int, lam, alpha) -> float:
 
     Differs from the closed form by sqrt(pi) * a^(1/2) (a duplication-step
     slip in the closed form); at order 1 it reduces to the classical value."""
-    lam, alpha, inv = _norm_args(n, lam, alpha)
-    half = Fraction(1, 2)
-    top = (_checked_gamma(lam + half) * _checked_gamma(n + 2 * lam)
-           * _checked_gamma(lam + n) * _checked_gamma(5 * half - alpha - inv)
-           * _checked_gamma(n + lam + 3 * half - inv))
-    bottom = (math.factorial(n) * _checked_gamma(2 * lam)
-              * _checked_gamma(lam + n + half) * _checked_gamma(lam)
-              * _checked_gamma(n + lam + 2 - alpha))
-    return float(alpha) ** (0.5 - 2.0 / float(alpha)) * top / bottom
+    _as_count(n, "degree")
+    return _gamma_product(n, _cell(lam, alpha))
 
 
 def classical_norm(n: int, lam) -> float:
@@ -274,9 +378,8 @@ def classical_norm(n: int, lam) -> float:
     pi 2^(1-2lam) G(n+2lam) / (n! (n+lam) G(lam)^2); the substitution
     predicts the conformable diagonal as this divided by the order."""
     _as_count(n, "degree")
-    lam = _check_weight(lam)
-    return (math.pi * 2.0 ** float(1 - 2 * lam) * math.gamma(float(2 * lam) + n)
-            / (math.factorial(n) * float(n + lam) * math.gamma(float(lam)) ** 2))
+    # the value has no order; any valid one gives the weight's cell
+    return _classical_norm(n, _cell(lam, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +393,27 @@ def orthogonality_check(
         tol: float = 1e-8) -> VerificationReport:
     """Off-diagonal inner products vanish relative to the diagonal scale:
     |<C_m, C_n>| <= tol * sqrt(<C_m,C_m> <C_n,C_n>) for all m != n."""
+    _as_count(n_max, "n_max")
+    # every weight and order is checked before any product
+    cells = [(lam, alpha, _cell(lam, alpha)) for lam in lambdas for alpha in alphas]
     grid = (f"m != n <= {n_max}, weight in {{{', '.join(str(v) for v in lambdas)}}}, "
             f"order in {{{', '.join(str(a) for a in alphas)}}}")
     worst = 0.0
     witness = None
-    for lam in lambdas:
-        for alpha in alphas:
-            diag = [conformable_inner_product(k, k, lam, alpha).value
-                    for k in range(n_max + 1)]
-            for m_deg in range(n_max + 1):
-                for n_deg in range(m_deg + 1, n_max + 1):
-                    cross = conformable_inner_product(m_deg, n_deg, lam, alpha).value
-                    scaled = abs(cross) / math.sqrt(diag[m_deg] * diag[n_deg])
-                    if scaled > worst:
-                        worst = scaled
-                        witness = (f"m={m_deg}, n={n_deg}, weight={lam}, order={alpha}: "
-                                   f"normalized {scaled:.3e}")
+    for lam, alpha, cell in cells:
+        # the cell's own checked values meet their cache entry by identity,
+        # where equal ones made afresh by a caller would compare as Fractions
+        weight, order = cell.lam, cell.alpha
+        diag = [conformable_inner_product(k, k, weight, order).value
+                for k in range(n_max + 1)]
+        for m_deg in range(n_max + 1):
+            for n_deg in range(m_deg + 1, n_max + 1):
+                cross = conformable_inner_product(m_deg, n_deg, weight, order).value
+                scaled = abs(cross) / math.sqrt(diag[m_deg] * diag[n_deg])
+                if scaled > worst:
+                    worst = scaled
+                    witness = (f"m={m_deg}, n={n_deg}, weight={lam}, order={alpha}: "
+                               f"normalized {scaled:.3e}")
     if worst <= tol:
         return VerificationReport(
             "orthogonality", grid, "numeric-pass", max_residual=worst,
@@ -350,6 +458,12 @@ def normalization_audit(
     Asserted: the diagonal agrees with the derived value within rel_tol.
     Recorded: rows where either formula candidate deviates from the derived
     value (or hits a pole) are flagged in the notes, never asserted.
+
+    Each distinct (weight, order) is checked, and its degree-free factors
+    computed, once, in the cell the inner product shares.  Each row checks
+    its degree, takes the diagonal's dot product, computes the gamma values
+    that depend on the degree, and raises and catches a fresh DomainError
+    per formula at a pole.
     """
     rows: list[AuditRow] = []
     flagged: list[str] = []
@@ -357,15 +471,17 @@ def normalization_audit(
     witness = None
     triples = list(grid) if grid is not None else default_audit_grid()
     for n, lam, alpha in triples:
-        lam, alpha = _check_weight(lam), _as_order(alpha)
-        quad = conformable_inner_product(n, n, lam, alpha).value
-        derived = classical_norm(n, lam) / float(alpha)
+        cell = _cell(lam, alpha)
+        _as_count(n, "degree")
+        lam, alpha = cell.lam, cell.alpha
+        quad = _inner_product(n, n, cell)
+        derived = _classical_norm(n, cell) / cell.a
         try:
-            closed = normalization_closed_form(n, lam, alpha)
+            closed = _closed_form(n, cell)
         except DomainError:
             closed = math.nan
         try:
-            product = normalization_gamma_product(n, lam, alpha)
+            product = _gamma_product(n, cell)
         except DomainError:
             product = math.nan
         rel = abs(quad - derived) / abs(derived)

@@ -237,6 +237,28 @@ class TestAuditCommand:
         assert "error: --tol " in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", [("plot-data", "--n", "1", "--samples", "2"),
+                                     ("audit", "--n-max", "1")], ids=lambda c: c[0])
+def test_empty_out_exits_2(tmp_path, monkeypatch, capsys, command, source):
+    # an empty --out once sent the CSV to stdout with exit 0
+    monkeypatch.chdir(tmp_path)
+    argv = list(command)
+    if source == "flag":
+        argv += ["--out", ""]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": ""}))
+        argv += ["--config", "cfg.json"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the flag itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "error: " in err and "empty path" in err
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if source == "config" else [])
+
+
 class TestConfigFile:
     def test_values_fill_unset_options(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

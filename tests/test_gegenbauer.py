@@ -247,6 +247,25 @@ class TestWeightCheck:
         with pytest.raises(ParameterError, match="exact rational"):
             entry(lam)
 
+    @pytest.mark.parametrize("bad,weight_message,order_message", [
+        (True, "exact rational", "order must be a real number"),
+        (False, "exact rational", "order must be a real number"),
+        (math.nan, "exact rational", "order must be a real number"),
+        (math.inf, "exact rational", "order must be a real number"),
+        ("1/0", "exact rational", "order must be a real number"),
+        (0, "weight parameter must be positive", r"order must lie in \(0, 1\]"),
+        (-3, "weight parameter must be positive", r"order must lie in \(0, 1\]"),
+    ])
+    def test_warm_inner_product_cache_still_checks(self, bad, weight_message, order_message):
+        # the inner product caches checked (weight, order) pairs by value and
+        # type: True equals 1 and hashes like it, but must not find its entry
+        for one in (1, ONE, 1.0, "1"):
+            conformable_inner_product(1, 1, one, one)
+        with pytest.raises(ParameterError, match=weight_message):
+            conformable_inner_product(1, 1, bad, 1)
+        with pytest.raises(ParameterError, match=order_message):
+            conformable_inner_product(1, 1, 1, bad)
+
     def test_bool_order(self):
         # GegenbauerSpec(2, True, True) once built weight 1 at order 1
         for alpha in (True, False):
@@ -254,8 +273,19 @@ class TestWeightCheck:
                 GegenbauerSpec(2, ONE, alpha)
         with pytest.raises(ParameterError):
             GegenbauerSpec(2, True, True)
+        conformable_inner_product(1, 1, 1, 1)  # warm the cache at weight 1, order 1
         with pytest.raises(ParameterError):
             conformable_inner_product(1, 1, True, True)
+        for alpha in (True, False):
+            with pytest.raises(ParameterError, match="order must be a real number"):
+                conformable_inner_product(1, 1, 1, alpha)
+
+    def test_unhashable_weight(self):
+        # a list misses the typed cache but not the checks
+        with pytest.raises(ParameterError, match="exact rational"):
+            conformable_inner_product(1, 1, [1], 1)
+        with pytest.raises(ParameterError, match="order must be a real number"):
+            conformable_inner_product(1, 1, 1, [1])
 
 
 # every entry point that takes a count, through the one count check

@@ -1,4 +1,5 @@
 """Weighted inner products, normalization candidates, and the audit."""
+import gc
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 import congeg.quadrature as quadrature
 from congeg.alphapoly import DomainError, ParameterError
-from congeg.quadrature import (AccuracyError, QuadratureResult, audit_rows_to_csv,
+from congeg.quadrature import (AccuracyError, AuditRow, QuadratureResult, audit_rows_to_csv,
                                classical_norm, conformable_inner_product,
                                conformable_inner_product_direct,
                                default_audit_grid, normalization_audit,
@@ -69,6 +70,31 @@ class TestOffDiagonals:
             n_max=32, lambdas=(HALF, ONE, Fraction(5, 2), Fraction(3)))
         assert rep.status == "numeric-pass"
         assert rep.max_residual == 0.0
+
+
+class TestOrthogonalityArguments:
+    @pytest.mark.parametrize("n_max", [3.5, True, -1])
+    def test_bad_n_max(self, n_max):
+        # 3.5 raised a bare TypeError, True ran as 1 and -1 passed over no pairs
+        with pytest.raises(ParameterError, match="n_max must be a nonnegative integer"):
+            orthogonality_check(n_max=n_max)
+
+    @pytest.mark.parametrize("lambdas,alphas,message", [
+        ((ONE, 0), (HALF,), "weight parameter must be positive"),
+        ((ONE,), (HALF, True), "order must be a real number"),
+        ((ONE, Fraction(3)), (ONE, Fraction(3, 2)), "order must lie in"),
+    ])
+    def test_every_weight_and_order_checked_first(self, monkeypatch, lambdas, alphas, message):
+        calls = []
+        monkeypatch.setattr(quadrature, "conformable_inner_product",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ParameterError, match=message):
+            orthogonality_check(n_max=2, lambdas=lambdas, alphas=alphas)
+        assert calls == []
+
+    def test_degree_zero_is_valid(self):
+        rep = orthogonality_check(n_max=0)
+        assert rep.status == "numeric-pass" and rep.max_residual == 0.0
 
 
 class TestExactDiagonals:
@@ -214,6 +240,73 @@ class TestAudit:
         rep = normalization_audit([(0, ONE, ONE), (1, Fraction(3), HALF)])
         assert len(rep.table) == 2
         assert rep.status == "numeric-pass"
+
+
+AUDIT_WEIGHTS = (HALF, ONE, Fraction(5, 2), Fraction(3), Fraction(2, 7), Fraction(343, 11))
+AUDIT_ORDERS = (QUARTER, Fraction(1, 3), HALF, Fraction(2, 3), Fraction(7, 10), ONE)
+
+
+def _or_nan(formula, *args):
+    try:
+        return formula(*args)
+    except DomainError:
+        return math.nan
+
+
+def _row_from_public_formulas(n, lam, alpha):
+    """One audit row computed triple by triple through the public functions."""
+    quad = conformable_inner_product(n, n, lam, alpha).value
+    derived = classical_norm(n, lam) / float(alpha)
+    return AuditRow(n, lam, alpha, quad,
+                    _or_nan(normalization_closed_form, n, lam, alpha),
+                    _or_nan(normalization_gamma_product, n, lam, alpha),
+                    derived, abs(quad - derived) / abs(derived))
+
+
+def _floats(row):
+    return [v.hex() for v in (row.quadrature, row.closed_form, row.gamma_product,
+                              row.derived, row.rel_diff_quadrature_vs_derived)]
+
+
+class TestAuditAgainstPublicFormulas:
+    def test_rows_match_float_for_float(self):
+        grid = [(n, lam, alpha) for lam in AUDIT_WEIGHTS for alpha in AUDIT_ORDERS
+                for n in range(31)]
+        table = normalization_audit(grid).table
+        assert len(table) == len(grid)
+        poles = 0
+        for row, (n, lam, alpha) in zip(table, grid):
+            want = _row_from_public_formulas(n, lam, alpha)
+            assert (row.n, row.lam, row.alpha) == (n, lam, alpha)
+            assert _floats(row) == _floats(want), (n, lam, alpha)
+            poles += math.isnan(row.closed_form)
+        assert poles  # the grid reaches the formulas' gamma poles
+
+    @pytest.mark.parametrize("k", [0, 6, 32])
+    def test_csv_matches_public_formulas(self, k):
+        grid = default_audit_grid(k)
+        want = "".join(
+            f"{r.n},{r.lam},{r.alpha},{r.quadrature!r},{r.closed_form!r},"
+            f"{r.gamma_product!r},{r.derived!r},{r.rel_diff_quadrature_vs_derived!r}\n"
+            for r in (_row_from_public_formulas(*t) for t in grid))
+        assert audit_rows_to_csv(normalization_audit(grid).table) == CSV_HEADER + "\n" + want
+
+
+def test_repeated_audits_leave_no_garbage():
+    # a pole row raises DomainError on every audit; nothing of it may stay
+    # behind, as a traceback held by a cached object would
+    grid = [(n, lam, HALF) for lam in (ONE, Fraction(3)) for n in range(8)]
+    assert math.isnan(normalization_audit(grid).table[0].closed_form)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for _ in range(200):
+            normalization_audit(grid)
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    assert after == before
 
 
 class TestAccuracyBudget:
