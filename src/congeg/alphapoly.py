@@ -102,6 +102,14 @@ def _as_count(value: int, what: str) -> int:
     return value
 
 
+def _as_cases(values: Iterable, what: str) -> tuple:
+    """Validate the cases of a sweep: a check over none of them proves nothing."""
+    values = tuple(values)
+    if not values:
+        raise ParameterError(f"{what} must not be empty")
+    return values
+
+
 def _as_coeff(value: Union[int, Fraction]) -> Fraction:
     if isinstance(value, Fraction):
         return value

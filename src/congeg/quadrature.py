@@ -19,15 +19,15 @@ grading, and judges it against the nested rule of twice the step,
 relative to the integrand's L1 mass so that exact zeros (orthogonality)
 pass.  It is the package's one user of numpy, imported on its first call.
 
-Work is done once per (weight, order), not once per degree.  A small typed
-cache of cells holds, per checked pair: the order as a float,
-B(1/2, base + 1/2) (itself memoized per weight), and, computed on first
-use, the normalization formulas' degree-free factors G(lam), G(2 lam),
-G(lam + 1/2), G(5/2 - a - 1/a) and 2^(1 - 2 lam), a^(-2/a) and
-a^(1/2 - 2/a); a pole of G(5/2 - a - 1/a) is kept as its exact argument
-and raises a fresh DomainError on every use.  Per degree or pair, an inner
-product looks up two memoized integer vectors and takes one dot product, and
-a formula builds its degree-dependent gamma arguments from integers.
+Two memos serve the sweeps.  `_cells` keeps one checked cell per
+(weight, order): the order as a float, B(1/2, base + 1/2) and the exact
+shifts of the gamma arguments; every pair of an orthogonality sweep and
+every row of an audit at that weight and order reuses it.
+`_moment_weighted` keeps C_n's coefficients weighted by the moments per
+(n, weight); every m <= n pair of a sweep, and every order, reuses it.
+Nothing else is kept: the moments are built inside a `_moment_weighted`
+miss, each for a new length, and the formulas compute their gamma values
+per call from integers, which costs no measurable time.
 """
 from __future__ import annotations
 
@@ -36,10 +36,10 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .alphapoly import DomainError, RationalLike, _as_count, _as_order, pochhammer
+from .alphapoly import DomainError, RationalLike, _as_cases, _as_count, _as_order, pochhammer
 from .gegenbauer import _check_weight, _series_coeffs
 from .report import VerificationReport
 
@@ -104,27 +104,22 @@ def _tanh_sinh_nodes():
     return log_x, weights
 
 
-def _gegenbauer_values(m: int, n: int, lam: float, u):
-    """C_m(u) and C_n(u) by the classical three-term recurrence in floats;
-    the scalar seeds broadcast against u, so this needs no numpy itself."""
+def _gegenbauer_values(top: int, lam: float, u) -> list:
+    """C_0(u) .. C_top(u) by the classical three-term recurrence in floats;
+    the scalar seeds broadcast against u, so this needs no numpy itself.
+    The direct route and the special-cases suite evaluate through it."""
     prev, values = 0.0, [1.0]
-    for k in range(max(m, n)):
+    for k in range(top):
         cur = values[-1]
         values.append((2 * (k + lam) * u * cur - (k + 2 * lam - 1) * prev) / (k + 1))
         prev = cur
-    return values[m], values[n]
+    return values
 
 
 # ---------------------------------------------------------------------------
 # inner products
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
-
-
-@lru_cache(maxsize=256)
 def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
     """mu_2k / B(1/2, base + 1/2) for k < count, as integers over one common
     denominator.  mu_2k = mu_0 (1/2)_k / (lam + 1)_k, and mu_0 = B(1/2, lam + 1/2)
@@ -137,7 +132,8 @@ def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
     for k in range(count):
         moments.append(moment)
         moment *= (k + _HALF) / (lam + 1 + k)
-    return _over_common_denominator(moments)
+    den = math.lcm(*(v.denominator for v in moments))
+    return tuple(v.numerator * (den // v.denominator) for v in moments), den
 
 
 @lru_cache(maxsize=256)
@@ -154,7 +150,6 @@ def _moment_weighted(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
             mu_den * d_den)
 
 
-@lru_cache(maxsize=256)
 def _beta(lam: Fraction) -> float:
     """B(1/2, base + 1/2) for base = lam - floor(lam) in [0, 1): the one
     float factor of every moment of the weight."""
@@ -176,60 +171,26 @@ def _checked_gamma(num: int, den: int) -> float:
 
 
 class _Cell:
-    """One checked (weight, order) and everything the inner product and the
-    normalization formulas need of it that does not depend on the degree.
+    """One checked (weight, order) and what the inner product and the
+    normalization formulas need of it that does not depend on the degree:
+    the order as a float, B(1/2, base + 1/2), and the exact integer pairs of
+    the gamma arguments 5/2 - a - 1/a and of the shifts s and t of the rows'
+    n + lam + 3/2 - 1/a = n + s and n + lam + 2 - a = n + t.  `_cells`
+    keeps one per pair, which every inner product and audit row at that
+    pair reuses.
 
-    The exact parts, the order as a float and B(1/2, base + 1/2) are set
-    here.  The formulas' gamma values and powers are computed on first use
-    and then kept; one that overflows, or a gamma factor at a pole, is never
-    kept, so it raises afresh on every use, at the point of its formula
-    where it always did (an audit row turns a pole into NaN, but an
-    overflow stops the audit)."""
+    Nothing else is kept: the formulas compute their degree-free gamma
+    values and powers per call, so a pole raises a fresh DomainError on
+    every use (an audit row turns it into NaN, an overflow stops the audit)."""
 
     def __init__(self, lam: RationalLike, alpha: RationalLike):
         self.lam = _check_weight(lam)
         self.alpha = _as_order(alpha)
         self.a = float(self.alpha)
         self.beta = _beta(self.lam)
-        self.p, self.q = self.lam.numerator, self.lam.denominator
         inv = 1 / self.alpha
-        # gamma arguments as integer pairs: 5/2 - a - 1/a, and the shifts s
-        # and t of the rows' n + lam + 3/2 - 1/a = n + s, n + lam + 2 - a = n + t
-        const = 5 * _HALF - self.alpha - inv
-        s = self.lam + 3 * _HALF - inv
-        t = self.lam + 2 - self.alpha
-        self.const = const.numerator, const.denominator
-        self.s_num, self.s_den = s.numerator, s.denominator
-        self.t_num, self.t_den = t.numerator, t.denominator
-
-    @cached_property
-    def gamma_lam(self) -> float:
-        return math.gamma(self.p / self.q)
-
-    @cached_property
-    def gamma_2lam(self) -> float:
-        return math.gamma(2 * self.p / self.q)
-
-    @cached_property
-    def gamma_lam_half(self) -> float:
-        return math.gamma((2 * self.p + self.q) / (2 * self.q))
-
-    @cached_property
-    def gamma_const(self) -> float:
-        """Gamma(5/2 - a - 1/a), or a fresh DomainError at its pole."""
-        return _checked_gamma(*self.const)
-
-    @cached_property
-    def pi_two(self) -> float:
-        return math.pi * 2.0 ** float(1 - 2 * self.lam)
-
-    @cached_property
-    def closed_scale(self) -> float:
-        return 2.0 ** float(1 - 2 * self.lam) * self.a ** (-2.0 / self.a)
-
-    @cached_property
-    def product_scale(self) -> float:
-        return self.a ** (0.5 - 2.0 / self.a)
+        self.const, self.s, self.t = (v.as_integer_ratio() for v in (
+            5 * _HALF - self.alpha - inv, self.lam + 3 * _HALF - inv, self.lam + 2 - self.alpha))
 
 
 _cells = lru_cache(maxsize=256, typed=True)(_Cell)
@@ -295,8 +256,8 @@ def conformable_inner_product_direct(
     # |x|^(a-1) (1 - x^(2a))^(lam - 1/2), the same on both halves
     measure = (np.exp((a - 1.0) * log_x)
                * (-np.expm1(2.0 * a * log_x)) ** (float(lam) - 0.5))
-    cm, cn = _gegenbauer_values(m, n, float(lam), np.concatenate((xa, -xa)))
-    f = np.tile(w * measure, 2) * cm * cn
+    values = _gegenbauer_values(max(m, n), float(lam), np.concatenate((xa, -xa)))
+    f = np.tile(w * measure, 2) * values[m] * values[n]
     fine = float(f.sum())
     # the nested h = 1/16 rule: every other node from t = -5 on each half
     coarse = 2.0 * float(f.reshape(2, -1)[:, ::2].sum())
@@ -315,37 +276,38 @@ def conformable_inner_product_direct(
 
 
 # Each public formula checks its arguments and calls its kernel, which the
-# audit calls too.  A kernel takes the degree and a cell, builds the gamma
-# arguments that depend on the degree from integers, and multiplies the
-# factors in the order of the formula as written.
+# audit calls too.  A kernel takes the degree and a cell, builds every gamma
+# argument and power from integers, and multiplies the factors in the order
+# of the formula as written.
 
 
 def _classical_norm(n: int, cell: _Cell) -> float:
-    p, q = cell.p, cell.q
-    return (cell.pi_two * math.gamma(2 * p / q + n)
-            / (math.factorial(n) * ((n * q + p) / q) * cell.gamma_lam ** 2))
+    p, q = cell.lam.as_integer_ratio()
+    return (math.pi * 2.0 ** ((q - 2 * p) / q) * math.gamma(2 * p / q + n)
+            / (math.factorial(n) * ((n * q + p) / q) * math.gamma(p / q) ** 2))
 
 
 def _closed_form(n: int, cell: _Cell) -> float:
-    p, q = cell.p, cell.q
+    p, q = cell.lam.as_integer_ratio()
+    (s_num, s_den), (t_num, t_den) = cell.s, cell.t
     top = (math.gamma((n * q + 2 * p) / q) * math.gamma((n * q + p) / q)
-           * cell.gamma_const
-           * _checked_gamma(n * cell.s_den + cell.s_num, cell.s_den))
-    bottom = (math.factorial(n) * cell.gamma_lam ** 2
+           * _checked_gamma(*cell.const) * _checked_gamma(n * s_den + s_num, s_den))
+    bottom = (math.factorial(n) * math.gamma(p / q) ** 2
               * math.gamma((2 * (n * q + p) + q) / (2 * q))
-              * math.gamma((n * cell.t_den + cell.t_num) / cell.t_den))
-    return cell.closed_scale * top / bottom
+              * math.gamma((n * t_den + t_num) / t_den))
+    return 2.0 ** ((q - 2 * p) / q) * cell.a ** (-2.0 / cell.a) * top / bottom
 
 
 def _gamma_product(n: int, cell: _Cell) -> float:
-    p, q = cell.p, cell.q
-    top = (cell.gamma_lam_half * math.gamma((n * q + 2 * p) / q)
-           * math.gamma((n * q + p) / q) * cell.gamma_const
-           * _checked_gamma(n * cell.s_den + cell.s_num, cell.s_den))
-    bottom = (math.factorial(n) * cell.gamma_2lam
-              * math.gamma((2 * (n * q + p) + q) / (2 * q)) * cell.gamma_lam
-              * math.gamma((n * cell.t_den + cell.t_num) / cell.t_den))
-    return cell.product_scale * top / bottom
+    p, q = cell.lam.as_integer_ratio()
+    (s_num, s_den), (t_num, t_den) = cell.s, cell.t
+    top = (math.gamma((2 * p + q) / (2 * q)) * math.gamma((n * q + 2 * p) / q)
+           * math.gamma((n * q + p) / q) * _checked_gamma(*cell.const)
+           * _checked_gamma(n * s_den + s_num, s_den))
+    bottom = (math.factorial(n) * math.gamma(2 * p / q)
+              * math.gamma((2 * (n * q + p) + q) / (2 * q)) * math.gamma(p / q)
+              * math.gamma((n * t_den + t_num) / t_den))
+    return cell.a ** (0.5 - 2.0 / cell.a) * top / bottom
 
 
 def normalization_closed_form(n: int, lam, alpha) -> float:
@@ -394,6 +356,7 @@ def orthogonality_check(
     """Off-diagonal inner products vanish relative to the diagonal scale:
     |<C_m, C_n>| <= tol * sqrt(<C_m,C_m> <C_n,C_n>) for all m != n."""
     _as_count(n_max, "n_max")
+    lambdas, alphas = _as_cases(lambdas, "weights"), _as_cases(alphas, "orders")
     # every weight and order is checked before any product
     cells = [(lam, alpha, _cell(lam, alpha)) for lam in lambdas for alpha in alphas]
     grid = (f"m != n <= {n_max}, weight in {{{', '.join(str(v) for v in lambdas)}}}, "
@@ -459,17 +422,16 @@ def normalization_audit(
     Recorded: rows where either formula candidate deviates from the derived
     value (or hits a pole) are flagged in the notes, never asserted.
 
-    Each distinct (weight, order) is checked, and its degree-free factors
-    computed, once, in the cell the inner product shares.  Each row checks
-    its degree, takes the diagonal's dot product, computes the gamma values
-    that depend on the degree, and raises and catches a fresh DomainError
-    per formula at a pole.
+    Each distinct (weight, order) is checked once, in the cell the inner
+    product shares.  Each row checks its degree, takes the diagonal's dot
+    product from the moment-weighted memo, computes its gamma values, and
+    raises and catches a fresh DomainError per formula at a pole.
     """
     rows: list[AuditRow] = []
     flagged: list[str] = []
     worst = 0.0
     witness = None
-    triples = list(grid) if grid is not None else default_audit_grid()
+    triples = _as_cases(default_audit_grid() if grid is None else grid, "audit grid")
     for n, lam, alpha in triples:
         cell = _cell(lam, alpha)
         _as_count(n, "degree")

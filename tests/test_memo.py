@@ -12,13 +12,14 @@ import congeg.quadrature as quadrature
 from congeg.gegenbauer import (GegenbauerSpec, classical_oracle, from_recurrence,
                                from_rodrigues, from_series)
 from congeg.quadrature import conformable_inner_product, orthogonality_check
-from congeg.verify import STANDARD_GRID, ParamGrid, check_constructor_agreement
+from congeg.verify import (STANDARD_GRID, ParamGrid, check_constructor_agreement,
+                           run_asserted_checks)
 
 ROUTES = {"series": (from_series, "_series_coeffs"),
           "recurrence": (from_recurrence, "_recurrence_coeffs"),
           "rodrigues": (from_rodrigues, "_rodrigues_coeffs")}
 MEMOS = [getattr(gegenbauer, name) for _, name in ROUTES.values()] + [
-    gegenbauer._oracle_coeffs, quadrature._moment_weighted, quadrature._scaled_moments]
+    gegenbauer._oracle_coeffs, quadrature._moment_weighted]
 
 
 @pytest.fixture
@@ -110,3 +111,11 @@ def test_memos_are_bounded_and_cover_a_sweep_at_degree_96():
         assert size is not None
         is_quadrature = memo.__module__ == quadrature.__name__
         assert size >= (len(weights) * 97 if is_quadrature else cycle), memo
+
+
+def test_every_memo_is_reused_by_the_asserted_suites(fresh_memos):
+    # a memo that two full runs never hit keeps work nobody asks for again
+    for _ in range(2):
+        run_asserted_checks(ParamGrid(n_max=12))
+    assert all(memo.cache_info().hits > 0 for memo in MEMOS), [
+        (memo.__name__, memo.cache_info()) for memo in MEMOS]

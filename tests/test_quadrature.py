@@ -7,6 +7,7 @@ import pytest
 
 import congeg.quadrature as quadrature
 from congeg.alphapoly import DomainError, ParameterError
+from congeg.gegenbauer import classical_oracle
 from congeg.quadrature import (AccuracyError, AuditRow, QuadratureResult, audit_rows_to_csv,
                                classical_norm, conformable_inner_product,
                                conformable_inner_product_direct,
@@ -92,6 +93,16 @@ class TestOrthogonalityArguments:
             orthogonality_check(n_max=2, lambdas=lambdas, alphas=alphas)
         assert calls == []
 
+    @pytest.mark.parametrize("fields", [{"lambdas": ()}, {"alphas": ()}])
+    def test_empty_weights_or_orders(self, monkeypatch, fields):
+        # both once reported numeric-pass over no pairs
+        calls = []
+        monkeypatch.setattr(quadrature, "conformable_inner_product",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ParameterError, match="must not be empty"):
+            orthogonality_check(4, **fields)
+        assert calls == []
+
     def test_degree_zero_is_valid(self):
         rep = orthogonality_check(n_max=0)
         assert rep.status == "numeric-pass" and rep.max_residual == 0.0
@@ -143,6 +154,19 @@ class TestDirectRoute:
     def test_bad_degree(self, degree):
         with pytest.raises(ParameterError):
             conformable_inner_product_direct(degree, 1, ONE, ONE)
+
+    @pytest.mark.parametrize("lam", [HALF, ONE, Fraction(5, 2), Fraction(3), Fraction(2, 7)])
+    def test_recurrence_matches_exact_oracle(self, lam):
+        # the float recurrence the direct route and special-cases share,
+        # against exact evaluation at dyadic points, where u = x is exact
+        for x in (Fraction(k, 64) for k in range(-64, 65, 5)):
+            values = quadrature._gegenbauer_values(40, float(lam), float(x))
+            assert len(values) == 41
+            for n, value in enumerate(values):
+                coeffs = classical_oracle(n, lam)
+                exact = sum(c * x ** i for i, c in enumerate(coeffs))
+                scale = max(1, sum(abs(c) for c in coeffs))
+                assert abs(value - exact) <= 1e-13 * scale, (n, x)
 
 
 class TestNormalizationFormulas:
@@ -240,6 +264,11 @@ class TestAudit:
         rep = normalization_audit([(0, ONE, ONE), (1, Fraction(3), HALF)])
         assert len(rep.table) == 2
         assert rep.status == "numeric-pass"
+
+    def test_empty_grid(self):
+        # it once reported numeric-pass over 0 diagonal entries
+        with pytest.raises(ParameterError, match="audit grid must not be empty"):
+            normalization_audit([])
 
 
 AUDIT_WEIGHTS = (HALF, ONE, Fraction(5, 2), Fraction(3), Fraction(2, 7), Fraction(343, 11))

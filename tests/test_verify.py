@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from congeg.alphapoly import AlphaPoly, ParameterError
-from congeg.gegenbauer import GegenbauerSpec, classical_oracle, from_series
+from congeg.gegenbauer import GegenbauerSpec, from_series
 from congeg.report import VerificationReport, reports_to_json, reports_to_text
-from congeg.verify import (ParamGrid, _horner, _sample_grid, audit_chebyshev_limit,
+import congeg.verify as verify
+from congeg.verify import (ParamGrid, _sample_grid, audit_chebyshev_limit,
                            audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_generating_function,
@@ -99,6 +100,17 @@ class TestSweeps:
         assert rep.passed
         assert rep.max_residual is not None and rep.max_residual <= 1e-12
 
+    def test_empty_lists_are_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work done over an empty list")
+
+        monkeypatch.setattr(verify, "generating_function_coeffs", no_work)
+        monkeypatch.setattr(verify, "classical_oracle", no_work)
+        with pytest.raises(ParameterError, match="weights must not be empty"):
+            check_generating_function(lambdas=())
+        with pytest.raises(ParameterError, match="orders must not be empty"):
+            check_special_cases(alphas=())
+
     def test_grid_description_in_reports(self):
         rep = check_constructor_agreement(SMALL)
         assert "n <= 5" in rep.grid
@@ -183,6 +195,12 @@ class TestReportPlumbing:
         with pytest.raises(ParameterError):
             ParamGrid(**fields)
 
+    @pytest.mark.parametrize("fields", [{"lambdas": ()}, {"alphas": []}])
+    def test_param_grid_refuses_empty_lists(self, fields):
+        # ParamGrid(n_max=4, lambdas=()) once passed all 9 suites over 0 triples
+        with pytest.raises(ParameterError, match="must not be empty"):
+            ParamGrid(n_max=4, **fields)
+
     def test_param_grid_negative_degree_is_refused_by_the_sweeps(self):
         grid = ParamGrid(n_max=-1)
         assert list(grid.specs()) == []
@@ -243,8 +261,8 @@ class TestRunAssertedChecks:
 
 
 class TestPlainFloatReferences:
-    """The sample grid and the Horner reference give numpy's floats, so
-    plot-data and special-cases do not need numpy."""
+    """The sample grid gives numpy's floats, so plot-data and special-cases
+    do not need numpy."""
 
     @pytest.mark.parametrize("lo", [0.0, -1.0])
     @pytest.mark.parametrize("samples", [2, 3, 7, 10, 33, 200, 201, 2001])
@@ -257,10 +275,21 @@ class TestPlainFloatReferences:
         with pytest.raises(ParameterError, match="samples must be >= 2"):
             _sample_grid(0.0, samples)
 
-    @pytest.mark.parametrize("lam", [HALF, Fraction(1), Fraction(3)])
-    def test_horner_is_polyval(self, lam):
-        xs = _sample_grid(-1.0, 200)
-        for n in range(41):
-            coeffs = [float(c) for c in classical_oracle(n, lam)]
-            expected = np.polynomial.polynomial.polyval(np.array(xs), np.array(coeffs))
-            assert _horner(coeffs, xs) == [float(v) for v in expected]
+
+class TestSpecialCasesAgainstRecurrence:
+    """At order 1 special-cases compares `evaluate` (Horner) with the direct
+    route's three-term recurrence, which rounds differently, so float error
+    in either shows."""
+
+    def test_default_run_measures_rounding(self):
+        rep = check_special_cases()
+        assert rep.status == "numeric-pass"
+        assert 0.0 < rep.max_residual <= 1e-12
+
+    def test_skewed_evaluation_fails(self, monkeypatch):
+        evaluate = AlphaPoly.evaluate
+        monkeypatch.setattr(AlphaPoly, "evaluate", lambda self, x: evaluate(self, x) + 1e-9)
+        rep = check_special_cases()
+        assert rep.status == "fail"
+        assert rep.witness.startswith("order-1 evaluation n=")
+        assert rep.max_residual > 1e-12
