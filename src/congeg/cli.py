@@ -118,8 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run a single asserted suite (default: all)")
     v.add_argument("--json", action="store_true", default=None,
                    help="emit the report as JSON")
-    v.add_argument("--inject-defect", action="store_true", default=None,
-                   help=argparse.SUPPRESS)
     common(v)
 
     a = sub.add_parser("audit",
@@ -172,7 +170,6 @@ _COERCERS = {
     "suite": _STRING,
     "signed_domain": _FLAG,
     "json": _FLAG,
-    "inject_defect": _FLAG,
     "out": _json_typed((str,), "a string", _out_path),
 }
 
@@ -253,8 +250,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_asserted_checks(ParamGrid(n_max=args.n_max), suite=args.suite,
-                                  inject_defect=bool(args.inject_defect))
+    reports = run_asserted_checks(ParamGrid(n_max=args.n_max), suite=args.suite)
     reports.extend(run_recorded_audits())
     line, status = summary(reports)
     if args.json:

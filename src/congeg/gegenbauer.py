@@ -16,9 +16,8 @@ derivation, so their agreement remains a check.
 Because the coefficients do not depend on the order, each route's integer
 work is memoized per process by (n, lam) in its own bounded cache, in
 lowest terms; the public function attaches the spec's order through
-`AlphaPoly._of`.  No route reads another's memo, so a sweep over several
-orders builds each member once per route and still compares three
-independent results.
+`AlphaPoly._of`.  No route reads another's memo, so a sweep builds each
+member once per route and still compares three independent results.
 
 Special cases: weight 1/2 gives the Legendre family, weight 1 the Chebyshev
 second-kind family, and the first-kind family (the weight -> 0 limit) is
@@ -57,10 +56,10 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
-# Entries per route memo.  A sweep scans the degrees of every weight once per
-# order, so an LRU memo smaller than that cycle never hits: at --n-max 96 the
-# standard grid's 4 weights take 4 * 97 entries, and the ladder, recurrence
-# and orthogonality suites add shifted weights and lower degrees.
+# Entries per route memo.  Each suite of a run scans the degrees of every
+# weight once, so an LRU memo smaller than that cycle never hits in the next
+# suite: at --n-max 96 the standard grid's 4 weights take 4 * 97 entries, and
+# the ladder and recurrence suites add shifted weights.
 _MEMO_SIZE = 1024
 
 

@@ -310,6 +310,14 @@ def _gamma_product(n: int, cell: _Cell) -> float:
     return cell.a ** (0.5 - 2.0 / cell.a) * top / bottom
 
 
+def _or_nan(formula, n: int, cell: _Cell) -> float:
+    """A kernel's value, or NaN at one of its gamma poles (as the audit records it)."""
+    try:
+        return formula(n, cell)
+    except DomainError:
+        return math.nan
+
+
 def normalization_closed_form(n: int, lam, alpha) -> float:
     """Closed-form candidate for the diagonal inner product:
 
@@ -425,7 +433,8 @@ def normalization_audit(
     Each distinct (weight, order) is checked once, in the cell the inner
     product shares.  Each row checks its degree, takes the diagonal's dot
     product from the moment-weighted memo, computes its gamma values, and
-    raises and catches a fresh DomainError per formula at a pole.
+    turns a DomainError at a formula's pole into NaN; a value that
+    overflows a float (from degree 166) raises DomainError naming the row.
     """
     rows: list[AuditRow] = []
     flagged: list[str] = []
@@ -436,16 +445,14 @@ def normalization_audit(
         cell = _cell(lam, alpha)
         _as_count(n, "degree")
         lam, alpha = cell.lam, cell.alpha
-        quad = _inner_product(n, n, cell)
-        derived = _classical_norm(n, cell) / cell.a
         try:
-            closed = _closed_form(n, cell)
-        except DomainError:
-            closed = math.nan
-        try:
-            product = _gamma_product(n, cell)
-        except DomainError:
-            product = math.nan
+            quad = _inner_product(n, n, cell)
+            derived = _classical_norm(n, cell) / cell.a
+            closed = _or_nan(_closed_form, n, cell)
+            product = _or_nan(_gamma_product, n, cell)
+        except OverflowError:
+            raise DomainError(f"n={n}, weight={lam}, order={alpha}: the normalization "
+                              f"values overflow a float") from None
         rel = abs(quad - derived) / abs(derived)
         rows.append(AuditRow(n, lam, alpha, quad, closed, product, derived, rel))
         if rel > worst:

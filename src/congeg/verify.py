@@ -70,8 +70,8 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Cartesian sweep over degree, weight and order.  The weights and orders
-    must be nonempty, are checked like a spec's and are stored as tuples of
+    """Sweep over degree, weight and order.  The weights and orders must be
+    nonempty, are checked like a spec's and are stored as tuples of
     Fractions; n_max must be an int, and a negative one gives an empty grid,
     which `run_asserted_checks` refuses with the rest below degree 3."""
 
@@ -88,17 +88,22 @@ class ParamGrid:
         object.__setattr__(self, "alphas", tuple(_as_order(v) for v in alphas))
 
     def specs(self, n_max: Optional[int] = None) -> Iterator[GegenbauerSpec]:
+        """One spec per (weight, degree), at the grid's first order: exact
+        arithmetic keeps the order as a label and never reads its value, so
+        an exact check that holds at one order holds at all of them."""
         top = self.n_max if n_max is None else min(n_max, self.n_max)
         for lam in self.lambdas:
-            for alpha in self.alphas:
-                for n in range(top + 1):
-                    yield GegenbauerSpec(n, lam, alpha)
+            for n in range(top + 1):
+                yield GegenbauerSpec(n, lam, self.alphas[0])
 
-    def describe(self, n_max: Optional[int] = None) -> str:
+    def describe(self, n_max: Optional[int] = None, bounds: str = "") -> str:
+        """The grid's text for a report of an exact sweep; `bounds` follows
+        the degree bound."""
         top = self.n_max if n_max is None else min(n_max, self.n_max)
         lams = ", ".join(str(v) for v in self.lambdas)
         alphas = ", ".join(str(v) for v in self.alphas)
-        return f"n <= {top}, weight in {{{lams}}}, order in {{{alphas}}}"
+        return (f"n <= {top}{bounds}, weight in {{{lams}}}, order in {{{alphas}}}; "
+                f"exact, order-free: checked at order {self.alphas[0]}")
 
 
 STANDARD_GRID = ParamGrid()
@@ -248,23 +253,15 @@ def check_constructor_agreement(grid: ParamGrid = STANDARD_GRID) -> Verification
         count += 1
     return VerificationReport(
         "constructor-agreement", grid.describe(), "exact-pass",
-        notes=f"{count} parameter triples, 3 routes each; coefficients order-free "
+        notes=f"{count} (degree, weight) pairs, 3 routes each; coefficients order-free "
               f"by construction (keyed by degree and weight)")
 
 
-def check_ode_annihilation(
-        grid: ParamGrid = STANDARD_GRID, *, inject_defect: bool = False) -> VerificationReport:
-    """The weighted operator annihilates every family member, symbolically.
-
-    inject_defect is a test hook: it perturbs one polynomial so the failure
-    path (witness + nonzero residual) can be exercised end to end."""
+def check_ode_annihilation(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
+    """The weighted operator annihilates every family member, symbolically."""
     count = 0
     for spec in grid.specs():
-        p = from_series(spec)
-        if inject_defect and spec.n == 1:
-            p = p + AlphaPoly.constant(spec.alpha, 1)
-            inject_defect = False
-        residual = ode_residual(p, spec)
+        residual = ode_residual(from_series(spec), spec)
         if not residual.is_zero:
             return VerificationReport(
                 "ode-annihilation", grid.describe(), "fail",
@@ -273,7 +270,7 @@ def check_ode_annihilation(
         count += 1
     return VerificationReport(
         "ode-annihilation", grid.describe(), "exact-pass",
-        notes=f"{count} parameter triples, residual exactly zero")
+        notes=f"{count} (degree, weight) pairs, residual exactly zero")
 
 
 def check_generating_function(
@@ -302,7 +299,7 @@ def check_derivative_ladder(
             if not report.passed:
                 return report
     return VerificationReport(
-        "derivative-ladder", grid.describe(n_max) + f", m <= {m_max}", "exact-pass")
+        "derivative-ladder", grid.describe(n_max, f", m <= {m_max}"), "exact-pass")
 
 
 def check_recurrences(grid: ParamGrid = STANDARD_GRID, n_max: int = 11) -> VerificationReport:
@@ -313,7 +310,7 @@ def check_recurrences(grid: ParamGrid = STANDARD_GRID, n_max: int = 11) -> Verif
         if not report.passed:
             return report
     return VerificationReport(
-        "recurrences", grid.describe(top) + " (pivots)", "exact-pass")
+        "recurrences", grid.describe(top, " (pivots)"), "exact-pass")
 
 
 def check_endpoint_values(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
@@ -350,28 +347,29 @@ def check_special_cases(
         alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
         n_max: int = 10, samples: int = 200, rel_tol: float = 1e-12) -> VerificationReport:
     """Weight 1/2 matches Legendre, weight 1 matches second-kind Chebyshev,
-    the first-kind coefficients match their closed form (all exact), and at
-    order 1 `evaluate` (Horner on the coefficients) matches the float
+    the first-kind coefficients match their closed form (all exact, checked
+    once per degree at the first order, as `ParamGrid.specs` explains), and
+    at order 1 `evaluate` (Horner on the coefficients) matches the float
     three-term recurrence the direct route uses, an independent evaluation.
 
     The numeric comparison is measured relative to the coefficient L1 norm
     (the natural evaluation scale; pointwise relative error is ill-defined
     at interior roots)."""
-    alphas = _as_cases(alphas, "orders")
+    alphas = tuple(_as_order(a) for a in _as_cases(alphas, "orders"))
+    alpha = alphas[0]
     grid = f"n <= {n_max}, order in {{{', '.join(str(a) for a in alphas)}}}"
     weights = (_HALF, Fraction(1), Fraction(3))
     oracle = {(n, lam): classical_oracle(n, lam)
               for lam in weights for n in range(n_max + 1)}
     for n in range(n_max + 1):
-        for alpha in alphas:
-            for name, poly, expected in (
-                    ("legendre", legendre(n, alpha), oracle[n, _HALF]),
-                    ("second-kind", from_series(GegenbauerSpec(n, 1, alpha)), oracle[n, 1]),
-                    ("first-kind", chebyshev_t(n, alpha), _chebyshev_t_closed(n))):
-                if list(poly.rational_coeffs()) != expected:
-                    return VerificationReport(
-                        "special-cases", grid, "fail",
-                        witness=f"{name} n={n}, order={alpha}")
+        for name, poly, expected in (
+                ("legendre", legendre(n, alpha), oracle[n, _HALF]),
+                ("second-kind", from_series(GegenbauerSpec(n, 1, alpha)), oracle[n, 1]),
+                ("first-kind", chebyshev_t(n, alpha), _chebyshev_t_closed(n))):
+            if list(poly.rational_coeffs()) != expected:
+                return VerificationReport(
+                    "special-cases", grid, "fail",
+                    witness=f"{name} n={n}, order={alpha}")
     worst = 0.0
     xs = _sample_grid(-1.0, samples)
     for lam in weights:
@@ -388,8 +386,8 @@ def check_special_cases(
                     witness=f"order-1 evaluation n={n}, weight={lam}")
     return VerificationReport(
         "special-cases", grid, "numeric-pass", max_residual=worst,
-        notes=f"order-1 evaluation residual relative to coefficient L1 norm, "
-              f"{samples} points")
+        notes=f"exact, order-free: reductions checked at order {alpha}; order-1 "
+              f"evaluation residual relative to coefficient L1 norm, {samples} points")
 
 
 # ---------------------------------------------------------------------------
@@ -531,25 +529,24 @@ def audit_chebyshev_limit(
 
 
 # Every asserted suite by `verify --suite` name, in report order.  Each
-# builder takes the grid and the defect-injection test hook, and looks its
-# check up by name at call time, so a check rebound in this module (as the
-# perfbench tracer does) is the one that runs.
-SUITES: dict[str, Callable[[ParamGrid, bool], VerificationReport]] = {
-    "constructors": lambda grid, inject: check_constructor_agreement(grid),
-    "ode": lambda grid, inject: check_ode_annihilation(grid, inject_defect=inject),
-    "generating-function": lambda grid, inject: check_generating_function(),
-    "ladder": lambda grid, inject: check_derivative_ladder(grid),
-    "recurrences": lambda grid, inject: check_recurrences(grid),
-    "endpoints": lambda grid, inject: check_endpoint_values(grid),
-    "special-cases": lambda grid, inject: check_special_cases(),
-    "orthogonality": lambda grid, inject: orthogonality_check(n_max=grid.n_max),
-    "normalization-audit": lambda grid, inject: normalization_audit(),
+# builder takes the grid and looks its check up by name at call time, so a
+# check rebound in this module (as the perfbench tracer does, or a test that
+# patches one) is the one that runs.
+SUITES: dict[str, Callable[[ParamGrid], VerificationReport]] = {
+    "constructors": lambda grid: check_constructor_agreement(grid),
+    "ode": lambda grid: check_ode_annihilation(grid),
+    "generating-function": lambda grid: check_generating_function(),
+    "ladder": lambda grid: check_derivative_ladder(grid),
+    "recurrences": lambda grid: check_recurrences(grid),
+    "endpoints": lambda grid: check_endpoint_values(grid),
+    "special-cases": lambda grid: check_special_cases(),
+    "orthogonality": lambda grid: orthogonality_check(n_max=grid.n_max),
+    "normalization-audit": lambda grid: normalization_audit(),
 }
 
 
 def run_asserted_checks(
-        grid: ParamGrid = STANDARD_GRID, *, suite: str = "all",
-        inject_defect: bool = False) -> list[VerificationReport]:
+        grid: ParamGrid = STANDARD_GRID, *, suite: str = "all") -> list[VerificationReport]:
     """The asserted suites of `SUITES` in report order: every one, or only
     the one named by `suite`.  The sweeps need a grid reaching degree 3."""
     if suite != "all" and suite not in SUITES:
@@ -557,8 +554,7 @@ def run_asserted_checks(
             f"unknown suite {suite!r}; choose from {', '.join(('all', *SUITES))}")
     if grid.n_max < 3:
         raise ParameterError(f"--n-max must be >= 3 for the sweeps, got {grid.n_max}")
-    return [build(grid, inject_defect) for name, build in SUITES.items()
-            if suite in ("all", name)]
+    return [build(grid) for name, build in SUITES.items() if suite in ("all", name)]
 
 
 @functools.cache

@@ -14,6 +14,9 @@ HALF = Fraction(1, 2)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 orders = st.sampled_from([Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1)])
+# the orders the order-free check of the exact sweeps covers
+sweep_orders = st.sampled_from([Fraction(1, 4), Fraction(1, 3), HALF, Fraction(3, 4),
+                                Fraction(7, 10), Fraction(1)])
 coeff_lists = st.lists(rationals, max_size=6)
 
 
@@ -72,6 +75,17 @@ class TestGrade:
         p = AlphaPoly(Fraction(1), (1, 3), grade=5)
         assert p.evaluate(2.0) == 7.0
         assert AlphaPoly(HALF, (0, 6), grade=2).evaluate(0.25) == 0.75
+
+    # the exact sweeps check each identity at one order and claim it for all
+    @given(sweep_orders, sweep_orders, coeff_lists, coeff_lists, rationals,
+           st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 3), st.integers(0, 3))
+    def test_exact_arithmetic_never_reads_the_order(self, a, b, cs, ds, c, g, power, k, e):
+        def results(alpha):
+            p, q = AlphaPoly(alpha, cs, grade=g), AlphaPoly(alpha, ds, grade=g)
+            return [(r.nums, r.den, r.grade) for r in (
+                p + q, p - q, p * q, p ** e, p.scale(c, power), p.shift(k), p.d_alpha())]
+
+        assert results(a) == results(b)
 
 
 # ---------------------------------------------------------------------------

@@ -168,10 +168,23 @@ class TestVerify:
                          "chebyshev-derivative-ladder"):
             assert f"identity: {identity}" in out
 
-    def test_injected_defect_exits_1(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n-max", "4", "--inject-defect")
+    def test_injected_defect_exits_1(self, capsys, defective_member):
+        code, out, _ = run(capsys, "verify", "--n-max", "4")
         assert code == 1
         assert "status: fail" in out
+
+    def test_inject_defect_flag_is_gone(self):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--inject-defect"])
+        assert info.value.code == 2
+
+    def test_inject_defect_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inject_defect": True}))
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == ("error: config key 'inject_defect' is not an option of "
+                       "the 'verify' subcommand\n")
 
     def test_json_mode(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "4", "--json")
@@ -194,9 +207,8 @@ class TestVerify:
         # recorded audits ride along regardless of the suite choice
         assert "identity: chebyshev-rodrigues-limit" in out
 
-    def test_suite_ode_with_defect_exits_1(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n-max", "4", "--suite", "ode",
-                           "--inject-defect")
+    def test_suite_ode_with_defect_exits_1(self, capsys, defective_member):
+        code, out, _ = run(capsys, "verify", "--n-max", "4", "--suite", "ode")
         assert code == 1
         assert "witness" in out
 
@@ -229,6 +241,20 @@ class TestAuditCommand:
         assert target.exists()
         assert "normalization-audit" in out
         assert "nan" in target.read_text()  # order 1/2 pole rows
+
+    @pytest.mark.parametrize("n_max,code", [(165, 0), (166, 2)])
+    def test_float_overflow_exits_2(self, tmp_path, capsys, n_max, code):
+        # from degree 166 math.gamma overflows; the OverflowError once escaped
+        # main as a traceback with exit 1, the code for a failed verification
+        target = tmp_path / "audit.csv"
+        got, out, err = run(capsys, "audit", "--n-max", str(n_max), "--out", str(target))
+        assert got == code
+        if code:
+            assert out == "" and not target.exists()
+            assert err == ("error: n=166, weight=3, order=1/4: the normalization "
+                           "values overflow a float\n")
+        else:
+            assert err == "" and target.exists()
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "1", "0", "-0.5"])
     def test_tolerance_outside_unit_interval_exits_2(self, capsys, tol):

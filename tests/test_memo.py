@@ -102,8 +102,8 @@ def test_classical_oracle_returns_a_new_list(fresh_memos):
 
 
 def test_memos_are_bounded_and_cover_a_sweep_at_degree_96():
-    # sweeps scan the degrees of each weight once per order; an LRU memo
-    # smaller than that cycle would never hit
+    # each suite of a run scans the degrees of every weight once; an LRU
+    # memo smaller than that cycle would never hit in the next suite
     cycle = len(STANDARD_GRID.lambdas) * 97
     weights = inspect.signature(orthogonality_check).parameters["lambdas"].default
     for memo in MEMOS:

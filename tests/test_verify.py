@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from congeg.alphapoly import AlphaPoly, ParameterError
-from congeg.gegenbauer import GegenbauerSpec, from_series
+from congeg.alphapoly import AlphaPoly, ParameterError, pochhammer
+from congeg.gegenbauer import (GegenbauerSpec, chebyshev_t, from_recurrence, from_rodrigues,
+                               from_series, legendre)
 from congeg.report import VerificationReport, reports_to_json, reports_to_text
 import congeg.verify as verify
-from congeg.verify import (ParamGrid, _sample_grid, audit_chebyshev_limit,
+from congeg.verify import (STANDARD_GRID, ParamGrid, _sample_grid, audit_chebyshev_limit,
                            audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_generating_function,
@@ -89,8 +90,8 @@ class TestSweeps:
                          "recurrences", "endpoint-value", "special-cases",
                          "orthogonality", "normalization-audit"]
 
-    def test_injected_defect_is_caught(self):
-        rep = check_ode_annihilation(SMALL, inject_defect=True)
+    def test_injected_defect_is_caught(self, defective_member):
+        rep = check_ode_annihilation(SMALL)
         assert rep.status == "fail"
         assert rep.witness is not None
         assert not rep.passed
@@ -115,6 +116,89 @@ class TestSweeps:
         rep = check_constructor_agreement(SMALL)
         assert "n <= 5" in rep.grid
         assert "1/4" in rep.grid
+
+
+# every order below gives the same exact values as the grid's first
+ORDERS = (Fraction(1, 4), Fraction(1, 3), HALF, Fraction(3, 4), Fraction(7, 10), Fraction(1))
+
+
+def _exact_values(lam, n, alpha):
+    """What the exact sweeps compute for (weight, degree) at one order: the
+    polynomials as (nums, den, grade), and the coefficient sum."""
+    def member(k, weight=lam):
+        return from_series(GegenbauerSpec(k, weight, alpha)) if k >= 0 else AlphaPoly.zero(alpha)
+
+    spec = GegenbauerSpec(n, lam, alpha)
+    c_n = member(n)
+    c_next = member(n + 1).scale(n + 1)
+    polys = {
+        "series": c_n, "recurrence": from_recurrence(spec), "rodrigues": from_rodrigues(spec),
+        "ode": ode_residual(c_n, spec),
+        "ode of a perturbed member": ode_residual(c_n + AlphaPoly.constant(alpha, 1), spec),
+        "three-term difference": c_next - (c_n.shift(1).scale(2 * (n + lam))
+                                           - member(n - 1).scale(n + 2 * lam - 1)),
+        "weight-raising difference": c_next - (member(n, lam + 1).shift(1)
+                                               - member(n - 1, lam + 1)).scale(2 * lam),
+        "legendre": legendre(n, alpha),
+        "second-kind": member(n, 1),
+        "first-kind": chebyshev_t(n, alpha),
+    }
+    lhs = c_n
+    for m in range(1, min(3, n) + 1):
+        lhs = lhs.d_alpha()
+        polys[f"ladder lhs m={m}"] = lhs
+        polys[f"ladder rhs m={m}"] = member(n - m, lam + m).scale(
+            Fraction(2) ** m * pochhammer(lam, m), power=m)
+    values = {name: (p.nums, p.den, p.grade) for name, p in polys.items()}
+    values["coefficient sum"] = c_n.coefficient_sum()
+    return values
+
+
+def _order_mismatches():
+    """(value, degree, weight, order) wherever an order of ORDERS gives
+    another exact value than the first order of ParamGrid(n_max=8)."""
+    grid = ParamGrid(n_max=8)
+    mismatches = []
+    for spec in grid.specs():
+        first = _exact_values(spec.lam, spec.n, grid.alphas[0])
+        for alpha in ORDERS:
+            mismatches += [(name, spec.n, spec.lam, alpha)
+                           for name, value in _exact_values(spec.lam, spec.n, alpha).items()
+                           if value != first[name]]
+    return mismatches
+
+
+class TestOrderFreeSweeps:
+    """The exact sweeps run once per (degree, weight): exact arithmetic
+    never reads the order's value, so one order stands for all."""
+
+    def test_exact_values_agree_at_every_order(self):
+        assert _order_mismatches() == []
+
+    def test_an_order_dependent_derivative_is_caught(self, monkeypatch):
+        d_alpha = AlphaPoly.d_alpha
+        monkeypatch.setattr(AlphaPoly, "d_alpha", lambda p: d_alpha(p).scale(p.alpha))
+        assert "ode" in {name for name, *_ in _order_mismatches()}
+
+    def test_ode_sweep_visits_each_degree_and_weight_once(self, monkeypatch):
+        seen = []
+        residual = verify.ode_residual
+        monkeypatch.setattr(verify, "ode_residual",
+                            lambda p, spec: seen.append((spec.n, spec.lam)) or residual(p, spec))
+        assert check_ode_annihilation(STANDARD_GRID).passed
+        assert len(seen) == len(set(seen)) == 4 * 13
+
+    def test_reports_list_every_order_and_say_where_they_ran(self):
+        # the generating function is checked at order 1 only, and says so
+        # by listing no orders
+        reports = {r.identity: r for r in run_asserted_checks(SMALL)}
+        for identity in ("constructor-agreement", "ode-annihilation", "derivative-ladder",
+                         "recurrences", "endpoint-value"):
+            assert reports[identity].grid.endswith(
+                "order in {1/4, 1/2, 3/4, 1}; exact, order-free: checked at order 1/4")
+        special = reports["special-cases"]
+        assert special.grid.endswith("order in {1/2, 1}")
+        assert special.notes.startswith("exact, order-free: reductions checked at order 1/2;")
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +268,7 @@ class TestReportPlumbing:
 
     def test_param_grid_size(self):
         grid = ParamGrid(n_max=2)
-        assert len(list(grid.specs())) == 3 * 4 * 4
+        assert len(list(grid.specs())) == 3 * 4
 
     @pytest.mark.parametrize("fields", [
         {"n_max": 3.5}, {"n_max": True}, {"n_max": "4"},
