@@ -72,7 +72,7 @@ def test_ode_residual(benchmark, n):
 @pytest.mark.parametrize("route", [from_series, from_recurrence, from_rodrigues],
                          ids=lambda route: route.__name__)
 def test_constructor(benchmark, route, n):
-    # a memo hit would time a copy, not the route
+    # a memo hit would time a lookup, not the route
     spec = GegenbauerSpec(n, LAM, ALPHA)
     poly = benchmark.pedantic(route, args=(spec,), setup=_clear_memos,
                               rounds=100, iterations=1)
@@ -106,7 +106,8 @@ def test_poly_op(benchmark, op):
 def test_evaluate_2001_points(benchmark, n):
     poly = from_series(GegenbauerSpec(n, LAM, ALPHA))
     xs = [i / 2000 for i in range(2001)]
-    values = benchmark(lambda: [poly.evaluate(x) for x in xs])
+    a = float(ALPHA)
+    values = benchmark(lambda: [poly.evaluate(x, a) for x in xs])
     assert len(values) == len(xs)
 
 

@@ -1,11 +1,11 @@
 """Exact arithmetic in the fractional power basis x^(k*a).
 
-An AlphaPoly is a finite combination a^g * sum_k c_k * x^(k*a) with a
-rational order 0 < a <= 1 (a float order is the binary fraction it is),
+An AlphaPoly is a finite combination a^g * sum_k c_k * x^(k*a) with
 rational coefficients c_k and an integer grade g.  Everything is exact, so
 identity checks can assert exact zero instead of a small float residual.
-The order symbol a enters only through differentiation: the conformable
-derivative acts on the basis as
+The order a is not part of the polynomial: the exact layer never reads its
+value.  The order symbol a enters only through differentiation: the
+conformable derivative acts on the basis as
 
     d_alpha : x^(k*a)  ->  a * k * x^((k-1)*a),
 
@@ -16,8 +16,9 @@ grade per polynomial carries the order symbol: derivatives raise it,
 products add grades, prefactors carrying a^(-n) lower it, and adding two
 nonzero polynomials of different grades is rejected.
 
-Fractional powers of negative arguments are evaluated under the
-signed-power convention
+A value of the order, a float in (0, 1], is supplied only where a float is
+made: `evaluate(x, a)` and `p(x, a)`.  Fractional powers of negative
+arguments are evaluated under the signed-power convention
 
     x^a := sign(x) * |x|^a,
 
@@ -29,18 +30,17 @@ The rational coefficients are stored as integer numerators over one
 common positive denominator, so arithmetic runs on Python integers: a sum
 works over the lcm of the two denominators, a product is an integer
 convolution over their product, and shift and d_alpha keep the
-denominator.  `AlphaPoly._of(alpha, nums, den, grade)` is the one place a
-result is put in canonical form: it trims trailing zero numerators and
-divides out gcd(den, *nums), so every polynomial has den > 0, gcd 1 and a
-nonzero last numerator, and the zero polynomial is nums () over den 1 with
-grade 0.  Equal polynomials therefore have equal (alpha, grade, den, nums).
-The Fraction coefficients are a view, built on demand.
+denominator.  `AlphaPoly._of(nums, den, grade)` is the one place a result
+is put in canonical form: it trims trailing zero numerators and divides
+out gcd(den, *nums), so every polynomial has den > 0, gcd 1 and a nonzero
+last numerator, and the zero polynomial is nums () over den 1 with grade
+0.  Equal polynomials therefore have equal (grade, den, nums).  The
+Fraction coefficients are a view, built on demand.
 
-The public constructor validates the order and every coefficient.  The
-results of arithmetic, and of the constructors in `gegenbauer`, come from
-`_of` instead, which skips validation: everything that reaches it is
-already valid, the order taken from a polynomial or a parameter spec, the
-numerators integers and the denominator a positive integer.
+The public constructor validates every coefficient.  The results of
+arithmetic, and of the constructors in `gegenbauer`, come from `_of`
+instead, which skips validation: everything that reaches it is already
+valid, the numerators integers and the denominator a positive integer.
 """
 from __future__ import annotations
 
@@ -125,42 +125,37 @@ def _as_coeff(value: Union[int, Fraction]) -> Fraction:
 class AlphaPoly:
     """Polynomial a^grade * sum_k (nums[k] / den) * x^(k*a), exact throughout.
 
-    `alpha` is the order, an exact rational in (0, 1].
     The coefficients are stored as the tuple of integer numerators `nums`
     over one positive integer denominator `den`, in lowest terms, with no
     trailing zero; `coeffs` is the tuple of Fractions they stand for, built
     on first use.  The public constructor takes coefficients as ints or
     Fractions.  `grade` is the power of the order symbol a that multiplies
     the whole polynomial.  The zero polynomial is nums () over den 1, has
-    grade 0 and adds to any grade.  Instances are immutable.
+    grade 0 and adds to any grade.  The order itself is no field: it is an
+    argument of evaluation.  Instances are immutable.
     """
 
-    alpha: Fraction
     nums: tuple[int, ...]
     den: int
     grade: int
 
-    def __init__(self, alpha: RationalLike,
-                 coeffs: Iterable[Union[int, Fraction]] = (), grade: int = 0) -> None:
-        a = _as_order(alpha)
+    def __init__(self, coeffs: Iterable[Union[int, Fraction]] = (), grade: int = 0) -> None:
         if not isinstance(grade, int) or isinstance(grade, bool):
             raise ParameterError(f"grade must be an integer, got {grade!r}")
         fracs = [_as_coeff(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in fracs))
-        self._store(a, [c.numerator * (den // c.denominator) for c in fracs], den, grade)
+        self._store([c.numerator * (den // c.denominator) for c in fracs], den, grade)
 
     @classmethod
-    def _of(cls, alpha: Fraction, nums: list[int], den: int,
-            grade: int) -> AlphaPoly:
-        """Build from parts that are already valid: a checked order, a list of
-        integer numerators, which is trimmed in place, and a positive integer
+    def _of(cls, nums: list[int], den: int, grade: int) -> AlphaPoly:
+        """Build from parts that are already valid: a list of integer
+        numerators, which is trimmed in place, and a positive integer
         denominator.  Skips validation."""
         poly = object.__new__(cls)
-        poly._store(alpha, nums, den, grade)
+        poly._store(nums, den, grade)
         return poly
 
-    def _store(self, alpha: Fraction, nums: list[int], den: int,
-               grade: int) -> None:
+    def _store(self, nums: list[int], den: int, grade: int) -> None:
         """Trim trailing zeros and reduce nums/den to lowest terms with one gcd."""
         while nums and not nums[-1]:
             nums.pop()
@@ -171,7 +166,7 @@ class AlphaPoly:
             if g != 1:
                 nums = [v // g for v in nums]
                 den //= g
-        self.__dict__.update(alpha=alpha, nums=tuple(nums), den=den, grade=grade)
+        self.__dict__.update(nums=tuple(nums), den=den, grade=grade)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"AlphaPoly is immutable; cannot set {name!r}")
@@ -182,17 +177,16 @@ class AlphaPoly:
     # -- constructors
 
     @staticmethod
-    def zero(alpha: RationalLike) -> AlphaPoly:
-        return AlphaPoly(alpha, ())
+    def zero() -> AlphaPoly:
+        return AlphaPoly(())
 
     @staticmethod
-    def constant(alpha: RationalLike, value: Union[int, Fraction]) -> AlphaPoly:
-        return AlphaPoly(alpha, (value,))
+    def constant(value: Union[int, Fraction]) -> AlphaPoly:
+        return AlphaPoly((value,))
 
     @staticmethod
-    def monomial(alpha: RationalLike, k: int,
-                 coeff: Union[int, Fraction] = 1) -> AlphaPoly:
-        return AlphaPoly(alpha, (0,) * _as_count(k, "basis index") + (coeff,))
+    def monomial(k: int, coeff: Union[int, Fraction] = 1) -> AlphaPoly:
+        return AlphaPoly((0,) * _as_count(k, "basis index") + (coeff,))
 
     # -- structure
 
@@ -213,23 +207,17 @@ class AlphaPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlphaPoly):
             return NotImplemented
-        return (self.alpha == other.alpha and self.grade == other.grade
-                and self.den == other.den and self.nums == other.nums)
+        return (self.grade == other.grade and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.alpha, self.grade, self.den, self.nums))
-
-    def _require_same_order(self, other: AlphaPoly) -> None:
-        if self.alpha != other.alpha:
-            raise ParameterError(
-                f"mismatched orders {self.alpha} and {other.alpha}")
+        return hash((self.grade, self.den, self.nums))
 
     # -- arithmetic
 
     def __add__(self, other: AlphaPoly) -> AlphaPoly:
         if not isinstance(other, AlphaPoly):
             return NotImplemented
-        self._require_same_order(other)
         if other.is_zero:
             return self
         if self.is_zero:
@@ -240,12 +228,12 @@ class AlphaPoly:
                 "in the order symbol")
         den = math.lcm(self.den, other.den)
         f, g = den // self.den, den // other.den
-        return AlphaPoly._of(self.alpha, [
+        return AlphaPoly._of([
             a * f + b * g for a, b in zip_longest(self.nums, other.nums, fillvalue=0)],
             den, self.grade)
 
     def __neg__(self) -> AlphaPoly:
-        return AlphaPoly._of(self.alpha, [-v for v in self.nums], self.den, self.grade)
+        return AlphaPoly._of([-v for v in self.nums], self.den, self.grade)
 
     def __sub__(self, other: AlphaPoly) -> AlphaPoly:
         if not isinstance(other, AlphaPoly):
@@ -254,17 +242,15 @@ class AlphaPoly:
 
     def __mul__(self, other: Union[AlphaPoly, int, Fraction]) -> AlphaPoly:
         if isinstance(other, AlphaPoly):
-            self._require_same_order(other)
             if self.is_zero or other.is_zero:
-                return AlphaPoly._of(self.alpha, [], 1, 0)
+                return AlphaPoly._of([], 1, 0)
             out = [0] * (len(self.nums) + len(other.nums) - 1)
             for i, a in enumerate(self.nums):
                 if not a:
                     continue
                 for j, b in enumerate(other.nums, i):
                     out[j] += a * b
-            return AlphaPoly._of(self.alpha, out, self.den * other.den,
-                                 self.grade + other.grade)
+            return AlphaPoly._of(out, self.den * other.den, self.grade + other.grade)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -281,7 +267,7 @@ class AlphaPoly:
         return self.scale(1 / d)
 
     def __pow__(self, exponent: int) -> AlphaPoly:
-        out = AlphaPoly.constant(self.alpha, 1)
+        out = AlphaPoly.constant(1)
         for _ in range(_as_count(exponent, "polynomial power")):
             out = out * self
         return out
@@ -292,47 +278,54 @@ class AlphaPoly:
         if not isinstance(power, int) or isinstance(power, bool):
             raise ParameterError(f"power must be an integer, got {power!r}")
         m = r.numerator
-        return AlphaPoly._of(self.alpha, [v * m for v in self.nums],
-                             self.den * r.denominator, self.grade + power)
+        return AlphaPoly._of([v * m for v in self.nums], self.den * r.denominator,
+                             self.grade + power)
 
     def shift(self, k: int = 1) -> AlphaPoly:
         """Multiply by x^(k*a), shifting every basis index up by k."""
         _as_count(k, "basis shift")
         if self.is_zero:
             return self
-        return AlphaPoly._of(self.alpha, [0] * k + list(self.nums), self.den, self.grade)
+        return AlphaPoly._of([0] * k + list(self.nums), self.den, self.grade)
 
     # -- calculus and evaluation
 
     def d_alpha(self) -> AlphaPoly:
         """Conformable derivative: x^(k*a) -> a*k*x^((k-1)*a), exactly."""
-        return AlphaPoly._of(self.alpha, [k * v for k, v in enumerate(self.nums) if k],
+        return AlphaPoly._of([k * v for k, v in enumerate(self.nums) if k],
                              self.den, self.grade + 1)
 
     @cached_property
-    def _horner(self) -> tuple[float, tuple[float, ...]]:
-        """The order as a float, and the float coefficients with the grade's
-        power of the order folded in, highest index first.  Each v / den is
-        an int quotient, so it is the coefficient correctly rounded."""
-        a = float(self.alpha)
-        scale = a ** self.grade
+    def _horner(self) -> tuple[float, ...]:
+        """The float coefficients, highest index first.  Each v / den is an
+        int quotient, so it is the coefficient correctly rounded."""
         den = self.den
-        return a, tuple(v / den * scale for v in reversed(self.nums))
+        return tuple(v / den for v in reversed(self.nums))
 
-    def evaluate(self, x: float) -> float:
-        """Value at x under the signed-power convention."""
+    def evaluate(self, x: float, a: float) -> float:
+        """Value at x and order a under the signed-power convention: Horner
+        in x^a, times a**grade when the grade is nonzero."""
+        if type(a) is not float:  # a float order, as the CLI passes per point, is kept
+            if isinstance(a, bool):
+                raise ParameterError(f"order must be a real number, got {a!r}")
+            try:
+                a = float(a)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParameterError(f"order must be a real number, got {a!r}") from exc
+        # the chained comparison also rejects nan
+        if not 0 < a <= 1:
+            raise ParameterError(f"order must lie in (0, 1], got {a!r}")
         if not self.nums:
             return 0.0
-        a, coeffs = self._horner
         xf = float(x)
         u = math.copysign(abs(xf) ** a, xf)
         acc = 0.0
-        for c in coeffs:
+        for c in self._horner:
             acc = acc * u + c
-        return acc
+        return acc * a ** self.grade if self.grade else acc
 
-    def __call__(self, x: float) -> float:
-        return self.evaluate(x)
+    def __call__(self, x: float, a: float) -> float:
+        return self.evaluate(x, a)
 
     def coefficient_sum(self) -> Fraction:
         """Exact value at x = 1 (all basis monomials are 1 there)."""
@@ -386,7 +379,7 @@ class AlphaPoly:
         return " ".join(out) if out else "0"
 
     def __repr__(self) -> str:
-        return f"AlphaPoly(alpha={self.alpha}, {self})"
+        return f"AlphaPoly({self})"
 
 
 # ---------------------------------------------------------------------------

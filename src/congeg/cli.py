@@ -214,8 +214,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _csv_rows(poly, alpha: Fraction, xs: Sequence[float]) -> list[str]:
-    a = repr(float(alpha))
-    return [f"{float(x)!r},{a},{poly.evaluate(float(x))!r}" for x in xs]
+    a = float(alpha)
+    label = repr(a)
+    return [f"{float(x)!r},{label},{poly.evaluate(float(x), a)!r}" for x in xs]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -13,11 +13,12 @@ denominator of lam - 1/2 for the Rodrigues kernel); no route builds a
 Fraction per coefficient.  No route calls another; each keeps its own
 derivation, so their agreement remains a check.
 
-Because the coefficients do not depend on the order, each route's integer
-work is memoized per process by (n, lam) in its own bounded cache, in
-lowest terms; the public function attaches the spec's order through
-`AlphaPoly._of`.  No route reads another's memo, so a sweep builds each
-member once per route and still compares three independent results.
+Because the coefficients do not depend on the order, and an `AlphaPoly`
+carries none, each route's finished polynomial is memoized per process by
+(n, lam) in its own bounded cache; the public function returns the memo's
+immutable object as it is, whatever the spec's order.  No route reads
+another's memo, so a sweep builds each member once per route and still
+compares three independent results.
 
 Special cases: weight 1/2 gives the Legendre family, weight 1 the Chebyshev
 second-kind family, and the first-kind family (the weight -> 0 limit) is
@@ -55,11 +56,10 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
-_ONE = Fraction(1)
-# Entries per route memo.  Each suite of a run scans the degrees of every
-# weight once, so an LRU memo smaller than that cycle never hits in the next
-# suite: at --n-max 96 the standard grid's 4 weights take 4 * 97 entries, and
-# the ladder and recurrence suites add shifted weights.
+# Polynomials per route memo.  Each suite of a run scans the degrees of
+# every weight once, so an LRU memo smaller than that cycle never hits in
+# the next suite: at --n-max 96 the standard grid's 4 weights take 4 * 97
+# entries, and the ladder and recurrence suites add shifted weights.
 _MEMO_SIZE = 1024
 
 
@@ -109,15 +109,9 @@ class UltrasphericalSpec:
 # construction routes
 
 
-def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    """nums / den in `AlphaPoly`'s canonical form, for a memo to keep."""
-    poly = AlphaPoly._of(_ONE, nums, den, 0)
-    return poly.nums, poly.den
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
-def _series_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
-    """Body of `from_series`, in lowest terms.
+def _series_coeffs(n: int, lam: Fraction) -> AlphaPoly:
+    """Body of `from_series`.
 
     Each term follows from the previous one by the ratio
     -k (k-1) / (4 (s+1) (lam+n-s-1)) with k = n - 2s, carried as an integer
@@ -141,19 +135,18 @@ def _series_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
         nums[n - 2 * s] *= tail
         tail *= steps[s - 1]
     nums[n] *= tail
-    return _lowest_terms(nums, q ** n * math.factorial(n) * tail)
+    return AlphaPoly._of(nums, q ** n * math.factorial(n) * tail, 0)
 
 
 def from_series(spec: GegenbauerSpec) -> AlphaPoly:
     """Explicit series: coefficient of x^((n-2s)*a) is
     (-1)^s (lam)_(n-s) 2^(n-2s) / (s! (n-2s)!)."""
-    nums, den = _series_coeffs(spec.n, spec.lam)
-    return AlphaPoly._of(spec.alpha, list(nums), den, 0)
+    return _series_coeffs(spec.n, spec.lam)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _recurrence_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
-    """Body of `from_recurrence`, in lowest terms.
+def _recurrence_coeffs(n: int, lam: Fraction) -> AlphaPoly:
+    """Body of `from_recurrence`.
 
     With lam = p/q it runs on P_m = q^m m! C_m, whose coefficients are
     integers: P_(m+1) = 2(qm+p) x^a P_m - qm(qm+2p-q) P_(m-1).  Only the
@@ -169,17 +162,16 @@ def _recurrence_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
         for k in range((m + 1) % 2, m, 2):
             nxt[k] -= down * prev[k]
         prev, cur = cur, nxt
-    return _lowest_terms(cur, q ** n * math.factorial(n))
+    return AlphaPoly._of(cur, q ** n * math.factorial(n), 0)
 
 
 def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
     """Three-term recurrence (m+1) C_(m+1) = 2(m+lam) x^a C_m - (m+2lam-1) C_(m-1),
     seeded with C_(-1) = 0 and C_0 = 1."""
-    nums, den = _recurrence_coeffs(spec.n, spec.lam)
-    return AlphaPoly._of(spec.alpha, list(nums), den, 0)
+    return _recurrence_coeffs(spec.n, spec.lam)
 
 
-def _rodrigues_kernel(alpha: Fraction, n: int, c: Fraction) -> AlphaPoly:
+def _rodrigues_kernel(n: int, c: Fraction) -> AlphaPoly:
     """Leibniz expansion of the n-fold conformable derivative of
     (1 - x^(2a))^(n+c), divided by (1 - x^(2a))^c and by the sign (-1)^n:
 
@@ -207,18 +199,16 @@ def _rodrigues_kernel(alpha: Fraction, n: int, c: Fraction) -> AlphaPoly:
         if k:
             num = num * k * (r + t * k) // ((n - k + 1) * (t * (n + 1 - k) + r))
             minus_power = [lo - hi for lo, hi in zip([0] + minus_power, minus_power + [0])]
-    return AlphaPoly._of(alpha, total, t ** n, n)
+    return AlphaPoly._of(total, t ** n, n)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _rodrigues_coeffs(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
-    """Body of `from_rodrigues`, in lowest terms; the kernel runs at order 1,
-    which its integers do not depend on."""
+def _rodrigues_coeffs(n: int, lam: Fraction) -> AlphaPoly:
+    """Body of `from_rodrigues`."""
     magnitude = (gamma_quotient(2 * lam + n, 2 * lam)
                  / gamma_quotient(n + lam + _HALF, lam + _HALF)
                  / (Fraction(2) ** n * math.factorial(n)))
-    poly = _rodrigues_kernel(_ONE, n, lam - _HALF).scale(magnitude, power=-n)
-    return poly.nums, poly.den
+    return _rodrigues_kernel(n, lam - _HALF).scale(magnitude, power=-n)
 
 
 def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
@@ -228,8 +218,7 @@ def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
 
     carries a^(-n), which cancels the kernel's a^n exactly; the (-1)^n of
     (-2a)^n cancels the kernel's extracted sign."""
-    nums, den = _rodrigues_coeffs(spec.n, spec.lam)
-    return AlphaPoly._of(spec.alpha, list(nums), den, 0)
+    return _rodrigues_coeffs(spec.n, spec.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +239,8 @@ def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
     only up to a constant factor; the verification audit measures and records
     that factor rather than rescaling here.
     """
-    n, beta, alpha = spec.n, spec.beta, spec.alpha
-    kernel = _rodrigues_kernel(alpha, n, beta)
+    n, beta = spec.n, spec.beta
+    kernel = _rodrigues_kernel(n, beta)
     b = float(beta)
     prefactor = math.gamma(n + 2 * b + 1) / (
         2.0 ** (n + b) * math.factorial(n) * math.gamma(n + b + 1))
@@ -263,29 +252,28 @@ def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
 # special cases
 
 
-def legendre(n: int, alpha: RationalLike) -> AlphaPoly:
+def legendre(n: int) -> AlphaPoly:
     """Weight 1/2: the conformable Legendre polynomial."""
-    return from_series(GegenbauerSpec(n, _HALF, alpha))
+    return from_series(GegenbauerSpec(n, _HALF, 1))
 
 
-def chebyshev_t(n: int, alpha: RationalLike) -> AlphaPoly:
+def chebyshev_t(n: int) -> AlphaPoly:
     """First-kind Chebyshev coefficients on the x^(k*a) basis.
 
     The weight -> 0 limit of the family is degenerate (every polynomial's
     limit is 0 for n >= 1), so the first kind is pinned by convention to the
     classical T_n coefficients."""
     _as_count(n, "degree")
-    alpha = _as_order(alpha)
-    prev = AlphaPoly.constant(alpha, 1)
+    prev = AlphaPoly.constant(1)
     if n == 0:
         return prev
-    cur = AlphaPoly(alpha, (0, 1))
+    cur = AlphaPoly((0, 1))
     for _ in range(n - 1):
         prev, cur = cur, cur.shift(1).scale(2) - prev
     return cur
 
 
-def chebyshev_t_rodrigues(n: int, alpha: RationalLike) -> AlphaPoly:
+def chebyshev_t_rodrigues(n: int) -> AlphaPoly:
     """First-kind polynomials through the Rodrigues route at the weight -> 0
     boundary (exponent n - 1/2), prefactor 2^n n! / (a^n (2n)!).
 
@@ -293,7 +281,7 @@ def chebyshev_t_rodrigues(n: int, alpha: RationalLike) -> AlphaPoly:
     audit records."""
     _as_count(n, "degree")
     magnitude = Fraction(2 ** n * math.factorial(n), math.factorial(2 * n))
-    return _rodrigues_kernel(_as_order(alpha), n, -_HALF).scale(magnitude, power=-n)
+    return _rodrigues_kernel(n, -_HALF).scale(magnitude, power=-n)
 
 
 def classical_oracle(n: int, lam: RationalLike) -> list[Fraction]:

@@ -143,11 +143,11 @@ def _moment_weighted(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
     common denominator: <C_m, C_n> for any m <= n is then the dot product of
     C_m's coefficients with W.  256 entries hold a sweep's 2 weights to
     degree 96."""
-    d, d_den = _series_coeffs(n, lam)
+    d = _series_coeffs(n, lam)
     moments, mu_den = _scaled_moments(lam, n + 1)
-    return (tuple(sum(d[j] * moments[(i + j) // 2] for j in range(i % 2, n + 1, 2))
+    return (tuple(sum(d.nums[j] * moments[(i + j) // 2] for j in range(i % 2, n + 1, 2))
                   for i in range(n + 1)),
-            mu_den * d_den)
+            mu_den * d.den)
 
 
 def _beta(lam: Fraction) -> float:
@@ -208,12 +208,12 @@ def _cell(lam: RationalLike, alpha: RationalLike) -> _Cell:
 
 def _inner_product(m: int, n: int, cell: _Cell) -> float:
     """<C_m, C_n> for checked degrees m <= n."""
-    c, c_den = _series_coeffs(m, cell.lam)
+    c = _series_coeffs(m, cell.lam)
     weighted, w_den = _moment_weighted(n, cell.lam)
     # sum over i + j even of c_i d_j mu_(i+j) is sum_i c_i W_i; only
     # B(1/2, base + 1/2), with base in [0, 1), is left in floats.
     # int / int is correctly rounded, so this is the exact sum rounded once
-    return sum(map(operator.mul, c, weighted)) / (c_den * w_den) * cell.beta / cell.a
+    return sum(map(operator.mul, c.nums, weighted)) / (c.den * w_den) * cell.beta / cell.a
 
 
 def conformable_inner_product(
@@ -276,9 +276,12 @@ def conformable_inner_product_direct(
 
 
 # Each public formula checks its arguments and calls its kernel, which the
-# audit calls too.  A kernel takes the degree and a cell, builds every gamma
-# argument and power from integers, and multiplies the factors in the order
-# of the formula as written.
+# audit calls too.  A kernel takes the degree and a cell and builds every
+# gamma argument and power from integers.  The two candidate formulas share
+# their degree-dependent gammas, which `_degree_quotients` takes as
+# quotients of partners: their products on their own pass the float range
+# from about degree 70, while each quotient stays finite as long as every
+# single gamma is.
 
 
 def _classical_norm(n: int, cell: _Cell) -> float:
@@ -287,27 +290,28 @@ def _classical_norm(n: int, cell: _Cell) -> float:
             / (math.factorial(n) * ((n * q + p) / q) * math.gamma(p / q) ** 2))
 
 
-def _closed_form(n: int, cell: _Cell) -> float:
+def _degree_quotients(n: int, cell: _Cell) -> float:
+    """G(n+2lam)/n! * G(n+lam)/G(n+lam+1/2) * G(n+s)/G(n+t)."""
     p, q = cell.lam.as_integer_ratio()
     (s_num, s_den), (t_num, t_den) = cell.s, cell.t
-    top = (math.gamma((n * q + 2 * p) / q) * math.gamma((n * q + p) / q)
-           * _checked_gamma(*cell.const) * _checked_gamma(n * s_den + s_num, s_den))
-    bottom = (math.factorial(n) * math.gamma(p / q) ** 2
-              * math.gamma((2 * (n * q + p) + q) / (2 * q))
-              * math.gamma((n * t_den + t_num) / t_den))
-    return 2.0 ** ((q - 2 * p) / q) * cell.a ** (-2.0 / cell.a) * top / bottom
+    return (math.gamma((n * q + 2 * p) / q) / math.factorial(n)
+            * (math.gamma((n * q + p) / q) / math.gamma((2 * (n * q + p) + q) / (2 * q)))
+            * (_checked_gamma(n * s_den + s_num, s_den)
+               / math.gamma((n * t_den + t_num) / t_den)))
+
+
+def _closed_form(n: int, cell: _Cell) -> float:
+    p, q = cell.lam.as_integer_ratio()
+    return (2.0 ** ((q - 2 * p) / q) * cell.a ** (-2.0 / cell.a)
+            * _checked_gamma(*cell.const) / math.gamma(p / q) ** 2
+            * _degree_quotients(n, cell))
 
 
 def _gamma_product(n: int, cell: _Cell) -> float:
     p, q = cell.lam.as_integer_ratio()
-    (s_num, s_den), (t_num, t_den) = cell.s, cell.t
-    top = (math.gamma((2 * p + q) / (2 * q)) * math.gamma((n * q + 2 * p) / q)
-           * math.gamma((n * q + p) / q) * _checked_gamma(*cell.const)
-           * _checked_gamma(n * s_den + s_num, s_den))
-    bottom = (math.factorial(n) * math.gamma(2 * p / q)
-              * math.gamma((2 * (n * q + p) + q) / (2 * q)) * math.gamma(p / q)
-              * math.gamma((n * t_den + t_num) / t_den))
-    return cell.a ** (0.5 - 2.0 / cell.a) * top / bottom
+    return (cell.a ** (0.5 - 2.0 / cell.a) * math.gamma((2 * p + q) / (2 * q))
+            * _checked_gamma(*cell.const) / (math.gamma(2 * p / q) * math.gamma(p / q))
+            * _degree_quotients(n, cell))
 
 
 def _or_nan(formula, n: int, cell: _Cell) -> float:

@@ -89,8 +89,8 @@ class ParamGrid:
 
     def specs(self, n_max: Optional[int] = None) -> Iterator[GegenbauerSpec]:
         """One spec per (weight, degree), at the grid's first order: exact
-        arithmetic keeps the order as a label and never reads its value, so
-        an exact check that holds at one order holds at all of them."""
+        arithmetic carries no order and never reads its value, so an exact
+        check that holds at one order holds at all of them."""
         top = self.n_max if n_max is None else min(n_max, self.n_max)
         for lam in self.lambdas:
             for n in range(top + 1):
@@ -109,9 +109,9 @@ class ParamGrid:
 STANDARD_GRID = ParamGrid()
 
 
-def _residual_size(poly: AlphaPoly) -> float:
-    """Largest coefficient magnitude once the order is substituted."""
-    scale = float(poly.alpha) ** poly.grade
+def _residual_size(poly: AlphaPoly, alpha: RationalLike) -> float:
+    """Largest coefficient magnitude once the order alpha is substituted."""
+    scale = float(alpha) ** poly.grade
     return max((abs(float(c) * scale) for c in poly.coeffs), default=0.0)
 
 
@@ -127,12 +127,9 @@ def ode_residual(p: AlphaPoly, spec: GegenbauerSpec) -> AlphaPoly:
     to p; the family member of the spec is annihilated exactly."""
     if not isinstance(p, AlphaPoly):
         raise ParameterError("expected an AlphaPoly")
-    if p.alpha != spec.alpha:
-        raise ParameterError(
-            f"polynomial order {p.alpha} does not match spec order {spec.alpha}")
     d1 = p.d_alpha()
     d2 = d1.d_alpha()
-    weight = AlphaPoly(p.alpha, (1, 0, -1))
+    weight = AlphaPoly((1, 0, -1))
     damping = d1.shift(1).scale(2 * spec.lam + 1, power=1)
     eigen = p.scale(spec.n * (spec.n + 2 * spec.lam), power=2)
     return weight * d2 - damping + eigen
@@ -190,7 +187,7 @@ def diff_relation_check(spec: GegenbauerSpec, m: int) -> VerificationReport:
         return VerificationReport("derivative-ladder", grid, "exact-pass")
     return VerificationReport(
         "derivative-ladder", grid, "fail",
-        max_residual=_residual_size(lhs - rhs),
+        max_residual=_residual_size(lhs - rhs, spec.alpha),
         witness=f"lhs = {lhs}; rhs = {rhs}")
 
 
@@ -202,7 +199,7 @@ def recurrence_checks(spec: GegenbauerSpec) -> VerificationReport:
 
     with the convention that the degree -1 member is the zero polynomial."""
     n, lam, alpha = spec.n, spec.lam, spec.alpha
-    zero = AlphaPoly.zero(alpha)
+    zero = AlphaPoly.zero()
     c_next = from_series(GegenbauerSpec(n + 1, lam, alpha)).scale(n + 1)
     c_n = from_series(spec)
     c_prev = from_series(GegenbauerSpec(n - 1, lam, alpha)) if n else zero
@@ -215,7 +212,7 @@ def recurrence_checks(spec: GegenbauerSpec) -> VerificationReport:
         if c_next != rhs:
             return VerificationReport(
                 "recurrences", grid, "fail",
-                max_residual=_residual_size(c_next - rhs),
+                max_residual=_residual_size(c_next - rhs, alpha),
                 witness=f"{name}: lhs = {c_next}; rhs = {rhs}")
     return VerificationReport("recurrences", grid, "exact-pass")
 
@@ -240,7 +237,7 @@ def endpoint_value_check(spec: GegenbauerSpec) -> VerificationReport:
 def check_constructor_agreement(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
     """All three construction routes emit identical exact coefficients.  The
     coefficients are order-free by construction, since each route keys its
-    integers by (n, weight) and only attaches the order."""
+    polynomial by (n, weight) and an `AlphaPoly` carries no order."""
     count = 0
     for spec in grid.specs():
         series = from_series(spec)
@@ -265,7 +262,7 @@ def check_ode_annihilation(grid: ParamGrid = STANDARD_GRID) -> VerificationRepor
         if not residual.is_zero:
             return VerificationReport(
                 "ode-annihilation", grid.describe(), "fail",
-                max_residual=_residual_size(residual),
+                max_residual=_residual_size(residual, spec.alpha),
                 witness=f"{spec}: residual = {residual}")
         count += 1
     return VerificationReport(
@@ -363,9 +360,9 @@ def check_special_cases(
               for lam in weights for n in range(n_max + 1)}
     for n in range(n_max + 1):
         for name, poly, expected in (
-                ("legendre", legendre(n, alpha), oracle[n, _HALF]),
+                ("legendre", legendre(n), oracle[n, _HALF]),
                 ("second-kind", from_series(GegenbauerSpec(n, 1, alpha)), oracle[n, 1]),
-                ("first-kind", chebyshev_t(n, alpha), _chebyshev_t_closed(n))):
+                ("first-kind", chebyshev_t(n), _chebyshev_t_closed(n))):
             if list(poly.rational_coeffs()) != expected:
                 return VerificationReport(
                     "special-cases", grid, "fail",
@@ -378,7 +375,7 @@ def check_special_cases(
         for n in range(n_max + 1):
             p = from_series(GegenbauerSpec(n, lam, Fraction(1)))
             scale = max(1.0, sum(abs(float(c)) for c in oracle[n, lam]))
-            errors = (abs(p.evaluate(x) - values[n]) for x, values in zip(xs, reference))
+            errors = (abs(p.evaluate(x, 1.0) - values[n]) for x, values in zip(xs, reference))
             worst = max(worst, max(errors) / scale)
             if worst > rel_tol:
                 return VerificationReport(
@@ -399,9 +396,16 @@ def audit_ultraspherical(
         alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
         n_max: int = 6) -> list[VerificationReport]:
     """Recorded findings for the shifted-weight family: the variant operator,
-    the series-form consistency, and the alternate Rodrigues normalization."""
+    the series-form consistency against the generating function's binomial
+    rows, and the alternate Rodrigues normalization.  Each exact object is
+    built once per (shifted weight, degree) at the first order, as
+    `ParamGrid.specs` explains; only the variant's residual size is taken at
+    every listed order."""
+    alphas = tuple(_as_order(a) for a in _as_cases(alphas, "orders"))
     grid = (f"n <= {n_max}, shifted weight in {{{', '.join(str(b) for b in betas)}}}, "
             f"order in {{{', '.join(str(a) for a in alphas)}}}")
+    specs = {beta: [UltrasphericalSpec(n, Fraction(beta), alphas[0]) for n in range(n_max + 1)]
+             for beta in betas}
     reports = []
 
     # Variant operator: second-derivative term missing (1 - x^(2a)).
@@ -409,22 +413,23 @@ def audit_ultraspherical(
     witness = None
     annihilated_upper = 1
     for beta in betas:
+        variants = []
+        for spec in specs[beta]:
+            p = ultraspherical(spec)
+            full = ultraspherical_ode_residual(p, spec, printed_form=False)
+            if not full.is_zero:
+                raise AssertionError("weighted operator must annihilate exactly")
+            variant = ultraspherical_ode_residual(p, spec, printed_form=True)
+            if not variant.is_zero and spec.n <= 1:
+                annihilated_upper = 0
+            variants.append(variant)
         for alpha in alphas:
-            for n in range(n_max + 1):
-                spec = UltrasphericalSpec(n, Fraction(beta), alpha)
-                p = ultraspherical(spec)
-                full = ultraspherical_ode_residual(p, spec, printed_form=False)
-                if not full.is_zero:
-                    raise AssertionError("weighted operator must annihilate exactly")
-                variant = ultraspherical_ode_residual(p, spec, printed_form=True)
-                if variant.is_zero:
-                    continue
-                if n <= 1:
-                    annihilated_upper = 0
-                size = _residual_size(variant)
+            for n, variant in enumerate(variants):
+                size = _residual_size(variant, alpha)
                 if size > worst:
                     worst = size
-                    witness = f"{spec}: residual = {variant}"
+                    witness = (f"{UltrasphericalSpec(n, Fraction(beta), alpha)}: "
+                               f"residual = {variant}")
     reports.append(VerificationReport(
         "ultraspherical-ode-variant-operator", grid,
         "fail" if witness else "exact-pass",
@@ -433,16 +438,14 @@ def audit_ultraspherical(
               f"term; it annihilates only n <= {annihilated_upper}. The weighted "
               "operator annihilates every case exactly."))
 
-    # Series-form consistency at lam = beta + 1/2.
+    # Series-form consistency at lam = beta + 1/2, against the independent
+    # binomial expansion of the generating function.
     witness = None
     for beta in betas:
-        for alpha in alphas:
-            for n in range(n_max + 1):
-                spec = UltrasphericalSpec(n, Fraction(beta), alpha)
-                direct = ultraspherical(spec)
-                substituted = from_series(GegenbauerSpec(n, spec.lam, alpha))
-                if direct != substituted:
-                    witness = f"{spec}"
+        rows = generating_function_coeffs(specs[beta][0].lam, n_max)
+        for spec, row in zip(specs[beta], rows):
+            if list(ultraspherical(spec).rational_coeffs()) != row:
+                witness = f"{spec}"
     reports.append(VerificationReport(
         "ultraspherical-series-form", grid,
         "fail" if witness else "exact-pass", witness=witness, asserted=False,
@@ -454,17 +457,15 @@ def audit_ultraspherical(
     constants = []
     for beta in betas:
         measured = []
-        for alpha in alphas:
-            for n in range(n_max + 1):
-                spec = UltrasphericalSpec(n, Fraction(beta), alpha)
-                route = ultraspherical_rodrigues(spec)
-                base = [float(c) for c in ultraspherical(spec).rational_coeffs()]
-                ratios = [r / b for r, b in zip(route, base) if b]
-                stray = max((abs(r) for r, b in zip(route, base) if not b), default=0.0)
-                mid = ratios[0]
-                spread = max(spread, stray,
-                             max(abs(r - mid) for r in ratios) / abs(mid))
-                measured.append(mid)
+        for spec in specs[beta]:
+            route = ultraspherical_rodrigues(spec)
+            base = [float(c) for c in ultraspherical(spec).rational_coeffs()]
+            ratios = [r / b for r, b in zip(route, base) if b]
+            stray = max((abs(r) for r, b in zip(route, base) if not b), default=0.0)
+            mid = ratios[0]
+            spread = max(spread, stray,
+                         max(abs(r - mid) for r in ratios) / abs(mid))
+            measured.append(mid)
         lo, hi = min(measured), max(measured)
         constants.append(f"shifted weight {beta}: factor ~ {lo:.12g}"
                          + ("" if hi - lo < 1e-9 * abs(lo) else f"..{hi:.12g}"))
@@ -484,15 +485,17 @@ def audit_ultraspherical(
 def audit_chebyshev_limit(
         alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
         n_max: int = 8, m_max: int = 3) -> list[VerificationReport]:
-    """Recorded findings at the first-kind (weight -> 0) boundary."""
+    """Recorded findings at the first-kind (weight -> 0) boundary.  Both are
+    exact, so each runs once per degree; a witness names the first order."""
+    alphas = tuple(_as_order(a) for a in _as_cases(alphas, "orders"))
+    alpha = alphas[0]
     grid = f"n <= {n_max}, order in {{{', '.join(str(a) for a in alphas)}}}"
     reports = []
 
     witness = None
-    for alpha in alphas:
-        for n in range(n_max + 1):
-            if chebyshev_t(n, alpha) != chebyshev_t_rodrigues(n, alpha):
-                witness = f"n={n}, order={alpha}"
+    for n in range(n_max + 1):
+        if chebyshev_t(n) != chebyshev_t_rodrigues(n):
+            witness = f"n={n}, order={alpha}"
     reports.append(VerificationReport(
         "chebyshev-rodrigues-limit", grid,
         "fail" if witness else "exact-pass", witness=witness, asserted=False,
@@ -503,17 +506,16 @@ def audit_chebyshev_limit(
     # short by n/2; measure the exact ratio.
     mismatch = None
     exact_ratio = True
-    for alpha in alphas:
-        for n in range(1, n_max + 1):
-            lhs = chebyshev_t(n, alpha)
-            for m in range(1, min(m_max, n) + 1):
-                lhs = lhs.d_alpha()
-                target = from_series(GegenbauerSpec(n - m, Fraction(m), alpha))
-                variant = target.scale(Fraction(2) ** m * math.factorial(m - 1), power=m)
-                if lhs != variant.scale(Fraction(n, 2)):
-                    exact_ratio = False
-                if lhs != variant and mismatch is None:
-                    mismatch = f"n={n}, m={m}, order={alpha}"
+    for n in range(1, n_max + 1):
+        lhs = chebyshev_t(n)
+        for m in range(1, min(m_max, n) + 1):
+            lhs = lhs.d_alpha()
+            target = from_series(GegenbauerSpec(n - m, Fraction(m), alpha))
+            variant = target.scale(Fraction(2) ** m * math.factorial(m - 1), power=m)
+            if lhs != variant.scale(Fraction(n, 2)):
+                exact_ratio = False
+            if lhs != variant and mismatch is None:
+                mismatch = f"n={n}, m={m}, order={alpha}"
     reports.append(VerificationReport(
         "chebyshev-derivative-ladder", grid + f", m <= {m_max}",
         "fail" if mismatch else "exact-pass",

@@ -16,6 +16,6 @@ def defective_member(monkeypatch):
 
     def perturbed(spec):
         member = build(spec)
-        return member + AlphaPoly.constant(spec.alpha, 1) if spec.n == 1 else member
+        return member + AlphaPoly.constant(1) if spec.n == 1 else member
 
     monkeypatch.setattr(verify, "from_series", perturbed)

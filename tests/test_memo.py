@@ -1,6 +1,7 @@
-"""The per-process memos of order-free integer work: each construction route
-keeps its own, keyed by (n, weight); the inner products keep one
-moment-weighted vector per (n, weight)."""
+"""The per-process memos of order-free exact work: each construction route
+keeps its own finished polynomial per (n, weight) and returns that object
+at every order; the inner products keep one moment-weighted vector per
+(n, weight)."""
 import inspect
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import congeg.gegenbauer as gegenbauer
+from congeg.alphapoly import AlphaPoly
 import congeg.quadrature as quadrature
 from congeg.gegenbauer import (GegenbauerSpec, classical_oracle, from_recurrence,
                                from_rodrigues, from_series)
@@ -71,8 +73,10 @@ def test_each_route_computes_its_own_integers(monkeypatch, fresh_memos, route):
     kernel = getattr(gegenbauer, name)
 
     def skewed(n, lam):
-        nums, den = kernel(n, lam)
-        return ((nums[0] + 1,) + nums[1:], den) if n == 5 else (nums, den)
+        poly = kernel(n, lam)
+        if n != 5:
+            return poly
+        return AlphaPoly._of([poly.nums[0] + 1, *poly.nums[1:]], poly.den, poly.grade)
 
     monkeypatch.setattr(gegenbauer, name, skewed)
     report = check_constructor_agreement(ParamGrid(n_max=6))
@@ -90,8 +94,7 @@ def test_orders_share_one_build(fresh_memos, route):
     hits = memo.cache_info().hits
     one = public(GegenbauerSpec(9, Fraction(5, 2), 1))
     assert memo.cache_info().hits == hits + 1
-    assert (quarter.nums, quarter.den) == (one.nums, one.den)
-    assert (quarter.alpha, one.alpha) == (Fraction(1, 4), 1)
+    assert quarter is one is memo(9, Fraction(5, 2))
 
 
 def test_classical_oracle_returns_a_new_list(fresh_memos):

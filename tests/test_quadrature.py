@@ -241,6 +241,13 @@ class TestAudit:
         assert all(float(r.alpha) == 0.5 for r in nan_rows)
         assert all(math.isnan(r.gamma_product) for r in nan_rows)
 
+    def test_only_the_pole_rows_are_nan_to_degree_165(self):
+        # each degree-dependent gamma is divided by its partner before the
+        # product, so the formulas overflow nowhere below degree 166
+        for r in normalization_audit(default_audit_grid(165)).table:
+            pole = r.alpha == HALF
+            assert math.isnan(r.closed_form) == math.isnan(r.gamma_product) == pole, r
+
     def test_anchor_row_flagged_in_notes(self, report):
         row = next(r for r in report.table
                    if r.n == 0 and r.lam == 1 and float(r.alpha) == 1.0)
