@@ -5,7 +5,10 @@
 - the three exact constructors at degrees 8, 32, 64, each round from cold
   memos, and the validation of their parameters (`GegenbauerSpec`
   construction);
-- float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64;
+- float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64, one
+  call per point; `values` over the same points in one call, on each
+  evaluator (float Horner and the Chebyshev sum) at each degree; and the
+  one-off conversion to Chebyshev coefficients at each degree;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
 - the normalization audit over `default_audit_grid(32)` in process (198 rows);
@@ -109,6 +112,34 @@ def test_evaluate_2001_points(benchmark, n):
     a = float(ALPHA)
     values = benchmark(lambda: [poly.evaluate(x, a) for x in xs])
     assert len(values) == len(xs)
+
+
+def _on_evaluator(poly, evaluator: str):
+    """A copy of poly fixed to one evaluator, so both can be timed at every
+    degree: the cached choice is filled before first use, and the route
+    memo's shared polynomial is left untouched."""
+    from congeg.alphapoly import AlphaPoly, _chebyshev_form
+    copy = AlphaPoly._of(list(poly.nums), poly.den, poly.grade)
+    copy.__dict__["_chebyshev"] = (None if evaluator == "horner"
+                                   else _chebyshev_form(poly.nums, poly.den))
+    return copy
+
+
+@pytest.mark.parametrize("n", DEGREES)
+@pytest.mark.parametrize("evaluator", ["horner", "chebyshev"])
+def test_values_2001_points(benchmark, evaluator, n):
+    poly = _on_evaluator(from_series(GegenbauerSpec(n, LAM, ALPHA)), evaluator)
+    xs = [i / 1000 - 1 for i in range(2001)]
+    values = benchmark(poly.values, xs, float(ALPHA))
+    assert len(values) == len(xs)
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_chebyshev_conversion(benchmark, n):
+    from congeg.alphapoly import _chebyshev_form
+    poly = from_series(GegenbauerSpec(n, LAM, ALPHA))
+    parts, bound, scale = benchmark(_chebyshev_form, poly.nums, poly.den)
+    assert bound < 1e-10 * scale
 
 
 @pytest.mark.parametrize("n", DEGREES)

@@ -9,14 +9,13 @@ Convention used throughout: x^a means sign(x) |x|^a, so every family member
 is defined on [-1, 1] and keeps its parity; at a = 1 everything reduces to
 the classical Gegenbauer family.
 """
-from .alphapoly import (AlphaPoly, DomainError, ParameterError, gamma_quotient,
-                        pochhammer)
+from .alphapoly import (AccuracyError, AlphaPoly, DomainError, ParameterError,
+                        gamma_quotient, pochhammer)
 from .gegenbauer import (GegenbauerSpec, UltrasphericalSpec, chebyshev_t,
                          chebyshev_t_rodrigues, classical_oracle, from_recurrence,
                          from_rodrigues, from_series, legendre, ultraspherical,
                          ultraspherical_rodrigues)
-from .quadrature import (AccuracyError, AuditRow, QuadratureResult,
-                         audit_rows_to_csv, classical_norm,
+from .quadrature import (AuditRow, QuadratureResult, audit_rows_to_csv, classical_norm,
                          conformable_inner_product,
                          conformable_inner_product_direct, normalization_audit,
                          normalization_closed_form, normalization_gamma_product,

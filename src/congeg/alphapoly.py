@@ -17,14 +17,34 @@ products add grades, prefactors carrying a^(-n) lower it, and adding two
 nonzero polynomials of different grades is rejected.
 
 A value of the order, a float in (0, 1], is supplied only where a float is
-made: `evaluate(x, a)` and `p(x, a)`.  Fractional powers of negative
-arguments are evaluated under the signed-power convention
+made: `values(xs, a)`, `evaluate(x, a)` and `p(x, a)`.  Fractional powers
+of negative arguments are evaluated under the signed-power convention
 
     x^a := sign(x) * |x|^a,
 
 which extends the basis to [-1, 1], preserves parity (even/odd index
 support gives even/odd functions of x) and reduces to the ordinary power
 at a = 1.
+
+Float evaluation is a polynomial in u = x^a, and each polynomial picks one
+of two evaluators once, from its exact coefficients c_k = nums[k] / den
+(eps = 2^-53 is the unit roundoff, n the degree, p(1) = sum c_k):
+
+- float Horner in u, when its a-priori bound for |u| <= 1,
+  gamma_(2n+1) * sum |c_k| with gamma_m = m eps / (1 - m eps) (Higham,
+  Accuracy and Stability of Numerical Algorithms, eq. 5.3), is at most
+  1e-12 * max(1, |p(1)|).  The test is exact integer arithmetic.  Horner
+  takes any finite x; past |u| = 1 its bound grows by |u|^n and is not
+  checked.  The Gegenbauer family keeps Horner up to degree 8 at weight
+  1/2, 9 at weight 1, 11 at weight 3 and 23 at weight 343/11.
+- otherwise, the sum sum_j b_j T_j(u) over Chebyshev polynomials, with
+  T_(j+1) = 2u T_j - T_(j-1).  The b_j are converted exactly and rounded
+  once each; see `_chebyshev_form` for the bound, which is about
+  1.5 n^2 eps * sum |b_j|.  Every Gegenbauer weight lam > 0 gives
+  b_j >= 0 (DLMF 18.5), so sum |b_j| = C_n(1), the curve's own scale.
+  This evaluator takes |u| <= 1 only, and raises ParameterError past it;
+  a bound above 1e-10 * max(1, |p(1)|), which every member of weight
+  >= 1/2 reaches from degree 775 on, raises AccuracyError.
 
 The rational coefficients are stored as integer numerators over one
 common positive denominator, so arithmetic runs on Python integers: a sum
@@ -48,9 +68,10 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 __all__ = [
+    "AccuracyError",
     "AlphaPoly",
     "DomainError",
     "ParameterError",
@@ -67,6 +88,17 @@ class ParameterError(ValueError):
 
 class DomainError(ValueError):
     """A formula was evaluated at a pole or an undefined point."""
+
+
+class AccuracyError(RuntimeError):
+    """A float result's error bound or estimate exceeded its tolerance.
+
+    Carries the best estimate, where there is one, so callers can still
+    inspect it."""
+
+    def __init__(self, message: str, best: object = None):
+        super().__init__(message)
+        self.best = best
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -116,6 +148,52 @@ def _as_coeff(value: Union[int, Fraction]) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ParameterError(f"coefficient {value!r} is not exact")
+
+
+def _chebyshev_form(nums: tuple[int, ...], den: int) -> tuple[tuple, float, float]:
+    """(parts, bound, scale) for the Chebyshev evaluator of
+    sum_k (nums[k] / den) u^k, a nonzero polynomial of degree n.
+
+    u^k = 2^(1-k) sum_i C(k, i) T_(k-2i), with the T_0 term halved, so
+    over the shared denominator den * 2^n every Chebyshev coefficient
+    b_j is an integer B_j, found in one pass over the nonzero
+    numerators and then rounded once.  `parts` splits them by parity,
+    each part (odd, b_first, rest) for the T_j of j's parity, lowest j
+    first; a Gegenbauer member has one part.  `scale` is
+    max(1, |p(1)|).
+
+    `bound` is (1.5 n (n+1) + n + 3) eps * sum |b_j|, for |u| <= 1 and
+    up to second-order terms.  T_0 = 1 and T_1 = u are exact (the even
+    part steps from T_(-1) = u, and 2u - u is exact).  Each later step,
+    fl(fl(2u T_j) - T_(j-1)), errs by at most eps |2u T_j| +
+    eps |T_(j+1)| <= 3 eps.  A local error d_j made at step j reaches
+    T_m as U_(m-1-j)(u) d_j, since the errors obey the same recurrence,
+    and |U_k| <= k + 1 on [-1, 1]; so T_m errs by at most
+    3 eps sum_(k<m-1) (k + 1) = 1.5 m (m - 1) eps <= 1.5 n (n+1) eps.
+    The sums sum b_j T_j add at most (n + 1) eps sum |b_j| (the dot
+    product's gamma term), rounding the b_j adds eps sum |b_j|, and
+    adding the two parity parts adds eps sum |b_j| more."""
+    n = len(nums) - 1
+    big = [0] * (n + 1)
+    for k, c in enumerate(nums):
+        if not c:
+            continue
+        w = c << (n + 1 - k)
+        for i in range((k + 1) // 2):
+            big[k - 2 * i] += w * math.comb(k, i)
+        if not k % 2:
+            big[0] += (w >> 1) * math.comb(k, k // 2)
+    shared = den << n
+    parts = []
+    for odd in (0, 1):
+        part = big[odd::2]
+        while part and not part[-1]:
+            part.pop()
+        if part:
+            parts.append((odd, part[0] / shared,
+                          tuple(v / shared for v in part[1:])))
+    bound = (1.5 * n * (n + 1) + n + 3) * 2.0 ** -53 * (sum(map(abs, big)) / shared)
+    return tuple(parts), bound, max(1.0, abs(sum(nums)) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +380,23 @@ class AlphaPoly:
         den = self.den
         return tuple(v / den for v in reversed(self.nums))
 
-    def evaluate(self, x: float, a: float) -> float:
-        """Value at x and order a under the signed-power convention: Horner
-        in x^a, times a**grade when the grade is nonzero."""
-        if type(a) is not float:  # a float order, as the CLI passes per point, is kept
+    @cached_property
+    def _chebyshev(self) -> Optional[tuple[tuple, float, float]]:
+        """None when float Horner's bound holds (see the module docstring),
+        otherwise `_chebyshev_form` of the coefficients.  The test is that
+        bound multiplied out over den * (2^53 - m) * 10^12, m = 2n + 1."""
+        nums, den = self.nums, self.den
+        m = 2 * len(nums) - 1
+        if m * sum(map(abs, nums)) * 10 ** 12 <= ((1 << 53) - m) * max(den, abs(sum(nums))):
+            return None
+        return _chebyshev_form(nums, den)
+
+    def values(self, xs: Iterable[float], a: float) -> list[float]:
+        """Values at the points xs and order a under the signed-power
+        convention, by the evaluator this polynomial chose (see the module
+        docstring), times a**grade when the grade is nonzero.  The order is
+        checked once and u = x^a is built once per point."""
+        if type(a) is not float:  # a float order, as the CLI passes, is kept
             if isinstance(a, bool):
                 raise ParameterError(f"order must be a real number, got {a!r}")
             try:
@@ -316,13 +407,49 @@ class AlphaPoly:
         if not 0 < a <= 1:
             raise ParameterError(f"order must lie in (0, 1], got {a!r}")
         if not self.nums:
-            return 0.0
-        xf = float(x)
-        u = math.copysign(abs(xf) ** a, xf)
-        acc = 0.0
-        for c in self._horner:
-            acc = acc * u + c
-        return acc * a ** self.grade if self.grade else acc
+            return [0.0 for _ in xs]
+        us = [math.copysign(abs(x) ** a, x) for x in map(float, xs)]
+        chebyshev = self._chebyshev
+        if chebyshev is None:
+            horner = self._horner
+            out = []
+            for u in us:
+                acc = 0.0
+                for c in horner:
+                    acc = acc * u + c
+                out.append(acc)
+        else:
+            parts, bound, scale = chebyshev
+            if bound > 1e-10 * scale:
+                raise AccuracyError(
+                    f"Chebyshev evaluation bound {bound:.3g} exceeds 1e-10 of the "
+                    f"scale {scale:.6g} at degree {self.degree}")
+            for u in us:
+                if not -1.0 <= u <= 1.0:
+                    raise ParameterError(
+                        f"x^a = {u!r} lies outside [-1, 1], where the Chebyshev "
+                        "evaluator's bound holds")
+            out = None
+            for odd, first, rest in parts:
+                sums = []
+                for u in us:
+                    u2 = u + u
+                    prev, cur = (1.0, u) if odd else (u, 1.0)
+                    acc = first * cur
+                    for b in rest:
+                        prev = u2 * cur - prev
+                        cur = u2 * prev - cur
+                        acc += b * cur
+                    sums.append(acc)
+                out = sums if out is None else [v + w for v, w in zip(out, sums)]
+        if self.grade:
+            factor = a ** self.grade
+            out = [v * factor for v in out]
+        return out
+
+    def evaluate(self, x: float, a: float) -> float:
+        """Value at one point x and order a; see `values`."""
+        return self.values((x,), a)[0]
 
     def __call__(self, x: float, a: float) -> float:
         return self.evaluate(x, a)

@@ -7,8 +7,9 @@ Subcommands:
   verify     run the asserted identity checks plus the recorded audits
   audit      normalization audit table (CSV) and report
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 quadrature accuracy failure.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error
+(eval takes points in [-1, 1] only), 3 accuracy failure of a quadrature or
+of float evaluation.
 
 Options may also come from a JSON file via --config; flags given on the
 command line win over config values.
@@ -18,16 +19,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .alphapoly import DomainError, ParameterError, _as_count
+from .alphapoly import AccuracyError, DomainError, ParameterError, _as_count
 from .gegenbauer import GegenbauerSpec, from_recurrence, from_series
-from .quadrature import (AccuracyError, audit_rows_to_csv, default_audit_grid,
-                         normalization_audit)
+from .quadrature import audit_rows_to_csv, default_audit_grid, normalization_audit
 from .report import reports_to_json, reports_to_text, summary
 from .verify import (SUITES, ParamGrid, _sample_grid, run_asserted_checks,
                      run_recorded_audits)
@@ -213,23 +212,20 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _csv_rows(poly, alpha: Fraction, xs: Sequence[float]) -> list[str]:
-    a = float(alpha)
-    label = repr(a)
-    return [f"{float(x)!r},{label},{poly.evaluate(float(x), a)!r}" for x in xs]
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ParameterError("eval requires --n")
     if not args.x:
         raise ParameterError("eval requires --x with at least one point")
     for x in args.x:
-        if not math.isfinite(x):
-            raise ParameterError(f"eval points must be finite, got {x!r}")
+        # the chained comparison also rejects nan
+        if not -1.0 <= x <= 1.0:
+            raise ParameterError(f"eval points must lie in [-1, 1], got {x!r}")
     poly = from_recurrence(GegenbauerSpec(args.n, args.lam, args.alpha))
-    sys.stdout.write("\n".join(["x,alpha,value"] + _csv_rows(poly, args.alpha, args.x))
-                     + "\n")
+    a = float(args.alpha)
+    label = f",{a!r},"
+    rows = [f"{x!r}{label}{poly.evaluate(x, a)!r}" for x in args.x]
+    sys.stdout.write("\n".join(["x,alpha,value"] + rows) + "\n")
     return 0
 
 
@@ -237,10 +233,14 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     if not args.alphas:
         raise ParameterError("plot-data requires at least one --alpha")
     xs = _sample_grid(-1.0 if args.signed_domain else 0.0, args.samples)
+    xtexts = [f"{x!r}," for x in xs]
     lines = ["x,alpha,value"]
     for alpha in sorted(set(args.alphas)):
         poly = from_series(GegenbauerSpec(args.n, args.lam, alpha))
-        lines.extend(_csv_rows(poly, alpha, xs))
+        a = float(alpha)
+        label = f"{a!r},"
+        lines.extend([xtext + label + repr(v)
+                      for xtext, v in zip(xtexts, poly.values(xs, a))])
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)
@@ -296,8 +296,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _apply_config(args)
         return _DISPATCH[args.command](args)
     except AccuracyError as exc:
-        print(f"accuracy failure: {exc} (best estimate {exc.best.value!r} "
-              f"+- {exc.best.error!r})", file=sys.stderr)
+        best = ("" if exc.best is None else
+                f" (best estimate {exc.best.value!r} +- {exc.best.error!r})")
+        print(f"accuracy failure: {exc}{best}", file=sys.stderr)
         return 3
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

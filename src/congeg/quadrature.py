@@ -39,7 +39,8 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .alphapoly import DomainError, RationalLike, _as_cases, _as_count, _as_order, pochhammer
+from .alphapoly import (AccuracyError, DomainError, RationalLike, _as_cases, _as_count,
+                        _as_order, pochhammer)
 from .gegenbauer import _check_weight, _series_coeffs
 from .report import VerificationReport
 
@@ -71,16 +72,6 @@ class QuadratureResult:
     value: float
     error: float
     nodes_used: int
-
-
-class AccuracyError(RuntimeError):
-    """The quadrature's error estimate exceeded its tolerance.
-
-    Carries the best estimate so callers can still inspect it."""
-
-    def __init__(self, message: str, best: QuadratureResult):
-        super().__init__(message)
-        self.best = best
 
 
 # ---------------------------------------------------------------------------

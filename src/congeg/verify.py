@@ -346,8 +346,9 @@ def check_special_cases(
     """Weight 1/2 matches Legendre, weight 1 matches second-kind Chebyshev,
     the first-kind coefficients match their closed form (all exact, checked
     once per degree at the first order, as `ParamGrid.specs` explains), and
-    at order 1 `evaluate` (Horner on the coefficients) matches the float
-    three-term recurrence the direct route uses, an independent evaluation.
+    at order 1 `values` (Horner on the coefficients, or their Chebyshev sum
+    past Horner's bound) matches the float three-term recurrence the direct
+    route uses, an independent evaluation.
 
     The numeric comparison is measured relative to the coefficient L1 norm
     (the natural evaluation scale; pointwise relative error is ill-defined
@@ -375,7 +376,7 @@ def check_special_cases(
         for n in range(n_max + 1):
             p = from_series(GegenbauerSpec(n, lam, Fraction(1)))
             scale = max(1.0, sum(abs(float(c)) for c in oracle[n, lam]))
-            errors = (abs(p.evaluate(x, 1.0) - values[n]) for x, values in zip(xs, reference))
+            errors = (abs(v - values[n]) for v, values in zip(p.values(xs, 1.0), reference))
             worst = max(worst, max(errors) / scale)
             if worst > rel_tol:
                 return VerificationReport(

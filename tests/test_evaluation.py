@@ -1,0 +1,184 @@
+"""Float evaluation: which evaluator each polynomial takes, each one's error
+against exact rational values at the same float u, the working range and
+the exit codes of `eval`."""
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from congeg import AlphaPoly, GegenbauerSpec, from_recurrence, from_series
+from congeg.alphapoly import AccuracyError, ParameterError, _chebyshev_form
+from congeg.cli import main
+
+EPS = 2.0 ** -53
+WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(343, 11), Fraction(2, 7))
+# the highest degree at which each weight keeps float Horner
+HORNER_UP_TO = {Fraction(1, 2): 8, Fraction(1): 9, Fraction(3): 11, Fraction(343, 11): 23}
+_RNG = random.Random(16)
+POINTS = (1.0, -1.0, 0.0, 5e-324, -5e-324) + tuple(_RNG.uniform(-1.0, 1.0) for _ in range(3))
+
+
+def _exact(poly: AlphaPoly, u: float) -> tuple[int, int]:
+    """sum (nums[k] / den) u^k at the float u, exactly, as (numerator,
+    denominator): with u = num / 2^e, Horner on sum nums[k] num^k 2^(e (n-k))
+    over den 2^(e n).  Left unreduced, since a gcd of these integers costs
+    more than the rest of a check."""
+    num, den = u.as_integer_ratio()
+    e = den.bit_length() - 1
+    acc = 0
+    for j, c in enumerate(reversed(poly.nums)):
+        acc = acc * num + (c << (e * j))
+    return acc, poly.den << (e * poly.degree)
+
+
+def _error(value: float, poly: AlphaPoly, u: float) -> float:
+    """|value - poly(u)| against the exact value, correctly rounded."""
+    num, den = _exact(poly, u)
+    vn, vd = value.as_integer_ratio()
+    return abs(vn * den - num * vd) / (vd * den)
+
+
+def _chebyshev_only(poly: AlphaPoly) -> AlphaPoly:
+    """A copy of poly that takes the Chebyshev evaluator at any degree: its
+    cached choice is filled before first use.  The copy keeps the route
+    memo's shared polynomial untouched."""
+    copy = AlphaPoly._of(list(poly.nums), poly.den, poly.grade)
+    copy.__dict__["_chebyshev"] = _chebyshev_form(poly.nums, poly.den)
+    return copy
+
+
+class TestChoice:
+    @pytest.mark.parametrize("lam", HORNER_UP_TO, ids=str)
+    def test_horner_kept_up_to_the_pinned_degree(self, lam):
+        for n in range(65):
+            horner = from_series(GegenbauerSpec(n, lam, 1))._chebyshev is None
+            assert horner == (n <= HORNER_UP_TO[lam]), n
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_golden_curves_stay_on_horner(self, n):
+        # the golden CSVs are weight 3, degrees 1..5
+        assert from_series(GegenbauerSpec(n, 3, 1))._chebyshev is None
+
+    def test_chebyshev_coefficients_of_a_member_are_nonnegative(self):
+        # DLMF 18.5: so sum |b_j| = C_n(1), and one parity part
+        p = from_series(GegenbauerSpec(40, Fraction(2, 7), 1))
+        parts, bound, _ = p._chebyshev
+        assert len(parts) == 1 and parts[0][0] == 0
+        assert parts[0][1] > 0 and all(b > 0 for b in parts[0][2])
+        l1 = float(p.coefficient_sum())
+        assert bound == pytest.approx((1.5 * 40 * 41 + 43) * EPS * l1, rel=1e-12)
+
+    def test_mixed_parity_has_two_parts(self):
+        # u^2 + u = (T_0 + T_2) / 2 + T_1
+        parts, _, scale = _chebyshev_form((0, 1, 1), 1)
+        assert parts == ((0, 0.5, (0.5,)), (1, 1.0, ()))
+        assert scale == 2.0
+
+
+class TestChebyshevAgainstExact:
+    """Every error is within the stated bound
+    (1.5 n (n+1) + n + 3) eps * sum |b_j|."""
+
+    @pytest.mark.parametrize("lam", WEIGHTS, ids=str)
+    def test_within_bound_up_to_degree_200(self, lam):
+        worst = 0.0
+        for n in range(201):
+            p = _chebyshev_only(from_series(GegenbauerSpec(n, lam, 1)))
+            _, bound, scale = p._chebyshev
+            for u, value in zip(POINTS, p.values(POINTS, 1.0)):
+                err = _error(value, p, u)
+                assert err <= bound, (n, u, err, bound)
+                worst = max(worst, err / scale)
+        # far inside the bound, which reaches about 6.7e-12 of scale at n = 200
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(7, 10)], ids=str)
+    def test_fractional_order_uses_the_same_u(self, alpha):
+        p = from_series(GegenbauerSpec(40, Fraction(1, 2), alpha))
+        a = float(alpha)
+        _, bound, _ = p._chebyshev
+        for x in POINTS:
+            u = math.copysign(abs(x) ** a, x)
+            assert _error(p.evaluate(x, a), p, u) <= bound
+
+    def test_graded_polynomial_scales_by_the_order(self):
+        p = from_series(GegenbauerSpec(30, 1, 1))
+        graded = p.scale(1, power=2)
+        assert graded.values(POINTS, 0.5) == [v * 0.25 for v in p.values(POINTS, 0.5)]
+
+
+class TestHornerAgainstExact:
+    @pytest.mark.parametrize("lam", WEIGHTS, ids=str)
+    def test_within_gamma_bound(self, lam):
+        for n in range(HORNER_UP_TO.get(lam, 8) + 1):
+            p = from_series(GegenbauerSpec(n, lam, 1))
+            assert p._chebyshev is None
+            m = 2 * n + 1
+            bound = m * EPS / (1 - m * EPS) * float(sum(map(abs, p.coeffs)))
+            for u, value in zip(POINTS, p.values(POINTS, 1.0)):
+                assert _error(value, p, u) <= bound
+
+    def test_values_match_evaluate(self):
+        for n in (4, 30):
+            p = from_series(GegenbauerSpec(n, 3, 1))
+            assert p.values(POINTS, 0.5) == [p.evaluate(x, 0.5) for x in POINTS]
+
+
+class TestWorkingRange:
+    def test_chebyshev_refuses_points_outside(self):
+        p = from_series(GegenbauerSpec(30, 3, 1))
+        with pytest.raises(ParameterError, match=r"outside \[-1, 1\]"):
+            p.values([0.5, 1.5], 1.0)
+        with pytest.raises(ParameterError, match=r"outside \[-1, 1\]"):
+            p.evaluate(math.nan, 1.0)
+
+    def test_horner_takes_any_finite_point(self):
+        p = from_series(GegenbauerSpec(4, 3, 1))
+        num, den = _exact(p, 2.0)
+        assert p.evaluate(2.0, 1.0) == num / den
+
+    def test_bound_past_tolerance_raises(self):
+        # at weight 1/2, sum |b_j| = C_n(1) = 1, so the bound is
+        # (1.5 n (n+1) + n + 3) eps, which first passes 1e-10 at n = 775
+        first = min(n for n in range(1000) if (1.5 * n * (n + 1) + n + 3) * EPS > 1e-10)
+        assert first == 775
+        p = from_recurrence(GegenbauerSpec(first, Fraction(1, 2), 1))
+        with pytest.raises(AccuracyError, match=f"degree {first}"):
+            p.evaluate(0.5, 1.0)
+        assert math.isfinite(
+            from_recurrence(GegenbauerSpec(first - 1, Fraction(1, 2), 1)).evaluate(0.5, 1.0))
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestEvalCommand:
+    def test_high_degree_value(self, capsys):
+        code, out, _ = _run(capsys, "eval", "--n", "60", "--lambda", "3", "--alpha", "1",
+                            "--x", "0.99")
+        assert code == 0
+        value = float(out.splitlines()[1].split(",")[2])
+        p = from_recurrence(GegenbauerSpec(60, 3, 1))
+        # C_60^3(1) = (6)_60 / 60! = C(65, 5)
+        assert p.coefficient_sum() == math.comb(65, 5)
+        assert _error(value, p, 0.99) <= 1e-10 * math.comb(65, 5)
+        assert value == pytest.approx(-31105.424079, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 30])
+    @pytest.mark.parametrize("x", ["1.5", "-1.0000001"])
+    def test_point_outside_the_interval_exits_2(self, capsys, n, x):
+        code, out, err = _run(capsys, "eval", "--n", str(n), "--lambda", "3",
+                              "--alpha", "1", "--x", "0.5", x)
+        assert code == 2 and out == ""
+        assert err.startswith("error: eval points must lie in [-1, 1]")
+
+    def test_bound_past_tolerance_exits_3(self, capsys):
+        code, out, err = _run(capsys, "eval", "--n", "775", "--lambda", "1/2",
+                              "--alpha", "1", "--x", "0.5")
+        assert code == 3 and out == ""
+        assert err.startswith("accuracy failure: Chebyshev evaluation bound")
+        assert "best estimate" not in err

@@ -374,9 +374,9 @@ class TestPlainFloatReferences:
 
 
 class TestSpecialCasesAgainstRecurrence:
-    """At order 1 special-cases compares `evaluate` (Horner) with the direct
-    route's three-term recurrence, which rounds differently, so float error
-    in either shows."""
+    """At order 1 special-cases compares `values` (Horner, or the Chebyshev
+    sum past Horner's bound) with the direct route's three-term recurrence,
+    which rounds differently, so float error in either shows."""
 
     def test_default_run_measures_rounding(self):
         rep = check_special_cases()
@@ -384,9 +384,9 @@ class TestSpecialCasesAgainstRecurrence:
         assert 0.0 < rep.max_residual <= 1e-12
 
     def test_skewed_evaluation_fails(self, monkeypatch):
-        evaluate = AlphaPoly.evaluate
-        monkeypatch.setattr(AlphaPoly, "evaluate",
-                            lambda self, x, a: evaluate(self, x, a) + 1e-9)
+        values = AlphaPoly.values
+        monkeypatch.setattr(AlphaPoly, "values",
+                            lambda self, xs, a: [v + 1e-9 for v in values(self, xs, a)])
         rep = check_special_cases()
         assert rep.status == "fail"
         assert rep.witness.startswith("order-1 evaluation n=")
