@@ -46,6 +46,9 @@ of two evaluators once, from its exact coefficients c_k = nums[k] / den
   a bound above 1e-10 * max(1, |p(1)|), which every member of weight
   >= 1/2 reaches from degree 775 on, raises AccuracyError.
 
+Either evaluator raises AccuracyError when a coefficient it rounds, or the
+bound or scale it sums, lies past the float range.
+
 The rational coefficients are stored as integer numerators over one
 common positive denominator, so arithmetic runs on Python integers: a sum
 works over the lcm of the two denominators, a product is an integer
@@ -409,9 +412,13 @@ class AlphaPoly:
         if not self.nums:
             return [0.0 for _ in xs]
         us = [math.copysign(abs(x) ** a, x) for x in map(float, xs)]
-        chebyshev = self._chebyshev
+        try:
+            chebyshev = self._chebyshev
+            horner = self._horner if chebyshev is None else ()
+        except OverflowError:
+            raise AccuracyError(f"a float coefficient of this degree-{self.degree} "
+                                "polynomial lies past the float range") from None
         if chebyshev is None:
-            horner = self._horner
             out = []
             for u in us:
                 acc = 0.0

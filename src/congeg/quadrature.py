@@ -21,10 +21,11 @@ pass.  It is the package's one user of numpy, imported on its first call.
 
 Two memos serve the sweeps.  `_cells` keeps one checked cell per
 (weight, order): the order as a float, B(1/2, base + 1/2) and the exact
-shifts of the gamma arguments; every pair of an orthogonality sweep and
-every row of an audit at that weight and order reuses it.
-`_moment_weighted` keeps C_n's coefficients weighted by the moments per
-(n, weight); every m <= n pair of a sweep, and every order, reuses it.
+shifts of the gamma arguments; every inner product and audit row at that
+weight and order reuses it.  `_moment_weighted` keeps W_n, C_n's
+coefficients weighted by the moments, per (n, weight): every inner product
+of degree n reuses it, and the orthogonality proof reads it once per weight
+for every order, with no float at all.
 Nothing else is kept: the moments are built inside a `_moment_weighted`
 miss, each for a new length, and the formulas compute their gamma values
 per call from integers, which costs no measurable time.
@@ -129,11 +130,11 @@ def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
 
 @lru_cache(maxsize=256)
 def _moment_weighted(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
-    """W_i = sum over j, i + j even, of d_j mu_((i+j)/2) / B(1/2, base + 1/2)
-    for i <= n, with d the coefficients of C_n^(lam), as integers over one
-    common denominator: <C_m, C_n> for any m <= n is then the dot product of
-    C_m's coefficients with W.  256 entries hold a sweep's 2 weights to
-    degree 96."""
+    """W_i = <C_n, u^i> / B(1/2, base + 1/2) for i <= n, the sum over j,
+    i + j even, of d_j mu_((i+j)/2) / B(1/2, base + 1/2) with d the
+    coefficients of C_n^(lam), as integers over one common denominator:
+    <C_m, C_n> for any m <= n is the dot product of C_m's coefficients with
+    W.  256 entries hold a sweep's 2 weights to degree 96."""
     d = _series_coeffs(n, lam)
     moments, mu_den = _scaled_moments(lam, n + 1)
     return (tuple(sum(d.nums[j] * moments[(i + j) // 2] for j in range(i % 2, n + 1, 2))
@@ -356,36 +357,33 @@ def orthogonality_check(
         lambdas: Sequence[RationalLike] = (Fraction(1), Fraction(3)),
         alphas: Sequence[RationalLike] = (Fraction(1, 2), Fraction(1)),
         tol: float = 1e-8) -> VerificationReport:
-    """Off-diagonal inner products vanish relative to the diagonal scale:
-    |<C_m, C_n>| <= tol * sqrt(<C_m,C_m> <C_n,C_n>) for all m != n."""
+    """Each C_n, n <= n_max, is orthogonal to every polynomial of lower
+    degree and has a positive diagonal, proved in integers once per weight:
+    W_n[i] = 0 for every i < n (see `_moment_weighted`) and c_n W_n[n] > 0.
+    The order only divides each integral by a, so the proof holds at every
+    order, and the residual is exactly 0.0, within any tol.  Every weight and
+    order is checked first; a failure's witness names n, i and the weight."""
     _as_count(n_max, "n_max")
     lambdas, alphas = _as_cases(lambdas, "weights"), _as_cases(alphas, "orders")
-    # every weight and order is checked before any product
-    cells = [(lam, alpha, _cell(lam, alpha)) for lam in lambdas for alpha in alphas]
+    weights = dict.fromkeys(_cell(lam, alpha).lam for lam in lambdas for alpha in alphas)
     grid = (f"m != n <= {n_max}, weight in {{{', '.join(str(v) for v in lambdas)}}}, "
             f"order in {{{', '.join(str(a) for a in alphas)}}}")
-    worst = 0.0
-    witness = None
-    for lam, alpha, cell in cells:
-        # the cell's own checked values meet their cache entry by identity,
-        # where equal ones made afresh by a caller would compare as Fractions
-        weight, order = cell.lam, cell.alpha
-        diag = [conformable_inner_product(k, k, weight, order).value
-                for k in range(n_max + 1)]
-        for m_deg in range(n_max + 1):
-            for n_deg in range(m_deg + 1, n_max + 1):
-                cross = conformable_inner_product(m_deg, n_deg, weight, order).value
-                scaled = abs(cross) / math.sqrt(diag[m_deg] * diag[n_deg])
-                if scaled > worst:
-                    worst = scaled
-                    witness = (f"m={m_deg}, n={n_deg}, weight={lam}, order={alpha}: "
-                               f"normalized {scaled:.3e}")
-    if worst <= tol:
-        return VerificationReport(
-            "orthogonality", grid, "numeric-pass", max_residual=worst,
-            notes=f"largest off-diagonal, normalized by the diagonal scale; tol {tol:g}")
-    return VerificationReport("orthogonality", grid, "fail",
-                              max_residual=worst, witness=witness)
+    for lam in weights:
+        for n in range(n_max + 1):
+            weighted, _ = _moment_weighted(n, lam)
+            i = next((i for i in range(n) if weighted[i]), None)
+            if i is not None:
+                witness = (f"n={n}, i={i}, weight={lam}: <C_n, u^i> is not zero, "
+                           f"so C_n is not orthogonal to degree {i}")
+            elif _series_coeffs(n, lam).nums[-1] * weighted[n] <= 0:
+                witness = f"n={n}, i={n}, weight={lam}: <C_n, C_n> is not positive"
+            else:
+                continue
+            return VerificationReport("orthogonality", grid, "fail", witness=witness)
+    return VerificationReport(
+        "orthogonality", grid, "numeric-pass", max_residual=0.0,
+        notes=(f"off-diagonals proved exactly zero for every order and diagonals "
+               f"proved positive, in integers, for degrees 0 to {n_max}"))
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,15 @@ class TestWorkingRange:
         assert math.isfinite(
             from_recurrence(GegenbauerSpec(first - 1, Fraction(1, 2), 1)).evaluate(0.5, 1.0))
 
+    @pytest.mark.parametrize("poly", [
+        AlphaPoly((10 ** 400,)),                                    # Horner's coefficient
+        from_recurrence(GegenbauerSpec(300, 1000, 1)),              # a Chebyshev coefficient
+    ], ids=["horner", "chebyshev"])
+    def test_coefficient_past_the_float_range_raises(self, poly):
+        # int / int past the float range raised a bare OverflowError
+        with pytest.raises(AccuracyError, match="past the float range"):
+            poly.values([0.5], 1.0)
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -182,3 +191,13 @@ class TestEvalCommand:
         assert code == 3 and out == ""
         assert err.startswith("accuracy failure: Chebyshev evaluation bound")
         assert "best estimate" not in err
+
+    @pytest.mark.parametrize("command", [("eval", "--x", "0.5"), ("plot-data", "--samples", "3")])
+    def test_coefficient_past_the_float_range_exits_3(self, capsys, command):
+        # this ended in an OverflowError traceback with exit 1
+        name, *rest = command
+        code, out, err = _run(capsys, name, "--n", "300", "--lambda", "1000", "--alpha", "1",
+                              *rest)
+        assert code == 3 and out == ""
+        assert err.startswith("accuracy failure: a float coefficient of this degree-300 "
+                              "polynomial lies past the float range")

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import congeg.gegenbauer as gegenbauer
 import congeg.quadrature as quadrature
-from congeg.alphapoly import DomainError, ParameterError
+from congeg.alphapoly import AlphaPoly, DomainError, ParameterError
 from congeg.gegenbauer import classical_oracle
 from congeg.quadrature import (AccuracyError, AuditRow, QuadratureResult, audit_rows_to_csv,
                                classical_norm, conformable_inner_product,
@@ -68,9 +69,51 @@ class TestOffDiagonals:
     def test_high_degree_sweep_is_exactly_zero(self):
         # the moment sums are exact, so every off-diagonal is exactly 0.0
         rep = orthogonality_check(
-            n_max=32, lambdas=(HALF, ONE, Fraction(5, 2), Fraction(3)))
+            n_max=96, lambdas=(HALF, ONE, Fraction(5, 2), Fraction(3)),
+            alphas=(QUARTER, HALF, ONE))
         assert rep.status == "numeric-pass"
         assert rep.max_residual == 0.0
+        assert "degrees 0 to 96" in rep.notes
+
+
+@pytest.fixture
+def fresh_moment_weighted():
+    # a skewed W_n left in the memo would reach every later test
+    memo = quadrature._moment_weighted
+    memo.cache_clear()
+    yield
+    memo.cache_clear()
+
+
+class TestOrthogonalityWitnesses:
+    def test_skewed_coefficient_names_its_entry(self, monkeypatch, fresh_moment_weighted):
+        # C_5 is odd; a constant term of 1/den makes W_5[0] = mu_0 / den nonzero
+        def skewed(n, lam):
+            poly = gegenbauer._series_coeffs(n, lam)
+            if n != 5:
+                return poly
+            return AlphaPoly._of([poly.nums[0] + 1, *poly.nums[1:]], poly.den, poly.grade)
+
+        monkeypatch.setattr(quadrature, "_series_coeffs", skewed)
+        rep = orthogonality_check(n_max=6, lambdas=(Fraction(3),), alphas=(HALF, ONE))
+        assert rep.status == "fail" and not rep.passed
+        assert rep.witness.startswith("n=5, i=0, weight=3: ")
+
+    def test_flipped_leading_sign_names_the_diagonal(self, monkeypatch):
+        # every W_5[i], i < 5, stays 0; only the sign of <C_5, C_5> turns
+        kernel = quadrature._moment_weighted
+
+        def flipped(n, lam):
+            weighted, den = kernel(n, lam)
+            if n != 5:
+                return weighted, den
+            return (*weighted[:-1], -weighted[-1]), den
+
+        monkeypatch.setattr(quadrature, "_moment_weighted", flipped)
+        rep = orthogonality_check(n_max=6, lambdas=(ONE,), alphas=(HALF,))
+        assert rep.status == "fail"
+        assert rep.witness.startswith("n=5, i=5, weight=1: ")
+        assert "not positive" in rep.witness
 
 
 class TestOrthogonalityArguments:
@@ -87,7 +130,7 @@ class TestOrthogonalityArguments:
     ])
     def test_every_weight_and_order_checked_first(self, monkeypatch, lambdas, alphas, message):
         calls = []
-        monkeypatch.setattr(quadrature, "conformable_inner_product",
+        monkeypatch.setattr(quadrature, "_moment_weighted",
                             lambda *args: calls.append(args))
         with pytest.raises(ParameterError, match=message):
             orthogonality_check(n_max=2, lambdas=lambdas, alphas=alphas)
@@ -97,7 +140,7 @@ class TestOrthogonalityArguments:
     def test_empty_weights_or_orders(self, monkeypatch, fields):
         # both once reported numeric-pass over no pairs
         calls = []
-        monkeypatch.setattr(quadrature, "conformable_inner_product",
+        monkeypatch.setattr(quadrature, "_moment_weighted",
                             lambda *args: calls.append(args))
         with pytest.raises(ParameterError, match="must not be empty"):
             orthogonality_check(4, **fields)
