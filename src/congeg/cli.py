@@ -36,7 +36,7 @@ __all__ = ["main"]
 # Per subcommand, the value of each option that neither the command line nor
 # the config file set.  eval has no default for --n or --x.
 _DEFAULTS = {
-    "table": {"n_max": 6, "lam": Fraction(3), "alpha": Fraction(1, 2)},
+    "table": {"n_max": 6, "lam": Fraction(3)},
     "eval": {"lam": Fraction(3), "alpha": Fraction(1, 2)},
     "plot-data": {"n": 4, "lam": Fraction(3),
                   "alphas": (Fraction(1, 2), Fraction(7, 10), Fraction(9, 10),
@@ -80,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n-max", type=int, default=None, help="highest degree")
     t.add_argument("--lambda", dest="lam", type=_fraction, default=None,
                    help="weight parameter, rational, > 0 (e.g. 5/2)")
-    t.add_argument("--alpha", type=_fraction, default=None,
-                   help="order, rational in (0, 1]")
     common(t)
 
     e = sub.add_parser("eval", help="evaluate C_n at given points (CSV)")
@@ -206,7 +204,7 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     _as_count(args.n_max, "--n-max")
-    lines = [str(from_series(GegenbauerSpec(k, args.lam, args.alpha)))
+    lines = [str(from_series(GegenbauerSpec(k, args.lam, 1)))  # x^a prints at any order
              for k in range(args.n_max + 1)]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_cases, _as_count,
                         _as_order, gamma_quotient, pochhammer)
@@ -73,7 +73,7 @@ class ParamGrid:
     """Sweep over degree, weight and order.  The weights and orders must be
     nonempty, are checked like a spec's and are stored as tuples of
     Fractions; n_max must be an int, and a negative one gives an empty grid,
-    which `run_asserted_checks` refuses with the rest below degree 3."""
+    which the exact sweeps and `run_asserted_checks` refuse."""
 
     n_max: int = 12
     lambdas: tuple[Fraction, ...] = (_HALF, Fraction(1), Fraction(5, 2), Fraction(3))
@@ -113,6 +113,32 @@ def _residual_size(poly: AlphaPoly, alpha: RationalLike) -> float:
     """Largest coefficient magnitude once the order alpha is substituted."""
     scale = float(alpha) ** poly.grade
     return max((abs(float(c) * scale) for c in poly.coeffs), default=0.0)
+
+
+def _exact_report(identity: str, grid: str, cases: Iterable[tuple], *,
+                  notes: str | Callable[[int], str] = "",
+                  asserted: bool = True) -> VerificationReport:
+    """Report an exact identity over cases (label, (name, lhs), (name, rhs)).
+    The first case whose sides differ fails it with the witness
+    `label: name = lhs; name = rhs`, formatted only then; polynomial sides
+    add the residual's size at order 1, since exact values carry no order.
+    A pass has `notes`, or `notes(count)` of the cases compared; no case at
+    all proves nothing and is refused."""
+    count = 0
+    for label, (lhs_name, lhs), (rhs_name, rhs) in cases:
+        if lhs != rhs:
+            poly = isinstance(lhs, AlphaPoly)
+            return VerificationReport(
+                identity, grid, "fail", asserted=asserted,
+                max_residual=_residual_size(lhs - rhs, 1) if poly else None,
+                witness=f"{label}: {lhs_name} = {lhs}; {rhs_name} = {rhs}",
+                notes="max_residual taken at order 1: exact values carry no order"
+                      if poly else "")
+        count += 1
+    if not count:
+        raise ParameterError(f"{identity} has no case to check over {grid}")
+    return VerificationReport(identity, grid, "exact-pass", asserted=asserted,
+                              notes=notes if isinstance(notes, str) else notes(count))
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +198,33 @@ def generating_function_coeffs(lam: Fraction, max_n: int) -> list[list[Fraction]
     return rows
 
 
-def diff_relation_check(spec: GegenbauerSpec, m: int) -> VerificationReport:
-    """m-fold derivative ladder: d_alpha^m C_n^(lam) equals
-    2^m a^m (lam)_m C_(n-m)^(lam+m), exactly."""
-    if _as_count(m, "ladder length") > spec.n:
-        raise ParameterError(f"ladder length must satisfy 0 <= m <= n, got {m!r}")
+def _ladder_case(spec: GegenbauerSpec, m: int) -> tuple:
     lhs = from_series(spec)
     for _ in range(m):
         lhs = lhs.d_alpha()
     target = from_series(GegenbauerSpec(spec.n - m, spec.lam + m, spec.alpha))
     rhs = target.scale(Fraction(2) ** m * pochhammer(spec.lam, m), power=m)
+    return spec, (f"d_alpha^{m} C_n", lhs), ("2^m a^m (lam)_m C_(n-m)^(lam+m)", rhs)
+
+
+def diff_relation_check(spec: GegenbauerSpec, m: int) -> VerificationReport:
+    """m-fold derivative ladder: d_alpha^m C_n^(lam) equals
+    2^m a^m (lam)_m C_(n-m)^(lam+m), exactly."""
+    if _as_count(m, "ladder length") > spec.n:
+        raise ParameterError(f"ladder length must satisfy 0 <= m <= n, got {m!r}")
     grid = f"n={spec.n}, m={m}, weight={spec.lam}, order={spec.alpha}"
-    if lhs == rhs:
-        return VerificationReport("derivative-ladder", grid, "exact-pass")
-    return VerificationReport(
-        "derivative-ladder", grid, "fail",
-        max_residual=_residual_size(lhs - rhs, spec.alpha),
-        witness=f"lhs = {lhs}; rhs = {rhs}")
+    return _exact_report("derivative-ladder", grid, [_ladder_case(spec, m)])
+
+
+def _recurrence_cases(spec: GegenbauerSpec) -> Iterator[tuple]:
+    n, lam, alpha = spec.n, spec.lam, spec.alpha
+    c_next = ("(n+1) C_(n+1)", from_series(GegenbauerSpec(n + 1, lam, alpha)).scale(n + 1))
+    c_prev = from_series(GegenbauerSpec(n - 1, lam, alpha)) if n else AlphaPoly.zero()
+    three_term = from_series(spec).shift(1).scale(2 * (n + lam)) - c_prev.scale(n + 2 * lam - 1)
+    yield spec, c_next, ("three-term", three_term)
+    up_n = from_series(GegenbauerSpec(n, lam + 1, alpha))
+    up_prev = from_series(GegenbauerSpec(n - 1, lam + 1, alpha)) if n else AlphaPoly.zero()
+    yield spec, c_next, ("weight-raising", (up_n.shift(1) - up_prev).scale(2 * lam))
 
 
 def recurrence_checks(spec: GegenbauerSpec) -> VerificationReport:
@@ -198,36 +234,21 @@ def recurrence_checks(spec: GegenbauerSpec) -> VerificationReport:
         (n+1) C_(n+1)^(lam) = 2 lam x^a C_n^(lam+1)     - 2 lam C_(n-1)^(lam+1)
 
     with the convention that the degree -1 member is the zero polynomial."""
-    n, lam, alpha = spec.n, spec.lam, spec.alpha
-    zero = AlphaPoly.zero()
-    c_next = from_series(GegenbauerSpec(n + 1, lam, alpha)).scale(n + 1)
-    c_n = from_series(spec)
-    c_prev = from_series(GegenbauerSpec(n - 1, lam, alpha)) if n else zero
-    three_term = c_n.shift(1).scale(2 * (n + lam)) - c_prev.scale(n + 2 * lam - 1)
-    up_n = from_series(GegenbauerSpec(n, lam + 1, alpha))
-    up_prev = from_series(GegenbauerSpec(n - 1, lam + 1, alpha)) if n else zero
-    raising = (up_n.shift(1) - up_prev).scale(2 * lam)
-    grid = f"pivot n={n}, weight={lam}, order={alpha}"
-    for name, rhs in (("three-term", three_term), ("weight-raising", raising)):
-        if c_next != rhs:
-            return VerificationReport(
-                "recurrences", grid, "fail",
-                max_residual=_residual_size(c_next - rhs, alpha),
-                witness=f"{name}: lhs = {c_next}; rhs = {rhs}")
-    return VerificationReport("recurrences", grid, "exact-pass")
+    grid = f"pivot n={spec.n}, weight={spec.lam}, order={spec.alpha}"
+    return _exact_report("recurrences", grid, _recurrence_cases(spec))
+
+
+def _endpoint_case(spec: GegenbauerSpec) -> tuple:
+    expected = gamma_quotient(2 * spec.lam + spec.n, 2 * spec.lam) / math.factorial(spec.n)
+    return (spec, ("coefficient sum", from_series(spec).coefficient_sum()),
+            ("G(2 lam + n) / (G(2 lam) n!)", expected))
 
 
 def endpoint_value_check(spec: GegenbauerSpec) -> VerificationReport:
     """Exact value at x = 1: the coefficient sum equals
     G(2 lam + n) / (G(2 lam) n!)."""
-    total = from_series(spec).coefficient_sum()
-    expected = gamma_quotient(2 * spec.lam + spec.n, 2 * spec.lam) / math.factorial(spec.n)
     grid = f"n={spec.n}, weight={spec.lam}, order={spec.alpha}"
-    if total == expected:
-        return VerificationReport("endpoint-value", grid, "exact-pass")
-    return VerificationReport(
-        "endpoint-value", grid, "fail",
-        witness=f"coefficient sum {total} != {expected}")
+    return _exact_report("endpoint-value", grid, [_endpoint_case(spec)])
 
 
 # ---------------------------------------------------------------------------
@@ -238,36 +259,26 @@ def check_constructor_agreement(grid: ParamGrid = STANDARD_GRID) -> Verification
     """All three construction routes emit identical exact coefficients.  The
     coefficients are order-free by construction, since each route keys its
     polynomial by (n, weight) and an `AlphaPoly` carries no order."""
-    count = 0
-    for spec in grid.specs():
-        series = from_series(spec)
-        for other_name, other in (("recurrence", from_recurrence(spec)),
-                                  ("rodrigues", from_rodrigues(spec))):
-            if series != other:
-                return VerificationReport(
-                    "constructor-agreement", grid.describe(), "fail",
-                    witness=f"{spec}: series = {series}; {other_name} = {other}")
-        count += 1
-    return VerificationReport(
-        "constructor-agreement", grid.describe(), "exact-pass",
-        notes=f"{count} (degree, weight) pairs, 3 routes each; coefficients order-free "
-              f"by construction (keyed by degree and weight)")
+    def cases() -> Iterator[tuple]:
+        for spec in grid.specs():
+            series = ("series", from_series(spec))
+            yield spec, series, ("recurrence", from_recurrence(spec))
+            yield spec, series, ("rodrigues", from_rodrigues(spec))
+
+    return _exact_report(
+        "constructor-agreement", grid.describe(), cases(),
+        notes=lambda count: f"{count // 2} (degree, weight) pairs, 3 routes each; coefficients "
+                            "order-free by construction (keyed by degree and weight)")
 
 
 def check_ode_annihilation(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
     """The weighted operator annihilates every family member, symbolically."""
-    count = 0
-    for spec in grid.specs():
-        residual = ode_residual(from_series(spec), spec)
-        if not residual.is_zero:
-            return VerificationReport(
-                "ode-annihilation", grid.describe(), "fail",
-                max_residual=_residual_size(residual, spec.alpha),
-                witness=f"{spec}: residual = {residual}")
-        count += 1
-    return VerificationReport(
-        "ode-annihilation", grid.describe(), "exact-pass",
-        notes=f"{count} (degree, weight) pairs, residual exactly zero")
+    zero = ("zero", AlphaPoly.zero())
+    cases = ((spec, ("residual", ode_residual(from_series(spec), spec)), zero)
+             for spec in grid.specs())
+    return _exact_report(
+        "ode-annihilation", grid.describe(), cases,
+        notes=lambda count: f"{count} (degree, weight) pairs, residual exactly zero")
 
 
 def check_generating_function(
@@ -275,48 +286,36 @@ def check_generating_function(
         n_max: int = 10) -> VerificationReport:
     """Series rows of the generating function match from_series exactly."""
     lambdas = _as_cases(lambdas, "weights")
+
+    def cases() -> Iterator[tuple]:
+        for lam in lambdas:
+            for n, row in enumerate(generating_function_coeffs(Fraction(lam), n_max)):
+                spec = GegenbauerSpec(n, lam, 1)
+                yield (spec, ("generating function", row),
+                       ("series", list(from_series(spec).rational_coeffs())))
+
     grid = f"n <= {n_max}, weight in {{{', '.join(str(v) for v in lambdas)}}}"
-    for lam in lambdas:
-        rows = generating_function_coeffs(Fraction(lam), n_max)
-        for n, row in enumerate(rows):
-            coeffs = list(from_series(GegenbauerSpec(n, lam, 1)).rational_coeffs())
-            if row != coeffs:
-                return VerificationReport(
-                    "generating-function", grid, "fail",
-                    witness=f"n={n}, weight={lam}: {row} != {coeffs}")
-    return VerificationReport("generating-function", grid, "exact-pass")
+    return _exact_report("generating-function", grid, cases())
 
 
 def check_derivative_ladder(
         grid: ParamGrid = STANDARD_GRID, n_max: int = 8, m_max: int = 3) -> VerificationReport:
     """Derivative ladder over the grid, ladder length m <= min(m_max, n)."""
-    for spec in grid.specs(n_max):
-        for m in range(1, min(m_max, spec.n) + 1):
-            report = diff_relation_check(spec, m)
-            if not report.passed:
-                return report
-    return VerificationReport(
-        "derivative-ladder", grid.describe(n_max, f", m <= {m_max}"), "exact-pass")
+    cases = (_ladder_case(spec, m) for spec in grid.specs(n_max)
+             for m in range(1, min(m_max, spec.n) + 1))
+    return _exact_report("derivative-ladder", grid.describe(n_max, f", m <= {m_max}"), cases)
 
 
 def check_recurrences(grid: ParamGrid = STANDARD_GRID, n_max: int = 11) -> VerificationReport:
     """Both recurrences at every pivot reachable inside the grid."""
     top = min(n_max, grid.n_max - 1)
-    for spec in grid.specs(top):
-        report = recurrence_checks(spec)
-        if not report.passed:
-            return report
-    return VerificationReport(
-        "recurrences", grid.describe(top, " (pivots)"), "exact-pass")
+    cases = (case for spec in grid.specs(top) for case in _recurrence_cases(spec))
+    return _exact_report("recurrences", grid.describe(top, " (pivots)"), cases)
 
 
 def check_endpoint_values(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
     """Exact endpoint values over the whole grid."""
-    for spec in grid.specs():
-        report = endpoint_value_check(spec)
-        if not report.passed:
-            return report
-    return VerificationReport("endpoint-value", grid.describe(), "exact-pass")
+    return _exact_report("endpoint-value", grid.describe(), map(_endpoint_case, grid.specs()))
 
 
 def _chebyshev_t_closed(n: int) -> list[Fraction]:
@@ -359,15 +358,17 @@ def check_special_cases(
     weights = (_HALF, Fraction(1), Fraction(3))
     oracle = {(n, lam): classical_oracle(n, lam)
               for lam in weights for n in range(n_max + 1)}
-    for n in range(n_max + 1):
-        for name, poly, expected in (
-                ("legendre", legendre(n), oracle[n, _HALF]),
-                ("second-kind", from_series(GegenbauerSpec(n, 1, alpha)), oracle[n, 1]),
-                ("first-kind", chebyshev_t(n), _chebyshev_t_closed(n))):
-            if list(poly.rational_coeffs()) != expected:
-                return VerificationReport(
-                    "special-cases", grid, "fail",
-                    witness=f"{name} n={n}, order={alpha}")
+
+    def reductions() -> Iterator[tuple]:
+        for n in range(n_max + 1):
+            for name, poly, expected in (
+                    ("legendre", legendre(n), oracle[n, _HALF]),
+                    ("second-kind", from_series(GegenbauerSpec(n, 1, alpha)), oracle[n, 1]),
+                    ("first-kind", chebyshev_t(n), _chebyshev_t_closed(n))):
+                yield f"n={n}", (name, list(poly.rational_coeffs())), ("expected", expected)
+
+    if not (exact := _exact_report("special-cases", grid, reductions())).passed:
+        return exact
     worst = 0.0
     xs = _sample_grid(-1.0, samples)
     for lam in weights:
@@ -402,6 +403,7 @@ def audit_ultraspherical(
     built once per (shifted weight, degree) at the first order, as
     `ParamGrid.specs` explains; only the variant's residual size is taken at
     every listed order."""
+    _as_count(n_max, "n_max")
     alphas = tuple(_as_order(a) for a in _as_cases(alphas, "orders"))
     grid = (f"n <= {n_max}, shifted weight in {{{', '.join(str(b) for b in betas)}}}, "
             f"order in {{{', '.join(str(a) for a in alphas)}}}")
@@ -441,15 +443,15 @@ def audit_ultraspherical(
 
     # Series-form consistency at lam = beta + 1/2, against the independent
     # binomial expansion of the generating function.
-    witness = None
-    for beta in betas:
-        rows = generating_function_coeffs(specs[beta][0].lam, n_max)
-        for spec, row in zip(specs[beta], rows):
-            if list(ultraspherical(spec).rational_coeffs()) != row:
-                witness = f"{spec}"
-    reports.append(VerificationReport(
-        "ultraspherical-series-form", grid,
-        "fail" if witness else "exact-pass", witness=witness, asserted=False,
+    def series_cases() -> Iterator[tuple]:
+        for beta in betas:
+            rows = generating_function_coeffs(specs[beta][0].lam, n_max)
+            for spec, row in zip(specs[beta], rows):
+                yield (spec, ("series", list(ultraspherical(spec).rational_coeffs())),
+                       ("generating function", row))
+
+    reports.append(_exact_report(
+        "ultraspherical-series-form", grid, series_cases(), asserted=False,
         notes="series exponent and factorial read as (n - 2s); the transposed "
               "variant (s - 2n)! is undefined for s < 2n and is not implemented"))
 
@@ -487,19 +489,18 @@ def audit_chebyshev_limit(
         alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
         n_max: int = 8, m_max: int = 3) -> list[VerificationReport]:
     """Recorded findings at the first-kind (weight -> 0) boundary.  Both are
-    exact, so each runs once per degree; a witness names the first order."""
+    exact, so each runs once per degree; the ladder needs n_max, m_max >= 1."""
+    if min(n_max, m_max) < 1:
+        raise ParameterError(f"n_max and m_max must be >= 1, got {n_max} and {m_max}")
     alphas = tuple(_as_order(a) for a in _as_cases(alphas, "orders"))
     alpha = alphas[0]
     grid = f"n <= {n_max}, order in {{{', '.join(str(a) for a in alphas)}}}"
     reports = []
 
-    witness = None
-    for n in range(n_max + 1):
-        if chebyshev_t(n) != chebyshev_t_rodrigues(n):
-            witness = f"n={n}, order={alpha}"
-    reports.append(VerificationReport(
-        "chebyshev-rodrigues-limit", grid,
-        "fail" if witness else "exact-pass", witness=witness, asserted=False,
+    cases = ((f"n={n}", ("first-kind", chebyshev_t(n)),
+              ("rodrigues", chebyshev_t_rodrigues(n))) for n in range(n_max + 1))
+    reports.append(_exact_report(
+        "chebyshev-rodrigues-limit", grid, cases, asserted=False,
         notes="boundary Rodrigues route (exponent n - 1/2) equals the classical "
               "first-kind coefficients exactly; no limit rescaling required"))
 

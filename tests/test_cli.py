@@ -20,8 +20,7 @@ def run(capsys, *argv):
 
 class TestTable:
     def test_weight3_listing(self, capsys):
-        code, out, err = run(capsys, "table", "--n-max", "4",
-                             "--lambda", "3", "--alpha", "1/2")
+        code, out, err = run(capsys, "table", "--n-max", "4", "--lambda", "3")
         assert code == 0 and err == ""
         assert out.splitlines() == ["1", "6 x^a", "24 x^2a - 3",
                                     "80 x^3a - 24 x^a",
@@ -32,11 +31,12 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[2] == "35/2 x^2a - 5/2"
 
-    def test_domain_error_exits_2(self, capsys):
-        code, out, err = run(capsys, "table", "--alpha", "0")
-        assert code == 2
-        assert out == ""
-        assert "order" in err
+    def test_domain_error_exits_2(self):
+        # table has no order to get wrong: it prints x^a symbolically, so
+        # --alpha is no option and argparse refuses it
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--alpha", "1/2"])
+        assert info.value.code == 2
 
     @pytest.mark.parametrize("command", ["table", "audit"])
     def test_negative_degree_exits_2(self, capsys, command):
@@ -288,7 +288,7 @@ def test_empty_out_exits_2(tmp_path, monkeypatch, capsys, command, source):
 class TestConfigFile:
     def test_values_fill_unset_options(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_max": 2, "lambda": "5/2", "alpha": "3/4"}))
+        cfg.write_text(json.dumps({"n_max": 2, "lambda": "5/2"}))
         code, out, _ = run(capsys, "table", "--config", str(cfg))
         assert code == 0
         assert out.splitlines() == ["1", "5 x^a", "35/2 x^2a - 5/2"]

@@ -77,6 +77,22 @@ class TestSingleIdentityChecks:
         assert rep.status == "exact-pass"
 
 
+# checks whose sweep holds no case; each once passed after comparing
+# nothing, and the ultraspherical audit ended in an IndexError
+NO_CASE = {
+    "constructors": lambda: check_constructor_agreement(ParamGrid(n_max=-1)),
+    "ode": lambda: check_ode_annihilation(ParamGrid(n_max=-1)),
+    "endpoints": lambda: check_endpoint_values(ParamGrid(n_max=-1)),
+    "recurrences": lambda: check_recurrences(ParamGrid(n_max=0)),
+    "ladder n_max=0": lambda: check_derivative_ladder(ParamGrid(n_max=3), n_max=0),
+    "ladder m_max=0": lambda: check_derivative_ladder(ParamGrid(n_max=3), m_max=0),
+    "special-cases": lambda: check_special_cases(n_max=-1),
+    "chebyshev n_max=-1": lambda: audit_chebyshev_limit(n_max=-1),
+    "chebyshev n_max=0": lambda: audit_chebyshev_limit(n_max=0),
+    "ultraspherical": lambda: audit_ultraspherical(n_max=-1),
+}
+
+
 class TestSweeps:
     def test_all_asserted_pass(self):
         reports = run_asserted_checks(SMALL)
@@ -96,6 +112,21 @@ class TestSweeps:
         assert rep.status == "fail"
         assert rep.witness is not None
         assert not rep.passed
+
+    @pytest.mark.parametrize("suite", ["constructors", "ode", "generating-function", "ladder",
+                                       "recurrences", "endpoints", "special-cases"])
+    def test_every_exact_suite_reports_the_defect(self, defective_member, suite):
+        [rep] = run_asserted_checks(SMALL, suite=suite)
+        assert rep.status == "fail" and rep.witness
+        if suite in ("constructors", "ode", "ladder", "recurrences"):
+            # polynomial sides: the residual is sized at order 1, and says so
+            assert rep.max_residual > 0
+            assert "order 1" in rep.notes
+
+    @pytest.mark.parametrize("check", NO_CASE.values(), ids=NO_CASE)
+    def test_a_check_over_no_case_is_refused(self, check):
+        with pytest.raises(ParameterError):
+            check()
 
     def test_special_cases_tolerance(self):
         rep = check_special_cases()
@@ -231,6 +262,25 @@ class TestRecordedAudits:
         report = {r.identity: r for r in audit_ultraspherical()}["ultraspherical-series-form"]
         assert report.status == "fail"
         assert report.witness.startswith("UltrasphericalSpec(n=2, ")
+
+    @pytest.mark.parametrize("name,audit,identity,first", [
+        ("ultraspherical", audit_ultraspherical, "ultraspherical-series-form",
+         "UltrasphericalSpec(n=2, beta=Fraction(0, 1), "),
+        ("chebyshev_t", audit_chebyshev_limit, "chebyshev-rodrigues-limit", "n=2: "),
+    ])
+    def test_witness_names_the_first_offender(self, monkeypatch, name, audit, identity, first):
+        # skew degrees 2 and 3 (scaling keeps the variant operator's
+        # members annihilated): the witness once named the last mismatch
+        build = getattr(verify, name)
+
+        def scaled(*args):
+            member = build(*args)
+            return member.scale(2) if member.degree in (2, 3) else member
+
+        monkeypatch.setattr(verify, name, scaled)
+        report = {r.identity: r for r in audit()}[identity]
+        assert report.status == "fail"
+        assert report.witness.startswith(first)
 
     def test_rodrigues_normalization_constant(self, audits):
         rep = audits["ultraspherical-rodrigues-normalization"]
