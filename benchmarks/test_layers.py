@@ -18,9 +18,12 @@
   long-lived process, `orthogonality_check` at n_max 48 from cold memos and
   at n_max 32 with them warm, and the recorded audits computed afresh;
 - the CLI process: end-to-end wall time of default `congeg verify`,
-  `verify --n-max 24`, `verify --n-max 48`, `plot-data`, `audit`, and the
-  start-up-bound `eval --n 4 --x 0.5` and `table`, each in a fresh
-  interpreter, so nothing is reused between runs.
+  `verify --n-max 24`, `verify --n-max 48`, `plot-data` (the default
+  degree-4 curve, on float Horner), `plot-data --n 48 --lambda 3/2
+  --samples 2001 --signed-domain --alpha 1/2 --alpha 1` (two curves on the
+  Chebyshev evaluator), `audit`, and the start-up-bound
+  `eval --n 4 --x 0.5` and `table`, each in a fresh interpreter, so
+  nothing is reused between runs.
 
 This directory is outside the test suite's `testpaths`; run it explicitly
 from the repository root:
@@ -199,7 +202,11 @@ def test_recorded_audits(benchmark):
 
 @pytest.mark.parametrize("argv", [("verify",), ("verify", "--n-max", "24"),
                                   ("verify", "--n-max", "48"),
-                                  ("plot-data",), ("audit",),
+                                  ("plot-data",),
+                                  ("plot-data", "--n", "48", "--lambda", "3/2",
+                                   "--samples", "2001", "--signed-domain",
+                                   "--alpha", "1/2", "--alpha", "1"),
+                                  ("audit",),
                                   ("eval", "--n", "4", "--x", "0.5"), ("table",)],
                          ids=" ".join)
 def test_cli(benchmark, argv):

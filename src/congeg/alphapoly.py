@@ -37,14 +37,18 @@ of two evaluators once, from its exact coefficients c_k = nums[k] / den
   takes any finite x; past |u| = 1 its bound grows by |u|^n and is not
   checked.  The Gegenbauer family keeps Horner up to degree 8 at weight
   1/2, 9 at weight 1, 11 at weight 3 and 23 at weight 343/11.
-- otherwise, the sum sum_j b_j T_j(u) over Chebyshev polynomials, with
-  T_(j+1) = 2u T_j - T_(j-1).  The b_j are converted exactly and rounded
-  once each; see `_chebyshev_form` for the bound, which is about
-  1.5 n^2 eps * sum |b_j|.  Every Gegenbauer weight lam > 0 gives
-  b_j >= 0 (DLMF 18.5), so sum |b_j| = C_n(1), the curve's own scale.
-  This evaluator takes |u| <= 1 only, and raises ParameterError past it;
-  a bound above 1e-10 * max(1, |p(1)|), which every member of weight
-  >= 1/2 reaches from degree 775 on, raises AccuracyError.
+- otherwise, the sum sum_j b_j T_j(u) over Chebyshev polynomials.  The
+  b_j are converted exactly and rounded once each.  Each parity part is a
+  Clenshaw sum of length floor(n/2) + 1 in w = 2u^2 - 1, since
+  T_2k(u) = T_k(w) and the T_(2k+1)(u) follow the same three-term
+  recurrence in w; a Gegenbauer member has one part.  See
+  `_chebyshev_form` for the bound, (5.5 m^2 + 7.5 m + 6) eps * sum |b_j|
+  with m = floor(n/2), about 1.4 n^2 eps * sum |b_j|.  Every Gegenbauer
+  weight lam > 0 gives b_j >= 0 (DLMF 18.5), so sum |b_j| = C_n(1), the
+  curve's own scale.  This evaluator takes |u| <= 1 only, and raises
+  ParameterError past it; a bound above 1e-10 * max(1, |p(1)|), which
+  every member of weight >= 1/2 reaches from degree 808 on, raises
+  AccuracyError.
 
 Either evaluator raises AccuracyError when a coefficient it rounds, or the
 bound or scale it sums, lies past the float range.
@@ -161,21 +165,37 @@ def _chebyshev_form(nums: tuple[int, ...], den: int) -> tuple[tuple, float, floa
     over the shared denominator den * 2^n every Chebyshev coefficient
     b_j is an integer B_j, found in one pass over the nonzero
     numerators and then rounded once.  `parts` splits them by parity,
-    each part (odd, b_first, rest) for the T_j of j's parity, lowest j
-    first; a Gegenbauer member has one part.  `scale` is
-    max(1, |p(1)|).
+    each part (odd, coeffs) holding c_k = b_(2k+odd) highest k first, as
+    the Clenshaw sum takes them; a Gegenbauer member has one part.
+    `scale` is max(1, |p(1)|).
 
-    `bound` is (1.5 n (n+1) + n + 3) eps * sum |b_j|, for |u| <= 1 and
-    up to second-order terms.  T_0 = 1 and T_1 = u are exact (the even
-    part steps from T_(-1) = u, and 2u - u is exact).  Each later step,
-    fl(fl(2u T_j) - T_(j-1)), errs by at most eps |2u T_j| +
-    eps |T_(j+1)| <= 3 eps.  A local error d_j made at step j reaches
-    T_m as U_(m-1-j)(u) d_j, since the errors obey the same recurrence,
-    and |U_k| <= k + 1 on [-1, 1]; so T_m errs by at most
-    3 eps sum_(k<m-1) (k + 1) = 1.5 m (m - 1) eps <= 1.5 n (n+1) eps.
-    The sums sum b_j T_j add at most (n + 1) eps sum |b_j| (the dot
-    product's gamma term), rounding the b_j adds eps sum |b_j|, and
-    adding the two parity parts adds eps sum |b_j| more."""
+    With w = 2u^2 - 1, phi_k = T_2k(u) = T_k(w) and phi_k = T_(2k+1)(u)
+    both follow phi_(k+1) = 2w phi_k - phi_(k-1), from phi_0 = 1,
+    phi_1 = w for the even part and phi_0 = u, phi_1 = u (2w - 1) for the
+    odd one.  So each part is a Clenshaw sum (Clenshaw 1955) of length
+    m + 1 or less, m = floor(n/2): y_k = c_k + w2 y_(k+1) - y_(k+2) with
+    w2 = 2w, from y_(m+1) = y_(m+2) = 0, ends in S = y_0 - w y_1 (even)
+    or S = u (y_0 - y_1) (odd).  Exactly,
+    y_k = sum_(j>=k) c_j U_(j-k)(w), so |y_k| <= sum_(j>=k) (j-k+1) |c_j|
+    for |u| <= 1, and |phi_k| <= 1.
+
+    `bound` is (5.5 m^2 + 7.5 m + 6) eps * sum |b_j|, for |u| <= 1 and
+    up to second-order terms.  Each term below is eps * sum_j g(j) |c_j|
+    for a weight g, and the weights add up to at most 5.5 j^2 + 7.5 j + 6
+    <= 5.5 m^2 + 7.5 m + 6 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 3 and 5):
+    - rounding c_k once errs by eps |c_k|, and reaches S times phi_k: 1;
+    - step k, fl(fl(c_k + fl(w2 y_(k+1))) - y_(k+2)), errs by at most
+      e_k = eps (|c_k| + 4 |y_(k+1)| + |y_k|), and an error made at step
+      k reaches S as e_k phi_k, as if c_k were off by e_k; summed over
+      k, 1 + 2j(j+1) + (j+1)(j+2)/2 = 2.5 j^2 + 3.5 j + 2;
+    - w2 = fl(fl(4u u) - 2) errs by at most 4 eps + 2 eps = 6 eps, and
+      |d phi_k / d w2| = |d phi_k / d w| / 2 <= k(k+1) / 2 (k^2 for
+      T_k(w), k(k+1) for the odd part, at u = +-1): 3 j(j+1);
+    - the final combination: fl(y_0 - fl(w y_1)) errs by
+      eps (|y_1| + |S|) <= eps sum (j+1) |c_j|, fl(u fl(y_0 - y_1)) by
+      2 eps |S| <= 2 eps sum |c_j|: at most j + 2;
+    - adding the two parity parts: 1."""
     n = len(nums) - 1
     big = [0] * (n + 1)
     for k, c in enumerate(nums):
@@ -193,9 +213,9 @@ def _chebyshev_form(nums: tuple[int, ...], den: int) -> tuple[tuple, float, floa
         while part and not part[-1]:
             part.pop()
         if part:
-            parts.append((odd, part[0] / shared,
-                          tuple(v / shared for v in part[1:])))
-    bound = (1.5 * n * (n + 1) + n + 3) * 2.0 ** -53 * (sum(map(abs, big)) / shared)
+            parts.append((odd, tuple(v / shared for v in reversed(part))))
+    m = n // 2
+    bound = (5.5 * m * m + 7.5 * m + 6) * 2.0 ** -53 * (sum(map(abs, big)) / shared)
     return tuple(parts), bound, max(1.0, abs(sum(nums)) / den)
 
 
@@ -437,17 +457,14 @@ class AlphaPoly:
                         f"x^a = {u!r} lies outside [-1, 1], where the Chebyshev "
                         "evaluator's bound holds")
             out = None
-            for odd, first, rest in parts:
+            for odd, coeffs in parts:
                 sums = []
                 for u in us:
-                    u2 = u + u
-                    prev, cur = (1.0, u) if odd else (u, 1.0)
-                    acc = first * cur
-                    for b in rest:
-                        prev = u2 * cur - prev
-                        cur = u2 * prev - cur
-                        acc += b * cur
-                    sums.append(acc)
+                    w2 = 4.0 * u * u - 2.0
+                    y1 = y2 = 0.0
+                    for c in coeffs:
+                        y1, y2 = c + w2 * y1 - y2, y1
+                    sums.append(u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2)
                 out = sums if out is None else [v + w for v, w in zip(out, sums)]
         if self.grade:
             factor = a ** self.grade

@@ -237,7 +237,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         poly = from_series(GegenbauerSpec(args.n, args.lam, alpha))
         a = float(alpha)
         label = f"{a!r},"
-        lines.extend([xtext + label + repr(v)
+        lines.extend([f"{xtext}{label}{v!r}"
                       for xtext, v in zip(xtexts, poly.values(xs, a))])
     text = "\n".join(lines) + "\n"
     if args.out is not None:

@@ -65,20 +65,21 @@ class TestChoice:
         p = from_series(GegenbauerSpec(40, Fraction(2, 7), 1))
         parts, bound, _ = p._chebyshev
         assert len(parts) == 1 and parts[0][0] == 0
-        assert parts[0][1] > 0 and all(b > 0 for b in parts[0][2])
+        assert all(b > 0 for b in parts[0][1])
         l1 = float(p.coefficient_sum())
-        assert bound == pytest.approx((1.5 * 40 * 41 + 43) * EPS * l1, rel=1e-12)
+        # m = 40 // 2 = 20
+        assert bound == pytest.approx((5.5 * 20 * 20 + 7.5 * 20 + 6) * EPS * l1, rel=1e-12)
 
     def test_mixed_parity_has_two_parts(self):
-        # u^2 + u = (T_0 + T_2) / 2 + T_1
+        # u^2 + u = (T_0 + T_2) / 2 + T_1, each part highest index first
         parts, _, scale = _chebyshev_form((0, 1, 1), 1)
-        assert parts == ((0, 0.5, (0.5,)), (1, 1.0, ()))
+        assert parts == ((0, (0.5, 0.5)), (1, (1.0,)))
         assert scale == 2.0
 
 
 class TestChebyshevAgainstExact:
     """Every error is within the stated bound
-    (1.5 n (n+1) + n + 3) eps * sum |b_j|."""
+    (5.5 m^2 + 7.5 m + 6) eps * sum |b_j|, m = floor(n/2)."""
 
     @pytest.mark.parametrize("lam", WEIGHTS, ids=str)
     def test_within_bound_up_to_degree_200(self, lam):
@@ -90,7 +91,7 @@ class TestChebyshevAgainstExact:
                 err = _error(value, p, u)
                 assert err <= bound, (n, u, err, bound)
                 worst = max(worst, err / scale)
-        # far inside the bound, which reaches about 6.7e-12 of scale at n = 200
+        # far inside the bound, which reaches about 6.2e-12 of scale at n = 200
         assert worst < 1e-13
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(7, 10)], ids=str)
@@ -106,6 +107,33 @@ class TestChebyshevAgainstExact:
         p = from_series(GegenbauerSpec(30, 1, 1))
         graded = p.scale(1, power=2)
         assert graded.values(POINTS, 0.5) == [v * 0.25 for v in p.values(POINTS, 0.5)]
+
+
+# where the Clenshaw sum in w = 2u^2 - 1 is weakest: w at or next to +-1,
+# where d phi_k / d w peaks, w = 0 at u = 2^-1/2, and u^2 lost to
+# underflow or far below eps
+EDGES = (1.0, -1.0, 1 - 2.0 ** -30, -(1 - 2.0 ** -30), 2.0 ** -0.5, -2.0 ** -0.5,
+         1e-300, -1e-8, 1 - 1e-6, -(1 - 1e-6), 1 - 3.7e-7, 1 - 1e-9, 1 - 2.0 ** -52)
+
+
+class TestClenshawEdges:
+    @staticmethod
+    def _assert_within_bound(p: AlphaPoly) -> None:
+        _, bound, _ = p._chebyshev
+        for u, value in zip(EDGES, p.values(EDGES, 1.0)):
+            err = _error(value, p, u)
+            assert err <= bound, (p.degree, u, err, bound)
+
+    @pytest.mark.parametrize("lam", WEIGHTS, ids=str)
+    def test_members_up_to_degree_200(self, lam):
+        for n in range(201):
+            self._assert_within_bound(_chebyshev_only(from_series(GegenbauerSpec(n, lam, 1))))
+
+    def test_mixed_parity_non_member(self):
+        p = _chebyshev_only(from_series(GegenbauerSpec(200, 1, 1))
+                            + from_series(GegenbauerSpec(199, 1, 1)))
+        assert [odd for odd, _ in p._chebyshev[0]] == [0, 1]
+        self._assert_within_bound(p)
 
 
 class TestHornerAgainstExact:
@@ -140,9 +168,11 @@ class TestWorkingRange:
 
     def test_bound_past_tolerance_raises(self):
         # at weight 1/2, sum |b_j| = C_n(1) = 1, so the bound is
-        # (1.5 n (n+1) + n + 3) eps, which first passes 1e-10 at n = 775
-        first = min(n for n in range(1000) if (1.5 * n * (n + 1) + n + 3) * EPS > 1e-10)
-        assert first == 775
+        # (5.5 m^2 + 7.5 m + 6) eps, m = floor(n/2), which first passes
+        # 1e-10 at n = 808
+        first = min(n for n in range(1000)
+                    if (5.5 * (n // 2) ** 2 + 7.5 * (n // 2) + 6) * EPS > 1e-10)
+        assert first == 808
         p = from_recurrence(GegenbauerSpec(first, Fraction(1, 2), 1))
         with pytest.raises(AccuracyError, match=f"degree {first}"):
             p.evaluate(0.5, 1.0)
@@ -186,7 +216,7 @@ class TestEvalCommand:
         assert err.startswith("error: eval points must lie in [-1, 1]")
 
     def test_bound_past_tolerance_exits_3(self, capsys):
-        code, out, err = _run(capsys, "eval", "--n", "775", "--lambda", "1/2",
+        code, out, err = _run(capsys, "eval", "--n", "808", "--lambda", "1/2",
                               "--alpha", "1", "--x", "0.5")
         assert code == 3 and out == ""
         assert err.startswith("accuracy failure: Chebyshev evaluation bound")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from congeg.alphapoly import AlphaPoly, ParameterError, pochhammer
+from congeg.cli import main
 from congeg.gegenbauer import (GegenbauerSpec, chebyshev_t, from_recurrence, from_rodrigues,
                                from_series, legendre)
 from congeg.report import VerificationReport, reports_to_json, reports_to_text
@@ -281,6 +282,33 @@ class TestRecordedAudits:
         report = {r.identity: r for r in audit()}[identity]
         assert report.status == "fail"
         assert report.witness.startswith(first)
+
+    def test_unannihilated_member_is_reported(self, monkeypatch, capsys):
+        # a member off by the constant 1 at degrees 2 and 3 once ended
+        # `congeg verify` in a bare AssertionError traceback, and, past that,
+        # in a ZeroDivisionError of the Rodrigues normalization audit
+        build = verify.ultraspherical
+
+        def shifted(spec):
+            member = build(spec)
+            return member + AlphaPoly.constant(1) if spec.n in (2, 3) else member
+
+        monkeypatch.setattr(verify, "ultraspherical", shifted)
+        verify._recorded_audits.cache_clear()
+        try:
+            reports = {r.identity: r for r in audit_ultraspherical()}
+            assert reports["ultraspherical-rodrigues-normalization"].status == "fail"
+            rep = reports["ultraspherical-ode-variant-operator"]
+            assert rep.status == "fail" and not rep.asserted
+            assert rep.witness.startswith("beta=0, n=2: weighted residual = ")
+            assert rep.max_residual > 0
+            assert "not the variant's expected residual" in rep.notes
+            # recorded audits do not gate the exit status
+            assert main(["verify", "--suite", "endpoints", "--n-max", "3"]) == 0
+            assert "beta=0, n=2: weighted residual" in capsys.readouterr().out
+        finally:
+            monkeypatch.undo()
+            verify._recorded_audits.cache_clear()
 
     def test_rodrigues_normalization_constant(self, audits):
         rep = audits["ultraspherical-rodrigues-normalization"]
