@@ -5,6 +5,8 @@
 - the three exact constructors at degrees 8, 32, 64, each round from cold
   memos, and the validation of their parameters (`GegenbauerSpec`
   construction);
+- the shifted-weight Rodrigues route `ultraspherical_rodrigues` at degree
+  64, shifted weight 3/2, with its Rodrigues memo warm and cold;
 - float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64, one
   call per point; `values` over the same points in one call, on each
   evaluator (float Horner and the Chebyshev sum) at each degree; and the
@@ -44,7 +46,8 @@ import pytest
 import congeg
 import congeg.gegenbauer as gegenbauer
 import congeg.quadrature as quadrature
-from congeg.gegenbauer import GegenbauerSpec, from_recurrence, from_rodrigues, from_series
+from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, from_recurrence,
+                               from_rodrigues, from_series, ultraspherical_rodrigues)
 from congeg.quadrature import (conformable_inner_product, conformable_inner_product_direct,
                                default_audit_grid, normalization_audit, orthogonality_check)
 from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
@@ -83,6 +86,15 @@ def test_constructor(benchmark, route, n):
     poly = benchmark.pedantic(route, args=(spec,), setup=_clear_memos,
                               rounds=100, iterations=1)
     assert poly == from_series(spec)
+
+
+@pytest.mark.parametrize("memo", ["warm", "cold"])
+def test_ultraspherical_rodrigues(benchmark, memo):
+    spec = UltrasphericalSpec(64, Fraction(3, 2), ALPHA)
+    setup = _clear_memos if memo == "cold" else None
+    coeffs = benchmark.pedantic(ultraspherical_rodrigues, args=(spec,), setup=setup,
+                                rounds=100, iterations=1)
+    assert len(coeffs) == 65 and coeffs[64] > 0
 
 
 def test_spec(benchmark):

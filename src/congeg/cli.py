@@ -294,9 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _apply_config(args)
         return _DISPATCH[args.command](args)
     except AccuracyError as exc:
-        best = ("" if exc.best is None else
-                f" (best estimate {exc.best.value!r} +- {exc.best.error!r})")
-        print(f"accuracy failure: {exc}{best}", file=sys.stderr)
+        print(f"accuracy failure: {exc}", file=sys.stderr)
         return 3
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

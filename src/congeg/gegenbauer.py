@@ -234,18 +234,21 @@ def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
     """Alternate Rodrigues route for the shifted-weight family, with the
     prefactor G(n + 2 beta + 1) / (2^(n+beta) a^n n! G(n + beta + 1)).
 
-    The 2^beta and the gamma quotient are irrational for non-integer beta, so
+    That prefactor is the degree-free constant
+    G(2 beta + 1) / (2^beta G(beta + 1)) times the rational
+    (2 beta + 1)_n / ((beta + 1)_n 2^n n! a^n), and the rational times the
+    kernel at exponent beta is `from_rodrigues` at weight beta + 1/2.  So
+    the route is that exact member, each coefficient rounded once, times
+    the constant: only the constant is a float, and no gamma value grows
+    with the degree.  The constant is irrational for non-integer beta, so
     this route returns float coefficients.  It reproduces `ultraspherical`
-    only up to a constant factor; the verification audit measures and records
-    that factor rather than rescaling here.
+    only up to that constant; the verification audit records it rather
+    than rescaling here.
     """
-    n, beta = spec.n, spec.beta
-    kernel = _rodrigues_kernel(n, beta)
-    b = float(beta)
-    prefactor = math.gamma(n + 2 * b + 1) / (
-        2.0 ** (n + b) * math.factorial(n) * math.gamma(n + b + 1))
-    # the prefactor's a^(-n) cancels the kernel's grade n, so neither is applied
-    return tuple(v / kernel.den * prefactor for v in kernel.nums)
+    b = float(spec.beta)
+    constant = math.gamma(2 * b + 1) / (2.0 ** b * math.gamma(b + 1))
+    member = _rodrigues_coeffs(spec.n, spec.lam)
+    return tuple(constant * (v / member.den) for v in member.nums)
 
 
 # ---------------------------------------------------------------------------

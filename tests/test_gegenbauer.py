@@ -188,20 +188,23 @@ class TestUltraspherical:
         assert coeffs[0] == 0.0
         assert coeffs[1] == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12)
 
-    @pytest.mark.parametrize("beta", [Fraction(0), HALF, Fraction(3, 2)])
+    @pytest.mark.parametrize("beta", [Fraction(0), HALF, Fraction(3, 2), Fraction(5, 2)])
     def test_rodrigues_scales_series_by_constant(self, beta):
-        # measured, degree-independent ratio: 2^b Gamma(b + 1/2) / sqrt(pi)
+        # degree-independent ratio 2^b Gamma(b + 1/2) / sqrt(pi); the route
+        # once returned all zeros from degree 90, 91 or 92 on, and raised
+        # OverflowError from 131, as its degree-dependent gamma values left
+        # the float range
         expected = 2.0 ** float(beta) * math.gamma(float(beta) + 0.5) / math.sqrt(math.pi)
-        for n in range(5):
+        for n in [*range(0, 201, 8), 89, 90, 91, 92, 130, 131]:
             spec = UltrasphericalSpec(n, beta, HALF)
             numeric = ultraspherical_rodrigues(spec)
-            exact = [float(c) for c in ultraspherical(spec).rational_coeffs()]
-            exact += [0.0] * (len(numeric) - len(exact))
+            exact = ultraspherical(spec).rational_coeffs()
+            assert len(numeric) == len(exact)
             for got, base in zip(numeric, exact):
-                if base == 0.0:
-                    assert abs(got) < 1e-10
+                if base == 0:
+                    assert got == 0.0
                 else:
-                    assert got / base == pytest.approx(expected, rel=1e-10)
+                    assert got == pytest.approx(expected * base, rel=1e-12)
 
 
 class TestFirstKind:

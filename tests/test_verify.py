@@ -310,6 +310,19 @@ class TestRecordedAudits:
             monkeypatch.undo()
             verify._recorded_audits.cache_clear()
 
+    def test_rodrigues_normalization_compares_members_exactly(self, monkeypatch):
+        build = verify.from_rodrigues
+
+        def shifted(spec):
+            member = build(spec)
+            return member + AlphaPoly.constant(1) if spec.n == 3 else member
+
+        monkeypatch.setattr(verify, "from_rodrigues", shifted)
+        rep = {r.identity: r for r in audit_ultraspherical()}[
+            "ultraspherical-rodrigues-normalization"]
+        assert rep.status == "fail" and not rep.asserted
+        assert rep.witness.startswith("UltrasphericalSpec(n=3, beta=Fraction(0, 1), ")
+
     def test_rodrigues_normalization_constant(self, audits):
         rep = audits["ultraspherical-rodrigues-normalization"]
         assert rep.status == "numeric-pass"
@@ -393,18 +406,15 @@ class TestUltrasphericalOperator:
     def test_full_operator_annihilates(self):
         from congeg.gegenbauer import UltrasphericalSpec, ultraspherical
         spec = UltrasphericalSpec(4, HALF, HALF)
-        res = ultraspherical_ode_residual(ultraspherical(spec), spec,
-                                          printed_form=False)
+        res = ode_residual(ultraspherical(spec), GegenbauerSpec(4, 1, HALF))
         assert res.is_zero
 
     def test_printed_form_fails_beyond_degree_one(self):
         from congeg.gegenbauer import UltrasphericalSpec, ultraspherical
         ok = UltrasphericalSpec(1, HALF, HALF)
-        assert ultraspherical_ode_residual(ultraspherical(ok), ok,
-                                           printed_form=True).is_zero
+        assert ultraspherical_ode_residual(ultraspherical(ok), ok).is_zero
         bad = UltrasphericalSpec(3, HALF, HALF)
-        assert not ultraspherical_ode_residual(ultraspherical(bad), bad,
-                                               printed_form=True).is_zero
+        assert not ultraspherical_ode_residual(ultraspherical(bad), bad).is_zero
 
     @pytest.mark.parametrize("n,beta,alpha", [
         (3, HALF, HALF), (5, Fraction(0), Fraction(1)), (6, Fraction(3, 2), Fraction(1, 4))])
@@ -416,7 +426,7 @@ class TestUltrasphericalOperator:
         d1 = p.d_alpha()
         printed = (d1.d_alpha() - d1.shift(1).scale(2 * (beta + 1), power=1)
                    + p.scale(n * (n + 2 * beta + 1), power=2))
-        assert ultraspherical_ode_residual(p, spec, printed_form=True) == printed
+        assert ultraspherical_ode_residual(p, spec) == printed
 
 
 class TestRunAssertedChecks:
