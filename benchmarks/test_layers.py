@@ -10,7 +10,8 @@
 - float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64, one
   call per point; `values` over the same points in one call, on each
   evaluator (float Horner and the Chebyshev sum) at each degree; and the
-  one-off conversion to Chebyshev coefficients at each degree;
+  one-off conversion to Chebyshev coefficients at each degree and at 200
+  and 800, where the conversion's big-integer work dominates;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
 - the normalization audit over `default_audit_grid(32)` in process (198 rows);
@@ -23,9 +24,12 @@
   `verify --n-max 24`, `verify --n-max 48`, `plot-data` (the default
   degree-4 curve, on float Horner), `plot-data --n 48 --lambda 3/2
   --samples 2001 --signed-domain --alpha 1/2 --alpha 1` (two curves on the
-  Chebyshev evaluator), `audit`, and the start-up-bound
-  `eval --n 4 --x 0.5` and `table`, each in a fresh interpreter, so
-  nothing is reused between runs.
+  Chebyshev evaluator), `audit`, the start-up-bound `eval --n 4 --x 0.5`
+  and `table`, a cold `eval --n 64 --lambda 5/2 --alpha 1/2` at three
+  points (the member built and converted once per process), and
+  `eval --n 800 --lambda 3 --alpha 1 --x 0.5`, where building and
+  converting the member dominate, each in a fresh interpreter, so nothing
+  is reused between runs.
 
 This directory is outside the test suite's `testpaths`; run it explicitly
 from the repository root:
@@ -149,7 +153,7 @@ def test_values_2001_points(benchmark, evaluator, n):
     assert len(values) == len(xs)
 
 
-@pytest.mark.parametrize("n", DEGREES)
+@pytest.mark.parametrize("n", DEGREES + (200, 800))
 def test_chebyshev_conversion(benchmark, n):
     from congeg.alphapoly import _chebyshev_form
     poly = from_series(GegenbauerSpec(n, LAM, ALPHA))
@@ -219,7 +223,11 @@ def test_recorded_audits(benchmark):
                                    "--samples", "2001", "--signed-domain",
                                    "--alpha", "1/2", "--alpha", "1"),
                                   ("audit",),
-                                  ("eval", "--n", "4", "--x", "0.5"), ("table",)],
+                                  ("eval", "--n", "4", "--x", "0.5"), ("table",),
+                                  ("eval", "--n", "64", "--lambda", "5/2", "--alpha", "1/2",
+                                   "--x", "0.1", "0.5", "0.9"),
+                                  ("eval", "--n", "800", "--lambda", "3", "--alpha", "1",
+                                   "--x", "0.5")],
                          ids=" ".join)
 def test_cli(benchmark, argv):
     env = {**os.environ, "PYTHONPATH": str(Path(congeg.__file__).resolve().parents[1])}

@@ -157,16 +157,36 @@ def _as_coeff(value: Union[int, Fraction]) -> Fraction:
     raise ParameterError(f"coefficient {value!r} is not exact")
 
 
+def _chebyshev_numerators(nums: tuple[int, ...]) -> list[int]:
+    """The integers B_j = den 2^n b_j of `_chebyshev_form`, from the
+    numerators of a polynomial of degree n = len(nums) - 1."""
+    n = len(nums) - 1
+    big = [0] * (n + 1)
+    for k, c in enumerate(nums):
+        if not c:
+            continue
+        w = c << (n + 1 - k)  # c 2^(n+1-k) C(k, i) at step i
+        for i in range((k + 1) // 2):
+            big[k - 2 * i] += w
+            w = w * (k - i) // (i + 1)
+        if not k % 2:
+            big[0] += w >> 1
+    return big
+
+
 def _chebyshev_form(nums: tuple[int, ...], den: int) -> tuple[tuple, float, float]:
     """(parts, bound, scale) for the Chebyshev evaluator of
     sum_k (nums[k] / den) u^k, a nonzero polynomial of degree n.
 
     u^k = 2^(1-k) sum_i C(k, i) T_(k-2i), with the T_0 term halved, so
     over the shared denominator den * 2^n every Chebyshev coefficient
-    b_j is an integer B_j, found in one pass over the nonzero
-    numerators and then rounded once.  `parts` splits them by parity,
-    each part (odd, coeffs) holding c_k = b_(2k+odd) highest k first, as
-    the Clenshaw sum takes them; a Gegenbauer member has one part.
+    b_j is an integer B_j, found by `_chebyshev_numerators` in one pass
+    over the nonzero numerators and then rounded once.  Each binomial is
+    carried exactly from the previous one, C(k, i+1) = C(k, i) (k - i) /
+    (i + 1), an exact integer division of the running weight, so the
+    pass makes no binomial call.  `parts` splits them by parity, each
+    part (odd, coeffs) holding c_k = b_(2k+odd) highest k first, as the
+    Clenshaw sum takes them; a Gegenbauer member has one part.
     `scale` is max(1, |p(1)|).
 
     With w = 2u^2 - 1, phi_k = T_2k(u) = T_k(w) and phi_k = T_(2k+1)(u)
@@ -197,15 +217,7 @@ def _chebyshev_form(nums: tuple[int, ...], den: int) -> tuple[tuple, float, floa
       2 eps |S| <= 2 eps sum |c_j|: at most j + 2;
     - adding the two parity parts: 1."""
     n = len(nums) - 1
-    big = [0] * (n + 1)
-    for k, c in enumerate(nums):
-        if not c:
-            continue
-        w = c << (n + 1 - k)
-        for i in range((k + 1) // 2):
-            big[k - 2 * i] += w * math.comb(k, i)
-        if not k % 2:
-            big[0] += (w >> 1) * math.comb(k, k // 2)
+    big = _chebyshev_numerators(nums)
     shared = den << n
     parts = []
     for odd in (0, 1):

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .alphapoly import AccuracyError, DomainError, ParameterError, _as_count
-from .gegenbauer import GegenbauerSpec, from_recurrence, from_series
+from .gegenbauer import GegenbauerSpec, from_series
 from .quadrature import audit_rows_to_csv, default_audit_grid, normalization_audit
 from .report import reports_to_json, reports_to_text, summary
 from .verify import (SUITES, ParamGrid, _sample_grid, run_asserted_checks,
@@ -219,10 +219,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         # the chained comparison also rejects nan
         if not -1.0 <= x <= 1.0:
             raise ParameterError(f"eval points must lie in [-1, 1], got {x!r}")
-    poly = from_recurrence(GegenbauerSpec(args.n, args.lam, args.alpha))
+    poly = from_series(GegenbauerSpec(args.n, args.lam, args.alpha))
     a = float(args.alpha)
     label = f",{a!r},"
-    rows = [f"{x!r}{label}{poly.evaluate(x, a)!r}" for x in args.x]
+    rows = [f"{x!r}{label}{v!r}" for x, v in zip(args.x, poly.values(args.x, a))]
     sys.stdout.write("\n".join(["x,alpha,value"] + rows) + "\n")
     return 0
 

@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .alphapoly import (
+    AccuracyError,
     AlphaPoly,
     ParameterError,
     RationalLike,
@@ -243,12 +244,20 @@ def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
     with the degree.  The constant is irrational for non-integer beta, so
     this route returns float coefficients.  It reproduces `ultraspherical`
     only up to that constant; the verification audit records it rather
-    than rescaling here.
+    than rescaling here.  A constant or coefficient past the float range
+    raises AccuracyError, as `AlphaPoly.values` does.
     """
-    b = float(spec.beta)
-    constant = math.gamma(2 * b + 1) / (2.0 ** b * math.gamma(b + 1))
     member = _rodrigues_coeffs(spec.n, spec.lam)
-    return tuple(constant * (v / member.den) for v in member.nums)
+    try:
+        b = float(spec.beta)
+        constant = math.gamma(2 * b + 1) / (2.0 ** b * math.gamma(b + 1))
+        coeffs = tuple(constant * (v / member.den) for v in member.nums)
+        if all(map(math.isfinite, coeffs)):
+            return coeffs
+    except OverflowError:
+        pass
+    raise AccuracyError(f"a float coefficient of the degree-{spec.n} shifted-weight "
+                        f"Rodrigues route at beta {spec.beta} lies past the float range")
 
 
 # ---------------------------------------------------------------------------

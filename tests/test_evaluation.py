@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from congeg import AlphaPoly, GegenbauerSpec, from_recurrence, from_series
-from congeg.alphapoly import AccuracyError, ParameterError, _chebyshev_form
+from congeg.alphapoly import (AccuracyError, ParameterError, _chebyshev_form,
+                              _chebyshev_numerators)
 from congeg.cli import main
 
 EPS = 2.0 ** -53
@@ -75,6 +76,45 @@ class TestChoice:
         parts, _, scale = _chebyshev_form((0, 1, 1), 1)
         assert parts == ((0, (0.5, 0.5)), (1, (1.0,)))
         assert scale == 2.0
+
+
+class TestConversionExact:
+    """The conversion's integers B_j over den 2^n are the Chebyshev
+    coefficients b_j exactly."""
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(5, 2),
+                                     Fraction(3), Fraction(2, 7)], ids=str)
+    def test_members_match_the_closed_form(self, lam):
+        # DLMF 18.5.11: C_n(cos t) = sum_k r_k r_(n-k) cos((n-2k) t) with
+        # r_k = (lam)_k / k!, so b_(n-2k) = 2 r_k r_(n-k) for n - 2k > 0 and
+        # the middle term counts once
+        r = [Fraction(1)]
+        for k in range(200):
+            r.append(r[-1] * (lam + k) / (k + 1))
+        for n in range(201):
+            p = from_series(GegenbauerSpec(n, lam, 1))
+            big, shared = _chebyshev_numerators(p.nums), p.den << n
+            for k in range(n // 2 + 1):
+                b = r[k] * r[n - k] * (1 if 2 * k == n else 2)
+                assert big[n - 2 * k] * b.denominator == b.numerator * shared, (n, k)
+            assert not any(big[(n + 1) % 2::2]), n
+
+    def test_mixed_parity_matches_the_binomial_expansion(self):
+        # u^k = 2^(1-k) sum_(i < k/2) C(k, i) T_(k-2i), plus 2^-k C(k, k/2) T_0
+        # for even k
+        rng = random.Random(21)
+        for _ in range(200):
+            n = rng.randrange(0, 60)
+            nums = [rng.randrange(-10 ** 20, 10 ** 20) for _ in range(n)]
+            nums.append(rng.choice([-1, 1]) * rng.randrange(1, 10 ** 20))
+            den = rng.randrange(1, 10 ** 15)
+            b = [Fraction(0)] * (n + 1)
+            for k, c in enumerate(nums):
+                for i in range(k // 2 + 1):
+                    half = 2 if 2 * i == k else 1
+                    b[k - 2 * i] += Fraction(2 * c * math.comb(k, i), den * 2 ** k * half)
+            big = _chebyshev_numerators(tuple(nums))
+            assert [Fraction(v, den << n) for v in big] == b, (nums, den)
 
 
 class TestChebyshevAgainstExact:
@@ -195,7 +235,37 @@ def _run(capsys, *argv):
     return code, out, err
 
 
+EVAL_DEGREES = (1, 8, 9, 24, 63, 64, 200)
+EVAL_POINTS = ("-1.0", "-0.73", "-0.0", "0.0", "5e-324", "0.1", "0.5", "0.99", "1.0")
+EVAL_ORDERS = ("1/3", "1/2", "1")
+
+
 class TestEvalCommand:
+    @pytest.mark.parametrize("n", EVAL_DEGREES)
+    def test_csv_matches_the_recurrence_member_point_by_point(self, capsys, n):
+        # eval builds by the series and evaluates in one batch; its CSV is
+        # the recurrence member's value at each point, byte for byte
+        for lam in ("1/2", "3", "2/7", "5/2"):
+            for alpha in EVAL_ORDERS:
+                code, out, err = _run(capsys, "eval", "--n", str(n), "--lambda", lam,
+                                      "--alpha", alpha, "--x", *EVAL_POINTS)
+                p = from_recurrence(GegenbauerSpec(n, Fraction(lam), Fraction(alpha)))
+                a = float(Fraction(alpha))
+                rows = [f"{float(x)!r},{a!r},{p.evaluate(float(x), a)!r}" for x in EVAL_POINTS]
+                assert (code, err) == (0, "")
+                assert out == "\n".join(["x,alpha,value", *rows]) + "\n", (lam, alpha)
+
+    @pytest.mark.parametrize("n", EVAL_DEGREES)
+    def test_batched_values_match_per_point(self, n):
+        rng = random.Random(n)
+        xs = [float(x) for x in EVAL_POINTS] + [rng.uniform(-1.0, 1.0) for _ in range(8)]
+        for lam in WEIGHTS:
+            p = from_series(GegenbauerSpec(n, lam, 1))
+            for alpha in EVAL_ORDERS:
+                a = float(Fraction(alpha))
+                assert ([repr(v) for v in p.values(xs, a)]
+                        == [repr(p.evaluate(x, a)) for x in xs]), (lam, alpha)
+
     def test_high_degree_value(self, capsys):
         code, out, _ = _run(capsys, "eval", "--n", "60", "--lambda", "3", "--alpha", "1",
                             "--x", "0.99")

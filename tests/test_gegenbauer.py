@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congeg.alphapoly import AlphaPoly, ParameterError, pochhammer
+from congeg.alphapoly import AccuracyError, AlphaPoly, ParameterError, pochhammer
 from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_kernel,
                                chebyshev_t, chebyshev_t_rodrigues, classical_oracle,
                                from_recurrence, from_rodrigues, from_series,
@@ -205,6 +205,23 @@ class TestUltraspherical:
                     assert got == 0.0
                 else:
                     assert got == pytest.approx(expected * base, rel=1e-12)
+
+    @pytest.mark.parametrize("n,beta", [(3, 90), (200, 1000)])
+    def test_rodrigues_constant_past_the_float_range_raises(self, n, beta):
+        # G(2b+1) leaves the float range past b = 85.3; this raised a
+        # bare OverflowError
+        with pytest.raises(AccuracyError, match="past the float range"):
+            ultraspherical_rodrigues(UltrasphericalSpec(n, beta, ONE))
+
+    def test_rodrigues_coefficient_past_the_float_range_raises(self):
+        # the constant (about 6.7e152 at b = 85) is finite and so is every
+        # exact coefficient (up to about 4.4e155 at degree 220), but their
+        # product is not; this returned inf silently
+        spec = UltrasphericalSpec(220, 85, ONE)
+        assert all(math.isfinite(c) for c in ultraspherical(spec).rational_coeffs())
+        with pytest.raises(AccuracyError, match="degree-220 .* past the float range"):
+            ultraspherical_rodrigues(spec)
+        assert all(map(math.isfinite, ultraspherical_rodrigues(UltrasphericalSpec(218, 85, ONE))))
 
 
 class TestFirstKind:
