@@ -77,7 +77,7 @@ def _clear_memos():
 
 @pytest.mark.parametrize("n", DEGREES)
 def test_ode_residual(benchmark, n):
-    spec = GegenbauerSpec(n, LAM, ALPHA)
+    spec = GegenbauerSpec(n, LAM)
     assert benchmark(ode_residual, from_series(spec), spec).is_zero
 
 
@@ -86,7 +86,7 @@ def test_ode_residual(benchmark, n):
                          ids=lambda route: route.__name__)
 def test_constructor(benchmark, route, n):
     # a memo hit would time a lookup, not the route
-    spec = GegenbauerSpec(n, LAM, ALPHA)
+    spec = GegenbauerSpec(n, LAM)
     poly = benchmark.pedantic(route, args=(spec,), setup=_clear_memos,
                               rounds=100, iterations=1)
     assert poly == from_series(spec)
@@ -94,7 +94,7 @@ def test_constructor(benchmark, route, n):
 
 @pytest.mark.parametrize("memo", ["warm", "cold"])
 def test_ultraspherical_rodrigues(benchmark, memo):
-    spec = UltrasphericalSpec(64, Fraction(3, 2), ALPHA)
+    spec = UltrasphericalSpec(64, Fraction(3, 2))
     setup = _clear_memos if memo == "cold" else None
     coeffs = benchmark.pedantic(ultraspherical_rodrigues, args=(spec,), setup=setup,
                                 rounds=100, iterations=1)
@@ -102,8 +102,8 @@ def test_ultraspherical_rodrigues(benchmark, memo):
 
 
 def test_spec(benchmark):
-    # every sweep case builds at least one spec, each validating all three fields
-    assert benchmark(GegenbauerSpec, 12, LAM, ALPHA).alpha == ALPHA
+    # every sweep case builds at least one spec, each validating both fields
+    assert benchmark(GegenbauerSpec, 12, LAM).lam == LAM
 
 
 # degree-64 members at two weights, so sums run over the lcm of unequal
@@ -119,14 +119,14 @@ POLY_OPS = {
 
 @pytest.mark.parametrize("op", POLY_OPS)
 def test_poly_op(benchmark, op):
-    p = from_series(GegenbauerSpec(64, LAM, ALPHA))
-    q = from_series(GegenbauerSpec(64, Fraction(2, 7), ALPHA))
+    p = from_series(GegenbauerSpec(64, LAM))
+    q = from_series(GegenbauerSpec(64, Fraction(2, 7)))
     assert not benchmark(POLY_OPS[op], p, q).is_zero
 
 
 @pytest.mark.parametrize("n", DEGREES)
 def test_evaluate_2001_points(benchmark, n):
-    poly = from_series(GegenbauerSpec(n, LAM, ALPHA))
+    poly = from_series(GegenbauerSpec(n, LAM))
     xs = [i / 2000 for i in range(2001)]
     a = float(ALPHA)
     values = benchmark(lambda: [poly.evaluate(x, a) for x in xs])
@@ -147,7 +147,7 @@ def _on_evaluator(poly, evaluator: str):
 @pytest.mark.parametrize("n", DEGREES)
 @pytest.mark.parametrize("evaluator", ["horner", "chebyshev"])
 def test_values_2001_points(benchmark, evaluator, n):
-    poly = _on_evaluator(from_series(GegenbauerSpec(n, LAM, ALPHA)), evaluator)
+    poly = _on_evaluator(from_series(GegenbauerSpec(n, LAM)), evaluator)
     xs = [i / 1000 - 1 for i in range(2001)]
     values = benchmark(poly.values, xs, float(ALPHA))
     assert len(values) == len(xs)
@@ -156,7 +156,7 @@ def test_values_2001_points(benchmark, evaluator, n):
 @pytest.mark.parametrize("n", DEGREES + (200, 800))
 def test_chebyshev_conversion(benchmark, n):
     from congeg.alphapoly import _chebyshev_form
-    poly = from_series(GegenbauerSpec(n, LAM, ALPHA))
+    poly = from_series(GegenbauerSpec(n, LAM))
     parts, bound, scale = benchmark(_chebyshev_form, poly.nums, poly.den)
     assert bound < 1e-10 * scale
 

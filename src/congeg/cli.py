@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .alphapoly import AccuracyError, DomainError, ParameterError, _as_count
+from .alphapoly import AccuracyError, DomainError, ParameterError, _as_count, _as_order
 from .gegenbauer import GegenbauerSpec, from_series
 from .quadrature import audit_rows_to_csv, default_audit_grid, normalization_audit
 from .report import reports_to_json, reports_to_text, summary
@@ -204,8 +204,7 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     _as_count(args.n_max, "--n-max")
-    lines = [str(from_series(GegenbauerSpec(k, args.lam, 1)))  # x^a prints at any order
-             for k in range(args.n_max + 1)]
+    lines = [str(from_series(GegenbauerSpec(k, args.lam))) for k in range(args.n_max + 1)]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -219,10 +218,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         # the chained comparison also rejects nan
         if not -1.0 <= x <= 1.0:
             raise ParameterError(f"eval points must lie in [-1, 1], got {x!r}")
-    poly = from_series(GegenbauerSpec(args.n, args.lam, args.alpha))
-    a = float(args.alpha)
+    spec = GegenbauerSpec(args.n, args.lam)
+    a = float(_as_order(args.alpha))
     label = f",{a!r},"
-    rows = [f"{x!r}{label}{v!r}" for x, v in zip(args.x, poly.values(args.x, a))]
+    rows = [f"{x!r}{label}{v!r}" for x, v in zip(args.x, from_series(spec).values(args.x, a))]
     sys.stdout.write("\n".join(["x,alpha,value"] + rows) + "\n")
     return 0
 
@@ -231,10 +230,12 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     if not args.alphas:
         raise ParameterError("plot-data requires at least one --alpha")
     xs = _sample_grid(-1.0 if args.signed_domain else 0.0, args.samples)
+    spec = GegenbauerSpec(args.n, args.lam)
+    alphas = [_as_order(alpha) for alpha in sorted(set(args.alphas))]
+    poly = from_series(spec)
     xtexts = [f"{x!r}," for x in xs]
     lines = ["x,alpha,value"]
-    for alpha in sorted(set(args.alphas)):
-        poly = from_series(GegenbauerSpec(args.n, args.lam, alpha))
+    for alpha in alphas:
         a = float(alpha)
         label = f"{a!r},"
         lines.extend([f"{xtext}{label}{v!r}"

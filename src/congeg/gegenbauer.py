@@ -13,12 +13,12 @@ denominator of lam - 1/2 for the Rodrigues kernel); no route builds a
 Fraction per coefficient.  No route calls another; each keeps its own
 derivation, so their agreement remains a check.
 
-Because the coefficients do not depend on the order, and an `AlphaPoly`
-carries none, each route's finished polynomial is memoized per process by
-(n, lam) in its own bounded cache; the public function returns the memo's
-immutable object as it is, whatever the spec's order.  No route reads
-another's memo, so a sweep builds each member once per route and still
-compares three independent results.
+Because the coefficients do not depend on the order, and neither a spec nor
+an `AlphaPoly` carries one, each route's finished polynomial is memoized per
+process by (n, lam) in its own bounded cache; the public function returns
+the memo's immutable object as it is.  No route reads another's memo, so a
+sweep builds each member once per route and still compares three
+independent results.
 
 Special cases: weight 1/2 gives the Legendre family, weight 1 the Chebyshev
 second-kind family, and the first-kind family (the weight -> 0 limit) is
@@ -38,7 +38,6 @@ from .alphapoly import (
     RationalLike,
     _as_count,
     _as_fraction,
-    _as_order,
     gamma_quotient,
 )
 
@@ -73,25 +72,22 @@ def _check_weight(lam: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class GegenbauerSpec:
-    """Parameter triple: degree n >= 0, weight lam > 0, order alpha in (0, 1]."""
+    """Parameter pair: degree n >= 0, weight lam > 0; a member has no order."""
 
     n: int
     lam: Fraction
-    alpha: Fraction
 
     def __post_init__(self) -> None:
         _as_count(self.n, "degree")
         object.__setattr__(self, "lam", _check_weight(self.lam))
-        object.__setattr__(self, "alpha", _as_order(self.alpha))
 
 
 @dataclass(frozen=True)
 class UltrasphericalSpec:
-    """Parameter triple for the shifted-weight family: beta > -1/2."""
+    """Parameter pair for the shifted-weight family: beta > -1/2."""
 
     n: int
     beta: Fraction
-    alpha: Fraction
 
     def __post_init__(self) -> None:
         _as_count(self.n, "degree")
@@ -99,7 +95,6 @@ class UltrasphericalSpec:
         if beta <= Fraction(-1, 2):
             raise ParameterError(f"shifted weight must exceed -1/2, got {beta}")
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", _as_order(self.alpha))
 
     @property
     def lam(self) -> Fraction:
@@ -228,7 +223,7 @@ def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
 
 def ultraspherical(spec: UltrasphericalSpec) -> AlphaPoly:
     """Shifted-weight family T_n^(beta) = C_n^(beta + 1/2)."""
-    return from_series(GegenbauerSpec(spec.n, spec.lam, spec.alpha))
+    return from_series(GegenbauerSpec(spec.n, spec.lam))
 
 
 def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
@@ -266,7 +261,7 @@ def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
 
 def legendre(n: int) -> AlphaPoly:
     """Weight 1/2: the conformable Legendre polynomial."""
-    return from_series(GegenbauerSpec(n, _HALF, 1))
+    return from_series(GegenbauerSpec(n, _HALF))
 
 
 def chebyshev_t(n: int) -> AlphaPoly:

@@ -91,13 +91,12 @@ class ParamGrid:
         object.__setattr__(self, "alphas", tuple(_as_order(v) for v in alphas))
 
     def specs(self, n_max: Optional[int] = None) -> Iterator[GegenbauerSpec]:
-        """One spec per (weight, degree), at the grid's first order: exact
-        arithmetic carries no order and never reads its value, so an exact
-        check that holds at one order holds at all of them."""
+        """One spec per (weight, degree): exact arithmetic carries no order,
+        so an exact check that holds once holds at every order of the grid."""
         top = self.n_max if n_max is None else min(n_max, self.n_max)
         for lam in self.lambdas:
             for n in range(top + 1):
-                yield GegenbauerSpec(n, lam, self.alphas[0])
+                yield GegenbauerSpec(n, lam)
 
     def describe(self, n_max: Optional[int] = None, bounds: str = "") -> str:
         """The grid's text for a report of an exact sweep; `bounds` follows
@@ -106,7 +105,7 @@ class ParamGrid:
         lams = ", ".join(str(v) for v in self.lambdas)
         alphas = ", ".join(str(v) for v in self.alphas)
         return (f"n <= {top}{bounds}, weight in {{{lams}}}, order in {{{alphas}}}; "
-                f"exact, order-free: checked at order {self.alphas[0]}")
+                "exact, order-free")
 
 
 STANDARD_GRID = ParamGrid()
@@ -169,7 +168,7 @@ def ultraspherical_ode_residual(p: AlphaPoly, spec: UltrasphericalSpec) -> Alpha
     `ode_residual` at lam = beta + 1/2 with no (1 - x^(2a)) factor on the
     second-derivative term, which adds x^(2a) DD to the residual.  It
     annihilates only n <= 1."""
-    residual = ode_residual(p, GegenbauerSpec(spec.n, spec.lam, spec.alpha))
+    residual = ode_residual(p, GegenbauerSpec(spec.n, spec.lam))
     return residual + p.d_alpha().d_alpha().shift(2)
 
 
@@ -197,7 +196,7 @@ def _ladder_case(spec: GegenbauerSpec, m: int) -> tuple:
     lhs = from_series(spec)
     for _ in range(m):
         lhs = lhs.d_alpha()
-    target = from_series(GegenbauerSpec(spec.n - m, spec.lam + m, spec.alpha))
+    target = from_series(GegenbauerSpec(spec.n - m, spec.lam + m))
     rhs = target.scale(Fraction(2) ** m * pochhammer(spec.lam, m), power=m)
     return spec, (f"d_alpha^{m} C_n", lhs), ("2^m a^m (lam)_m C_(n-m)^(lam+m)", rhs)
 
@@ -207,18 +206,18 @@ def diff_relation_check(spec: GegenbauerSpec, m: int) -> VerificationReport:
     2^m a^m (lam)_m C_(n-m)^(lam+m), exactly."""
     if _as_count(m, "ladder length") > spec.n:
         raise ParameterError(f"ladder length must satisfy 0 <= m <= n, got {m!r}")
-    grid = f"n={spec.n}, m={m}, weight={spec.lam}, order={spec.alpha}"
+    grid = f"n={spec.n}, m={m}, weight={spec.lam}"
     return _exact_report("derivative-ladder", grid, [_ladder_case(spec, m)])
 
 
 def _recurrence_cases(spec: GegenbauerSpec) -> Iterator[tuple]:
-    n, lam, alpha = spec.n, spec.lam, spec.alpha
-    c_next = ("(n+1) C_(n+1)", from_series(GegenbauerSpec(n + 1, lam, alpha)).scale(n + 1))
-    c_prev = from_series(GegenbauerSpec(n - 1, lam, alpha)) if n else AlphaPoly.zero()
+    n, lam = spec.n, spec.lam
+    c_next = ("(n+1) C_(n+1)", from_series(GegenbauerSpec(n + 1, lam)).scale(n + 1))
+    c_prev = from_series(GegenbauerSpec(n - 1, lam)) if n else AlphaPoly.zero()
     three_term = from_series(spec).shift(1).scale(2 * (n + lam)) - c_prev.scale(n + 2 * lam - 1)
     yield spec, c_next, ("three-term", three_term)
-    up_n = from_series(GegenbauerSpec(n, lam + 1, alpha))
-    up_prev = from_series(GegenbauerSpec(n - 1, lam + 1, alpha)) if n else AlphaPoly.zero()
+    up_n = from_series(GegenbauerSpec(n, lam + 1))
+    up_prev = from_series(GegenbauerSpec(n - 1, lam + 1)) if n else AlphaPoly.zero()
     yield spec, c_next, ("weight-raising", (up_n.shift(1) - up_prev).scale(2 * lam))
 
 
@@ -229,7 +228,7 @@ def recurrence_checks(spec: GegenbauerSpec) -> VerificationReport:
         (n+1) C_(n+1)^(lam) = 2 lam x^a C_n^(lam+1)     - 2 lam C_(n-1)^(lam+1)
 
     with the convention that the degree -1 member is the zero polynomial."""
-    grid = f"pivot n={spec.n}, weight={spec.lam}, order={spec.alpha}"
+    grid = f"pivot n={spec.n}, weight={spec.lam}"
     return _exact_report("recurrences", grid, _recurrence_cases(spec))
 
 
@@ -242,7 +241,7 @@ def _endpoint_case(spec: GegenbauerSpec) -> tuple:
 def endpoint_value_check(spec: GegenbauerSpec) -> VerificationReport:
     """Exact value at x = 1: the coefficient sum equals
     G(2 lam + n) / (G(2 lam) n!)."""
-    grid = f"n={spec.n}, weight={spec.lam}, order={spec.alpha}"
+    grid = f"n={spec.n}, weight={spec.lam}"
     return _exact_report("endpoint-value", grid, [_endpoint_case(spec)])
 
 
@@ -285,7 +284,7 @@ def check_generating_function(
     def cases() -> Iterator[tuple]:
         for lam in lambdas:
             for n, row in enumerate(generating_function_coeffs(Fraction(lam), n_max)):
-                spec = GegenbauerSpec(n, lam, 1)
+                spec = GegenbauerSpec(n, lam)
                 yield (spec, ("generating function", row),
                        ("series", list(from_series(spec).rational_coeffs())))
 
@@ -296,6 +295,8 @@ def check_generating_function(
 def check_derivative_ladder(
         grid: ParamGrid = STANDARD_GRID, n_max: int = 8, m_max: int = 3) -> VerificationReport:
     """Derivative ladder over the grid, ladder length m <= min(m_max, n)."""
+    _as_count(n_max, "n_max")
+    _as_count(m_max, "m_max")
     cases = (_ladder_case(spec, m) for spec in grid.specs(n_max)
              for m in range(1, min(m_max, spec.n) + 1))
     return _exact_report("derivative-ladder", grid.describe(n_max, f", m <= {m_max}"), cases)
@@ -303,6 +304,7 @@ def check_derivative_ladder(
 
 def check_recurrences(grid: ParamGrid = STANDARD_GRID, n_max: int = 11) -> VerificationReport:
     """Both recurrences at every pivot reachable inside the grid."""
+    _as_count(n_max, "n_max")
     top = min(n_max, grid.n_max - 1)
     cases = (case for spec in grid.specs(top) for case in _recurrence_cases(spec))
     return _exact_report("recurrences", grid.describe(top, " (pivots)"), cases)
@@ -335,21 +337,19 @@ def _sample_grid(lo: float, samples: int) -> list[float]:
 
 
 def check_special_cases(
-        alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
         n_max: int = 10, samples: int = 200, rel_tol: float = 1e-12) -> VerificationReport:
     """Weight 1/2 matches Legendre, weight 1 matches second-kind Chebyshev,
     the first-kind coefficients match their closed form (all exact, checked
-    once per degree at the first order, as `ParamGrid.specs` explains), and
-    at order 1 `values` (Horner on the coefficients, or their Chebyshev sum
-    past Horner's bound) matches the float three-term recurrence the direct
+    once per degree, since exact values carry no order), and at order 1
+    `values` (Horner on the coefficients, or their Chebyshev sum past
+    Horner's bound) matches the float three-term recurrence the direct
     route uses, an independent evaluation.
 
     The numeric comparison is measured relative to the coefficient L1 norm
     (the natural evaluation scale; pointwise relative error is ill-defined
     at interior roots)."""
-    alphas = tuple(_as_order(a) for a in _as_cases(alphas, "orders"))
-    alpha = alphas[0]
-    grid = f"n <= {n_max}, order in {{{', '.join(str(a) for a in alphas)}}}"
+    _as_count(n_max, "n_max")
+    grid = f"n <= {n_max}, order 1"
     weights = (_HALF, Fraction(1), Fraction(3))
     oracle = {(n, lam): classical_oracle(n, lam)
               for lam in weights for n in range(n_max + 1)}
@@ -358,7 +358,7 @@ def check_special_cases(
         for n in range(n_max + 1):
             for name, poly, expected in (
                     ("legendre", legendre(n), oracle[n, _HALF]),
-                    ("second-kind", from_series(GegenbauerSpec(n, 1, alpha)), oracle[n, 1]),
+                    ("second-kind", from_series(GegenbauerSpec(n, 1)), oracle[n, 1]),
                     ("first-kind", chebyshev_t(n), _chebyshev_t_closed(n))):
                 yield f"n={n}", (name, list(poly.rational_coeffs())), ("expected", expected)
 
@@ -370,7 +370,7 @@ def check_special_cases(
         # C_0 .. C_n_max at each point, from one recurrence per point
         reference = [_gegenbauer_values(n_max, float(lam), x) for x in xs]
         for n in range(n_max + 1):
-            p = from_series(GegenbauerSpec(n, lam, Fraction(1)))
+            p = from_series(GegenbauerSpec(n, lam))
             scale = max(1.0, sum(abs(float(c)) for c in oracle[n, lam]))
             errors = (abs(v - values[n]) for v, values in zip(p.values(xs, 1.0), reference))
             worst = max(worst, max(errors) / scale)
@@ -380,8 +380,8 @@ def check_special_cases(
                     witness=f"order-1 evaluation n={n}, weight={lam}")
     return VerificationReport(
         "special-cases", grid, "numeric-pass", max_residual=worst,
-        notes=f"exact, order-free: reductions checked at order {alpha}; order-1 "
-              f"evaluation residual relative to coefficient L1 norm, {samples} points")
+        notes=f"reductions exact and order-free; order-1 evaluation residual "
+              f"relative to coefficient L1 norm, {samples} points")
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +395,14 @@ def audit_ultraspherical(
     """Recorded findings for the shifted-weight family: the variant operator,
     the series-form consistency against the generating function's binomial
     rows, and the alternate Rodrigues normalization.  Each exact object is
-    built once per (shifted weight, degree) at the first order, as
-    `ParamGrid.specs` explains; only the variant's residual size is taken at
-    an order, the largest listed, where it peaks."""
+    built once per (shifted weight, degree), since it carries no order; only
+    the variant's residual size is taken at an order, the largest listed,
+    where it peaks."""
     _as_count(n_max, "n_max")
     alphas = tuple(_as_order(a) for a in _as_cases(alphas, "orders"))
     grid = (f"n <= {n_max}, shifted weight in {{{', '.join(str(b) for b in betas)}}}, "
             f"order in {{{', '.join(str(a) for a in alphas)}}}")
-    specs = {beta: [UltrasphericalSpec(n, Fraction(beta), alphas[0]) for n in range(n_max + 1)]
+    specs = {beta: [UltrasphericalSpec(n, Fraction(beta)) for n in range(n_max + 1)]
              for beta in betas}
     reports = []
 
@@ -418,7 +418,7 @@ def audit_ultraspherical(
     for beta in betas:
         for spec in specs[beta]:
             p = ultraspherical(spec)
-            full = ode_residual(p, GegenbauerSpec(spec.n, spec.lam, spec.alpha))
+            full = ode_residual(p, GegenbauerSpec(spec.n, spec.lam))
             if not full.is_zero and fault is None:
                 fault = VerificationReport(
                     "ultraspherical-ode-variant-operator", grid, "fail",
@@ -435,8 +435,7 @@ def audit_ultraspherical(
             size = _residual_size(variant, top)
             if size > worst:
                 worst = size
-                witness = (f"{UltrasphericalSpec(spec.n, spec.beta, top)}: "
-                           f"residual = {variant}")
+                witness = f"beta={spec.beta}, n={spec.n}, order={top}: residual = {variant}"
     reports.append(fault or VerificationReport(
         "ultraspherical-ode-variant-operator", grid,
         "fail" if witness else "exact-pass",
@@ -465,7 +464,7 @@ def audit_ultraspherical(
     def rodrigues_cases() -> Iterator[tuple]:
         for beta in betas:
             for spec in specs[beta]:
-                member = from_rodrigues(GegenbauerSpec(spec.n, spec.lam, spec.alpha))
+                member = from_rodrigues(GegenbauerSpec(spec.n, spec.lam))
                 yield spec, ("rodrigues", member), ("series", ultraspherical(spec))
 
     closed = {b: 2.0 ** float(b) * math.gamma(float(b) + 0.5) / math.sqrt(math.pi)
@@ -487,16 +486,12 @@ def audit_ultraspherical(
     return reports
 
 
-def audit_chebyshev_limit(
-        alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
-        n_max: int = 8, m_max: int = 3) -> list[VerificationReport]:
+def audit_chebyshev_limit(n_max: int = 8, m_max: int = 3) -> list[VerificationReport]:
     """Recorded findings at the first-kind (weight -> 0) boundary.  Both are
-    exact, so each runs once per degree; the ladder needs n_max, m_max >= 1."""
-    if min(n_max, m_max) < 1:
+    exact and order-free; the ladder needs n_max, m_max >= 1."""
+    if min(_as_count(n_max, "n_max"), _as_count(m_max, "m_max")) < 1:
         raise ParameterError(f"n_max and m_max must be >= 1, got {n_max} and {m_max}")
-    alphas = tuple(_as_order(a) for a in _as_cases(alphas, "orders"))
-    alpha = alphas[0]
-    grid = f"n <= {n_max}, order in {{{', '.join(str(a) for a in alphas)}}}"
+    grid = f"n <= {n_max}"
     reports = []
 
     cases = ((f"n={n}", ("first-kind", chebyshev_t(n)),
@@ -514,12 +509,12 @@ def audit_chebyshev_limit(
         lhs = chebyshev_t(n)
         for m in range(1, min(m_max, n) + 1):
             lhs = lhs.d_alpha()
-            target = from_series(GegenbauerSpec(n - m, Fraction(m), alpha))
+            target = from_series(GegenbauerSpec(n - m, m))
             variant = target.scale(Fraction(2) ** m * math.factorial(m - 1), power=m)
             if lhs != variant.scale(Fraction(n, 2)):
                 exact_ratio = False
             if lhs != variant and mismatch is None:
-                mismatch = f"n={n}, m={m}, order={alpha}"
+                mismatch = f"n={n}, m={m}"
     reports.append(VerificationReport(
         "chebyshev-derivative-ladder", grid + f", m <= {m_max}",
         "fail" if mismatch else "exact-pass",

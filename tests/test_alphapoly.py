@@ -73,7 +73,7 @@ class TestGrade:
         assert p.evaluate(2.0, 1) == 7.0
         assert AlphaPoly((0, 6), grade=2).evaluate(0.25, HALF) == 0.75
 
-    # the exact sweeps check each identity at one order and claim it for all:
+    # the exact sweeps check each identity once and claim it for every order:
     # no result of exact arithmetic holds an order it could depend on
     @given(coeff_lists, coeff_lists, rationals,
            st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 3), st.integers(0, 3))

@@ -285,6 +285,21 @@ def test_empty_out_exits_2(tmp_path, monkeypatch, capsys, command, source):
     assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if source == "config" else [])
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("eval --n 2 --alpha 0 --x 0.5", "order must lie in (0, 1], got 0"),
+    ("eval --n -1 --alpha 0 --x 0.5", "degree must be a nonnegative integer, got -1"),
+    ("eval --n 2 --lambda 0 --alpha 0 --x 0.5", "weight parameter must be positive, got 0"),
+    ("plot-data --n 2 --alpha 1/2 --alpha 3/2", "order must lie in (0, 1], got 3/2"),
+    ("plot-data --n 2 --alpha 2 --alpha 3/2", "order must lie in (0, 1], got 3/2"),
+    ("plot-data --n 2 --lambda -1 --alpha 3/2", "weight parameter must be positive, got -1"),
+])
+def test_order_is_checked_after_degree_and_weight(capsys, argv, message):
+    # the order enters only where a float is made, yet is still refused
+    # before any output, after the degree and the weight, lowest first
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestConfigFile:
     def test_values_fill_unset_options(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -53,17 +53,17 @@ class TestChoice:
     @pytest.mark.parametrize("lam", HORNER_UP_TO, ids=str)
     def test_horner_kept_up_to_the_pinned_degree(self, lam):
         for n in range(65):
-            horner = from_series(GegenbauerSpec(n, lam, 1))._chebyshev is None
+            horner = from_series(GegenbauerSpec(n, lam))._chebyshev is None
             assert horner == (n <= HORNER_UP_TO[lam]), n
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_golden_curves_stay_on_horner(self, n):
         # the golden CSVs are weight 3, degrees 1..5
-        assert from_series(GegenbauerSpec(n, 3, 1))._chebyshev is None
+        assert from_series(GegenbauerSpec(n, 3))._chebyshev is None
 
     def test_chebyshev_coefficients_of_a_member_are_nonnegative(self):
         # DLMF 18.5: so sum |b_j| = C_n(1), and one parity part
-        p = from_series(GegenbauerSpec(40, Fraction(2, 7), 1))
+        p = from_series(GegenbauerSpec(40, Fraction(2, 7)))
         parts, bound, _ = p._chebyshev
         assert len(parts) == 1 and parts[0][0] == 0
         assert all(b > 0 for b in parts[0][1])
@@ -92,7 +92,7 @@ class TestConversionExact:
         for k in range(200):
             r.append(r[-1] * (lam + k) / (k + 1))
         for n in range(201):
-            p = from_series(GegenbauerSpec(n, lam, 1))
+            p = from_series(GegenbauerSpec(n, lam))
             big, shared = _chebyshev_numerators(p.nums), p.den << n
             for k in range(n // 2 + 1):
                 b = r[k] * r[n - k] * (1 if 2 * k == n else 2)
@@ -125,7 +125,7 @@ class TestChebyshevAgainstExact:
     def test_within_bound_up_to_degree_200(self, lam):
         worst = 0.0
         for n in range(201):
-            p = _chebyshev_only(from_series(GegenbauerSpec(n, lam, 1)))
+            p = _chebyshev_only(from_series(GegenbauerSpec(n, lam)))
             _, bound, scale = p._chebyshev
             for u, value in zip(POINTS, p.values(POINTS, 1.0)):
                 err = _error(value, p, u)
@@ -136,7 +136,7 @@ class TestChebyshevAgainstExact:
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(7, 10)], ids=str)
     def test_fractional_order_uses_the_same_u(self, alpha):
-        p = from_series(GegenbauerSpec(40, Fraction(1, 2), alpha))
+        p = from_series(GegenbauerSpec(40, Fraction(1, 2)))
         a = float(alpha)
         _, bound, _ = p._chebyshev
         for x in POINTS:
@@ -144,7 +144,7 @@ class TestChebyshevAgainstExact:
             assert _error(p.evaluate(x, a), p, u) <= bound
 
     def test_graded_polynomial_scales_by_the_order(self):
-        p = from_series(GegenbauerSpec(30, 1, 1))
+        p = from_series(GegenbauerSpec(30, 1))
         graded = p.scale(1, power=2)
         assert graded.values(POINTS, 0.5) == [v * 0.25 for v in p.values(POINTS, 0.5)]
 
@@ -167,11 +167,11 @@ class TestClenshawEdges:
     @pytest.mark.parametrize("lam", WEIGHTS, ids=str)
     def test_members_up_to_degree_200(self, lam):
         for n in range(201):
-            self._assert_within_bound(_chebyshev_only(from_series(GegenbauerSpec(n, lam, 1))))
+            self._assert_within_bound(_chebyshev_only(from_series(GegenbauerSpec(n, lam))))
 
     def test_mixed_parity_non_member(self):
-        p = _chebyshev_only(from_series(GegenbauerSpec(200, 1, 1))
-                            + from_series(GegenbauerSpec(199, 1, 1)))
+        p = _chebyshev_only(from_series(GegenbauerSpec(200, 1))
+                            + from_series(GegenbauerSpec(199, 1)))
         assert [odd for odd, _ in p._chebyshev[0]] == [0, 1]
         self._assert_within_bound(p)
 
@@ -180,7 +180,7 @@ class TestHornerAgainstExact:
     @pytest.mark.parametrize("lam", WEIGHTS, ids=str)
     def test_within_gamma_bound(self, lam):
         for n in range(HORNER_UP_TO.get(lam, 8) + 1):
-            p = from_series(GegenbauerSpec(n, lam, 1))
+            p = from_series(GegenbauerSpec(n, lam))
             assert p._chebyshev is None
             m = 2 * n + 1
             bound = m * EPS / (1 - m * EPS) * float(sum(map(abs, p.coeffs)))
@@ -189,20 +189,20 @@ class TestHornerAgainstExact:
 
     def test_values_match_evaluate(self):
         for n in (4, 30):
-            p = from_series(GegenbauerSpec(n, 3, 1))
+            p = from_series(GegenbauerSpec(n, 3))
             assert p.values(POINTS, 0.5) == [p.evaluate(x, 0.5) for x in POINTS]
 
 
 class TestWorkingRange:
     def test_chebyshev_refuses_points_outside(self):
-        p = from_series(GegenbauerSpec(30, 3, 1))
+        p = from_series(GegenbauerSpec(30, 3))
         with pytest.raises(ParameterError, match=r"outside \[-1, 1\]"):
             p.values([0.5, 1.5], 1.0)
         with pytest.raises(ParameterError, match=r"outside \[-1, 1\]"):
             p.evaluate(math.nan, 1.0)
 
     def test_horner_takes_any_finite_point(self):
-        p = from_series(GegenbauerSpec(4, 3, 1))
+        p = from_series(GegenbauerSpec(4, 3))
         num, den = _exact(p, 2.0)
         assert p.evaluate(2.0, 1.0) == num / den
 
@@ -213,15 +213,15 @@ class TestWorkingRange:
         first = min(n for n in range(1000)
                     if (5.5 * (n // 2) ** 2 + 7.5 * (n // 2) + 6) * EPS > 1e-10)
         assert first == 808
-        p = from_recurrence(GegenbauerSpec(first, Fraction(1, 2), 1))
+        p = from_recurrence(GegenbauerSpec(first, Fraction(1, 2)))
         with pytest.raises(AccuracyError, match=f"degree {first}"):
             p.evaluate(0.5, 1.0)
         assert math.isfinite(
-            from_recurrence(GegenbauerSpec(first - 1, Fraction(1, 2), 1)).evaluate(0.5, 1.0))
+            from_recurrence(GegenbauerSpec(first - 1, Fraction(1, 2))).evaluate(0.5, 1.0))
 
     @pytest.mark.parametrize("poly", [
         AlphaPoly((10 ** 400,)),                                    # Horner's coefficient
-        from_recurrence(GegenbauerSpec(300, 1000, 1)),              # a Chebyshev coefficient
+        from_recurrence(GegenbauerSpec(300, 1000)),              # a Chebyshev coefficient
     ], ids=["horner", "chebyshev"])
     def test_coefficient_past_the_float_range_raises(self, poly):
         # int / int past the float range raised a bare OverflowError
@@ -249,7 +249,7 @@ class TestEvalCommand:
             for alpha in EVAL_ORDERS:
                 code, out, err = _run(capsys, "eval", "--n", str(n), "--lambda", lam,
                                       "--alpha", alpha, "--x", *EVAL_POINTS)
-                p = from_recurrence(GegenbauerSpec(n, Fraction(lam), Fraction(alpha)))
+                p = from_recurrence(GegenbauerSpec(n, Fraction(lam)))
                 a = float(Fraction(alpha))
                 rows = [f"{float(x)!r},{a!r},{p.evaluate(float(x), a)!r}" for x in EVAL_POINTS]
                 assert (code, err) == (0, "")
@@ -260,7 +260,7 @@ class TestEvalCommand:
         rng = random.Random(n)
         xs = [float(x) for x in EVAL_POINTS] + [rng.uniform(-1.0, 1.0) for _ in range(8)]
         for lam in WEIGHTS:
-            p = from_series(GegenbauerSpec(n, lam, 1))
+            p = from_series(GegenbauerSpec(n, lam))
             for alpha in EVAL_ORDERS:
                 a = float(Fraction(alpha))
                 assert ([repr(v) for v in p.values(xs, a)]
@@ -271,7 +271,7 @@ class TestEvalCommand:
                             "--x", "0.99")
         assert code == 0
         value = float(out.splitlines()[1].split(",")[2])
-        p = from_recurrence(GegenbauerSpec(60, 3, 1))
+        p = from_recurrence(GegenbauerSpec(60, 3))
         # C_60^3(1) = (6)_60 / 60! = C(65, 5)
         assert p.coefficient_sum() == math.comb(65, 5)
         assert _error(value, p, 0.99) <= 1e-10 * math.comb(65, 5)

@@ -1,4 +1,5 @@
 """Family constructors: frozen low-order values, route agreement, special cases."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,12 +16,13 @@ from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_ke
 from congeg.quadrature import (classical_norm, conformable_inner_product,
                                conformable_inner_product_direct,
                                normalization_closed_form)
-from congeg.verify import diff_relation_check, generating_function_coeffs
+from congeg.verify import (ParamGrid, audit_chebyshev_limit, check_derivative_ladder,
+                           check_recurrences, check_special_cases, diff_relation_check,
+                           generating_function_coeffs)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
-orders = st.sampled_from([Fraction(1, 4), HALF, Fraction(3, 4), ONE])
 weights = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8)
 
 
@@ -42,11 +44,11 @@ WEIGHT3 = {
 class TestFrozenTables:
     @pytest.mark.parametrize("n,expected", sorted(WEIGHT3.items()))
     def test_weight3_series(self, n, expected):
-        poly = from_series(GegenbauerSpec(n, Fraction(3), HALF))
+        poly = from_series(GegenbauerSpec(n, Fraction(3)))
         assert poly.rational_coeffs() == expected
 
     def test_weight3_strings(self):
-        fam = {n: str(from_series(GegenbauerSpec(n, Fraction(3), HALF)))
+        fam = {n: str(from_series(GegenbauerSpec(n, Fraction(3))))
                for n in range(6)}
         assert fam[2] == "24 x^2a - 3"
         assert fam[4] == "240 x^4a - 120 x^2a + 6"
@@ -57,7 +59,7 @@ class TestFrozenTables:
         assert legendre(3).rational_coeffs() == F(0, "-3/2", 0, "5/2")
 
     def test_second_kind_weight(self):
-        assert from_series(GegenbauerSpec(2, ONE, HALF)).rational_coeffs() == F(-1, 0, 4)
+        assert from_series(GegenbauerSpec(2, ONE)).rational_coeffs() == F(-1, 0, 4)
 
     def test_first_kind(self):
         assert chebyshev_t(2).rational_coeffs() == F(-1, 0, 2)
@@ -73,50 +75,56 @@ class TestStructure:
     def test_leading_coefficient(self):
         # 2^n (lam)_n / n!
         for n, lam in [(4, Fraction(3)), (6, HALF), (5, Fraction(5, 2))]:
-            poly = from_series(GegenbauerSpec(n, lam, HALF))
+            poly = from_series(GegenbauerSpec(n, lam))
             expected = Fraction(2 ** n) * pochhammer(lam, n) / math.factorial(n)
             assert poly.rational_coeffs()[-1] == expected
 
     def test_endpoint_sum(self):
         # sum of coefficients is Gamma(2 lam + n) / (Gamma(2 lam) n!)
-        values = [from_series(GegenbauerSpec(n, Fraction(3), HALF)).coefficient_sum()
+        values = [from_series(GegenbauerSpec(n, Fraction(3))).coefficient_sum()
                   for n in range(1, 6)]
         assert values == [6, 21, 56, 126, 252]
 
     def test_parity(self):
         for n in range(7):
-            coeffs = from_series(GegenbauerSpec(n, Fraction(5, 2), HALF)).rational_coeffs()
+            coeffs = from_series(GegenbauerSpec(n, Fraction(5, 2))).rational_coeffs()
             assert all(coeffs[k] == 0 for k in range(len(coeffs)) if (n - k) % 2)
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
-            GegenbauerSpec(-1, ONE, HALF)
+            GegenbauerSpec(-1, ONE)
         with pytest.raises(ParameterError):
-            GegenbauerSpec(2, Fraction(0), HALF)
-        with pytest.raises(ParameterError):
-            GegenbauerSpec(2, ONE, Fraction(3, 2))
+            GegenbauerSpec(2, Fraction(0))
+        with pytest.raises(TypeError):  # a spec takes no order
+            GegenbauerSpec(2, ONE, HALF)
+
+    def test_specs_carry_no_order(self):
+        assert [f.name for f in dataclasses.fields(GegenbauerSpec)] == ["n", "lam"]
+        assert [f.name for f in dataclasses.fields(UltrasphericalSpec)] == ["n", "beta"]
 
     def test_order_shows_up_only_in_basis(self):
-        a = from_series(GegenbauerSpec(4, Fraction(3), Fraction(1, 4)))
-        b = from_series(GegenbauerSpec(4, Fraction(3), Fraction(3, 4)))
-        assert a.rational_coeffs() == b.rational_coeffs()
-        assert a.evaluate(0.5, Fraction(1, 4)) != b.evaluate(0.5, Fraction(3, 4))
+        member = from_series(GegenbauerSpec(4, Fraction(3)))
+        assert member.evaluate(0.5, Fraction(1, 4)) != member.evaluate(0.5, Fraction(3, 4))
 
 
 class TestRouteAgreement:
     @pytest.mark.parametrize("lam", [HALF, ONE, Fraction(5, 2), Fraction(3)])
     @pytest.mark.parametrize("alpha", [Fraction(1, 4), HALF, ONE])
     def test_three_routes(self, lam, alpha):
+        # one member for every order, which is the classical one at u = x^a
+        u = 0.3 ** float(alpha)
         for n in range(9):
-            spec = GegenbauerSpec(n, lam, alpha)
+            spec = GegenbauerSpec(n, lam)
             s = from_series(spec)
             assert from_recurrence(spec) == s
             assert from_rodrigues(spec) == s
+            classical = sum(float(c) * u ** k for k, c in enumerate(classical_oracle(n, lam)))
+            assert s.evaluate(0.3, alpha) == pytest.approx(classical, rel=1e-13, abs=1e-13)
 
-    @given(st.integers(0, 32), weights, orders)
+    @given(st.integers(0, 32), weights)
     @settings(max_examples=40, deadline=None)
-    def test_routes_agree_off_grid(self, n, lam, alpha):
-        spec = GegenbauerSpec(n, lam, alpha)
+    def test_routes_agree_off_grid(self, n, lam):
+        spec = GegenbauerSpec(n, lam)
         s = from_series(spec)
         assert from_recurrence(spec) == s
         rodrigues = from_rodrigues(spec)
@@ -129,7 +137,7 @@ class TestRouteAgreement:
     def test_routes_match_oracle_to_degree_64(self, lam):
         for n in (0, 1, 2, 3, 7, 16, 31, 48, 63, 64):
             oracle = tuple(classical_oracle(n, lam))
-            spec = GegenbauerSpec(n, lam, Fraction(2, 3))
+            spec = GegenbauerSpec(n, lam)
             for route in (from_series, from_recurrence, from_rodrigues):
                 poly = route(spec)
                 assert poly.grade == 0 and poly.rational_coeffs() == oracle
@@ -139,41 +147,41 @@ class TestRouteAgreement:
         # each route hands its own integers and running denominator to one
         # reduction, so the stored numerators and denominator must coincide
         for n in range(65):
-            spec = GegenbauerSpec(n, lam, HALF)
+            spec = GegenbauerSpec(n, lam)
             s = from_series(spec)
             for route in (from_recurrence, from_rodrigues):
                 poly = route(spec)
                 assert (poly.nums, poly.den) == (s.nums, s.den), (route.__name__, n)
             assert math.gcd(s.den, *s.nums) == 1 and s.nums[-1] != 0
 
-    @given(st.integers(0, 24), weights, orders)
+    @given(st.integers(0, 24), weights)
     @settings(max_examples=40, deadline=None)
-    def test_routes_build_normalized_polynomials(self, n, lam, alpha):
+    def test_routes_build_normalized_polynomials(self, n, lam):
         # the routes build their results without the public constructor's checks
-        spec = GegenbauerSpec(n, lam, alpha)
+        spec = GegenbauerSpec(n, lam)
         for poly in (from_series(spec), from_recurrence(spec), from_rodrigues(spec),
                      _rodrigues_kernel(n, lam - HALF)):
             assert all(type(c) is Fraction for c in poly.coeffs)
             assert poly.coeffs[-1] != 0
             assert AlphaPoly(poly.coeffs, poly.grade) == poly
 
-    @given(st.integers(1, 8), weights, orders)
+    @given(st.integers(1, 8), weights)
     @settings(max_examples=40, deadline=None)
-    def test_derivative_ladder_single_step(self, n, lam, alpha):
-        lhs = from_series(GegenbauerSpec(n, lam, alpha)).d_alpha()
-        rhs = from_series(GegenbauerSpec(n - 1, lam + 1, alpha)).scale(2 * lam, power=1)
+    def test_derivative_ladder_single_step(self, n, lam):
+        lhs = from_series(GegenbauerSpec(n, lam)).d_alpha()
+        rhs = from_series(GegenbauerSpec(n - 1, lam + 1)).scale(2 * lam, power=1)
         assert lhs == rhs
 
 
 class TestUltraspherical:
     def test_matches_shifted_weight(self):
-        spec = UltrasphericalSpec(3, HALF, HALF)
+        spec = UltrasphericalSpec(3, HALF)
         assert spec.lam == ONE
-        assert ultraspherical(spec) == from_series(GegenbauerSpec(3, ONE, HALF))
+        assert ultraspherical(spec) == from_series(GegenbauerSpec(3, ONE))
 
     def test_beta_validation(self):
         with pytest.raises(ParameterError):
-            UltrasphericalSpec(2, Fraction(-1, 2), HALF)
+            UltrasphericalSpec(2, Fraction(-1, 2))
 
     @given(st.integers(0, 12),
            st.sampled_from([Fraction(-1, 3), Fraction(0), HALF, Fraction(3, 2)]))
@@ -184,7 +192,7 @@ class TestUltraspherical:
 
     def test_rodrigues_frozen_value(self):
         # series gives 2 u; the route carries the extra 2^b G(b+1/2)/sqrt(pi)
-        coeffs = ultraspherical_rodrigues(UltrasphericalSpec(1, HALF, ONE))
+        coeffs = ultraspherical_rodrigues(UltrasphericalSpec(1, HALF))
         assert coeffs[0] == 0.0
         assert coeffs[1] == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12)
 
@@ -196,7 +204,7 @@ class TestUltraspherical:
         # the float range
         expected = 2.0 ** float(beta) * math.gamma(float(beta) + 0.5) / math.sqrt(math.pi)
         for n in [*range(0, 201, 8), 89, 90, 91, 92, 130, 131]:
-            spec = UltrasphericalSpec(n, beta, HALF)
+            spec = UltrasphericalSpec(n, beta)
             numeric = ultraspherical_rodrigues(spec)
             exact = ultraspherical(spec).rational_coeffs()
             assert len(numeric) == len(exact)
@@ -211,17 +219,17 @@ class TestUltraspherical:
         # G(2b+1) leaves the float range past b = 85.3; this raised a
         # bare OverflowError
         with pytest.raises(AccuracyError, match="past the float range"):
-            ultraspherical_rodrigues(UltrasphericalSpec(n, beta, ONE))
+            ultraspherical_rodrigues(UltrasphericalSpec(n, beta))
 
     def test_rodrigues_coefficient_past_the_float_range_raises(self):
         # the constant (about 6.7e152 at b = 85) is finite and so is every
         # exact coefficient (up to about 4.4e155 at degree 220), but their
         # product is not; this returned inf silently
-        spec = UltrasphericalSpec(220, 85, ONE)
+        spec = UltrasphericalSpec(220, 85)
         assert all(math.isfinite(c) for c in ultraspherical(spec).rational_coeffs())
         with pytest.raises(AccuracyError, match="degree-220 .* past the float range"):
             ultraspherical_rodrigues(spec)
-        assert all(map(math.isfinite, ultraspherical_rodrigues(UltrasphericalSpec(218, 85, ONE))))
+        assert all(map(math.isfinite, ultraspherical_rodrigues(UltrasphericalSpec(218, 85))))
 
 
 class TestFirstKind:
@@ -246,7 +254,7 @@ class TestFirstKind:
 
 # every entry point that takes a weight, through the one weight check
 WEIGHT_ENTRY_POINTS = {
-    "GegenbauerSpec": lambda lam: GegenbauerSpec(2, lam, HALF),
+    "GegenbauerSpec": lambda lam: GegenbauerSpec(2, lam),
     "classical_oracle": lambda lam: classical_oracle(2, lam),
     "generating_function_coeffs": lambda lam: generating_function_coeffs(lam, 2),
     "conformable_inner_product": lambda lam: conformable_inner_product(1, 1, lam, HALF),
@@ -293,9 +301,9 @@ class TestWeightCheck:
         # GegenbauerSpec(2, True, True) once built weight 1 at order 1
         for alpha in (True, False):
             with pytest.raises(ParameterError, match="order must be a real number"):
-                GegenbauerSpec(2, ONE, alpha)
+                ParamGrid(alphas=(alpha,))
         with pytest.raises(ParameterError):
-            GegenbauerSpec(2, True, True)
+            GegenbauerSpec(2, True)
         conformable_inner_product(1, 1, 1, 1)  # warm the cache at weight 1, order 1
         with pytest.raises(ParameterError):
             conformable_inner_product(1, 1, True, True)
@@ -313,13 +321,19 @@ class TestWeightCheck:
 
 # every entry point that takes a count, through the one count check
 COUNT_ENTRY_POINTS = {
-    "GegenbauerSpec": lambda k: GegenbauerSpec(k, ONE, HALF),
+    "GegenbauerSpec": lambda k: GegenbauerSpec(k, ONE),
     "pochhammer": lambda k: pochhammer(HALF, k),
     "__pow__": lambda k: AlphaPoly((1, 2)) ** k,
     "monomial": lambda k: AlphaPoly.monomial(k),
     "shift": lambda k: AlphaPoly((1, 2)).shift(k),
     "generating_function_coeffs": lambda k: generating_function_coeffs(ONE, k),
-    "diff_relation_check": lambda k: diff_relation_check(GegenbauerSpec(3, ONE, HALF), k),
+    "diff_relation_check": lambda k: diff_relation_check(GegenbauerSpec(3, ONE), k),
+    "check_derivative_ladder n_max": lambda k: check_derivative_ladder(n_max=k),
+    "check_derivative_ladder m_max": lambda k: check_derivative_ladder(m_max=k),
+    "check_recurrences": lambda k: check_recurrences(n_max=k),
+    "check_special_cases": lambda k: check_special_cases(n_max=k),
+    "audit_chebyshev_limit n_max": lambda k: audit_chebyshev_limit(n_max=k),
+    "audit_chebyshev_limit m_max": lambda k: audit_chebyshev_limit(m_max=k),
 }
 
 
@@ -327,35 +341,41 @@ class TestCountCheck:
     @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS.values(), ids=COUNT_ENTRY_POINTS)
     @pytest.mark.parametrize("k", [True, 1.5, -1])
     def test_not_a_count(self, entry, k):
-        # True once ran as 1; 1.5 raised a bare TypeError in some of them
+        # True once ran as 1 (a sweep's grid then read "n <= True"); 1.5
+        # raised a bare TypeError in some of them
         with pytest.raises(ParameterError, match="must be a nonnegative integer"):
             entry(k)
 
 
+# where an exact order enters: a grid's orders, and the inner product,
+# whose value divides by the order
+ORDER_ENTRY_POINTS = (lambda alpha: ParamGrid(alphas=(alpha,)).alphas[0],
+                      lambda alpha: conformable_inner_product(5, 5, 3, alpha))
+
+
 class TestExactOrder:
     def test_float_order_is_its_binary_fraction(self):
-        alpha = GegenbauerSpec(3, 1, 0.7).alpha
+        alpha = ParamGrid(alphas=(0.7,)).alphas[0]
         assert type(alpha) is Fraction and alpha == Fraction(0.7)
 
     def test_float_order_evaluates_as_its_fraction(self):
-        float_spec = GegenbauerSpec(5, Fraction(5, 2), 0.7)
-        fraction_spec = GegenbauerSpec(5, Fraction(5, 2), Fraction(0.7))
-        by_float, by_fraction = from_series(float_spec), from_series(fraction_spec)
-        assert by_float == by_fraction
+        member = from_series(GegenbauerSpec(5, Fraction(5, 2)))
         for x in (-0.9, -0.25, 0.0, 0.3, 0.77, 1.0):
-            assert (by_float.evaluate(x, float_spec.alpha)
-                    == by_fraction.evaluate(x, fraction_spec.alpha)
-                    == by_float.evaluate(x, 0.7))
+            assert member.evaluate(x, Fraction(0.7)) == member.evaluate(x, 0.7)
+        assert (conformable_inner_product(5, 5, Fraction(5, 2), 0.7)
+                == conformable_inner_product(5, 5, Fraction(5, 2), Fraction(0.7)))
 
     @pytest.mark.parametrize("alpha", [None, "x", float("nan"), float("inf"), "1/0"])
     def test_not_a_real_order(self, alpha):
-        with pytest.raises(ParameterError, match="order must be a real number"):
-            GegenbauerSpec(2, ONE, alpha)
+        for entry in ORDER_ENTRY_POINTS:
+            with pytest.raises(ParameterError, match="order must be a real number"):
+                entry(alpha)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
     def test_float_order_outside_range(self, alpha):
-        with pytest.raises(ParameterError, match=r"order must lie in \(0, 1\]"):
-            GegenbauerSpec(2, ONE, alpha)
+        for entry in ORDER_ENTRY_POINTS:
+            with pytest.raises(ParameterError, match=r"order must lie in \(0, 1\]"):
+                entry(alpha)
 
 
 def _leibniz_reference(n, c):

@@ -1,7 +1,7 @@
 """The per-process memos of order-free exact work: each construction route
 keeps its own finished polynomial per (n, weight) and returns that object
-at every order; the inner products keep one moment-weighted vector per
-(n, weight)."""
+for every spec of that pair, whatever order it is then evaluated at; the
+inner products keep one moment-weighted vector per (n, weight)."""
 import inspect
 import math
 from fractions import Fraction
@@ -37,8 +37,8 @@ def _convolution_reference(m, n, lam, alpha):
     """<C_m, C_n> by the pairwise O(m n) convolution of the two coefficient
     lists against the moments, grouped by k = (i + j) / 2, as it was summed
     before the moment-weighted vectors; the same rational, rounded once."""
-    c = from_series(GegenbauerSpec(m, lam, 1))
-    d = from_series(GegenbauerSpec(n, lam, 1))
+    c = from_series(GegenbauerSpec(m, lam))
+    d = from_series(GegenbauerSpec(n, lam))
     moments, mu_den = quadrature._scaled_moments(lam, (len(c.nums) + len(d.nums)) // 2)
     total = 0
     for k, moment in enumerate(moments):
@@ -81,20 +81,22 @@ def test_each_route_computes_its_own_integers(monkeypatch, fresh_memos, route):
     monkeypatch.setattr(gegenbauer, name, skewed)
     report = check_constructor_agreement(ParamGrid(n_max=6))
     assert report.status == "fail"
-    spec = GegenbauerSpec(5, STANDARD_GRID.lambdas[0], STANDARD_GRID.alphas[0])
+    spec = GegenbauerSpec(5, STANDARD_GRID.lambdas[0])
     assert report.witness.startswith(f"{spec}: ")
     assert f"{route} = {public(spec)}" in report.witness
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_orders_share_one_build(fresh_memos, route):
+    # a spec has no order, so a second spec of the same (n, weight), the
+    # weight written another way, gets the first build
     public, name = ROUTES[route]
     memo = getattr(gegenbauer, name)
-    quarter = public(GegenbauerSpec(9, Fraction(5, 2), Fraction(1, 4)))
+    first = public(GegenbauerSpec(9, Fraction(5, 2)))
     hits = memo.cache_info().hits
-    one = public(GegenbauerSpec(9, Fraction(5, 2), 1))
+    again = public(GegenbauerSpec(9, "5/2"))
     assert memo.cache_info().hits == hits + 1
-    assert quarter is one is memo(9, Fraction(5, 2))
+    assert first is again is memo(9, Fraction(5, 2))
 
 
 def test_classical_oracle_returns_a_new_list(fresh_memos):

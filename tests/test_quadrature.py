@@ -198,6 +198,15 @@ class TestDirectRoute:
         with pytest.raises(ParameterError):
             conformable_inner_product_direct(degree, 1, ONE, ONE)
 
+    def test_first_refusal_carries_an_accurate_estimate(self):
+        # the first refusal of the standard weights and orders, by degree; its
+        # estimate is within 9.7e-16 of the exact diagonal, since the refusal
+        # comes from the nested h = 1/16 rule, not from the h = 1/32 one
+        with pytest.raises(AccuracyError, match="nested h = 1/16 rule") as info:
+            conformable_inner_product_direct(28, 28, Fraction(3), ONE)
+        exact = conformable_inner_product(28, 28, Fraction(3), ONE).value
+        assert info.value.best.value == pytest.approx(exact, rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("lam", [HALF, ONE, Fraction(5, 2), Fraction(3), Fraction(2, 7)])
     def test_recurrence_matches_exact_oracle(self, lam):
         # the float recurrence the direct route and special-cases share,

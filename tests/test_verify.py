@@ -1,14 +1,14 @@
 """Identity sweeps and recorded audits."""
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from congeg.alphapoly import AlphaPoly, ParameterError, pochhammer
+from congeg.alphapoly import AlphaPoly, ParameterError
 from congeg.cli import main
-from congeg.gegenbauer import (GegenbauerSpec, chebyshev_t, from_recurrence, from_rodrigues,
-                               from_series, legendre)
+from congeg.gegenbauer import GegenbauerSpec, from_series
 from congeg.report import VerificationReport, reports_to_json, reports_to_text
 import congeg.gegenbauer as gegenbauer
 import congeg.verify as verify
@@ -33,20 +33,26 @@ class TestOdeResidual:
         (4, Fraction(5, 2), Fraction(3, 4)),
     ])
     def test_family_members_annihilated(self, n, lam, alpha):
-        spec = GegenbauerSpec(n, lam, alpha)
-        assert ode_residual(from_series(spec), spec).is_zero
+        spec = GegenbauerSpec(n, lam)
+        residual = ode_residual(from_series(spec), spec)
+        assert residual.is_zero
+        assert residual.values((-0.5, 0.3, 1.0), alpha) == [0.0, 0.0, 0.0]
 
     def test_non_member_witness(self):
         # x^a under the (n=2, weight=3) operator leaves 9 a^2 x^a
-        spec = GegenbauerSpec(2, Fraction(3), HALF)
+        spec = GegenbauerSpec(2, Fraction(3))
         residual = ode_residual(AlphaPoly.monomial(1), spec)
         assert residual == AlphaPoly((0, 9), grade=2)
         assert str(residual) == "(9*a^2) x^a"
 
     def test_member_annihilated_whatever_the_spec_order(self):
-        member = from_series(GegenbauerSpec(6, Fraction(5, 2), Fraction(1, 4)))
+        # neither the member nor the operator's spec has an order, so the one
+        # exact residual is zero at every order it is evaluated at
+        spec = GegenbauerSpec(6, Fraction(5, 2))
+        residual = ode_residual(from_series(spec), spec)
+        assert residual.is_zero
         for alpha in (Fraction(1, 4), Fraction(1, 3), HALF, 0.7, 1):
-            assert ode_residual(member, GegenbauerSpec(6, Fraction(5, 2), alpha)).is_zero
+            assert residual.values((-0.5, 0.3, 1.0), alpha) == [0.0, 0.0, 0.0]
 
 
 class TestGeneratingFunction:
@@ -59,22 +65,22 @@ class TestGeneratingFunction:
         lam = Fraction(3)
         rows = generating_function_coeffs(lam, 6)
         for n, row in enumerate(rows):
-            built = list(from_series(GegenbauerSpec(n, lam, Fraction(1))).rational_coeffs())
+            built = list(from_series(GegenbauerSpec(n, lam)).rational_coeffs())
             built += [Fraction(0)] * (len(row) - len(built))
             assert row == built
 
 
 class TestSingleIdentityChecks:
     def test_diff_relation(self):
-        rep = diff_relation_check(GegenbauerSpec(5, Fraction(3), HALF), 2)
+        rep = diff_relation_check(GegenbauerSpec(5, Fraction(3)), 2)
         assert rep.status == "exact-pass"
 
     def test_diff_relation_bad_m(self):
         with pytest.raises(ParameterError):
-            diff_relation_check(GegenbauerSpec(3, Fraction(3), HALF), 4)
+            diff_relation_check(GegenbauerSpec(3, Fraction(3)), 4)
 
     def test_recurrences_single(self):
-        rep = recurrence_checks(GegenbauerSpec(6, Fraction(5, 2), Fraction(3, 4)))
+        rep = recurrence_checks(GegenbauerSpec(6, Fraction(5, 2)))
         assert rep.status == "exact-pass"
 
 
@@ -139,11 +145,8 @@ class TestSweeps:
             raise AssertionError("work done over an empty list")
 
         monkeypatch.setattr(verify, "generating_function_coeffs", no_work)
-        monkeypatch.setattr(verify, "classical_oracle", no_work)
         with pytest.raises(ParameterError, match="weights must not be empty"):
             check_generating_function(lambdas=())
-        with pytest.raises(ParameterError, match="orders must not be empty"):
-            check_special_cases(alphas=())
 
     def test_grid_description_in_reports(self):
         rep = check_constructor_agreement(SMALL)
@@ -151,61 +154,33 @@ class TestSweeps:
         assert "1/4" in rep.grid
 
 
-# every order below gives the same exact values as the grid's first
+# a grid listing any one of these orders gives the same exact reports
 ORDERS = (Fraction(1, 4), Fraction(1, 3), HALF, Fraction(3, 4), Fraction(7, 10), Fraction(1))
+EXACT_SUITES = ("constructors", "ode", "ladder", "recurrences", "endpoints")
 
 
-def _exact_values(lam, n, alpha):
-    """What the exact sweeps compute for (weight, degree) at one order: the
-    polynomials as (nums, den, grade), and the coefficient sum."""
-    def member(k, weight=lam):
-        return from_series(GegenbauerSpec(k, weight, alpha)) if k >= 0 else AlphaPoly.zero()
-
-    spec = GegenbauerSpec(n, lam, alpha)
-    c_n = member(n)
-    c_next = member(n + 1).scale(n + 1)
-    polys = {
-        "series": c_n, "recurrence": from_recurrence(spec), "rodrigues": from_rodrigues(spec),
-        "ode": ode_residual(c_n, spec),
-        "ode of a perturbed member": ode_residual(c_n + AlphaPoly.constant(1), spec),
-        "three-term difference": c_next - (c_n.shift(1).scale(2 * (n + lam))
-                                           - member(n - 1).scale(n + 2 * lam - 1)),
-        "weight-raising difference": c_next - (member(n, lam + 1).shift(1)
-                                               - member(n - 1, lam + 1)).scale(2 * lam),
-        "legendre": legendre(n),
-        "second-kind": member(n, 1),
-        "first-kind": chebyshev_t(n),
-    }
-    lhs = c_n
-    for m in range(1, min(3, n) + 1):
-        lhs = lhs.d_alpha()
-        polys[f"ladder lhs m={m}"] = lhs
-        polys[f"ladder rhs m={m}"] = member(n - m, lam + m).scale(
-            Fraction(2) ** m * pochhammer(lam, m), power=m)
-    values = {name: (p.nums, p.den, p.grade) for name, p in polys.items()}
-    values["coefficient sum"] = c_n.coefficient_sum()
-    return values
+def _exact_reports(grid):
+    """The exact sweeps' reports over the grid, without the grid text, which
+    lists the grid's orders."""
+    return {name: replace(verify.SUITES[name](grid), grid="") for name in EXACT_SUITES}
 
 
 def _order_mismatches():
-    """(value, degree, weight, order) wherever an order of ORDERS gives
-    another exact value than the first order of ParamGrid(n_max=8)."""
-    grid = ParamGrid(n_max=8)
-    mismatches = []
-    for spec in grid.specs():
-        first = _exact_values(spec.lam, spec.n, grid.alphas[0])
-        for alpha in ORDERS:
-            mismatches += [(name, spec.n, spec.lam, alpha)
-                           for name, value in _exact_values(spec.lam, spec.n, alpha).items()
-                           if value != first[name]]
-    return mismatches
+    """(suite, order) wherever a grid of ParamGrid(n_max=8) listing only that
+    order of ORDERS reports otherwise than the grid of all four orders."""
+    first = _exact_reports(ParamGrid(n_max=8))
+    return [(name, alpha) for alpha in ORDERS
+            for name, report in _exact_reports(ParamGrid(n_max=8, alphas=(alpha,))).items()
+            if report != first[name]]
 
 
 class TestOrderFreeSweeps:
-    """The exact sweeps run once per (degree, weight): exact arithmetic
-    never reads the order's value, so one order stands for all."""
+    """The exact sweeps run once per (degree, weight): a spec carries no
+    order, so one run stands for every order of the grid."""
 
-    def test_exact_values_agree_at_every_order(self):
+    def test_exact_values_agree_at_every_order(self, defective_member):
+        # failing reports carry a witness and a residual, which must not
+        # depend on the grid's orders either
         assert _order_mismatches() == []
 
     def test_ode_sweep_visits_each_degree_and_weight_once(self, monkeypatch):
@@ -217,16 +192,28 @@ class TestOrderFreeSweeps:
         assert len(seen) == len(set(seen)) == 4 * 13
 
     def test_reports_list_every_order_and_say_where_they_ran(self):
-        # the generating function is checked at order 1 only, and says so
-        # by listing no orders
+        # the generating function's grid lists no orders
         reports = {r.identity: r for r in run_asserted_checks(SMALL)}
         for identity in ("constructor-agreement", "ode-annihilation", "derivative-ladder",
                          "recurrences", "endpoint-value"):
-            assert reports[identity].grid.endswith(
-                "order in {1/4, 1/2, 3/4, 1}; exact, order-free: checked at order 1/4")
+            assert reports[identity].grid.endswith("order in {1/4, 1/2, 3/4, 1}; exact, order-free")
+        # special-cases evaluates at order 1 only, and its grid names that order
         special = reports["special-cases"]
-        assert special.grid.endswith("order in {1/2, 1}")
-        assert special.notes.startswith("exact, order-free: reductions checked at order 1/2;")
+        assert special.grid == "n <= 10, order 1"
+        assert special.notes.startswith("reductions exact and order-free;")
+
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_exact_reports_name_no_order_they_were_checked_at(self, capsys, n_max):
+        # only the variant operator's residual, a float, is sized at an order
+        assert main(["verify", "--json", "--n-max", str(n_max)]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        for report in reports:
+            texts = report["grid"] + (report["witness"] or "")
+            assert "checked at order" not in texts, report["identity"]
+            if report["identity"] == "ultraspherical-ode-variant-operator":
+                assert report["witness"].startswith("beta=3/2, n=6, order=1: residual = ")
+            else:
+                assert "order=" not in texts, report["identity"]
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +253,7 @@ class TestRecordedAudits:
 
     @pytest.mark.parametrize("name,audit,identity,first", [
         ("ultraspherical", audit_ultraspherical, "ultraspherical-series-form",
-         "UltrasphericalSpec(n=2, beta=Fraction(0, 1), "),
+         "UltrasphericalSpec(n=2, beta=Fraction(0, 1)): "),
         ("chebyshev_t", audit_chebyshev_limit, "chebyshev-rodrigues-limit", "n=2: "),
     ])
     def test_witness_names_the_first_offender(self, monkeypatch, name, audit, identity, first):
@@ -321,7 +308,7 @@ class TestRecordedAudits:
         rep = {r.identity: r for r in audit_ultraspherical()}[
             "ultraspherical-rodrigues-normalization"]
         assert rep.status == "fail" and not rep.asserted
-        assert rep.witness.startswith("UltrasphericalSpec(n=3, beta=Fraction(0, 1), ")
+        assert rep.witness.startswith("UltrasphericalSpec(n=3, beta=Fraction(0, 1)): ")
 
     def test_rodrigues_normalization_constant(self, audits):
         rep = audits["ultraspherical-rodrigues-normalization"]
@@ -405,15 +392,15 @@ class TestReportPlumbing:
 class TestUltrasphericalOperator:
     def test_full_operator_annihilates(self):
         from congeg.gegenbauer import UltrasphericalSpec, ultraspherical
-        spec = UltrasphericalSpec(4, HALF, HALF)
-        res = ode_residual(ultraspherical(spec), GegenbauerSpec(4, 1, HALF))
+        spec = UltrasphericalSpec(4, HALF)
+        res = ode_residual(ultraspherical(spec), GegenbauerSpec(4, 1))
         assert res.is_zero
 
     def test_printed_form_fails_beyond_degree_one(self):
         from congeg.gegenbauer import UltrasphericalSpec, ultraspherical
-        ok = UltrasphericalSpec(1, HALF, HALF)
+        ok = UltrasphericalSpec(1, HALF)
         assert ultraspherical_ode_residual(ultraspherical(ok), ok).is_zero
-        bad = UltrasphericalSpec(3, HALF, HALF)
+        bad = UltrasphericalSpec(3, HALF)
         assert not ultraspherical_ode_residual(ultraspherical(bad), bad).is_zero
 
     @pytest.mark.parametrize("n,beta,alpha", [
@@ -421,12 +408,14 @@ class TestUltrasphericalOperator:
     def test_printed_form_term_by_term(self, n, beta, alpha):
         # D2 - a (2 beta + 2) x^a D + a^2 n (n + 2 beta + 1), written out
         from congeg.gegenbauer import UltrasphericalSpec, ultraspherical
-        spec = UltrasphericalSpec(n, beta, alpha)
+        spec = UltrasphericalSpec(n, beta)
         p = ultraspherical(spec)
         d1 = p.d_alpha()
         printed = (d1.d_alpha() - d1.shift(1).scale(2 * (beta + 1), power=1)
                    + p.scale(n * (n + 2 * beta + 1), power=2))
-        assert ultraspherical_ode_residual(p, spec) == printed
+        residual = ultraspherical_ode_residual(p, spec)
+        assert residual == printed
+        assert residual.values((-0.5, 0.3), alpha) == printed.values((-0.5, 0.3), alpha)
 
 
 class TestRunAssertedChecks:
