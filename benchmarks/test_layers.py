@@ -14,12 +14,14 @@
   and 800, where the conversion's big-integer work dominates;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
-- the normalization audit over `default_audit_grid(32)` in process (198 rows);
+- the normalization audit over `default_audit_grid(32)` in process (198 rows),
+  with the memos warm after the first round and from cold memos each round;
 - verification: one `check_ode_annihilation` sweep at n_max 12, the other
   exact sweeps (constructors, recurrences, ladder, endpoints, special
   cases) at n_max 12, with the memos warm after the first round as in a
-  long-lived process, `orthogonality_check` at n_max 48 from cold memos and
-  at n_max 32 with them warm, and the recorded audits computed afresh;
+  long-lived process, `orthogonality_check` at n_max 48 and 96 from cold
+  memos and at n_max 32 with them warm, and the recorded audits computed
+  afresh;
 - the CLI process: end-to-end wall time of default `congeg verify`,
   `verify --n-max 24`, `verify --n-max 48`, `plot-data` (the default
   degree-4 curve, on float Horner), `plot-data --n 48 --lambda 3/2
@@ -182,6 +184,12 @@ def test_audit_sweep(benchmark):
     assert benchmark(normalization_audit, grid).passed
 
 
+def test_audit_sweep_cold(benchmark):
+    report = benchmark.pedantic(normalization_audit, args=(default_audit_grid(32),),
+                                setup=_clear_memos, rounds=5, iterations=1)
+    assert report.passed
+
+
 def test_ode_sweep(benchmark):
     assert benchmark(check_ode_annihilation, GRID_12).passed
 
@@ -200,8 +208,9 @@ def test_exact_sweep(benchmark, suite):
     assert benchmark(EXACT_SWEEPS[suite]).passed
 
 
-def test_orthogonality_cold(benchmark):
-    report = benchmark.pedantic(orthogonality_check, kwargs={"n_max": 48},
+@pytest.mark.parametrize("n_max", [48, 96])
+def test_orthogonality_cold(benchmark, n_max):
+    report = benchmark.pedantic(orthogonality_check, kwargs={"n_max": n_max},
                                 setup=_clear_memos, rounds=5, iterations=1)
     assert report.passed
 

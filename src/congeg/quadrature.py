@@ -26,9 +26,12 @@ weight and order reuses it.  `_moment_weighted` keeps W_n, C_n's
 coefficients weighted by the moments, per (n, weight): every inner product
 of degree n reuses it, and the orthogonality proof reads it once per weight
 for every order, with no float at all.
-Nothing else is kept: the moments are built inside a `_moment_weighted`
-miss, each for a new length, and the formulas compute their gamma values
-per call from integers, which costs no measurable time.
+Nothing else is kept.  A `_moment_weighted` miss rebuilds the moments for
+its length in integers, about 20 us at degree 32, 40 us at 48 and 110 us
+at 96 for weights 1 and 3 (2-core x86-64, Python 3.11), a fifth or less of
+the miss: its n^2/4 big-integer products cost the rest, and past degree
+~200 they are nearly all of it.  The formulas compute their gamma values
+per call from integers.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from functools import cache, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .alphapoly import (AccuracyError, DomainError, RationalLike, _as_cases, _as_count,
-                        _as_order, pochhammer)
+                        _as_order)
 from .gegenbauer import _check_weight, _series_coeffs
 from .report import VerificationReport
 
@@ -116,16 +119,31 @@ def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
     """mu_2k / B(1/2, base + 1/2) for k < count, as integers over one common
     denominator.  mu_2k = mu_0 (1/2)_k / (lam + 1)_k, and mu_0 = B(1/2, lam + 1/2)
     is B(1/2, base + 1/2) (base + 1/2)_s / (base + 1)_s for s = floor(lam),
-    base = lam - s, so the rational part of every moment is exact here."""
-    shift = math.floor(lam)
-    base = lam - shift
-    moment = pochhammer(base + _HALF, shift) / pochhammer(base + 1, shift)
-    moments = []
+    base = lam - s, so the rational part of every moment is exact here.
+
+    In integers, with lam = p/q and base = b/q (b = p mod q): factor t of the
+    Pochhammer quotient is (b/q + 1/2 + t) / (b/q + 1 + t)
+    = (2b + (2t + 1) q) / (2 (b + (t + 1) q)), and mu_(2k+2) / mu_2k
+    = (k + 1/2) / (p/q + 1 + k) = (2k + 1) q / (2 (p + q + qk)).  One gcd per
+    step keeps each moment in lowest terms, as a Fraction would be, and the
+    common denominator is the lcm of theirs."""
+    p, q = lam.as_integer_ratio()
+    b = p % q
+    num = den = 1
+    for t in range(p // q):
+        num *= 2 * b + (2 * t + 1) * q
+        den *= 2 * (b + (t + 1) * q)
+    nums, dens = [], []
     for k in range(count):
-        moments.append(moment)
-        moment *= (k + _HALF) / (lam + 1 + k)
-    den = math.lcm(*(v.denominator for v in moments))
-    return tuple(v.numerator * (den // v.denominator) for v in moments), den
+        g = math.gcd(num, den)
+        num //= g
+        den //= g
+        nums.append(num)
+        dens.append(den)
+        num *= (2 * k + 1) * q
+        den *= 2 * (p + q + q * k)
+    common = math.lcm(*dens)
+    return tuple(v * (common // d) for v, d in zip(nums, dens)), common
 
 
 @lru_cache(maxsize=256)
@@ -134,10 +152,16 @@ def _moment_weighted(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
     i + j even, of d_j mu_((i+j)/2) / B(1/2, base + 1/2) with d the
     coefficients of C_n^(lam), as integers over one common denominator:
     <C_m, C_n> for any m <= n is the dot product of C_m's coefficients with
-    W.  256 entries hold a sweep's 2 weights to degree 96."""
+    W.  256 entries hold a sweep's 2 weights to degree 96.
+
+    Each W_i is still that sum over the series coefficients, entry by entry,
+    so the orthogonality proof reads the same integers; it is only formed as
+    one C-level dot product of the coefficients d_j, j = i mod 2, i mod 2 + 2,
+    ..., with the moments from index ceil(i/2) on.  A member with fewer
+    coefficients (a defective one) just gives shorter sums."""
     d = _series_coeffs(n, lam)
     moments, mu_den = _scaled_moments(lam, n + 1)
-    return (tuple(sum(d.nums[j] * moments[(i + j) // 2] for j in range(i % 2, n + 1, 2))
+    return (tuple(sum(map(operator.mul, d.nums[i % 2::2], moments[(i + 1) // 2:]))
                   for i in range(n + 1)),
             mu_den * d.den)
 
@@ -376,11 +400,13 @@ def orthogonality_check(
     for lam in weights:
         for n in range(n_max + 1):
             weighted, _ = _moment_weighted(n, lam)
+            nums = _series_coeffs(n, lam).nums
             i = next((i for i in range(n) if weighted[i]), None)
             if i is not None:
                 witness = (f"n={n}, i={i}, weight={lam}: <C_n, u^i> is not zero, "
                            f"so C_n is not orthogonal to degree {i}")
-            elif _series_coeffs(n, lam).nums[-1] * weighted[n] <= 0:
+            # c_n is 0 for a (defective) member that falls short of degree n
+            elif (nums[n] if n < len(nums) else 0) * weighted[n] <= 0:
                 witness = f"n={n}, i={n}, weight={lam}: <C_n, C_n> is not positive"
             else:
                 continue
@@ -409,12 +435,15 @@ class AuditRow:
     rel_diff_quadrature_vs_derived: float
 
 
+# built once, so repeated default audits find their `_cells` entries by
+# identity rather than by Fraction.__eq__
+_AUDIT_PAIRS = tuple((lam, alpha) for lam in (Fraction(1), Fraction(3))
+                     for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(1)))
+
+
 def default_audit_grid(n_max: int = 6) -> list[tuple[int, Fraction, Fraction]]:
     """Degrees 0..n_max for weights 1, 3 and orders 1/4, 1/2, 1."""
-    return [(n, lam, alpha)
-            for lam in (Fraction(1), Fraction(3))
-            for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(1))
-            for n in range(n_max + 1)]
+    return [(n, lam, alpha) for lam, alpha in _AUDIT_PAIRS for n in range(n_max + 1)]
 
 
 def normalization_audit(

@@ -115,6 +115,70 @@ class TestOrthogonalityWitnesses:
         assert rep.witness.startswith("n=5, i=5, weight=1: ")
         assert "not positive" in rep.witness
 
+    def test_member_short_of_its_degree_names_a_lower_entry(
+            self, monkeypatch, fresh_moment_weighted):
+        # C_5 without its top term is c_1 u + c_3 u^3, which u^1 does not miss
+        def short(n, lam):
+            poly = gegenbauer._series_coeffs(n, lam)
+            if n != 5:
+                return poly
+            return AlphaPoly._of(list(poly.nums[:-1]), poly.den, poly.grade)
+
+        monkeypatch.setattr(quadrature, "_series_coeffs", short)
+        rep = orthogonality_check(n_max=6, lambdas=(Fraction(3),), alphas=(HALF,))
+        assert rep.status == "fail"
+        assert rep.witness.startswith("n=5, i=1, weight=3: ")
+
+    def test_zero_member_names_the_diagonal(self, monkeypatch, fresh_moment_weighted):
+        # every W_5[i] is 0, and c_5, which the zero member lacks, reads as 0
+        def zero(n, lam):
+            poly = gegenbauer._series_coeffs(n, lam)
+            return AlphaPoly._of([], 1, 0) if n == 5 else poly
+
+        monkeypatch.setattr(quadrature, "_series_coeffs", zero)
+        rep = orthogonality_check(n_max=6, lambdas=(Fraction(3),), alphas=(HALF,))
+        assert rep.status == "fail"
+        assert rep.witness == "n=5, i=5, weight=3: <C_n, C_n> is not positive"
+
+
+KERNEL_WEIGHTS = [Fraction(1, 2), Fraction(1), Fraction(5, 2), Fraction(3), Fraction(2, 7),
+                  Fraction(7, 3), Fraction(675, 22)]
+
+
+def _fraction_moments(lam, count):
+    """mu_2k / B(1/2, base + 1/2) for k < count, term by term in Fractions,
+    each reduced, then put over the lcm of their denominators."""
+    shift = math.floor(lam)
+    base = lam - shift
+    moment = Fraction(1)
+    for t in range(shift):
+        moment *= (base + HALF + t) / (base + 1 + t)
+    moments = []
+    for k in range(count):
+        moments.append(moment)
+        moment *= (k + HALF) / (lam + 1 + k)
+    den = math.lcm(*(v.denominator for v in moments))
+    return tuple(v.numerator * (den // v.denominator) for v in moments), den
+
+
+class TestExactKernels:
+    """The integer kernels return exactly the integers of their definitions."""
+
+    @pytest.mark.parametrize("lam", KERNEL_WEIGHTS)
+    def test_scaled_moments_match_fraction_products(self, lam):
+        for count in range(1, 131):
+            assert quadrature._scaled_moments(lam, count) == _fraction_moments(lam, count)
+
+    @pytest.mark.parametrize("lam", KERNEL_WEIGHTS)
+    def test_moment_weighted_matches_its_defining_sum(self, lam):
+        # W_i = sum over j = i mod 2, i mod 2 + 2, ..., n of d_j mu_((i+j)/2)
+        for n in range(61):
+            d = gegenbauer._series_coeffs(n, lam)
+            moments, mu_den = _fraction_moments(lam, n + 1)
+            want = tuple(sum(d.nums[j] * moments[(i + j) // 2]
+                             for j in range(i % 2, n + 1, 2)) for i in range(n + 1))
+            assert quadrature._moment_weighted.__wrapped__(n, lam) == (want, mu_den * d.den)
+
 
 class TestOrthogonalityArguments:
     @pytest.mark.parametrize("n_max", [3.5, True, -1])
@@ -286,6 +350,11 @@ class TestAudit:
 
     def test_grid_shape(self, report):
         assert len(report.table) == len(default_audit_grid()) == 42
+
+    def test_default_grids_share_their_parameter_objects(self):
+        # so a repeated audit finds its `_cells` entries by identity
+        for (_, *first), (_, *again) in zip(default_audit_grid(0), default_audit_grid(0)):
+            assert all(a is b for a, b in zip(first, again))
 
     def test_pole_rows_are_nan(self, report):
         nan_rows = [r for r in report.table if math.isnan(r.closed_form)]
