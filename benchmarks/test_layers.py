@@ -15,7 +15,9 @@
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
 - the normalization audit over `default_audit_grid(32)` in process (198 rows),
-  with the memos warm after the first round and from cold memos each round;
+  with the memos warm after the first round and from cold memos each round,
+  and `audit_rows_to_csv` over its table, each row's line kept after the
+  first round;
 - verification: one `check_ode_annihilation` sweep at n_max 12, the other
   exact sweeps (constructors, recurrences, ladder, endpoints, special
   cases) at n_max 12, with the memos warm after the first round as in a
@@ -30,8 +32,10 @@
   and `table`, a cold `eval --n 64 --lambda 5/2 --alpha 1/2` at three
   points (the member built and converted once per process), and
   `eval --n 800 --lambda 3 --alpha 1 --x 0.5`, where building and
-  converting the member dominate, each in a fresh interpreter, so nothing
-  is reused between runs.
+  converting the member dominate, and `audit --n-max 32`, each in a fresh
+  interpreter, so nothing is reused between runs; and `audit --n-max 32`
+  through `congeg.cli.main` in process, its memos warm after the first
+  round as in a long-lived process.
 
 This directory is outside the test suite's `testpaths`; run it explicitly
 from the repository root:
@@ -41,6 +45,8 @@ from the repository root:
 The file times whichever `congeg` is importable, so pointing PYTHONPATH at
 another checkout's `src` times that tree with the same benchmarks.
 """
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -50,12 +56,14 @@ from pathlib import Path
 import pytest
 
 import congeg
+import congeg.cli
 import congeg.gegenbauer as gegenbauer
 import congeg.quadrature as quadrature
 from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, from_recurrence,
                                from_rodrigues, from_series, ultraspherical_rodrigues)
-from congeg.quadrature import (conformable_inner_product, conformable_inner_product_direct,
-                               default_audit_grid, normalization_audit, orthogonality_check)
+from congeg.quadrature import (audit_rows_to_csv, conformable_inner_product,
+                               conformable_inner_product_direct, default_audit_grid,
+                               normalization_audit, orthogonality_check)
 from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_ode_annihilation,
@@ -190,6 +198,11 @@ def test_audit_sweep_cold(benchmark):
     assert report.passed
 
 
+def test_audit_csv(benchmark):
+    table = normalization_audit(default_audit_grid(32)).table
+    assert benchmark(audit_rows_to_csv, table).count("\n") == 1 + len(table)
+
+
 def test_ode_sweep(benchmark):
     assert benchmark(check_ode_annihilation, GRID_12).passed
 
@@ -236,7 +249,8 @@ def test_recorded_audits(benchmark):
                                   ("eval", "--n", "64", "--lambda", "5/2", "--alpha", "1/2",
                                    "--x", "0.1", "0.5", "0.9"),
                                   ("eval", "--n", "800", "--lambda", "3", "--alpha", "1",
-                                   "--x", "0.5")],
+                                   "--x", "0.5"),
+                                  ("audit", "--n-max", "32")],
                          ids=" ".join)
 def test_cli(benchmark, argv):
     env = {**os.environ, "PYTHONPATH": str(Path(congeg.__file__).resolve().parents[1])}
@@ -245,3 +259,14 @@ def test_cli(benchmark, argv):
                               kwargs={"env": env, "capture_output": True},
                               rounds=5, iterations=1)
     assert proc.returncode == 0
+
+
+def test_cli_audit_warm(benchmark):
+    # the first round fills the memos, as the first request of a long-lived process
+    def audit():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = congeg.cli.main(["audit", "--n-max", "32"])
+        return code, out.getvalue()
+
+    code, text = benchmark(audit)
+    assert code == 0 and text.count("\n") == 1 + 6 * 33

@@ -16,9 +16,12 @@ touching any branch.
 
 For each metric the script prints the parent and change medians, the
 change/parent ratio, the parent's interquartile range and how many pairs the
-change won (lower is better, except `ok_share`).  `--json PATH` also writes
-every run's metrics.  The exit code is 1 if any run reports `correct: false`
-or a failed request, 2 if a run produces no result.
+change won (lower is better, except `ok_share`).  It then lists every run
+whose value lies more than 1.5x above or below its own side's median (a run
+whose speed calibration went astray moves all its timings at once).
+`--json PATH` also writes every run's metrics.  The exit code is 1 if any
+run reports `correct: false` or a failed request, 2 if a run produces no
+result.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 HIGHER_IS_BETTER = {"ok_share"}
+OUTLIER_FACTOR = 1.5
 
 
 def export(ref: str, dest: Path) -> str:
@@ -66,8 +70,17 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def outliers(values: list[float]) -> list[int]:
+    """Indices of the values more than OUTLIER_FACTOR times above or below
+    the median of `values`."""
+    med = statistics.median(values)
+    return [i for i, v in enumerate(values)
+            if v > OUTLIER_FACTOR * med or med > OUTLIER_FACTOR * v]
+
+
 def summarize(runs: dict[str, list[dict]]) -> dict[str, dict]:
-    """Per metric: medians, ratio, parent IQR and the pairs the change won."""
+    """Per metric: medians, ratio, parent IQR, the pairs the change won and
+    each side's outlying runs (indices into its runs)."""
     table = {}
     for name in runs["parent"][0]["metrics"]:
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -83,6 +96,8 @@ def summarize(runs: dict[str, list[dict]]) -> dict[str, dict]:
                                        for p, c in zip(parent, change)),
             "parent_runs": parent,
             "change_runs": change,
+            "parent_outliers": outliers(parent),
+            "change_outliers": outliers(change),
         }
     return table
 
@@ -125,6 +140,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:<14}{row['parent_median']:>12.5g}{row['change_median']:>12.5g}"
               f"{row['change_vs_parent']:>9.4f}{row['parent_iqr']:>12.4g}"
               f"{row['change_better_pairs']:>6}/{args.pairs}")
+    for name, row in table.items():
+        for side in runs:
+            median = row[f"{side}_median"]
+            for i in row[f"{side}_outliers"]:
+                print(f"outlier: {name} {side} run, pair {i + 1} (seed {args.seed0 + i}): "
+                      f"{row[f'{side}_runs'][i]:.5g} against its side's median {median:.5g}")
     bad = [(side, args.seed0 + i) for side, side_runs in runs.items()
            for i, r in enumerate(side_runs) if not r["correct"] or r["failed"]]
     for side, seed in bad:

@@ -19,19 +19,20 @@ grading, and judges it against the nested rule of twice the step,
 relative to the integrand's L1 mass so that exact zeros (orthogonality)
 pass.  It is the package's one user of numpy, imported on its first call.
 
-Two memos serve the sweeps.  `_cells` keeps one checked cell per
+Three memos serve the sweeps.  `_cells` keeps one checked cell per
 (weight, order): the order as a float, B(1/2, base + 1/2) and the exact
 shifts of the gamma arguments; every inner product and audit row at that
 weight and order reuses it.  `_moment_weighted` keeps W_n, C_n's
 coefficients weighted by the moments, per (n, weight): every inner product
 of degree n reuses it, and the orthogonality proof reads it once per weight
-for every order, with no float at all.
+for every order, with no float at all.  `_audit_row` keeps each finished
+audit row per (degree, cell), and the row keeps its CSV line once formatted.
 Nothing else is kept.  A `_moment_weighted` miss rebuilds the moments for
 its length in integers, about 20 us at degree 32, 40 us at 48 and 110 us
 at 96 for weights 1 and 3 (2-core x86-64, Python 3.11), a fifth or less of
 the miss: its n^2/4 big-integer products cost the rest, and past degree
-~200 they are nearly all of it.  The formulas compute their gamma values
-per call from integers.
+~200 they are nearly all of it.  The public formulas compute their gamma
+values per call from integers; the audit computes them once per row.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .alphapoly import (AccuracyError, DomainError, RationalLike, _as_cases, _as_count,
@@ -195,9 +196,11 @@ class _Cell:
     keeps one per pair, which every inner product and audit row at that
     pair reuses.
 
-    Nothing else is kept: the formulas compute their degree-free gamma
-    values and powers per call, so a pole raises a fresh DomainError on
-    every use (an audit row turns it into NaN, an overflow stops the audit)."""
+    No gamma value is kept here: the formulas compute their degree-free
+    gamma values and powers per call, so a pole raises a fresh DomainError on
+    every use of the public formulas.  The audit keeps each finished row per
+    (degree, cell) in `_audit_row`, a pole as the NaN it records, and an
+    overflow raises again on every audit that reaches its row."""
 
     def __init__(self, lam: RationalLike, alpha: RationalLike):
         self.lam = _check_weight(lam)
@@ -434,6 +437,15 @@ class AuditRow:
     derived: float
     rel_diff_quadrature_vs_derived: float
 
+    @cached_property
+    def _csv_line(self) -> str:
+        """The row's CSV line (floats at full repr precision), formatted on
+        first use and kept with the row."""
+        return ",".join([
+            str(self.n), str(self.lam), str(self.alpha), repr(self.quadrature),
+            repr(self.closed_form), repr(self.gamma_product), repr(self.derived),
+            repr(self.rel_diff_quadrature_vs_derived)])
+
 
 # built once, so repeated default audits find their `_cells` entries by
 # identity rather than by Fraction.__eq__
@@ -444,6 +456,24 @@ _AUDIT_PAIRS = tuple((lam, alpha) for lam in (Fraction(1), Fraction(3))
 def default_audit_grid(n_max: int = 6) -> list[tuple[int, Fraction, Fraction]]:
     """Degrees 0..n_max for weights 1, 3 and orders 1/4, 1/2, 1."""
     return [(n, lam, alpha) for lam, alpha in _AUDIT_PAIRS for n in range(n_max + 1)]
+
+
+@lru_cache(maxsize=1024)
+def _audit_row(n: int, cell: _Cell) -> AuditRow:
+    """The audit row of a checked degree and cell, built once per pair (a
+    cell hashes by identity); 1024 rows hold `default_audit_grid(165)`.
+    A formula's pole is kept as NaN; an overflow is no row, so it raises
+    DomainError on every call."""
+    try:
+        quad = _inner_product(n, n, cell)
+        derived = _classical_norm(n, cell.lam) / cell.a
+        closed = _or_nan(_closed_form, n, cell)
+        product = _or_nan(_gamma_product, n, cell)
+    except OverflowError:
+        raise DomainError(f"n={n}, weight={cell.lam}, order={cell.alpha}: the normalization "
+                          f"values overflow a float") from None
+    return AuditRow(n, cell.lam, cell.alpha, quad, closed, product, derived,
+                    abs(quad - derived) / abs(derived))
 
 
 def normalization_audit(
@@ -458,45 +488,45 @@ def normalization_audit(
     value (or hits a pole) are flagged in the notes, never asserted.
 
     Each distinct (weight, order) is checked once, in the cell the inner
-    product shares.  Each row checks its degree, takes the diagonal's dot
-    product from the moment-weighted memo, computes its gamma values, and
-    turns a DomainError at a formula's pole into NaN; a value that
-    overflows a float (from degree 166) raises DomainError naming the row.
+    product shares, and looked up again only where a triple's weight or
+    order is not the previous triple's object.  Each row checks its degree
+    and is then read from `_audit_row`, which computes a (degree, cell) row
+    once per process, its gamma values included, with a formula's pole as
+    NaN; a value that overflows a float (from degree 166) raises DomainError
+    naming the row on every audit.  The flags depend on rel_tol, so they are
+    judged here on every call: counted, with only the first one named.
     """
     rows: list[AuditRow] = []
-    flagged: list[str] = []
+    flagged = 0
+    first_flag = anchor = witness = None
     worst = 0.0
-    witness = None
-    triples = _as_cases(default_audit_grid() if grid is None else grid, "audit grid")
-    for n, lam, alpha in triples:
-        cell = _cell(lam, alpha)
-        _as_count(n, "degree")
-        lam, alpha = cell.lam, cell.alpha
-        try:
-            quad = _inner_product(n, n, cell)
-            derived = _classical_norm(n, lam) / cell.a
-            closed = _or_nan(_closed_form, n, cell)
-            product = _or_nan(_gamma_product, n, cell)
-        except OverflowError:
-            raise DomainError(f"n={n}, weight={lam}, order={alpha}: the normalization "
-                              f"values overflow a float") from None
-        rel = abs(quad - derived) / abs(derived)
-        rows.append(AuditRow(n, lam, alpha, quad, closed, product, derived, rel))
-        if rel > worst:
-            worst = rel
-            witness = f"n={n}, weight={lam}, order={alpha}: quadrature {quad!r} vs derived {derived!r}"
-        for name, value in (("closed form", closed), ("product form", product)):
+    cell = lam_seen = alpha_seen = None
+    for n, lam, alpha in _as_cases(default_audit_grid() if grid is None else grid,
+                                   "audit grid"):
+        if cell is None or lam is not lam_seen or alpha is not alpha_seen:
+            cell, lam_seen, alpha_seen = _cell(lam, alpha), lam, alpha
+        row = _audit_row(_as_count(n, "degree"), cell)
+        rows.append(row)
+        derived = row.derived
+        if row.rel_diff_quadrature_vs_derived > worst:
+            worst = row.rel_diff_quadrature_vs_derived
+            witness = (f"n={n}, weight={cell.lam}, order={cell.alpha}: quadrature "
+                       f"{row.quadrature!r} vs derived {derived!r}")
+        for name, value in (("closed form", row.closed_form),
+                            ("product form", row.gamma_product)):
             if math.isnan(value) or abs(value - derived) > rel_tol * abs(derived):
-                flagged.append(f"n={n}, weight={lam}, order={alpha} ({name})")
+                if not flagged:
+                    first_flag = f"n={n}, weight={cell.lam}, order={cell.alpha} ({name})"
+                flagged += 1
+        if anchor is None and n == 0 and cell.lam == 1 and cell.a == 1.0:
+            anchor = row
     status = "numeric-pass" if worst <= rel_tol else "fail"
-    summary = (f"{len(flagged)} of {2 * len(rows)} formula comparisons flagged "
+    summary = (f"{flagged} of {2 * len(rows)} formula comparisons flagged "
                f"(recorded, not asserted)")
     if flagged:
-        summary += "; first: " + flagged[0]
+        summary += "; first: " + first_flag
         summary += ("; the product form equals sqrt(pi) * sqrt(order) * closed form, "
                     "so at order 1 only the closed form disagrees (by 1/sqrt(pi))")
-    anchor = next((r for r in rows
-                   if r.n == 0 and r.lam == 1 and float(r.alpha) == 1.0), None)
     if anchor is not None and (math.isnan(anchor.closed_form) or
                                abs(anchor.closed_form - anchor.derived)
                                > rel_tol * abs(anchor.derived)):
@@ -517,11 +547,5 @@ def normalization_audit(
 
 def audit_rows_to_csv(rows: Iterable[AuditRow]) -> str:
     """Deterministic CSV for the audit table (floats at full repr precision)."""
-    lines = ["n,lambda,alpha,quadrature,closed_form,gamma_product,derived,"
-             "rel_diff_quadrature_vs_derived"]
-    for r in rows:
-        lines.append(",".join([
-            str(r.n), str(r.lam), str(r.alpha), repr(r.quadrature),
-            repr(r.closed_form), repr(r.gamma_product), repr(r.derived),
-            repr(r.rel_diff_quadrature_vs_derived)]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(["n,lambda,alpha,quadrature,closed_form,gamma_product,derived,"
+                      "rel_diff_quadrature_vs_derived", *(r._csv_line for r in rows)]) + "\n"

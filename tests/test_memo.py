@@ -1,7 +1,8 @@
 """The per-process memos of order-free exact work: each construction route
 keeps its own finished polynomial per (n, weight) and returns that object
 for every spec of that pair, whatever order it is then evaluated at; the
-inner products keep one moment-weighted vector per (n, weight)."""
+inner products keep one moment-weighted vector per (n, weight), and the
+normalization audit one finished row per (n, weight, order) cell."""
 import inspect
 import math
 from fractions import Fraction
@@ -21,7 +22,7 @@ ROUTES = {"series": (from_series, "_series_coeffs"),
           "recurrence": (from_recurrence, "_recurrence_coeffs"),
           "rodrigues": (from_rodrigues, "_rodrigues_coeffs")}
 MEMOS = [getattr(gegenbauer, name) for _, name in ROUTES.values()] + [
-    gegenbauer._oracle_coeffs, quadrature._moment_weighted]
+    gegenbauer._oracle_coeffs, quadrature._moment_weighted, quadrature._audit_row]
 
 
 @pytest.fixture

@@ -449,6 +449,80 @@ class TestAuditAgainstPublicFormulas:
         assert audit_rows_to_csv(normalization_audit(grid).table) == CSV_HEADER + "\n" + want
 
 
+def _clear_memos():
+    for module in (gegenbauer, quadrature):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def _audit_output(report):
+    """Everything of an audit report that reaches the CLI or a caller."""
+    return (audit_rows_to_csv(report.table), report.status, report.max_residual,
+            report.witness, report.notes, report.grid)
+
+
+def _flag_count(report):
+    return int(report.notes.split(" of ")[0])
+
+
+def _pole_grid(n_max):
+    """The weights-by-orders grid, which reaches the formulas' gamma poles."""
+    return [(n, lam, alpha) for lam in AUDIT_WEIGHTS for alpha in AUDIT_ORDERS
+            for n in range(n_max + 1)]
+
+
+WARM_COLD_GRIDS = {
+    **{f"default-{k}": default_audit_grid(k) for k in (0, 6, 32, 40)},
+    # 1008 rows fit the row memo; 1116 do not, so its LRU evicts every row
+    # before the next audit asks for it again
+    **{f"weights-by-orders-{k}": _pole_grid(k) for k in (27, 30)},
+    # the same triple twice, and the same pair again as other objects and types
+    "repeated": [(3, ONE, HALF), (0, ONE, ONE), (3, ONE, HALF), (3, Fraction(1), Fraction(1, 2)),
+                 (0, 1, 1), (0, Fraction(3), HALF)],
+}
+
+
+class TestAuditMemo:
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-30])
+    @pytest.mark.parametrize("name", WARM_COLD_GRIDS)
+    def test_warm_audit_equals_cold(self, name, rel_tol):
+        grid = WARM_COLD_GRIDS[name]
+        _clear_memos()
+        cold = normalization_audit(grid, rel_tol=rel_tol)
+        info = quadrature._audit_row.cache_info()
+        warm = normalization_audit(grid, rel_tol=rel_tol)
+        if len(grid) <= info.maxsize:
+            assert quadrature._audit_row.cache_info().hits - info.hits == len(grid)
+        assert _audit_output(warm) == _audit_output(cold)
+        assert (warm.status == "fail") == (rel_tol < 1e-20) == (warm.witness is not None)
+
+    def test_repeated_triple_reuses_its_row(self):
+        table = normalization_audit(WARM_COLD_GRIDS["repeated"]).table
+        assert table[0] is table[2] is table[3]
+
+    def test_one_memo_serves_every_tolerance(self):
+        grid = _pole_grid(27)
+        normalization_audit(grid)
+        hits = quadrature._audit_row.cache_info().hits
+        warm = {tol: normalization_audit(grid, rel_tol=tol) for tol in (1e-6, 1e-2)}
+        assert quadrature._audit_row.cache_info().hits - hits == 2 * len(grid)
+        for tol, report in warm.items():
+            _clear_memos()
+            assert _audit_output(report) == _audit_output(normalization_audit(grid, rel_tol=tol))
+        assert _flag_count(warm[1e-6]) > _flag_count(warm[1e-2])
+
+    def test_overflow_raises_on_every_audit(self):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="n=166, weight=3, order=1/4: the "
+                               "normalization values overflow a float"):
+                normalization_audit(default_audit_grid(166))
+
+    def test_user_row_formats_its_fields(self):
+        row = AuditRow(2, Fraction(5, 2), QUARTER, 1.5, math.nan, -0.1, 1.5, 0.0)
+        assert audit_rows_to_csv([row]) == CSV_HEADER + "\n2,5/2,1/4,1.5,nan,-0.1,1.5,0.0\n"
+
+
 def test_repeated_audits_leave_no_garbage():
     # a pole row raises DomainError on every audit; nothing of it may stay
     # behind, as a traceback held by a cached object would
