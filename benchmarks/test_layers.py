@@ -59,6 +59,7 @@ import congeg
 import congeg.cli
 import congeg.gegenbauer as gegenbauer
 import congeg.quadrature as quadrature
+import congeg.verify as verify
 from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, from_recurrence,
                                from_rodrigues, from_series, ultraspherical_rodrigues)
 from congeg.quadrature import (audit_rows_to_csv, conformable_inner_product,
@@ -76,10 +77,10 @@ GRID_12 = ParamGrid(n_max=12)
 
 
 def _clear_memos():
-    """Empty every memo of the constructors and the inner products, so the
-    next call builds from scratch.  Found by attribute, so a tree with other
-    memos, or none, is timed the same way."""
-    for module in (gegenbauer, quadrature):
+    """Empty every memo of the constructors, the inner products and the
+    verification oracles, so the next call builds from scratch.  Found by
+    attribute, so a tree with other memos, or none, is timed the same way."""
+    for module in (gegenbauer, quadrature, verify):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

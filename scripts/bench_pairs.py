@@ -3,7 +3,7 @@ compare their end-to-end metrics.
 
     python scripts/bench_pairs.py --workload quadrature --pairs 10 --seed0 9200
     python scripts/bench_pairs.py --workload verify --pairs 12 --seed0 7100 \
-        --parent main --change "$(git stash create)"
+        --parent main --change "$(git stash create)" --claim wall_s
 
 Each ref is exported with `git archive` into its own temporary directory, so
 neither tree carries bytecode, and every run gets PYTHONDONTWRITEBYTECODE=1,
@@ -15,11 +15,22 @@ be compared through `git stash create`, which names it as a commit without
 touching any branch.
 
 For each metric the script prints the parent and change medians, the
-change/parent ratio, the parent's interquartile range and how many pairs the
-change won (lower is better, except `ok_share`).  It then lists every run
-whose value lies more than 1.5x above or below its own side's median (a run
-whose speed calibration went astray moves all its timings at once).
-`--json PATH` also writes every run's metrics.  The exit code is 1 if any
+change/parent ratio, the parent's interquartile range, how many pairs the
+change won (lower is better, except `ok_share`) and a verdict:
+
+- for a metric named by `--claim`, whether the gain holds: the change won at
+  least nine tenths of the pairs, and its median is better than the parent's
+  by more than the parent's interquartile range;
+- for any other metric, whether the change's median is worse than the
+  parent's by more than the metric's relative `bound` in the repository's
+  BENCHMARK.json (which the script only reads), or `unresolved` where the
+  parent's interquartile range is wider than that bound and not every change
+  run beats every parent run.
+
+It then lists every run whose value lies more than 1.5x above or below its
+own side's median (a run whose speed calibration went astray moves all its
+timings at once).  `--json PATH` also writes every run's metrics and the
+verdicts.  The exit code is 1 if any
 run reports `correct: false` or a failed request, 2 if a run produces no
 result.
 """
@@ -38,6 +49,7 @@ from pathlib import Path
 
 HIGHER_IS_BETTER = {"ok_share"}
 OUTLIER_FACTOR = 1.5
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def export(ref: str, dest: Path) -> str:
@@ -102,6 +114,32 @@ def summarize(runs: dict[str, list[dict]]) -> dict[str, dict]:
     return table
 
 
+def bounds(path: Path = BENCHMARK) -> dict[str, float]:
+    """Each end-to-end metric's relative bound, from the benchmark's file."""
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def verdict(name: str, row: dict, bound: float | None, claimed: bool) -> str:
+    """The verdict on one metric of `summarize`'s table."""
+    parent, change = row["parent_runs"], row["change_runs"]
+    higher = name in HIGHER_IS_BETTER
+    # how much worse the change's median is, in the metric's units
+    worse_by = (row["parent_median"] - row["change_median"] if higher
+                else row["change_median"] - row["parent_median"])
+    if claimed:
+        won = 10 * row["change_better_pairs"] >= 9 * len(parent)
+        return "claim holds" if won and -worse_by > row["parent_iqr"] else "claim not met"
+    if bound is None:
+        return "no bound"
+    scale = abs(row["parent_median"])
+    if worse_by > bound * scale:
+        return f"worse than its bound {bound:g}"
+    all_better = (min(change) > max(parent)) if higher else (max(change) < min(parent))
+    if row["parent_iqr"] > bound * scale and not all_better:
+        return f"unresolved: parent IQR wider than its bound {bound:g}"
+    return f"within its bound {bound:g}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -110,9 +148,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--json", type=Path, help="also write every run's metrics here")
+    parser.add_argument("--claim", action="append", default=[], metavar="METRIC",
+                        help="a metric the change claims to improve (repeatable)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    limits = bounds()
+    if unknown := set(args.claim) - limits.keys():
+        parser.error(f"--claim names no end-to-end metric: {', '.join(sorted(unknown))}")
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
@@ -131,15 +174,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"# pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
 
     table = summarize(runs)
+    for name, row in table.items():
+        row["verdict"] = verdict(name, row, limits.get(name), name in args.claim)
     print(f"{args.workload}: {args.pairs} alternating pairs, seeds {args.seed0}-"
           f"{args.seed0 + args.pairs - 1}; parent {commits['parent'][:12]}, "
           f"change {commits['change'][:12]}")
     print(f"{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>9}{'parent IQR':>12}"
-          f"{'better':>9}")
+          f"{'better':>9}  verdict")
     for name, row in table.items():
         print(f"{name:<14}{row['parent_median']:>12.5g}{row['change_median']:>12.5g}"
               f"{row['change_vs_parent']:>9.4f}{row['parent_iqr']:>12.4g}"
-              f"{row['change_better_pairs']:>6}/{args.pairs}")
+              f"{row['change_better_pairs']:>6}/{args.pairs}  {row['verdict']}")
     for name, row in table.items():
         for side in runs:
             median = row[f"{side}_median"]

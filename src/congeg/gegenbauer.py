@@ -269,8 +269,12 @@ def chebyshev_t(n: int) -> AlphaPoly:
 
     The weight -> 0 limit of the family is degenerate (every polynomial's
     limit is 0 for n >= 1), so the first kind is pinned by convention to the
-    classical T_n coefficients."""
-    _as_count(n, "degree")
+    classical T_n coefficients.  Memoized by n like the routes."""
+    return _chebyshev_t_coeffs(_as_count(n, "degree"))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _chebyshev_t_coeffs(n: int) -> AlphaPoly:
     prev = AlphaPoly.constant(1)
     if n == 0:
         return prev

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -25,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_cases, _as_count,
                         _as_order, gamma_quotient, pochhammer)
 from .gegenbauer import (
+    _MEMO_SIZE,
     GegenbauerSpec,
     UltrasphericalSpec,
     _check_weight,
@@ -65,6 +67,9 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
+# Entries per memo of a whole sweep's oracle, keyed by a weight and the
+# sweep's bounds: a suite asks for one per weight (three in `SUITES`).
+_SWEEP_MEMO_SIZE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +181,29 @@ def generating_function_coeffs(lam: Fraction, max_n: int) -> list[list[Fraction]
     """Coefficient rows of s^0 .. s^max_n in (1 - 2 u s + s^2)^(-lam),
     each row ascending in u.  Independent expansion through the generalized
     binomial series in w = 2 u s - s^2; row n reproduces the degree-n family
-    member's coefficients."""
-    lam = _check_weight(lam)
-    _as_count(max_n, "series order")
+    member's coefficients.  Memoized by (lam, max_n); each call returns new
+    lists."""
+    rows = _generating_rows(_check_weight(lam), _as_count(max_n, "series order"))
+    return [list(row) for row in rows]
+
+
+@functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
+def _generating_rows(lam: Fraction, max_n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Body of `generating_function_coeffs`.  Term i of w^j carries
+    s^(j+i) u^(j-i) with the factor (lam)_j / j! * C(j, i) 2^(j-i) (-1)^i,
+    so each (s, u) power pair gets exactly one term.  With lam = p/q,
+    (lam)_j / j! is prod(p + q k) / (q^j j!) over k < j, carried as two
+    running integers; each coefficient is one Fraction of integers."""
+    p, q = lam.numerator, lam.denominator
     rows = [[Fraction(0)] * (n + 1) for n in range(max_n + 1)]
+    num, den = 1, 1
     for j in range(max_n + 1):
-        scale = pochhammer(lam, j) / math.factorial(j)
-        for i in range(j + 1):
-            s_power = j + i
-            if s_power > max_n:
-                break
-            u_power = j - i
-            rows[s_power][u_power] += (
-                scale * math.comb(j, i) * Fraction(2) ** u_power * Fraction(-1) ** i)
-    return rows
+        for i in range(min(j, max_n - j) + 1):
+            term = math.comb(j, i) * num << (j - i)
+            rows[j + i][j - i] = Fraction(-term if i % 2 else term, den)
+        num *= p + q * j
+        den *= q * (j + 1)
+    return tuple(map(tuple, rows))
 
 
 def _ladder_case(spec: GegenbauerSpec, m: int) -> tuple:
@@ -232,10 +246,15 @@ def recurrence_checks(spec: GegenbauerSpec) -> VerificationReport:
     return _exact_report("recurrences", grid, _recurrence_cases(spec))
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _endpoint_value(n: int, lam: Fraction) -> Fraction:
+    """The closed form G(2 lam + n) / (G(2 lam) n!), per (n, weight)."""
+    return gamma_quotient(2 * lam + n, 2 * lam) / math.factorial(n)
+
+
 def _endpoint_case(spec: GegenbauerSpec) -> tuple:
-    expected = gamma_quotient(2 * spec.lam + spec.n, 2 * spec.lam) / math.factorial(spec.n)
     return (spec, ("coefficient sum", from_series(spec).coefficient_sum()),
-            ("G(2 lam + n) / (G(2 lam) n!)", expected))
+            ("G(2 lam + n) / (G(2 lam) n!)", _endpoint_value(spec.n, spec.lam)))
 
 
 def endpoint_value_check(spec: GegenbauerSpec) -> VerificationReport:
@@ -315,17 +334,18 @@ def check_endpoint_values(grid: ParamGrid = STANDARD_GRID) -> VerificationReport
     return _exact_report("endpoint-value", grid.describe(), map(_endpoint_case, grid.specs()))
 
 
-def _chebyshev_t_closed(n: int) -> list[Fraction]:
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _chebyshev_t_closed(n: int) -> tuple[Fraction, ...]:
     """Closed-form first-kind coefficients (independent of the recurrence):
     T_n = (n/2) sum_k (-1)^k (n-k-1)! / (k! (n-2k)!) (2u)^(n-2k) for n >= 1."""
     if n == 0:
-        return [Fraction(1)]
+        return (Fraction(1),)
     out = [Fraction(0)] * (n + 1)
     for k in range(n // 2 + 1):
         out[n - 2 * k] = (
             Fraction(n, 2) * Fraction(-1) ** k * math.factorial(n - k - 1)
             * Fraction(2) ** (n - 2 * k) / (math.factorial(k) * math.factorial(n - 2 * k)))
-    return out
+    return tuple(out)
 
 
 def _sample_grid(lo: float, samples: int) -> list[float]:
@@ -334,6 +354,20 @@ def _sample_grid(lo: float, samples: int) -> list[float]:
         raise ParameterError(f"--samples must be >= 2, got {samples}")
     step = (1.0 - lo) / (samples - 1)
     return [lo + i * step for i in range(samples - 1)] + [1.0]
+
+
+@functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
+def _special_reference(lam: Fraction, n_max: int, samples: int) -> tuple:
+    """The order-1 oracle of `check_special_cases` at one weight: the sample
+    points, then per degree n <= n_max the column of C_n at those points by
+    the float three-term recurrence the direct route uses (one recurrence
+    per point), and the scale max(1, L1 norm of the classical
+    coefficients)."""
+    xs = tuple(_sample_grid(-1.0, samples))
+    columns = tuple(zip(*(_gegenbauer_values(n_max, float(lam), x) for x in xs)))
+    scales = tuple(max(1.0, sum(abs(float(c)) for c in classical_oracle(n, lam)))
+                   for n in range(n_max + 1))
+    return xs, columns, scales
 
 
 def check_special_cases(
@@ -347,33 +381,34 @@ def check_special_cases(
 
     The numeric comparison is measured relative to the coefficient L1 norm
     (the natural evaluation scale; pointwise relative error is ill-defined
-    at interior roots)."""
+    at interior roots).
+
+    The oracles are kept per process: the classical and closed-form
+    coefficients per degree (and weight), and the recurrence's columns
+    with their scales per (weight, n_max, samples).  The members, their
+    `values` at the sample points and every comparison run on each call,
+    so a defect in a constructor or an evaluator fails a warm process
+    too."""
     _as_count(n_max, "n_max")
     grid = f"n <= {n_max}, order 1"
-    weights = (_HALF, Fraction(1), Fraction(3))
-    oracle = {(n, lam): classical_oracle(n, lam)
-              for lam in weights for n in range(n_max + 1)}
 
     def reductions() -> Iterator[tuple]:
         for n in range(n_max + 1):
             for name, poly, expected in (
-                    ("legendre", legendre(n), oracle[n, _HALF]),
-                    ("second-kind", from_series(GegenbauerSpec(n, 1)), oracle[n, 1]),
-                    ("first-kind", chebyshev_t(n), _chebyshev_t_closed(n))):
+                    ("legendre", legendre(n), classical_oracle(n, _HALF)),
+                    ("second-kind", from_series(GegenbauerSpec(n, 1)), classical_oracle(n, 1)),
+                    ("first-kind", chebyshev_t(n), list(_chebyshev_t_closed(n)))):
                 yield f"n={n}", (name, list(poly.rational_coeffs())), ("expected", expected)
 
     if not (exact := _exact_report("special-cases", grid, reductions())).passed:
         return exact
     worst = 0.0
-    xs = _sample_grid(-1.0, samples)
-    for lam in weights:
-        # C_0 .. C_n_max at each point, from one recurrence per point
-        reference = [_gegenbauer_values(n_max, float(lam), x) for x in xs]
-        for n in range(n_max + 1):
+    for lam in (_HALF, Fraction(1), Fraction(3)):
+        xs, columns, scales = _special_reference(lam, n_max, samples)
+        for n, (column, scale) in enumerate(zip(columns, scales)):
             p = from_series(GegenbauerSpec(n, lam))
-            scale = max(1.0, sum(abs(float(c)) for c in oracle[n, lam]))
-            errors = (abs(v - values[n]) for v, values in zip(p.values(xs, 1.0), reference))
-            worst = max(worst, max(errors) / scale)
+            error = max(map(abs, map(operator.sub, p.values(xs, 1.0), column)))
+            worst = max(worst, error / scale)
             if worst > rel_tol:
                 return VerificationReport(
                     "special-cases", grid, "fail", max_residual=worst,

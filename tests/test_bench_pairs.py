@@ -47,3 +47,51 @@ def test_summarize(bench_pairs):
     # higher is better: only pair 3 (1.0 against 0.5) counts
     assert share["change_better_pairs"] == 1
     assert share["parent_outliers"] == [2] and share["change_outliers"] == []
+
+
+def test_bounds_are_read_from_the_benchmark_file(bench_pairs):
+    limits = bench_pairs.bounds()
+    assert limits["wall_s"] > 0 and "ok_share" in limits
+
+
+def _row(bench_pairs, name, parent, change):
+    return bench_pairs.summarize({"parent": _runs(**{name: parent}),
+                                  "change": _runs(**{name: change})})[name]
+
+
+PARENT = [0.8, 0.9, 1.0, 1.1, 1.2] * 2  # median 1.0, IQR 0.2
+
+
+@pytest.mark.parametrize("change,wins,expected", [
+    # nine of ten pairs won, median gap 0.3 against the parent's IQR of 0.2
+    ([0.7] * 9 + [1.3], 9, "claim holds"),
+    # eight won: under nine tenths
+    ([0.7] * 8 + [1.3] * 2, 8, "claim not met"),
+    # every pair won, by less than the parent's IQR
+    ([p - 0.05 for p in PARENT], 10, "claim not met"),
+])
+def test_a_claim_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(
+        bench_pairs, change, wins, expected):
+    row = _row(bench_pairs, "wall_s", PARENT, change)
+    assert row["parent_iqr"] == pytest.approx(0.2)
+    assert row["change_better_pairs"] == wins
+    assert bench_pairs.verdict("wall_s", row, 0.25, claimed=True) == expected
+
+
+@pytest.mark.parametrize("name,parent,change,expected", [
+    ("wall_s", [1.0] * 4, [1.2] * 4, "within its bound 0.25"),
+    ("wall_s", [1.0] * 4, [1.3] * 4, "worse than its bound 0.25"),
+    # higher is better: 0.85 is 15% below 1.0, past a 10% bound
+    ("ok_share", [1.0] * 4, [0.85] * 4, "worse than its bound 0.1"),
+    ("ok_share", [0.5] * 4, [0.9] * 4, "within its bound 0.1"),
+    # the parent spreads wider than the bound: no worse is not the same as unchanged
+    # (IQR 0.75 about a median of 1.0)
+    ("wall_s", [0.5, 1.0, 1.5] * 2, [1.05] * 6, "unresolved: parent IQR wider than its bound 0.25"),
+    # unless every change run beats every parent run
+    ("wall_s", [0.5, 1.0, 1.5] * 2, [0.4] * 6, "within its bound 0.25"),
+])
+def test_an_unclaimed_metric_is_judged_by_its_bound(bench_pairs, name, parent, change, expected):
+    row = _row(bench_pairs, name, parent, change)
+    bound = {"wall_s": 0.25, "ok_share": 0.1}[name]
+    assert bench_pairs.verdict(name, row, bound, claimed=False) == expected
+    assert bench_pairs.verdict(name, row, None, claimed=False) == "no bound"

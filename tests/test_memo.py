@@ -1,8 +1,12 @@
 """The per-process memos of order-free exact work: each construction route
 keeps its own finished polynomial per (n, weight) and returns that object
 for every spec of that pair, whatever order it is then evaluated at; the
-inner products keep one moment-weighted vector per (n, weight), and the
-normalization audit one finished row per (n, weight, order) cell."""
+inner products keep one moment-weighted vector per (n, weight), the
+normalization audit one finished row per (n, weight, order) cell, and the
+fixed-degree suites of `verify` their oracles: the first-kind members and
+closed forms per degree, the endpoint closed form per (n, weight), and the
+generating-function rows and special-cases float columns per weight and
+sweep bounds."""
 import inspect
 import math
 from fractions import Fraction
@@ -12,6 +16,7 @@ import pytest
 import congeg.gegenbauer as gegenbauer
 from congeg.alphapoly import AlphaPoly
 import congeg.quadrature as quadrature
+import congeg.verify as verify
 from congeg.gegenbauer import (GegenbauerSpec, classical_oracle, from_recurrence,
                                from_rodrigues, from_series)
 from congeg.quadrature import conformable_inner_product, orthogonality_check
@@ -21,8 +26,12 @@ from congeg.verify import (STANDARD_GRID, ParamGrid, check_constructor_agreement
 ROUTES = {"series": (from_series, "_series_coeffs"),
           "recurrence": (from_recurrence, "_recurrence_coeffs"),
           "rodrigues": (from_rodrigues, "_rodrigues_coeffs")}
+# keyed by a weight and a whole sweep's bounds rather than by degree: a
+# suite asks each for one entry per weight
+SWEEP_MEMOS = [verify._generating_rows, verify._special_reference]
 MEMOS = [getattr(gegenbauer, name) for _, name in ROUTES.values()] + [
-    gegenbauer._oracle_coeffs, quadrature._moment_weighted, quadrature._audit_row]
+    gegenbauer._oracle_coeffs, gegenbauer._chebyshev_t_coeffs, quadrature._moment_weighted,
+    quadrature._audit_row, verify._endpoint_value, verify._chebyshev_t_closed, *SWEEP_MEMOS]
 
 
 @pytest.fixture
@@ -115,6 +124,8 @@ def test_memos_are_bounded_and_cover_a_sweep_at_degree_96():
     for memo in MEMOS:
         size = memo.cache_info().maxsize
         assert size is not None
+        if memo in SWEEP_MEMOS:
+            continue  # a few entries a run: the next test's second run must find them all
         is_quadrature = memo.__module__ == quadrature.__name__
         assert size >= (len(weights) * 97 if is_quadrature else cycle), memo
 
@@ -122,6 +133,10 @@ def test_memos_are_bounded_and_cover_a_sweep_at_degree_96():
 def test_every_memo_is_reused_by_the_asserted_suites(fresh_memos):
     # a memo that two full runs never hit keeps work nobody asks for again
     for _ in range(2):
+        misses = [memo.cache_info().misses for memo in MEMOS]
         run_asserted_checks(ParamGrid(n_max=12))
     assert all(memo.cache_info().hits > 0 for memo in MEMOS), [
+        (memo.__name__, memo.cache_info()) for memo in MEMOS]
+    # nor is anything of the first run evicted before the second asks again
+    assert [memo.cache_info().misses for memo in MEMOS] == misses, [
         (memo.__name__, memo.cache_info()) for memo in MEMOS]

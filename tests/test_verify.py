@@ -1,16 +1,18 @@
 """Identity sweeps and recorded audits."""
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from congeg.alphapoly import AlphaPoly, ParameterError
+from congeg.alphapoly import AlphaPoly, ParameterError, pochhammer
 from congeg.cli import main
 from congeg.gegenbauer import GegenbauerSpec, from_series
 from congeg.report import VerificationReport, reports_to_json, reports_to_text
 import congeg.gegenbauer as gegenbauer
+import congeg.quadrature as quadrature
 import congeg.verify as verify
 from congeg.verify import (STANDARD_GRID, ParamGrid, _sample_grid, audit_chebyshev_limit,
                            audit_ultraspherical,
@@ -68,6 +70,23 @@ class TestGeneratingFunction:
             built = list(from_series(GegenbauerSpec(n, lam)).rational_coeffs())
             built += [Fraction(0)] * (len(row) - len(built))
             assert row == built
+
+
+    @pytest.mark.parametrize("lam", [HALF, Fraction(1), Fraction(3), Fraction(2, 7)])
+    def test_rows_equal_a_fraction_built_reference(self, lam):
+        # the binomial expansion term by term in Fractions, as the rows were
+        # once built; each cold row is now one Fraction of integers
+        for max_n in (0, 1, 2, 7, 10, 24, 40):
+            expected = [[Fraction(0)] * (n + 1) for n in range(max_n + 1)]
+            for j in range(max_n + 1):
+                scale = pochhammer(lam, j) / math.factorial(j)
+                for i in range(min(j, max_n - j) + 1):
+                    expected[j + i][j - i] += (
+                        scale * math.comb(j, i) * Fraction(2) ** (j - i) * Fraction(-1) ** i)
+            verify._generating_rows.cache_clear()
+            rows = generating_function_coeffs(lam, max_n)
+            assert rows == expected, max_n
+            assert all(type(c) is Fraction for row in rows for c in row)
 
 
 class TestSingleIdentityChecks:
@@ -468,3 +487,57 @@ class TestSpecialCasesAgainstRecurrence:
         assert rep.status == "fail"
         assert rep.witness.startswith("order-1 evaluation n=")
         assert rep.max_residual > 1e-12
+
+
+def _clear_every_memo():
+    for module in (gegenbauer, quadrature, verify):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+class TestOraclesOncePerProcess:
+    """The oracles of the fixed-degree suites are kept per process; the
+    members, their float values and every comparison still run per call."""
+
+    @pytest.mark.parametrize("args", [[], ["--json"], ["--n-max", "24"],
+                                      ["--json", "--n-max", "24"]])
+    def test_warm_output_equals_cold(self, capsys, args):
+        _clear_every_memo()
+        outputs = []
+        for _ in range(2):
+            assert main(["verify", *args]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("n_max,samples", [(10, 200), (3, 2), (0, 7), (24, 33)])
+    def test_special_cases_warm_equals_cold(self, n_max, samples):
+        _clear_every_memo()
+        cold = check_special_cases(n_max=n_max, samples=samples)
+        assert check_special_cases(n_max=n_max, samples=samples) == cold
+        assert verify._special_reference.cache_info().hits == 3
+
+    def test_a_warm_process_still_catches_skewed_evaluation(self, monkeypatch):
+        assert check_special_cases().passed
+        values = AlphaPoly.values
+        monkeypatch.setattr(AlphaPoly, "values",
+                            lambda self, xs, a: [v + 1e-9 for v in values(self, xs, a)])
+        rep = check_special_cases()
+        assert rep.status == "fail" and rep.max_residual > 1e-12
+
+    @pytest.mark.parametrize("suite", ["generating-function", "endpoints", "special-cases"])
+    def test_a_warm_process_still_catches_a_defective_member(self, request, suite):
+        assert run_asserted_checks(SMALL, suite=suite)[0].passed
+        request.getfixturevalue("defective_member")
+        [rep] = run_asserted_checks(SMALL, suite=suite)
+        assert rep.status == "fail" and "n=1" in rep.witness
+
+    def test_returned_lists_are_the_callers_own(self):
+        rows = generating_function_coeffs(Fraction(3), 4)
+        expected = [list(row) for row in rows]
+        rows[2][0] = Fraction(99)
+        rows.append([])
+        assert generating_function_coeffs(Fraction(3), 4) == expected
+        oracle = gegenbauer.classical_oracle(4, 3)
+        oracle[0] = Fraction(99)
+        assert gegenbauer.classical_oracle(4, 3) == [6, 0, -120, 0, 240]
