@@ -443,7 +443,9 @@ class AlphaPoly:
             raise ParameterError(f"order must lie in (0, 1], got {a!r}")
         if not self.nums:
             return [0.0 for _ in xs]
-        us = [math.copysign(abs(x) ** a, x) for x in map(float, xs)]
+        # at order 1, x^a is x itself, -0.0 included
+        us = (list(map(float, xs)) if a == 1.0
+              else [math.copysign(abs(x) ** a, x) for x in map(float, xs)])
         try:
             chebyshev = self._chebyshev
             horner = self._horner if chebyshev is None else ()

@@ -15,7 +15,8 @@ derivation, so their agreement remains a check.
 
 Because the coefficients do not depend on the order, and neither a spec nor
 an `AlphaPoly` carries one, each route's finished polynomial is memoized per
-process by (n, lam) in its own bounded cache; the public function returns
+process by (n, p, q), for lam = p/q in lowest terms, in its own bounded
+cache; the public function passes the checked weight's integers and returns
 the memo's immutable object as it is.  No route reads another's memo, so a
 sweep builds each member once per route and still compares three
 independent results.
@@ -106,7 +107,7 @@ class UltrasphericalSpec:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _series_coeffs(n: int, lam: Fraction) -> AlphaPoly:
+def _series_coeffs(n: int, p: int, q: int) -> AlphaPoly:
     """Body of `from_series`.
 
     Each term follows from the previous one by the ratio
@@ -114,7 +115,6 @@ def _series_coeffs(n: int, lam: Fraction) -> AlphaPoly:
     numerator over a running integer denominator.  A second pass, from the
     last term up, multiplies each term by the denominator steps after it,
     so all share the final denominator at one product per term."""
-    p, q = lam.numerator, lam.denominator
     num = 2 ** n  # term s = 0: 2^n (lam)_n / n! = 2^n prod(p + q i) / (q^n n!)
     for i in range(n):
         num *= p + q * i
@@ -137,17 +137,16 @@ def _series_coeffs(n: int, lam: Fraction) -> AlphaPoly:
 def from_series(spec: GegenbauerSpec) -> AlphaPoly:
     """Explicit series: coefficient of x^((n-2s)*a) is
     (-1)^s (lam)_(n-s) 2^(n-2s) / (s! (n-2s)!)."""
-    return _series_coeffs(spec.n, spec.lam)
+    return _series_coeffs(spec.n, *spec.lam.as_integer_ratio())
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _recurrence_coeffs(n: int, lam: Fraction) -> AlphaPoly:
+def _recurrence_coeffs(n: int, p: int, q: int) -> AlphaPoly:
     """Body of `from_recurrence`.
 
     With lam = p/q it runs on P_m = q^m m! C_m, whose coefficients are
     integers: P_(m+1) = 2(qm+p) x^a P_m - qm(qm+2p-q) P_(m-1).  Only the
     entries of the member's parity are touched; C_n = P_n / (q^n n!)."""
-    p, q = lam.numerator, lam.denominator
     prev: list[int] = []
     cur = [1]
     for m in range(n):
@@ -164,7 +163,7 @@ def _recurrence_coeffs(n: int, lam: Fraction) -> AlphaPoly:
 def from_recurrence(spec: GegenbauerSpec) -> AlphaPoly:
     """Three-term recurrence (m+1) C_(m+1) = 2(m+lam) x^a C_m - (m+2lam-1) C_(m-1),
     seeded with C_(-1) = 0 and C_0 = 1."""
-    return _recurrence_coeffs(spec.n, spec.lam)
+    return _recurrence_coeffs(spec.n, *spec.lam.as_integer_ratio())
 
 
 def _rodrigues_kernel(n: int, c: Fraction) -> AlphaPoly:
@@ -199,8 +198,9 @@ def _rodrigues_kernel(n: int, c: Fraction) -> AlphaPoly:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _rodrigues_coeffs(n: int, lam: Fraction) -> AlphaPoly:
+def _rodrigues_coeffs(n: int, p: int, q: int) -> AlphaPoly:
     """Body of `from_rodrigues`."""
+    lam = Fraction(p, q)
     magnitude = (gamma_quotient(2 * lam + n, 2 * lam)
                  / gamma_quotient(n + lam + _HALF, lam + _HALF)
                  / (Fraction(2) ** n * math.factorial(n)))
@@ -214,7 +214,7 @@ def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
 
     carries a^(-n), which cancels the kernel's a^n exactly; the (-1)^n of
     (-2a)^n cancels the kernel's extracted sign."""
-    return _rodrigues_coeffs(spec.n, spec.lam)
+    return _rodrigues_coeffs(spec.n, *spec.lam.as_integer_ratio())
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
     than rescaling here.  A constant or coefficient past the float range
     raises AccuracyError, as `AlphaPoly.values` does.
     """
-    member = _rodrigues_coeffs(spec.n, spec.lam)
+    member = _rodrigues_coeffs(spec.n, *spec.lam.as_integer_ratio())
     try:
         b = float(spec.beta)
         constant = math.gamma(2 * b + 1) / (2.0 ** b * math.gamma(b + 1))
@@ -300,14 +300,15 @@ def classical_oracle(n: int, lam: RationalLike) -> list[Fraction]:
     variable) by the standard three-term recurrence on coefficient lists.
 
     Independent oracle for tests; the constructors never call it.  Memoized
-    by (n, lam) like the routes; each call returns a new list.
+    by (n, p, q) like the routes; each call returns a new list.
     """
     _as_count(n, "degree")
-    return list(_oracle_coeffs(n, _check_weight(lam)))
+    return list(_oracle_coeffs(n, *_check_weight(lam).as_integer_ratio()))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _oracle_coeffs(n: int, lam: Fraction) -> tuple[Fraction, ...]:
+def _oracle_coeffs(n: int, p: int, q: int) -> tuple[Fraction, ...]:
+    lam = Fraction(p, q)
     prev = [Fraction(1)]
     if n == 0:
         return tuple(prev)

@@ -19,19 +19,20 @@ grading, and judges it against the nested rule of twice the step,
 relative to the integrand's L1 mass so that exact zeros (orthogonality)
 pass.  It is the package's one user of numpy, imported on its first call.
 
-Three memos serve the sweeps.  `_cells` keeps one checked cell per
-(weight, order): the order as a float, B(1/2, base + 1/2) and the exact
-shifts of the gamma arguments; every inner product and audit row at that
-weight and order reuses it.  `_moment_weighted` keeps W_n, C_n's
-coefficients weighted by the moments, per (n, weight): every inner product
-of degree n reuses it, and the orthogonality proof reads it once per weight
-for every order, with no float at all.  `_audit_row` keeps each finished
-audit row per (degree, cell), and the row keeps its CSV line once formatted.
+Three memos serve the sweeps, keyed by integers: a weight lam = p/q and an
+order a = r/s, in lowest terms, are checked where they enter.  `_cells`
+keeps one cell per (p, q, r, s): the order as a float, B(1/2, base + 1/2)
+and the exact shifts of the gamma arguments; every inner product and audit
+row at that weight and order reuses it.  `_moment_weighted` keeps W_n, C_n's
+coefficients weighted by the moments, per (n, p, q): every inner product of
+degree n reuses it, and the orthogonality proof reads it once per weight for
+every order, with no float at all.  `_audit_row` keeps each finished audit
+row per (degree, cell), and the row keeps its CSV line once formatted.
 Nothing else is kept.  A `_moment_weighted` miss rebuilds the moments for
-its length in integers, about 20 us at degree 32, 40 us at 48 and 110 us
-at 96 for weights 1 and 3 (2-core x86-64, Python 3.11), a fifth or less of
-the miss: its n^2/4 big-integer products cost the rest, and past degree
-~200 they are nearly all of it.  The public formulas compute their gamma
+its length in integers, about 20 us at degree 32, 40 us at 48 and 110 us at
+96 for weights 1 and 3 (2-core x86-64, Python 3.11), a fifth or less of the
+miss: its n^2/4 big-integer products cost the rest, and past degree ~200
+they are nearly all of it.  The public formulas compute their gamma
 values per call from integers; the audit computes them once per row.
 """
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _gegenbauer_values(top: int, lam: float, u) -> list:
 # inner products
 
 
-def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
+def _scaled_moments(p: int, q: int, count: int) -> tuple[tuple[int, ...], int]:
     """mu_2k / B(1/2, base + 1/2) for k < count, as integers over one common
     denominator.  mu_2k = mu_0 (1/2)_k / (lam + 1)_k, and mu_0 = B(1/2, lam + 1/2)
     is B(1/2, base + 1/2) (base + 1/2)_s / (base + 1)_s for s = floor(lam),
@@ -128,7 +129,6 @@ def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
     = (k + 1/2) / (p/q + 1 + k) = (2k + 1) q / (2 (p + q + qk)).  One gcd per
     step keeps each moment in lowest terms, as a Fraction would be, and the
     common denominator is the lcm of theirs."""
-    p, q = lam.as_integer_ratio()
     b = p % q
     num = den = 1
     for t in range(p // q):
@@ -148,7 +148,7 @@ def _scaled_moments(lam: Fraction, count: int) -> tuple[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=256)
-def _moment_weighted(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
+def _moment_weighted(n: int, p: int, q: int) -> tuple[tuple[int, ...], int]:
     """W_i = <C_n, u^i> / B(1/2, base + 1/2) for i <= n, the sum over j,
     i + j even, of d_j mu_((i+j)/2) / B(1/2, base + 1/2) with d the
     coefficients of C_n^(lam), as integers over one common denominator:
@@ -160,23 +160,22 @@ def _moment_weighted(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
     one C-level dot product of the coefficients d_j, j = i mod 2, i mod 2 + 2,
     ..., with the moments from index ceil(i/2) on.  A member with fewer
     coefficients (a defective one) just gives shorter sums."""
-    d = _series_coeffs(n, lam)
-    moments, mu_den = _scaled_moments(lam, n + 1)
+    d = _series_coeffs(n, p, q)
+    moments, mu_den = _scaled_moments(p, q, n + 1)
     return (tuple(sum(map(operator.mul, d.nums[i % 2::2], moments[(i + 1) // 2:]))
                   for i in range(n + 1)),
             mu_den * d.den)
 
 
-def _beta(lam: Fraction) -> float:
-    """B(1/2, base + 1/2) for base = lam - floor(lam) in [0, 1): the one
-    float factor of every moment of the weight."""
-    base = lam - math.floor(lam)
-    if base == 0:
+def _beta(p: int, q: int) -> float:
+    """B(1/2, base + 1/2) for base = b/q = lam - floor(lam) in [0, 1), lam = p/q:
+    the one float factor of every moment of the weight."""
+    b = p % q
+    if b == 0:
         return math.pi              # B(1/2, 1/2)
-    if base == _HALF:
+    if 2 * b == q:
         return 2.0                  # B(1/2, 1)
-    return (math.sqrt(math.pi) * math.gamma(float(base + _HALF))
-            / math.gamma(float(base + 1)))
+    return math.sqrt(math.pi) * math.gamma((2 * b + q) / (2 * q)) / math.gamma((b + q) / q)
 
 
 def _checked_gamma(num: int, den: int) -> float:
@@ -188,13 +187,13 @@ def _checked_gamma(num: int, den: int) -> float:
 
 
 class _Cell:
-    """One checked (weight, order) and what the inner product and the
-    normalization formulas need of it that does not depend on the degree:
-    the order as a float, B(1/2, base + 1/2), and the exact integer pairs of
-    the gamma arguments 5/2 - a - 1/a and of the shifts s and t of the rows'
-    n + lam + 3/2 - 1/a = n + s and n + lam + 2 - a = n + t.  `_cells`
-    keeps one per pair, which every inner product and audit row at that
-    pair reuses.
+    """One checked weight lam = p/q and order a = r/s and what the inner
+    product and the normalization formulas need of them that does not
+    depend on the degree: p and q, the order as a float, B(1/2, base + 1/2),
+    and the exact integer pairs of the gamma arguments 5/2 - a - 1/a and of
+    the shifts s and t of the rows' n + lam + 3/2 - 1/a = n + s and
+    n + lam + 2 - a = n + t.  `_cells` keeps one per (p, q, r, s), which
+    every inner product and audit row at that pair reuses.
 
     No gamma value is kept here: the formulas compute their degree-free
     gamma values and powers per call, so a pole raises a fresh DomainError on
@@ -202,33 +201,29 @@ class _Cell:
     (degree, cell) in `_audit_row`, a pole as the NaN it records, and an
     overflow raises again on every audit that reaches its row."""
 
-    def __init__(self, lam: RationalLike, alpha: RationalLike):
-        self.lam = _check_weight(lam)
-        self.alpha = _as_order(alpha)
-        self.a = float(self.alpha)
-        self.beta = _beta(self.lam)
+    def __init__(self, p: int, q: int, r: int, s: int):
+        self.p, self.q = p, q
+        self.lam, self.alpha = Fraction(p, q), Fraction(r, s)
+        self.a = r / s              # correctly rounded, as float(alpha) is
+        self.beta = _beta(p, q)
         inv = 1 / self.alpha
         self.const, self.s, self.t = (v.as_integer_ratio() for v in (
             5 * _HALF - self.alpha - inv, self.lam + 3 * _HALF - inv, self.lam + 2 - self.alpha))
 
 
-_cells = lru_cache(maxsize=256, typed=True)(_Cell)
+_cells = lru_cache(maxsize=256)(_Cell)
 
 
 def _cell(lam: RationalLike, alpha: RationalLike) -> _Cell:
-    """The checked cell of (weight, order), built once per distinct pair.
-    The cache is typed, so True never meets the entry of 1; an unhashable
-    argument, which is no rational, skips it and fails the checks."""
-    try:
-        return _cells(lam, alpha)
-    except TypeError:
-        return _Cell(lam, alpha)
+    """The cell of (weight, order), checked first and then looked up by
+    their integer ratios, so equal values share one cell however written."""
+    return _cells(*_check_weight(lam).as_integer_ratio(), *_as_order(alpha).as_integer_ratio())
 
 
 def _inner_product(m: int, n: int, cell: _Cell) -> float:
     """<C_m, C_n> for checked degrees m <= n."""
-    c = _series_coeffs(m, cell.lam)
-    weighted, w_den = _moment_weighted(n, cell.lam)
+    c = _series_coeffs(m, cell.p, cell.q)
+    weighted, w_den = _moment_weighted(n, cell.p, cell.q)
     # sum over i + j even of c_i d_j mu_(i+j) is sum_i c_i W_i; only
     # B(1/2, base + 1/2), with base in [0, 1), is left in floats.
     # int / int is correctly rounded, so this is the exact sum rounded once
@@ -300,22 +295,22 @@ def conformable_inner_product_direct(
 
 # Each public formula checks its arguments and calls its kernel, which the
 # audit calls too.  A kernel takes the degree and a cell (the classical norm,
-# which has no order, the weight) and builds every gamma argument and power
-# from integers.  The two candidate formulas share their degree-dependent
-# gammas, which `_degree_quotients` takes as quotients of partners: their
-# products on their own pass the float range from about degree 70, while
-# each quotient stays finite as long as every single gamma is.
+# which has no order, the weight's p and q) and builds every gamma argument
+# and power from integers.  The two candidate formulas share their
+# degree-dependent gammas, which `_degree_quotients` takes as quotients of
+# partners: their products on their own pass the float range from about
+# degree 70, while each quotient stays finite as long as every single gamma
+# is.
 
 
-def _classical_norm(n: int, lam: Fraction) -> float:
-    p, q = lam.as_integer_ratio()
+def _classical_norm(n: int, p: int, q: int) -> float:
     return (math.pi * 2.0 ** ((q - 2 * p) / q) * math.gamma(2 * p / q + n)
             / (math.factorial(n) * ((n * q + p) / q) * math.gamma(p / q) ** 2))
 
 
 def _degree_quotients(n: int, cell: _Cell) -> float:
     """G(n+2lam)/n! * G(n+lam)/G(n+lam+1/2) * G(n+s)/G(n+t)."""
-    p, q = cell.lam.as_integer_ratio()
+    p, q = cell.p, cell.q
     (s_num, s_den), (t_num, t_den) = cell.s, cell.t
     return (math.gamma((n * q + 2 * p) / q) / math.factorial(n)
             * (math.gamma((n * q + p) / q) / math.gamma((2 * (n * q + p) + q) / (2 * q)))
@@ -324,14 +319,14 @@ def _degree_quotients(n: int, cell: _Cell) -> float:
 
 
 def _closed_form(n: int, cell: _Cell) -> float:
-    p, q = cell.lam.as_integer_ratio()
+    p, q = cell.p, cell.q
     return (2.0 ** ((q - 2 * p) / q) * cell.a ** (-2.0 / cell.a)
             * _checked_gamma(*cell.const) / math.gamma(p / q) ** 2
             * _degree_quotients(n, cell))
 
 
 def _gamma_product(n: int, cell: _Cell) -> float:
-    p, q = cell.lam.as_integer_ratio()
+    p, q = cell.p, cell.q
     return (cell.a ** (0.5 - 2.0 / cell.a) * math.gamma((2 * p + q) / (2 * q))
             * _checked_gamma(*cell.const) / (math.gamma(2 * p / q) * math.gamma(p / q))
             * _degree_quotients(n, cell))
@@ -375,7 +370,7 @@ def classical_norm(n: int, lam) -> float:
     pi 2^(1-2lam) G(n+2lam) / (n! (n+lam) G(lam)^2); the substitution
     predicts the conformable diagonal as this divided by the order."""
     _as_count(n, "degree")
-    return _classical_norm(n, _check_weight(lam))
+    return _classical_norm(n, *_check_weight(lam).as_integer_ratio())
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +386,20 @@ def orthogonality_check(
     degree and has a positive diagonal, proved in integers once per weight:
     W_n[i] = 0 for every i < n (see `_moment_weighted`) and c_n W_n[n] > 0.
     The order only divides each integral by a, so the proof holds at every
-    order, and the residual is exactly 0.0, within any tol.  Every weight and
-    order is checked first; a failure's witness names n, i and the weight."""
+    order, and the residual is exactly 0.0; tol is never read, and is kept
+    for callers that pass it.  Every weight, then every order, is checked
+    first; a failure's witness names n, i and the weight."""
     _as_count(n_max, "n_max")
     lambdas, alphas = _as_cases(lambdas, "weights"), _as_cases(alphas, "orders")
-    # a cached cell hands back the weight object it was built with, so repeated
-    # calls find the memos below by identity rather than by Fraction.__eq__
-    weights = dict.fromkeys(_cell(lam, alpha).lam for lam in lambdas for alpha in alphas)
+    weights = {lam.as_integer_ratio(): lam for lam in map(_check_weight, lambdas)}
+    for alpha in alphas:
+        _as_order(alpha)
     grid = (f"m != n <= {n_max}, weight in {{{', '.join(str(v) for v in lambdas)}}}, "
             f"order in {{{', '.join(str(a) for a in alphas)}}}")
-    for lam in weights:
+    for (p, q), lam in weights.items():
         for n in range(n_max + 1):
-            weighted, _ = _moment_weighted(n, lam)
-            nums = _series_coeffs(n, lam).nums
+            weighted, _ = _moment_weighted(n, p, q)
+            nums = _series_coeffs(n, p, q).nums
             i = next((i for i in range(n) if weighted[i]), None)
             if i is not None:
                 witness = (f"n={n}, i={i}, weight={lam}: <C_n, u^i> is not zero, "
@@ -447,15 +443,10 @@ class AuditRow:
             repr(self.rel_diff_quadrature_vs_derived)])
 
 
-# built once, so repeated default audits find their `_cells` entries by
-# identity rather than by Fraction.__eq__
-_AUDIT_PAIRS = tuple((lam, alpha) for lam in (Fraction(1), Fraction(3))
-                     for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(1)))
-
-
 def default_audit_grid(n_max: int = 6) -> list[tuple[int, Fraction, Fraction]]:
     """Degrees 0..n_max for weights 1, 3 and orders 1/4, 1/2, 1."""
-    return [(n, lam, alpha) for lam, alpha in _AUDIT_PAIRS for n in range(n_max + 1)]
+    return [(n, lam, alpha) for lam in (Fraction(1), Fraction(3))
+            for alpha in (Fraction(1, 4), _HALF, Fraction(1)) for n in range(n_max + 1)]
 
 
 @lru_cache(maxsize=1024)
@@ -466,7 +457,7 @@ def _audit_row(n: int, cell: _Cell) -> AuditRow:
     DomainError on every call."""
     try:
         quad = _inner_product(n, n, cell)
-        derived = _classical_norm(n, cell.lam) / cell.a
+        derived = _classical_norm(n, cell.p, cell.q) / cell.a
         closed = _or_nan(_closed_form, n, cell)
         product = _or_nan(_gamma_product, n, cell)
     except OverflowError:
@@ -487,13 +478,13 @@ def normalization_audit(
     Recorded: rows where either formula candidate deviates from the derived
     value (or hits a pole) are flagged in the notes, never asserted.
 
-    Each distinct (weight, order) is checked once, in the cell the inner
-    product shares, and looked up again only where a triple's weight or
-    order is not the previous triple's object.  Each row checks its degree
-    and is then read from `_audit_row`, which computes a (degree, cell) row
-    once per process, its gamma values included, with a formula's pole as
-    NaN; a value that overflows a float (from degree 166) raises DomainError
-    naming the row on every audit.  The flags depend on rel_tol, so they are
+    A triple's weight and order are checked, and their cell looked up, only
+    where either is not the previous triple's object, which saves a run of
+    rows at one pair a validation per row.  Each row checks its degree and
+    is then read from `_audit_row`, which computes a (degree, cell) row once
+    per process, its gamma values included, with a formula's pole as NaN; a
+    value that overflows a float (from degree 166) raises DomainError naming
+    the row on every audit.  The flags depend on rel_tol, so they are
     judged here on every call: counted, with only the first one named.
     """
     rows: list[AuditRow] = []
@@ -518,7 +509,7 @@ def normalization_audit(
                 if not flagged:
                     first_flag = f"n={n}, weight={cell.lam}, order={cell.alpha} ({name})"
                 flagged += 1
-        if anchor is None and n == 0 and cell.lam == 1 and cell.a == 1.0:
+        if anchor is None and n == 0 and cell.p == cell.q == 1 and cell.a == 1.0:
             anchor = row
     status = "numeric-pass" if worst <= rel_tol else "fail"
     summary = (f"{flagged} of {2 * len(rows)} formula comparisons flagged "

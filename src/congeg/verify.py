@@ -181,20 +181,19 @@ def generating_function_coeffs(lam: Fraction, max_n: int) -> list[list[Fraction]
     """Coefficient rows of s^0 .. s^max_n in (1 - 2 u s + s^2)^(-lam),
     each row ascending in u.  Independent expansion through the generalized
     binomial series in w = 2 u s - s^2; row n reproduces the degree-n family
-    member's coefficients.  Memoized by (lam, max_n); each call returns new
-    lists."""
-    rows = _generating_rows(_check_weight(lam), _as_count(max_n, "series order"))
-    return [list(row) for row in rows]
+    member's coefficients.  Memoized by (p, q, max_n) for lam = p/q; each
+    call returns new lists."""
+    p, q = _check_weight(lam).as_integer_ratio()
+    return [list(row) for row in _generating_rows(p, q, _as_count(max_n, "series order"))]
 
 
 @functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
-def _generating_rows(lam: Fraction, max_n: int) -> tuple[tuple[Fraction, ...], ...]:
+def _generating_rows(p: int, q: int, max_n: int) -> tuple[tuple[Fraction, ...], ...]:
     """Body of `generating_function_coeffs`.  Term i of w^j carries
     s^(j+i) u^(j-i) with the factor (lam)_j / j! * C(j, i) 2^(j-i) (-1)^i,
     so each (s, u) power pair gets exactly one term.  With lam = p/q,
     (lam)_j / j! is prod(p + q k) / (q^j j!) over k < j, carried as two
     running integers; each coefficient is one Fraction of integers."""
-    p, q = lam.numerator, lam.denominator
     rows = [[Fraction(0)] * (n + 1) for n in range(max_n + 1)]
     num, den = 1, 1
     for j in range(max_n + 1):
@@ -247,14 +246,16 @@ def recurrence_checks(spec: GegenbauerSpec) -> VerificationReport:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _endpoint_value(n: int, lam: Fraction) -> Fraction:
-    """The closed form G(2 lam + n) / (G(2 lam) n!), per (n, weight)."""
+def _endpoint_value(n: int, p: int, q: int) -> Fraction:
+    """The closed form G(2 lam + n) / (G(2 lam) n!), per (n, p, q) for lam = p/q."""
+    lam = Fraction(p, q)
     return gamma_quotient(2 * lam + n, 2 * lam) / math.factorial(n)
 
 
 def _endpoint_case(spec: GegenbauerSpec) -> tuple:
     return (spec, ("coefficient sum", from_series(spec).coefficient_sum()),
-            ("G(2 lam + n) / (G(2 lam) n!)", _endpoint_value(spec.n, spec.lam)))
+            ("G(2 lam + n) / (G(2 lam) n!)",
+             _endpoint_value(spec.n, *spec.lam.as_integer_ratio())))
 
 
 def endpoint_value_check(spec: GegenbauerSpec) -> VerificationReport:
@@ -357,12 +358,13 @@ def _sample_grid(lo: float, samples: int) -> list[float]:
 
 
 @functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
-def _special_reference(lam: Fraction, n_max: int, samples: int) -> tuple:
-    """The order-1 oracle of `check_special_cases` at one weight: the sample
-    points, then per degree n <= n_max the column of C_n at those points by
-    the float three-term recurrence the direct route uses (one recurrence
-    per point), and the scale max(1, L1 norm of the classical
+def _special_reference(p: int, q: int, n_max: int, samples: int) -> tuple:
+    """The order-1 oracle of `check_special_cases` at the weight lam = p/q:
+    the sample points, then per degree n <= n_max the column of C_n at those
+    points by the float three-term recurrence the direct route uses (one
+    recurrence per point), and the scale max(1, L1 norm of the classical
     coefficients)."""
+    lam = Fraction(p, q)
     xs = tuple(_sample_grid(-1.0, samples))
     columns = tuple(zip(*(_gegenbauer_values(n_max, float(lam), x) for x in xs)))
     scales = tuple(max(1.0, sum(abs(float(c)) for c in classical_oracle(n, lam)))
@@ -404,7 +406,7 @@ def check_special_cases(
         return exact
     worst = 0.0
     for lam in (_HALF, Fraction(1), Fraction(3)):
-        xs, columns, scales = _special_reference(lam, n_max, samples)
+        xs, columns, scales = _special_reference(*lam.as_integer_ratio(), n_max, samples)
         for n, (column, scale) in enumerate(zip(columns, scales)):
             p = from_series(GegenbauerSpec(n, lam))
             error = max(map(abs, map(operator.sub, p.values(xs, 1.0), column)))

@@ -193,6 +193,56 @@ class TestHornerAgainstExact:
             assert p.values(POINTS, 0.5) == [p.evaluate(x, 0.5) for x in POINTS]
 
 
+def _signed_power_values(p: AlphaPoly, xs) -> list[float]:
+    """p at the points xs and order 1 through the signed power
+    u = copysign(|x|^1, x) that every other order takes, then p's evaluator
+    written out: Horner on `_horner`, or Clenshaw on each parity part of
+    `_chebyshev`, the first part's sums taken as they are."""
+    us = [math.copysign(abs(x) ** 1.0, x) for x in xs]
+    if p._chebyshev is None:
+        out = []
+        for u in us:
+            acc = 0.0
+            for c in p._horner:
+                acc = acc * u + c
+            out.append(acc)
+        return out
+    out = None
+    for odd, coeffs in p._chebyshev[0]:
+        sums = []
+        for u in us:
+            w2 = 4.0 * u * u - 2.0
+            y1 = y2 = 0.0
+            for c in coeffs:
+                y1, y2 = c + w2 * y1 - y2, y1
+            sums.append(u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2)
+        out = sums if out is None else [v + w for v, w in zip(out, sums)]
+    return out
+
+
+ORDER_ONE_POINTS = (1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 1 - 2.0 ** -52,
+                    -(1 - 2.0 ** -52)) + POINTS[5:]
+
+
+class TestOrderOne:
+    """At order 1 `values` takes u = x itself, and gives what the signed
+    power gave, bit for bit: -0.0 and the sign of every zero included."""
+
+    @pytest.mark.parametrize("n,lam,chebyshev", [
+        (4, 3, False), (5, 3, False), (40, Fraction(2, 7), True), (41, Fraction(2, 7), True)])
+    def test_bit_identical_to_the_signed_power(self, n, lam, chebyshev):
+        p = from_series(GegenbauerSpec(n, lam))
+        assert (p._chebyshev is not None) == chebyshev
+        got = p.values(ORDER_ONE_POINTS, 1.0)
+        assert [v.hex() for v in got] == [
+            v.hex() for v in _signed_power_values(p, ORDER_ONE_POINTS)]
+
+    def test_odd_chebyshev_member_keeps_the_sign_of_zero(self):
+        # so the comparison above can see a u that lost the sign of -0.0
+        p = from_series(GegenbauerSpec(41, Fraction(2, 7)))
+        assert [v.hex() for v in p.values((0.0, -0.0), 1.0)] == ["0x0.0p+0", "-0x0.0p+0"]
+
+
 class TestWorkingRange:
     def test_chebyshev_refuses_points_outside(self):
         p = from_series(GegenbauerSpec(30, 3))

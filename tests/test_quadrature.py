@@ -88,8 +88,8 @@ def fresh_moment_weighted():
 class TestOrthogonalityWitnesses:
     def test_skewed_coefficient_names_its_entry(self, monkeypatch, fresh_moment_weighted):
         # C_5 is odd; a constant term of 1/den makes W_5[0] = mu_0 / den nonzero
-        def skewed(n, lam):
-            poly = gegenbauer._series_coeffs(n, lam)
+        def skewed(n, p, q):
+            poly = gegenbauer._series_coeffs(n, p, q)
             if n != 5:
                 return poly
             return AlphaPoly._of([poly.nums[0] + 1, *poly.nums[1:]], poly.den, poly.grade)
@@ -103,8 +103,8 @@ class TestOrthogonalityWitnesses:
         # every W_5[i], i < 5, stays 0; only the sign of <C_5, C_5> turns
         kernel = quadrature._moment_weighted
 
-        def flipped(n, lam):
-            weighted, den = kernel(n, lam)
+        def flipped(n, p, q):
+            weighted, den = kernel(n, p, q)
             if n != 5:
                 return weighted, den
             return (*weighted[:-1], -weighted[-1]), den
@@ -118,8 +118,8 @@ class TestOrthogonalityWitnesses:
     def test_member_short_of_its_degree_names_a_lower_entry(
             self, monkeypatch, fresh_moment_weighted):
         # C_5 without its top term is c_1 u + c_3 u^3, which u^1 does not miss
-        def short(n, lam):
-            poly = gegenbauer._series_coeffs(n, lam)
+        def short(n, p, q):
+            poly = gegenbauer._series_coeffs(n, p, q)
             if n != 5:
                 return poly
             return AlphaPoly._of(list(poly.nums[:-1]), poly.den, poly.grade)
@@ -131,8 +131,8 @@ class TestOrthogonalityWitnesses:
 
     def test_zero_member_names_the_diagonal(self, monkeypatch, fresh_moment_weighted):
         # every W_5[i] is 0, and c_5, which the zero member lacks, reads as 0
-        def zero(n, lam):
-            poly = gegenbauer._series_coeffs(n, lam)
+        def zero(n, p, q):
+            poly = gegenbauer._series_coeffs(n, p, q)
             return AlphaPoly._of([], 1, 0) if n == 5 else poly
 
         monkeypatch.setattr(quadrature, "_series_coeffs", zero)
@@ -167,17 +167,37 @@ class TestExactKernels:
     @pytest.mark.parametrize("lam", KERNEL_WEIGHTS)
     def test_scaled_moments_match_fraction_products(self, lam):
         for count in range(1, 131):
-            assert quadrature._scaled_moments(lam, count) == _fraction_moments(lam, count)
+            assert (quadrature._scaled_moments(*lam.as_integer_ratio(), count)
+                    == _fraction_moments(lam, count))
 
     @pytest.mark.parametrize("lam", KERNEL_WEIGHTS)
     def test_moment_weighted_matches_its_defining_sum(self, lam):
         # W_i = sum over j = i mod 2, i mod 2 + 2, ..., n of d_j mu_((i+j)/2)
+        p, q = lam.as_integer_ratio()
         for n in range(61):
-            d = gegenbauer._series_coeffs(n, lam)
+            d = gegenbauer._series_coeffs(n, p, q)
             moments, mu_den = _fraction_moments(lam, n + 1)
             want = tuple(sum(d.nums[j] * moments[(i + j) // 2]
                              for j in range(i % 2, n + 1, 2)) for i in range(n + 1))
-            assert quadrature._moment_weighted.__wrapped__(n, lam) == (want, mu_den * d.den)
+            assert quadrature._moment_weighted.__wrapped__(n, p, q) == (want, mu_den * d.den)
+
+
+class TestCells:
+    """A cell is looked up by the integers of its checked weight and order."""
+
+    def test_one_entry_per_weight_however_written(self):
+        quadrature._cells.cache_clear()
+        first = quadrature._cell(1, HALF)
+        assert all(quadrature._cell(lam, HALF) is first for lam in (1.0, "1", Fraction(2, 2)))
+        assert quadrature._cells.cache_info().currsize == 1
+        assert (first.p, first.q, first.lam, first.alpha) == (1, 1, ONE, HALF)
+
+    @pytest.mark.parametrize("bad", [True, [1]], ids=["bool", "list"])
+    def test_bool_and_list_are_refused(self, bad):
+        with pytest.raises(ParameterError, match="expected an exact rational"):
+            quadrature._cell(bad, HALF)
+        with pytest.raises(ParameterError, match="order must be a real number"):
+            quadrature._cell(ONE, bad)
 
 
 class TestOrthogonalityArguments:
@@ -350,11 +370,6 @@ class TestAudit:
 
     def test_grid_shape(self, report):
         assert len(report.table) == len(default_audit_grid()) == 42
-
-    def test_default_grids_share_their_parameter_objects(self):
-        # so a repeated audit finds its `_cells` entries by identity
-        for (_, *first), (_, *again) in zip(default_audit_grid(0), default_audit_grid(0)):
-            assert all(a is b for a, b in zip(first, again))
 
     def test_pole_rows_are_nan(self, report):
         nan_rows = [r for r in report.table if math.isnan(r.closed_form)]
