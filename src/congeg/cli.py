@@ -231,7 +231,9 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         raise ParameterError("plot-data requires at least one --alpha")
     xs = _sample_grid(-1.0 if args.signed_domain else 0.0, args.samples)
     spec = GegenbauerSpec(args.n, args.lam)
-    alphas = [_as_order(alpha) for alpha in sorted(set(args.alphas))]
+    # deduplicated by integer ratio: a set would hash every Fraction
+    unique = {a.as_integer_ratio(): a for a in args.alphas}
+    alphas = [_as_order(alpha) for alpha in sorted(unique.values())]
     poly = from_series(spec)
     xtexts = [f"{x!r}," for x in xs]
     lines = ["x,alpha,value"]

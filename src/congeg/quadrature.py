@@ -380,20 +380,19 @@ def classical_norm(n: int, lam) -> float:
 def orthogonality_check(
         n_max: int = 8,
         lambdas: Sequence[RationalLike] = (Fraction(1), Fraction(3)),
-        alphas: Sequence[RationalLike] = (Fraction(1, 2), Fraction(1)),
-        tol: float = 1e-8) -> VerificationReport:
+        alphas: Sequence[RationalLike] = (Fraction(1, 2), Fraction(1))) -> VerificationReport:
     """Each C_n, n <= n_max, is orthogonal to every polynomial of lower
     degree and has a positive diagonal, proved in integers once per weight:
     W_n[i] = 0 for every i < n (see `_moment_weighted`) and c_n W_n[n] > 0.
     The order only divides each integral by a, so the proof holds at every
-    order, and the residual is exactly 0.0; tol is never read, and is kept
-    for callers that pass it.  Every weight, then every order, is checked
-    first; a failure's witness names n, i and the weight."""
+    order, and the residual is exactly 0.0.  The orders are checked and
+    printed in the grid but do not enter the proof.  Every weight, then
+    every order, is checked first, and the grid prints the checked values;
+    a failure's witness names n, i and the weight."""
     _as_count(n_max, "n_max")
-    lambdas, alphas = _as_cases(lambdas, "weights"), _as_cases(alphas, "orders")
-    weights = {lam.as_integer_ratio(): lam for lam in map(_check_weight, lambdas)}
-    for alpha in alphas:
-        _as_order(alpha)
+    lambdas = tuple(map(_check_weight, _as_cases(lambdas, "weights")))
+    alphas = tuple(map(_as_order, _as_cases(alphas, "orders")))
+    weights = {lam.as_integer_ratio(): lam for lam in lambdas}
     grid = (f"m != n <= {n_max}, weight in {{{', '.join(str(v) for v in lambdas)}}}, "
             f"order in {{{', '.join(str(a) for a in alphas)}}}")
     for (p, q), lam in weights.items():

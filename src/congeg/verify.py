@@ -56,11 +56,8 @@ __all__ = [
     "check_ode_annihilation",
     "check_recurrences",
     "check_special_cases",
-    "diff_relation_check",
-    "endpoint_value_check",
     "generating_function_coeffs",
     "ode_residual",
-    "recurrence_checks",
     "run_asserted_checks",
     "run_recorded_audits",
     "ultraspherical_ode_residual",
@@ -78,26 +75,25 @@ _SWEEP_MEMO_SIZE = 32
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Sweep over degree, weight and order.  The weights and orders must be
-    nonempty, are checked like a spec's and are stored as tuples of
-    Fractions; n_max must be an int, and a negative one gives an empty grid,
-    which the exact sweeps and `run_asserted_checks` refuse."""
+    """Sweep over degree and weight; it has no order, since an exact identity
+    holds at every order at once.  The weights must be nonempty, are checked
+    like a spec's and are stored as a tuple of Fractions; n_max must be an
+    int, and a negative one gives an empty grid, which the exact sweeps and
+    `run_asserted_checks` refuse."""
 
     n_max: int = 12
     lambdas: tuple[Fraction, ...] = (_HALF, Fraction(1), Fraction(5, 2), Fraction(3))
-    alphas: tuple[Fraction, ...] = (
-        Fraction(1, 4), _HALF, Fraction(3, 4), Fraction(1))
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_max, int) or isinstance(self.n_max, bool):
             raise ParameterError(f"n_max must be an integer, got {self.n_max!r}")
-        lambdas, alphas = _as_cases(self.lambdas, "weights"), _as_cases(self.alphas, "orders")
+        lambdas = _as_cases(self.lambdas, "weights")
         object.__setattr__(self, "lambdas", tuple(_check_weight(v) for v in lambdas))
-        object.__setattr__(self, "alphas", tuple(_as_order(v) for v in alphas))
 
     def specs(self, n_max: Optional[int] = None) -> Iterator[GegenbauerSpec]:
-        """One spec per (weight, degree): exact arithmetic carries no order,
-        so an exact check that holds once holds at every order of the grid."""
+        """One spec per (weight, degree), degrees up to n_max capped at the
+        grid's own: a spec carries no order, so an exact check that holds
+        for it holds at every order."""
         top = self.n_max if n_max is None else min(n_max, self.n_max)
         for lam in self.lambdas:
             for n in range(top + 1):
@@ -108,9 +104,7 @@ class ParamGrid:
         the degree bound."""
         top = self.n_max if n_max is None else min(n_max, self.n_max)
         lams = ", ".join(str(v) for v in self.lambdas)
-        alphas = ", ".join(str(v) for v in self.alphas)
-        return (f"n <= {top}{bounds}, weight in {{{lams}}}, order in {{{alphas}}}; "
-                "exact, order-free")
+        return f"n <= {top}{bounds}, weight in {{{lams}}}; exact, order-free"
 
 
 STANDARD_GRID = ParamGrid()
@@ -206,6 +200,7 @@ def _generating_rows(p: int, q: int, max_n: int) -> tuple[tuple[Fraction, ...], 
 
 
 def _ladder_case(spec: GegenbauerSpec, m: int) -> tuple:
+    """d_alpha^m C_n^(lam) = 2^m a^m (lam)_m C_(n-m)^(lam+m), for m <= n."""
     lhs = from_series(spec)
     for _ in range(m):
         lhs = lhs.d_alpha()
@@ -214,16 +209,13 @@ def _ladder_case(spec: GegenbauerSpec, m: int) -> tuple:
     return spec, (f"d_alpha^{m} C_n", lhs), ("2^m a^m (lam)_m C_(n-m)^(lam+m)", rhs)
 
 
-def diff_relation_check(spec: GegenbauerSpec, m: int) -> VerificationReport:
-    """m-fold derivative ladder: d_alpha^m C_n^(lam) equals
-    2^m a^m (lam)_m C_(n-m)^(lam+m), exactly."""
-    if _as_count(m, "ladder length") > spec.n:
-        raise ParameterError(f"ladder length must satisfy 0 <= m <= n, got {m!r}")
-    grid = f"n={spec.n}, m={m}, weight={spec.lam}"
-    return _exact_report("derivative-ladder", grid, [_ladder_case(spec, m)])
-
-
 def _recurrence_cases(spec: GegenbauerSpec) -> Iterator[tuple]:
+    """The three-term and weight-raising recurrences at pivot n:
+
+        (n+1) C_(n+1)^(lam) = 2 (n+lam) x^a C_n^(lam)   - (n+2lam-1) C_(n-1)^(lam)
+        (n+1) C_(n+1)^(lam) = 2 lam x^a C_n^(lam+1)     - 2 lam C_(n-1)^(lam+1)
+
+    with the convention that the degree -1 member is the zero polynomial."""
     n, lam = spec.n, spec.lam
     c_next = ("(n+1) C_(n+1)", from_series(GegenbauerSpec(n + 1, lam)).scale(n + 1))
     c_prev = from_series(GegenbauerSpec(n - 1, lam)) if n else AlphaPoly.zero()
@@ -234,17 +226,6 @@ def _recurrence_cases(spec: GegenbauerSpec) -> Iterator[tuple]:
     yield spec, c_next, ("weight-raising", (up_n.shift(1) - up_prev).scale(2 * lam))
 
 
-def recurrence_checks(spec: GegenbauerSpec) -> VerificationReport:
-    """Pivot-n instances of the three-term and weight-raising recurrences:
-
-        (n+1) C_(n+1)^(lam) = 2 (n+lam) x^a C_n^(lam)   - (n+2lam-1) C_(n-1)^(lam)
-        (n+1) C_(n+1)^(lam) = 2 lam x^a C_n^(lam+1)     - 2 lam C_(n-1)^(lam+1)
-
-    with the convention that the degree -1 member is the zero polynomial."""
-    grid = f"pivot n={spec.n}, weight={spec.lam}"
-    return _exact_report("recurrences", grid, _recurrence_cases(spec))
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _endpoint_value(n: int, p: int, q: int) -> Fraction:
     """The closed form G(2 lam + n) / (G(2 lam) n!), per (n, p, q) for lam = p/q."""
@@ -253,16 +234,10 @@ def _endpoint_value(n: int, p: int, q: int) -> Fraction:
 
 
 def _endpoint_case(spec: GegenbauerSpec) -> tuple:
+    """The value at x = 1: the coefficient sum is G(2 lam + n) / (G(2 lam) n!)."""
     return (spec, ("coefficient sum", from_series(spec).coefficient_sum()),
             ("G(2 lam + n) / (G(2 lam) n!)",
              _endpoint_value(spec.n, *spec.lam.as_integer_ratio())))
-
-
-def endpoint_value_check(spec: GegenbauerSpec) -> VerificationReport:
-    """Exact value at x = 1: the coefficient sum equals
-    G(2 lam + n) / (G(2 lam) n!)."""
-    grid = f"n={spec.n}, weight={spec.lam}"
-    return _exact_report("endpoint-value", grid, [_endpoint_case(spec)])
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +273,13 @@ def check_ode_annihilation(grid: ParamGrid = STANDARD_GRID) -> VerificationRepor
 def check_generating_function(
         lambdas: Sequence[Fraction] = (_HALF, Fraction(1), Fraction(3)),
         n_max: int = 10) -> VerificationReport:
-    """Series rows of the generating function match from_series exactly."""
-    lambdas = _as_cases(lambdas, "weights")
+    """Series rows of the generating function match from_series exactly.
+    Every weight is checked first, and the grid prints the checked values."""
+    lambdas = tuple(map(_check_weight, _as_cases(lambdas, "weights")))
 
     def cases() -> Iterator[tuple]:
         for lam in lambdas:
-            for n, row in enumerate(generating_function_coeffs(Fraction(lam), n_max)):
+            for n, row in enumerate(generating_function_coeffs(lam, n_max)):
                 spec = GegenbauerSpec(n, lam)
                 yield (spec, ("generating function", row),
                        ("series", list(from_series(spec).rational_coeffs())))
@@ -434,13 +410,15 @@ def audit_ultraspherical(
     rows, and the alternate Rodrigues normalization.  Each exact object is
     built once per (shifted weight, degree), since it carries no order; only
     the variant's residual size is taken at an order, the largest listed,
-    where it peaks."""
+    where it peaks.  The shifted weights, checked as a spec's, and the
+    orders must be nonempty; the grid prints the checked values."""
     _as_count(n_max, "n_max")
+    specs = [[UltrasphericalSpec(n, beta) for n in range(n_max + 1)]
+             for beta in _as_cases(betas, "shifted weights")]
+    betas = [row[0].beta for row in specs]
     alphas = tuple(_as_order(a) for a in _as_cases(alphas, "orders"))
     grid = (f"n <= {n_max}, shifted weight in {{{', '.join(str(b) for b in betas)}}}, "
             f"order in {{{', '.join(str(a) for a in alphas)}}}")
-    specs = {beta: [UltrasphericalSpec(n, Fraction(beta)) for n in range(n_max + 1)]
-             for beta in betas}
     reports = []
 
     # Variant operator: second-derivative term missing (1 - x^(2a)).  The
@@ -452,15 +430,15 @@ def audit_ultraspherical(
     witness = None
     fault = None
     annihilated_upper = 1
-    for beta in betas:
-        for spec in specs[beta]:
+    for row in specs:
+        for spec in row:
             p = ultraspherical(spec)
             full = ode_residual(p, GegenbauerSpec(spec.n, spec.lam))
             if not full.is_zero and fault is None:
                 fault = VerificationReport(
                     "ultraspherical-ode-variant-operator", grid, "fail",
                     max_residual=_residual_size(full, alphas[0]),
-                    witness=f"beta={beta}, n={spec.n}: weighted residual = {full}",
+                    witness=f"beta={spec.beta}, n={spec.n}: weighted residual = {full}",
                     asserted=False,
                     notes="the weighted operator, which annihilates every true member, "
                           "leaves this residual, so the member itself is faulty; it is "
@@ -484,11 +462,10 @@ def audit_ultraspherical(
     # Series-form consistency at lam = beta + 1/2, against the independent
     # binomial expansion of the generating function.
     def series_cases() -> Iterator[tuple]:
-        for beta in betas:
-            rows = generating_function_coeffs(specs[beta][0].lam, n_max)
-            for spec, row in zip(specs[beta], rows):
+        for row in specs:
+            for spec, coeffs in zip(row, generating_function_coeffs(row[0].lam, n_max)):
                 yield (spec, ("series", list(ultraspherical(spec).rational_coeffs())),
-                       ("generating function", row))
+                       ("generating function", coeffs))
 
     reports.append(_exact_report(
         "ultraspherical-series-form", grid, series_cases(), asserted=False,
@@ -499,16 +476,16 @@ def audit_ultraspherical(
     # lam = beta + 1/2.  That member equals the series exactly; only the
     # constant, the route's degree-0 value, is left to floats.
     def rodrigues_cases() -> Iterator[tuple]:
-        for beta in betas:
-            for spec in specs[beta]:
+        for row in specs:
+            for spec in row:
                 member = from_rodrigues(GegenbauerSpec(spec.n, spec.lam))
                 yield spec, ("rodrigues", member), ("series", ultraspherical(spec))
 
-    closed = {b: 2.0 ** float(b) * math.gamma(float(b) + 0.5) / math.sqrt(math.pi)
-              for b in betas}
-    constant_error = max(abs(ultraspherical_rodrigues(specs[b][0])[0] - closed[b]) / closed[b]
-                         for b in betas)
-    constants = ", ".join(f"{b}: {closed[b]:.12g}" for b in betas)
+    closed = [2.0 ** float(b) * math.gamma(float(b) + 0.5) / math.sqrt(math.pi)
+              for b in betas]
+    constant_error = max(abs(ultraspherical_rodrigues(row[0])[0] - c) / c
+                         for row, c in zip(specs, closed))
+    constants = ", ".join(f"{b}: {c:.12g}" for b, c in zip(betas, closed))
     exact = _exact_report(
         "ultraspherical-rodrigues-normalization", grid, rodrigues_cases(), asserted=False,
         notes=lambda count: (

@@ -43,8 +43,6 @@ def test_criterion_1_constructor_agreement(capsys):
         assert STANDARD_GRID.n_max == 12
         assert STANDARD_GRID.lambdas == (Fraction(1, 2), Fraction(1),
                                          Fraction(5, 2), Fraction(3))
-        assert STANDARD_GRID.alphas == (Fraction(1, 4), Fraction(1, 2),
-                                        Fraction(3, 4), Fraction(1))
         rep = check_constructor_agreement(STANDARD_GRID)
         assert rep.status == "exact-pass", rep.to_text()
 
@@ -87,8 +85,7 @@ def test_criterion_6_orthogonality(capsys):
     with criterion_line(capsys, 6,
                         "off-diagonal inner products below 1e-8 of diagonal scale"):
         rep = orthogonality_check(n_max=8, lambdas=(Fraction(1), Fraction(3)),
-                                  alphas=(Fraction(1, 2), Fraction(1)),
-                                  tol=TOL_ORTH)
+                                  alphas=(Fraction(1, 2), Fraction(1)))
         assert rep.status == "numeric-pass", rep.to_text()
         assert rep.max_residual is not None and rep.max_residual <= TOL_ORTH
 

@@ -13,11 +13,11 @@ from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_ke
                                from_recurrence, from_rodrigues, from_series,
                                legendre, ultraspherical,
                                ultraspherical_rodrigues)
-from congeg.quadrature import (classical_norm, conformable_inner_product,
+from congeg.quadrature import (_cell, classical_norm, conformable_inner_product,
                                conformable_inner_product_direct,
-                               normalization_closed_form)
-from congeg.verify import (ParamGrid, audit_chebyshev_limit, check_derivative_ladder,
-                           check_recurrences, check_special_cases, diff_relation_check,
+                               normalization_closed_form, orthogonality_check)
+from congeg.verify import (audit_chebyshev_limit, check_derivative_ladder,
+                           check_recurrences, check_special_cases,
                            generating_function_coeffs)
 
 HALF = Fraction(1, 2)
@@ -301,7 +301,7 @@ class TestWeightCheck:
         # GegenbauerSpec(2, True, True) once built weight 1 at order 1
         for alpha in (True, False):
             with pytest.raises(ParameterError, match="order must be a real number"):
-                ParamGrid(alphas=(alpha,))
+                orthogonality_check(1, (1,), (alpha,))
         with pytest.raises(ParameterError):
             GegenbauerSpec(2, True)
         conformable_inner_product(1, 1, 1, 1)  # warm the cache at weight 1, order 1
@@ -327,7 +327,6 @@ COUNT_ENTRY_POINTS = {
     "monomial": lambda k: AlphaPoly.monomial(k),
     "shift": lambda k: AlphaPoly((1, 2)).shift(k),
     "generating_function_coeffs": lambda k: generating_function_coeffs(ONE, k),
-    "diff_relation_check": lambda k: diff_relation_check(GegenbauerSpec(3, ONE), k),
     "check_derivative_ladder n_max": lambda k: check_derivative_ladder(n_max=k),
     "check_derivative_ladder m_max": lambda k: check_derivative_ladder(m_max=k),
     "check_recurrences": lambda k: check_recurrences(n_max=k),
@@ -347,15 +346,15 @@ class TestCountCheck:
             entry(k)
 
 
-# where an exact order enters: a grid's orders, and the inner product,
-# whose value divides by the order
-ORDER_ENTRY_POINTS = (lambda alpha: ParamGrid(alphas=(alpha,)).alphas[0],
+# where an exact order enters: the orthogonality proof's orders, and the
+# inner product, whose value divides by the order
+ORDER_ENTRY_POINTS = (lambda alpha: orthogonality_check(1, (1,), (alpha,)),
                       lambda alpha: conformable_inner_product(5, 5, 3, alpha))
 
 
 class TestExactOrder:
     def test_float_order_is_its_binary_fraction(self):
-        alpha = ParamGrid(alphas=(0.7,)).alphas[0]
+        alpha = _cell(3, 0.7).alpha
         assert type(alpha) is Fraction and alpha == Fraction(0.7)
 
     def test_float_order_evaluates_as_its_fraction(self):

@@ -28,7 +28,7 @@ from congeg.gegenbauer import (GegenbauerSpec, classical_oracle, from_recurrence
 from congeg.quadrature import (conformable_inner_product, default_audit_grid,
                                normalization_audit, orthogonality_check)
 from congeg.verify import (STANDARD_GRID, ParamGrid, check_constructor_agreement,
-                           run_asserted_checks)
+                           run_asserted_checks, run_recorded_audits)
 
 ROUTES = {"series": (from_series, "_series_coeffs"),
           "recurrence": (from_recurrence, "_recurrence_coeffs"),
@@ -172,12 +172,16 @@ def test_no_fraction_is_hashed_cold_or_warm(monkeypatch, capsys, fresh_memos):
         raise AssertionError(f"Fraction {self} hashed")
 
     monkeypatch.setattr(Fraction, "__hash__", refuse)
+    verify._recorded_audits.cache_clear()
     for _ in range(2):  # every memo cold, then warm
         assert all(r.passed for r in run_asserted_checks(ParamGrid(n_max=12)))
+        assert len(run_recorded_audits()) == 5
         assert normalization_audit(default_audit_grid(12)).passed
         assert orthogonality_check(12, (1, Fraction(5, 2), "3"), (Fraction(1, 4), 1.0)).passed
         assert conformable_inner_product(4, 4, Fraction(5, 2), Fraction(1, 2)).value > 0
         assert main(["eval", "--n", "5", "--lambda", "5/2", "--alpha", "1/2",
                      "--x", "-1", "-0.0", "0.3", "1"]) == 0
+        assert main(["plot-data", "--n", "3", "--samples", "3", "--alpha", "1/2",
+                     "--alpha", "1", "--alpha", "0.5"]) == 0
     assert hashed == []
-    assert capsys.readouterr().out.count("x,alpha,value") == 2
+    assert capsys.readouterr().out.count("x,alpha,value") == 4

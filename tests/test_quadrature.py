@@ -230,6 +230,16 @@ class TestOrthogonalityArguments:
             orthogonality_check(4, **fields)
         assert calls == []
 
+    def test_grid_prints_the_checked_values(self):
+        # floats were once printed as written, not as the binary fractions
+        # that were checked
+        rep = orthogonality_check(3, (0.1,), (0.7,))
+        assert rep.grid == (f"m != n <= 3, weight in {{{Fraction(0.1)}}}, "
+                            f"order in {{{Fraction(0.7)}}}")
+        assert "3602879701896397/36028797018963968" in rep.grid
+        rep = orthogonality_check(3, ("5/2", 1, Fraction(3)), (HALF, "3/4", 1))
+        assert rep.grid == "m != n <= 3, weight in {5/2, 1, 3}, order in {1/2, 3/4, 1}"
+
     def test_degree_zero_is_valid(self):
         rep = orthogonality_check(n_max=0)
         assert rep.status == "numeric-pass" and rep.max_residual == 0.0

@@ -1,7 +1,6 @@
 """Identity sweeps and recorded audits."""
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +18,8 @@ from congeg.verify import (STANDARD_GRID, ParamGrid, _sample_grid, audit_chebysh
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_generating_function,
                            check_ode_annihilation, check_recurrences,
-                           check_special_cases, diff_relation_check,
-                           generating_function_coeffs, ode_residual,
-                           recurrence_checks, run_asserted_checks,
+                           check_special_cases, generating_function_coeffs,
+                           ode_residual, run_asserted_checks,
                            run_recorded_audits, ultraspherical_ode_residual)
 
 HALF = Fraction(1, 2)
@@ -88,19 +86,14 @@ class TestGeneratingFunction:
             assert rows == expected, max_n
             assert all(type(c) is Fraction for row in rows for c in row)
 
-
-class TestSingleIdentityChecks:
-    def test_diff_relation(self):
-        rep = diff_relation_check(GegenbauerSpec(5, Fraction(3)), 2)
-        assert rep.status == "exact-pass"
-
-    def test_diff_relation_bad_m(self):
-        with pytest.raises(ParameterError):
-            diff_relation_check(GegenbauerSpec(3, Fraction(3)), 4)
-
-    def test_recurrences_single(self):
-        rep = recurrence_checks(GegenbauerSpec(6, Fraction(5, 2)))
-        assert rep.status == "exact-pass"
+    def test_grid_prints_the_checked_weights(self):
+        # a float weight was once printed as written, not as the binary
+        # fraction that was checked
+        assert check_generating_function((0.5, "3", 1), 2).grid == "n <= 2, weight in {1/2, 3, 1}"
+        rep = check_generating_function((0.1,), 2)
+        assert rep.passed and rep.grid == f"n <= 2, weight in {{{Fraction(0.1)}}}"
+        with pytest.raises(ParameterError, match="exact rational"):
+            check_generating_function((HALF, True), 2)
 
 
 # checks whose sweep holds no case; each once passed after comparing
@@ -170,37 +163,12 @@ class TestSweeps:
     def test_grid_description_in_reports(self):
         rep = check_constructor_agreement(SMALL)
         assert "n <= 5" in rep.grid
-        assert "1/4" in rep.grid
-
-
-# a grid listing any one of these orders gives the same exact reports
-ORDERS = (Fraction(1, 4), Fraction(1, 3), HALF, Fraction(3, 4), Fraction(7, 10), Fraction(1))
-EXACT_SUITES = ("constructors", "ode", "ladder", "recurrences", "endpoints")
-
-
-def _exact_reports(grid):
-    """The exact sweeps' reports over the grid, without the grid text, which
-    lists the grid's orders."""
-    return {name: replace(verify.SUITES[name](grid), grid="") for name in EXACT_SUITES}
-
-
-def _order_mismatches():
-    """(suite, order) wherever a grid of ParamGrid(n_max=8) listing only that
-    order of ORDERS reports otherwise than the grid of all four orders."""
-    first = _exact_reports(ParamGrid(n_max=8))
-    return [(name, alpha) for alpha in ORDERS
-            for name, report in _exact_reports(ParamGrid(n_max=8, alphas=(alpha,))).items()
-            if report != first[name]]
+        assert "weight in {1/2, 1, 5/2, 3}" in rep.grid
 
 
 class TestOrderFreeSweeps:
-    """The exact sweeps run once per (degree, weight): a spec carries no
-    order, so one run stands for every order of the grid."""
-
-    def test_exact_values_agree_at_every_order(self, defective_member):
-        # failing reports carry a witness and a residual, which must not
-        # depend on the grid's orders either
-        assert _order_mismatches() == []
+    """The exact sweeps run once per (degree, weight): neither a spec nor a
+    grid carries an order, so one run stands for every order."""
 
     def test_ode_sweep_visits_each_degree_and_weight_once(self, monkeypatch):
         seen = []
@@ -210,12 +178,13 @@ class TestOrderFreeSweeps:
         assert check_ode_annihilation(STANDARD_GRID).passed
         assert len(seen) == len(set(seen)) == 4 * 13
 
-    def test_reports_list_every_order_and_say_where_they_ran(self):
-        # the generating function's grid lists no orders
+    def test_exact_reports_list_their_weights_and_say_where_they_ran(self):
         reports = {r.identity: r for r in run_asserted_checks(SMALL)}
         for identity in ("constructor-agreement", "ode-annihilation", "derivative-ladder",
                          "recurrences", "endpoint-value"):
-            assert reports[identity].grid.endswith("order in {1/4, 1/2, 3/4, 1}; exact, order-free")
+            assert reports[identity].grid.endswith(
+                "weight in {1/2, 1, 5/2, 3}; exact, order-free")
+            assert "order in" not in reports[identity].grid
         # special-cases evaluates at order 1 only, and its grid names that order
         special = reports["special-cases"]
         assert special.grid == "n <= 10, order 1"
@@ -334,6 +303,18 @@ class TestRecordedAudits:
         assert rep.status == "numeric-pass"
         assert "sqrt(pi)" in rep.notes
 
+    def test_shifted_weights_are_checked_and_printed_as_checked(self):
+        # "1/2" once raised a bare ValueError from float(), True ran as
+        # beta = 1, and a float was printed as written
+        reference = audit_ultraspherical(betas=[HALF, Fraction(3, 2)], n_max=3)
+        assert audit_ultraspherical(betas=["1/2", 1.5], n_max=3) == reference
+        assert reference[0].grid.startswith("n <= 3, shifted weight in {1/2, 3/2}, ")
+        for bad, message in ((True, "exact rational"), (-1, "must exceed -1/2")):
+            with pytest.raises(ParameterError, match=message):
+                audit_ultraspherical(betas=[HALF, bad])
+        with pytest.raises(ParameterError, match="shifted weights must not be empty"):
+            audit_ultraspherical(betas=())
+
     def test_first_kind_limit_exact(self, audits):
         assert audits["chebyshev-rodrigues-limit"].status == "exact-pass"
 
@@ -382,14 +363,14 @@ class TestReportPlumbing:
 
     @pytest.mark.parametrize("fields", [
         {"n_max": 3.5}, {"n_max": True}, {"n_max": "4"},
-        {"lambdas": (HALF, 0)}, {"alphas": (Fraction(2),)}, {"alphas": ("x",)},
+        {"lambdas": (HALF, 0)}, {"lambdas": ("x",)}, {"lambdas": (HALF, True)},
     ])
     def test_param_grid_rejects_bad_fields(self, fields):
         # n_max=3.5 once raised a bare TypeError inside the first sweep
         with pytest.raises(ParameterError):
             ParamGrid(**fields)
 
-    @pytest.mark.parametrize("fields", [{"lambdas": ()}, {"alphas": []}])
+    @pytest.mark.parametrize("fields", [{"lambdas": ()}, {"lambdas": []}])
     def test_param_grid_refuses_empty_lists(self, fields):
         # ParamGrid(n_max=4, lambdas=()) once passed all 9 suites over 0 triples
         with pytest.raises(ParameterError, match="must not be empty"):
@@ -402,10 +383,9 @@ class TestReportPlumbing:
             run_asserted_checks(grid)
 
     def test_param_grid_stores_fractions(self):
-        grid = ParamGrid(n_max=3, lambdas=["1/2", 3], alphas=[0.5, 1])
-        assert grid.lambdas == (HALF, Fraction(3))
-        assert grid.alphas == (HALF, Fraction(1))
-        assert all(type(v) is Fraction for v in grid.lambdas + grid.alphas)
+        grid = ParamGrid(n_max=3, lambdas=["1/2", 3, 0.25])
+        assert grid.lambdas == (HALF, Fraction(3), Fraction(1, 4))
+        assert all(type(v) is Fraction for v in grid.lambdas)
 
 
 class TestUltrasphericalOperator:
