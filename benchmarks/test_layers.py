@@ -20,7 +20,8 @@
   first round;
 - verification: one `check_ode_annihilation` sweep at n_max 12, the other
   exact sweeps (constructors, recurrences, ladder, endpoints, special
-  cases) at n_max 12, with the memos warm after the first round as in a
+  cases) at n_max 12 and `check_generating_function` at its defaults, with
+  the memos warm after the first round as in a
   long-lived process, `orthogonality_check` at n_max 48 and 96 from cold
   memos and at n_max 32 with them warm, and the recorded audits computed
   afresh;
@@ -67,7 +68,8 @@ from congeg.quadrature import (audit_rows_to_csv, conformable_inner_product,
                                normalization_audit, orthogonality_check)
 from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
-                           check_endpoint_values, check_ode_annihilation,
+                           check_endpoint_values, check_generating_function,
+                           check_ode_annihilation,
                            check_recurrences, check_special_cases, ode_residual)
 
 DEGREES = (8, 32, 64)
@@ -113,7 +115,8 @@ def test_ultraspherical_rodrigues(benchmark, memo):
 
 
 def test_spec(benchmark):
-    # every sweep case builds at least one spec, each validating both fields
+    # a public constructor's or an audit's call builds one, validating both
+    # fields; the exact sweeps build their cases from integers and build none
     assert benchmark(GegenbauerSpec, 12, LAM).lam == LAM
 
 
@@ -214,6 +217,7 @@ EXACT_SWEEPS = {
     "ladder": lambda: check_derivative_ladder(GRID_12, n_max=12),
     "endpoints": lambda: check_endpoint_values(GRID_12),
     "special-cases": lambda: check_special_cases(n_max=12),
+    "generating-function": lambda: check_generating_function(),
 }
 
 

@@ -19,8 +19,10 @@ change/parent ratio, the parent's interquartile range, how many pairs the
 change won (lower is better, except `ok_share`) and a verdict:
 
 - for a metric named by `--claim`, whether the gain holds: the change won at
-  least nine tenths of the pairs, and its median is better than the parent's
-  by more than the parent's interquartile range;
+  least nine tenths of the pairs, its median is better than the parent's
+  by more than the parent's interquartile range, and its median gain, the
+  share of the parent's median, exceeds the metric's relative `bound`; the
+  verdict states that gain next to the bound (`gain 44% vs bound 25%`);
 - for any other metric, whether the change's median is worse than the
   parent's by more than the metric's relative `bound` in the repository's
   BENCHMARK.json (which the script only reads), or `unresolved` where the
@@ -126,12 +128,15 @@ def verdict(name: str, row: dict, bound: float | None, claimed: bool) -> str:
     # how much worse the change's median is, in the metric's units
     worse_by = (row["parent_median"] - row["change_median"] if higher
                 else row["change_median"] - row["parent_median"])
+    scale = abs(row["parent_median"])
     if claimed:
         won = 10 * row["change_better_pairs"] >= 9 * len(parent)
-        return "claim holds" if won and -worse_by > row["parent_iqr"] else "claim not met"
+        gain = -worse_by / scale if scale else 0.0
+        holds = won and -worse_by > row["parent_iqr"] and gain > bound
+        return (f"{'claim holds' if holds else 'claim not met'}: "
+                f"gain {gain:.0%} vs bound {bound:.0%}")
     if bound is None:
         return "no bound"
-    scale = abs(row["parent_median"])
     if worse_by > bound * scale:
         return f"worse than its bound {bound:g}"
     all_better = (min(change) > max(parent)) if higher else (max(change) < min(parent))

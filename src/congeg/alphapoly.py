@@ -390,9 +390,11 @@ class AlphaPoly:
         r = _as_fraction(factor)
         if not isinstance(power, int) or isinstance(power, bool):
             raise ParameterError(f"power must be an integer, got {power!r}")
-        m = r.numerator
-        return AlphaPoly._of([v * m for v in self.nums], self.den * r.denominator,
-                             self.grade + power)
+        return self._times(r.numerator, r.denominator, power)
+
+    def _times(self, num: int, den: int = 1, power: int = 0) -> AlphaPoly:
+        """`scale` by num / den * a**power for integers num and den > 0, unchecked."""
+        return AlphaPoly._of([v * num for v in self.nums], self.den * den, self.grade + power)
 
     def shift(self, k: int = 1) -> AlphaPoly:
         """Multiply by x^(k*a), shifting every basis index up by k."""

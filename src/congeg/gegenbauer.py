@@ -261,7 +261,7 @@ def ultraspherical_rodrigues(spec: UltrasphericalSpec) -> tuple[float, ...]:
 
 def legendre(n: int) -> AlphaPoly:
     """Weight 1/2: the conformable Legendre polynomial."""
-    return from_series(GegenbauerSpec(n, _HALF))
+    return _series_coeffs(_as_count(n, "degree"), 1, 2)
 
 
 def chebyshev_t(n: int) -> AlphaPoly:

@@ -23,17 +23,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from . import gegenbauer
 from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_cases, _as_count,
-                        _as_order, gamma_quotient, pochhammer)
+                        _as_order, gamma_quotient)
 from .gegenbauer import (
     _MEMO_SIZE,
     GegenbauerSpec,
     UltrasphericalSpec,
     _check_weight,
+    _oracle_coeffs,
     chebyshev_t,
     chebyshev_t_rodrigues,
-    classical_oracle,
-    from_recurrence,
     from_rodrigues,
     from_series,
     legendre,
@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
+# The factor (1 - x^(2a)) of the ODE's second-derivative term.
+_ODE_WEIGHT = AlphaPoly((1, 0, -1))
 # Entries per memo of a whole sweep's oracle, keyed by a weight and the
 # sweep's bounds: a suite asks for one per weight (three in `SUITES`).
 _SWEEP_MEMO_SIZE = 32
@@ -79,7 +81,8 @@ class ParamGrid:
     holds at every order at once.  The weights must be nonempty, are checked
     like a spec's and are stored as a tuple of Fractions; n_max must be an
     int, and a negative one gives an empty grid, which the exact sweeps and
-    `run_asserted_checks` refuse."""
+    `run_asserted_checks` refuse.  The grid is checked once, here: a sweep
+    then builds each case from the integers of `cases`, with no spec."""
 
     n_max: int = 12
     lambdas: tuple[Fraction, ...] = (_HALF, Fraction(1), Fraction(5, 2), Fraction(3))
@@ -90,14 +93,15 @@ class ParamGrid:
         lambdas = _as_cases(self.lambdas, "weights")
         object.__setattr__(self, "lambdas", tuple(_check_weight(v) for v in lambdas))
 
-    def specs(self, n_max: Optional[int] = None) -> Iterator[GegenbauerSpec]:
-        """One spec per (weight, degree), degrees up to n_max capped at the
-        grid's own: a spec carries no order, so an exact check that holds
-        for it holds at every order."""
+    def cases(self, n_max: Optional[int] = None) -> Iterator[tuple[int, int, int]]:
+        """(n, p, q) per weight lam = p/q and degree n, weight by weight,
+        degrees up to n_max capped at the grid's own: a case carries no
+        order, so an exact check that holds for it holds at every order."""
         top = self.n_max if n_max is None else min(n_max, self.n_max)
         for lam in self.lambdas:
+            p, q = lam.as_integer_ratio()
             for n in range(top + 1):
-                yield GegenbauerSpec(n, lam)
+                yield n, p, q
 
     def describe(self, n_max: Optional[int] = None, bounds: str = "") -> str:
         """The grid's text for a report of an exact sweep; `bounds` follows
@@ -121,14 +125,17 @@ def _exact_report(identity: str, grid: str, cases: Iterable[tuple], *,
                   asserted: bool = True) -> VerificationReport:
     """Report an exact identity over cases (label, (name, lhs), (name, rhs)).
     The first case whose sides differ fails it with the witness
-    `label: name = lhs; name = rhs`, formatted only then; polynomial sides
-    add the residual's size at order 1, since exact values carry no order.
+    `label: name = lhs; name = rhs`, formatted only then; a label (n, p, q)
+    prints as the spec GegenbauerSpec(n, p/q), built only then.  Polynomial
+    sides add the residual's size at order 1, since exact values carry no order.
     A pass has `notes`, or `notes(count)` of the cases compared; no case at
     all proves nothing and is refused."""
     count = 0
     for label, (lhs_name, lhs), (rhs_name, rhs) in cases:
         if lhs != rhs:
             poly = isinstance(lhs, AlphaPoly)
+            if type(label) is tuple:
+                label = GegenbauerSpec(label[0], Fraction(label[1], label[2]))
             return VerificationReport(
                 identity, grid, "fail", asserted=asserted,
                 max_residual=_residual_size(lhs - rhs, 1) if poly else None,
@@ -154,12 +161,15 @@ def ode_residual(p: AlphaPoly, spec: GegenbauerSpec) -> AlphaPoly:
     to p; the family member of the spec is annihilated exactly."""
     if not isinstance(p, AlphaPoly):
         raise ParameterError("expected an AlphaPoly")
-    d1 = p.d_alpha()
-    d2 = d1.d_alpha()
-    weight = AlphaPoly((1, 0, -1))
-    damping = d1.shift(1).scale(2 * spec.lam + 1, power=1)
-    eigen = p.scale(spec.n * (spec.n + 2 * spec.lam), power=2)
-    return weight * d2 - damping + eigen
+    return _ode_residual(p, spec.n, *spec.lam.as_integer_ratio())
+
+
+def _ode_residual(poly: AlphaPoly, n: int, p: int, q: int) -> AlphaPoly:
+    """`ode_residual` at lam = p/q, scaled by integers:
+    2 lam + 1 = (2p + q)/q and n (n + 2 lam) = n (qn + 2p)/q."""
+    d1 = poly.d_alpha()
+    return (_ODE_WEIGHT * d1.d_alpha() - d1.shift(1)._times(2 * p + q, q, 1)
+            + poly._times(n * (q * n + 2 * p), q, 2))
 
 
 def ultraspherical_ode_residual(p: AlphaPoly, spec: UltrasphericalSpec) -> AlphaPoly:
@@ -199,31 +209,37 @@ def _generating_rows(p: int, q: int, max_n: int) -> tuple[tuple[Fraction, ...], 
     return tuple(map(tuple, rows))
 
 
-def _ladder_case(spec: GegenbauerSpec, m: int) -> tuple:
-    """d_alpha^m C_n^(lam) = 2^m a^m (lam)_m C_(n-m)^(lam+m), for m <= n."""
-    lhs = from_series(spec)
-    for _ in range(m):
+def _ladder_cases(n: int, p: int, q: int, m_top: int) -> Iterator[tuple]:
+    """d_alpha^m C_n^(lam) = 2^m a^m (lam)_m C_(n-m)^(lam+m), for 1 <= m <= m_top <= n,
+    with 2^m (lam)_m = 2^m prod(p + qi) / q^m over i < m and lam + m = (p + mq)/q,
+    in lowest terms as the kernel's memo keys must be."""
+    series = gegenbauer._series_coeffs
+    lhs = series(n, p, q)
+    factor = 1
+    for m in range(1, m_top + 1):
         lhs = lhs.d_alpha()
-    target = from_series(GegenbauerSpec(spec.n - m, spec.lam + m))
-    rhs = target.scale(Fraction(2) ** m * pochhammer(spec.lam, m), power=m)
-    return spec, (f"d_alpha^{m} C_n", lhs), ("2^m a^m (lam)_m C_(n-m)^(lam+m)", rhs)
+        factor *= 2 * (p + q * (m - 1))
+        rhs = series(n - m, p + m * q, q)._times(factor, q ** m, m)
+        yield (n, p, q), (f"d_alpha^{m} C_n", lhs), ("2^m a^m (lam)_m C_(n-m)^(lam+m)", rhs)
 
 
-def _recurrence_cases(spec: GegenbauerSpec) -> Iterator[tuple]:
+def _recurrence_cases(n: int, p: int, q: int) -> Iterator[tuple]:
     """The three-term and weight-raising recurrences at pivot n:
 
         (n+1) C_(n+1)^(lam) = 2 (n+lam) x^a C_n^(lam)   - (n+2lam-1) C_(n-1)^(lam)
         (n+1) C_(n+1)^(lam) = 2 lam x^a C_n^(lam+1)     - 2 lam C_(n-1)^(lam+1)
 
-    with the convention that the degree -1 member is the zero polynomial."""
-    n, lam = spec.n, spec.lam
-    c_next = ("(n+1) C_(n+1)", from_series(GegenbauerSpec(n + 1, lam)).scale(n + 1))
-    c_prev = from_series(GegenbauerSpec(n - 1, lam)) if n else AlphaPoly.zero()
-    three_term = from_series(spec).shift(1).scale(2 * (n + lam)) - c_prev.scale(n + 2 * lam - 1)
-    yield spec, c_next, ("three-term", three_term)
-    up_n = from_series(GegenbauerSpec(n, lam + 1))
-    up_prev = from_series(GegenbauerSpec(n - 1, lam + 1)) if n else AlphaPoly.zero()
-    yield spec, c_next, ("weight-raising", (up_n.shift(1) - up_prev).scale(2 * lam))
+    with the convention that the degree -1 member is the zero polynomial;
+    2 (n+lam) = 2 (qn+p)/q and n+2lam-1 = (qn+2p-q)/q."""
+    series = gegenbauer._series_coeffs
+    c_next = ("(n+1) C_(n+1)", series(n + 1, p, q)._times(n + 1))
+    c_prev = series(n - 1, p, q) if n else AlphaPoly.zero()
+    three_term = (series(n, p, q).shift(1)._times(2 * (q * n + p), q)
+                  - c_prev._times(q * n + 2 * p - q, q))
+    yield (n, p, q), c_next, ("three-term", three_term)
+    up_prev = series(n - 1, p + q, q) if n else AlphaPoly.zero()
+    raised = (series(n, p + q, q).shift(1) - up_prev)._times(2 * p, q)
+    yield (n, p, q), c_next, ("weight-raising", raised)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -233,15 +249,10 @@ def _endpoint_value(n: int, p: int, q: int) -> Fraction:
     return gamma_quotient(2 * lam + n, 2 * lam) / math.factorial(n)
 
 
-def _endpoint_case(spec: GegenbauerSpec) -> tuple:
-    """The value at x = 1: the coefficient sum is G(2 lam + n) / (G(2 lam) n!)."""
-    return (spec, ("coefficient sum", from_series(spec).coefficient_sum()),
-            ("G(2 lam + n) / (G(2 lam) n!)",
-             _endpoint_value(spec.n, *spec.lam.as_integer_ratio())))
-
-
 # ---------------------------------------------------------------------------
-# asserted sweeps
+# asserted sweeps: each builds its cases from (n, p, q) alone, with members
+# from the route kernels looked up in `gegenbauer` when it runs, so a kernel
+# rebound there is the one that runs
 
 
 def check_constructor_agreement(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
@@ -249,10 +260,12 @@ def check_constructor_agreement(grid: ParamGrid = STANDARD_GRID) -> Verification
     coefficients are order-free by construction, since each route keys its
     polynomial by (n, weight) and an `AlphaPoly` carries no order."""
     def cases() -> Iterator[tuple]:
-        for spec in grid.specs():
-            series = ("series", from_series(spec))
-            yield spec, series, ("recurrence", from_recurrence(spec))
-            yield spec, series, ("rodrigues", from_rodrigues(spec))
+        series, recurrence = gegenbauer._series_coeffs, gegenbauer._recurrence_coeffs
+        rodrigues = gegenbauer._rodrigues_coeffs
+        for case in grid.cases():
+            member = ("series", series(*case))
+            yield case, member, ("recurrence", recurrence(*case))
+            yield case, member, ("rodrigues", rodrigues(*case))
 
     return _exact_report(
         "constructor-agreement", grid.describe(), cases(),
@@ -262,9 +275,9 @@ def check_constructor_agreement(grid: ParamGrid = STANDARD_GRID) -> Verification
 
 def check_ode_annihilation(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
     """The weighted operator annihilates every family member, symbolically."""
-    zero = ("zero", AlphaPoly.zero())
-    cases = ((spec, ("residual", ode_residual(from_series(spec), spec)), zero)
-             for spec in grid.specs())
+    series, zero = gegenbauer._series_coeffs, ("zero", AlphaPoly.zero())
+    cases = (((n, p, q), ("residual", _ode_residual(series(n, p, q), n, p, q)), zero)
+             for n, p, q in grid.cases())
     return _exact_report(
         "ode-annihilation", grid.describe(), cases,
         notes=lambda count: f"{count} (degree, weight) pairs, residual exactly zero")
@@ -278,11 +291,12 @@ def check_generating_function(
     lambdas = tuple(map(_check_weight, _as_cases(lambdas, "weights")))
 
     def cases() -> Iterator[tuple]:
+        series = gegenbauer._series_coeffs
         for lam in lambdas:
+            p, q = lam.as_integer_ratio()
             for n, row in enumerate(generating_function_coeffs(lam, n_max)):
-                spec = GegenbauerSpec(n, lam)
-                yield (spec, ("generating function", row),
-                       ("series", list(from_series(spec).rational_coeffs())))
+                yield ((n, p, q), ("generating function", row),
+                       ("series", list(series(n, p, q).rational_coeffs())))
 
     grid = f"n <= {n_max}, weight in {{{', '.join(str(v) for v in lambdas)}}}"
     return _exact_report("generating-function", grid, cases())
@@ -293,8 +307,8 @@ def check_derivative_ladder(
     """Derivative ladder over the grid, ladder length m <= min(m_max, n)."""
     _as_count(n_max, "n_max")
     _as_count(m_max, "m_max")
-    cases = (_ladder_case(spec, m) for spec in grid.specs(n_max)
-             for m in range(1, min(m_max, spec.n) + 1))
+    cases = (case for n, p, q in grid.cases(n_max)
+             for case in _ladder_cases(n, p, q, min(m_max, n)))
     return _exact_report("derivative-ladder", grid.describe(n_max, f", m <= {m_max}"), cases)
 
 
@@ -302,13 +316,17 @@ def check_recurrences(grid: ParamGrid = STANDARD_GRID, n_max: int = 11) -> Verif
     """Both recurrences at every pivot reachable inside the grid."""
     _as_count(n_max, "n_max")
     top = min(n_max, grid.n_max - 1)
-    cases = (case for spec in grid.specs(top) for case in _recurrence_cases(spec))
+    cases = (case for n, p, q in grid.cases(top) for case in _recurrence_cases(n, p, q))
     return _exact_report("recurrences", grid.describe(top, " (pivots)"), cases)
 
 
 def check_endpoint_values(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
     """Exact endpoint values over the whole grid."""
-    return _exact_report("endpoint-value", grid.describe(), map(_endpoint_case, grid.specs()))
+    series = gegenbauer._series_coeffs
+    cases = (((n, p, q), ("coefficient sum", series(n, p, q).coefficient_sum()),
+              ("G(2 lam + n) / (G(2 lam) n!)", _endpoint_value(n, p, q)))
+             for n, p, q in grid.cases())
+    return _exact_report("endpoint-value", grid.describe(), cases)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -340,10 +358,9 @@ def _special_reference(p: int, q: int, n_max: int, samples: int) -> tuple:
     points by the float three-term recurrence the direct route uses (one
     recurrence per point), and the scale max(1, L1 norm of the classical
     coefficients)."""
-    lam = Fraction(p, q)
     xs = tuple(_sample_grid(-1.0, samples))
-    columns = tuple(zip(*(_gegenbauer_values(n_max, float(lam), x) for x in xs)))
-    scales = tuple(max(1.0, sum(abs(float(c)) for c in classical_oracle(n, lam)))
+    columns = tuple(zip(*(_gegenbauer_values(n_max, p / q, x) for x in xs)))
+    scales = tuple(max(1.0, sum(abs(float(c)) for c in _oracle_coeffs(n, p, q)))
                    for n in range(n_max + 1))
     return xs, columns, scales
 
@@ -369,28 +386,29 @@ def check_special_cases(
     too."""
     _as_count(n_max, "n_max")
     grid = f"n <= {n_max}, order 1"
+    series = gegenbauer._series_coeffs
 
     def reductions() -> Iterator[tuple]:
         for n in range(n_max + 1):
             for name, poly, expected in (
-                    ("legendre", legendre(n), classical_oracle(n, _HALF)),
-                    ("second-kind", from_series(GegenbauerSpec(n, 1)), classical_oracle(n, 1)),
-                    ("first-kind", chebyshev_t(n), list(_chebyshev_t_closed(n)))):
-                yield f"n={n}", (name, list(poly.rational_coeffs())), ("expected", expected)
+                    ("legendre", legendre(n), _oracle_coeffs(n, 1, 2)),
+                    ("second-kind", series(n, 1, 1), _oracle_coeffs(n, 1, 1)),
+                    ("first-kind", chebyshev_t(n), _chebyshev_t_closed(n))):
+                yield (f"n={n}", (name, list(poly.rational_coeffs())),
+                       ("expected", list(expected)))
 
     if not (exact := _exact_report("special-cases", grid, reductions())).passed:
         return exact
     worst = 0.0
-    for lam in (_HALF, Fraction(1), Fraction(3)):
-        xs, columns, scales = _special_reference(*lam.as_integer_ratio(), n_max, samples)
+    for p, q in ((1, 2), (1, 1), (3, 1)):
+        xs, columns, scales = _special_reference(p, q, n_max, samples)
         for n, (column, scale) in enumerate(zip(columns, scales)):
-            p = from_series(GegenbauerSpec(n, lam))
-            error = max(map(abs, map(operator.sub, p.values(xs, 1.0), column)))
+            error = max(map(abs, map(operator.sub, series(n, p, q).values(xs, 1.0), column)))
             worst = max(worst, error / scale)
             if worst > rel_tol:
                 return VerificationReport(
                     "special-cases", grid, "fail", max_residual=worst,
-                    witness=f"order-1 evaluation n={n}, weight={lam}")
+                    witness=f"order-1 evaluation n={n}, weight={Fraction(p, q)}")
     return VerificationReport(
         "special-cases", grid, "numeric-pass", max_residual=worst,
         notes=f"reductions exact and order-free; order-1 evaluation residual "

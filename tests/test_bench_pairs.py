@@ -75,7 +75,21 @@ def test_a_claim_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(
     row = _row(bench_pairs, "wall_s", PARENT, change)
     assert row["parent_iqr"] == pytest.approx(0.2)
     assert row["change_better_pairs"] == wins
-    assert bench_pairs.verdict("wall_s", row, 0.25, claimed=True) == expected
+    assert bench_pairs.verdict("wall_s", row, 0.25, claimed=True).split(":")[0] == expected
+
+
+@pytest.mark.parametrize("name,change,expected", [
+    # every pair won, past the parent's IQR of 0, by 30% against a 25% bound
+    ("wall_s", [0.7] * 10, "claim holds: gain 30% vs bound 25%"),
+    # the same wins by 20%: not past the bound
+    ("wall_s", [0.8] * 10, "claim not met: gain 20% vs bound 25%"),
+    # higher is better for ok_share: the gain is the rise
+    ("ok_share", [1.3] * 10, "claim holds: gain 30% vs bound 25%"),
+])
+def test_a_claimed_gain_must_exceed_the_bound(bench_pairs, name, change, expected):
+    row = _row(bench_pairs, name, [1.0] * 10, change)
+    assert row["change_better_pairs"] == 10 and row["parent_iqr"] == 0
+    assert bench_pairs.verdict(name, row, 0.25, claimed=True) == expected
 
 
 @pytest.mark.parametrize("name,parent,change,expected", [

@@ -461,36 +461,6 @@ class TestEntryPoint:
         assert proc.stdout.splitlines() == ["1", "6 x^a"]
 
 
-class TestVerificationScript:
-    def test_equals_verify_plus_files(self, capsys, tmp_path):
-        """scripts/run_verification.py prints what `verify` prints, plus the
-        paths of the JSON report and audit table it writes, which equal
-        `verify --json` and `audit`."""
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        json_out, audit_csv = tmp_path / "report.json", tmp_path / "audit.csv"
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "run_verification.py"),
-             "--n-max", "4", "--json-out", str(json_out), "--audit-csv", str(audit_csv)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        assert proc.stderr == ""
-        _, text, _ = run(capsys, "verify", "--n-max", "4")
-        assert proc.stdout == text.replace(
-            "\n\nasserted:",
-            f"\n\nJSON report: {json_out}\naudit table: {audit_csv}\n\nasserted:")
-        assert json_out.read_text() == run(capsys, "verify", "--n-max", "4", "--json")[1]
-        assert audit_csv.read_text() == run(capsys, "audit")[1]
-
-    def test_grid_below_degree_3_exits_2(self):
-        # it once checked nothing and reported every suite passed
-        proc = _run_script("run_verification.py", "--n-max", "2")
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == "error: --n-max must be >= 3 for the sweeps, got 2\n"
-
-
 class TestFigureScript:
     def test_writes_the_golden_csvs(self, tmp_path):
         proc = _run_script("make_figure_data.py", "--out-dir", str(tmp_path))

@@ -172,9 +172,9 @@ class TestOrderFreeSweeps:
 
     def test_ode_sweep_visits_each_degree_and_weight_once(self, monkeypatch):
         seen = []
-        residual = verify.ode_residual
-        monkeypatch.setattr(verify, "ode_residual",
-                            lambda p, spec: seen.append((spec.n, spec.lam)) or residual(p, spec))
+        residual = verify._ode_residual
+        monkeypatch.setattr(verify, "_ode_residual",
+                            lambda poly, n, p, q: seen.append((n, p, q)) or residual(poly, n, p, q))
         assert check_ode_annihilation(STANDARD_GRID).passed
         assert len(seen) == len(set(seen)) == 4 * 13
 
@@ -202,6 +202,44 @@ class TestOrderFreeSweeps:
                 assert report["witness"].startswith("beta=3/2, n=6, order=1: residual = ")
             else:
                 assert "order=" not in texts, report["identity"]
+
+
+EXACT_SUITES = ("constructors", "ode", "generating-function", "ladder",
+                "recurrences", "endpoints", "special-cases")
+SPEC = "GegenbauerSpec(n={}, lam=Fraction(1, 2)): "
+
+
+class TestIntegerCases:
+    """The exact sweeps build every case from the grid's integers (n, p, q):
+    a warm sweep builds no spec, and a failing case still names its spec."""
+
+    @pytest.mark.parametrize("suite", EXACT_SUITES)
+    def test_a_warm_sweep_builds_no_spec(self, monkeypatch, suite):
+        assert run_asserted_checks(STANDARD_GRID, suite=suite)[0].passed
+
+        def refuse(self):
+            raise AssertionError(f"a sweep built {self.n, self.lam}")
+
+        monkeypatch.setattr(GegenbauerSpec, "__post_init__", refuse)
+        assert run_asserted_checks(STANDARD_GRID, suite=suite)[0].passed
+
+    @pytest.mark.parametrize("suite,witness", [
+        ("constructors", SPEC.format(1) + "series = x^a + 1; recurrence = x^a"),
+        ("ode", SPEC.format(1) + "residual = (2*a^2); zero = 0"),
+        ("generating-function", SPEC.format(1) + "generating function = "
+         "[Fraction(0, 1), Fraction(1, 1)]; series = [Fraction(1, 1), Fraction(1, 1)]"),
+        ("ladder", SPEC.format(2) + "d_alpha^1 C_n = (3*a) x^a; "
+         "2^m a^m (lam)_m C_(n-m)^(lam+m) = (3*a) x^a + (a)"),
+        ("recurrences", SPEC.format(0) + "(n+1) C_(n+1) = x^a + 1; three-term = x^a"),
+        ("endpoints", SPEC.format(1) + "coefficient sum = 2; G(2 lam + n) / (G(2 lam) n!) = 1"),
+        ("special-cases", "n=1: second-kind = [Fraction(1, 1), Fraction(2, 1)]; "
+         "expected = [Fraction(0, 1), Fraction(2, 1)]"),
+    ], ids=EXACT_SUITES)
+    def test_the_witness_of_a_defective_member(self, defective_member, suite, witness):
+        # the texts the spec-built cases printed, byte for byte; only the
+        # series kernel is defective, so the Legendre member stays true
+        [rep] = run_asserted_checks(SMALL, suite=suite)
+        assert rep.status == "fail" and rep.witness == witness
 
 
 @pytest.fixture(scope="module")
@@ -358,8 +396,10 @@ class TestReportPlumbing:
         assert "identity: a" in text and "identity: b" in text
 
     def test_param_grid_size(self):
-        grid = ParamGrid(n_max=2)
-        assert len(list(grid.specs())) == 3 * 4
+        grid = ParamGrid(n_max=2, lambdas=(HALF, 1, "5/2", 3))
+        assert list(grid.cases()) == [(n, p, q) for p, q in ((1, 2), (1, 1), (5, 2), (3, 1))
+                                      for n in range(3)]
+        assert len(list(grid.cases(1))) == 2 * 4
 
     @pytest.mark.parametrize("fields", [
         {"n_max": 3.5}, {"n_max": True}, {"n_max": "4"},
@@ -378,7 +418,7 @@ class TestReportPlumbing:
 
     def test_param_grid_negative_degree_is_refused_by_the_sweeps(self):
         grid = ParamGrid(n_max=-1)
-        assert list(grid.specs()) == []
+        assert list(grid.cases()) == []
         with pytest.raises(ParameterError, match="must be >= 3"):
             run_asserted_checks(grid)
 
