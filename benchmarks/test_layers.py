@@ -34,7 +34,9 @@
   points (the member built and converted once per process), and
   `eval --n 800 --lambda 3 --alpha 1 --x 0.5`, where building and
   converting the member dominate, and `audit --n-max 32`, each in a fresh
-  interpreter, so nothing is reused between runs; and `audit --n-max 32`
+  interpreter, so nothing is reused between runs; `import congeg` and
+  `import congeg.cli` in a fresh interpreter, from a copy of the package
+  with no bytecode, the import alone in `extra_info`; and `audit --n-max 32`
   through `congeg.cli.main` in process, its memos warm after the first
   round as in a long-lived process.
 
@@ -49,6 +51,8 @@ another checkout's `src` times that tree with the same benchmarks.
 import contextlib
 import io
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 from fractions import Fraction
@@ -264,6 +268,28 @@ def test_cli(benchmark, argv):
                               kwargs={"env": env, "capture_output": True},
                               rounds=5, iterations=1)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("module", ["congeg", "congeg.cli"])
+def test_fresh_import(benchmark, tmp_path, module):
+    # a copy of the package with no bytecode, which nothing writes: each round
+    # compiles the package's modules, as in a fresh checkout, and reads the
+    # standard library's bytecode as usual
+    shutil.copytree(Path(congeg.__file__).parent, tmp_path / "congeg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-c", f"import time; t0 = time.perf_counter(); import {module}; "
+                                 "print(time.perf_counter() - t0)"]
+    seconds = []
+
+    def spawn():
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+        seconds.append(float(proc.stdout))
+
+    benchmark.pedantic(spawn, rounds=9, iterations=1)
+    # a round's time includes the interpreter's start; this is the import alone
+    benchmark.extra_info["import_s_median"] = statistics.median(seconds)
+    assert not list(tmp_path.rglob("__pycache__"))
 
 
 def test_cli_audit_warm(benchmark):

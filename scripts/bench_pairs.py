@@ -1,9 +1,10 @@
-"""Run the perfbench workload on two commits in alternating pairs and
-compare their end-to-end metrics.
+"""Run the perfbench workload, or CLI commands in fresh interpreters, on two
+commits in alternating pairs and compare their end-to-end metrics.
 
     python scripts/bench_pairs.py --workload quadrature --pairs 10 --seed0 9200
     python scripts/bench_pairs.py --workload verify --pairs 12 --seed0 7100 \
         --parent main --change "$(git stash create)" --claim wall_s
+    python scripts/bench_pairs.py --pairs 9 --cli table --cli "eval --n 4 --x 0.5"
 
 Each ref is exported with `git archive` into its own temporary directory, so
 neither tree carries bytecode, and every run gets PYTHONDONTWRITEBYTECODE=1,
@@ -35,6 +36,17 @@ timings at once).  `--json PATH` also writes every run's metrics and the
 verdicts.  The exit code is 1 if any
 run reports `correct: false` or a failed request, 2 if a run produces no
 result.
+
+`--cli "ARGS"` (repeatable) runs `python -m congeg ARGS` instead, from each
+tree's `src/` in a fresh interpreter with PYTHONDONTWRITEBYTECODE=1, every
+command once per pair in the same alternating order, its output discarded.
+Per command and side it prints the median and interquartile range of the
+wall time and of the peak resident set size (`ru_maxrss` of RUSAGE_CHILDREN
+in a small interpreter that spawns the command), the pairs the change won,
+a verdict (`lower` or `higher` where the medians differ by more than the
+parent's interquartile range, else `no change past the parent's IQR`) and
+the exit codes.  It flags a command whose exit codes differ between the trees, and
+then exits 1.  `--json PATH` writes a `cli` section for a BENCH file.
 """
 from __future__ import annotations
 
@@ -42,6 +54,7 @@ import argparse
 import io
 import json
 import os
+import shlex
 import statistics
 import subprocess
 import sys
@@ -75,6 +88,36 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode or not lines:
         raise RuntimeError(f"{tree.name} seed {seed}: exit {proc.returncode}\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+# Runs argv[1:] with its output discarded and prints its wall time, peak
+# resident set size and exit code.  Linux carries a process's peak RSS over
+# fork and exec, so a child of this script would report at least this
+# script's own size; a child of this small interpreter reports its own.
+_SPAWN = """
+import os, resource, sys, time
+t0 = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=[
+    (os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)])
+status = os.waitpid(pid, 0)[1]
+print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+      os.waitstatus_to_exitcode(status))
+"""
+
+
+def run_cli(tree: Path, args: str) -> dict:
+    """One `python -m congeg ARGS` in a fresh interpreter on `tree`'s source:
+    its wall time, peak resident set size and exit code."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(tree / "src"),
+                                                      os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-S", "-c", _SPAWN, sys.executable, "-m", "congeg",
+                           *shlex.split(args)],
+                          cwd=tree, env=env, capture_output=True, text=True, check=True)
+    wall, rss, code = proc.stdout.split()
+    return {"metrics": {"wall_s": {"value": float(wall)},
+                        "peak_rss_mib": {"value": int(rss) / 1024}},  # ru_maxrss is in KiB,
+            "exit_code": int(code)}
 
 
 def iqr(values: list[float]) -> float:
@@ -145,11 +188,69 @@ def verdict(name: str, row: dict, bound: float | None, claimed: bool) -> str:
     return f"within its bound {bound:g}"
 
 
+def cli_verdict(row: dict) -> str:
+    """The verdict on one metric of a `--cli` command (lower is better): a
+    change counts only past the parent's interquartile range."""
+    gap = row["parent_median"] - row["change_median"]
+    if abs(gap) <= row["parent_iqr"]:
+        return "no change past the parent's IQR"
+    share = abs(gap) / row["parent_median"] if row["parent_median"] else float("nan")
+    return f"{'lower' if gap > 0 else 'higher'} by {share:.0%}"
+
+
+def exit_code_flag(parent: list[int], change: list[int]) -> str | None:
+    """A message if any pair's exit codes differ between the trees."""
+    if parent == change:
+        return None
+    return (f"EXIT CODES DIFFER: parent {sorted(set(parent))}, "
+            f"change {sorted(set(change))}")
+
+
+def main_cli(args: argparse.Namespace, trees: dict[str, Path], commits: dict[str, str]) -> int:
+    """The `--cli` mode: every command once per pair on each tree."""
+    runs = {cmd: {"parent": [], "change": []} for cmd in args.cli}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for cmd in args.cli:
+            for side in order:
+                runs[cmd][side].append(run_cli(trees[side], cmd))
+        print(f"# pair {i + 1}/{args.pairs} done", file=sys.stderr)
+
+    print(f"cli: {args.pairs} alternating pairs; parent {commits['parent'][:12]}, "
+          f"change {commits['change'][:12]}")
+    print(f"{'command / metric':<40}{'parent':>10}{'IQR':>9}{'change':>10}{'IQR':>9}"
+          f"{'better':>8}  verdict")
+    section, differ = {}, False
+    for cmd, sides in runs.items():
+        table = summarize(sides)
+        codes = {side: [r["exit_code"] for r in side_runs] for side, side_runs in sides.items()}
+        flag = exit_code_flag(codes["parent"], codes["change"])
+        differ |= flag is not None
+        print(f"{cmd}  (exit codes: parent {sorted(set(codes['parent']))}, "
+              f"change {sorted(set(codes['change']))})")
+        for name, row in table.items():
+            row["change_iqr"] = iqr(row["change_runs"])
+            row["verdict"] = cli_verdict(row)
+            print(f"  {name:<38}{row['parent_median']:>10.4g}{row['parent_iqr']:>9.3g}"
+                  f"{row['change_median']:>10.4g}{row['change_iqr']:>9.3g}"
+                  f"{row['change_better_pairs']:>5}/{args.pairs}  {row['verdict']}")
+        if flag:
+            print(f"  {flag}", file=sys.stderr)
+        section[cmd] = {"metrics": table, "exit_codes": codes, "exit_codes_differ": bool(flag)}
+    if args.json is not None:
+        args.json.write_text(json.dumps(
+            {"pairs": args.pairs, "commits": commits, "cli": section}, indent=1) + "\n")
+    return 1 if differ else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed0", type=int, required=True)
+    parser.add_argument("--seed0", type=int)
+    parser.add_argument("--cli", action="append", default=[], metavar="ARGS",
+                        help="time `python -m congeg ARGS` instead of a workload "
+                             "(repeatable)")
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--json", type=Path, help="also write every run's metrics here")
@@ -158,6 +259,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.cli and (args.workload or args.seed0 is not None or args.claim):
+        parser.error("--cli takes no --workload, --seed0 or --claim")
+    if not args.cli and (args.workload is None or args.seed0 is None):
+        parser.error("--workload and --seed0 are required without --cli")
     limits = bounds()
     if unknown := set(args.claim) - limits.keys():
         parser.error(f"--claim names no end-to-end metric: {', '.join(sorted(unknown))}")
@@ -167,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: Path(tmp) / side for side in runs}
         commits = {side: export(ref, trees[side])
                    for side, ref in (("parent", args.parent), ("change", args.change))}
+        if args.cli:
+            return main_cli(args, trees, commits)
         for i in range(args.pairs):
             seed = args.seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

@@ -549,6 +549,15 @@ class AlphaPoly:
         return f"AlphaPoly({self})"
 
 
+def _sample_grid(lo: float, samples: int) -> list[float]:
+    """Points for `AlphaPoly.values`: lo + i * step for i < samples - 1, then
+    exactly 1.0, which are linspace's floats."""
+    if samples < 2:
+        raise ParameterError(f"--samples must be >= 2, got {samples}")
+    step = (1.0 - lo) / (samples - 1)
+    return [lo + i * step for i in range(samples - 1)] + [1.0]
+
+
 # ---------------------------------------------------------------------------
 # exact gamma-function helpers
 

@@ -13,23 +13,24 @@ of float evaluation.
 
 Options may also come from a JSON file via --config; flags given on the
 command line win over config values.
+
+Each command imports only the layers it runs, when it runs: `table`, `eval`
+and `plot-data` need `alphapoly` and `gegenbauer`; `audit` adds `quadrature`,
+and `verify` adds `quadrature` and `verify`.  The parser reads the suite
+names from `report`, which loads no other layer.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .alphapoly import AccuracyError, DomainError, ParameterError, _as_count, _as_order
+from .alphapoly import (AccuracyError, DomainError, ParameterError, _as_count, _as_order,
+                        _sample_grid)
 from .gegenbauer import GegenbauerSpec, from_series
-from .quadrature import audit_rows_to_csv, default_audit_grid, normalization_audit
-from .report import reports_to_json, reports_to_text, summary
-from .verify import (SUITES, ParamGrid, _sample_grid, run_asserted_checks,
-                     run_recorded_audits)
 
 __all__ = ["main"]
 
@@ -65,6 +66,8 @@ def _out_path(text: str) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and then shared: each parse fills a
     fresh Namespace, so no option carries over from one call to the next."""
+    from .report import SUITE_NAMES
+
     parser = argparse.ArgumentParser(
         prog="congeg",
         description="Conformable Gegenbauer polynomial family: tables, "
@@ -111,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run asserted identity checks and recorded audits")
     v.add_argument("--n-max", type=int, default=None,
                    help="highest degree in the sweep")
-    v.add_argument("--suite", choices=sorted(("all", *SUITES)), default=None,
+    v.add_argument("--suite", choices=sorted(("all", *SUITE_NAMES)), default=None,
                    help="run a single asserted suite (default: all)")
     v.add_argument("--json", action="store_true", default=None,
                    help="emit the report as JSON")
@@ -176,6 +179,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     file first, then from the subcommand's defaults."""
     data = {}
     if getattr(args, "config", None):
+        import json  # only a config file needs it
         try:
             data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -202,6 +206,14 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, dest, value)
 
 
+def _float_order(alpha: Fraction) -> float:
+    """A checked order as the float that is evaluated and printed."""
+    a = float(_as_order(alpha))
+    if a == 0.0:
+        raise ParameterError("order rounds to 0.0 as a float, outside (0, 1]")
+    return a
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     _as_count(args.n_max, "--n-max")
     lines = [str(from_series(GegenbauerSpec(k, args.lam))) for k in range(args.n_max + 1)]
@@ -219,7 +231,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if not -1.0 <= x <= 1.0:
             raise ParameterError(f"eval points must lie in [-1, 1], got {x!r}")
     spec = GegenbauerSpec(args.n, args.lam)
-    a = float(_as_order(args.alpha))
+    a = _float_order(args.alpha)
     label = f",{a!r},"
     rows = [f"{x!r}{label}{v!r}" for x, v in zip(args.x, from_series(spec).values(args.x, a))]
     sys.stdout.write("\n".join(["x,alpha,value"] + rows) + "\n")
@@ -231,14 +243,13 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         raise ParameterError("plot-data requires at least one --alpha")
     xs = _sample_grid(-1.0 if args.signed_domain else 0.0, args.samples)
     spec = GegenbauerSpec(args.n, args.lam)
-    # deduplicated by integer ratio: a set would hash every Fraction
-    unique = {a.as_integer_ratio(): a for a in args.alphas}
-    alphas = [_as_order(alpha) for alpha in sorted(unique.values())]
+    # checked in sorted order, so the first error is the smallest order's;
+    # two orders that round to one float are one curve
+    alphas = dict.fromkeys(_float_order(alpha) for alpha in sorted(args.alphas))
     poly = from_series(spec)
     xtexts = [f"{x!r}," for x in xs]
     lines = ["x,alpha,value"]
-    for alpha in alphas:
-        a = float(alpha)
+    for a in alphas:
         label = f"{a!r},"
         lines.extend([f"{xtext}{label}{v!r}"
                       for xtext, v in zip(xtexts, poly.values(xs, a))])
@@ -252,6 +263,9 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .report import reports_to_json, reports_to_text, summary
+    from .verify import ParamGrid, run_asserted_checks, run_recorded_audits
+
     reports = run_asserted_checks(ParamGrid(n_max=args.n_max), suite=args.suite)
     reports.extend(run_recorded_audits())
     line, status = summary(reports)
@@ -265,6 +279,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from .quadrature import audit_rows_to_csv, default_audit_grid, normalization_audit
+
     _as_count(args.n_max, "--n-max")
     try:
         _tolerance(args.tol)

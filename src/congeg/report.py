@@ -6,11 +6,17 @@ are findings and never do.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-__all__ = ["VerificationReport", "reports_to_json", "reports_to_text", "summary"]
+__all__ = ["SUITE_NAMES", "VerificationReport", "reports_to_json", "reports_to_text",
+           "summary"]
+
+# The asserted suites by `verify --suite` name, in report order.  The checks
+# that build them are `verify.SUITES`, keyed by these names; the names live
+# here so that the CLI's parser can list them without importing the checks.
+SUITE_NAMES = ("constructors", "ode", "generating-function", "ladder", "recurrences",
+               "endpoints", "special-cases", "orthogonality", "normalization-audit")
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,7 @@ def reports_to_text(reports: Iterable[VerificationReport]) -> str:
 
 
 def reports_to_json(reports: Iterable[VerificationReport]) -> str:
+    import json  # only JSON output needs it
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import gegenbauer
 from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_cases, _as_count,
-                        _as_order, gamma_quotient)
+                        _as_order, _sample_grid, gamma_quotient)
 from .gegenbauer import (
     _MEMO_SIZE,
     GegenbauerSpec,
@@ -41,7 +41,7 @@ from .gegenbauer import (
     ultraspherical_rodrigues,
 )
 from .quadrature import _gegenbauer_values, normalization_audit, orthogonality_check
-from .report import VerificationReport
+from .report import SUITE_NAMES, VerificationReport
 
 __all__ = [
     "ParamGrid",
@@ -343,14 +343,6 @@ def _chebyshev_t_closed(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _sample_grid(lo: float, samples: int) -> list[float]:
-    """lo + i * step for i < samples - 1, then exactly 1.0: linspace's floats."""
-    if samples < 2:
-        raise ParameterError(f"--samples must be >= 2, got {samples}")
-    step = (1.0 - lo) / (samples - 1)
-    return [lo + i * step for i in range(samples - 1)] + [1.0]
-
-
 @functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
 def _special_reference(p: int, q: int, n_max: int, samples: int) -> tuple:
     """The order-1 oracle of `check_special_cases` at the weight lam = p/q:
@@ -561,21 +553,21 @@ def audit_chebyshev_limit(n_max: int = 8, m_max: int = 3) -> list[VerificationRe
 # drivers
 
 
-# Every asserted suite by `verify --suite` name, in report order.  Each
-# builder takes the grid and looks its check up by name at call time, so a
-# check rebound in this module (as the perfbench tracer does, or a test that
+# Every asserted suite by its name in `report.SUITE_NAMES`, in that order.
+# Each builder takes the grid and looks its check up by name at call time, so
+# a check rebound in this module (as the perfbench tracer does, or a test that
 # patches one) is the one that runs.
-SUITES: dict[str, Callable[[ParamGrid], VerificationReport]] = {
-    "constructors": lambda grid: check_constructor_agreement(grid),
-    "ode": lambda grid: check_ode_annihilation(grid),
-    "generating-function": lambda grid: check_generating_function(),
-    "ladder": lambda grid: check_derivative_ladder(grid),
-    "recurrences": lambda grid: check_recurrences(grid),
-    "endpoints": lambda grid: check_endpoint_values(grid),
-    "special-cases": lambda grid: check_special_cases(),
-    "orthogonality": lambda grid: orthogonality_check(n_max=grid.n_max),
-    "normalization-audit": lambda grid: normalization_audit(),
-}
+SUITES: dict[str, Callable[[ParamGrid], VerificationReport]] = dict(zip(SUITE_NAMES, (
+    lambda grid: check_constructor_agreement(grid),
+    lambda grid: check_ode_annihilation(grid),
+    lambda grid: check_generating_function(),
+    lambda grid: check_derivative_ladder(grid),
+    lambda grid: check_recurrences(grid),
+    lambda grid: check_endpoint_values(grid),
+    lambda grid: check_special_cases(),
+    lambda grid: orthogonality_check(n_max=grid.n_max),
+    lambda grid: normalization_audit(),
+), strict=True))
 
 
 def run_asserted_checks(

@@ -109,3 +109,29 @@ def test_an_unclaimed_metric_is_judged_by_its_bound(bench_pairs, name, parent, c
     bound = {"wall_s": 0.25, "ok_share": 0.1}[name]
     assert bench_pairs.verdict(name, row, bound, claimed=False) == expected
     assert bench_pairs.verdict(name, row, None, claimed=False) == "no bound"
+
+
+@pytest.mark.parametrize("parent,change,expected", [
+    # medians 1.0 and 0.7, a gap of 0.3 past the parent's IQR of 0.2
+    (PARENT, [0.7] * 10, "lower by 30%"),
+    (PARENT, [1.3] * 10, "higher by 30%"),
+    # a gap of 0.1 inside the parent's IQR
+    (PARENT, [0.9] * 10, "no change past the parent's IQR"),
+    (PARENT, [1.1] * 10, "no change past the parent's IQR"),
+])
+def test_a_cli_verdict_counts_a_change_only_past_the_parent_iqr(
+        bench_pairs, parent, change, expected):
+    row = _row(bench_pairs, "wall_s", parent, change)
+    assert bench_pairs.cli_verdict(row) == expected
+
+
+@pytest.mark.parametrize("parent,change,expected", [
+    ([0, 0, 0], [0, 0, 0], None),
+    ([3, 3], [3, 3], None),
+    # one pair differs
+    ([0, 0, 0], [0, 2, 0], "EXIT CODES DIFFER: parent [0], change [0, 2]"),
+    # the same codes, in other pairs
+    ([0, 3], [3, 0], "EXIT CODES DIFFER: parent [0, 3], change [0, 3]"),
+])
+def test_differing_exit_codes_are_flagged(bench_pairs, parent, change, expected):
+    assert bench_pairs.exit_code_flag(parent, change) == expected

@@ -102,6 +102,12 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    def test_order_that_rounds_to_zero_exits_2(self, capsys):
+        # 1e-400 lies in (0, 1] as a rational but is 0.0 as a float
+        code, out, err = run(capsys, "eval", "--n", "2", "--x", "0.5", "--alpha", "1e-400")
+        assert (code, out) == (2, "")
+        assert err == "error: order rounds to 0.0 as a float, outside (0, 1]\n"
+
 
 class TestPlotData:
     def test_default_shape(self, capsys):
@@ -148,6 +154,19 @@ class TestPlotData:
     def test_bad_samples_exits_2(self, capsys):
         code, _, err = run(capsys, "plot-data", "--samples", "1")
         assert code == 2 and "samples" in err
+
+    def test_orders_that_round_to_one_float_are_one_curve(self, capsys):
+        # two different rationals, both printed and evaluated as 0.3333333333333333
+        _, once, _ = run(capsys, "plot-data", "--n", "2", "--alpha", "1/3")
+        code, out, _ = run(capsys, "plot-data", "--n", "2", "--alpha", "1/3",
+                           "--alpha", "0.3333333333333333333333")
+        assert code == 0 and out == once
+        assert len(out.splitlines()) == 1 + 201
+        # the curves stay in sorted order
+        _, out, _ = run(capsys, "plot-data", "--n", "2", "--samples", "2", "--alpha", "1",
+                        "--alpha", "0.3333333333333333333333", "--alpha", "1/3")
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == \
+            ["0.3333333333333333"] * 2 + ["1.0"] * 2
 
 
 class TestVerify:

@@ -6,14 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from congeg.alphapoly import AlphaPoly, ParameterError, pochhammer
+from congeg.alphapoly import AlphaPoly, ParameterError, _sample_grid, pochhammer
 from congeg.cli import main
 from congeg.gegenbauer import GegenbauerSpec, from_series
 from congeg.report import VerificationReport, reports_to_json, reports_to_text
 import congeg.gegenbauer as gegenbauer
 import congeg.quadrature as quadrature
 import congeg.verify as verify
-from congeg.verify import (STANDARD_GRID, ParamGrid, _sample_grid, audit_chebyshev_limit,
+from congeg.verify import (STANDARD_GRID, ParamGrid, audit_chebyshev_limit,
                            audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_generating_function,
