@@ -270,7 +270,7 @@ def test_cli(benchmark, argv):
     assert proc.returncode == 0
 
 
-@pytest.mark.parametrize("module", ["congeg", "congeg.cli"])
+@pytest.mark.parametrize("module", ["congeg", "congeg.cli", "congeg.verify"])
 def test_fresh_import(benchmark, tmp_path, module):
     # a copy of the package with no bytecode, which nothing writes: each round
     # compiles the package's modules, as in a fresh checkout, and reads the

@@ -232,10 +232,54 @@ def _chebyshev_form(nums: tuple[int, ...], den: int) -> tuple[tuple, float, floa
 
 
 # ---------------------------------------------------------------------------
+# immutable values
+
+
+class _Record:
+    """Base of the package's immutable values.  Setting or deleting an
+    attribute raises AttributeError, so a subclass stores its fields once,
+    through `__dict__`.  The parameter and result records name their fields,
+    in order, in `_fields`: such a record equals only a record of its own
+    class whose fields are equal, hashes by its fields and prints as
+    `Name(field=value, ...)`, leaving out the fields in `_unprinted`.
+    AlphaPoly takes only its immutability from here.
+
+    This is what a frozen dataclass gives.  `dataclasses` is not used
+    because it imports `inspect`, and the two took about a third of the
+    time a CLI process spent importing the package."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _unprinted: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
+                           if name not in self._unprinted)
+        return f"{type(self).__name__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # polynomials in x^(k*a)
 
 
-class AlphaPoly:
+class AlphaPoly(_Record):
     """Polynomial a^grade * sum_k (nums[k] / den) * x^(k*a), exact throughout.
 
     The coefficients are stored as the tuple of integer numerators `nums`
@@ -280,12 +324,6 @@ class AlphaPoly:
                 nums = [v // g for v in nums]
                 den //= g
         self.__dict__.update(nums=tuple(nums), den=den, grade=grade)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"AlphaPoly is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"AlphaPoly is immutable; cannot delete {name!r}")
 
     # -- constructors
 

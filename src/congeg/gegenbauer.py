@@ -28,7 +28,6 @@ provided directly through its classical coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,6 +36,7 @@ from .alphapoly import (
     AlphaPoly,
     ParameterError,
     RationalLike,
+    _Record,
     _as_count,
     _as_fraction,
     gamma_quotient,
@@ -71,31 +71,31 @@ def _check_weight(lam: RationalLike) -> Fraction:
     return lam
 
 
-@dataclass(frozen=True)
-class GegenbauerSpec:
+class GegenbauerSpec(_Record):
     """Parameter pair: degree n >= 0, weight lam > 0; a member has no order."""
 
+    _fields = ("n", "lam")
     n: int
     lam: Fraction
 
-    def __post_init__(self) -> None:
-        _as_count(self.n, "degree")
-        object.__setattr__(self, "lam", _check_weight(self.lam))
+    def __init__(self, n: int, lam: RationalLike) -> None:
+        _as_count(n, "degree")
+        self.__dict__.update(n=n, lam=_check_weight(lam))
 
 
-@dataclass(frozen=True)
-class UltrasphericalSpec:
+class UltrasphericalSpec(_Record):
     """Parameter pair for the shifted-weight family: beta > -1/2."""
 
+    _fields = ("n", "beta")
     n: int
     beta: Fraction
 
-    def __post_init__(self) -> None:
-        _as_count(self.n, "degree")
-        beta = _as_fraction(self.beta)
+    def __init__(self, n: int, beta: RationalLike) -> None:
+        _as_count(n, "degree")
+        beta = _as_fraction(beta)
         if beta <= Fraction(-1, 2):
             raise ParameterError(f"shifted weight must exceed -1/2, got {beta}")
-        object.__setattr__(self, "beta", beta)
+        self.__dict__.update(n=n, beta=beta)
 
     @property
     def lam(self) -> Fraction:

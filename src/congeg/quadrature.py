@@ -40,13 +40,12 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .alphapoly import (AccuracyError, DomainError, RationalLike, _as_cases, _as_count,
-                        _as_order)
+from .alphapoly import (AccuracyError, DomainError, RationalLike, _Record, _as_cases,
+                        _as_count, _as_order)
 from .gegenbauer import _check_weight, _series_coeffs
 from .report import VerificationReport
 
@@ -71,13 +70,13 @@ _STEPS = 32         # tanh-sinh step h = 1/_STEPS on t in [-_T_MAX, _T_MAX]
 _T_MAX = 5
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(_Record):
     """Value, a nonnegative error estimate, and the number of evaluations."""
 
-    value: float
-    error: float
-    nodes_used: int
+    _fields = ("value", "error", "nodes_used")
+
+    def __init__(self, value: float, error: float, nodes_used: int) -> None:
+        self.__dict__.update(value=value, error=error, nodes_used=nodes_used)
 
 
 # ---------------------------------------------------------------------------
@@ -415,22 +414,23 @@ def orthogonality_check(
                f"proved positive, in integers, for degrees 0 to {n_max}"))
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(_Record):
     """One normalization-audit line: the exact diagonal inner product (field
     `quadrature`, the audit CSV's column name) against the three formulas.
 
     closed_form / gamma_product are NaN where the formula hits a gamma pole.
     """
 
-    n: int
-    lam: Fraction
-    alpha: Fraction
-    quadrature: float
-    closed_form: float
-    gamma_product: float
-    derived: float
-    rel_diff_quadrature_vs_derived: float
+    _fields = ("n", "lam", "alpha", "quadrature", "closed_form", "gamma_product", "derived",
+               "rel_diff_quadrature_vs_derived")
+
+    def __init__(self, n: int, lam: Fraction, alpha: Fraction, quadrature: float,
+                 closed_form: float, gamma_product: float, derived: float,
+                 rel_diff_quadrature_vs_derived: float) -> None:
+        self.__dict__.update(
+            n=n, lam=lam, alpha=alpha, quadrature=quadrature, closed_form=closed_form,
+            gamma_product=gamma_product, derived=derived,
+            rel_diff_quadrature_vs_derived=rel_diff_quadrature_vs_derived)
 
     @cached_property
     def _csv_line(self) -> str:

@@ -6,8 +6,9 @@ are findings and never do.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
+
+from .alphapoly import _Record
 
 __all__ = ["SUITE_NAMES", "VerificationReport", "reports_to_json", "reports_to_text",
            "summary"]
@@ -19,23 +20,25 @@ SUITE_NAMES = ("constructors", "ode", "generating-function", "ladder", "recurren
                "endpoints", "special-cases", "orthogonality", "normalization-audit")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of one identity check over one parameter grid.
 
     status is "exact-pass" (symbolic zero), "numeric-pass" (residual within
     tolerance, see max_residual) or "fail" (witness pins the first offender).
     `asserted` is False for recorded audits, which never gate a run.
+    `table` holds an audit's rows; it is compared but never printed.
     """
 
-    identity: str
-    grid: str
-    status: str
-    max_residual: Optional[float] = None
-    witness: Optional[str] = None
-    notes: str = ""
-    asserted: bool = True
-    table: tuple = field(default=(), repr=False)
+    _fields = ("identity", "grid", "status", "max_residual", "witness", "notes", "asserted",
+               "table")
+    _unprinted = ("table",)
+
+    def __init__(self, identity: str, grid: str, status: str,
+                 max_residual: Optional[float] = None, witness: Optional[str] = None,
+                 notes: str = "", asserted: bool = True, table: tuple = ()) -> None:
+        self.__dict__.update(identity=identity, grid=grid, status=status,
+                             max_residual=max_residual, witness=witness, notes=notes,
+                             asserted=asserted, table=table)
 
     @property
     def passed(self) -> bool:

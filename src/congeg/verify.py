@@ -19,13 +19,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import gegenbauer
-from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_cases, _as_count,
-                        _as_order, _sample_grid, gamma_quotient)
+from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _Record, _as_cases,
+                        _as_count, _as_order, _sample_grid, gamma_quotient)
 from .gegenbauer import (
     _MEMO_SIZE,
     GegenbauerSpec,
@@ -75,8 +74,7 @@ _SWEEP_MEMO_SIZE = 32
 # parameter grids
 
 
-@dataclass(frozen=True)
-class ParamGrid:
+class ParamGrid(_Record):
     """Sweep over degree and weight; it has no order, since an exact identity
     holds at every order at once.  The weights must be nonempty, are checked
     like a spec's and are stored as a tuple of Fractions; n_max must be an
@@ -84,14 +82,16 @@ class ParamGrid:
     `run_asserted_checks` refuse.  The grid is checked once, here: a sweep
     then builds each case from the integers of `cases`, with no spec."""
 
-    n_max: int = 12
-    lambdas: tuple[Fraction, ...] = (_HALF, Fraction(1), Fraction(5, 2), Fraction(3))
+    _fields = ("n_max", "lambdas")
+    n_max: int
+    lambdas: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_max, int) or isinstance(self.n_max, bool):
-            raise ParameterError(f"n_max must be an integer, got {self.n_max!r}")
-        lambdas = _as_cases(self.lambdas, "weights")
-        object.__setattr__(self, "lambdas", tuple(_check_weight(v) for v in lambdas))
+    def __init__(self, n_max: int = 12, lambdas: Iterable[RationalLike] = (
+            _HALF, Fraction(1), Fraction(5, 2), Fraction(3))) -> None:
+        if not isinstance(n_max, int) or isinstance(n_max, bool):
+            raise ParameterError(f"n_max must be an integer, got {n_max!r}")
+        lambdas = _as_cases(lambdas, "weights")
+        self.__dict__.update(n_max=n_max, lambdas=tuple(_check_weight(v) for v in lambdas))
 
     def cases(self, n_max: Optional[int] = None) -> Iterator[tuple[int, int, int]]:
         """(n, p, q) per weight lam = p/q and degree n, weight by weight,
@@ -127,21 +127,25 @@ def _exact_report(identity: str, grid: str, cases: Iterable[tuple], *,
     The first case whose sides differ fails it with the witness
     `label: name = lhs; name = rhs`, formatted only then; a label (n, p, q)
     prints as the spec GegenbauerSpec(n, p/q), built only then.  Polynomial
-    sides add the residual's size at order 1, since exact values carry no order.
+    sides add the residual's size at order 1, since exact values carry no order,
+    or a note where that size lies past the float range.
     A pass has `notes`, or `notes(count)` of the cases compared; no case at
     all proves nothing and is refused."""
     count = 0
     for label, (lhs_name, lhs), (rhs_name, rhs) in cases:
         if lhs != rhs:
-            poly = isinstance(lhs, AlphaPoly)
+            size, note = None, ""
+            if isinstance(lhs, AlphaPoly):
+                try:
+                    size = _residual_size(lhs - rhs, 1)
+                    note = "max_residual taken at order 1: exact values carry no order"
+                except OverflowError:
+                    note = "no max_residual: the residual lies past the float range"
             if type(label) is tuple:
                 label = GegenbauerSpec(label[0], Fraction(label[1], label[2]))
             return VerificationReport(
-                identity, grid, "fail", asserted=asserted,
-                max_residual=_residual_size(lhs - rhs, 1) if poly else None,
-                witness=f"{label}: {lhs_name} = {lhs}; {rhs_name} = {rhs}",
-                notes="max_residual taken at order 1: exact values carry no order"
-                      if poly else "")
+                identity, grid, "fail", asserted=asserted, max_residual=size,
+                witness=f"{label}: {lhs_name} = {lhs}; {rhs_name} = {rhs}", notes=note)
         count += 1
     if not count:
         raise ParameterError(f"{identity} has no case to check over {grid}")
@@ -504,9 +508,9 @@ def audit_ultraspherical(
             "cases; the constant is the route's degree-0 value, compared in floats "
             f"with 2^b G(b+1/2)/sqrt(pi) (Legendre duplication): {constants}. "
             "Recorded, not rescaled."))
-    reports.append(exact if not exact.passed else replace(
-        exact, status="numeric-pass" if constant_error < 1e-9 else "fail",
-        max_residual=constant_error))
+    reports.append(exact if not exact.passed else VerificationReport(
+        exact.identity, grid, "numeric-pass" if constant_error < 1e-9 else "fail",
+        max_residual=constant_error, notes=exact.notes, asserted=False))
     return reports
 
 

@@ -1,5 +1,4 @@
 """Family constructors: frozen low-order values, route agreement, special cases."""
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,10 +12,11 @@ from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_ke
                                from_recurrence, from_rodrigues, from_series,
                                legendre, ultraspherical,
                                ultraspherical_rodrigues)
-from congeg.quadrature import (_cell, classical_norm, conformable_inner_product,
-                               conformable_inner_product_direct,
+from congeg.quadrature import (AuditRow, QuadratureResult, _cell, classical_norm,
+                               conformable_inner_product, conformable_inner_product_direct,
                                normalization_closed_form, orthogonality_check)
-from congeg.verify import (audit_chebyshev_limit, check_derivative_ladder,
+from congeg.report import VerificationReport
+from congeg.verify import (ParamGrid, audit_chebyshev_limit, check_derivative_ladder,
                            check_recurrences, check_special_cases,
                            generating_function_coeffs)
 
@@ -99,12 +99,57 @@ class TestStructure:
             GegenbauerSpec(2, ONE, HALF)
 
     def test_specs_carry_no_order(self):
-        assert [f.name for f in dataclasses.fields(GegenbauerSpec)] == ["n", "lam"]
-        assert [f.name for f in dataclasses.fields(UltrasphericalSpec)] == ["n", "beta"]
+        assert list(GegenbauerSpec._fields) == ["n", "lam"]
+        assert list(UltrasphericalSpec._fields) == ["n", "beta"]
 
     def test_order_shows_up_only_in_basis(self):
         member = from_series(GegenbauerSpec(4, Fraction(3)))
         assert member.evaluate(0.5, Fraction(1, 4)) != member.evaluate(0.5, Fraction(3, 4))
+
+
+RECORDS = [
+    (lambda: GegenbauerSpec(3, "1/2"), GegenbauerSpec(4, HALF),
+     "GegenbauerSpec(n=3, lam=Fraction(1, 2))"),
+    (lambda: UltrasphericalSpec(2, "-1/4"), UltrasphericalSpec(2, 0),
+     "UltrasphericalSpec(n=2, beta=Fraction(-1, 4))"),
+    (lambda: VerificationReport("ode", "n <= 3", "fail", 0.5, "w", "n", False, (1,)),
+     VerificationReport("ode", "n <= 3", "fail", 0.5, "w", "n", False),
+     "VerificationReport(identity='ode', grid='n <= 3', status='fail', max_residual=0.5, "
+     "witness='w', notes='n', asserted=False)"),
+    (lambda: QuadratureResult(1.5, 2e-16, 0), QuadratureResult(1.5, 2e-16, 1),
+     "QuadratureResult(value=1.5, error=2e-16, nodes_used=0)"),
+    (lambda: AuditRow(1, ONE, HALF, 1.0, 2.0, 3.0, 1.0, 0.0),
+     AuditRow(1, ONE, HALF, 1.0, 2.0, 3.0, 1.0, 0.5),
+     "AuditRow(n=1, lam=Fraction(1, 1), alpha=Fraction(1, 2), quadrature=1.0, "
+     "closed_form=2.0, gamma_product=3.0, derived=1.0, rel_diff_quadrature_vs_derived=0.0)"),
+    (lambda: ParamGrid(3, ["1/2", 2]), ParamGrid(3, [HALF]),
+     "ParamGrid(n_max=3, lambdas=(Fraction(1, 2), Fraction(2, 1)))"),
+]
+
+
+class TestValueRecords:
+    """Each record is an immutable value: equal to a record of its class with
+    equal fields and to nothing else, hashed by its fields, printed by them."""
+
+    @pytest.mark.parametrize("make,other,text", RECORDS,
+                             ids=[text.split("(")[0] for _, _, text in RECORDS])
+    def test_value_semantics(self, make, other, text):
+        record, twin = make(), make()
+        values = tuple(getattr(record, name) for name in record._fields)
+        assert record == twin and record is not twin and hash(record) == hash(twin)
+        assert hash(record) == hash(values)
+        assert record != other and record != values
+        assert repr(record) == repr(twin) == text
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == twin
+
+    def test_equality_stays_within_one_class(self):
+        assert GegenbauerSpec(1, 1) != UltrasphericalSpec(1, 1)
+        assert GegenbauerSpec(1, 1).lam == UltrasphericalSpec(1, HALF).lam
 
 
 class TestRouteAgreement:

@@ -64,6 +64,19 @@ def test_cli_commands_never_load_numpy(command):
     assert "congeg" in modules and "numpy" not in modules
 
 
+@pytest.mark.parametrize("argv", [
+    ("-c", "import congeg.cli"), ("-m", "congeg", "table"),
+    ("-m", "congeg", "eval", "--n", "4", "--x", "0.5"), ("-m", "congeg", "plot-data"),
+    ("-m", "congeg", "verify"), ("-m", "congeg", "verify", "--json"), ("-m", "congeg", "audit"),
+], ids=" ".join)
+def test_no_command_loads_dataclasses(argv):
+    # `dataclasses` imports `inspect` (with ast, dis and tokenize), about a
+    # third of what importing the CLI took; the records are built without it
+    modules, code = _loaded(*argv)
+    assert code == 0 and "congeg.cli" in modules
+    assert not modules & {"dataclasses", "inspect"}
+
+
 def test_direct_route_loads_numpy_on_first_call():
     # the probe above sees a lazy import when one happens
     modules, code = _imported("-c", "from congeg.quadrature import "

@@ -217,10 +217,10 @@ class TestIntegerCases:
     def test_a_warm_sweep_builds_no_spec(self, monkeypatch, suite):
         assert run_asserted_checks(STANDARD_GRID, suite=suite)[0].passed
 
-        def refuse(self):
-            raise AssertionError(f"a sweep built {self.n, self.lam}")
+        def refuse(self, *args):
+            raise AssertionError(f"a sweep built GegenbauerSpec{args}")
 
-        monkeypatch.setattr(GegenbauerSpec, "__post_init__", refuse)
+        monkeypatch.setattr(GegenbauerSpec, "__init__", refuse)
         assert run_asserted_checks(STANDARD_GRID, suite=suite)[0].passed
 
     @pytest.mark.parametrize("suite,witness", [
@@ -388,6 +388,15 @@ class TestReportPlumbing:
         assert [d["identity"] for d in data] == [r.identity for r in reports]
         assert all(set(d) == {"identity", "grid", "status", "max_residual",
                               "witness", "notes", "asserted"} for d in data)
+
+    def test_a_residual_past_the_float_range_still_fails_with_its_witness(self):
+        # float() of the residual's coefficient once raised OverflowError here
+        rep = verify._exact_report("demo", "g", [
+            ((3, 1, 1), ("lhs", AlphaPoly((10 ** 400, 1))), ("rhs", AlphaPoly.zero()))])
+        assert rep.status == "fail" and rep.max_residual is None
+        assert rep.witness.startswith("GegenbauerSpec(n=3, lam=Fraction(1, 1)): lhs = x^a + 1")
+        assert rep.notes == "no max_residual: the residual lies past the float range"
+        assert json.loads(reports_to_json([rep]))[0]["max_residual"] is None
 
     def test_text_concatenation(self):
         reports = [VerificationReport("a", "g", "exact-pass"),
