@@ -14,7 +14,7 @@
   and 800, where the conversion's big-integer work dominates;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
-- the normalization audit over `default_audit_grid(32)` in process (198 rows),
+- the normalization audit `normalization_audit(32)` in process (198 rows),
   with the memos warm after the first round and from cold memos each round,
   and `audit_rows_to_csv` over its table, each row's line kept after the
   first round;
@@ -68,8 +68,8 @@ import congeg.verify as verify
 from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, from_recurrence,
                                from_rodrigues, from_series, ultraspherical_rodrigues)
 from congeg.quadrature import (audit_rows_to_csv, conformable_inner_product,
-                               conformable_inner_product_direct, default_audit_grid,
-                               normalization_audit, orthogonality_check)
+                               conformable_inner_product_direct, normalization_audit,
+                               orthogonality_check)
 from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_generating_function,
@@ -196,18 +196,17 @@ def test_direct_inner_product(benchmark, m, n):
 
 
 def test_audit_sweep(benchmark):
-    grid = default_audit_grid(32)
-    assert benchmark(normalization_audit, grid).passed
+    assert benchmark(normalization_audit, 32).passed
 
 
 def test_audit_sweep_cold(benchmark):
-    report = benchmark.pedantic(normalization_audit, args=(default_audit_grid(32),),
+    report = benchmark.pedantic(normalization_audit, args=(32,),
                                 setup=_clear_memos, rounds=5, iterations=1)
     assert report.passed
 
 
 def test_audit_csv(benchmark):
-    table = normalization_audit(default_audit_grid(32)).table
+    table = normalization_audit(32).table
     assert benchmark(audit_rows_to_csv, table).count("\n") == 1 + len(table)
 
 

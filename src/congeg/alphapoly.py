@@ -17,8 +17,8 @@ products add grades, prefactors carrying a^(-n) lower it, and adding two
 nonzero polynomials of different grades is rejected.
 
 A value of the order, a float in (0, 1], is supplied only where a float is
-made: `values(xs, a)`, `evaluate(x, a)` and `p(x, a)`.  Fractional powers
-of negative arguments are evaluated under the signed-power convention
+made: `values(xs, a)` and `evaluate(x, a)`.  Fractional powers of negative
+arguments are evaluated under the signed-power convention
 
     x^a := sign(x) * |x|^a,
 
@@ -138,6 +138,15 @@ def _as_count(value: int, what: str) -> int:
     """Validate a count (a degree, length or index): a nonnegative int, not a bool."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ParameterError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _as_tolerance(value: float, what: str = "") -> float:
+    """Validate a relative tolerance: strictly between 0 and 1.  The error
+    names `what`; a caller that names the value itself passes none."""
+    # the chained comparison also rejects nan and inf
+    if not 0 < value < 1:
+        raise ParameterError(f"{what} must lie strictly between 0 and 1, got {value!r}".lstrip())
     return value
 
 
@@ -529,9 +538,6 @@ class AlphaPoly(_Record):
         """Value at one point x and order a; see `values`."""
         return self.values((x,), a)[0]
 
-    def __call__(self, x: float, a: float) -> float:
-        return self.evaluate(x, a)
-
     def coefficient_sum(self) -> Fraction:
         """Exact value at x = 1 (all basis monomials are 1 there)."""
         self._require_rational()
@@ -587,11 +593,12 @@ class AlphaPoly(_Record):
         return f"AlphaPoly({self})"
 
 
-def _sample_grid(lo: float, samples: int) -> list[float]:
+def _sample_grid(lo: float, samples: int, what: str = "--samples") -> list[float]:
     """Points for `AlphaPoly.values`: lo + i * step for i < samples - 1, then
-    exactly 1.0, which are linspace's floats."""
+    exactly 1.0, which are linspace's floats.  `what` names the count in the
+    error; the default is the CLI's flag."""
     if samples < 2:
-        raise ParameterError(f"--samples must be >= 2, got {samples}")
+        raise ParameterError(f"{what} must be >= 2, got {samples}")
     step = (1.0 - lo) / (samples - 1)
     return [lo + i * step for i in range(samples - 1)] + [1.0]
 

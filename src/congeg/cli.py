@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .alphapoly import (AccuracyError, DomainError, ParameterError, _as_count, _as_order,
-                        _sample_grid)
+                        _as_tolerance, _sample_grid)
 from .gegenbauer import GegenbauerSpec, from_series
 
 __all__ = ["main"]
@@ -144,13 +144,6 @@ def _json_typed(kinds: tuple, what: str,
     return coerce
 
 
-def _tolerance(value: float) -> float:
-    # the chained comparison also rejects nan and inf
-    if not 0 < value < 1:
-        raise ValueError(f"must lie strictly between 0 and 1, got {value!r}")
-    return value
-
-
 _COUNT = _json_typed((int, str), "an integer", int)
 _NUMBER = _json_typed((int, float), "a number", float)
 _FLAG = _json_typed((bool,), "true or false")
@@ -166,7 +159,7 @@ _COERCERS = {
     "alphas": _json_typed((list,), "a JSON array",
                           lambda v: tuple(_fraction(item) for item in v)),
     "x": _json_typed((list,), "a JSON array", lambda v: [_NUMBER(item) for item in v]),
-    "tol": lambda v: _tolerance(_NUMBER(v)),
+    "tol": lambda v: _as_tolerance(_NUMBER(v)),
     "suite": _STRING,
     "signed_domain": _FLAG,
     "json": _FLAG,
@@ -279,14 +272,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from .quadrature import audit_rows_to_csv, default_audit_grid, normalization_audit
+    from .quadrature import audit_rows_to_csv, normalization_audit
 
     _as_count(args.n_max, "--n-max")
-    try:
-        _tolerance(args.tol)
-    except ValueError as exc:
-        raise ParameterError(f"--tol {exc}") from None
-    report = normalization_audit(default_audit_grid(args.n_max), rel_tol=args.tol)
+    _as_tolerance(args.tol, "--tol")
+    report = normalization_audit(args.n_max, rel_tol=args.tol)
     csv_text = audit_rows_to_csv(report.table)
     if args.out is not None:
         Path(args.out).write_text(csv_text)

@@ -27,7 +27,7 @@ row at that weight and order reuses it.  `_moment_weighted` keeps W_n, C_n's
 coefficients weighted by the moments, per (n, p, q): every inner product of
 degree n reuses it, and the orthogonality proof reads it once per weight for
 every order, with no float at all.  `_audit_row` keeps each finished audit
-row per (degree, cell), and the row keeps its CSV line once formatted.
+row per (n, p, q, r, s), and the row keeps its CSV line once formatted.
 Nothing else is kept.  A `_moment_weighted` miss rebuilds the moments for
 its length in integers, about 20 us at degree 32, 40 us at 48 and 110 us at
 96 for weights 1 and 3 (2-core x86-64, Python 3.11), a fifth or less of the
@@ -42,10 +42,10 @@ import operator
 import sys
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .alphapoly import (AccuracyError, DomainError, RationalLike, _Record, _as_cases,
-                        _as_count, _as_order)
+                        _as_count, _as_order, _as_tolerance)
 from .gegenbauer import _check_weight, _series_coeffs
 from .report import VerificationReport
 
@@ -57,7 +57,6 @@ __all__ = [
     "classical_norm",
     "conformable_inner_product",
     "conformable_inner_product_direct",
-    "default_audit_grid",
     "normalization_audit",
     "normalization_closed_form",
     "normalization_gamma_product",
@@ -197,7 +196,7 @@ class _Cell:
     No gamma value is kept here: the formulas compute their degree-free
     gamma values and powers per call, so a pole raises a fresh DomainError on
     every use of the public formulas.  The audit keeps each finished row per
-    (degree, cell) in `_audit_row`, a pole as the NaN it records, and an
+    (n, p, q, r, s) in `_audit_row`, a pole as the NaN it records, and an
     overflow raises again on every audit that reaches its row."""
 
     def __init__(self, p: int, q: int, r: int, s: int):
@@ -442,21 +441,16 @@ class AuditRow(_Record):
             repr(self.rel_diff_quadrature_vs_derived)])
 
 
-def default_audit_grid(n_max: int = 6) -> list[tuple[int, Fraction, Fraction]]:
-    """Degrees 0..n_max for weights 1, 3 and orders 1/4, 1/2, 1."""
-    return [(n, lam, alpha) for lam in (Fraction(1), Fraction(3))
-            for alpha in (Fraction(1, 4), _HALF, Fraction(1)) for n in range(n_max + 1)]
-
-
 @lru_cache(maxsize=1024)
-def _audit_row(n: int, cell: _Cell) -> AuditRow:
-    """The audit row of a checked degree and cell, built once per pair (a
-    cell hashes by identity); 1024 rows hold `default_audit_grid(165)`.
-    A formula's pole is kept as NaN; an overflow is no row, so it raises
-    DomainError on every call."""
+def _audit_row(n: int, p: int, q: int, r: int, s: int) -> AuditRow:
+    """The audit row of a checked degree n, weight p/q and order r/s, both in
+    lowest terms, built once per key from their cell; 1024 rows hold the
+    996 of `normalization_audit(165)`.  A formula's pole is kept as NaN; an
+    overflow is no row, so it raises DomainError on every call."""
+    cell = _cells(p, q, r, s)
     try:
         quad = _inner_product(n, n, cell)
-        derived = _classical_norm(n, cell.p, cell.q) / cell.a
+        derived = _classical_norm(n, p, q) / cell.a
         closed = _or_nan(_closed_form, n, cell)
         product = _or_nan(_gamma_product, n, cell)
     except OverflowError:
@@ -467,48 +461,52 @@ def _audit_row(n: int, cell: _Cell) -> AuditRow:
 
 
 def normalization_audit(
-        grid: Optional[Iterable[tuple[int, RationalLike, RationalLike]]] = None,
+        n_max: int = 6,
+        lambdas: Sequence[RationalLike] = (Fraction(1), Fraction(3)),
+        alphas: Sequence[RationalLike] = (Fraction(1, 4), _HALF, Fraction(1)),
         rel_tol: float = 1e-6) -> VerificationReport:
-    """Tabulate, for each (n, weight, order): the exact diagonal, the
-    closed form, the pre-simplification product form, and the
+    """Tabulate, for each degree n <= n_max, weight and order: the exact
+    diagonal, the closed form, the pre-simplification product form, and the
     substitution-derived classical value / order.
 
-    Asserted: the diagonal agrees with the derived value within rel_tol.
+    Asserted: the diagonal agrees with the derived value within rel_tol,
+    which lies strictly between 0 and 1.
     Recorded: rows where either formula candidate deviates from the derived
     value (or hits a pole) are flagged in the notes, never asserted.
 
-    A triple's weight and order are checked, and their cell looked up, only
-    where either is not the previous triple's object, which saves a run of
-    rows at one pair a validation per row.  Each row checks its degree and
-    is then read from `_audit_row`, which computes a (degree, cell) row once
-    per process, its gamma values included, with a formula's pole as NaN; a
-    value that overflows a float (from degree 166) raises DomainError naming
-    the row on every audit.  The flags depend on rel_tol, so they are
-    judged here on every call: counted, with only the first one named.
+    Every weight, then every order, is checked first, as in
+    `orthogonality_check`; the rows then run weight by weight, order by
+    order, degree by degree.  Each row is read from `_audit_row`, which
+    computes a row once per process, its gamma values included, with a
+    formula's pole as NaN; a value that overflows a float (from degree 166)
+    raises DomainError naming the row on every audit.  The flags depend on
+    rel_tol, so they are judged here on every call: counted, with only the
+    first one named.
     """
-    rows: list[AuditRow] = []
+    _as_count(n_max, "n_max")
+    lambdas = tuple(map(_check_weight, _as_cases(lambdas, "weights")))
+    alphas = tuple(map(_as_order, _as_cases(alphas, "orders")))
+    _as_tolerance(rel_tol, "rel_tol")
+    rows = [_audit_row(n, p, q, r, s)
+            for p, q in map(Fraction.as_integer_ratio, lambdas)
+            for r, s in map(Fraction.as_integer_ratio, alphas)
+            for n in range(n_max + 1)]
     flagged = 0
     first_flag = anchor = witness = None
     worst = 0.0
-    cell = lam_seen = alpha_seen = None
-    for n, lam, alpha in _as_cases(default_audit_grid() if grid is None else grid,
-                                   "audit grid"):
-        if cell is None or lam is not lam_seen or alpha is not alpha_seen:
-            cell, lam_seen, alpha_seen = _cell(lam, alpha), lam, alpha
-        row = _audit_row(_as_count(n, "degree"), cell)
-        rows.append(row)
+    for row in rows:
         derived = row.derived
         if row.rel_diff_quadrature_vs_derived > worst:
             worst = row.rel_diff_quadrature_vs_derived
-            witness = (f"n={n}, weight={cell.lam}, order={cell.alpha}: quadrature "
+            witness = (f"n={row.n}, weight={row.lam}, order={row.alpha}: quadrature "
                        f"{row.quadrature!r} vs derived {derived!r}")
         for name, value in (("closed form", row.closed_form),
                             ("product form", row.gamma_product)):
             if math.isnan(value) or abs(value - derived) > rel_tol * abs(derived):
                 if not flagged:
-                    first_flag = f"n={n}, weight={cell.lam}, order={cell.alpha} ({name})"
+                    first_flag = f"n={row.n}, weight={row.lam}, order={row.alpha} ({name})"
                 flagged += 1
-        if anchor is None and n == 0 and cell.p == cell.q == 1 and cell.a == 1.0:
+        if anchor is None and row.n == 0 and row.lam == row.alpha == 1:
             anchor = row
     status = "numeric-pass" if worst <= rel_tol else "fail"
     summary = (f"{flagged} of {2 * len(rows)} formula comparisons flagged "

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import gegenbauer
 from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _Record, _as_cases,
-                        _as_count, _as_order, _sample_grid, gamma_quotient)
+                        _as_count, _as_order, _as_tolerance, _sample_grid, gamma_quotient)
 from .gegenbauer import (
     _MEMO_SIZE,
     GegenbauerSpec,
@@ -354,7 +354,7 @@ def _special_reference(p: int, q: int, n_max: int, samples: int) -> tuple:
     points by the float three-term recurrence the direct route uses (one
     recurrence per point), and the scale max(1, L1 norm of the classical
     coefficients)."""
-    xs = tuple(_sample_grid(-1.0, samples))
+    xs = tuple(_sample_grid(-1.0, samples, "samples"))
     columns = tuple(zip(*(_gegenbauer_values(n_max, p / q, x) for x in xs)))
     scales = tuple(max(1.0, sum(abs(float(c)) for c in _oracle_coeffs(n, p, q)))
                    for n in range(n_max + 1))
@@ -372,7 +372,8 @@ def check_special_cases(
 
     The numeric comparison is measured relative to the coefficient L1 norm
     (the natural evaluation scale; pointwise relative error is ill-defined
-    at interior roots).
+    at interior roots) and asserted within rel_tol, which lies strictly
+    between 0 and 1; it runs at samples >= 2 points.
 
     The oracles are kept per process: the classical and closed-form
     coefficients per degree (and weight), and the recurrence's columns
@@ -381,6 +382,8 @@ def check_special_cases(
     so a defect in a constructor or an evaluator fails a warm process
     too."""
     _as_count(n_max, "n_max")
+    _as_count(samples, "samples")
+    _as_tolerance(rel_tol, "rel_tol")
     grid = f"n <= {n_max}, order 1"
     series = gegenbauer._series_coeffs
 

@@ -339,17 +339,11 @@ class TestEvaluate:
         p = AlphaPoly.monomial(1, 6)
         assert p.evaluate(-0.5, HALF) == -p.evaluate(0.5, HALF)
 
-    def test_call_alias(self):
-        p = AlphaPoly.monomial(2, 3)
-        assert p(2.0, 1) == 12.0
-
     @pytest.mark.parametrize("order", [0, 1.5, math.nan, True])
     def test_refuses_orders_outside_the_range(self, order):
         for p in (AlphaPoly.monomial(2, 3), AlphaPoly.zero()):
             with pytest.raises(ParameterError, match="order must"):
                 p.evaluate(0.5, order)
-            with pytest.raises(ParameterError, match="order must"):
-                p(0.5, order)
 
     @given(orders, coeff_lists, st.floats(0.01, 1.0))
     def test_even_parity_is_exact(self, alpha, cs, x):

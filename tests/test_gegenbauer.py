@@ -14,7 +14,8 @@ from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_ke
                                ultraspherical_rodrigues)
 from congeg.quadrature import (AuditRow, QuadratureResult, _cell, classical_norm,
                                conformable_inner_product, conformable_inner_product_direct,
-                               normalization_closed_form, orthogonality_check)
+                               normalization_audit, normalization_closed_form,
+                               orthogonality_check)
 from congeg.report import VerificationReport
 from congeg.verify import (ParamGrid, audit_chebyshev_limit, check_derivative_ladder,
                            check_recurrences, check_special_cases,
@@ -377,6 +378,8 @@ COUNT_ENTRY_POINTS = {
     "check_derivative_ladder m_max": lambda k: check_derivative_ladder(m_max=k),
     "check_recurrences": lambda k: check_recurrences(n_max=k),
     "check_special_cases": lambda k: check_special_cases(n_max=k),
+    "check_special_cases samples": lambda k: check_special_cases(samples=k),
+    "normalization_audit n_max": lambda k: normalization_audit(n_max=k),
     "audit_chebyshev_limit n_max": lambda k: audit_chebyshev_limit(n_max=k),
     "audit_chebyshev_limit m_max": lambda k: audit_chebyshev_limit(m_max=k),
 }

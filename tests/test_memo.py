@@ -4,11 +4,11 @@ enter and stand as their integers in lowest terms.  Each construction route
 keeps its own finished polynomial per (n, p, q) and returns that object for
 every spec of that pair, whatever order it is then evaluated at; the inner
 products keep one cell per (p, q, r, s) and one moment-weighted vector per
-(n, p, q), the normalization audit one finished row per (n, cell), and the
-fixed-degree suites of `verify` their oracles: the first-kind members and
-closed forms per degree, the endpoint closed form per (n, p, q), and the
-generating-function rows and special-cases float columns per (p, q) and
-sweep bounds.  No memo hashes a Fraction."""
+(n, p, q), the normalization audit one finished row per (n, p, q, r, s),
+and the fixed-degree suites of `verify` their oracles: the first-kind
+members and closed forms per degree, the endpoint closed form per
+(n, p, q), and the generating-function rows and special-cases float
+columns per (p, q) and sweep bounds.  No memo hashes a Fraction."""
 import importlib
 import inspect
 import math
@@ -25,8 +25,8 @@ import congeg.verify as verify
 from congeg.cli import main
 from congeg.gegenbauer import (GegenbauerSpec, classical_oracle, from_recurrence,
                                from_rodrigues, from_series)
-from congeg.quadrature import (conformable_inner_product, default_audit_grid,
-                               normalization_audit, orthogonality_check)
+from congeg.quadrature import (conformable_inner_product, normalization_audit,
+                               orthogonality_check)
 from congeg.verify import (STANDARD_GRID, ParamGrid, check_constructor_agreement,
                            run_asserted_checks, run_recorded_audits)
 
@@ -176,7 +176,7 @@ def test_no_fraction_is_hashed_cold_or_warm(monkeypatch, capsys, fresh_memos):
     for _ in range(2):  # every memo cold, then warm
         assert all(r.passed for r in run_asserted_checks(ParamGrid(n_max=12)))
         assert len(run_recorded_audits()) == 5
-        assert normalization_audit(default_audit_grid(12)).passed
+        assert normalization_audit(12, (1, Fraction(5, 2), "3"), (Fraction(1, 4), 1.0)).passed
         assert orthogonality_check(12, (1, Fraction(5, 2), "3"), (Fraction(1, 4), 1.0)).passed
         assert conformable_inner_product(4, 4, Fraction(5, 2), Fraction(1, 2)).value > 0
         assert main(["eval", "--n", "5", "--lambda", "5/2", "--alpha", "1/2",

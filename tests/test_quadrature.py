@@ -11,8 +11,7 @@ from congeg.alphapoly import AlphaPoly, DomainError, ParameterError
 from congeg.gegenbauer import classical_oracle
 from congeg.quadrature import (AccuracyError, AuditRow, QuadratureResult, audit_rows_to_csv,
                                classical_norm, conformable_inner_product,
-                               conformable_inner_product_direct,
-                               default_audit_grid, normalization_audit,
+                               conformable_inner_product_direct, normalization_audit,
                                normalization_closed_form,
                                normalization_gamma_product, orthogonality_check)
 
@@ -368,18 +367,26 @@ def report():
     return normalization_audit()
 
 
+def _default_triples(n_max):
+    """The default audit's (n, weight, order) rows in their order: weight,
+    then order, then degree, for weights 1, 3 and orders 1/4, 1/2, 1."""
+    return [(n, lam, alpha) for lam in (ONE, Fraction(3)) for alpha in (QUARTER, HALF, ONE)
+            for n in range(n_max + 1)]
+
+
 class TestAudit:
     def test_quadrature_vs_derived_passes(self, report):
         assert report.status == "numeric-pass"
         assert report.max_residual is not None and report.max_residual <= 1e-6
 
     def test_high_degree_grid_passes(self):
-        rep = normalization_audit(default_audit_grid(32))
+        rep = normalization_audit(32)
         assert len(rep.table) == 6 * 33
         assert rep.status == "numeric-pass"
 
     def test_grid_shape(self, report):
-        assert len(report.table) == len(default_audit_grid()) == 42
+        assert [(r.n, r.lam, r.alpha) for r in report.table] == _default_triples(6)
+        assert len(report.table) == 42
 
     def test_pole_rows_are_nan(self, report):
         nan_rows = [r for r in report.table if math.isnan(r.closed_form)]
@@ -390,7 +397,7 @@ class TestAudit:
     def test_only_the_pole_rows_are_nan_to_degree_165(self):
         # each degree-dependent gamma is divided by its partner before the
         # product, so the formulas overflow nowhere below degree 166
-        for r in normalization_audit(default_audit_grid(165)).table:
+        for r in normalization_audit(165).table:
             pole = r.alpha == HALF
             assert math.isnan(r.closed_form) == math.isnan(r.gamma_product) == pole, r
 
@@ -413,15 +420,31 @@ class TestAudit:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "1" and first[2] == "1/4"
 
-    def test_custom_grid(self):
-        rep = normalization_audit([(0, ONE, ONE), (1, Fraction(3), HALF)])
-        assert len(rep.table) == 2
-        assert rep.status == "numeric-pass"
+    def test_cases_are_checked_before_any_row(self, monkeypatch):
+        # an empty grid once reported numeric-pass over 0 diagonal entries;
+        # every weight is checked before any order, both before any row
+        def no_row(*args):
+            raise AssertionError("audit row built before the cases were checked")
 
-    def test_empty_grid(self):
-        # it once reported numeric-pass over 0 diagonal entries
-        with pytest.raises(ParameterError, match="audit grid must not be empty"):
-            normalization_audit([])
+        monkeypatch.setattr(quadrature, "_audit_row", no_row)
+        with pytest.raises(ParameterError, match="weights must not be empty"):
+            normalization_audit(2, (), ())
+        with pytest.raises(ParameterError, match="orders must not be empty"):
+            normalization_audit(2, (ONE,), ())
+        with pytest.raises(ParameterError, match="weight parameter must be positive"):
+            normalization_audit(2, (ONE, -1), (HALF, 2))
+        with pytest.raises(ParameterError, match="order must lie in"):
+            normalization_audit(2, (ONE, 3), (HALF, 2))
+        with pytest.raises(ParameterError, match="n_max must be a nonnegative integer"):
+            normalization_audit(-1, (-1,), (2,))
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, 1.0, 2.0, -1e-6])
+    def test_tolerance_outside_unit_interval_is_refused(self, rel_tol):
+        # a NaN tolerance once failed the audit and flagged only the NaN rows;
+        # 2.0 passed it
+        with pytest.raises(ParameterError,
+                           match="rel_tol must lie strictly between 0 and 1"):
+            normalization_audit(rel_tol=rel_tol)
 
 
 AUDIT_WEIGHTS = (HALF, ONE, Fraction(5, 2), Fraction(3), Fraction(2, 7), Fraction(343, 11))
@@ -454,7 +477,7 @@ class TestAuditAgainstPublicFormulas:
     def test_rows_match_float_for_float(self):
         grid = [(n, lam, alpha) for lam in AUDIT_WEIGHTS for alpha in AUDIT_ORDERS
                 for n in range(31)]
-        table = normalization_audit(grid).table
+        table = normalization_audit(30, AUDIT_WEIGHTS, AUDIT_ORDERS).table
         assert len(table) == len(grid)
         poles = 0
         for row, (n, lam, alpha) in zip(table, grid):
@@ -466,12 +489,11 @@ class TestAuditAgainstPublicFormulas:
 
     @pytest.mark.parametrize("k", [0, 6, 32])
     def test_csv_matches_public_formulas(self, k):
-        grid = default_audit_grid(k)
         want = "".join(
             f"{r.n},{r.lam},{r.alpha},{r.quadrature!r},{r.closed_form!r},"
             f"{r.gamma_product!r},{r.derived!r},{r.rel_diff_quadrature_vs_derived!r}\n"
-            for r in (_row_from_public_formulas(*t) for t in grid))
-        assert audit_rows_to_csv(normalization_audit(grid).table) == CSV_HEADER + "\n" + want
+            for r in (_row_from_public_formulas(*t) for t in _default_triples(k)))
+        assert audit_rows_to_csv(normalization_audit(k).table) == CSV_HEADER + "\n" + want
 
 
 def _clear_memos():
@@ -493,18 +515,19 @@ def _flag_count(report):
 
 def _pole_grid(n_max):
     """The weights-by-orders grid, which reaches the formulas' gamma poles."""
-    return [(n, lam, alpha) for lam in AUDIT_WEIGHTS for alpha in AUDIT_ORDERS
-            for n in range(n_max + 1)]
+    return n_max, AUDIT_WEIGHTS, AUDIT_ORDERS
 
 
+# each an audit's (n_max, weights, orders)
 WARM_COLD_GRIDS = {
-    **{f"default-{k}": default_audit_grid(k) for k in (0, 6, 32, 40)},
+    **{f"default-{k}": (k,) for k in (0, 6, 32, 40)},
     # 1008 rows fit the row memo; 1116 do not, so its LRU evicts every row
     # before the next audit asks for it again
     **{f"weights-by-orders-{k}": _pole_grid(k) for k in (27, 30)},
-    # the same triple twice, and the same pair again as other objects and types
-    "repeated": [(3, ONE, HALF), (0, ONE, ONE), (3, ONE, HALF), (3, Fraction(1), Fraction(1, 2)),
-                 (0, 1, 1), (0, Fraction(3), HALF)],
+    # one weight written three ways, each at two orders, one of them a pole;
+    # at weight 1, degree 4 is the first whose diagonal differs from the
+    # derived value in its last bits
+    "repeated": (4, (1, "1", Fraction(2, 2)), (HALF, 1.0)),
 }
 
 
@@ -514,34 +537,36 @@ class TestAuditMemo:
     def test_warm_audit_equals_cold(self, name, rel_tol):
         grid = WARM_COLD_GRIDS[name]
         _clear_memos()
-        cold = normalization_audit(grid, rel_tol=rel_tol)
+        cold = normalization_audit(*grid, rel_tol=rel_tol)
         info = quadrature._audit_row.cache_info()
-        warm = normalization_audit(grid, rel_tol=rel_tol)
-        if len(grid) <= info.maxsize:
-            assert quadrature._audit_row.cache_info().hits - info.hits == len(grid)
+        warm = normalization_audit(*grid, rel_tol=rel_tol)
+        if len(cold.table) <= info.maxsize:
+            assert quadrature._audit_row.cache_info().hits - info.hits == len(cold.table)
         assert _audit_output(warm) == _audit_output(cold)
         assert (warm.status == "fail") == (rel_tol < 1e-20) == (warm.witness is not None)
 
     def test_repeated_triple_reuses_its_row(self):
-        table = normalization_audit(WARM_COLD_GRIDS["repeated"]).table
-        assert table[0] is table[2] is table[3]
+        table = normalization_audit(*WARM_COLD_GRIDS["repeated"]).table
+        assert len(table) == 3 * 2 * 5
+        for k in range(10):
+            assert table[k] is table[k + 10] is table[k + 20]
 
     def test_one_memo_serves_every_tolerance(self):
         grid = _pole_grid(27)
-        normalization_audit(grid)
+        rows = len(normalization_audit(*grid).table)
         hits = quadrature._audit_row.cache_info().hits
-        warm = {tol: normalization_audit(grid, rel_tol=tol) for tol in (1e-6, 1e-2)}
-        assert quadrature._audit_row.cache_info().hits - hits == 2 * len(grid)
+        warm = {tol: normalization_audit(*grid, rel_tol=tol) for tol in (1e-6, 1e-2)}
+        assert quadrature._audit_row.cache_info().hits - hits == 2 * rows
         for tol, report in warm.items():
             _clear_memos()
-            assert _audit_output(report) == _audit_output(normalization_audit(grid, rel_tol=tol))
+            assert _audit_output(report) == _audit_output(normalization_audit(*grid, rel_tol=tol))
         assert _flag_count(warm[1e-6]) > _flag_count(warm[1e-2])
 
     def test_overflow_raises_on_every_audit(self):
         for _ in range(2):
             with pytest.raises(DomainError, match="n=166, weight=3, order=1/4: the "
                                "normalization values overflow a float"):
-                normalization_audit(default_audit_grid(166))
+                normalization_audit(166)
 
     def test_user_row_formats_its_fields(self):
         row = AuditRow(2, Fraction(5, 2), QUARTER, 1.5, math.nan, -0.1, 1.5, 0.0)
@@ -551,14 +576,14 @@ class TestAuditMemo:
 def test_repeated_audits_leave_no_garbage():
     # a pole row raises DomainError on every audit; nothing of it may stay
     # behind, as a traceback held by a cached object would
-    grid = [(n, lam, HALF) for lam in (ONE, Fraction(3)) for n in range(8)]
-    assert math.isnan(normalization_audit(grid).table[0].closed_form)
+    grid = (7, (ONE, Fraction(3)), (HALF,))
+    assert math.isnan(normalization_audit(*grid).table[0].closed_form)
     gc.collect()
     gc.disable()
     try:
         before = len(gc.get_objects())
         for _ in range(200):
-            normalization_audit(grid)
+            normalization_audit(*grid)
         after = len(gc.get_objects())
     finally:
         gc.enable()

@@ -517,6 +517,19 @@ class TestSpecialCasesAgainstRecurrence:
         assert rep.witness.startswith("order-1 evaluation n=")
         assert rep.max_residual > 1e-12
 
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_too_few_samples_name_the_argument(self, samples):
+        # the error once named the CLI's flag, --samples
+        with pytest.raises(ParameterError, match=rf"^samples must be >= 2, got {samples}$"):
+            check_special_cases(samples=samples)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, 1.0, -1e-12])
+    def test_tolerance_outside_unit_interval_is_refused(self, rel_tol):
+        # a NaN tolerance once passed whatever the residual, as 1.0 did
+        with pytest.raises(ParameterError,
+                           match="^rel_tol must lie strictly between 0 and 1"):
+            check_special_cases(rel_tol=rel_tol)
+
 
 def _clear_every_memo():
     for module in (gegenbauer, quadrature, verify):
