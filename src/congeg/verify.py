@@ -386,6 +386,9 @@ def check_special_cases(
     _as_tolerance(rel_tol, "rel_tol")
     grid = f"n <= {n_max}, order 1"
     series = gegenbauer._series_coeffs
+    # the float oracles first: building them refuses fewer than 2 samples
+    references = [(p, q, _special_reference(p, q, n_max, samples))
+                  for p, q in ((1, 2), (1, 1), (3, 1))]
 
     def reductions() -> Iterator[tuple]:
         for n in range(n_max + 1):
@@ -399,8 +402,7 @@ def check_special_cases(
     if not (exact := _exact_report("special-cases", grid, reductions())).passed:
         return exact
     worst = 0.0
-    for p, q in ((1, 2), (1, 1), (3, 1)):
-        xs, columns, scales = _special_reference(p, q, n_max, samples)
+    for p, q, (xs, columns, scales) in references:
         for n, (column, scale) in enumerate(zip(columns, scales)):
             error = max(map(abs, map(operator.sub, series(n, p, q).values(xs, 1.0), column)))
             worst = max(worst, error / scale)

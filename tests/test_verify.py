@@ -518,8 +518,13 @@ class TestSpecialCasesAgainstRecurrence:
         assert rep.max_residual > 1e-12
 
     @pytest.mark.parametrize("samples", [1, 0])
-    def test_too_few_samples_name_the_argument(self, samples):
-        # the error once named the CLI's flag, --samples
+    def test_too_few_samples_name_the_argument(self, monkeypatch, samples):
+        # the error once named the CLI's flag, --samples; it comes before
+        # the exact reductions run
+        def no_work(*args, **kwargs):
+            raise AssertionError("exact reductions run before the sample count was checked")
+
+        monkeypatch.setattr(verify, "_exact_report", no_work)
         with pytest.raises(ParameterError, match=rf"^samples must be >= 2, got {samples}$"):
             check_special_cases(samples=samples)
 
