@@ -53,6 +53,14 @@ of two evaluators once, from its exact coefficients c_k = nums[k] / den
 Either evaluator raises AccuracyError when a coefficient it rounds, or the
 bound or scale it sums, lies past the float range.
 
+`_float_values` is the one evaluation loop.  `AlphaPoly.values` feeds it
+the polynomial's own choice, converting to Chebyshev form in O(n^2)
+integer steps.  `gegenbauer._member_form` feeds it a Gegenbauer member's
+choice, the same floats bit for bit, from the closed-form Chebyshev
+coefficients of DLMF 18.5.11, with no conversion and, past Horner's
+range, no series; it is memoized per (n, p, q) for lam = p/q.  `eval`,
+`plot-data` and the special-cases suite evaluate members that way.
+
 The rational coefficients are stored as integer numerators over one
 common positive denominator, so arithmetic runs on Python integers: a sum
 works over the lcm of the two denominators, a product is an integer
@@ -72,10 +80,11 @@ valid, the numerators integers and the denominator a positive integer.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
     "AccuracyError",
@@ -142,8 +151,11 @@ def _as_count(value: int, what: str) -> int:
 
 
 def _as_tolerance(value: float, what: str = "") -> float:
-    """Validate a relative tolerance: strictly between 0 and 1.  The error
-    names `what`; a caller that names the value itself passes none."""
+    """Validate a relative tolerance: a real number, not a bool, strictly
+    between 0 and 1.  The error names `what`; a caller that names the value
+    itself passes none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a real number, got {value!r}".lstrip())
     # the chained comparison also rejects nan and inf
     if not 0 < value < 1:
         raise ParameterError(f"{what} must lie strictly between 0 and 1, got {value!r}".lstrip())
@@ -184,19 +196,27 @@ def _chebyshev_numerators(nums: tuple[int, ...]) -> list[int]:
 
 
 def _chebyshev_form(nums: tuple[int, ...], den: int) -> tuple[tuple, float, float]:
-    """(parts, bound, scale) for the Chebyshev evaluator of
-    sum_k (nums[k] / den) u^k, a nonzero polynomial of degree n.
+    """`_clenshaw_form` of sum_k (nums[k] / den) u^k, a nonzero polynomial
+    of degree n.
 
     u^k = 2^(1-k) sum_i C(k, i) T_(k-2i), with the T_0 term halved, so
     over the shared denominator den * 2^n every Chebyshev coefficient
     b_j is an integer B_j, found by `_chebyshev_numerators` in one pass
-    over the nonzero numerators and then rounded once.  Each binomial is
-    carried exactly from the previous one, C(k, i+1) = C(k, i) (k - i) /
-    (i + 1), an exact integer division of the running weight, so the
-    pass makes no binomial call.  `parts` splits them by parity, each
-    part (odd, coeffs) holding c_k = b_(2k+odd) highest k first, as the
-    Clenshaw sum takes them; a Gegenbauer member has one part.
-    `scale` is max(1, |p(1)|).
+    over the nonzero numerators.  Each binomial is carried exactly from
+    the previous one, C(k, i+1) = C(k, i) (k - i) / (i + 1), an exact
+    integer division of the running weight, so the pass makes no binomial
+    call.  A Gegenbauer member has its B_j in closed form instead (see
+    `gegenbauer._member_form`)."""
+    return _clenshaw_form(_chebyshev_numerators(nums), den << (len(nums) - 1))
+
+
+def _clenshaw_form(big: list[int], shared: int) -> tuple[tuple, float, float]:
+    """(parts, bound, scale) for the Chebyshev evaluator of
+    sum_j (big[j] / shared) T_j(u), of degree n = len(big) - 1: each
+    b_j = big[j] / shared is rounded once.  `parts` splits them by
+    parity, each part (odd, coeffs) holding c_k = b_(2k+odd) highest k
+    first, as the Clenshaw sum takes them; a Gegenbauer member has one
+    part.  `scale` is max(1, |p(1)|), p(1) = sum b_j.
 
     With w = 2u^2 - 1, phi_k = T_2k(u) = T_k(w) and phi_k = T_(2k+1)(u)
     both follow phi_(k+1) = 2w phi_k - phi_(k-1), from phi_0 = 1,
@@ -225,9 +245,6 @@ def _chebyshev_form(nums: tuple[int, ...], den: int) -> tuple[tuple, float, floa
       eps (|y_1| + |S|) <= eps sum (j+1) |c_j|, fl(u fl(y_0 - y_1)) by
       2 eps |S| <= 2 eps sum |c_j|: at most j + 2;
     - adding the two parity parts: 1."""
-    n = len(nums) - 1
-    big = _chebyshev_numerators(nums)
-    shared = den << n
     parts = []
     for odd in (0, 1):
         part = big[odd::2]
@@ -235,9 +252,79 @@ def _chebyshev_form(nums: tuple[int, ...], den: int) -> tuple[tuple, float, floa
             part.pop()
         if part:
             parts.append((odd, tuple(v / shared for v in reversed(part))))
-    m = n // 2
+    m = (len(big) - 1) // 2
     bound = (5.5 * m * m + 7.5 * m + 6) * 2.0 ** -53 * (sum(map(abs, big)) / shared)
-    return tuple(parts), bound, max(1.0, abs(sum(nums)) / den)
+    return tuple(parts), bound, max(1.0, abs(sum(big)) / shared)
+
+
+def _fits_horner(n: int, l1: int, den: int, total: int) -> bool:
+    """Whether float Horner's bound holds (see the module docstring) for a
+    polynomial of degree n with sum |c_k| = l1 / den and p(1) = total / den:
+    the bound multiplied out over den * (2^53 - m) * 10^12, m = 2n + 1."""
+    m = 2 * n + 1
+    return m * l1 * 10 ** 12 <= ((1 << 53) - m) * max(den, abs(total))
+
+
+def _float_values(xs: Iterable[float], a: float, degree: int, grade: int,
+                  form: Callable[[], tuple]) -> list[float]:
+    """Values at the points xs and order a, under the signed-power
+    convention, of a polynomial of the given degree (-1 for zero) and grade,
+    by the evaluator `form()` returns: (None, its Horner coefficients,
+    highest first) or (its `_clenshaw_form`, ()).  The order is checked
+    once, u = x^a is built once per point before `form` is called, and
+    the values are multiplied by a**grade when the grade is nonzero."""
+    if type(a) is not float:  # a float order, as the CLI passes, is kept
+        if isinstance(a, bool):
+            raise ParameterError(f"order must be a real number, got {a!r}")
+        try:
+            a = float(a)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"order must be a real number, got {a!r}") from exc
+    # the chained comparison also rejects nan
+    if not 0 < a <= 1:
+        raise ParameterError(f"order must lie in (0, 1], got {a!r}")
+    if degree < 0:
+        return [0.0 for _ in xs]
+    # at order 1, x^a is x itself, -0.0 included
+    us = (list(map(float, xs)) if a == 1.0
+          else [math.copysign(abs(x) ** a, x) for x in map(float, xs)])
+    try:
+        chebyshev, horner = form()
+    except OverflowError:
+        raise AccuracyError(f"a float coefficient of this degree-{degree} "
+                            "polynomial lies past the float range") from None
+    if chebyshev is None:
+        out = []
+        for u in us:
+            acc = 0.0
+            for c in horner:
+                acc = acc * u + c
+            out.append(acc)
+    else:
+        parts, bound, scale = chebyshev
+        if bound > 1e-10 * scale:
+            raise AccuracyError(
+                f"Chebyshev evaluation bound {bound:.3g} exceeds 1e-10 of the "
+                f"scale {scale:.6g} at degree {degree}")
+        for u in us:
+            if not -1.0 <= u <= 1.0:
+                raise ParameterError(
+                    f"x^a = {u!r} lies outside [-1, 1], where the Chebyshev "
+                    "evaluator's bound holds")
+        out = None
+        for odd, coeffs in parts:
+            sums = []
+            for u in us:
+                w2 = 4.0 * u * u - 2.0
+                y1 = y2 = 0.0
+                for c in coeffs:
+                    y1, y2 = c + w2 * y1 - y2, y1
+                sums.append(u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2)
+            out = sums if out is None else [v + w for v, w in zip(out, sums)]
+    if grade:
+        factor = a ** grade
+        out = [v * factor for v in out]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,73 +553,25 @@ class AlphaPoly(_Record):
 
     @cached_property
     def _chebyshev(self) -> Optional[tuple[tuple, float, float]]:
-        """None when float Horner's bound holds (see the module docstring),
-        otherwise `_chebyshev_form` of the coefficients.  The test is that
-        bound multiplied out over den * (2^53 - m) * 10^12, m = 2n + 1."""
+        """None when float Horner's bound holds (`_fits_horner`), otherwise
+        `_chebyshev_form` of the coefficients."""
         nums, den = self.nums, self.den
-        m = 2 * len(nums) - 1
-        if m * sum(map(abs, nums)) * 10 ** 12 <= ((1 << 53) - m) * max(den, abs(sum(nums))):
+        if _fits_horner(len(nums) - 1, sum(map(abs, nums)), den, sum(nums)):
             return None
         return _chebyshev_form(nums, den)
+
+    def _float_form(self) -> tuple:
+        """The evaluator for `_float_values`: (`_chebyshev`, ()) or
+        (None, `_horner`)."""
+        chebyshev = self._chebyshev
+        return chebyshev, (self._horner if chebyshev is None else ())
 
     def values(self, xs: Iterable[float], a: float) -> list[float]:
         """Values at the points xs and order a under the signed-power
         convention, by the evaluator this polynomial chose (see the module
-        docstring), times a**grade when the grade is nonzero.  The order is
-        checked once and u = x^a is built once per point."""
-        if type(a) is not float:  # a float order, as the CLI passes, is kept
-            if isinstance(a, bool):
-                raise ParameterError(f"order must be a real number, got {a!r}")
-            try:
-                a = float(a)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParameterError(f"order must be a real number, got {a!r}") from exc
-        # the chained comparison also rejects nan
-        if not 0 < a <= 1:
-            raise ParameterError(f"order must lie in (0, 1], got {a!r}")
-        if not self.nums:
-            return [0.0 for _ in xs]
-        # at order 1, x^a is x itself, -0.0 included
-        us = (list(map(float, xs)) if a == 1.0
-              else [math.copysign(abs(x) ** a, x) for x in map(float, xs)])
-        try:
-            chebyshev = self._chebyshev
-            horner = self._horner if chebyshev is None else ()
-        except OverflowError:
-            raise AccuracyError(f"a float coefficient of this degree-{self.degree} "
-                                "polynomial lies past the float range") from None
-        if chebyshev is None:
-            out = []
-            for u in us:
-                acc = 0.0
-                for c in horner:
-                    acc = acc * u + c
-                out.append(acc)
-        else:
-            parts, bound, scale = chebyshev
-            if bound > 1e-10 * scale:
-                raise AccuracyError(
-                    f"Chebyshev evaluation bound {bound:.3g} exceeds 1e-10 of the "
-                    f"scale {scale:.6g} at degree {self.degree}")
-            for u in us:
-                if not -1.0 <= u <= 1.0:
-                    raise ParameterError(
-                        f"x^a = {u!r} lies outside [-1, 1], where the Chebyshev "
-                        "evaluator's bound holds")
-            out = None
-            for odd, coeffs in parts:
-                sums = []
-                for u in us:
-                    w2 = 4.0 * u * u - 2.0
-                    y1 = y2 = 0.0
-                    for c in coeffs:
-                        y1, y2 = c + w2 * y1 - y2, y1
-                    sums.append(u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2)
-                out = sums if out is None else [v + w for v, w in zip(out, sums)]
-        if self.grade:
-            factor = a ** self.grade
-            out = [v * factor for v in out]
-        return out
+        docstring), times a**grade when the grade is nonzero; see
+        `_float_values`."""
+        return _float_values(xs, a, self.degree, self.grade, self._float_form)
 
     def evaluate(self, x: float, a: float) -> float:
         """Value at one point x and order a; see `values`."""

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 from .alphapoly import (AccuracyError, DomainError, ParameterError, _as_count, _as_order,
                         _as_tolerance, _sample_grid)
-from .gegenbauer import GegenbauerSpec, from_series
+from .gegenbauer import GegenbauerSpec, _member_values, from_series
 
 __all__ = ["main"]
 
@@ -65,7 +65,8 @@ def _out_path(text: str) -> str:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and then shared: each parse fills a
-    fresh Namespace, so no option carries over from one call to the next."""
+    fresh Namespace, so no option carries over from one call to the next.
+    Its `commands` maps each command's name to that command's parser."""
     from .report import SUITE_NAMES
 
     parser = argparse.ArgumentParser(
@@ -130,6 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the CSV here instead of stdout")
     common(a)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -226,7 +228,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     spec = GegenbauerSpec(args.n, args.lam)
     a = _float_order(args.alpha)
     label = f",{a!r},"
-    rows = [f"{x!r}{label}{v!r}" for x, v in zip(args.x, from_series(spec).values(args.x, a))]
+    values = _member_values(spec.n, *spec.lam.as_integer_ratio(), args.x, a)
+    rows = [f"{x!r}{label}{v!r}" for x, v in zip(args.x, values)]
     sys.stdout.write("\n".join(["x,alpha,value"] + rows) + "\n")
     return 0
 
@@ -239,13 +242,13 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     # checked in sorted order, so the first error is the smallest order's;
     # two orders that round to one float are one curve
     alphas = dict.fromkeys(_float_order(alpha) for alpha in sorted(args.alphas))
-    poly = from_series(spec)
+    p, q = spec.lam.as_integer_ratio()
     xtexts = [f"{x!r}," for x in xs]
     lines = ["x,alpha,value"]
     for a in alphas:
         label = f"{a!r},"
         lines.extend([f"{xtext}{label}{v!r}"
-                      for xtext, v in zip(xtexts, poly.values(xs, a))])
+                      for xtext, v in zip(xtexts, _member_values(spec.n, p, q, xs, a))])
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)
@@ -298,7 +301,16 @@ _DISPATCH = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # what the top-level parse does for a command, with one scan of argv
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         _apply_config(args)
         return _DISPATCH[args.command](args)

@@ -19,7 +19,8 @@ process by (n, p, q), for lam = p/q in lowest terms, in its own bounded
 cache; the public function passes the checked weight's integers and returns
 the memo's immutable object as it is.  No route reads another's memo, so a
 sweep builds each member once per route and still compares three
-independent results.
+independent results.  A member's float evaluator is memoized the same way,
+by `_member_form`, from the closed form of its Chebyshev coefficients.
 
 Special cases: weight 1/2 gives the Legendre family, weight 1 the Chebyshev
 second-kind family, and the first-kind family (the weight -> 0 limit) is
@@ -39,6 +40,9 @@ from .alphapoly import (
     _Record,
     _as_count,
     _as_fraction,
+    _clenshaw_form,
+    _fits_horner,
+    _float_values,
     gamma_quotient,
 )
 
@@ -138,6 +142,46 @@ def from_series(spec: GegenbauerSpec) -> AlphaPoly:
     """Explicit series: coefficient of x^((n-2s)*a) is
     (-1)^s (lam)_(n-s) 2^(n-2s) / (s! (n-2s)!)."""
     return _series_coeffs(spec.n, *spec.lam.as_integer_ratio())
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _member_form(n: int, p: int, q: int) -> tuple:
+    """The float evaluator of C_n at lam = p/q, as `AlphaPoly._float_form`
+    gives it for `from_series`, bit for bit, without the O(n^2) Chebyshev
+    conversion and, past Horner's range, without the series.
+
+    Its Chebyshev coefficients are b_(n-2k) = (2 - [n = 2k]) (lam)_k
+    (lam)_(n-k) / (k! (n-k)!) for k <= n/2 (DLMF 18.5.11).  Over
+    D = q^n n! they are the integers (2 - [n = 2k]) B_k, from
+    B_0 = prod_(i<n) (p + q i) by the exact ratio
+    B_(k+1) = B_k (p + qk)(n - k) / ((k + 1)(p + q(n - k - 1))), and
+    `_clenshaw_form` rounds each once.  Horner is decided as `_chebyshev`
+    decides it: when the leading coefficient 2^n B_0 / D alone fails
+    Horner's test, so does sum |c_k|; otherwise the series is built and
+    tested exactly."""
+    num = 1
+    for i in range(n):
+        num *= p + q * i
+    lead = num << n
+    den = q ** n * math.factorial(n)
+    big = [0] * (n + 1)
+    for k in range(n // 2):
+        big[n - 2 * k] = 2 * num
+        # up to B_(n//2) only: past it, the divisor of lam = 1 reaches 0
+        num = num * (p + q * k) * (n - k) // ((k + 1) * (p + q * (n - k - 1)))
+    big[n % 2] = num << (n % 2)
+    total = sum(big)
+    if _fits_horner(n, lead, den, total):
+        poly = _series_coeffs(n, p, q)
+        if _fits_horner(n, sum(map(abs, poly.nums)), poly.den, sum(poly.nums)):
+            return None, poly._horner
+    return _clenshaw_form(big, den), ()
+
+
+def _member_values(n: int, p: int, q: int, xs, a: float) -> list[float]:
+    """`from_series(GegenbauerSpec(n, p/q)).values(xs, a)`, the same floats
+    and errors, through `_member_form`."""
+    return _float_values(xs, a, n, 0, lambda: _member_form(n, p, q))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -366,8 +366,9 @@ def check_special_cases(
     """Weight 1/2 matches Legendre, weight 1 matches second-kind Chebyshev,
     the first-kind coefficients match their closed form (all exact, checked
     once per degree, since exact values carry no order), and at order 1
-    `values` (Horner on the coefficients, or their Chebyshev sum past
-    Horner's bound) matches the float three-term recurrence the direct
+    the members' float values, as `eval` and `plot-data` take them (Horner
+    on the series coefficients, or the closed-form Chebyshev sum past
+    Horner's bound), match the float three-term recurrence the direct
     route uses, an independent evaluation.
 
     The numeric comparison is measured relative to the coefficient L1 norm
@@ -378,14 +379,15 @@ def check_special_cases(
     The oracles are kept per process: the classical and closed-form
     coefficients per degree (and weight), and the recurrence's columns
     with their scales per (weight, n_max, samples).  The members, their
-    `values` at the sample points and every comparison run on each call,
+    values at the sample points and every comparison run on each call,
     so a defect in a constructor or an evaluator fails a warm process
-    too."""
+    too; the members' float forms are kept per (n, p, q), as `eval` keeps
+    them."""
     _as_count(n_max, "n_max")
     _as_count(samples, "samples")
     _as_tolerance(rel_tol, "rel_tol")
     grid = f"n <= {n_max}, order 1"
-    series = gegenbauer._series_coeffs
+    series, member_values = gegenbauer._series_coeffs, gegenbauer._member_values
     # the float oracles first: building them refuses fewer than 2 samples
     references = [(p, q, _special_reference(p, q, n_max, samples))
                   for p, q in ((1, 2), (1, 1), (3, 1))]
@@ -404,7 +406,7 @@ def check_special_cases(
     worst = 0.0
     for p, q, (xs, columns, scales) in references:
         for n, (column, scale) in enumerate(zip(columns, scales)):
-            error = max(map(abs, map(operator.sub, series(n, p, q).values(xs, 1.0), column)))
+            error = max(map(abs, map(operator.sub, member_values(n, p, q, xs, 1.0), column)))
             worst = max(worst, error / scale)
             if worst > rel_tol:
                 return VerificationReport(

@@ -2,8 +2,9 @@
 integers: a weight lam = p/q and an order a = r/s are checked where they
 enter and stand as their integers in lowest terms.  Each construction route
 keeps its own finished polynomial per (n, p, q) and returns that object for
-every spec of that pair, whatever order it is then evaluated at; the inner
-products keep one cell per (p, q, r, s) and one moment-weighted vector per
+every spec of that pair, whatever order it is then evaluated at, and the
+float form of each member per (n, p, q) serves every order it is evaluated
+at; the inner products keep one cell per (p, q, r, s) and one moment-weighted vector per
 (n, p, q), the normalization audit one finished row per (n, p, q, r, s),
 and the fixed-degree suites of `verify` their oracles: the first-kind
 members and closed forms per degree, the endpoint closed form per
@@ -37,7 +38,8 @@ ROUTES = {"series": (from_series, "_series_coeffs"),
 # order, rather than by degree: a run asks each for a few entries
 SWEEP_MEMOS = [verify._generating_rows, verify._special_reference, quadrature._cells]
 MEMOS = [getattr(gegenbauer, name) for _, name in ROUTES.values()] + [
-    gegenbauer._oracle_coeffs, gegenbauer._chebyshev_t_coeffs, quadrature._moment_weighted,
+    gegenbauer._member_form, gegenbauer._oracle_coeffs, gegenbauer._chebyshev_t_coeffs,
+    quadrature._moment_weighted,
     quadrature._audit_row, verify._endpoint_value, verify._chebyshev_t_closed, *SWEEP_MEMOS]
 
 

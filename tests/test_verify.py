@@ -509,9 +509,9 @@ class TestSpecialCasesAgainstRecurrence:
         assert 0.0 < rep.max_residual <= 1e-12
 
     def test_skewed_evaluation_fails(self, monkeypatch):
-        values = AlphaPoly.values
-        monkeypatch.setattr(AlphaPoly, "values",
-                            lambda self, xs, a: [v + 1e-9 for v in values(self, xs, a)])
+        values = gegenbauer._member_values
+        monkeypatch.setattr(gegenbauer, "_member_values",
+                            lambda n, p, q, xs, a: [v + 1e-9 for v in values(n, p, q, xs, a)])
         rep = check_special_cases()
         assert rep.status == "fail"
         assert rep.witness.startswith("order-1 evaluation n=")
@@ -566,9 +566,9 @@ class TestOraclesOncePerProcess:
 
     def test_a_warm_process_still_catches_skewed_evaluation(self, monkeypatch):
         assert check_special_cases().passed
-        values = AlphaPoly.values
-        monkeypatch.setattr(AlphaPoly, "values",
-                            lambda self, xs, a: [v + 1e-9 for v in values(self, xs, a)])
+        values = gegenbauer._member_values
+        monkeypatch.setattr(gegenbauer, "_member_values",
+                            lambda n, p, q, xs, a: [v + 1e-9 for v in values(n, p, q, xs, a)])
         rep = check_special_cases()
         assert rep.status == "fail" and rep.max_residual > 1e-12
 
