@@ -42,7 +42,7 @@ of two evaluators once, from its exact coefficients c_k = nums[k] / den
   Clenshaw sum of length floor(n/2) + 1 in w = 2u^2 - 1, since
   T_2k(u) = T_k(w) and the T_(2k+1)(u) follow the same three-term
   recurrence in w; a Gegenbauer member has one part.  See
-  `_chebyshev_form` for the bound, (5.5 m^2 + 7.5 m + 6) eps * sum |b_j|
+  `_clenshaw_form` for the bound, (5.5 m^2 + 7.5 m + 6) eps * sum |b_j|
   with m = floor(n/2), about 1.4 n^2 eps * sum |b_j|.  Every Gegenbauer
   weight lam > 0 gives b_j >= 0 (DLMF 18.5), so sum |b_j| = C_n(1), the
   curve's own scale.  This evaluator takes |u| <= 1 only, and raises

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from congeg.cli import main
+from congeg.cli import _build_parser, main
 
 CSV_HEADER = "x,alpha,value"
 
@@ -468,6 +468,45 @@ class TestRepeatedCalls:
             assert code == 0 and err == ""
             outputs.append(out)
         assert outputs == [self.alone(*first), self.alone(*second)]
+
+
+ARGV_CASES = [
+    [], ["-h"], ["eval", "-h"], ["bogus"], ["--", "eval"],
+    ["eval", "--n", "4", "--x", "0.5", "--bogus"], ["eval", "--n", "4", "--x", "-0.5", "zz"],
+    ["table", "extra"], ["table", "--n-max", "3", "--", "x"],
+    ["eval", "--lam", "5/2", "--n", "3", "--x", "0.1"], ["plot-data", "--sam", "7", "--n", "3"],
+    ["eval", "--n", "x"], ["eval", "--n", "5", "--x"], ["verify", "--suite", "nope"],
+]
+
+
+class TestArgvScan:
+    """`main` hands a command's arguments to that command's parser, so
+    argparse scans them once; what it prints and returns is what the
+    top-level parse gives."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ARGV_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_outcome_as_the_top_level_parse(self, monkeypatch, capsys, argv):
+        scanned = self.outcome(capsys, argv)
+        # with no command known by name, every argv takes the top-level parse
+        monkeypatch.setattr(_build_parser(), "commands", {})
+        assert self.outcome(capsys, argv) == scanned
+
+    def test_a_command_skips_the_top_level_parse(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser scanned a command's arguments")
+
+        monkeypatch.setattr(_build_parser(), "parse_known_args", refuse)
+        code, out, err = run(capsys, "eval", "--n", "4", "--x", "0.5")
+        assert code == 0 and err == "" and out.startswith(CSV_HEADER)
 
 
 class TestEntryPoint:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import congeg.gegenbauer as gegenbauer
 from congeg import AlphaPoly, GegenbauerSpec, from_recurrence, from_series
 from congeg.alphapoly import (AccuracyError, ParameterError, _chebyshev_form,
                               _chebyshev_numerators)
@@ -76,6 +77,59 @@ class TestChoice:
         parts, _, scale = _chebyshev_form((0, 1, 1), 1)
         assert parts == ((0, (0.5, 0.5)), (1, (1.0,)))
         assert scale == 2.0
+
+
+@pytest.fixture
+def fresh_member_forms():
+    gegenbauer._member_form.cache_clear()
+    yield
+    gegenbauer._member_form.cache_clear()
+
+
+class TestMemberForm:
+    """`gegenbauer._member_form`, the closed form of DLMF 18.5.11, gives a
+    member the evaluator `AlphaPoly._float_form` gives its series, bit for
+    bit."""
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(3),
+                                     Fraction(2, 7), Fraction(675, 22)], ids=str)
+    def test_same_choice_and_floats_as_the_series(self, fresh_member_forms, lam):
+        p, q = lam.as_integer_ratio()
+        for n in range(301):
+            poly = gegenbauer._series_coeffs(n, p, q)
+            chebyshev, horner = gegenbauer._member_form(n, p, q)
+            assert (chebyshev is None) == (poly._chebyshev is None), n
+            assert (chebyshev, horner) == poly._float_form(), n
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(3),
+                                     Fraction(2, 7), Fraction(675, 22)], ids=str)
+    def test_closed_form_equals_the_conversion_at_every_degree(
+            self, monkeypatch, fresh_member_forms, lam):
+        # Horner's range included: with its test failing, every member
+        # takes the closed form
+        monkeypatch.setattr(gegenbauer, "_fits_horner", lambda *args: False)
+        p, q = lam.as_integer_ratio()
+        for n in range(201):
+            poly = gegenbauer._series_coeffs(n, p, q)
+            assert gegenbauer._member_form(n, p, q) == (
+                _chebyshev_form(poly.nums, poly.den), ()), n
+
+    @pytest.mark.parametrize("argv", [("eval", "--n", "64", "--x", "-1", "0.3", "1"),
+                                      ("plot-data", "--n", "200", "--lambda", "2/7")])
+    def test_no_series_past_horners_range(self, monkeypatch, capsys, fresh_member_forms, argv):
+        assert main(list(argv)) == 0
+        expected = capsys.readouterr()
+        gegenbauer._member_form.cache_clear()
+        build = gegenbauer._series_coeffs
+
+        def refuse(n, p, q):
+            if n > 40:
+                raise AssertionError(f"series of degree {n} built")
+            return build(n, p, q)
+
+        monkeypatch.setattr(gegenbauer, "_series_coeffs", refuse)
+        assert main(list(argv)) == 0
+        assert capsys.readouterr() == expected
 
 
 class TestConversionExact:
@@ -293,7 +347,7 @@ EVAL_ORDERS = ("1/3", "1/2", "1")
 class TestEvalCommand:
     @pytest.mark.parametrize("n", EVAL_DEGREES)
     def test_csv_matches_the_recurrence_member_point_by_point(self, capsys, n):
-        # eval builds by the series and evaluates in one batch; its CSV is
+        # eval evaluates the member's float form in one batch; its CSV is
         # the recurrence member's value at each point, byte for byte
         for lam in ("1/2", "3", "2/7", "5/2"):
             for alpha in EVAL_ORDERS:

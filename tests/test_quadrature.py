@@ -1,6 +1,7 @@
 """Weighted inner products, normalization candidates, and the audit."""
 import gc
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -444,6 +445,13 @@ class TestAudit:
         # 2.0 passed it
         with pytest.raises(ParameterError,
                            match="rel_tol must lie strictly between 0 and 1"):
+            normalization_audit(rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", [None, "1e-6", True, False, 1e-6j])
+    def test_tolerance_that_is_not_a_real_number_is_refused(self, rel_tol):
+        # None and "1e-6" once raised a bare TypeError from the comparison
+        message = f"rel_tol must be a real number, got {rel_tol!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             normalization_audit(rel_tol=rel_tol)
 
 

@@ -535,6 +535,12 @@ class TestSpecialCasesAgainstRecurrence:
                            match="^rel_tol must lie strictly between 0 and 1"):
             check_special_cases(rel_tol=rel_tol)
 
+    @pytest.mark.parametrize("rel_tol", [None, "1e-6", True])
+    def test_tolerance_that_is_not_a_real_number_is_refused(self, rel_tol):
+        # "1e-6" and None once raised a bare TypeError from the comparison
+        with pytest.raises(ParameterError, match="^rel_tol must be a real number, got "):
+            check_special_cases(rel_tol=rel_tol)
+
 
 def _clear_every_memo():
     for module in (gegenbauer, quadrature, verify):
