@@ -86,13 +86,15 @@ def fresh_member_forms():
     gegenbauer._member_form.cache_clear()
 
 
+MEMBER_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(2, 7), Fraction(675, 22))
+
+
 class TestMemberForm:
     """`gegenbauer._member_form`, the closed form of DLMF 18.5.11, gives a
     member the evaluator `AlphaPoly._float_form` gives its series, bit for
     bit."""
 
-    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(3),
-                                     Fraction(2, 7), Fraction(675, 22)], ids=str)
+    @pytest.mark.parametrize("lam", MEMBER_WEIGHTS, ids=str)
     def test_same_choice_and_floats_as_the_series(self, fresh_member_forms, lam):
         p, q = lam.as_integer_ratio()
         for n in range(301):
@@ -101,8 +103,7 @@ class TestMemberForm:
             assert (chebyshev is None) == (poly._chebyshev is None), n
             assert (chebyshev, horner) == poly._float_form(), n
 
-    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(3),
-                                     Fraction(2, 7), Fraction(675, 22)], ids=str)
+    @pytest.mark.parametrize("lam", MEMBER_WEIGHTS, ids=str)
     def test_closed_form_equals_the_conversion_at_every_degree(
             self, monkeypatch, fresh_member_forms, lam):
         # Horner's range included: with its test failing, every member
