@@ -37,28 +37,20 @@ of two evaluators once, from its exact coefficients c_k = nums[k] / den
   takes any finite x; past |u| = 1 its bound grows by |u|^n and is not
   checked.  The Gegenbauer family keeps Horner up to degree 8 at weight
   1/2, 9 at weight 1, 11 at weight 3 and 23 at weight 343/11.
-- otherwise, the sum sum_j b_j T_j(u) over Chebyshev polynomials.  The
-  b_j are converted exactly and rounded once each.  Each parity part is a
-  Clenshaw sum of length floor(n/2) + 1 in w = 2u^2 - 1, since
-  T_2k(u) = T_k(w) and the T_(2k+1)(u) follow the same three-term
-  recurrence in w; a Gegenbauer member has one part.  See
-  `_clenshaw_form` for the bound, (5.5 m^2 + 7.5 m + 6) eps * sum |b_j|
-  with m = floor(n/2), about 1.4 n^2 eps * sum |b_j|.  Every Gegenbauer
-  weight lam > 0 gives b_j >= 0 (DLMF 18.5), so sum |b_j| = C_n(1), the
-  curve's own scale.  This evaluator takes |u| <= 1 only, and raises
-  ParameterError past it; a bound above 1e-10 * max(1, |p(1)|), which
-  every member of weight >= 1/2 reaches from degree 808 on, raises
-  AccuracyError.
+- otherwise, the exact value at each float u, correctly rounded
+  (`_exact_values`): with u = m / 2^e, integer Horner on the numerators
+  and one int / int.  It takes any finite u and costs O(n^2 e) bit
+  operations per point.
 
-Either evaluator raises AccuracyError when a coefficient it rounds, or the
-bound or scale it sums, lies past the float range.
+Horner raises AccuracyError when a coefficient it rounds lies past the
+float range, and the exact evaluator when a value does.
 
-`_float_values` is the one evaluation loop.  `AlphaPoly.values` feeds it
-the polynomial's own choice, converting to Chebyshev form in O(n^2)
-integer steps.  `gegenbauer._member_form` feeds it a Gegenbauer member's
-choice, the same floats bit for bit, from the closed-form Chebyshev
-coefficients of DLMF 18.5.11, with no conversion and, past Horner's
-range, no series; it is memoized per (n, p, q) for lam = p/q.  `eval`,
+`_float_values` is the one evaluation loop: it checks the order, builds
+u = x^a and applies the grade.  `AlphaPoly.values` feeds it one of the two
+evaluators above.  `gegenbauer._member_values` feeds it a Gegenbauer
+member's own: Horner below the same bound, otherwise a Clenshaw sum over
+the closed-form Chebyshev coefficients of DLMF 18.5.11, each rounded once,
+with its error bound (see `gegenbauer._member_form`).  `eval`,
 `plot-data` and the special-cases suite evaluate members that way.
 
 The rational coefficients are stored as integer numerators over one
@@ -178,85 +170,6 @@ def _as_coeff(value: Union[int, Fraction]) -> Fraction:
     raise ParameterError(f"coefficient {value!r} is not exact")
 
 
-def _chebyshev_numerators(nums: tuple[int, ...]) -> list[int]:
-    """The integers B_j = den 2^n b_j of `_chebyshev_form`, from the
-    numerators of a polynomial of degree n = len(nums) - 1."""
-    n = len(nums) - 1
-    big = [0] * (n + 1)
-    for k, c in enumerate(nums):
-        if not c:
-            continue
-        w = c << (n + 1 - k)  # c 2^(n+1-k) C(k, i) at step i
-        for i in range((k + 1) // 2):
-            big[k - 2 * i] += w
-            w = w * (k - i) // (i + 1)
-        if not k % 2:
-            big[0] += w >> 1
-    return big
-
-
-def _chebyshev_form(nums: tuple[int, ...], den: int) -> tuple[tuple, float, float]:
-    """`_clenshaw_form` of sum_k (nums[k] / den) u^k, a nonzero polynomial
-    of degree n.
-
-    u^k = 2^(1-k) sum_i C(k, i) T_(k-2i), with the T_0 term halved, so
-    over the shared denominator den * 2^n every Chebyshev coefficient
-    b_j is an integer B_j, found by `_chebyshev_numerators` in one pass
-    over the nonzero numerators.  Each binomial is carried exactly from
-    the previous one, C(k, i+1) = C(k, i) (k - i) / (i + 1), an exact
-    integer division of the running weight, so the pass makes no binomial
-    call.  A Gegenbauer member has its B_j in closed form instead (see
-    `gegenbauer._member_form`)."""
-    return _clenshaw_form(_chebyshev_numerators(nums), den << (len(nums) - 1))
-
-
-def _clenshaw_form(big: list[int], shared: int) -> tuple[tuple, float, float]:
-    """(parts, bound, scale) for the Chebyshev evaluator of
-    sum_j (big[j] / shared) T_j(u), of degree n = len(big) - 1: each
-    b_j = big[j] / shared is rounded once.  `parts` splits them by
-    parity, each part (odd, coeffs) holding c_k = b_(2k+odd) highest k
-    first, as the Clenshaw sum takes them; a Gegenbauer member has one
-    part.  `scale` is max(1, |p(1)|), p(1) = sum b_j.
-
-    With w = 2u^2 - 1, phi_k = T_2k(u) = T_k(w) and phi_k = T_(2k+1)(u)
-    both follow phi_(k+1) = 2w phi_k - phi_(k-1), from phi_0 = 1,
-    phi_1 = w for the even part and phi_0 = u, phi_1 = u (2w - 1) for the
-    odd one.  So each part is a Clenshaw sum (Clenshaw 1955) of length
-    m + 1 or less, m = floor(n/2): y_k = c_k + w2 y_(k+1) - y_(k+2) with
-    w2 = 2w, from y_(m+1) = y_(m+2) = 0, ends in S = y_0 - w y_1 (even)
-    or S = u (y_0 - y_1) (odd).  Exactly,
-    y_k = sum_(j>=k) c_j U_(j-k)(w), so |y_k| <= sum_(j>=k) (j-k+1) |c_j|
-    for |u| <= 1, and |phi_k| <= 1.
-
-    `bound` is (5.5 m^2 + 7.5 m + 6) eps * sum |b_j|, for |u| <= 1 and
-    up to second-order terms.  Each term below is eps * sum_j g(j) |c_j|
-    for a weight g, and the weights add up to at most 5.5 j^2 + 7.5 j + 6
-    <= 5.5 m^2 + 7.5 m + 6 (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., sections 3 and 5):
-    - rounding c_k once errs by eps |c_k|, and reaches S times phi_k: 1;
-    - step k, fl(fl(c_k + fl(w2 y_(k+1))) - y_(k+2)), errs by at most
-      e_k = eps (|c_k| + 4 |y_(k+1)| + |y_k|), and an error made at step
-      k reaches S as e_k phi_k, as if c_k were off by e_k; summed over
-      k, 1 + 2j(j+1) + (j+1)(j+2)/2 = 2.5 j^2 + 3.5 j + 2;
-    - w2 = fl(fl(4u u) - 2) errs by at most 4 eps + 2 eps = 6 eps, and
-      |d phi_k / d w2| = |d phi_k / d w| / 2 <= k(k+1) / 2 (k^2 for
-      T_k(w), k(k+1) for the odd part, at u = +-1): 3 j(j+1);
-    - the final combination: fl(y_0 - fl(w y_1)) errs by
-      eps (|y_1| + |S|) <= eps sum (j+1) |c_j|, fl(u fl(y_0 - y_1)) by
-      2 eps |S| <= 2 eps sum |c_j|: at most j + 2;
-    - adding the two parity parts: 1."""
-    parts = []
-    for odd in (0, 1):
-        part = big[odd::2]
-        while part and not part[-1]:
-            part.pop()
-        if part:
-            parts.append((odd, tuple(v / shared for v in reversed(part))))
-    m = (len(big) - 1) // 2
-    bound = (5.5 * m * m + 7.5 * m + 6) * 2.0 ** -53 * (sum(map(abs, big)) / shared)
-    return tuple(parts), bound, max(1.0, abs(sum(big)) / shared)
-
-
 def _fits_horner(n: int, l1: int, den: int, total: int) -> bool:
     """Whether float Horner's bound holds (see the module docstring) for a
     polynomial of degree n with sum |c_k| = l1 / den and p(1) = total / den:
@@ -265,14 +178,51 @@ def _fits_horner(n: int, l1: int, den: int, total: int) -> bool:
     return m * l1 * 10 ** 12 <= ((1 << 53) - m) * max(den, abs(total))
 
 
+def _horner_values(coeffs: tuple[float, ...], us: list[float]) -> list[float]:
+    """Float Horner in u at each point of us, coefficients highest first."""
+    out = []
+    for u in us:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * u + c
+        out.append(acc)
+    return out
+
+
+def _exact_values(nums: tuple[int, ...], den: int, us: list[float]) -> list[float]:
+    """sum_k (nums[k] / den) u^k at each float u, exactly, correctly rounded.
+
+    With u = m / 2^e, integer Horner gives
+    acc = sum_k nums[k] m^k 2^(e (n-k)), and acc / (den 2^(e n)) is one
+    int / int, which Python rounds correctly.  A point costs O(n^2 e) bit
+    operations."""
+    n = len(nums) - 1
+    out = []
+    for u in us:
+        if not math.isfinite(u):
+            raise ParameterError(f"x^a = {u!r} is not a finite number")
+        m, d = u.as_integer_ratio()
+        e = d.bit_length() - 1
+        acc = 0
+        for j, c in enumerate(reversed(nums)):
+            acc = acc * m + (c << (e * j))
+        try:
+            out.append(acc / (den << (e * n)))
+        except OverflowError:
+            raise AccuracyError(f"the value of this degree-{n} polynomial at x^a = {u!r} "
+                                "lies past the float range") from None
+    return out
+
+
 def _float_values(xs: Iterable[float], a: float, degree: int, grade: int,
-                  form: Callable[[], tuple]) -> list[float]:
+                  evaluate: Callable[[list[float]], list[float]]) -> list[float]:
     """Values at the points xs and order a, under the signed-power
-    convention, of a polynomial of the given degree (-1 for zero) and grade,
-    by the evaluator `form()` returns: (None, its Horner coefficients,
-    highest first) or (its `_clenshaw_form`, ()).  The order is checked
-    once, u = x^a is built once per point before `form` is called, and
-    the values are multiplied by a**grade when the grade is nonzero."""
+    convention, of a polynomial of the given degree (-1 for zero) and grade:
+    `evaluate` maps the list of u = x^a to the values, which are multiplied
+    by a**grade when the grade is nonzero.  The order is checked once and
+    u is built once per point before `evaluate` is called.  An
+    OverflowError from `evaluate`, which rounds the coefficients it needs
+    on first use, or from a**grade becomes AccuracyError."""
     if type(a) is not float:  # a float order, as the CLI passes, is kept
         if isinstance(a, bool):
             raise ParameterError(f"order must be a real number, got {a!r}")
@@ -289,41 +239,13 @@ def _float_values(xs: Iterable[float], a: float, degree: int, grade: int,
     us = (list(map(float, xs)) if a == 1.0
           else [math.copysign(abs(x) ** a, x) for x in map(float, xs)])
     try:
-        chebyshev, horner = form()
+        out = evaluate(us)
+        if grade:
+            factor = a ** grade
+            out = [v * factor for v in out]
     except OverflowError:
         raise AccuracyError(f"a float coefficient of this degree-{degree} "
                             "polynomial lies past the float range") from None
-    if chebyshev is None:
-        out = []
-        for u in us:
-            acc = 0.0
-            for c in horner:
-                acc = acc * u + c
-            out.append(acc)
-    else:
-        parts, bound, scale = chebyshev
-        if bound > 1e-10 * scale:
-            raise AccuracyError(
-                f"Chebyshev evaluation bound {bound:.3g} exceeds 1e-10 of the "
-                f"scale {scale:.6g} at degree {degree}")
-        for u in us:
-            if not -1.0 <= u <= 1.0:
-                raise ParameterError(
-                    f"x^a = {u!r} lies outside [-1, 1], where the Chebyshev "
-                    "evaluator's bound holds")
-        out = None
-        for odd, coeffs in parts:
-            sums = []
-            for u in us:
-                w2 = 4.0 * u * u - 2.0
-                y1 = y2 = 0.0
-                for c in coeffs:
-                    y1, y2 = c + w2 * y1 - y2, y1
-                sums.append(u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2)
-            out = sums if out is None else [v + w for v, w in zip(out, sums)]
-    if grade:
-        factor = a ** grade
-        out = [v * factor for v in out]
     return out
 
 
@@ -545,33 +467,29 @@ class AlphaPoly(_Record):
                              self.den, self.grade + 1)
 
     @cached_property
-    def _horner(self) -> tuple[float, ...]:
-        """The float coefficients, highest index first.  Each v / den is an
-        int quotient, so it is the coefficient correctly rounded."""
-        den = self.den
-        return tuple(v / den for v in reversed(self.nums))
-
-    @cached_property
-    def _chebyshev(self) -> Optional[tuple[tuple, float, float]]:
-        """None when float Horner's bound holds (`_fits_horner`), otherwise
-        `_chebyshev_form` of the coefficients."""
+    def _horner(self) -> Optional[tuple[float, ...]]:
+        """The float coefficients, highest index first, when float Horner's
+        bound holds (`_fits_horner`), otherwise None.  Each v / den is an int
+        quotient, so it is the coefficient correctly rounded."""
         nums, den = self.nums, self.den
-        if _fits_horner(len(nums) - 1, sum(map(abs, nums)), den, sum(nums)):
+        if not _fits_horner(len(nums) - 1, sum(map(abs, nums)), den, sum(nums)):
             return None
-        return _chebyshev_form(nums, den)
+        return tuple(v / den for v in reversed(nums))
 
-    def _float_form(self) -> tuple:
-        """The evaluator for `_float_values`: (`_chebyshev`, ()) or
-        (None, `_horner`)."""
-        chebyshev = self._chebyshev
-        return chebyshev, (self._horner if chebyshev is None else ())
+    def _values_at(self, us: list[float]) -> list[float]:
+        """Float Horner at the points us where its bound holds, otherwise
+        `_exact_values`."""
+        horner = self._horner
+        if horner is None:
+            return _exact_values(self.nums, self.den, us)
+        return _horner_values(horner, us)
 
     def values(self, xs: Iterable[float], a: float) -> list[float]:
         """Values at the points xs and order a under the signed-power
         convention, by the evaluator this polynomial chose (see the module
         docstring), times a**grade when the grade is nonzero; see
         `_float_values`."""
-        return _float_values(xs, a, self.degree, self.grade, self._float_form)
+        return _float_values(xs, a, self.degree, self.grade, self._values_at)
 
     def evaluate(self, x: float, a: float) -> float:
         """Value at one point x and order a; see `values`."""
@@ -633,9 +551,10 @@ class AlphaPoly(_Record):
 
 
 def _sample_grid(lo: float, samples: int, what: str = "--samples") -> list[float]:
-    """Points for `AlphaPoly.values`: lo + i * step for i < samples - 1, then
-    exactly 1.0, which are linspace's floats.  `what` names the count in the
-    error; the default is the CLI's flag."""
+    """Sample points for `plot-data` and the special-cases suite:
+    lo + i * step for i < samples - 1, then exactly 1.0, which are
+    linspace's floats.  `what` names the count in the error; the default
+    is the CLI's flag."""
     if samples < 2:
         raise ParameterError(f"{what} must be >= 2, got {samples}")
     step = (1.0 - lo) / (samples - 1)

@@ -40,9 +40,9 @@ from .alphapoly import (
     _Record,
     _as_count,
     _as_fraction,
-    _clenshaw_form,
     _fits_horner,
     _float_values,
+    _horner_values,
     gamma_quotient,
 )
 
@@ -146,42 +146,106 @@ def from_series(spec: GegenbauerSpec) -> AlphaPoly:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _member_form(n: int, p: int, q: int) -> tuple:
-    """The float evaluator of C_n at lam = p/q, as `AlphaPoly._float_form`
-    gives it for `from_series`, bit for bit, without the O(n^2) Chebyshev
-    conversion and, past Horner's range, without the series.
+    """The float evaluator of C_n at lam = p/q, (odd, coeffs, bound, scale):
+    `from_series`' own Horner coefficients, as (None, coeffs, None, None),
+    where float Horner's bound holds; otherwise a Clenshaw sum, with no
+    series built.
 
     Its Chebyshev coefficients are b_(n-2k) = (2 - [n = 2k]) (lam)_k
     (lam)_(n-k) / (k! (n-k)!) for k <= n/2 (DLMF 18.5.11).  Over
     D = q^n n! they are the integers (2 - [n = 2k]) B_k, from
     B_0 = prod_(i<n) (p + q i) by the exact ratio
-    B_(k+1) = B_k (p + qk)(n - k) / ((k + 1)(p + q(n - k - 1))), and
-    `_clenshaw_form` rounds each once.  Horner is decided as `_chebyshev`
-    decides it: when the leading coefficient 2^n B_0 / D alone fails
-    Horner's test, so does sum |c_k|; otherwise the series is built and
-    tested exactly."""
+    B_(k+1) = B_k (p + qk)(n - k) / ((k + 1)(p + q(n - k - 1))).  One pass
+    carries B_k, rounds each b_j once, highest j first, as the Clenshaw sum
+    takes them, and adds it to the exact total sum b_j = sum |b_j|: every
+    b_j > 0 for lam > 0.  A member has one parity, odd = n % 2.  `scale`
+    is max(1, p(1)), p(1) = sum b_j.  Horner is decided as
+    `AlphaPoly._horner` decides it: when the leading coefficient 2^n B_0 / D
+    alone fails Horner's test, so does sum |c_k|; otherwise the series is
+    built and tested exactly.
+
+    With w = 2u^2 - 1, phi_k = T_2k(u) = T_k(w) and phi_k = T_(2k+1)(u)
+    both follow phi_(k+1) = 2w phi_k - phi_(k-1), from phi_0 = 1,
+    phi_1 = w for the even part and phi_0 = u, phi_1 = u (2w - 1) for the
+    odd one.  So each part is a Clenshaw sum (Clenshaw 1955) of length
+    m + 1 or less, m = floor(n/2): y_k = c_k + w2 y_(k+1) - y_(k+2) with
+    w2 = 2w, from y_(m+1) = y_(m+2) = 0, ends in S = y_0 - w y_1 (even)
+    or S = u (y_0 - y_1) (odd).  Exactly,
+    y_k = sum_(j>=k) c_j U_(j-k)(w), so |y_k| <= sum_(j>=k) (j-k+1) |c_j|
+    for |u| <= 1, and |phi_k| <= 1.
+
+    `bound` is (5.5 m^2 + 7.5 m + 6) eps * sum |b_j|, for |u| <= 1 and
+    up to second-order terms.  Each term below is eps * sum_j g(j) |c_j|
+    for a weight g, and the weights add up to at most 5.5 j^2 + 7.5 j + 6
+    <= 5.5 m^2 + 7.5 m + 6 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 3 and 5):
+    - rounding c_k once errs by eps |c_k|, and reaches S times phi_k: 1;
+    - step k, fl(fl(c_k + fl(w2 y_(k+1))) - y_(k+2)), errs by at most
+      e_k = eps (|c_k| + 4 |y_(k+1)| + |y_k|), and an error made at step
+      k reaches S as e_k phi_k, as if c_k were off by e_k; summed over
+      k, 1 + 2j(j+1) + (j+1)(j+2)/2 = 2.5 j^2 + 3.5 j + 2;
+    - w2 = fl(fl(4u u) - 2) errs by at most 4 eps + 2 eps = 6 eps, and
+      |d phi_k / d w2| = |d phi_k / d w| / 2 <= k(k+1) / 2 (k^2 for
+      T_k(w), k(k+1) for the odd part, at u = +-1): 3 j(j+1);
+    - the final combination: fl(y_0 - fl(w y_1)) errs by
+      eps (|y_1| + |S|) <= eps sum (j+1) |c_j|, fl(u fl(y_0 - y_1)) by
+      2 eps |S| <= 2 eps sum |c_j|: at most j + 2;
+    - adding the two parity parts: 1.
+    A member has one part, so the last term is slack."""
     num = 1
     for i in range(n):
         num *= p + q * i
     lead = num << n
     den = q ** n * math.factorial(n)
-    big = [0] * (n + 1)
+    coeffs = []
+    total = 0
     for k in range(n // 2):
-        big[n - 2 * k] = 2 * num
+        coeffs.append(2 * num / den)
+        total += 2 * num
         # up to B_(n//2) only: past it, the divisor of lam = 1 reaches 0
         num = num * (p + q * k) * (n - k) // ((k + 1) * (p + q * (n - k - 1)))
-    big[n % 2] = num << (n % 2)
-    total = sum(big)
+    num <<= n % 2  # doubled, unless it is the middle term b_0 of an even degree
+    coeffs.append(num / den)
+    total += num
     if _fits_horner(n, lead, den, total):
-        poly = _series_coeffs(n, p, q)
-        if _fits_horner(n, sum(map(abs, poly.nums)), poly.den, sum(poly.nums)):
-            return None, poly._horner
-    return _clenshaw_form(big, den), ()
+        horner = _series_coeffs(n, p, q)._horner
+        if horner is not None:
+            return None, horner, None, None
+    m = n // 2
+    bound = (5.5 * m * m + 7.5 * m + 6) * 2.0 ** -53 * (total / den)
+    return n % 2, tuple(coeffs), bound, max(1.0, total / den)
 
 
 def _member_values(n: int, p: int, q: int, xs, a: float) -> list[float]:
-    """`from_series(GegenbauerSpec(n, p/q)).values(xs, a)`, the same floats
-    and errors, through `_member_form`."""
-    return _float_values(xs, a, n, 0, lambda: _member_form(n, p, q))
+    """Values of C_n at lam = p/q at the points xs and order a, through
+    `_float_values` on `_member_form`: below Horner's bound the floats
+    `from_series(GegenbauerSpec(n, p/q)).values` gives, otherwise the
+    Clenshaw sum, within `bound` of the exact value at each u.  The
+    Clenshaw sum takes |u| <= 1 only, and raises ParameterError past it;
+    a bound above 1e-10 of the scale, which every member of weight >= 1/2
+    reaches from degree 808 on, raises AccuracyError."""
+    def evaluate(us: list[float]) -> list[float]:
+        odd, coeffs, bound, scale = _member_form(n, p, q)
+        if odd is None:
+            return _horner_values(coeffs, us)
+        if bound > 1e-10 * scale:
+            raise AccuracyError(
+                f"Chebyshev evaluation bound {bound:.3g} exceeds 1e-10 of the "
+                f"scale {scale:.6g} at degree {n}")
+        out = []
+        for u in us:
+            if not -1.0 <= u <= 1.0:
+                raise ParameterError(
+                    f"x^a = {u!r} lies outside [-1, 1], where the Chebyshev "
+                    "evaluator's bound holds")
+            w2 = 4.0 * u * u - 2.0
+            y1 = y2 = 0.0
+            for c in coeffs:
+                y1, y2 = c + w2 * y1 - y2, y1
+            out.append(u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2)
+        return out
+
+    return _float_values(xs, a, n, 0, evaluate)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -1,16 +1,16 @@
-"""Float evaluation: which evaluator each polynomial takes, each one's error
-against exact rational values at the same float u, the working range and
-the exit codes of `eval`."""
+"""Float evaluation: which evaluator each polynomial and each Gegenbauer
+member takes, each one's error against exact rational values at the same
+float u, the working range and the exit codes of `eval`."""
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import congeg.gegenbauer as gegenbauer
-from congeg import AlphaPoly, GegenbauerSpec, from_recurrence, from_series
-from congeg.alphapoly import (AccuracyError, ParameterError, _chebyshev_form,
-                              _chebyshev_numerators)
+from congeg import AlphaPoly, GegenbauerSpec, chebyshev_t, from_recurrence, from_series
+from congeg.alphapoly import AccuracyError, ParameterError
 from congeg.cli import main
 
 EPS = 2.0 ** -53
@@ -41,42 +41,50 @@ def _error(value: float, poly: AlphaPoly, u: float) -> float:
     return abs(vn * den - num * vd) / (vd * den)
 
 
-def _chebyshev_only(poly: AlphaPoly) -> AlphaPoly:
-    """A copy of poly that takes the Chebyshev evaluator at any degree: its
-    cached choice is filled before first use.  The copy keeps the route
-    memo's shared polynomial untouched."""
-    copy = AlphaPoly._of(list(poly.nums), poly.den, poly.grade)
-    copy.__dict__["_chebyshev"] = _chebyshev_form(poly.nums, poly.den)
-    return copy
+def _correctly_rounded(poly: AlphaPoly, u: float) -> float:
+    num, den = _exact(poly, u)
+    return num / den
+
+
+def _dlmf_coefficients(n: int, lam: Fraction, r: list) -> list:
+    """The Chebyshev coefficients b_(n-2k), k <= n/2, of C_n at weight lam,
+    exactly, from r[k] = (lam)_k / k! (r at least n + 1 long).  DLMF
+    18.5.11: C_n(cos t) = sum_k r_k r_(n-k) cos((n-2k) t), so
+    b_(n-2k) = 2 r_k r_(n-k) for n - 2k > 0 and the middle term counts
+    once."""
+    return [r[k] * r[n - k] * (1 if 2 * k == n else 2) for k in range(n // 2 + 1)]
+
+
+def _pochhammer_ratios(lam: Fraction, count: int) -> list:
+    """(lam)_k / k! for k < count."""
+    r = [Fraction(1)]
+    for k in range(count - 1):
+        r.append(r[-1] * (lam + k) / (k + 1))
+    return r
 
 
 class TestChoice:
     @pytest.mark.parametrize("lam", HORNER_UP_TO, ids=str)
     def test_horner_kept_up_to_the_pinned_degree(self, lam):
+        p, q = lam.as_integer_ratio()
         for n in range(65):
-            horner = from_series(GegenbauerSpec(n, lam))._chebyshev is None
+            horner = from_series(GegenbauerSpec(n, lam))._horner is not None
             assert horner == (n <= HORNER_UP_TO[lam]), n
+            assert (gegenbauer._member_form(n, p, q)[0] is None) == horner, n
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_golden_curves_stay_on_horner(self, n):
         # the golden CSVs are weight 3, degrees 1..5
-        assert from_series(GegenbauerSpec(n, 3))._chebyshev is None
+        assert from_series(GegenbauerSpec(n, 3))._horner is not None
 
     def test_chebyshev_coefficients_of_a_member_are_nonnegative(self):
         # DLMF 18.5: so sum |b_j| = C_n(1), and one parity part
-        p = from_series(GegenbauerSpec(40, Fraction(2, 7)))
-        parts, bound, _ = p._chebyshev
-        assert len(parts) == 1 and parts[0][0] == 0
-        assert all(b > 0 for b in parts[0][1])
-        l1 = float(p.coefficient_sum())
+        odd, coeffs, bound, _ = gegenbauer._member_form(40, 2, 7)
+        assert odd == 0 and len(coeffs) == 21
+        assert all(b > 0 for b in coeffs)
+        l1 = float(from_series(GegenbauerSpec(40, Fraction(2, 7))).coefficient_sum())
         # m = 40 // 2 = 20
         assert bound == pytest.approx((5.5 * 20 * 20 + 7.5 * 20 + 6) * EPS * l1, rel=1e-12)
-
-    def test_mixed_parity_has_two_parts(self):
-        # u^2 + u = (T_0 + T_2) / 2 + T_1, each part highest index first
-        parts, _, scale = _chebyshev_form((0, 1, 1), 1)
-        assert parts == ((0, (0.5, 0.5)), (1, (1.0,)))
-        assert scale == 2.0
 
 
 @pytest.fixture
@@ -86,34 +94,50 @@ def fresh_member_forms():
     gegenbauer._member_form.cache_clear()
 
 
+@pytest.fixture
+def clenshaw_only(monkeypatch, fresh_member_forms):
+    """Every member takes the Clenshaw sum, Horner's range included: with
+    Horner's test failing, `_member_form` builds no series."""
+    monkeypatch.setattr(gegenbauer, "_fits_horner", lambda *args: False)
+
+
 MEMBER_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(2, 7), Fraction(675, 22))
 
 
 class TestMemberForm:
-    """`gegenbauer._member_form`, the closed form of DLMF 18.5.11, gives a
-    member the evaluator `AlphaPoly._float_form` gives its series, bit for
-    bit."""
+    """`gegenbauer._member_form`: the series' own Horner coefficients below
+    Horner's bound, otherwise the closed form of DLMF 18.5.11, each
+    coefficient rounded once as it is carried."""
 
     @pytest.mark.parametrize("lam", MEMBER_WEIGHTS, ids=str)
     def test_same_choice_and_floats_as_the_series(self, fresh_member_forms, lam):
         p, q = lam.as_integer_ratio()
         for n in range(301):
             poly = gegenbauer._series_coeffs(n, p, q)
-            chebyshev, horner = gegenbauer._member_form(n, p, q)
-            assert (chebyshev is None) == (poly._chebyshev is None), n
-            assert (chebyshev, horner) == poly._float_form(), n
+            odd, coeffs, bound, _ = gegenbauer._member_form(n, p, q)
+            assert (odd is None) == (poly._horner is not None), n
+            if odd is None:
+                assert coeffs == poly._horner, n
+            else:
+                # at u = 1 the series' exact value is cheap
+                (value,) = gegenbauer._member_values(n, p, q, [1.0], 1.0)
+                assert abs(value - poly.values([1.0], 1.0)[0]) <= bound, n
 
     @pytest.mark.parametrize("lam", MEMBER_WEIGHTS, ids=str)
-    def test_closed_form_equals_the_conversion_at_every_degree(
-            self, monkeypatch, fresh_member_forms, lam):
-        # Horner's range included: with its test failing, every member
-        # takes the closed form
-        monkeypatch.setattr(gegenbauer, "_fits_horner", lambda *args: False)
+    def test_closed_form_equals_the_conversion_at_every_degree(self, clenshaw_only, lam):
+        # each carried coefficient is the exact b_j of `TestConversionExact`
+        # rounded once, and the bound and scale are taken from the exact
+        # sum of the b_j
         p, q = lam.as_integer_ratio()
-        for n in range(201):
-            poly = gegenbauer._series_coeffs(n, p, q)
+        r = _pochhammer_ratios(lam, 301)
+        for n in range(301):
+            exact = _dlmf_coefficients(n, lam, r)
+            total = sum(exact)
+            m = n // 2
             assert gegenbauer._member_form(n, p, q) == (
-                _chebyshev_form(poly.nums, poly.den), ()), n
+                n % 2, tuple(map(float, exact)),
+                (5.5 * m * m + 7.5 * m + 6) * 2.0 ** -53 * float(total),
+                max(1.0, float(total))), n
 
     @pytest.mark.parametrize("argv", [("eval", "--n", "64", "--x", "-1", "0.3", "1"),
                                       ("plot-data", "--n", "200", "--lambda", "2/7")])
@@ -132,58 +156,48 @@ class TestMemberForm:
         assert main(list(argv)) == 0
         assert capsys.readouterr() == expected
 
+    def test_one_pass_keeps_no_list_of_big_integers(self):
+        # the n/2 + 1 numerators of degree 4000 would take megabytes
+        tracemalloc.start()
+        try:
+            gegenbauer._member_form.__wrapped__(4000, 2, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
 
 class TestConversionExact:
-    """The conversion's integers B_j over den 2^n are the Chebyshev
-    coefficients b_j exactly."""
+    """Converted back to the power basis through `chebyshev_t`, the
+    Chebyshev coefficients of DLMF 18.5.11 give each member's series
+    exactly: the oracle behind `_member_form`'s coefficients."""
 
     @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(5, 2),
-                                     Fraction(3), Fraction(2, 7)], ids=str)
+                                     Fraction(3), Fraction(2, 7), Fraction(675, 22)],
+                             ids=str)
     def test_members_match_the_closed_form(self, lam):
-        # DLMF 18.5.11: C_n(cos t) = sum_k r_k r_(n-k) cos((n-2k) t) with
-        # r_k = (lam)_k / k!, so b_(n-2k) = 2 r_k r_(n-k) for n - 2k > 0 and
-        # the middle term counts once
-        r = [Fraction(1)]
-        for k in range(200):
-            r.append(r[-1] * (lam + k) / (k + 1))
-        for n in range(201):
-            p = from_series(GegenbauerSpec(n, lam))
-            big, shared = _chebyshev_numerators(p.nums), p.den << n
-            for k in range(n // 2 + 1):
-                b = r[k] * r[n - k] * (1 if 2 * k == n else 2)
-                assert big[n - 2 * k] * b.denominator == b.numerator * shared, (n, k)
-            assert not any(big[(n + 1) % 2::2]), n
-
-    def test_mixed_parity_matches_the_binomial_expansion(self):
-        # u^k = 2^(1-k) sum_(i < k/2) C(k, i) T_(k-2i), plus 2^-k C(k, k/2) T_0
-        # for even k
-        rng = random.Random(21)
-        for _ in range(200):
-            n = rng.randrange(0, 60)
-            nums = [rng.randrange(-10 ** 20, 10 ** 20) for _ in range(n)]
-            nums.append(rng.choice([-1, 1]) * rng.randrange(1, 10 ** 20))
-            den = rng.randrange(1, 10 ** 15)
-            b = [Fraction(0)] * (n + 1)
-            for k, c in enumerate(nums):
-                for i in range(k // 2 + 1):
-                    half = 2 if 2 * i == k else 1
-                    b[k - 2 * i] += Fraction(2 * c * math.comb(k, i), den * 2 ** k * half)
-            big = _chebyshev_numerators(tuple(nums))
-            assert [Fraction(v, den << n) for v in big] == b, (nums, den)
+        p, q = lam.as_integer_ratio()
+        r = _pochhammer_ratios(lam, 121)
+        for n in range(121):
+            converted = AlphaPoly.zero()
+            for k, b in enumerate(_dlmf_coefficients(n, lam, r)):
+                converted += chebyshev_t(n - 2 * k).scale(b)
+            assert converted == gegenbauer._series_coeffs(n, p, q), n
 
 
 class TestChebyshevAgainstExact:
-    """Every error is within the stated bound
+    """Every error of a member's Clenshaw sum is within the stated bound
     (5.5 m^2 + 7.5 m + 6) eps * sum |b_j|, m = floor(n/2)."""
 
     @pytest.mark.parametrize("lam", WEIGHTS, ids=str)
-    def test_within_bound_up_to_degree_200(self, lam):
+    def test_within_bound_up_to_degree_200(self, clenshaw_only, lam):
+        p, q = lam.as_integer_ratio()
         worst = 0.0
         for n in range(201):
-            p = _chebyshev_only(from_series(GegenbauerSpec(n, lam)))
-            _, bound, scale = p._chebyshev
-            for u, value in zip(POINTS, p.values(POINTS, 1.0)):
-                err = _error(value, p, u)
+            poly = from_series(GegenbauerSpec(n, lam))
+            _, _, bound, scale = gegenbauer._member_form(n, p, q)
+            for u, value in zip(POINTS, gegenbauer._member_values(n, p, q, POINTS, 1.0)):
+                err = _error(value, poly, u)
                 assert err <= bound, (n, u, err, bound)
                 worst = max(worst, err / scale)
         # far inside the bound, which reaches about 6.2e-12 of scale at n = 200
@@ -191,12 +205,12 @@ class TestChebyshevAgainstExact:
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(7, 10)], ids=str)
     def test_fractional_order_uses_the_same_u(self, alpha):
-        p = from_series(GegenbauerSpec(40, Fraction(1, 2)))
+        poly = from_series(GegenbauerSpec(40, Fraction(1, 2)))
         a = float(alpha)
-        _, bound, _ = p._chebyshev
-        for x in POINTS:
+        _, _, bound, _ = gegenbauer._member_form(40, 1, 2)
+        for x, value in zip(POINTS, gegenbauer._member_values(40, 1, 2, POINTS, a)):
             u = math.copysign(abs(x) ** a, x)
-            assert _error(p.evaluate(x, a), p, u) <= bound
+            assert _error(value, poly, u) <= bound
 
     def test_graded_polynomial_scales_by_the_order(self):
         p = from_series(GegenbauerSpec(30, 1))
@@ -212,23 +226,59 @@ EDGES = (1.0, -1.0, 1 - 2.0 ** -30, -(1 - 2.0 ** -30), 2.0 ** -0.5, -2.0 ** -0.5
 
 
 class TestClenshawEdges:
-    @staticmethod
-    def _assert_within_bound(p: AlphaPoly) -> None:
-        _, bound, _ = p._chebyshev
-        for u, value in zip(EDGES, p.values(EDGES, 1.0)):
-            err = _error(value, p, u)
-            assert err <= bound, (p.degree, u, err, bound)
-
     @pytest.mark.parametrize("lam", WEIGHTS, ids=str)
-    def test_members_up_to_degree_200(self, lam):
+    def test_members_up_to_degree_200(self, clenshaw_only, lam):
+        p, q = lam.as_integer_ratio()
         for n in range(201):
-            self._assert_within_bound(_chebyshev_only(from_series(GegenbauerSpec(n, lam))))
+            poly = from_series(GegenbauerSpec(n, lam))
+            _, _, bound, _ = gegenbauer._member_form(n, p, q)
+            for u, value in zip(EDGES, gegenbauer._member_values(n, p, q, EDGES, 1.0)):
+                err = _error(value, poly, u)
+                assert err <= bound, (n, u, err, bound)
 
     def test_mixed_parity_non_member(self):
-        p = _chebyshev_only(from_series(GegenbauerSpec(200, 1))
-                            + from_series(GegenbauerSpec(199, 1)))
-        assert [odd for odd, _ in p._chebyshev[0]] == [0, 1]
-        self._assert_within_bound(p)
+        # past Horner's bound a polynomial's values are exact, correctly rounded
+        p = from_series(GegenbauerSpec(200, 1)) + from_series(GegenbauerSpec(199, 1))
+        assert p._horner is None
+        assert p.values(EDGES, 1.0) == [_correctly_rounded(p, u) for u in EDGES]
+
+
+class TestExactPath:
+    """Past Horner's bound `AlphaPoly.values` gives each value exactly,
+    correctly rounded, at any finite u."""
+
+    @pytest.mark.parametrize("n", [200, 800])
+    def test_sum_of_two_members_is_correctly_rounded(self, n):
+        lam = Fraction(2, 7)
+        p = from_series(GegenbauerSpec(n, lam)) + from_series(GegenbauerSpec(n - 1, lam))
+        assert p._horner is None
+        xs = (1.0, -1.0, 0.5, -0.73, 0.99, 1e-300, 1 - 2.0 ** -52, 1.05, -1.1)
+        assert p.values(xs, 1.0) == [_correctly_rounded(p, x) for x in xs]
+        a = 1 / 3
+        us = [math.copysign(abs(x) ** a, x) for x in xs]
+        assert p.values(xs, a) == [_correctly_rounded(p, u) for u in us]
+
+    def test_no_clenshaw_refusal(self):
+        # the member's Clenshaw bound fails from degree 808 at weight 1/2;
+        # the polynomial's own value does not need it
+        p = from_recurrence(GegenbauerSpec(808, Fraction(1, 2)))
+        assert p.evaluate(0.5, 1.0) == -0.021323497670341668 == _correctly_rounded(p, 0.5)
+
+    def test_no_coefficient_is_rounded(self):
+        # Horner's and the Clenshaw sum's coefficients lie past the float range
+        p = from_recurrence(GegenbauerSpec(300, 1000))
+        assert p.values([0.5], 1.0) == [-9.23910960673763e+253]
+
+    def test_odd_polynomial_at_negative_zero(self):
+        # as Horner gives it: the exact value 0 rounds to +0.0
+        p = from_series(GegenbauerSpec(41, Fraction(2, 7)))
+        assert p._horner is None
+        assert [v.hex() for v in p.values((0.0, -0.0), 1.0)] == ["0x0.0p+0", "0x0.0p+0"]
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_raises(self, x):
+        with pytest.raises(ParameterError, match="not a finite number"):
+            from_series(GegenbauerSpec(30, 3)).values([0.5, x], 1.0)
 
 
 class TestHornerAgainstExact:
@@ -236,7 +286,7 @@ class TestHornerAgainstExact:
     def test_within_gamma_bound(self, lam):
         for n in range(HORNER_UP_TO.get(lam, 8) + 1):
             p = from_series(GegenbauerSpec(n, lam))
-            assert p._chebyshev is None
+            assert p._horner is not None
             m = 2 * n + 1
             bound = m * EPS / (1 - m * EPS) * float(sum(map(abs, p.coeffs)))
             for u, value in zip(POINTS, p.values(POINTS, 1.0)):
@@ -248,30 +298,25 @@ class TestHornerAgainstExact:
             assert p.values(POINTS, 0.5) == [p.evaluate(x, 0.5) for x in POINTS]
 
 
-def _signed_power_values(p: AlphaPoly, xs) -> list[float]:
-    """p at the points xs and order 1 through the signed power
-    u = copysign(|x|^1, x) that every other order takes, then p's evaluator
-    written out: Horner on `_horner`, or Clenshaw on each parity part of
-    `_chebyshev`, the first part's sums taken as they are."""
+def _signed_power_values(form: tuple, xs) -> list[float]:
+    """A member at the points xs and order 1 through the signed power
+    u = copysign(|x|^1, x) that every other order takes, then its
+    `_member_form` written out: Horner, or the Clenshaw sum."""
+    odd, coeffs, _, _ = form
     us = [math.copysign(abs(x) ** 1.0, x) for x in xs]
-    if p._chebyshev is None:
-        out = []
-        for u in us:
+    out = []
+    for u in us:
+        if odd is None:
             acc = 0.0
-            for c in p._horner:
+            for c in coeffs:
                 acc = acc * u + c
             out.append(acc)
-        return out
-    out = None
-    for odd, coeffs in p._chebyshev[0]:
-        sums = []
-        for u in us:
-            w2 = 4.0 * u * u - 2.0
-            y1 = y2 = 0.0
-            for c in coeffs:
-                y1, y2 = c + w2 * y1 - y2, y1
-            sums.append(u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2)
-        out = sums if out is None else [v + w for v, w in zip(out, sums)]
+            continue
+        w2 = 4.0 * u * u - 2.0
+        y1 = y2 = 0.0
+        for c in coeffs:
+            y1, y2 = c + w2 * y1 - y2, y1
+        out.append(u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2)
     return out
 
 
@@ -280,31 +325,32 @@ ORDER_ONE_POINTS = (1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 1 - 2.0 ** -52,
 
 
 class TestOrderOne:
-    """At order 1 `values` takes u = x itself, and gives what the signed
-    power gave, bit for bit: -0.0 and the sign of every zero included."""
+    """At order 1 a member's values take u = x itself, and give what the
+    signed power gave, bit for bit: -0.0 and the sign of every zero
+    included."""
 
     @pytest.mark.parametrize("n,lam,chebyshev", [
         (4, 3, False), (5, 3, False), (40, Fraction(2, 7), True), (41, Fraction(2, 7), True)])
     def test_bit_identical_to_the_signed_power(self, n, lam, chebyshev):
-        p = from_series(GegenbauerSpec(n, lam))
-        assert (p._chebyshev is not None) == chebyshev
-        got = p.values(ORDER_ONE_POINTS, 1.0)
+        p, q = Fraction(lam).as_integer_ratio()
+        form = gegenbauer._member_form(n, p, q)
+        assert (form[0] is not None) == chebyshev
+        got = gegenbauer._member_values(n, p, q, ORDER_ONE_POINTS, 1.0)
         assert [v.hex() for v in got] == [
-            v.hex() for v in _signed_power_values(p, ORDER_ONE_POINTS)]
+            v.hex() for v in _signed_power_values(form, ORDER_ONE_POINTS)]
 
     def test_odd_chebyshev_member_keeps_the_sign_of_zero(self):
         # so the comparison above can see a u that lost the sign of -0.0
-        p = from_series(GegenbauerSpec(41, Fraction(2, 7)))
-        assert [v.hex() for v in p.values((0.0, -0.0), 1.0)] == ["0x0.0p+0", "-0x0.0p+0"]
+        values = gegenbauer._member_values(41, 2, 7, (0.0, -0.0), 1.0)
+        assert [v.hex() for v in values] == ["0x0.0p+0", "-0x0.0p+0"]
 
 
 class TestWorkingRange:
     def test_chebyshev_refuses_points_outside(self):
-        p = from_series(GegenbauerSpec(30, 3))
         with pytest.raises(ParameterError, match=r"outside \[-1, 1\]"):
-            p.values([0.5, 1.5], 1.0)
+            gegenbauer._member_values(30, 3, 1, [0.5, 1.5], 1.0)
         with pytest.raises(ParameterError, match=r"outside \[-1, 1\]"):
-            p.evaluate(math.nan, 1.0)
+            gegenbauer._member_values(30, 3, 1, [math.nan], 1.0)
 
     def test_horner_takes_any_finite_point(self):
         p = from_series(GegenbauerSpec(4, 3))
@@ -318,20 +364,21 @@ class TestWorkingRange:
         first = min(n for n in range(1000)
                     if (5.5 * (n // 2) ** 2 + 7.5 * (n // 2) + 6) * EPS > 1e-10)
         assert first == 808
-        p = from_recurrence(GegenbauerSpec(first, Fraction(1, 2)))
         with pytest.raises(AccuracyError, match=f"degree {first}"):
-            p.evaluate(0.5, 1.0)
-        assert math.isfinite(
-            from_recurrence(GegenbauerSpec(first - 1, Fraction(1, 2))).evaluate(0.5, 1.0))
+            gegenbauer._member_values(first, 1, 2, [0.5], 1.0)
+        assert math.isfinite(gegenbauer._member_values(first - 1, 1, 2, [0.5], 1.0)[0])
 
-    @pytest.mark.parametrize("poly", [
-        AlphaPoly((10 ** 400,)),                                    # Horner's coefficient
-        from_recurrence(GegenbauerSpec(300, 1000)),              # a Chebyshev coefficient
-    ], ids=["horner", "chebyshev"])
-    def test_coefficient_past_the_float_range_raises(self, poly):
-        # int / int past the float range raised a bare OverflowError
+    @pytest.mark.parametrize("values", [
+        lambda: AlphaPoly((10 ** 400,)).values([0.5], 1.0),          # Horner's coefficient
+        lambda: gegenbauer._member_values(300, 1000, 1, [0.5], 1.0),  # a Chebyshev coefficient
+        lambda: AlphaPoly((1,), grade=-1100).values([0.5], 0.5),     # the factor a^grade
+        lambda: from_recurrence(GegenbauerSpec(300, 1000)).values([1.0], 1.0),  # an exact value
+    ], ids=["horner", "chebyshev", "grade", "exact"])
+    def test_coefficient_past_the_float_range_raises(self, values):
+        # int / int or a float power past the float range raised a bare
+        # OverflowError
         with pytest.raises(AccuracyError, match="past the float range"):
-            poly.values([0.5], 1.0)
+            values()
 
 
 def _run(capsys, *argv):
@@ -348,17 +395,30 @@ EVAL_ORDERS = ("1/3", "1/2", "1")
 class TestEvalCommand:
     @pytest.mark.parametrize("n", EVAL_DEGREES)
     def test_csv_matches_the_recurrence_member_point_by_point(self, capsys, n):
-        # eval evaluates the member's float form in one batch; its CSV is
-        # the recurrence member's value at each point, byte for byte
+        # eval evaluates the member's float form in one batch; below
+        # Horner's bound its CSV is the recurrence member's value at each
+        # point, byte for byte, and past it each value lies within the
+        # member's Clenshaw bound of the exact one
         for lam in ("1/2", "3", "2/7", "5/2"):
+            p, q = Fraction(lam).as_integer_ratio()
+            poly = from_recurrence(GegenbauerSpec(n, Fraction(lam)))
+            _, _, bound, _ = gegenbauer._member_form(n, p, q)
             for alpha in EVAL_ORDERS:
                 code, out, err = _run(capsys, "eval", "--n", str(n), "--lambda", lam,
                                       "--alpha", alpha, "--x", *EVAL_POINTS)
-                p = from_recurrence(GegenbauerSpec(n, Fraction(lam)))
-                a = float(Fraction(alpha))
-                rows = [f"{float(x)!r},{a!r},{p.evaluate(float(x), a)!r}" for x in EVAL_POINTS]
                 assert (code, err) == (0, "")
-                assert out == "\n".join(["x,alpha,value", *rows]) + "\n", (lam, alpha)
+                a = float(Fraction(alpha))
+                header, *lines = out.splitlines()
+                assert header == "x,alpha,value"
+                assert [line.rsplit(",", 1)[0] for line in lines] == [
+                    f"{float(x)!r},{a!r}" for x in EVAL_POINTS]
+                values = [float(line.rsplit(",", 1)[1]) for line in lines]
+                if poly._horner is not None:
+                    assert values == [poly.evaluate(float(x), a) for x in EVAL_POINTS]
+                    continue
+                for x, value in zip(map(float, EVAL_POINTS), values):
+                    u = math.copysign(abs(x) ** a, x)
+                    assert _error(value, poly, u) <= bound, (lam, alpha, x)
 
     @pytest.mark.parametrize("n", EVAL_DEGREES)
     def test_batched_values_match_per_point(self, n):
