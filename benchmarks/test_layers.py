@@ -8,10 +8,10 @@
 - the shifted-weight Rodrigues route `ultraspherical_rodrigues` at degree
   64, shifted weight 3/2, with its Rodrigues memo warm and cold;
 - float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64, one
-  call per point; `values` over the same points in one call, on each
-  evaluator (float Horner and the Chebyshev sum) at each degree; and the
-  one-off conversion to Chebyshev coefficients at each degree and at 200
-  and 800, where the conversion's big-integer work dominates;
+  call per point, and `values` over the same points in one call, each on
+  the evaluator the member chooses (float Horner at 8, the exact value at
+  32 and 64); and a member's float form `_member_form` from cold at each
+  degree and at 200 and 800, where the carried integers grow;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
 - the normalization audit `normalization_audit(32)` in process (198 rows),
@@ -29,11 +29,11 @@
   `verify --n-max 24`, `verify --n-max 48`, `plot-data` (the default
   degree-4 curve, on float Horner), `plot-data --n 48 --lambda 3/2
   --samples 2001 --signed-domain --alpha 1/2 --alpha 1` (two curves on the
-  Chebyshev evaluator), `audit`, the start-up-bound `eval --n 4 --x 0.5`
+  Clenshaw sum), `audit`, the start-up-bound `eval --n 4 --x 0.5`
   and `table`, a cold `eval --n 64 --lambda 5/2 --alpha 1/2` at three
-  points (the member built and converted once per process), and
-  `eval --n 800 --lambda 3 --alpha 1 --x 0.5`, where building and
-  converting the member dominate, and `audit --n-max 32`, each in a fresh
+  points (the member's float form built once per process), and
+  `eval --n 800 --lambda 3 --alpha 1 --x 0.5`, where building the
+  member's float form dominates, and `audit --n-max 32`, each in a fresh
   interpreter, so nothing is reused between runs; `import congeg` and
   `import congeg.cli` in a fresh interpreter, from a copy of the package
   with no bytecode, the import alone in `extra_info`; and `audit --n-max 32`
@@ -151,32 +151,20 @@ def test_evaluate_2001_points(benchmark, n):
     assert len(values) == len(xs)
 
 
-def _on_evaluator(poly, evaluator: str):
-    """A copy of poly fixed to one evaluator, so both can be timed at every
-    degree: the cached choice is filled before first use, and the route
-    memo's shared polynomial is left untouched."""
-    from congeg.alphapoly import AlphaPoly, _chebyshev_form
-    copy = AlphaPoly._of(list(poly.nums), poly.den, poly.grade)
-    copy.__dict__["_chebyshev"] = (None if evaluator == "horner"
-                                   else _chebyshev_form(poly.nums, poly.den))
-    return copy
-
-
 @pytest.mark.parametrize("n", DEGREES)
-@pytest.mark.parametrize("evaluator", ["horner", "chebyshev"])
-def test_values_2001_points(benchmark, evaluator, n):
-    poly = _on_evaluator(from_series(GegenbauerSpec(n, LAM)), evaluator)
+def test_values_2001_points(benchmark, n):
+    poly = from_series(GegenbauerSpec(n, LAM))
     xs = [i / 1000 - 1 for i in range(2001)]
     values = benchmark(poly.values, xs, float(ALPHA))
     assert len(values) == len(xs)
 
 
 @pytest.mark.parametrize("n", DEGREES + (200, 800))
-def test_chebyshev_conversion(benchmark, n):
-    from congeg.alphapoly import _chebyshev_form
-    poly = from_series(GegenbauerSpec(n, LAM))
-    parts, bound, scale = benchmark(_chebyshev_form, poly.nums, poly.den)
-    assert bound < 1e-10 * scale
+def test_member_form(benchmark, n):
+    # the memo's body, so every round builds the form from cold
+    p, q = LAM.as_integer_ratio()
+    odd, coeffs, bound, scale = benchmark(gegenbauer._member_form.__wrapped__, n, p, q)
+    assert odd is None or bound < 1e-10 * scale
 
 
 @pytest.mark.parametrize("n", DEGREES)

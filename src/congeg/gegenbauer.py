@@ -200,8 +200,9 @@ def _member_form(n: int, p: int, q: int) -> tuple:
     coeffs = []
     total = 0
     for k in range(n // 2):
-        coeffs.append(2 * num / den)
-        total += 2 * num
+        b = 2 * num
+        coeffs.append(b / den)
+        total += b
         # up to B_(n//2) only: past it, the divisor of lam = 1 reaches 0
         num = num * (p + q * k) * (n - k) // ((k + 1) * (p + q * (n - k - 1)))
     num <<= n % 2  # doubled, unless it is the middle term b_0 of an even degree
@@ -211,9 +212,8 @@ def _member_form(n: int, p: int, q: int) -> tuple:
         horner = _series_coeffs(n, p, q)._horner
         if horner is not None:
             return None, horner, None, None
-    m = n // 2
-    bound = (5.5 * m * m + 7.5 * m + 6) * 2.0 ** -53 * (total / den)
-    return n % 2, tuple(coeffs), bound, max(1.0, total / den)
+    m, p1 = n // 2, total / den
+    return n % 2, tuple(coeffs), (5.5 * m * m + 7.5 * m + 6) * 2.0 ** -53 * p1, max(1.0, p1)
 
 
 def _member_values(n: int, p: int, q: int, xs, a: float) -> list[float]:

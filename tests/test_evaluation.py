@@ -42,6 +42,7 @@ def _error(value: float, poly: AlphaPoly, u: float) -> float:
 
 
 def _correctly_rounded(poly: AlphaPoly, u: float) -> float:
+    """poly(u) rounded once, by one int / int."""
     num, den = _exact(poly, u)
     return num / den
 

@@ -499,9 +499,10 @@ class TestPlainFloatReferences:
 
 
 class TestSpecialCasesAgainstRecurrence:
-    """At order 1 special-cases compares `values` (Horner, or the Chebyshev
-    sum past Horner's bound) with the direct route's three-term recurrence,
-    which rounds differently, so float error in either shows."""
+    """At order 1 special-cases compares a member's float values (Horner, or
+    the Clenshaw sum past Horner's bound) with the direct route's
+    three-term recurrence, which rounds differently, so float error in
+    either shows."""
 
     def test_default_run_measures_rounding(self):
         rep = check_special_cases()
