@@ -3,15 +3,16 @@
 - exact arithmetic: `ode_residual` of a family member at degrees 8, 32, 64,
   and `+`, `*`, `scale`, `shift` and `d_alpha` on degree-64 members;
 - the three exact constructors at degrees 8, 32, 64, each round from cold
-  memos, and the validation of their parameters (`GegenbauerSpec`
-  construction);
+  memos, the series' memo body `_series_coeffs` from cold at 200 and 1000,
+  and the validation of their parameters (`GegenbauerSpec` construction);
 - the shifted-weight Rodrigues route `ultraspherical_rodrigues` at degree
   64, shifted weight 3/2, with its Rodrigues memo warm and cold;
 - float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64, one
   call per point, and `values` over the same points in one call, each on
   the evaluator the member chooses (float Horner at 8, the exact value at
   32 and 64); and a member's float form `_member_form` from cold at each
-  degree and at 200 and 800, where the carried integers grow;
+  degree and at 200 and 800, where the carried integers grow, and at
+  20000, which it refuses from its bound;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
 - the normalization audit `normalization_audit(32)` in process (198 rows),
@@ -65,6 +66,7 @@ import congeg.cli
 import congeg.gegenbauer as gegenbauer
 import congeg.quadrature as quadrature
 import congeg.verify as verify
+from congeg.alphapoly import AccuracyError
 from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, from_recurrence,
                                from_rodrigues, from_series, ultraspherical_rodrigues)
 from congeg.quadrature import (audit_rows_to_csv, conformable_inner_product,
@@ -107,6 +109,13 @@ def test_constructor(benchmark, route, n):
     poly = benchmark.pedantic(route, args=(spec,), setup=_clear_memos,
                               rounds=100, iterations=1)
     assert poly == from_series(spec)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_series_cold(benchmark, n):
+    # the memo's body, so every round builds the series from cold
+    poly = benchmark(gegenbauer._series_coeffs.__wrapped__, n, *LAM.as_integer_ratio())
+    assert poly.degree == n
 
 
 @pytest.mark.parametrize("memo", ["warm", "cold"])
@@ -159,12 +168,22 @@ def test_values_2001_points(benchmark, n):
     assert len(values) == len(xs)
 
 
-@pytest.mark.parametrize("n", DEGREES + (200, 800))
+@pytest.mark.parametrize("n", DEGREES + (200, 800, 20000))
 def test_member_form(benchmark, n):
-    # the memo's body, so every round builds the form from cold
+    # the memo's body, so every round builds the form from cold; a refused
+    # degree times the path to its AccuracyError
     p, q = LAM.as_integer_ratio()
-    odd, coeffs, bound, scale = benchmark(gegenbauer._member_form.__wrapped__, n, p, q)
-    assert odd is None or bound < 1e-10 * scale
+
+    def build():
+        try:
+            return gegenbauer._member_form.__wrapped__(n, p, q)
+        except AccuracyError:
+            return None
+
+    form = benchmark(build)
+    if n <= 800:
+        odd, _, bound, scale = form
+        assert odd is None or bound < 1e-10 * scale
 
 
 @pytest.mark.parametrize("n", DEGREES)

@@ -43,7 +43,8 @@ of two evaluators once, from its exact coefficients c_k = nums[k] / den
   operations per point.
 
 Horner raises AccuracyError when a coefficient it rounds lies past the
-float range, and the exact evaluator when a value does.
+float range, and the exact evaluator when a value does; `_float_values`
+raises it for any value that comes out not finite.
 
 `_float_values` is the one evaluation loop: it checks the order, builds
 u = x^a and applies the grade.  `AlphaPoly.values` feeds it one of the two
@@ -222,7 +223,8 @@ def _float_values(xs: Iterable[float], a: float, degree: int, grade: int,
     by a**grade when the grade is nonzero.  The order is checked once and
     u is built once per point before `evaluate` is called.  An
     OverflowError from `evaluate`, which rounds the coefficients it needs
-    on first use, or from a**grade becomes AccuracyError."""
+    on first use, or from a**grade becomes AccuracyError, and so does a
+    value that is not finite, as a float intermediate past the range gives."""
     if type(a) is not float:  # a float order, as the CLI passes, is kept
         if isinstance(a, bool):
             raise ParameterError(f"order must be a real number, got {a!r}")
@@ -246,6 +248,8 @@ def _float_values(xs: Iterable[float], a: float, degree: int, grade: int,
     except OverflowError:
         raise AccuracyError(f"a float coefficient of this degree-{degree} "
                             "polynomial lies past the float range") from None
+    if not all(map(math.isfinite, out)):
+        raise AccuracyError(f"a float value of this degree-{degree} polynomial is not finite")
     return out
 
 

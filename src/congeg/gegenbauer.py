@@ -114,28 +114,20 @@ class UltrasphericalSpec(_Record):
 def _series_coeffs(n: int, p: int, q: int) -> AlphaPoly:
     """Body of `from_series`.
 
-    Each term follows from the previous one by the ratio
-    -k (k-1) / (4 (s+1) (lam+n-s-1)) with k = n - 2s, carried as an integer
-    numerator over a running integer denominator.  A second pass, from the
-    last term up, multiplies each term by the denominator steps after it,
-    so all share the final denominator at one product per term."""
-    num = 2 ** n  # term s = 0: 2^n (lam)_n / n! = 2^n prod(p + q i) / (q^n n!)
+    Every term is an integer over D = q^n n! (DLMF 18.5.10): term s,
+    k = n - 2s, is (-1)^s 2^k prod_(i<n-s) (p + q i) q^s n! / (s! k!) / D,
+    and n! / (s! k!) is an integer.  So each follows from the one before it
+    by the ratio -k (k-1) q / (4 (s+1) (p + q(n-s-1))) in one exact division."""
+    num = 2 ** n  # term s = 0: 2^n prod(p + q i)
     for i in range(n):
         num *= p + q * i
     nums = [0] * (n + 1)
-    steps = []  # term s is nums[n - 2s] / (q^n n! steps[0] ... steps[s-1])
     for s in range(n // 2 + 1):
         k = n - 2 * s
         nums[k] = num
-        if k > 1:
-            steps.append(4 * (s + 1) * (p + q * (n - s - 1)))
-            num *= -k * (k - 1) * q
-    tail = 1
-    for s in range(len(steps), 0, -1):
-        nums[n - 2 * s] *= tail
-        tail *= steps[s - 1]
-    nums[n] *= tail
-    return AlphaPoly._of(nums, q ** n * math.factorial(n) * tail, 0)
+        if k > 1:  # the terms end at k = 0 or 1
+            num = num * -k * (k - 1) * q // (4 * (s + 1) * (p + q * (n - s - 1)))
+    return AlphaPoly._of(nums, q ** n * math.factorial(n), 0)
 
 
 def from_series(spec: GegenbauerSpec) -> AlphaPoly:
@@ -149,20 +141,23 @@ def _member_form(n: int, p: int, q: int) -> tuple:
     """The float evaluator of C_n at lam = p/q, (odd, coeffs, bound, scale):
     `from_series`' own Horner coefficients, as (None, coeffs, None, None),
     where float Horner's bound holds; otherwise a Clenshaw sum, with no
-    series built.
+    series built, unless its bound refuses the degree.
 
     Its Chebyshev coefficients are b_(n-2k) = (2 - [n = 2k]) (lam)_k
     (lam)_(n-k) / (k! (n-k)!) for k <= n/2 (DLMF 18.5.11).  Over
     D = q^n n! they are the integers (2 - [n = 2k]) B_k, from
     B_0 = prod_(i<n) (p + q i) by the exact ratio
-    B_(k+1) = B_k (p + qk)(n - k) / ((k + 1)(p + q(n - k - 1))).  One pass
-    carries B_k, rounds each b_j once, highest j first, as the Clenshaw sum
-    takes them, and adds it to the exact total sum b_j = sum |b_j|: every
-    b_j > 0 for lam > 0.  A member has one parity, odd = n % 2.  `scale`
-    is max(1, p(1)), p(1) = sum b_j.  Horner is decided as
-    `AlphaPoly._horner` decides it: when the leading coefficient 2^n B_0 / D
-    alone fails Horner's test, so does sum |c_k|; otherwise the series is
-    built and tested exactly.
+    B_(k+1) = B_k (p + qk)(n - k) / ((k + 1)(p + q(n - k - 1))).  Every
+    b_j > 0 for lam > 0, so sum |b_j| = p(1) = (2 lam)_n / n! (DLMF 18.6.1),
+    over D the integer total = prod_(i<n) (2p + q i), formed with B_0.
+    Horner is decided as `AlphaPoly._horner` decides it: when the leading
+    coefficient 2^n B_0 / D alone fails Horner's test, so does sum |c_k|;
+    otherwise the series is built and tested exactly.  Past Horner, a
+    `bound` above 1e-10 of `scale` = max(1, p(1)), as every weight >= 1/2
+    has from degree 808 on, raises AccuracyError before anything is
+    carried; otherwise one pass carries B_k and rounds each b_j once,
+    highest j first, as the Clenshaw sum takes them.  A member has one
+    parity, odd = n % 2.
 
     With w = 2u^2 - 1, phi_k = T_2k(u) = T_k(w) and phi_k = T_(2k+1)(u)
     both follow phi_(k+1) = 2w phi_k - phi_(k-1), from phi_0 = 1,
@@ -192,28 +187,29 @@ def _member_form(n: int, p: int, q: int) -> tuple:
       2 eps |S| <= 2 eps sum |c_j|: at most j + 2;
     - adding the two parity parts: 1.
     A member has one part, so the last term is slack."""
-    num = 1
+    num = total = 1
     for i in range(n):
         num *= p + q * i
-    lead = num << n
+        total *= 2 * p + q * i
     den = q ** n * math.factorial(n)
-    coeffs = []
-    total = 0
-    for k in range(n // 2):
-        b = 2 * num
-        coeffs.append(b / den)
-        total += b
-        # up to B_(n//2) only: past it, the divisor of lam = 1 reaches 0
-        num = num * (p + q * k) * (n - k) // ((k + 1) * (p + q * (n - k - 1)))
-    num <<= n % 2  # doubled, unless it is the middle term b_0 of an even degree
-    coeffs.append(num / den)
-    total += num
-    if _fits_horner(n, lead, den, total):
+    if _fits_horner(n, num << n, den, total):
         horner = _series_coeffs(n, p, q)._horner
         if horner is not None:
             return None, horner, None, None
     m, p1 = n // 2, total / den
-    return n % 2, tuple(coeffs), (5.5 * m * m + 7.5 * m + 6) * 2.0 ** -53 * p1, max(1.0, p1)
+    bound, scale = (5.5 * m * m + 7.5 * m + 6) * 2.0 ** -53 * p1, max(1.0, p1)
+    if bound > 1e-10 * scale:
+        raise AccuracyError(
+            f"Chebyshev evaluation bound {bound:.3g} exceeds 1e-10 of the "
+            f"scale {scale:.6g} at degree {n}")
+    coeffs = []
+    for k in range(n // 2):
+        coeffs.append(2 * num / den)
+        # up to B_(n//2) only: past it, the divisor of lam = 1 reaches 0
+        num = num * (p + q * k) * (n - k) // ((k + 1) * (p + q * (n - k - 1)))
+    num <<= n % 2  # doubled, unless it is the middle term b_0 of an even degree
+    coeffs.append(num / den)
+    return n % 2, tuple(coeffs), bound, scale
 
 
 def _member_values(n: int, p: int, q: int, xs, a: float) -> list[float]:
@@ -222,16 +218,11 @@ def _member_values(n: int, p: int, q: int, xs, a: float) -> list[float]:
     `from_series(GegenbauerSpec(n, p/q)).values` gives, otherwise the
     Clenshaw sum, within `bound` of the exact value at each u.  The
     Clenshaw sum takes |u| <= 1 only, and raises ParameterError past it;
-    a bound above 1e-10 of the scale, which every member of weight >= 1/2
-    reaches from degree 808 on, raises AccuracyError."""
+    a degree `_member_form` refuses raises AccuracyError."""
     def evaluate(us: list[float]) -> list[float]:
-        odd, coeffs, bound, scale = _member_form(n, p, q)
+        odd, coeffs, _, _ = _member_form(n, p, q)
         if odd is None:
             return _horner_values(coeffs, us)
-        if bound > 1e-10 * scale:
-            raise AccuracyError(
-                f"Chebyshev evaluation bound {bound:.3g} exceeds 1e-10 of the "
-                f"scale {scale:.6g} at degree {n}")
         out = []
         for u in us:
             if not -1.0 <= u <= 1.0:

@@ -369,6 +369,21 @@ class TestWorkingRange:
             gegenbauer._member_values(first, 1, 2, [0.5], 1.0)
         assert math.isfinite(gegenbauer._member_values(first - 1, 1, 2, [0.5], 1.0)[0])
 
+    @pytest.mark.parametrize("n, lam, message", [
+        (808, Fraction(1, 2), "1e-10 exceeds 1e-10 of the scale 1 at degree 808"),
+        (808, Fraction(1), "8.09e-08 exceeds 1e-10 of the scale 809 at degree 808"),
+        (1600, Fraction(3), "3.45e+04 exceeds 1e-10 of the scale 8.82034e+13 at degree 1600"),
+        (4000, Fraction(3), "2.09e+07 exceeds 1e-10 of the scale 8.56538e+15 at degree 4000"),
+        (20000, Fraction(3), "1.63e+12 exceeds 1e-10 of the scale 2.66867e+19 at degree 20000"),
+    ], ids=["808-1/2", "808-1", "1600-3", "4000-3", "20000-3"])
+    def test_member_form_refuses_its_bound(self, fresh_member_forms, n, lam, message):
+        # decided from C_n(1) before a coefficient is carried; a refused
+        # degree is not cached
+        with pytest.raises(AccuracyError) as info:
+            gegenbauer._member_form(n, *lam.as_integer_ratio())
+        assert str(info.value) == f"Chebyshev evaluation bound {message}"
+        assert gegenbauer._member_form.cache_info().currsize == 0
+
     @pytest.mark.parametrize("values", [
         lambda: AlphaPoly((10 ** 400,)).values([0.5], 1.0),          # Horner's coefficient
         lambda: gegenbauer._member_values(300, 1000, 1, [0.5], 1.0),  # a Chebyshev coefficient
@@ -379,6 +394,18 @@ class TestWorkingRange:
         # int / int or a float power past the float range raised a bare
         # OverflowError
         with pytest.raises(AccuracyError, match="past the float range"):
+            values()
+
+    @pytest.mark.parametrize("values, degree", [
+        (lambda: AlphaPoly((10 ** 308, 10 ** 308)).values([1.0], 1.0), 1),      # Horner
+        (lambda: AlphaPoly((10 ** 300,), grade=-3).values([0.5], 1e-5), 0),     # v * a^grade
+        (lambda: gegenbauer._member_values(218, 1000, 1, [1.0], 1.0), 218),     # Clenshaw's y_k
+    ], ids=["horner", "grade", "chebyshev"])
+    def test_value_that_is_not_finite_raises(self, values, degree):
+        # each came back inf or nan; the exact value at degree 218 is
+        # 8.095451226191194e+307
+        with pytest.raises(AccuracyError,
+                           match=f"degree-{degree} polynomial is not finite"):
             values()
 
 
@@ -457,6 +484,11 @@ class TestEvalCommand:
         assert code == 3 and out == ""
         assert err.startswith("accuracy failure: Chebyshev evaluation bound")
         assert "best estimate" not in err
+        code, out, err = _run(capsys, "eval", "--n", "20000", "--lambda", "3",
+                              "--alpha", "1", "--x", "0.5")
+        assert (code, out) == (3, "")
+        assert err == ("accuracy failure: Chebyshev evaluation bound 1.63e+12 exceeds "
+                       "1e-10 of the scale 2.66867e+19 at degree 20000\n")
 
     @pytest.mark.parametrize("command", [("eval", "--x", "0.5"), ("plot-data", "--samples", "3")])
     def test_coefficient_past_the_float_range_exits_3(self, capsys, command):
@@ -467,3 +499,14 @@ class TestEvalCommand:
         assert code == 3 and out == ""
         assert err.startswith("accuracy failure: a float coefficient of this degree-300 "
                               "polynomial lies past the float range")
+
+    @pytest.mark.parametrize("command", [("eval", "--x", "1"), ("plot-data", "--samples", "3")])
+    def test_value_that_is_not_finite_exits_3(self, capsys, command):
+        # the Clenshaw sum's intermediates overflow at x = 1, where the value
+        # is finite: this printed nan with exit 0
+        name, *rest = command
+        code, out, err = _run(capsys, name, "--n", "218", "--lambda", "1000", "--alpha", "1",
+                              *rest)
+        assert code == 3 and out == ""
+        assert err == ("accuracy failure: a float value of this degree-218 polynomial "
+                       "is not finite\n")

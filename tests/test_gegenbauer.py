@@ -191,7 +191,7 @@ class TestRouteAgreement:
 
     @pytest.mark.parametrize("lam", [Fraction(2, 7), Fraction(5, 2), Fraction(343, 11)])
     def test_routes_store_identical_integers_to_degree_64(self, lam):
-        # each route hands its own integers and running denominator to one
+        # each route hands its own integers over its own denominator to one
         # reduction, so the stored numerators and denominator must coincide
         for n in range(65):
             spec = GegenbauerSpec(n, lam)
@@ -200,6 +200,13 @@ class TestRouteAgreement:
                 poly = route(spec)
                 assert (poly.nums, poly.den) == (s.nums, s.den), (route.__name__, n)
             assert math.gcd(s.den, *s.nums) == 1 and s.nums[-1] != 0
+        # the series against the recurrence, its independent oracle, at
+        # degrees the suites never reach: to 200, and at 1000 for two weights
+        specs = [GegenbauerSpec(n, lam) for n in range(65, 201)]
+        if lam == Fraction(2, 7):
+            specs += [GegenbauerSpec(1000, lam), GegenbauerSpec(1000, 3)]
+        for spec in specs:
+            assert from_series(spec) == from_recurrence(spec), spec
 
     @given(st.integers(0, 24), weights)
     @settings(max_examples=40, deadline=None)
