@@ -44,7 +44,8 @@ of two evaluators once, from its exact coefficients c_k = nums[k] / den
 
 Horner raises AccuracyError when a coefficient it rounds lies past the
 float range, and the exact evaluator when a value does; `_float_values`
-raises it for any value that comes out not finite.
+raises it for any value that comes out not finite.  A point whose u is not
+finite is refused before either runs, with ParameterError.
 
 `_float_values` is the one evaluation loop: it checks the order, builds
 u = x^a and applies the grade.  `AlphaPoly.values` feeds it one of the two
@@ -196,12 +197,10 @@ def _exact_values(nums: tuple[int, ...], den: int, us: list[float]) -> list[floa
     With u = m / 2^e, integer Horner gives
     acc = sum_k nums[k] m^k 2^(e (n-k)), and acc / (den 2^(e n)) is one
     int / int, which Python rounds correctly.  A point costs O(n^2 e) bit
-    operations."""
+    operations.  Every u is finite: `_float_values` checks."""
     n = len(nums) - 1
     out = []
     for u in us:
-        if not math.isfinite(u):
-            raise ParameterError(f"x^a = {u!r} is not a finite number")
         m, d = u.as_integer_ratio()
         e = d.bit_length() - 1
         acc = 0
@@ -221,7 +220,8 @@ def _float_values(xs: Iterable[float], a: float, degree: int, grade: int,
     convention, of a polynomial of the given degree (-1 for zero) and grade:
     `evaluate` maps the list of u = x^a to the values, which are multiplied
     by a**grade when the grade is nonzero.  The order is checked once and
-    u is built once per point before `evaluate` is called.  An
+    u is built once per point before `evaluate` is called; a u that is not
+    finite raises ParameterError, whichever evaluator would run.  An
     OverflowError from `evaluate`, which rounds the coefficients it needs
     on first use, or from a**grade becomes AccuracyError, and so does a
     value that is not finite, as a float intermediate past the range gives."""
@@ -240,6 +240,9 @@ def _float_values(xs: Iterable[float], a: float, degree: int, grade: int,
     # at order 1, x^a is x itself, -0.0 included
     us = (list(map(float, xs)) if a == 1.0
           else [math.copysign(abs(x) ** a, x) for x in map(float, xs)])
+    if not all(map(math.isfinite, us)):
+        u = next(u for u in us if not math.isfinite(u))
+        raise ParameterError(f"x^a = {u!r} is not a finite number")
     try:
         out = evaluate(us)
         if grade:

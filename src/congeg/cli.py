@@ -1,179 +1,158 @@
-"""Command-line interface.
-
-Subcommands:
-  table      print family members as exact expressions
-  eval       evaluate one member at given points (CSV)
-  plot-data  dense evaluation grid for plotting (CSV)
-  verify     run the asserted identity checks plus the recorded audits
-  audit      normalization audit table (CSV) and report
+"""Command-line interface: the commands table, eval, plot-data, verify and
+audit, each described with its options in the one table `_COMMANDS`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
 (eval takes points in [-1, 1] only), 3 accuracy failure of a quadrature or
 of float evaluation.
 
-Options may also come from a JSON file via --config; flags given on the
-command line win over config values.
+An option's row gives its flag, kind, converter, JSON type, default and
+help.  `_parse` scans argv against the table, `_apply_config` coerces
+`--config` values through it (flags given on the command line win), and
+`-h`/`--help` prints help made from it.  A flag may be abbreviated to a
+unique prefix or written `--opt=value`; a token that starts with `-` is a
+value whenever float() reads it (`--x -1e-05`); a repeated option keeps its
+last value, but `--x` adds points and plot-data's `--alpha` adds an order.
+A usage error prints `congeg CMD: error: ...` and raises SystemExit(2).
 
 Each command imports only the layers it runs, when it runs: `table`, `eval`
 and `plot-data` need `alphapoly` and `gegenbauer`; `audit` adds `quadrature`,
-and `verify` adds `quadrature` and `verify`.  The parser reads the suite
+and `verify` adds `quadrature` and `verify`.  The table reads the suite
 names from `report`, which loads no other layer.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from types import SimpleNamespace
+from typing import Optional, Sequence
 
 from .alphapoly import (AccuracyError, DomainError, ParameterError, _as_count, _as_order,
                         _as_tolerance, _sample_grid)
 from .gegenbauer import GegenbauerSpec, _member_values, from_series
+from .report import SUITE_NAMES
 
 __all__ = ["main"]
 
-# Per subcommand, the value of each option that neither the command line nor
-# the config file set.  eval has no default for --n or --x.
-_DEFAULTS = {
-    "table": {"n_max": 6, "lam": Fraction(3)},
-    "eval": {"lam": Fraction(3), "alpha": Fraction(1, 2)},
-    "plot-data": {"n": 4, "lam": Fraction(3),
-                  "alphas": (Fraction(1, 2), Fraction(7, 10), Fraction(9, 10),
-                             Fraction(1)),
-                  "samples": 201, "signed_domain": False},
-    "verify": {"n_max": 8, "suite": "all"},
-    "audit": {"n_max": 6, "tol": 1e-6},
-}
+_SUITES = tuple(sorted(("all", *SUITE_NAMES)))
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text) -> Fraction:
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        raise ValueError(f"not a rational number: {text!r}") from exc
 
 
 def _out_path(text: str) -> str:
     # an empty path names no file, and must not pass for "not given"
     if not text:
-        raise argparse.ArgumentTypeError("must name a file, got an empty path")
+        raise ValueError("must name a file, got an empty path")
     return text
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and then shared: each parse fills a
-    fresh Namespace, so no option carries over from one call to the next.
-    Its `commands` maps each command's name to that command's parser."""
-    from .report import SUITE_NAMES
-
-    parser = argparse.ArgumentParser(
-        prog="congeg",
-        description="Conformable Gegenbauer polynomial family: tables, "
-                    "evaluation grids, identity verification, and the "
-                    "normalization audit.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file of option values; explicit flags win")
-
-    t = sub.add_parser("table", help="print C_0..C_n as exact expressions")
-    t.add_argument("--n-max", type=int, default=None, help="highest degree")
-    t.add_argument("--lambda", dest="lam", type=_fraction, default=None,
-                   help="weight parameter, rational, > 0 (e.g. 5/2)")
-    common(t)
-
-    e = sub.add_parser("eval", help="evaluate C_n at given points (CSV)")
-    e.add_argument("--n", type=int, default=None, help="degree")
-    e.add_argument("--lambda", dest="lam", type=_fraction, default=None,
-                   help="weight parameter, rational, > 0")
-    e.add_argument("--alpha", type=_fraction, default=None,
-                   help="order, rational in (0, 1]")
-    e.add_argument("--x", type=float, nargs="+", default=None,
-                   help="evaluation points")
-    common(e)
-
-    pd = sub.add_parser("plot-data",
-                        help="CSV grid of one member across several orders")
-    pd.add_argument("--n", type=int, default=None, help="degree")
-    pd.add_argument("--lambda", dest="lam", type=_fraction, default=None,
-                    help="weight parameter, rational, > 0")
-    pd.add_argument("--alpha", dest="alphas", type=_fraction, action="append",
-                    default=None, help="order; repeat for several curves")
-    pd.add_argument("--samples", type=int, default=None,
-                    help="points per curve")
-    pd.add_argument("--signed-domain", action="store_true", default=None,
-                    help="sample x in [-1, 1] instead of [0, 1]")
-    pd.add_argument("--out", type=_out_path, default=None,
-                    help="write CSV here instead of stdout")
-    common(pd)
-
-    v = sub.add_parser("verify",
-                       help="run asserted identity checks and recorded audits")
-    v.add_argument("--n-max", type=int, default=None,
-                   help="highest degree in the sweep")
-    v.add_argument("--suite", choices=sorted(("all", *SUITE_NAMES)), default=None,
-                   help="run a single asserted suite (default: all)")
-    v.add_argument("--json", action="store_true", default=None,
-                   help="emit the report as JSON")
-    common(v)
-
-    a = sub.add_parser("audit",
-                       help="normalization audit table (CSV) and report")
-    a.add_argument("--n-max", type=int, default=None,
-                   help="highest degree per (weight, order) cell")
-    a.add_argument("--tol", type=float, default=None,
-                   help="asserted relative tolerance, quadrature vs derived")
-    a.add_argument("--out", type=_out_path, default=None,
-                   help="write the CSV here instead of stdout")
-    common(a)
-
-    parser.commands = sub.choices
-    return parser
+def _suite(text: str) -> str:
+    if text not in _SUITES:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(_SUITES)})")
+    return text
 
 
-def _json_typed(kinds: tuple, what: str,
-                convert: Callable[[object], object] = lambda v: v):
-    """Config coercer that first requires a JSON type: bool("false") is True,
-    int(2.7) truncates, int(True) is 1, and a string iterates by character."""
-    def coerce(value: object) -> object:
-        if type(value) not in kinds:
-            raise ValueError(f"expected {what}, got {value!r}")
-        return convert(value)
-    return coerce
+def _tolerance(text) -> float:
+    return _as_tolerance(float(text), "--tol")  # out of range: a domain error, not usage
 
 
-_COUNT = _json_typed((int, str), "an integer", int)
-_NUMBER = _json_typed((int, float), "a number", float)
-_FLAG = _json_typed((bool,), "true or false")
-_STRING = _json_typed((str,), "a string")
-
-# config keys are coerced per destination so JSON numbers and strings both work
-_COERCERS = {
-    "n": _COUNT,
-    "n_max": _COUNT,
-    "samples": _COUNT,
-    "lam": _fraction,
-    "alpha": _fraction,
-    "alphas": _json_typed((list,), "a JSON array",
-                          lambda v: tuple(_fraction(item) for item in v)),
-    "x": _json_typed((list,), "a JSON array", lambda v: [_NUMBER(item) for item in v]),
-    "tol": lambda v: _as_tolerance(_NUMBER(v)),
-    "suite": _STRING,
-    "signed_domain": _FLAG,
-    "json": _FLAG,
-    "out": _json_typed((str,), "a string", _out_path),
-}
+def _help(command: Optional[str]):
+    """Print help made from the table, one command's or every command's, and exit 0."""
+    lines = [f"usage: congeg {command or 'COMMAND'} [options]", ""]
+    for name in [command] if command else _COMMANDS:
+        lines.append(f"{name}: {_COMMANDS[name][1]}")
+        for flag, dest, kind, *_, text in (*_COMMANDS[name][2], _HELP):
+            usage = {"flag": flag, "help": "-h, --help", "many": f"{flag} {dest.upper()} [...]"}
+            lines.append(f"  {usage.get(kind, f'{flag} {dest.upper()}'):<24}{text}")
+        lines.append("")
+    sys.stdout.write("\n".join(lines))
+    raise SystemExit(0)
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _usage_error(prog: str, message: str):
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_value(token: str) -> bool:
+    """Not an option: a token that starts with `-` is a value if float() reads it."""
+    if token.startswith("-"):
+        try:
+            float(token)
+        except ValueError:
+            return False
+    return True
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and its options from argv; an option not given is None."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in _COMMANDS:
+        _usage_error("congeg", f"{f'unknown command {command!r}' if argv else 'no command'} "
+                               f"(choose from {', '.join(_COMMANDS)})")
+    prog, options = f"congeg {command}", (*_COMMANDS[command][2], _HELP)
+    values, unknown, i = dict.fromkeys(opt[1] for opt in options[:-1]), [], 1
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        name, eq, text = ("--help", "", "") if token == "-h" else token.partition("=")
+        # the exact flag, else every flag the token abbreviates
+        found = ([opt for opt in options if opt[0] == name]
+                 or [opt for opt in options if len(name) > 2 and opt[0].startswith(name)])
+        if len(found) > 1:
+            _usage_error(prog, f"ambiguous option: {name} could match "
+                         + ", ".join(opt[0] for opt in found))
+        if not found:  # reported once the scan is done, after any help
+            unknown.append(token)
+            continue
+        flag, dest, kind, convert = found[0][:4]
+        if kind in ("flag", "help"):
+            if eq:
+                _usage_error(prog, f"argument {flag}: takes no value, got {text!r}")
+            if kind == "help":
+                _help(command)
+            values[dest] = True
+            continue
+        texts = [text] if eq else []
+        while i < len(argv) and (kind == "many" or not texts) and _is_value(argv[i]):
+            texts.append(argv[i])
+            i += 1
+        if not texts:
+            _usage_error(prog, f"argument {flag}: expected a value")
+        try:
+            got = [convert(text) for text in texts]
+        except ParameterError:
+            raise
+        except ValueError as exc:
+            _usage_error(prog, f"argument {flag}: {exc}")
+        values[dest] = got[0] if kind == "one" else [*(values[dest] or ()), *got]
+    if unknown:
+        _usage_error(prog, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, **values)
+
+
+def _from_json(value: object, kind: str, convert, json_type: tuple) -> object:
+    """A config value, of the JSON type (each item, for a list), as the option's value."""
+    types, what = json_type
+    items = value if kind in ("many", "append") else [value]
+    if type(items) is not list:
+        raise ValueError(f"expected a JSON array, got {value!r}")
+    if wrong := [item for item in items if type(item) not in types]:
+        raise ValueError(f"expected {what}, got {wrong[0]!r}")
+    return list(map(convert, items)) if kind in ("many", "append") else convert(value)
+
+
+def _apply_config(args: SimpleNamespace) -> None:
     """Fill every option the command line left unset: from the JSON config
-    file first, then from the subcommand's defaults."""
-    data = {}
-    if getattr(args, "config", None):
+    file first, then from the table's defaults."""
+    options = _COMMANDS[args.command][2]
+    if args.config:
         import json  # only a config file needs it
         try:
             data = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -181,24 +160,20 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise ParameterError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ParameterError("config file must hold a JSON object")
-    for key, raw in data.items():
-        dest = key.replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        if dest in ("command", "config") or not hasattr(args, dest):
-            raise ParameterError(
-                f"config key {key!r} is not an option of the "
-                f"{args.command!r} subcommand")
-        if getattr(args, dest) is None:
-            try:
-                value = _COERCERS[dest](raw)
-            except (ValueError, TypeError, ArithmeticError,
-                    argparse.ArgumentTypeError) as exc:
-                raise ParameterError(f"config key {key!r}: {exc}") from exc
-            setattr(args, dest, value)
-    for dest, value in _DEFAULTS[args.command].items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+        for key, raw in data.items():
+            dest = "lam" if key == "lambda" else key.replace("-", "_")
+            opt = next((opt for opt in options if opt[1] == dest and opt[4]), None)
+            if opt is None:
+                raise ParameterError(f"config key {key!r} is not an option of the "
+                                     f"{args.command!r} subcommand")
+            if getattr(args, opt[1]) is None:
+                try:
+                    setattr(args, opt[1], _from_json(raw, *opt[2:5]))
+                except (ValueError, TypeError, ArithmeticError) as exc:
+                    raise ParameterError(f"config key {key!r}: {exc}") from exc
+    for opt in options:
+        if getattr(args, opt[1]) is None:
+            setattr(args, opt[1], opt[5])
 
 
 def _float_order(alpha: Fraction) -> float:
@@ -209,14 +184,14 @@ def _float_order(alpha: Fraction) -> float:
     return a
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     _as_count(args.n_max, "--n-max")
     lines = [str(from_series(GegenbauerSpec(k, args.lam))) for k in range(args.n_max + 1)]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: SimpleNamespace) -> int:
     if args.n is None:
         raise ParameterError("eval requires --n")
     if not args.x:
@@ -234,7 +209,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plot_data(args: argparse.Namespace) -> int:
+def _cmd_plot_data(args: SimpleNamespace) -> int:
     if not args.alphas:
         raise ParameterError("plot-data requires at least one --alpha")
     xs = _sample_grid(-1.0 if args.signed_domain else 0.0, args.samples)
@@ -258,27 +233,21 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .report import reports_to_json, reports_to_text, summary
     from .verify import ParamGrid, run_asserted_checks, run_recorded_audits
 
     reports = run_asserted_checks(ParamGrid(n_max=args.n_max), suite=args.suite)
     reports.extend(run_recorded_audits())
     line, status = summary(reports)
-    if args.json:
-        print(reports_to_json(reports))
-    else:
-        print(reports_to_text(reports))
-        print()
-        print(line)
+    print(reports_to_json(reports) if args.json else f"{reports_to_text(reports)}\n\n{line}")
     return status
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_audit(args: SimpleNamespace) -> int:
     from .quadrature import audit_rows_to_csv, normalization_audit
 
     _as_count(args.n_max, "--n-max")
-    _as_tolerance(args.tol, "--tol")
     report = normalization_audit(args.n_max, rel_tol=args.tol)
     csv_text = audit_rows_to_csv(report.table)
     if args.out is not None:
@@ -290,37 +259,68 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-_DISPATCH = {
-    "table": _cmd_table,
-    "eval": _cmd_eval,
-    "plot-data": _cmd_plot_data,
-    "verify": _cmd_verify,
-    "audit": _cmd_audit,
+# JSON types a config value may take, tested first: bool("false") is True,
+# int(2.7) truncates, int(True) is 1 and a string iterates by character
+_INT = ((int, str), "an integer")
+_NUMBER = ((int, float), "a number")
+_RATIONAL = ((int, float, str), "a rational number")
+_STRING = ((str,), "a string")
+_BOOL = ((bool,), "true or false")
+
+_LAMBDA = ("--lambda", "lam", "one", _fraction, _RATIONAL, Fraction(3), "weight, rational, > 0")
+_CONFIG = ("--config", "config", "one", str, None, None, "JSON file of option values; flags win")
+_HELP = ("--help", "help", "help", None, None, None, "show this help and exit")
+
+# Per command: its function, help line and options, each (flag, dest, kind,
+# converter, JSON type, default, help).  Kinds: "one" takes a value, "many"
+# one or more and "append" one per use, added to a list; "flag" takes none.
+# The converter reads a value's text or a config value of the JSON type (a
+# ValueError is a usage error); a JSON type of None marks no config key.
+_COMMANDS = {
+    "table": (_cmd_table, "print C_0..C_n as exact expressions", (
+        ("--n-max", "n_max", "one", int, _INT, 6, "highest degree"),
+        _LAMBDA, _CONFIG)),
+    "eval": (_cmd_eval, "evaluate C_n at given points (CSV)", (
+        ("--n", "n", "one", int, _INT, None, "degree"),
+        _LAMBDA,
+        ("--alpha", "alpha", "one", _fraction, _RATIONAL, Fraction(1, 2), "order in (0, 1]"),
+        ("--x", "x", "many", float, _NUMBER, None, "points in [-1, 1]; repeat to add more"),
+        _CONFIG)),
+    "plot-data": (_cmd_plot_data, "CSV grid of one member across several orders", (
+        ("--n", "n", "one", int, _INT, 4, "degree"),
+        _LAMBDA,
+        ("--alpha", "alphas", "append", _fraction, _RATIONAL,
+         (Fraction(1, 2), Fraction(7, 10), Fraction(9, 10), Fraction(1)),
+         "order; repeat for several curves (default: 1/2, 7/10, 9/10, 1)"),
+        ("--samples", "samples", "one", int, _INT, 201, "points per curve"),
+        ("--signed-domain", "signed_domain", "flag", bool, _BOOL, False,
+         "sample x in [-1, 1] instead of [0, 1]"),
+        ("--out", "out", "one", _out_path, _STRING, None, "write CSV here instead of stdout"),
+        _CONFIG)),
+    "verify": (_cmd_verify, "run asserted identity checks and recorded audits", (
+        ("--n-max", "n_max", "one", int, _INT, 8, "highest degree in the sweep"),
+        ("--suite", "suite", "one", _suite, _STRING, "all",
+         f"run a single asserted suite (default: all): {', '.join(_SUITES)}"),
+        ("--json", "json", "flag", bool, _BOOL, False, "emit the report as JSON"),
+        _CONFIG)),
+    "audit": (_cmd_audit, "normalization audit table (CSV) and report", (
+        ("--n-max", "n_max", "one", int, _INT, 6, "highest degree per (weight, order) cell"),
+        ("--tol", "tol", "one", _tolerance, _NUMBER, 1e-6,
+         "asserted relative tolerance, quadrature vs derived, in (0, 1)"),
+        ("--out", "out", "one", _out_path, _STRING, None, "write the CSV here instead of stdout"),
+        _CONFIG)),
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        args = parser.parse_args(argv)
-    else:
-        # what the top-level parse does for a command, with one scan of argv
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         _apply_config(args)
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except AccuracyError as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParameterError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

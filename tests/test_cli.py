@@ -2,11 +2,15 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congeg.cli import _build_parser, main
+from congeg import cli
+from congeg.cli import main
 
 CSV_HEADER = "x,alpha,value"
 
@@ -32,7 +36,7 @@ class TestTable:
 
     def test_domain_error_exits_2(self):
         # table has no order to get wrong: it prints x^a symbolically, so
-        # --alpha is no option and argparse refuses it
+        # --alpha is no option of it and the parser refuses it
         with pytest.raises(SystemExit) as info:
             main(["table", "--alpha", "1/2"])
         assert info.value.code == 2
@@ -80,18 +84,15 @@ class TestEval:
         assert "--n" in err
 
     @pytest.mark.parametrize("points", [["--x", "nan", "2"], ["--x", "inf", "2"],
-                                        ["--x", "-inf"], ["--x=-inf"]])
+                                        ["--x", "-inf"], ["--x=-inf"], ["--x", "0.5", "-nan"],
+                                        ["--x", "-infinity"]])
     def test_non_finite_point_exits_2(self, capsys, points):
-        # these once printed nan with exit 0; argparse reads a bare -inf as
-        # an option and exits 2 itself
-        argv = ["eval", "--n", "2", "--lambda", "3", "--alpha", "1", *points]
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
+        # these once printed nan with exit 0; a token float() reads, -inf
+        # and -nan included, is a point, and the range check refuses it
+        code, out, err = run(capsys, "eval", "--n", "2", "--lambda", "3", "--alpha", "1",
+                             *points)
         assert code == 2 and out == ""
-        assert "error: " in err
+        assert err.startswith("error: eval points must lie in [-1, 1], got ")
 
     def test_non_finite_config_point_exits_2(self, tmp_path, capsys):
         # Python's json reads NaN and Infinity
@@ -295,7 +296,7 @@ def test_empty_out_exits_2(tmp_path, monkeypatch, capsys, command, source):
         argv += ["--config", "cfg.json"]
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse refuses the flag itself
+    except SystemExit as exc:  # a usage error: the flag's converter refuses ""
         code = exc.code
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
@@ -470,19 +471,58 @@ class TestRepeatedCalls:
         assert outputs == [self.alone(*first), self.alone(*second)]
 
 
+def _case(argv, outcome, expected=None):
+    return pytest.param(argv, outcome, expected, id=" ".join(argv) or "(none)")
+
+
+# Each argv with the outcome argparse's top-level parse gave it, which the
+# option table keeps: "error" is a usage error (exit 2, nothing on stdout,
+# a `congeg ...: error:` line naming each expected text), "help" lists
+# every option of the command (or of all of them) with its help string, and
+# "same" prints exactly what the expected argv, spelled out, prints.
 ARGV_CASES = [
-    [], ["-h"], ["eval", "-h"], ["bogus"], ["--", "eval"],
-    ["eval", "--n", "4", "--x", "0.5", "--bogus"], ["eval", "--n", "4", "--x", "-0.5", "zz"],
-    ["table", "extra"], ["table", "--n-max", "3", "--", "x"],
-    ["eval", "--lam", "5/2", "--n", "3", "--x", "0.1"], ["plot-data", "--sam", "7", "--n", "3"],
-    ["eval", "--n", "x"], ["eval", "--n", "5", "--x"], ["verify", "--suite", "nope"],
+    _case([], "error", ["command", "table, eval, plot-data, verify, audit"]),
+    _case(["-h"], "help"), _case(["--help"], "help"),
+    _case(["eval", "-h"], "help"), _case(["table", "--help"], "help"),
+    _case(["bogus"], "error", ["'bogus'"]), _case(["--"], "error", ["'--'"]),
+    _case(["--", "eval"], "error", ["'--'"]),
+    _case(["eval", "--n", "4", "--x", "0.5", "--bogus"], "error", ["--bogus"]),
+    _case(["eval", "--n", "4", "--x", "-0.5", "zz"], "error", ["--x", "'zz'"]),
+    _case(["table", "--alpha", "1/2"], "error", ["--alpha 1/2"]),
+    _case(["plot-data", "--s", "3"], "error", ["--s", "--samples", "--signed-domain"]),
+    _case(["table", "extra"], "error", ["extra"]),
+    _case(["table", "--n-max", "3", "--", "x"], "error", ["-- x"]),
+    _case(["eval", "--lam", "5/2", "--n", "3", "--x", "0.1"], "same",
+          ["eval", "--lambda", "5/2", "--n", "3", "--x", "0.1"]),
+    _case(["plot-data", "--sam", "7", "--n", "3"], "same",
+          ["plot-data", "--samples", "7", "--n", "3"]),
+    _case(["verify", "--j", "--n-max", "3"], "same", ["verify", "--json", "--n-max", "3"]),
+    _case(["verify", "--n-max=3", "--suite=ode"], "same",
+          ["verify", "--n-max", "3", "--suite", "ode"]),
+    _case(["eval", "--n", "3", "--x", "0.5", "--n", "2"], "same",
+          ["eval", "--n", "2", "--x", "0.5"]),
+    _case(["plot-data", "--samples", "2", "--alpha", "1", "--alpha=1/3"], "same",
+          ["plot-data", "--samples", "2", "--alpha", "1/3", "--alpha", "1"]),
+    _case(["eval", "--n", "x"], "error", ["--n", "'x'"]),
+    _case(["eval", "--n", "5", "--x"], "error", ["--x"]),
+    _case(["verify", "--suite", "nope"], "error", ["--suite", "'nope'", "orthogonality"]),
+    _case(["plot-data", "--out", ""], "error", ["--out", "empty path"]),
+    _case(["audit", "--out="], "error", ["--out", "empty path"]),
 ]
+
+HELP_FLAGS = {
+    "table": ["--n-max", "--lambda", "--config", "--help"],
+    "eval": ["--n", "--lambda", "--alpha", "--x", "--config", "--help"],
+    "plot-data": ["--n", "--lambda", "--alpha", "--samples", "--signed-domain", "--out",
+                  "--config", "--help"],
+    "verify": ["--n-max", "--suite", "--json", "--config", "--help"],
+    "audit": ["--n-max", "--tol", "--out", "--config", "--help"],
+}
 
 
 class TestArgvScan:
-    """`main` hands a command's arguments to that command's parser, so
-    argparse scans them once; what it prints and returns is what the
-    top-level parse gives."""
+    """Usage errors, help, abbreviations and `--opt=value` as the scan of
+    the option table gives them."""
 
     @staticmethod
     def outcome(capsys, argv):
@@ -493,20 +533,95 @@ class TestArgvScan:
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    @pytest.mark.parametrize("argv", ARGV_CASES, ids=lambda argv: " ".join(argv) or "(none)")
-    def test_same_outcome_as_the_top_level_parse(self, monkeypatch, capsys, argv):
-        scanned = self.outcome(capsys, argv)
-        # with no command known by name, every argv takes the top-level parse
-        monkeypatch.setattr(_build_parser(), "commands", {})
-        assert self.outcome(capsys, argv) == scanned
+    @pytest.mark.parametrize("argv,outcome,expected", ARGV_CASES)
+    def test_same_outcome_as_the_top_level_parse(self, capsys, argv, outcome, expected):
+        code, out, err = self.outcome(capsys, argv)
+        if outcome == "error":
+            assert (code, out) == (2, "")
+            line, = err.splitlines()
+            prog = f"congeg {argv[0]}" if argv[:1] and argv[0] in HELP_FLAGS else "congeg"
+            assert line.startswith(f"{prog}: error: ")
+            assert all(text in line for text in expected)
+        elif outcome == "help":
+            assert (code, err) == (0, "")
+            commands = [argv[0]] if argv[0] in HELP_FLAGS else list(HELP_FLAGS)
+            for command in commands:
+                assert f"{command}: " in out
+                for flag in HELP_FLAGS[command]:
+                    assert f"  {flag}" in out or f"-h, {flag}" in out
+            for command in commands:
+                for flag, *_, text in cli._COMMANDS[command][2]:
+                    assert text in out
+        else:
+            assert (code, err) == (0, "")
+            assert (code, out, err) == self.outcome(capsys, expected)
 
-    def test_a_command_skips_the_top_level_parse(self, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the top-level parser scanned a command's arguments")
+    def test_exponent_form_points_are_values(self, capsys):
+        # the CSV prints small points in exponent form; argparse refused
+        # `--x -1e-05` as an option it did not know (exit 2)
+        points = ["-0.00001", "-0.000000025", "0.5", "-1", "0.0001"]
+        code, out, _ = run(capsys, "eval", "--n", "3", "--alpha", "1", "--x", *points)
+        assert code == 0
+        xs = [row.split(",")[0] for row in out.splitlines()[1:]]
+        assert xs == ["-1e-05", "-2.5e-08", "0.5", "-1.0", "0.0001"]
+        assert run(capsys, "eval", "--n", "3", "--alpha", "1", "--x", *xs) == (0, out, "")
 
-        monkeypatch.setattr(_build_parser(), "parse_known_args", refuse)
-        code, out, err = run(capsys, "eval", "--n", "4", "--x", "0.5")
-        assert code == 0 and err == "" and out.startswith(CSV_HEADER)
+    def test_repeated_x_adds_points(self, capsys):
+        # the last --x once replaced the others, and eval printed its row alone
+        code, out, _ = run(capsys, "eval", "--n", "2", "--x", "0.1", "--x", "0.2", "-0.3")
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0.1", "0.2", "-0.3"]
+        assert run(capsys, "eval", "--n", "2", "--x", "0.1", "0.2", "-0.3") == (0, out, "")
+
+
+# values for every option, as (flag tokens, config value) pairs
+_RATIONAL_TEXT = st.one_of(st.fractions(min_value=0, max_denominator=10 ** 6).map(str),
+                           st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_OPTION_VALUES = {
+    "int": st.integers(-10 ** 6, 10 ** 6).map(lambda v: ([str(v)], v)),
+    "rational": _RATIONAL_TEXT.map(lambda t: ([t], t)),
+    "points": st.lists(st.floats(allow_nan=False), min_size=1, max_size=5).map(
+        lambda xs: ([repr(x) for x in xs], xs)),
+    "orders": st.lists(_RATIONAL_TEXT, min_size=1, max_size=4),
+    "flag": st.just(([], True)),
+    "suite": st.sampled_from(cli._SUITES).map(lambda t: ([t], t)),
+    "path": st.text("abc._/1", min_size=1, max_size=12).map(lambda t: ([t], t)),
+    "tol": st.floats(0, 1, exclude_min=True, exclude_max=True).map(lambda v: ([repr(v)], v)),
+}
+_OPTION_KINDS = {"n": "int", "n_max": "int", "samples": "int", "lam": "rational",
+                 "alpha": "rational", "x": "points", "alphas": "orders",
+                 "signed_domain": "flag", "json": "flag", "suite": "suite", "out": "path",
+                 "tol": "tol"}
+
+
+def _parsed(argv):
+    args = cli._parse(argv)
+    cli._apply_config(args)
+    return {k: v for k, v in vars(args).items() if k != "config"}
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command, (_, _, options) in cli._COMMANDS.items()
+    for option in options if option[1] != "config"],
+    ids=lambda v: v if isinstance(v, str) else v[0])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_flag_and_config_key_parse_alike(command, option, data):
+    """Every option of every command, given as a flag (or `--flag=value`)
+    or as its config key, parses to the same value."""
+    flag, dest = option[:2]
+    value = data.draw(_OPTION_VALUES[_OPTION_KINDS[dest]])
+    if dest == "alphas":  # one --alpha per order
+        tokens = [token for text in value for token in ("--alpha", text)]
+    else:
+        texts, value = value
+        tokens = ([f"{flag}={texts[0]}"] if len(texts) == 1 and data.draw(st.booleans())
+                  else [flag, *texts])
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps({dest: value}))
+        from_config = _parsed([command, "--config", str(config)])
+    assert _parsed([command, *tokens]) == from_config
 
 
 class TestEntryPoint:

@@ -64,17 +64,43 @@ def test_cli_commands_never_load_numpy(command):
     assert "congeg" in modules and "numpy" not in modules
 
 
-@pytest.mark.parametrize("argv", [
+COMMAND_ARGVS = [
     ("-c", "import congeg.cli"), ("-m", "congeg", "table"),
     ("-m", "congeg", "eval", "--n", "4", "--x", "0.5"), ("-m", "congeg", "plot-data"),
     ("-m", "congeg", "verify"), ("-m", "congeg", "verify", "--json"), ("-m", "congeg", "audit"),
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=" ".join)
 def test_no_command_loads_dataclasses(argv):
     # `dataclasses` imports `inspect` (with ast, dis and tokenize), about a
     # third of what importing the CLI took; the records are built without it
     modules, code = _loaded(*argv)
     assert code == 0 and "congeg.cli" in modules
     assert not modules & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [*COMMAND_ARGVS, ("-m", "congeg", "-h"),
+                                  ("-m", "congeg", "eval", "--help")], ids=" ".join)
+def test_no_command_loads_argparse(argv):
+    # argparse and the gettext it imports took about 3 ms of a fresh process,
+    # and building the parser 4-5 ms more; the option table scans argv itself
+    modules, code = _loaded(*argv)
+    assert code == 0 and "congeg.cli" in modules
+    assert not modules & {"argparse", "gettext"}
+
+
+@pytest.mark.parametrize("argv,loads_json", [
+    (("table",), False), (("audit", "--n-max", "2"), False), (("verify", "--n-max", "4"), False),
+    (("verify", "--n-max", "4", "--json"), True), (("table", "--config", "cfg.json"), True),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_json_loads_only_for_a_config_file_or_json_output(tmp_path, monkeypatch, argv,
+                                                          loads_json):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"n_max": 2}')
+    modules, code = _loaded("-m", "congeg", *argv)
+    assert code == 0
+    assert ("json" in modules) == loads_json
 
 
 def test_direct_route_loads_numpy_on_first_call():
@@ -126,9 +152,11 @@ def test_suite_choices_are_the_registry():
     import congeg.report as report
     import congeg.verify as verify
 
-    commands = next(action for action in cli._build_parser()._actions
-                    if action.dest == "command")
-    suite = next(action for action in commands.choices["verify"]._actions
-                 if action.dest == "suite")
-    assert suite.choices == sorted(("all", *verify.SUITES))
+    suite = next(option for option in cli._COMMANDS["verify"][2] if option[1] == "suite")
+    convert = suite[3]
+    names = sorted(("all", *verify.SUITES))
+    assert [convert(name) for name in names] == names
+    with pytest.raises(ValueError, match="choose from " + ", ".join(names)):
+        convert("nope")
+    assert ", ".join(names) in suite[-1]  # the help lists them
     assert tuple(verify.SUITES) == report.SUITE_NAMES
