@@ -235,14 +235,14 @@ def _float_values(xs: Iterable[float], a: float, degree: int, grade: int,
     # the chained comparison also rejects nan
     if not 0 < a <= 1:
         raise ParameterError(f"order must lie in (0, 1], got {a!r}")
-    if degree < 0:
-        return [0.0 for _ in xs]
     # at order 1, x^a is x itself, -0.0 included
     us = (list(map(float, xs)) if a == 1.0
           else [math.copysign(abs(x) ** a, x) for x in map(float, xs)])
     if not all(map(math.isfinite, us)):
         u = next(u for u in us if not math.isfinite(u))
         raise ParameterError(f"x^a = {u!r} is not a finite number")
+    if degree < 0:
+        return [0.0] * len(us)
     try:
         out = evaluate(us)
         if grade:

@@ -127,7 +127,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             _usage_error(prog, f"argument {flag}: expected a value")
         try:
             got = [convert(text) for text in texts]
-        except ParameterError:
+        except ParameterError:  # a domain error, as --tol's range: main reports it
             raise
         except ValueError as exc:
             _usage_error(prog, f"argument {flag}: {exc}")

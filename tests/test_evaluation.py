@@ -282,15 +282,17 @@ class TestExactPath:
             from_series(GegenbauerSpec(30, 3)).values([0.5, x], 1.0)
 
     @pytest.mark.parametrize("values", [
+        lambda x: AlphaPoly(()).values([0.5, x], 1.0),                     # zero
         lambda x: AlphaPoly((1, 2, 3)).values([0.5, x], 1.0),              # Horner
         lambda x: gegenbauer._member_values(4, 3, 1, [0.5, x], 1.0),       # Horner, member
         lambda x: gegenbauer._member_values(30, 3, 1, [0.5, x], 1.0),      # Clenshaw
         lambda x: from_series(GegenbauerSpec(30, 3)).values([0.5, x], 0.5),  # exact
-    ], ids=["horner", "member-horner", "chebyshev", "exact"])
+    ], ids=["zero", "horner", "member-horner", "chebyshev", "exact"])
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_every_evaluator_refuses_a_non_finite_point_alike(self, values, x):
-        # Horner once raised AccuracyError "not finite" and Clenshaw said
-        # "outside [-1, 1]" for nan; the exact path named the point
+        # the zero polynomial once returned 0.0, Horner raised AccuracyError
+        # "not finite" and Clenshaw said "outside [-1, 1]" for nan; the
+        # exact path named the point
         # u = x^a keeps inf, -inf and nan at order 1/2 too
         with pytest.raises(ParameterError, match=f"x\\^a = {x!r} is not a finite number"):
             values(x)
