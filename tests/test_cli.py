@@ -544,14 +544,13 @@ class TestArgvScan:
             assert all(text in line for text in expected)
         elif outcome == "help":
             assert (code, err) == (0, "")
-            commands = [argv[0]] if argv[0] in HELP_FLAGS else list(HELP_FLAGS)
-            for command in commands:
-                assert f"{command}: " in out
-                for flag in HELP_FLAGS[command]:
-                    assert f"  {flag}" in out or f"-h, {flag}" in out
-            for command in commands:
-                for flag, *_, text in cli._COMMANDS[command][2]:
-                    assert text in out
+            lines = out.splitlines()
+            for command in [argv[0]] if argv[0] in HELP_FLAGS else HELP_FLAGS:
+                _, about, options = cli._COMMANDS[command]
+                assert [opt[0] for opt in options] + ["--help"] == HELP_FLAGS[command]
+                assert f"{command}: {about}" in lines
+                for flag, *_, text in (*options, cli._HELP):
+                    assert any(flag in line and line.endswith(text) for line in lines)
         else:
             assert (code, err) == (0, "")
             assert (code, out, err) == self.outcome(capsys, expected)
