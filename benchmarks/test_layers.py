@@ -10,9 +10,11 @@
 - float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64, one
   call per point, and `values` over the same points in one call, each on
   the evaluator the member chooses (float Horner at 8, the exact value at
-  32 and 64); and a member's float form `_member_form` from cold at each
-  degree and at 200 and 800, where the carried integers grow, and at
-  20000, which it refuses from its bound;
+  32 and 64); a member's own values `_member_values` at degrees 8 (float
+  Horner) and 64 (the Clenshaw sum) over 255 points, point by point, and
+  over 2001 points, column-wise; and a member's float form `_member_form`
+  from cold at each degree and at 200 and 800, where the carried integers
+  grow, and at 20000, which it refuses from its bound;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
   x-route at degrees (7, 9) and (12, 12), order 1/4;
 - the normalization audit `normalization_audit(32)` in process (198 rows),
@@ -166,6 +168,17 @@ def test_values_2001_points(benchmark, n):
     xs = [i / 1000 - 1 for i in range(2001)]
     values = benchmark(poly.values, xs, float(ALPHA))
     assert len(values) == len(xs)
+
+
+@pytest.mark.parametrize("points", (255, 2001))
+@pytest.mark.parametrize("n", (8, 64))
+def test_member_values(benchmark, n, points):
+    # the member's float form is built once, before the rounds
+    p, q = LAM.as_integer_ratio()
+    xs = [i / (points - 1) for i in range(points)]
+    gegenbauer._member_values(n, p, q, xs, float(ALPHA))
+    values = benchmark(gegenbauer._member_values, n, p, q, xs, float(ALPHA))
+    assert len(values) == points
 
 
 @pytest.mark.parametrize("n", DEGREES + (200, 800, 20000))

@@ -10,7 +10,8 @@ help.  `_parse` scans argv against the table, `_apply_config` coerces
 `--config` values through it (flags given on the command line win), and
 `-h`/`--help` prints help made from it.  A flag may be abbreviated to a
 unique prefix or written `--opt=value`; a token that starts with `-` is a
-value whenever float() reads it (`--x -1e-05`); a repeated option keeps its
+value whenever float() or Fraction() reads it (`--x -1e-05`, `--lambda -1/2`,
+which the weight check then refuses); a repeated option keeps its
 last value, but `--x` adds points and plot-data's `--alpha` adds an order.
 A usage error prints `congeg CMD: error: ...` and raises SystemExit(2).
 
@@ -80,12 +81,16 @@ def _usage_error(prog: str, message: str):
 
 
 def _is_value(token: str) -> bool:
-    """Not an option: a token that starts with `-` is a value if float() reads it."""
+    """Not an option: a token that starts with `-` is a value if float() or
+    Fraction() reads it (`-1e-05`, `-1/2`)."""
     if token.startswith("-"):
         try:
             float(token)
         except ValueError:
-            return False
+            try:
+                Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                return False
     return True
 
 

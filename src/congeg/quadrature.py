@@ -17,7 +17,8 @@ its integrand is not polynomial.  It applies one fixed tanh-sinh rule
 node spacing absorbs the integrable singularities at 0 and +-1 without
 grading, and judges it against the nested rule of twice the step,
 relative to the integrand's L1 mass so that exact zeros (orthogonality)
-pass.  It is the package's one user of numpy, imported on its first call.
+pass.  It imports numpy on its first call; the only other user is the
+column-wise float evaluation of long point lists (see `alphapoly`).
 
 Three memos serve the sweeps, keyed by integers: a weight lam = p/q and an
 order a = r/s, in lowest terms, are checked where they enter.  `_cells`

@@ -479,7 +479,10 @@ def _case(argv, outcome, expected=None):
 # option table keeps: "error" is a usage error (exit 2, nothing on stdout,
 # a `congeg ...: error:` line naming each expected text), "help" lists
 # every option of the command (or of all of them) with its help string, and
-# "same" prints exactly what the expected argv, spelled out, prints.
+# "same" prints exactly what the expected argv, spelled out, prints.  A
+# negative rational p/q is a value, which argparse took for an option:
+# "domain" is the check's own error (exit 2, nothing on stdout, one
+# `error:` line naming each expected text).
 ARGV_CASES = [
     _case([], "error", ["command", "table, eval, plot-data, verify, audit"]),
     _case(["-h"], "help"), _case(["--help"], "help"),
@@ -508,6 +511,10 @@ ARGV_CASES = [
     _case(["verify", "--suite", "nope"], "error", ["--suite", "'nope'", "orthogonality"]),
     _case(["plot-data", "--out", ""], "error", ["--out", "empty path"]),
     _case(["audit", "--out="], "error", ["--out", "empty path"]),
+    _case(["eval", "--n", "2", "--lambda", "-1/2", "--x", "0.5"], "domain",
+          ["weight parameter must be positive, got -1/2"]),
+    _case(["plot-data", "--alpha", "-1/2"], "domain", ["order must lie in (0, 1], got -1/2"]),
+    _case(["eval", "--n", "2", "--x", "-1/2"], "error", ["--x", "'-1/2'"]),
 ]
 
 HELP_FLAGS = {
@@ -541,6 +548,11 @@ class TestArgvScan:
             line, = err.splitlines()
             prog = f"congeg {argv[0]}" if argv[:1] and argv[0] in HELP_FLAGS else "congeg"
             assert line.startswith(f"{prog}: error: ")
+            assert all(text in line for text in expected)
+        elif outcome == "domain":
+            assert (code, out) == (2, "")
+            line, = err.splitlines()
+            assert line.startswith("error: ")
             assert all(text in line for text in expected)
         elif outcome == "help":
             assert (code, err) == (0, "")

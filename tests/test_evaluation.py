@@ -4,13 +4,16 @@ float u, the working range and the exit codes of `eval`."""
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import congeg.gegenbauer as gegenbauer
 from congeg import AlphaPoly, GegenbauerSpec, chebyshev_t, from_recurrence, from_series
-from congeg.alphapoly import AccuracyError, ParameterError
+from congeg.alphapoly import _COLUMN_POINTS, AccuracyError, ParameterError
 from congeg.cli import main
 
 EPS = 2.0 ** -53
@@ -423,6 +426,89 @@ class TestWorkingRange:
         with pytest.raises(AccuracyError,
                            match=f"degree-{degree} polynomial is not finite"):
             values()
+
+
+# points where the two loops could part: signed zeros, the ends and
+# subnormal or tiny x, whose x^a is far from x
+SPECIAL_POINTS = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, -2.5e-8)
+
+
+def _points(rng: random.Random, size: int, specials=SPECIAL_POINTS) -> list[float]:
+    xs = [*specials, *(rng.uniform(-1.0, 1.0) for _ in range(size - len(specials)))]
+    rng.shuffle(xs)
+    return xs
+
+
+def _hex_chunked(values, xs: list[float]) -> list[str]:
+    """values(points) over xs in chunks of _COLUMN_POINTS - 1 points, each
+    of which takes the scalar loop, as float.hex."""
+    step = _COLUMN_POINTS - 1
+    return [v.hex() for i in range(0, len(xs), step) for v in values(xs[i:i + step])]
+
+
+def _hex(values: list[float]) -> list[str]:
+    return [v.hex() for v in values]
+
+
+_POINT_LISTS = st.builds(
+    _points, st.integers(0, 2 ** 32).map(random.Random),
+    st.integers(_COLUMN_POINTS, 3 * _COLUMN_POINTS),
+    st.lists(st.sampled_from(SPECIAL_POINTS), max_size=len(SPECIAL_POINTS)))
+_ORDERS = st.sampled_from((1.0, 0.5, 0.75, 0.3, 0.9, 1 / 3))
+
+
+class TestColumnPath:
+    """A list of `_COLUMN_POINTS` or more points is evaluated column-wise;
+    the values are the scalar loop's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 200), lam=st.sampled_from(WEIGHTS), a=_ORDERS, xs=_POINT_LISTS)
+    def test_member_values_match_the_scalar_loop(self, n, lam, a, xs):
+        p, q = lam.as_integer_ratio()
+
+        def values(points):
+            return gegenbauer._member_values(n, p, q, points, a)
+
+        assert _hex(values(xs)) == _hex_chunked(values, xs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nums=st.lists(st.integers(-5, 50), min_size=1, max_size=12),
+           grade=st.integers(-3, 3).filter(bool), a=_ORDERS, xs=_POINT_LISTS)
+    def test_graded_polynomial_values_match_the_scalar_loop(self, nums, grade, a, xs):
+        poly = AlphaPoly(nums, grade=grade)
+        assert _hex(poly.values(xs, a)) == _hex_chunked(lambda points: poly.values(points, a), xs)
+
+    @pytest.mark.parametrize("size", [_COLUMN_POINTS - 1, _COLUMN_POINTS, _COLUMN_POINTS + 1])
+    @pytest.mark.parametrize("n", [4, 9, 40, 41, 64])
+    def test_lists_at_the_threshold(self, size, n):
+        xs = _points(random.Random(size * n), size)
+        for p, q in ((1, 2), (1, 1), (3, 1)):
+            assert _hex(gegenbauer._member_values(n, p, q, xs, 0.75)) == [
+                gegenbauer._member_values(n, p, q, [x], 0.75)[0].hex() for x in xs]
+        poly = AlphaPoly(range(1, n + 2), grade=2)
+        assert _hex(poly.values(xs, 0.75)) == [poly.evaluate(x, 0.75).hex() for x in xs]
+
+    def test_first_point_outside_is_named(self):
+        xs = [0.5] * 300
+        xs[100], xs[200] = -1.5, 2.0
+        with pytest.raises(ParameterError) as whole:
+            gegenbauer._member_values(30, 3, 1, xs, 1.0)
+        with pytest.raises(ParameterError) as scalar:
+            gegenbauer._member_values(30, 3, 1, xs[:_COLUMN_POINTS - 1], 1.0)
+        assert str(whole.value) == str(scalar.value) == (
+            "x^a = -1.5 lies outside [-1, 1], where the Chebyshev evaluator's bound holds")
+
+    @pytest.mark.parametrize("values, degree", [
+        (lambda: AlphaPoly((1, 2, 3)).values([1e200] * 300, 1.0), 2),                # Horner
+        (lambda: gegenbauer._member_values(218, 1000, 1, [1.0] * 300, 1.0), 218),     # Clenshaw
+    ], ids=["horner", "chebyshev"])
+    def test_overflow_raises_without_a_warning(self, values, degree):
+        # numpy would warn of the overflow, and raise the warning under -W error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError,
+                               match=f"degree-{degree} polynomial is not finite"):
+                values()
 
 
 def _run(capsys, *argv):

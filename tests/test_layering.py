@@ -1,6 +1,8 @@
 """Module dependency order: alphapoly <- gegenbauer <- report <- quadrature
 <- verify <- cli.  No module imports one that comes after it, and none
-imports numpy: only the direct quadrature route does, when first called."""
+imports numpy at import time: the direct quadrature route imports it when
+first called, and float evaluation when a list reaches
+`alphapoly._COLUMN_POINTS` points."""
 import ast
 import os
 import subprocess
@@ -33,7 +35,7 @@ def test_imports_only_earlier_layers(index):
     loaded = set(ast.literal_eval(proc.stdout))
     assert f"congeg.{ORDER[index]}" in loaded
     assert not loaded & {f"congeg.{name}" for name in ORDER[index + 1:]}
-    # only the direct quadrature route uses numpy, and it imports it on first call
+    # numpy is imported where it is first used, never with a module
     assert "numpy" not in loaded
 
 
@@ -62,6 +64,14 @@ def test_cli_commands_never_load_numpy(command):
     modules, code = _imported("-m", "congeg", *command)
     assert code == 0
     assert "congeg" in modules and "numpy" not in modules
+
+
+@pytest.mark.parametrize("samples,loads_numpy", [(255, False), (256, True)])
+def test_plot_data_loads_numpy_only_for_long_point_lists(samples, loads_numpy):
+    # the column-wise evaluator starts at alphapoly._COLUMN_POINTS points
+    modules, code = _imported("-m", "congeg", "plot-data", "--samples", str(samples))
+    assert code == 0
+    assert "congeg" in modules and ("numpy" in modules) == loads_numpy
 
 
 COMMAND_ARGVS = [
