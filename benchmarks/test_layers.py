@@ -11,8 +11,9 @@
   call per point, and `values` over the same points in one call, each on
   the evaluator the member chooses (float Horner at 8, the exact value at
   32 and 64); a member's own values `_member_values` at degrees 8 (float
-  Horner) and 64 (the Clenshaw sum) over 255 points, point by point, and
-  over 2001 points, column-wise; and a member's float form `_member_form`
+  Horner) and 64 (the Clenshaw sum) over 1 and 8 points, the size of an
+  `eval` request, and 255 points, point by point, and over 2001 points,
+  column-wise; and a member's float form `_member_form`
   from cold at each degree and at 200 and 800, where the carried integers
   grow, and at 20000, which it refuses from its bound;
 - quadrature: the exact inner product at degrees 8, 32, 64, and the direct
@@ -170,12 +171,12 @@ def test_values_2001_points(benchmark, n):
     assert len(values) == len(xs)
 
 
-@pytest.mark.parametrize("points", (255, 2001))
+@pytest.mark.parametrize("points", (1, 8, 255, 2001))
 @pytest.mark.parametrize("n", (8, 64))
 def test_member_values(benchmark, n, points):
     # the member's float form is built once, before the rounds
     p, q = LAM.as_integer_ratio()
-    xs = [i / (points - 1) for i in range(points)]
+    xs = [i / max(points - 1, 1) for i in range(points)]
     gegenbauer._member_values(n, p, q, xs, float(ALPHA))
     values = benchmark(gegenbauer._member_values, n, p, q, xs, float(ALPHA))
     assert len(values) == points

@@ -55,15 +55,17 @@ the closed-form Chebyshev coefficients of DLMF 18.5.11, each rounded once,
 with its error bound (see `gegenbauer._member_form`).  `eval`,
 `plot-data` and the special-cases suite evaluate members that way.
 
-Horner and Clenshaw run point by point on a list shorter than
-`_COLUMN_POINTS`, and column-wise with numpy, imported there, on a longer
-one: one float64 array per quantity, each step the scalar loop's own
-operation in its order, so the values are the same bits.  u = x^a stays
-per point, through libm's pow (numpy 2.4's power differed from it at 115
-of 2001 grid points at a = 3/4), and the columns run under
-errstate(all="ignore"), so an overflow reaches the finiteness check as
-it does from the scalar loop, with no warning.  The exact evaluator has
-no column form.
+Horner and Clenshaw each have one loop body, a function of one argument u
+that is a float or a float64 array, and `_by_point_or_column` runs it:
+point by point on a list shorter than `_COLUMN_POINTS`, and once on the
+whole list as a numpy column, imported there, on a longer one.  The scalar
+seeds broadcast against the array, and each step is the same IEEE
+operation on a float and, elementwise, on an array, none fused into a
+multiply-add, so both paths give the same bits.  u = x^a stays per point,
+through libm's pow (numpy 2.4's power differed from it at 115 of 2001
+grid points at a = 3/4), and the column runs under errstate(all="ignore"),
+so an overflow reaches the finiteness check as it does point by point,
+with no warning.  The exact evaluator has no column form.
 
 The rational coefficients are stored as integer numerators over one
 common positive denominator, so arithmetic runs on Python integers: a sum
@@ -191,36 +193,37 @@ def _fits_horner(n: int, l1: int, den: int, total: int) -> bool:
 
 
 # A list of at least this many points is evaluated column-wise with numpy,
-# one float64 array per quantity, by the scalar loop's own operations in its
-# own order, so the values are the same bits.  At 2001 points and order 1/2,
-# C_64 at weight 1 (Clenshaw) took 0.76 ms against 4.6 ms point by point, and
-# C_8 (Horner) 0.43 against 1.4 ms; at 256 points, 0.17 against 0.58 ms.
-# Below 32 to 64 points the columns lose (2-core x86-64, Python 3.11, numpy
-# 2.4).  Importing numpy costs about 150 ms in a fresh process, so the
-# threshold sits above the 201 samples of the default `plot-data` and the
-# 200 points of the special-cases suite, which load no numpy.
+# by the loop body that runs point by point on a shorter one, so the values
+# are the same bits.  At 2001 points and order 1/2, C_64 at weight 1
+# (Clenshaw) took 0.76 ms against 4.6 ms point by point, and C_8 (Horner)
+# 0.43 against 1.4 ms; at 256 points, 0.17 against 0.58 ms.  Below 32 to 64
+# points the columns lose (2-core x86-64, Python 3.11, numpy 2.4).  Importing
+# numpy costs about 150 ms in a fresh process, so the threshold sits above
+# the 201 samples of the default `plot-data` and the 200 points of the
+# special-cases suite, which load no numpy.
 _COLUMN_POINTS = 256
 
 
+def _by_point_or_column(step: Callable, us: list[float]) -> list[float]:
+    """step(u) at each point of us: point by point below `_COLUMN_POINTS`
+    points, otherwise once on the float64 column of us, where errstate
+    keeps an overflow silent for `_float_values` to report."""
+    if len(us) < _COLUMN_POINTS:
+        return list(map(step, us))
+    import numpy as np
+    with np.errstate(all="ignore"):
+        return step(np.array(us)).tolist()
+
+
 def _horner_values(coeffs: tuple[float, ...], us: list[float]) -> list[float]:
-    """Float Horner in u at each point of us, coefficients highest first;
-    column-wise from `_COLUMN_POINTS` points on, with the same bits."""
-    if len(us) >= _COLUMN_POINTS:
-        import numpy as np
-        u = np.array(us)
-        acc = np.zeros_like(u)
-        with np.errstate(all="ignore"):  # an overflow is `_float_values`' to report
-            for c in coeffs:
-                acc *= u
-                acc += c
-        return acc.tolist()
-    out = []
-    for u in us:
+    """Float Horner in u at each point of us, coefficients highest first."""
+    def horner(u):
         acc = 0.0
         for c in coeffs:
             acc = acc * u + c
-        out.append(acc)
-    return out
+        return acc
+
+    return _by_point_or_column(horner, us)
 
 
 def _exact_values(nums: tuple[int, ...], den: int, us: list[float]) -> list[float]:

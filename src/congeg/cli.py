@@ -223,18 +223,20 @@ def _cmd_plot_data(args: SimpleNamespace) -> int:
     # two orders that round to one float are one curve
     alphas = dict.fromkeys(_float_order(alpha) for alpha in sorted(args.alphas))
     p, q = spec.lam.as_integer_ratio()
+    # every curve is evaluated before a byte is written, so a refusal
+    # writes nothing; then the rows go out one curve at a time
+    curves = [(f"{a!r},", _member_values(spec.n, p, q, xs, a)) for a in alphas]
     xtexts = [f"{x!r}," for x in xs]
-    lines = ["x,alpha,value"]
-    for a in alphas:
-        label = f"{a!r},"
-        lines.extend([f"{xtext}{label}{v!r}"
-                      for xtext, v in zip(xtexts, _member_values(spec.n, p, q, xs, a))])
-    text = "\n".join(lines) + "\n"
+    chunks = ("".join([f"{xtext}{label}{v!r}\n" for xtext, v in zip(xtexts, values)])
+              for label, values in curves)
     if args.out is not None:
-        Path(args.out).write_text(text)
-        print(f"wrote {len(lines) - 1} rows to {args.out}")
+        with open(args.out, "w") as out:
+            out.write("x,alpha,value\n")
+            out.writelines(chunks)
+        print(f"wrote {len(curves) * len(xs)} rows to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("x,alpha,value\n")
+        sys.stdout.writelines(chunks)
     return 0
 
 

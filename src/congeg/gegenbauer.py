@@ -37,10 +37,10 @@ from .alphapoly import (
     AlphaPoly,
     ParameterError,
     RationalLike,
-    _COLUMN_POINTS,
     _Record,
     _as_count,
     _as_fraction,
+    _by_point_or_column,
     _fits_horner,
     _float_values,
     _horner_values,
@@ -218,51 +218,29 @@ def _member_values(n: int, p: int, q: int, xs, a: float) -> list[float]:
     `_float_values` on `_member_form`: below Horner's bound the floats
     `from_series(GegenbauerSpec(n, p/q)).values` gives, otherwise the
     Clenshaw sum, within `bound` of the exact value at each u.  The
-    Clenshaw sum takes |u| <= 1 only, and raises ParameterError at the
-    first point past it; a degree `_member_form` refuses raises
-    AccuracyError.  Like Horner, the sum runs column-wise over a list of
-    `_COLUMN_POINTS` or more, with the same bits."""
+    Clenshaw sum takes |u| <= 1 only: one pass over the points first
+    raises ParameterError at the first one past it.  A degree
+    `_member_form` refuses raises AccuracyError.  Either loop body runs
+    by `_by_point_or_column`, with the same bits on either path."""
     def evaluate(us: list[float]) -> list[float]:
         odd, coeffs, _, _ = _member_form(n, p, q)
         if odd is None:
             return _horner_values(coeffs, us)
-        if len(us) >= _COLUMN_POINTS:
-            return _clenshaw_columns(odd, coeffs, us)
-        out = []
         for u in us:
             if not -1.0 <= u <= 1.0:
-                raise _outside(u)
+                raise ParameterError(f"x^a = {u!r} lies outside [-1, 1], where the "
+                                     "Chebyshev evaluator's bound holds")
+
+        def clenshaw(u):
             w2 = 4.0 * u * u - 2.0
             y1 = y2 = 0.0
             for c in coeffs:
                 y1, y2 = c + w2 * y1 - y2, y1
-            out.append(u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2)
-        return out
+            return u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2
+
+        return _by_point_or_column(clenshaw, us)
 
     return _float_values(xs, a, n, 0, evaluate)
-
-
-def _outside(u: float) -> ParameterError:
-    return ParameterError(f"x^a = {u!r} lies outside [-1, 1], where the Chebyshev "
-                          "evaluator's bound holds")
-
-
-def _clenshaw_columns(odd: int, coeffs: tuple[float, ...], us: list[float]) -> list[float]:
-    """`_member_values`' Clenshaw sum over the whole list at once, one
-    float64 array per quantity, each step the scalar loop's own; errstate
-    keeps an overflow silent, for `_float_values` to report."""
-    import numpy as np
-    u = np.array(us)
-    outside = np.flatnonzero(np.abs(u) > 1.0)  # every u is finite
-    if outside.size:
-        raise _outside(us[outside[0]])
-    with np.errstate(all="ignore"):
-        w2 = 4.0 * u * u - 2.0
-        y1, y2 = np.zeros_like(u), np.zeros_like(u)
-        for c in coeffs:
-            y1, y2 = c + w2 * y1 - y2, y1
-        out = u * (y1 - y2) if odd else y1 - 0.5 * w2 * y2
-    return out.tolist()
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -168,6 +168,36 @@ class TestPlotData:
         assert [line.split(",")[1] for line in out.splitlines()[1:]] == \
             ["0.3333333333333333"] * 2 + ["1.0"] * 2
 
+    def test_refusal_writes_nothing(self, tmp_path, capsys):
+        target = tmp_path / "curves.csv"
+        code, out, err = run(capsys, "plot-data", "--n", "218", "--lambda", "1000",
+                             "--samples", "3", "--alpha", "1/2", "--alpha", "1",
+                             "--out", str(target))
+        assert code == 3 and out == ""
+        assert err == "accuracy failure: a float value of this degree-218 polynomial is not finite\n"
+        assert not target.exists()
+
+    def test_rows_are_written_one_curve_at_a_time(self, tmp_path, capsys):
+        # the rows held at once are one curve's, so four curves take about
+        # the memory of one: each curve's values, plus one curve's text
+        import tracemalloc
+
+        def peak(*alphas):
+            tracemalloc.start()
+            try:
+                assert main(["plot-data", "--n", "8", "--samples", "100000", *alphas,
+                             "--out", str(tmp_path / "curves.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(capsys, "plot-data", "--samples", "300")  # numpy is imported untraced
+        one = peak("--alpha", "1/2")
+        four = peak()
+        assert capsys.readouterr().out.endswith("wrote 400000 rows to "
+                                                f"{tmp_path / 'curves.csv'}\n")
+        assert four <= 1.5 * one
+
 
 class TestVerify:
     def test_clean_run_exits_0(self, capsys):

@@ -1,8 +1,8 @@
 """Module dependency order: alphapoly <- gegenbauer <- report <- quadrature
 <- verify <- cli.  No module imports one that comes after it, and none
 imports numpy at import time: the direct quadrature route imports it when
-first called, and float evaluation when a list reaches
-`alphapoly._COLUMN_POINTS` points."""
+first called, and float evaluation, in `alphapoly._by_point_or_column`
+alone, when a list reaches `alphapoly._COLUMN_POINTS` points."""
 import ast
 import os
 import subprocess
@@ -72,6 +72,61 @@ def test_plot_data_loads_numpy_only_for_long_point_lists(samples, loads_numpy):
     modules, code = _imported("-m", "congeg", "plot-data", "--samples", str(samples))
     assert code == 0
     assert "congeg" in modules and ("numpy" in modules) == loads_numpy
+
+
+def _functions_importing_numpy():
+    """module.function for every function in the package whose own body,
+    outside any function nested in it, imports numpy."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                if any(_imports_numpy(statement) for statement in _own_nodes(child)):
+                    found.append(name)
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    for path in sorted(Path(congeg.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def _own_nodes(function):
+    """The nodes of a function's body, not descending into nested functions."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_numpy_is_imported_by_the_one_dispatcher_and_the_direct_route():
+    # float evaluation's loop bodies run on a float or a numpy column alike;
+    # only the dispatcher knows which, and only it imports numpy
+    assert sorted(_functions_importing_numpy()) == [
+        "alphapoly._by_point_or_column",
+        "quadrature._tanh_sinh_nodes",
+        "quadrature.conformable_inner_product_direct",
+    ]
+
+
+def test_gegenbauer_does_not_know_the_column_threshold():
+    source = (Path(congeg.__file__).parent / "gegenbauer.py").read_text(encoding="utf-8")
+    names = {getattr(node, field, None) for node in ast.walk(ast.parse(source))
+             for field in ("id", "name", "attr")}
+    assert "_COLUMN_POINTS" not in names
 
 
 COMMAND_ARGVS = [
