@@ -22,10 +22,11 @@
   with the memos warm after the first round and from cold memos each round,
   and `audit_rows_to_csv` over its table, each row's line kept after the
   first round;
-- verification: one `check_ode_annihilation` sweep at n_max 12, the other
-  exact sweeps (constructors, recurrences, ladder, endpoints, special
-  cases) at n_max 12 and `check_generating_function` at its defaults, with
-  the memos warm after the first round as in a
+- verification: one `check_ode_annihilation` sweep at n_max 12, the
+  constructor and endpoint sweeps at n_max 12, the recurrence and ladder
+  sweeps over that grid at their fixed bounds (pivots to 11; degree 8,
+  length 3), and the special cases and the generating function at theirs
+  (degree 10), with the memos warm after the first round as in a
   long-lived process, `orthogonality_check` at n_max 48 and 96 from cold
   memos and at n_max 32 with them warm, and the recorded audits computed
   afresh;
@@ -237,10 +238,10 @@ def test_ode_sweep(benchmark):
 
 EXACT_SWEEPS = {
     "constructors": lambda: check_constructor_agreement(GRID_12),
-    "recurrences": lambda: check_recurrences(GRID_12, n_max=12),
-    "ladder": lambda: check_derivative_ladder(GRID_12, n_max=12),
+    "recurrences": lambda: check_recurrences(GRID_12),
+    "ladder": lambda: check_derivative_ladder(GRID_12),
     "endpoints": lambda: check_endpoint_values(GRID_12),
-    "special-cases": lambda: check_special_cases(n_max=12),
+    "special-cases": lambda: check_special_cases(),
     "generating-function": lambda: check_generating_function(),
 }
 

@@ -592,13 +592,12 @@ class AlphaPoly(_Record):
         return f"AlphaPoly({self})"
 
 
-def _sample_grid(lo: float, samples: int, what: str = "--samples") -> list[float]:
+def _sample_grid(lo: float, samples: int) -> list[float]:
     """Sample points for `plot-data` and the special-cases suite:
     lo + i * step for i < samples - 1, then exactly 1.0, which are
-    linspace's floats.  `what` names the count in the error; the default
-    is the CLI's flag."""
+    linspace's floats.  The error names the CLI's flag."""
     if samples < 2:
-        raise ParameterError(f"{what} must be >= 2, got {samples}")
+        raise ParameterError(f"--samples must be >= 2, got {samples}")
     step = (1.0 - lo) / (samples - 1)
     return [lo + i * step for i in range(samples - 1)] + [1.0]
 

@@ -20,11 +20,11 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import gegenbauer
 from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _Record, _as_cases,
-                        _as_count, _as_order, _as_tolerance, _sample_grid, gamma_quotient)
+                        _as_count, _sample_grid, gamma_quotient)
 from .gegenbauer import (
     _MEMO_SIZE,
     GegenbauerSpec,
@@ -65,8 +65,8 @@ __all__ = [
 _HALF = Fraction(1, 2)
 # The factor (1 - x^(2a)) of the ODE's second-derivative term.
 _ODE_WEIGHT = AlphaPoly((1, 0, -1))
-# Entries per memo of a whole sweep's oracle, keyed by a weight and the
-# sweep's bounds: a suite asks for one per weight (three in `SUITES`).
+# Entries per memo of a whole sweep's oracle, keyed by a weight (the generating
+# rows also by degree): a suite asks for one per weight (three in `SUITES`).
 _SWEEP_MEMO_SIZE = 32
 
 
@@ -287,39 +287,42 @@ def check_ode_annihilation(grid: ParamGrid = STANDARD_GRID) -> VerificationRepor
         notes=lambda count: f"{count} (degree, weight) pairs, residual exactly zero")
 
 
-def check_generating_function(
-        lambdas: Sequence[Fraction] = (_HALF, Fraction(1), Fraction(3)),
-        n_max: int = 10) -> VerificationReport:
-    """Series rows of the generating function match from_series exactly.
-    Every weight is checked first, and the grid prints the checked values."""
-    lambdas = tuple(map(_check_weight, _as_cases(lambdas, "weights")))
+_GENERATING_WEIGHTS, _GENERATING_N_MAX = (_HALF, Fraction(1), Fraction(3)), 10
 
+
+def check_generating_function() -> VerificationReport:
+    """Series rows of the generating function match from_series exactly,
+    at `_GENERATING_WEIGHTS` up to degree `_GENERATING_N_MAX`."""
     def cases() -> Iterator[tuple]:
         series = gegenbauer._series_coeffs
-        for lam in lambdas:
+        for lam in _GENERATING_WEIGHTS:
             p, q = lam.as_integer_ratio()
-            for n, row in enumerate(generating_function_coeffs(lam, n_max)):
+            for n, row in enumerate(generating_function_coeffs(lam, _GENERATING_N_MAX)):
                 yield ((n, p, q), ("generating function", row),
                        ("series", list(series(n, p, q).rational_coeffs())))
 
-    grid = f"n <= {n_max}, weight in {{{', '.join(str(v) for v in lambdas)}}}"
+    grid = f"n <= {_GENERATING_N_MAX}, weight in {{{', '.join(map(str, _GENERATING_WEIGHTS))}}}"
     return _exact_report("generating-function", grid, cases())
 
 
-def check_derivative_ladder(
-        grid: ParamGrid = STANDARD_GRID, n_max: int = 8, m_max: int = 3) -> VerificationReport:
-    """Derivative ladder over the grid, ladder length m <= min(m_max, n)."""
-    _as_count(n_max, "n_max")
-    _as_count(m_max, "m_max")
-    cases = (case for n, p, q in grid.cases(n_max)
-             for case in _ladder_cases(n, p, q, min(m_max, n)))
-    return _exact_report("derivative-ladder", grid.describe(n_max, f", m <= {m_max}"), cases)
+_LADDER_N_MAX, _LADDER_M_MAX = 8, 3
 
 
-def check_recurrences(grid: ParamGrid = STANDARD_GRID, n_max: int = 11) -> VerificationReport:
-    """Both recurrences at every pivot reachable inside the grid."""
-    _as_count(n_max, "n_max")
-    top = min(n_max, grid.n_max - 1)
+def check_derivative_ladder(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
+    """Derivative ladder over the grid to degree `_LADDER_N_MAX`, ladder
+    length m <= min(`_LADDER_M_MAX`, n)."""
+    cases = (case for n, p, q in grid.cases(_LADDER_N_MAX)
+             for case in _ladder_cases(n, p, q, min(_LADDER_M_MAX, n)))
+    return _exact_report(
+        "derivative-ladder", grid.describe(_LADDER_N_MAX, f", m <= {_LADDER_M_MAX}"), cases)
+
+
+_RECURRENCE_PIVOT_MAX = 11
+
+
+def check_recurrences(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
+    """Both recurrences at every pivot to `_RECURRENCE_PIVOT_MAX` inside the grid."""
+    top = min(_RECURRENCE_PIVOT_MAX, grid.n_max - 1)
     cases = (case for n, p, q in grid.cases(top) for case in _recurrence_cases(n, p, q))
     return _exact_report("recurrences", grid.describe(top, " (pivots)"), cases)
 
@@ -347,22 +350,24 @@ def _chebyshev_t_closed(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+_SPECIAL_N_MAX, _SPECIAL_SAMPLES, _SPECIAL_REL_TOL = 10, 200, 1e-12
+
+
 @functools.lru_cache(maxsize=_SWEEP_MEMO_SIZE)
-def _special_reference(p: int, q: int, n_max: int, samples: int) -> tuple:
+def _special_reference(p: int, q: int) -> tuple:
     """The order-1 oracle of `check_special_cases` at the weight lam = p/q:
-    the sample points, then per degree n <= n_max the column of C_n at those
-    points by the float three-term recurrence the direct route uses (one
-    recurrence per point), and the scale max(1, L1 norm of the classical
-    coefficients)."""
-    xs = tuple(_sample_grid(-1.0, samples, "samples"))
-    columns = tuple(zip(*(_gegenbauer_values(n_max, p / q, x) for x in xs)))
+    the sample points, then per degree n <= `_SPECIAL_N_MAX` the column of
+    C_n at those points by the float three-term recurrence the direct route
+    uses (one recurrence per point), and the scale max(1, L1 norm of the
+    classical coefficients)."""
+    xs = tuple(_sample_grid(-1.0, _SPECIAL_SAMPLES))
+    columns = tuple(zip(*(_gegenbauer_values(_SPECIAL_N_MAX, p / q, x) for x in xs)))
     scales = tuple(max(1.0, sum(abs(float(c)) for c in _oracle_coeffs(n, p, q)))
-                   for n in range(n_max + 1))
+                   for n in range(_SPECIAL_N_MAX + 1))
     return xs, columns, scales
 
 
-def check_special_cases(
-        n_max: int = 10, samples: int = 200, rel_tol: float = 1e-12) -> VerificationReport:
+def check_special_cases() -> VerificationReport:
     """Weight 1/2 matches Legendre, weight 1 matches second-kind Chebyshev,
     the first-kind coefficients match their closed form (all exact, checked
     once per degree, since exact values carry no order), and at order 1
@@ -373,27 +378,20 @@ def check_special_cases(
 
     The numeric comparison is measured relative to the coefficient L1 norm
     (the natural evaluation scale; pointwise relative error is ill-defined
-    at interior roots) and asserted within rel_tol, which lies strictly
-    between 0 and 1; it runs at samples >= 2 points.
+    at interior roots) and asserted within `_SPECIAL_REL_TOL`, at
+    `_SPECIAL_SAMPLES` points and degrees to `_SPECIAL_N_MAX`.
 
     The oracles are kept per process: the classical and closed-form
     coefficients per degree (and weight), and the recurrence's columns
-    with their scales per (weight, n_max, samples).  The members, their
-    values at the sample points and every comparison run on each call,
-    so a defect in a constructor or an evaluator fails a warm process
-    too; the members' float forms are kept per (n, p, q), as `eval` keeps
-    them."""
-    _as_count(n_max, "n_max")
-    _as_count(samples, "samples")
-    _as_tolerance(rel_tol, "rel_tol")
-    grid = f"n <= {n_max}, order 1"
+    with their scales per weight.  The members, their values at the
+    sample points and every comparison run on each call, so a defect in a
+    constructor or an evaluator fails a warm process too; the members'
+    float forms are kept per (n, p, q), as `eval` keeps them."""
+    grid = f"n <= {_SPECIAL_N_MAX}, order 1"
     series, member_values = gegenbauer._series_coeffs, gegenbauer._member_values
-    # the float oracles first: building them refuses fewer than 2 samples
-    references = [(p, q, _special_reference(p, q, n_max, samples))
-                  for p, q in ((1, 2), (1, 1), (3, 1))]
 
     def reductions() -> Iterator[tuple]:
-        for n in range(n_max + 1):
+        for n in range(_SPECIAL_N_MAX + 1):
             for name, poly, expected in (
                     ("legendre", legendre(n), _oracle_coeffs(n, 1, 2)),
                     ("second-kind", series(n, 1, 1), _oracle_coeffs(n, 1, 1)),
@@ -404,49 +402,46 @@ def check_special_cases(
     if not (exact := _exact_report("special-cases", grid, reductions())).passed:
         return exact
     worst = 0.0
-    for p, q, (xs, columns, scales) in references:
+    for p, q in ((1, 2), (1, 1), (3, 1)):
+        xs, columns, scales = _special_reference(p, q)
         for n, (column, scale) in enumerate(zip(columns, scales)):
             error = max(map(abs, map(operator.sub, member_values(n, p, q, xs, 1.0), column)))
             worst = max(worst, error / scale)
-            if worst > rel_tol:
+            if worst > _SPECIAL_REL_TOL:
                 return VerificationReport(
                     "special-cases", grid, "fail", max_residual=worst,
                     witness=f"order-1 evaluation n={n}, weight={Fraction(p, q)}")
     return VerificationReport(
         "special-cases", grid, "numeric-pass", max_residual=worst,
         notes=f"reductions exact and order-free; order-1 evaluation residual "
-              f"relative to coefficient L1 norm, {samples} points")
+              f"relative to coefficient L1 norm, {_SPECIAL_SAMPLES} points")
 
 
 # ---------------------------------------------------------------------------
 # recorded audits (never gate a run)
 
 
-def audit_ultraspherical(
-        betas: Sequence[Fraction] = (Fraction(0), _HALF, Fraction(3, 2)),
-        alphas: Sequence[RationalLike] = (_HALF, Fraction(1)),
-        n_max: int = 6) -> list[VerificationReport]:
-    """Recorded findings for the shifted-weight family: the variant operator,
-    the series-form consistency against the generating function's binomial
-    rows, and the alternate Rodrigues normalization.  Each exact object is
-    built once per (shifted weight, degree), since it carries no order; only
-    the variant's residual size is taken at an order, the largest listed,
-    where it peaks.  The shifted weights, checked as a spec's, and the
-    orders must be nonempty; the grid prints the checked values."""
-    _as_count(n_max, "n_max")
-    specs = [[UltrasphericalSpec(n, beta) for n in range(n_max + 1)]
-             for beta in _as_cases(betas, "shifted weights")]
-    betas = [row[0].beta for row in specs]
-    alphas = tuple(_as_order(a) for a in _as_cases(alphas, "orders"))
-    grid = (f"n <= {n_max}, shifted weight in {{{', '.join(str(b) for b in betas)}}}, "
-            f"order in {{{', '.join(str(a) for a in alphas)}}}")
+_ULTRA_BETAS, _ULTRA_ORDERS = (Fraction(0), _HALF, Fraction(3, 2)), (_HALF, Fraction(1))
+_ULTRA_N_MAX = 6
+
+
+def audit_ultraspherical() -> list[VerificationReport]:
+    """Recorded findings for the shifted-weight family at `_ULTRA_BETAS` to
+    degree `_ULTRA_N_MAX`: the variant operator, the series-form consistency
+    against the generating function's binomial rows, and the alternate
+    Rodrigues normalization.  Each exact object is built once per (shifted
+    weight, degree), since it carries no order; only the variant's residual
+    size is taken at an order, the largest of `_ULTRA_ORDERS`, where it peaks."""
+    specs = [[UltrasphericalSpec(n, b) for n in range(_ULTRA_N_MAX + 1)] for b in _ULTRA_BETAS]
+    grid = (f"n <= {_ULTRA_N_MAX}, shifted weight in {{{', '.join(map(str, _ULTRA_BETAS))}}}, "
+            f"order in {{{', '.join(map(str, _ULTRA_ORDERS))}}}")
     reports = []
 
     # Variant operator: second-derivative term missing (1 - x^(2a)).  The
     # weighted operator annihilates every true member, so the first member
     # it does not is faulty, and fails the report in place of the variant.
     # The variant residual has grade 2, so its size grows with the order.
-    top = max(alphas)
+    top = max(_ULTRA_ORDERS)
     worst = 0.0
     witness = None
     fault = None
@@ -458,13 +453,13 @@ def audit_ultraspherical(
             if not full.is_zero and fault is None:
                 fault = VerificationReport(
                     "ultraspherical-ode-variant-operator", grid, "fail",
-                    max_residual=_residual_size(full, alphas[0]),
+                    max_residual=_residual_size(full, _ULTRA_ORDERS[0]),
                     witness=f"beta={spec.beta}, n={spec.n}: weighted residual = {full}",
                     asserted=False,
                     notes="the weighted operator, which annihilates every true member, "
                           "leaves this residual, so the member itself is faulty; it is "
                           "not the variant's expected residual. max_residual taken at "
-                          f"order {alphas[0]}.")
+                          f"order {_ULTRA_ORDERS[0]}.")
             variant = ultraspherical_ode_residual(p, spec)
             if not variant.is_zero and spec.n <= 1:
                 annihilated_upper = 0
@@ -484,7 +479,7 @@ def audit_ultraspherical(
     # binomial expansion of the generating function.
     def series_cases() -> Iterator[tuple]:
         for row in specs:
-            for spec, coeffs in zip(row, generating_function_coeffs(row[0].lam, n_max)):
+            for spec, coeffs in zip(row, generating_function_coeffs(row[0].lam, _ULTRA_N_MAX)):
                 yield (spec, ("series", list(ultraspherical(spec).rational_coeffs())),
                        ("generating function", coeffs))
 
@@ -503,10 +498,10 @@ def audit_ultraspherical(
                 yield spec, ("rodrigues", member), ("series", ultraspherical(spec))
 
     closed = [2.0 ** float(b) * math.gamma(float(b) + 0.5) / math.sqrt(math.pi)
-              for b in betas]
+              for b in _ULTRA_BETAS]
     constant_error = max(abs(ultraspherical_rodrigues(row[0])[0] - c) / c
                          for row, c in zip(specs, closed))
-    constants = ", ".join(f"{b}: {c:.12g}" for b, c in zip(betas, closed))
+    constants = ", ".join(f"{b}: {c:.12g}" for b, c in zip(_ULTRA_BETAS, closed))
     exact = _exact_report(
         "ultraspherical-rodrigues-normalization", grid, rodrigues_cases(), asserted=False,
         notes=lambda count: (
@@ -521,16 +516,18 @@ def audit_ultraspherical(
     return reports
 
 
-def audit_chebyshev_limit(n_max: int = 8, m_max: int = 3) -> list[VerificationReport]:
-    """Recorded findings at the first-kind (weight -> 0) boundary.  Both are
-    exact and order-free; the ladder needs n_max, m_max >= 1."""
-    if min(_as_count(n_max, "n_max"), _as_count(m_max, "m_max")) < 1:
-        raise ParameterError(f"n_max and m_max must be >= 1, got {n_max} and {m_max}")
-    grid = f"n <= {n_max}"
+_CHEBYSHEV_N_MAX, _CHEBYSHEV_M_MAX = 8, 3
+
+
+def audit_chebyshev_limit() -> list[VerificationReport]:
+    """Recorded findings at the first-kind (weight -> 0) boundary, degrees
+    to `_CHEBYSHEV_N_MAX` and ladder lengths to `_CHEBYSHEV_M_MAX`.  Both
+    are exact and order-free."""
+    grid = f"n <= {_CHEBYSHEV_N_MAX}"
     reports = []
 
     cases = ((f"n={n}", ("first-kind", chebyshev_t(n)),
-              ("rodrigues", chebyshev_t_rodrigues(n))) for n in range(n_max + 1))
+              ("rodrigues", chebyshev_t_rodrigues(n))) for n in range(_CHEBYSHEV_N_MAX + 1))
     reports.append(_exact_report(
         "chebyshev-rodrigues-limit", grid, cases, asserted=False,
         notes="boundary Rodrigues route (exponent n - 1/2) equals the classical "
@@ -540,9 +537,9 @@ def audit_chebyshev_limit(n_max: int = 8, m_max: int = 3) -> list[VerificationRe
     # short by n/2; measure the exact ratio.
     mismatch = None
     exact_ratio = True
-    for n in range(1, n_max + 1):
+    for n in range(1, _CHEBYSHEV_N_MAX + 1):
         lhs = chebyshev_t(n)
-        for m in range(1, min(m_max, n) + 1):
+        for m in range(1, min(_CHEBYSHEV_M_MAX, n) + 1):
             lhs = lhs.d_alpha()
             target = from_series(GegenbauerSpec(n - m, m))
             variant = target.scale(Fraction(2) ** m * math.factorial(m - 1), power=m)
@@ -551,7 +548,7 @@ def audit_chebyshev_limit(n_max: int = 8, m_max: int = 3) -> list[VerificationRe
             if lhs != variant and mismatch is None:
                 mismatch = f"n={n}, m={m}"
     reports.append(VerificationReport(
-        "chebyshev-derivative-ladder", grid + f", m <= {m_max}",
+        "chebyshev-derivative-ladder", grid + f", m <= {_CHEBYSHEV_M_MAX}",
         "fail" if mismatch else "exact-pass",
         witness=mismatch, asserted=False,
         notes="measured ratio lhs/variant is exactly n/2 for every case"

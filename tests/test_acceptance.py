@@ -57,16 +57,18 @@ def test_criterion_2_ode_annihilation(capsys):
 def test_criterion_3_generating_function(capsys):
     with criterion_line(capsys, 3,
                         "independent binomial expansion reproduces all rows, n <= 10"):
-        rep = check_generating_function(lambdas=(Fraction(1, 2), Fraction(1),
-                                                 Fraction(3)), n_max=10)
+        rep = check_generating_function()
+        assert rep.grid == "n <= 10, weight in {1/2, 1, 3}"
         assert rep.status == "exact-pass", rep.to_text()
 
 
 def test_criterion_4_identity_suite(capsys):
     with criterion_line(capsys, 4,
                         "derivative ladder, recurrences, endpoint values exact"):
-        ladder = check_derivative_ladder(STANDARD_GRID, n_max=8, m_max=3)
-        recur = check_recurrences(STANDARD_GRID, n_max=11)
+        ladder = check_derivative_ladder(STANDARD_GRID)
+        assert ladder.grid == "n <= 8, m <= 3, weight in {1/2, 1, 5/2, 3}; exact, order-free"
+        recur = check_recurrences(STANDARD_GRID)
+        assert recur.grid == "n <= 11 (pivots), weight in {1/2, 1, 5/2, 3}; exact, order-free"
         ends = check_endpoint_values(STANDARD_GRID)
         for rep in (ladder, recur, ends):
             assert rep.status == "exact-pass", rep.to_text()
@@ -76,8 +78,10 @@ def test_criterion_5_special_cases(capsys):
     with criterion_line(capsys, 5,
                         "Legendre/second-kind/first-kind reductions; order-1 "
                         "evaluation within 1e-12 relative"):
-        rep = check_special_cases(n_max=10, samples=200, rel_tol=TOL_SPECIAL)
+        rep = check_special_cases()
+        assert rep.grid == "n <= 10, order 1"
         assert rep.passed, rep.to_text()
+        assert rep.notes.endswith(", 200 points")
         assert rep.max_residual is not None and rep.max_residual <= TOL_SPECIAL
 
 

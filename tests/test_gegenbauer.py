@@ -17,9 +17,7 @@ from congeg.quadrature import (AuditRow, QuadratureResult, _cell, classical_norm
                                normalization_audit, normalization_closed_form,
                                orthogonality_check)
 from congeg.report import VerificationReport
-from congeg.verify import (ParamGrid, audit_chebyshev_limit, check_derivative_ladder,
-                           check_recurrences, check_special_cases,
-                           generating_function_coeffs)
+from congeg.verify import ParamGrid, generating_function_coeffs
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -381,14 +379,7 @@ COUNT_ENTRY_POINTS = {
     "monomial": lambda k: AlphaPoly.monomial(k),
     "shift": lambda k: AlphaPoly((1, 2)).shift(k),
     "generating_function_coeffs": lambda k: generating_function_coeffs(ONE, k),
-    "check_derivative_ladder n_max": lambda k: check_derivative_ladder(n_max=k),
-    "check_derivative_ladder m_max": lambda k: check_derivative_ladder(m_max=k),
-    "check_recurrences": lambda k: check_recurrences(n_max=k),
-    "check_special_cases": lambda k: check_special_cases(n_max=k),
-    "check_special_cases samples": lambda k: check_special_cases(samples=k),
     "normalization_audit n_max": lambda k: normalization_audit(n_max=k),
-    "audit_chebyshev_limit n_max": lambda k: audit_chebyshev_limit(n_max=k),
-    "audit_chebyshev_limit m_max": lambda k: audit_chebyshev_limit(m_max=k),
 }
 
 

@@ -2,7 +2,8 @@
 <- verify <- cli.  No module imports one that comes after it, and none
 imports numpy at import time: the direct quadrature route imports it when
 first called, and float evaluation, in `alphapoly._by_point_or_column`
-alone, when a list reaches `alphapoly._COLUMN_POINTS` points."""
+alone, when a list reaches `alphapoly._COLUMN_POINTS` points.  Every name a
+module imports at module level is used there."""
 import ast
 import os
 import subprocess
@@ -225,3 +226,25 @@ def test_suite_choices_are_the_registry():
         convert("nope")
     assert ", ".join(names) in suite[-1]  # the help lists them
     assert tuple(verify.SUITES) == report.SUITE_NAMES
+
+
+def _unused_imports(source):
+    """Names bound by the module-level imports of `source` that the module
+    never reads; `from __future__ import annotations` binds none."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names}
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_unused_import_check_sees_a_leftover():
+    assert _unused_imports("from typing import Callable, Sequence\nf: Callable") == ["Sequence"]
+    assert _unused_imports("from __future__ import annotations\nimport os.path\nos") == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(congeg.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_module_level_import_is_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

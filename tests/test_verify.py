@@ -1,4 +1,5 @@
 """Identity sweeps and recorded audits."""
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -16,8 +17,7 @@ import congeg.verify as verify
 from congeg.verify import (STANDARD_GRID, ParamGrid, audit_chebyshev_limit,
                            audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
-                           check_endpoint_values, check_generating_function,
-                           check_ode_annihilation, check_recurrences,
+                           check_endpoint_values, check_ode_annihilation, check_recurrences,
                            check_special_cases, generating_function_coeffs,
                            ode_residual, run_asserted_checks,
                            run_recorded_audits, ultraspherical_ode_residual)
@@ -86,29 +86,14 @@ class TestGeneratingFunction:
             assert rows == expected, max_n
             assert all(type(c) is Fraction for row in rows for c in row)
 
-    def test_grid_prints_the_checked_weights(self):
-        # a float weight was once printed as written, not as the binary
-        # fraction that was checked
-        assert check_generating_function((0.5, "3", 1), 2).grid == "n <= 2, weight in {1/2, 3, 1}"
-        rep = check_generating_function((0.1,), 2)
-        assert rep.passed and rep.grid == f"n <= 2, weight in {{{Fraction(0.1)}}}"
-        with pytest.raises(ParameterError, match="exact rational"):
-            check_generating_function((HALF, True), 2)
 
-
-# checks whose sweep holds no case; each once passed after comparing
-# nothing, and the ultraspherical audit ended in an IndexError
+# checks whose sweep holds no case; each once passed after comparing nothing
 NO_CASE = {
     "constructors": lambda: check_constructor_agreement(ParamGrid(n_max=-1)),
     "ode": lambda: check_ode_annihilation(ParamGrid(n_max=-1)),
     "endpoints": lambda: check_endpoint_values(ParamGrid(n_max=-1)),
     "recurrences": lambda: check_recurrences(ParamGrid(n_max=0)),
-    "ladder n_max=0": lambda: check_derivative_ladder(ParamGrid(n_max=3), n_max=0),
-    "ladder m_max=0": lambda: check_derivative_ladder(ParamGrid(n_max=3), m_max=0),
-    "special-cases": lambda: check_special_cases(n_max=-1),
-    "chebyshev n_max=-1": lambda: audit_chebyshev_limit(n_max=-1),
-    "chebyshev n_max=0": lambda: audit_chebyshev_limit(n_max=0),
-    "ultraspherical": lambda: audit_ultraspherical(n_max=-1),
+    "ladder n_max=0": lambda: check_derivative_ladder(ParamGrid(n_max=0)),
 }
 
 
@@ -151,14 +136,6 @@ class TestSweeps:
         rep = check_special_cases()
         assert rep.passed
         assert rep.max_residual is not None and rep.max_residual <= 1e-12
-
-    def test_empty_lists_are_refused_before_any_work(self, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("work done over an empty list")
-
-        monkeypatch.setattr(verify, "generating_function_coeffs", no_work)
-        with pytest.raises(ParameterError, match="weights must not be empty"):
-            check_generating_function(lambdas=())
 
     def test_grid_description_in_reports(self):
         rep = check_constructor_agreement(SMALL)
@@ -341,18 +318,6 @@ class TestRecordedAudits:
         assert rep.status == "numeric-pass"
         assert "sqrt(pi)" in rep.notes
 
-    def test_shifted_weights_are_checked_and_printed_as_checked(self):
-        # "1/2" once raised a bare ValueError from float(), True ran as
-        # beta = 1, and a float was printed as written
-        reference = audit_ultraspherical(betas=[HALF, Fraction(3, 2)], n_max=3)
-        assert audit_ultraspherical(betas=["1/2", 1.5], n_max=3) == reference
-        assert reference[0].grid.startswith("n <= 3, shifted weight in {1/2, 3/2}, ")
-        for bad, message in ((True, "exact rational"), (-1, "must exceed -1/2")):
-            with pytest.raises(ParameterError, match=message):
-                audit_ultraspherical(betas=[HALF, bad])
-        with pytest.raises(ParameterError, match="shifted weights must not be empty"):
-            audit_ultraspherical(betas=())
-
     def test_first_kind_limit_exact(self, audits):
         assert audits["chebyshev-rodrigues-limit"].status == "exact-pass"
 
@@ -371,9 +336,22 @@ class TestRecordedAuditsOncePerProcess:
         assert len(second) == 5
         assert run_recorded_audits() == second
 
-    def test_direct_audit_calls_follow_their_arguments(self):
-        reports = audit_ultraspherical(n_max=2) + audit_chebyshev_limit(n_max=3)
-        assert [r.grid.split(",")[0] for r in reports] == ["n <= 2"] * 3 + ["n <= 3"] * 2
+
+class TestFixedBounds:
+    """The fixed-degree suites and the recorded audits take no bounds: each
+    is a named constant in `verify`, and a sweep takes only its grid."""
+
+    @pytest.mark.parametrize("name", [n for n in verify.__all__ if n.startswith("check_")])
+    def test_a_check_takes_at_most_a_grid(self, name):
+        assert set(inspect.signature(getattr(verify, name)).parameters) <= {"grid"}
+
+    @pytest.mark.parametrize("audit", [audit_ultraspherical, audit_chebyshev_limit],
+                             ids=lambda audit: audit.__name__)
+    def test_an_audit_takes_nothing(self, audit):
+        assert not inspect.signature(audit).parameters
+
+    def test_the_sample_grid_takes_its_bound_and_count(self):
+        assert list(inspect.signature(_sample_grid).parameters) == ["lo", "samples"]
 
 
 class TestReportPlumbing:
@@ -518,30 +496,6 @@ class TestSpecialCasesAgainstRecurrence:
         assert rep.witness.startswith("order-1 evaluation n=")
         assert rep.max_residual > 1e-12
 
-    @pytest.mark.parametrize("samples", [1, 0])
-    def test_too_few_samples_name_the_argument(self, monkeypatch, samples):
-        # the error once named the CLI's flag, --samples; it comes before
-        # the exact reductions run
-        def no_work(*args, **kwargs):
-            raise AssertionError("exact reductions run before the sample count was checked")
-
-        monkeypatch.setattr(verify, "_exact_report", no_work)
-        with pytest.raises(ParameterError, match=rf"^samples must be >= 2, got {samples}$"):
-            check_special_cases(samples=samples)
-
-    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, 1.0, -1e-12])
-    def test_tolerance_outside_unit_interval_is_refused(self, rel_tol):
-        # a NaN tolerance once passed whatever the residual, as 1.0 did
-        with pytest.raises(ParameterError,
-                           match="^rel_tol must lie strictly between 0 and 1"):
-            check_special_cases(rel_tol=rel_tol)
-
-    @pytest.mark.parametrize("rel_tol", [None, "1e-6", True])
-    def test_tolerance_that_is_not_a_real_number_is_refused(self, rel_tol):
-        # "1e-6" and None once raised a bare TypeError from the comparison
-        with pytest.raises(ParameterError, match="^rel_tol must be a real number, got "):
-            check_special_cases(rel_tol=rel_tol)
-
 
 def _clear_every_memo():
     for module in (gegenbauer, quadrature, verify):
@@ -564,11 +518,10 @@ class TestOraclesOncePerProcess:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("n_max,samples", [(10, 200), (3, 2), (0, 7), (24, 33)])
-    def test_special_cases_warm_equals_cold(self, n_max, samples):
+    def test_special_cases_warm_equals_cold(self):
         _clear_every_memo()
-        cold = check_special_cases(n_max=n_max, samples=samples)
-        assert check_special_cases(n_max=n_max, samples=samples) == cold
+        cold = check_special_cases()
+        assert check_special_cases() == cold
         assert verify._special_reference.cache_info().hits == 3
 
     def test_a_warm_process_still_catches_skewed_evaluation(self, monkeypatch):
