@@ -22,10 +22,11 @@
   with the memos warm after the first round and from cold memos each round,
   and `audit_rows_to_csv` over its table, each row's line kept after the
   first round;
-- verification: one `check_ode_annihilation` sweep at n_max 12, the
-  constructor and endpoint sweeps at n_max 12, the recurrence and ladder
-  sweeps over that grid at their fixed bounds (pivots to 11; degree 8,
-  length 3), and the special cases and the generating function at theirs
+- verification: one `check_ode_annihilation` sweep at n_max 12, 24 and
+  96 (each residual one integer pass over its member), the constructor
+  and endpoint sweeps at n_max 12, the recurrence and ladder sweeps over
+  that grid at their fixed bounds (pivots to 11; degree 8, length 3),
+  and the special cases and the generating function at theirs
   (degree 10), with the memos warm after the first round as in a
   long-lived process, `orthogonality_check` at n_max 48 and 96 from cold
   memos and at n_max 32 with them warm, and the recorded audits computed
@@ -232,8 +233,9 @@ def test_audit_csv(benchmark):
     assert benchmark(audit_rows_to_csv, table).count("\n") == 1 + len(table)
 
 
-def test_ode_sweep(benchmark):
-    assert benchmark(check_ode_annihilation, GRID_12).passed
+@pytest.mark.parametrize("n_max", [12, 24, 96])
+def test_ode_sweep(benchmark, n_max):
+    assert benchmark(check_ode_annihilation, ParamGrid(n_max=n_max)).passed
 
 
 EXACT_SWEEPS = {

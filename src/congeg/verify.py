@@ -20,6 +20,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import gegenbauer
@@ -63,8 +64,6 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
-# The factor (1 - x^(2a)) of the ODE's second-derivative term.
-_ODE_WEIGHT = AlphaPoly((1, 0, -1))
 # Entries per memo of a whole sweep's oracle, keyed by a weight (the generating
 # rows also by degree): a suite asks for one per weight (three in `SUITES`).
 _SWEEP_MEMO_SIZE = 32
@@ -169,11 +168,22 @@ def ode_residual(p: AlphaPoly, spec: GegenbauerSpec) -> AlphaPoly:
 
 
 def _ode_residual(poly: AlphaPoly, n: int, p: int, q: int) -> AlphaPoly:
-    """`ode_residual` at lam = p/q, scaled by integers:
-    2 lam + 1 = (2p + q)/q and n (n + 2 lam) = n (qn + 2p)/q."""
-    d1 = poly.d_alpha()
-    return (_ODE_WEIGHT * d1.d_alpha() - d1.shift(1)._times(2 * p + q, q, 1)
-            + poly._times(n * (q * n + 2 * p), q, 2))
+    """`ode_residual` at lam = p/q, in one pass over the numerators c_k of
+    poly.  The coefficient of x^(ka) in the residual is a^2 times
+
+        (k+2)(k+1) c_(k+2) + (n-k)(n+k+2 lam) c_k:
+
+    (1 - x^(2a)) DD gives (k+2)(k+1) c_(k+2) - k(k-1) c_k, -a (2 lam + 1) x^a D
+    gives -(2 lam + 1) k c_k and a^2 n (n + 2 lam) gives n (n + 2 lam) c_k, and
+    n (n + 2 lam) - k(k-1) - (2 lam + 1) k = (n-k)(n+k+2 lam).  This is the
+    ODE's power-series recurrence (DLMF 18.8).  Scaled by q, each numerator
+    is q (k+2)(k+1) c_(k+2) + (n-k)(q (n+k) + 2p) c_k over q times poly's
+    denominator, at two grades above poly's."""
+    c = poly.nums + (0, 0)
+    return AlphaPoly._of(
+        [q * (k + 2) * (k + 1) * c[k + 2] + (n - k) * (q * (n + k) + 2 * p) * c[k]
+         for k in range(len(poly.nums))],
+        poly.den * q, poly.grade + 2)
 
 
 def ultraspherical_ode_residual(p: AlphaPoly, spec: UltrasphericalSpec) -> AlphaPoly:
@@ -234,16 +244,24 @@ def _recurrence_cases(n: int, p: int, q: int) -> Iterator[tuple]:
         (n+1) C_(n+1)^(lam) = 2 lam x^a C_n^(lam+1)     - 2 lam C_(n-1)^(lam+1)
 
     with the convention that the degree -1 member is the zero polynomial;
-    2 (n+lam) = 2 (qn+p)/q and n+2lam-1 = (qn+2p-q)/q."""
+    2 (n+lam) = 2 (qn+p)/q and n+2lam-1 = (qn+2p-q)/q.  Each right-hand side
+    is built in one pass by `_two_term`."""
     series = gegenbauer._series_coeffs
     c_next = ("(n+1) C_(n+1)", series(n + 1, p, q)._times(n + 1))
-    c_prev = series(n - 1, p, q) if n else AlphaPoly.zero()
-    three_term = (series(n, p, q).shift(1)._times(2 * (q * n + p), q)
-                  - c_prev._times(q * n + 2 * p - q, q))
-    yield (n, p, q), c_next, ("three-term", three_term)
-    up_prev = series(n - 1, p + q, q) if n else AlphaPoly.zero()
-    raised = (series(n, p + q, q).shift(1) - up_prev)._times(2 * p, q)
-    yield (n, p, q), c_next, ("weight-raising", raised)
+    for name, r, up, down in (("three-term", p, 2 * (q * n + p), q * n + 2 * p - q),
+                              ("weight-raising", p + q, 2 * p, 2 * p)):
+        prev = series(n - 1, r, q) if n else AlphaPoly.zero()
+        yield (n, p, q), c_next, (name, _two_term(series(n, r, q), prev, up, down, q))
+
+
+def _two_term(member: AlphaPoly, prev: AlphaPoly, up: int, down: int, q: int) -> AlphaPoly:
+    """(up x^a member - down prev) / q, in one pass: with member = b/dB and
+    prev = c/dC, numerator k is up b_(k-1) dC - down c_k dB over q dB dC, at
+    the member's grade."""
+    up, down = up * prev.den, down * member.den
+    return AlphaPoly._of(
+        [up * b - down * c for b, c in zip_longest((0, *member.nums), prev.nums, fillvalue=0)],
+        q * member.den * prev.den, member.grade)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

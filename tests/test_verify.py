@@ -55,6 +55,74 @@ class TestOdeResidual:
             assert residual.values((-0.5, 0.3, 1.0), alpha) == [0.0, 0.0, 0.0]
 
 
+# the weights of the one-pass checks: the standard grid's and one with q > 2
+ONE_PASS_WEIGHTS = (HALF, Fraction(1), Fraction(5, 2), Fraction(3), Fraction(2, 7))
+
+
+def _ode_operator(poly, n, p, q):
+    """The weighted operator term by term in AlphaPoly calculus, at lam = p/q
+    and scaled by q: the oracle of `verify._ode_residual`'s one pass."""
+    d1 = poly.d_alpha()
+    d2 = d1.d_alpha()
+    return (d2 - d2.shift(2) - d1.shift(1)._times(2 * p + q, q, 1)
+            + poly._times(n * (q * n + 2 * p), q, 2))
+
+
+def _recurrence_sides(n, p, q):
+    """Both right-hand sides of `verify._recurrence_cases` by shift, scaling
+    and difference: the oracle of its one-pass sides."""
+    series = gegenbauer._series_coeffs
+    prev = series(n - 1, p, q) if n else AlphaPoly.zero()
+    up_prev = series(n - 1, p + q, q) if n else AlphaPoly.zero()
+    return [series(n, p, q).shift(1)._times(2 * (q * n + p), q)
+            - prev._times(q * n + 2 * p - q, q),
+            (series(n, p + q, q).shift(1) - up_prev)._times(2 * p, q)]
+
+
+def _perturbed(poly):
+    """poly with its k-th numerator raised by k % 3 + 1: no family member."""
+    return AlphaPoly._of([v + k % 3 + 1 for k, v in enumerate(poly.nums)],
+                         poly.den, poly.grade)
+
+
+class TestOnePassSides:
+    """The ODE residual and the recurrences' right-hand sides are each built
+    in one pass over integer numerators; they equal the operator and the
+    chains written out in AlphaPoly calculus, on members and non-members."""
+
+    @pytest.mark.parametrize("lam", ONE_PASS_WEIGHTS, ids=str)
+    def test_ode_residual_equals_the_operator(self, lam):
+        p, q = lam.as_integer_ratio()
+        for n in range(41):
+            member = gegenbauer._series_coeffs(n, p, q)
+            for poly in (member, _perturbed(member), member.d_alpha()):
+                residual = verify._ode_residual(poly, n, p, q)
+                assert residual == _ode_operator(poly, n, p, q), (n, poly)
+            assert verify._ode_residual(member, n, p, q).is_zero
+            # a perturbed constant is still a multiple of the degree-0 member
+            assert verify._ode_residual(_perturbed(member), n, p, q).is_zero == (n == 0)
+        zero = verify._ode_residual(AlphaPoly.zero(), 3, p, q)
+        assert zero == _ode_operator(AlphaPoly.zero(), 3, p, q) == AlphaPoly.zero()
+
+    @pytest.mark.parametrize("lam", ONE_PASS_WEIGHTS, ids=str)
+    def test_recurrence_sides_equal_the_chains(self, lam):
+        p, q = lam.as_integer_ratio()
+        for n in range(41):
+            cases = list(verify._recurrence_cases(n, p, q))
+            assert [rhs for _, _, (_, rhs) in cases] == _recurrence_sides(n, p, q), n
+            assert all(lhs == rhs for _, (_, lhs), (_, rhs) in cases), n
+
+    @pytest.mark.parametrize("lam", ONE_PASS_WEIGHTS, ids=str)
+    def test_two_term_equals_its_chain_off_the_family(self, lam):
+        p, q = lam.as_integer_ratio()
+        for n in range(1, 41):
+            member = _perturbed(gegenbauer._series_coeffs(n, p, q))
+            prev = _perturbed(gegenbauer._series_coeffs(n - 1, p, q))
+            up, down = 2 * (q * n + p), q * n + 2 * p - q
+            assert (verify._two_term(member, prev, up, down, q)
+                    == member.shift(1)._times(up, q) - prev._times(down, q)), n
+
+
 class TestGeneratingFunction:
     def test_legendre_rows(self):
         rows = generating_function_coeffs(HALF, 3)
@@ -548,3 +616,27 @@ class TestOraclesOncePerProcess:
         oracle = gegenbauer.classical_oracle(4, 3)
         oracle[0] = Fraction(99)
         assert gegenbauer.classical_oracle(4, 3) == [6, 0, -120, 0, 240]
+
+
+class TestNoPolynomialProduct:
+    """No program path multiplies two AlphaPolys.  `__mul__` keeps its
+    polynomial branch for callers of the public arithmetic."""
+
+    def test_no_program_path_multiplies_two_polynomials(self, monkeypatch, capsys):
+        audits = run_recorded_audits()
+        mul = AlphaPoly.__mul__
+
+        def refuse(self, other):
+            if isinstance(other, AlphaPoly):
+                raise AssertionError("a program path multiplied two AlphaPolys")
+            return mul(self, other)
+
+        monkeypatch.setattr(AlphaPoly, "__mul__", refuse)
+        _clear_every_memo()
+        assert all(r.passed for r in run_asserted_checks(ParamGrid(n_max=12)))
+        assert audit_ultraspherical() + audit_chebyshev_limit() == audits
+        for argv in (["eval", "--n", "5", "--x", "0.5"], ["plot-data"], ["table"], ["audit"]):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        with pytest.raises(AssertionError):
+            AlphaPoly((1, 1)) * AlphaPoly((1, 1))
