@@ -5,6 +5,9 @@
 - the three exact constructors at degrees 8, 32, 64, each round from cold
   memos, the series' memo body `_series_coeffs` from cold at 200 and 1000,
   and the validation of their parameters (`GegenbauerSpec` construction);
+- first use over the standard grid, from cold memos each round: the
+  Rodrigues route `_rodrigues_coeffs` for every member to n_max 16 and 96,
+  and the endpoint closed form `verify._endpoint_value` to n_max 24;
 - the shifted-weight Rodrigues route `ultraspherical_rodrigues` at degree
   64, shifted weight 3/2, with its Rodrigues memo warm and cold;
 - float evaluation: `evaluate` over 2001 points at degrees 8, 32, 64, one
@@ -51,8 +54,12 @@ from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=layers.json
 
-The file times whichever `congeg` is importable, so pointing PYTHONPATH at
-another checkout's `src` times that tree with the same benchmarks.
+The file times whichever `congeg` is importable.  It cannot compare two
+trees by pointing PYTHONPATH at each in turn: on a 2-core shared host the
+tree that runs second reads faster (exact sweeps whose code did not change
+read x0.58-x1.00 one way round and x1.44-x1.84 the other).  Compare two
+commits through alternating runs in fresh interpreters instead, with
+`scripts/bench_pairs.py --workload NAME` or `--cli "ARGS"`.
 """
 import contextlib
 import io
@@ -121,6 +128,22 @@ def test_series_cold(benchmark, n):
     # the memo's body, so every round builds the series from cold
     poly = benchmark(gegenbauer._series_coeffs.__wrapped__, n, *LAM.as_integer_ratio())
     assert poly.degree == n
+
+
+@pytest.mark.parametrize("n_max", [16, 96])
+def test_rodrigues_sweep(benchmark, n_max):
+    # a first use: every member of the grid, each round from cold memos
+    cases = list(ParamGrid(n_max=n_max).cases())
+    members = benchmark.pedantic(lambda: [gegenbauer._rodrigues_coeffs(*c) for c in cases],
+                                 setup=_clear_memos, rounds=10, iterations=1)
+    assert all(member.grade == 0 for member in members)
+
+
+def test_endpoint_sweep(benchmark):
+    cases = list(ParamGrid(n_max=24).cases())
+    values = benchmark.pedantic(lambda: [verify._endpoint_value(*c) for c in cases],
+                                setup=_clear_memos, rounds=20, iterations=1)
+    assert all(value > 0 for value in values)
 
 
 @pytest.mark.parametrize("memo", ["warm", "cold"])

@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # Each public name by the module that defines it.
 _HOMES = {
     "alphapoly": ("AccuracyError", "AlphaPoly", "DomainError", "ParameterError",
-                  "gamma_quotient", "pochhammer"),
+                  "pochhammer"),
     "gegenbauer": ("GegenbauerSpec", "UltrasphericalSpec", "chebyshev_t",
                    "chebyshev_t_rodrigues", "classical_oracle", "from_recurrence",
                    "from_rodrigues", "from_series", "legendre", "ultraspherical",

@@ -97,7 +97,6 @@ __all__ = [
     "AlphaPoly",
     "DomainError",
     "ParameterError",
-    "gamma_quotient",
     "pochhammer",
 ]
 
@@ -395,10 +394,6 @@ class AlphaPoly(_Record):
     def constant(value: Union[int, Fraction]) -> AlphaPoly:
         return AlphaPoly((value,))
 
-    @staticmethod
-    def monomial(k: int, coeff: Union[int, Fraction] = 1) -> AlphaPoly:
-        return AlphaPoly((0,) * _as_count(k, "basis index") + (coeff,))
-
     # -- structure
 
     @cached_property
@@ -470,12 +465,6 @@ class AlphaPoly(_Record):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def __truediv__(self, other: RationalLike) -> AlphaPoly:
-        d = _as_fraction(other)
-        if not d:
-            raise ParameterError("division of a polynomial by zero")
-        return self.scale(1 / d)
 
     def __pow__(self, exponent: int) -> AlphaPoly:
         out = AlphaPoly.constant(1)
@@ -603,7 +592,7 @@ def _sample_grid(lo: float, samples: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# exact gamma-function helpers
+# exact rising factorial
 
 
 def pochhammer(base: RationalLike, m: int) -> Fraction:
@@ -616,24 +605,3 @@ def pochhammer(base: RationalLike, m: int) -> Fraction:
         num *= p + q * i
     return Fraction(num, q ** m)
 
-
-def gamma_quotient(num: RationalLike, den: RationalLike) -> Fraction:
-    """Gamma(num)/Gamma(den) for arguments an integer apart, reduced exactly.
-
-    Reduction is through rising factorials, which also gives the correct
-    analytic-continuation value when both arguments sit at poles.  A pole
-    in the numerator alone has no finite value and raises DomainError.
-    """
-    a = _as_fraction(num)
-    b = _as_fraction(den)
-    offset = a - b
-    if offset.denominator != 1:
-        raise ParameterError(
-            f"gamma quotient needs integer-offset arguments, got {a} and {b}")
-    k = offset.numerator
-    if k >= 0:
-        return pochhammer(b, k)
-    p = pochhammer(a, -k)
-    if not p:
-        raise DomainError(f"gamma pole at argument {a}")
-    return 1 / p

@@ -9,9 +9,10 @@ cancels symbolically against the a^(-n) in its prefactor.
 Each route runs in Python integers: with the weight lam = p/q it carries
 integer coefficients over one integer denominator (a power of q times
 factorials for the series and the recurrence, a fixed power of the
-denominator of lam - 1/2 for the Rodrigues kernel); no route builds a
-Fraction per coefficient.  No route calls another; each keeps its own
-derivation, so their agreement remains a check.
+denominator of lam - 1/2 for the Rodrigues kernel), and the Rodrigues
+prefactor is a quotient of two integer running products of the same kind;
+no route does arithmetic on a Fraction.  No route calls another; each
+keeps its own derivation, so their agreement remains a check.
 
 Because the coefficients do not depend on the order, and neither a spec nor
 an `AlphaPoly` carries one, each route's finished polynomial is memoized per
@@ -44,7 +45,6 @@ from .alphapoly import (
     _fits_horner,
     _float_values,
     _horner_values,
-    gamma_quotient,
 )
 
 __all__ = [
@@ -302,12 +302,19 @@ def _rodrigues_kernel(n: int, c: Fraction) -> AlphaPoly:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _rodrigues_coeffs(n: int, p: int, q: int) -> AlphaPoly:
-    """Body of `from_rodrigues`."""
-    lam = Fraction(p, q)
-    magnitude = (gamma_quotient(2 * lam + n, 2 * lam)
-                 / gamma_quotient(n + lam + _HALF, lam + _HALF)
-                 / (Fraction(2) ** n * math.factorial(n)))
-    return _rodrigues_kernel(n, lam - _HALF).scale(magnitude, power=-n)
+    """Body of `from_rodrigues`: the kernel at c = lam - 1/2 times the
+    prefactor's magnitude (2 lam)_n / ((lam + 1/2)_n 2^n n!) and a^(-n).
+
+    With lam = p/q, (2 lam)_n = prod_(i<n) (2p + q i) / q^n and
+    (lam + 1/2)_n = prod_(i<n) (2p + q + 2q i) / (2q)^n, so the powers of
+    q and of 2 cancel and the magnitude is the integer quotient
+    top / bottom, top = prod_(i<n) (2p + q i) and
+    bottom = n! prod_(i<n) (2p + q + 2q i), applied in one `_times`."""
+    top, bottom = 1, math.factorial(n)
+    for i in range(n):
+        top *= 2 * p + q * i
+        bottom *= 2 * p + q + 2 * q * i
+    return _rodrigues_kernel(n, Fraction(2 * p - q, 2 * q))._times(top, bottom, -n)
 
 
 def from_rodrigues(spec: GegenbauerSpec) -> AlphaPoly:
@@ -394,8 +401,8 @@ def chebyshev_t_rodrigues(n: int) -> AlphaPoly:
     Exact; agrees with `chebyshev_t` identically, which the verification
     audit records."""
     _as_count(n, "degree")
-    magnitude = Fraction(2 ** n * math.factorial(n), math.factorial(2 * n))
-    return _rodrigues_kernel(n, -_HALF).scale(magnitude, power=-n)
+    return _rodrigues_kernel(n, -_HALF)._times(2 ** n * math.factorial(n),
+                                               math.factorial(2 * n), -n)
 
 
 def classical_oracle(n: int, lam: RationalLike) -> list[Fraction]:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import gegenbauer
 from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _Record, _as_cases,
-                        _as_count, _sample_grid, gamma_quotient)
+                        _as_count, _sample_grid)
 from .gegenbauer import (
     _MEMO_SIZE,
     GegenbauerSpec,
@@ -266,9 +266,13 @@ def _two_term(member: AlphaPoly, prev: AlphaPoly, up: int, down: int, q: int) ->
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _endpoint_value(n: int, p: int, q: int) -> Fraction:
-    """The closed form G(2 lam + n) / (G(2 lam) n!), per (n, p, q) for lam = p/q."""
-    lam = Fraction(p, q)
-    return gamma_quotient(2 * lam + n, 2 * lam) / math.factorial(n)
+    """The closed form G(2 lam + n) / (G(2 lam) n!) = (2 lam)_n / n!, per
+    (n, p, q) for lam = p/q.  With (2 lam)_n = prod_(i<n) (2p + q i) / q^n
+    it is the integer quotient prod_(i<n) (2p + q i) / (q^n n!)."""
+    top = 1
+    for i in range(n):
+        top *= 2 * p + q * i
+    return Fraction(top, q ** n * math.factorial(n))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import congeg.gegenbauer as gegenbauer
+import congeg.verify as verify
 from congeg.alphapoly import AccuracyError, AlphaPoly, ParameterError, pochhammer
 from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_kernel,
                                chebyshev_t, chebyshev_t_rodrigues, classical_oracle,
@@ -376,7 +378,6 @@ COUNT_ENTRY_POINTS = {
     "GegenbauerSpec": lambda k: GegenbauerSpec(k, ONE),
     "pochhammer": lambda k: pochhammer(HALF, k),
     "__pow__": lambda k: AlphaPoly((1, 2)) ** k,
-    "monomial": lambda k: AlphaPoly.monomial(k),
     "shift": lambda k: AlphaPoly((1, 2)).shift(k),
     "generating_function_coeffs": lambda k: generating_function_coeffs(ONE, k),
     "normalization_audit n_max": lambda k: normalization_audit(n_max=k),
@@ -443,3 +444,51 @@ def test_rodrigues_kernel_matches_leibniz_sum(lam):
     for c in (lam - HALF, -HALF, lam):
         for n in range(13):
             assert _rodrigues_kernel(n, c) == AlphaPoly(_leibniz_reference(n, c), n)
+
+
+# The Rodrigues prefactor, the first-kind Rodrigues prefactor and the
+# endpoint value are quotients of integer running products: none of them
+# does arithmetic on a Fraction.
+CONSTANT_WEIGHTS = (HALF, ONE, Fraction(5, 2), Fraction(3), Fraction(2, 7))
+FRACTION_OPERATORS = ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__",
+                      "__radd__", "__rsub__", "__rmul__", "__rtruediv__", "__rpow__")
+
+
+def _constants(n_max):
+    """Every constant-bearing result on the grid, each from its memo's body
+    or its unmemoized function."""
+    out = [(n, chebyshev_t_rodrigues(n)) for n in range(n_max + 1)]
+    for lam in CONSTANT_WEIGHTS:
+        p, q = lam.as_integer_ratio()
+        for n in range(n_max + 1):
+            out.append((n, p, q, gegenbauer._rodrigues_coeffs.__wrapped__(n, p, q),
+                        verify._endpoint_value.__wrapped__(n, p, q)))
+    return out
+
+
+def test_constants_do_no_fraction_arithmetic(monkeypatch):
+    reference = _constants(24)
+
+    def refuse(*args):
+        raise AssertionError("arithmetic on a Fraction")
+
+    with monkeypatch.context() as patch:
+        for name in FRACTION_OPERATORS:
+            patch.setattr(Fraction, name, refuse)
+        got = _constants(24)
+    assert got == reference
+
+
+PIN_WEIGHTS = CONSTANT_WEIGHTS + (Fraction(343, 11),)
+
+
+@pytest.mark.parametrize("lam", PIN_WEIGHTS, ids=str)
+def test_constants_past_degree_64(lam):
+    p, q = lam.as_integer_ratio()
+    for n in range(121):
+        rodrigues = gegenbauer._rodrigues_coeffs.__wrapped__(n, p, q)
+        series = gegenbauer._series_coeffs.__wrapped__(n, p, q)
+        assert (rodrigues.nums, rodrigues.den, rodrigues.grade) == (
+            series.nums, series.den, series.grade)
+        assert verify._endpoint_value.__wrapped__(n, p, q) == (
+            pochhammer(2 * lam, n) / math.factorial(n))

@@ -41,7 +41,7 @@ class TestOdeResidual:
     def test_non_member_witness(self):
         # x^a under the (n=2, weight=3) operator leaves 9 a^2 x^a
         spec = GegenbauerSpec(2, Fraction(3))
-        residual = ode_residual(AlphaPoly.monomial(1), spec)
+        residual = ode_residual(AlphaPoly((0, 1)), spec)
         assert residual == AlphaPoly((0, 9), grade=2)
         assert str(residual) == "(9*a^2) x^a"
 
