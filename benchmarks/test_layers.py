@@ -5,7 +5,7 @@
 - the three exact constructors at degrees 8, 32, 64, each round from cold
   memos, the series' memo body `_series_coeffs` from cold at 200 and 1000,
   and the validation of their parameters (`GegenbauerSpec` construction);
-- first use over the standard grid, from cold memos each round: the
+- first use over the exact sweeps' cases, from cold memos each round: the
   Rodrigues route `_rodrigues_coeffs` for every member to n_max 16 and 96,
   and the endpoint closed form `verify._endpoint_value` to n_max 24;
 - the shifted-weight Rodrigues route `ultraspherical_rodrigues` at degree
@@ -84,7 +84,7 @@ from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, from_recurren
 from congeg.quadrature import (audit_rows_to_csv, conformable_inner_product,
                                conformable_inner_product_direct, normalization_audit,
                                orthogonality_check)
-from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherical,
+from congeg.verify import (audit_chebyshev_limit, audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_generating_function,
                            check_ode_annihilation,
@@ -93,7 +93,6 @@ from congeg.verify import (ParamGrid, audit_chebyshev_limit, audit_ultraspherica
 DEGREES = (8, 32, 64)
 LAM = Fraction(5, 2)
 ALPHA = Fraction(1, 2)
-GRID_12 = ParamGrid(n_max=12)
 
 
 def _clear_memos():
@@ -133,14 +132,14 @@ def test_series_cold(benchmark, n):
 @pytest.mark.parametrize("n_max", [16, 96])
 def test_rodrigues_sweep(benchmark, n_max):
     # a first use: every member of the grid, each round from cold memos
-    cases = list(ParamGrid(n_max=n_max).cases())
+    cases = list(verify._sweep_cases(n_max))
     members = benchmark.pedantic(lambda: [gegenbauer._rodrigues_coeffs(*c) for c in cases],
                                  setup=_clear_memos, rounds=10, iterations=1)
     assert all(member.grade == 0 for member in members)
 
 
 def test_endpoint_sweep(benchmark):
-    cases = list(ParamGrid(n_max=24).cases())
+    cases = list(verify._sweep_cases(24))
     values = benchmark.pedantic(lambda: [verify._endpoint_value(*c) for c in cases],
                                 setup=_clear_memos, rounds=20, iterations=1)
     assert all(value > 0 for value in values)
@@ -258,14 +257,14 @@ def test_audit_csv(benchmark):
 
 @pytest.mark.parametrize("n_max", [12, 24, 96])
 def test_ode_sweep(benchmark, n_max):
-    assert benchmark(check_ode_annihilation, ParamGrid(n_max=n_max)).passed
+    assert benchmark(check_ode_annihilation, n_max).passed
 
 
 EXACT_SWEEPS = {
-    "constructors": lambda: check_constructor_agreement(GRID_12),
-    "recurrences": lambda: check_recurrences(GRID_12),
-    "ladder": lambda: check_derivative_ladder(GRID_12),
-    "endpoints": lambda: check_endpoint_values(GRID_12),
+    "constructors": lambda: check_constructor_agreement(12),
+    "recurrences": lambda: check_recurrences(12),
+    "ladder": lambda: check_derivative_ladder(12),
+    "endpoints": lambda: check_endpoint_values(12),
     "special-cases": lambda: check_special_cases(),
     "generating-function": lambda: check_generating_function(),
 }

@@ -31,7 +31,7 @@ _HOMES = {
                    "normalization_audit", "normalization_closed_form",
                    "normalization_gamma_product", "orthogonality_check"),
     "report": ("VerificationReport", "reports_to_json", "reports_to_text"),
-    "verify": ("ParamGrid", "ode_residual", "run_asserted_checks", "run_recorded_audits"),
+    "verify": ("ode_residual", "run_asserted_checks", "run_recorded_audits"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

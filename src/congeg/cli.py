@@ -242,9 +242,9 @@ def _cmd_plot_data(args: SimpleNamespace) -> int:
 
 def _cmd_verify(args: SimpleNamespace) -> int:
     from .report import reports_to_json, reports_to_text, summary
-    from .verify import ParamGrid, run_asserted_checks, run_recorded_audits
+    from .verify import run_asserted_checks, run_recorded_audits
 
-    reports = run_asserted_checks(ParamGrid(n_max=args.n_max), suite=args.suite)
+    reports = run_asserted_checks(args.n_max, suite=args.suite)
     reports.extend(run_recorded_audits())
     line, status = summary(reports)
     print(reports_to_json(reports) if args.json else f"{reports_to_text(reports)}\n\n{line}")

@@ -461,13 +461,15 @@ def _audit_row(n: int, p: int, q: int, r: int, s: int) -> AuditRow:
                     abs(quad - derived) / abs(derived))
 
 
-def normalization_audit(
-        n_max: int = 6,
-        lambdas: Sequence[RationalLike] = (Fraction(1), Fraction(3)),
-        alphas: Sequence[RationalLike] = (Fraction(1, 4), _HALF, Fraction(1)),
-        rel_tol: float = 1e-6) -> VerificationReport:
-    """Tabulate, for each degree n <= n_max, weight and order: the exact
-    diagonal, the closed form, the pre-simplification product form, and the
+# The audit's weights lam = p/q and orders a = r/s, in lowest terms.
+_AUDIT_WEIGHTS = ((1, 1), (3, 1))
+_AUDIT_ORDERS = ((1, 4), (1, 2), (1, 1))
+
+
+def normalization_audit(n_max: int = 6, rel_tol: float = 1e-6) -> VerificationReport:
+    """Tabulate, for each degree n <= n_max and each weight of
+    `_AUDIT_WEIGHTS` and order of `_AUDIT_ORDERS`: the exact diagonal, the
+    closed form, the pre-simplification product form, and the
     substitution-derived classical value / order.
 
     Asserted: the diagonal agrees with the derived value within rel_tol,
@@ -475,23 +477,17 @@ def normalization_audit(
     Recorded: rows where either formula candidate deviates from the derived
     value (or hits a pole) are flagged in the notes, never asserted.
 
-    Every weight, then every order, is checked first, as in
-    `orthogonality_check`; the rows then run weight by weight, order by
-    order, degree by degree.  Each row is read from `_audit_row`, which
-    computes a row once per process, its gamma values included, with a
-    formula's pole as NaN; a value that overflows a float (from degree 166)
-    raises DomainError naming the row on every audit.  The flags depend on
-    rel_tol, so they are judged here on every call: counted, with only the
-    first one named.
+    The rows run weight by weight, order by order, degree by degree.  Each
+    row is read from `_audit_row`, which computes a row once per process,
+    its gamma values included, with a formula's pole as NaN; a value that
+    overflows a float (from degree 166) raises DomainError naming the row on
+    every audit.  The flags depend on rel_tol, so they are judged here on
+    every call: counted, with only the first one named.
     """
     _as_count(n_max, "n_max")
-    lambdas = tuple(map(_check_weight, _as_cases(lambdas, "weights")))
-    alphas = tuple(map(_as_order, _as_cases(alphas, "orders")))
     _as_tolerance(rel_tol, "rel_tol")
     rows = [_audit_row(n, p, q, r, s)
-            for p, q in map(Fraction.as_integer_ratio, lambdas)
-            for r, s in map(Fraction.as_integer_ratio, alphas)
-            for n in range(n_max + 1)]
+            for p, q in _AUDIT_WEIGHTS for r, s in _AUDIT_ORDERS for n in range(n_max + 1)]
     flagged = 0
     first_flag = anchor = witness = None
     worst = 0.0

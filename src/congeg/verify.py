@@ -21,11 +21,10 @@ import math
 import operator
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from . import gegenbauer
-from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _Record, _as_cases,
-                        _as_count, _sample_grid)
+from .alphapoly import AlphaPoly, ParameterError, RationalLike, _as_count, _sample_grid
 from .gegenbauer import (
     _MEMO_SIZE,
     GegenbauerSpec,
@@ -44,8 +43,6 @@ from .quadrature import _gegenbauer_values, normalization_audit, orthogonality_c
 from .report import SUITE_NAMES, VerificationReport
 
 __all__ = [
-    "ParamGrid",
-    "STANDARD_GRID",
     "SUITES",
     "audit_chebyshev_limit",
     "audit_ultraspherical",
@@ -70,47 +67,31 @@ _SWEEP_MEMO_SIZE = 32
 
 
 # ---------------------------------------------------------------------------
-# parameter grids
+# the exact sweeps' cases
 
 
-class ParamGrid(_Record):
-    """Sweep over degree and weight; it has no order, since an exact identity
-    holds at every order at once.  The weights must be nonempty, are checked
-    like a spec's and are stored as a tuple of Fractions; n_max must be an
-    int, and a negative one gives an empty grid, which the exact sweeps and
-    `run_asserted_checks` refuse.  The grid is checked once, here: a sweep
-    then builds each case from the integers of `cases`, with no spec."""
-
-    _fields = ("n_max", "lambdas")
-    n_max: int
-    lambdas: tuple[Fraction, ...]
-
-    def __init__(self, n_max: int = 12, lambdas: Iterable[RationalLike] = (
-            _HALF, Fraction(1), Fraction(5, 2), Fraction(3))) -> None:
-        if not isinstance(n_max, int) or isinstance(n_max, bool):
-            raise ParameterError(f"n_max must be an integer, got {n_max!r}")
-        lambdas = _as_cases(lambdas, "weights")
-        self.__dict__.update(n_max=n_max, lambdas=tuple(_check_weight(v) for v in lambdas))
-
-    def cases(self, n_max: Optional[int] = None) -> Iterator[tuple[int, int, int]]:
-        """(n, p, q) per weight lam = p/q and degree n, weight by weight,
-        degrees up to n_max capped at the grid's own: a case carries no
-        order, so an exact check that holds for it holds at every order."""
-        top = self.n_max if n_max is None else min(n_max, self.n_max)
-        for lam in self.lambdas:
-            p, q = lam.as_integer_ratio()
-            for n in range(top + 1):
-                yield n, p, q
-
-    def describe(self, n_max: Optional[int] = None, bounds: str = "") -> str:
-        """The grid's text for a report of an exact sweep; `bounds` follows
-        the degree bound."""
-        top = self.n_max if n_max is None else min(n_max, self.n_max)
-        lams = ", ".join(str(v) for v in self.lambdas)
-        return f"n <= {top}{bounds}, weight in {{{lams}}}; exact, order-free"
+# The weights lam = p/q of the exact sweeps.  A case carries no order, so an
+# exact check that holds for it holds at every order.
+_SWEEP_WEIGHTS = ((1, 2), (1, 1), (5, 2), (3, 1))
+_SWEEP_WEIGHT_TEXT = ", ".join(str(Fraction(p, q)) for p, q in _SWEEP_WEIGHTS)
 
 
-STANDARD_GRID = ParamGrid()
+def _as_degree_bound(n_max: int) -> int:
+    """Validate a sweep's degree bound: an int, not a bool.  A negative one
+    gives no case, which the exact sweeps and `run_asserted_checks` refuse."""
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise ParameterError(f"n_max must be an integer, got {n_max!r}")
+    return n_max
+
+
+def _sweep_cases(top: int) -> Iterator[tuple[int, int, int]]:
+    """(n, p, q) per sweep weight lam = p/q and degree n <= top, weight by weight."""
+    return ((n, p, q) for p, q in _SWEEP_WEIGHTS for n in range(top + 1))
+
+
+def _sweep_grid(top: int, bounds: str = "") -> str:
+    """The grid text of an exact sweep to degree top; `bounds` follows the degree bound."""
+    return f"n <= {top}{bounds}, weight in {{{_SWEEP_WEIGHT_TEXT}}}; exact, order-free"
 
 
 def _residual_size(poly: AlphaPoly, alpha: RationalLike) -> float:
@@ -281,31 +262,33 @@ def _endpoint_value(n: int, p: int, q: int) -> Fraction:
 # rebound there is the one that runs
 
 
-def check_constructor_agreement(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
+def check_constructor_agreement(n_max: int = 12) -> VerificationReport:
     """All three construction routes emit identical exact coefficients.  The
     coefficients are order-free by construction, since each route keys its
     polynomial by (n, weight) and an `AlphaPoly` carries no order."""
+    _as_degree_bound(n_max)
+
     def cases() -> Iterator[tuple]:
         series, recurrence = gegenbauer._series_coeffs, gegenbauer._recurrence_coeffs
         rodrigues = gegenbauer._rodrigues_coeffs
-        for case in grid.cases():
+        for case in _sweep_cases(n_max):
             member = ("series", series(*case))
             yield case, member, ("recurrence", recurrence(*case))
             yield case, member, ("rodrigues", rodrigues(*case))
 
     return _exact_report(
-        "constructor-agreement", grid.describe(), cases(),
+        "constructor-agreement", _sweep_grid(n_max), cases(),
         notes=lambda count: f"{count // 2} (degree, weight) pairs, 3 routes each; coefficients "
                             "order-free by construction (keyed by degree and weight)")
 
 
-def check_ode_annihilation(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
+def check_ode_annihilation(n_max: int = 12) -> VerificationReport:
     """The weighted operator annihilates every family member, symbolically."""
     series, zero = gegenbauer._series_coeffs, ("zero", AlphaPoly.zero())
     cases = (((n, p, q), ("residual", _ode_residual(series(n, p, q), n, p, q)), zero)
-             for n, p, q in grid.cases())
+             for n, p, q in _sweep_cases(_as_degree_bound(n_max)))
     return _exact_report(
-        "ode-annihilation", grid.describe(), cases,
+        "ode-annihilation", _sweep_grid(n_max), cases,
         notes=lambda count: f"{count} (degree, weight) pairs, residual exactly zero")
 
 
@@ -330,32 +313,33 @@ def check_generating_function() -> VerificationReport:
 _LADDER_N_MAX, _LADDER_M_MAX = 8, 3
 
 
-def check_derivative_ladder(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
-    """Derivative ladder over the grid to degree `_LADDER_N_MAX`, ladder
+def check_derivative_ladder(n_max: int = 12) -> VerificationReport:
+    """Derivative ladder to degree min(n_max, `_LADDER_N_MAX`), ladder
     length m <= min(`_LADDER_M_MAX`, n)."""
-    cases = (case for n, p, q in grid.cases(_LADDER_N_MAX)
+    top = min(_as_degree_bound(n_max), _LADDER_N_MAX)
+    cases = (case for n, p, q in _sweep_cases(top)
              for case in _ladder_cases(n, p, q, min(_LADDER_M_MAX, n)))
     return _exact_report(
-        "derivative-ladder", grid.describe(_LADDER_N_MAX, f", m <= {_LADDER_M_MAX}"), cases)
+        "derivative-ladder", _sweep_grid(top, f", m <= {_LADDER_M_MAX}"), cases)
 
 
 _RECURRENCE_PIVOT_MAX = 11
 
 
-def check_recurrences(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
-    """Both recurrences at every pivot to `_RECURRENCE_PIVOT_MAX` inside the grid."""
-    top = min(_RECURRENCE_PIVOT_MAX, grid.n_max - 1)
-    cases = (case for n, p, q in grid.cases(top) for case in _recurrence_cases(n, p, q))
-    return _exact_report("recurrences", grid.describe(top, " (pivots)"), cases)
+def check_recurrences(n_max: int = 12) -> VerificationReport:
+    """Both recurrences at every pivot to min(n_max - 1, `_RECURRENCE_PIVOT_MAX`)."""
+    top = min(_RECURRENCE_PIVOT_MAX, _as_degree_bound(n_max) - 1)
+    cases = (case for n, p, q in _sweep_cases(top) for case in _recurrence_cases(n, p, q))
+    return _exact_report("recurrences", _sweep_grid(top, " (pivots)"), cases)
 
 
-def check_endpoint_values(grid: ParamGrid = STANDARD_GRID) -> VerificationReport:
-    """Exact endpoint values over the whole grid."""
+def check_endpoint_values(n_max: int = 12) -> VerificationReport:
+    """Exact endpoint values to degree n_max."""
     series = gegenbauer._series_coeffs
     cases = (((n, p, q), ("coefficient sum", series(n, p, q).coefficient_sum()),
               ("G(2 lam + n) / (G(2 lam) n!)", _endpoint_value(n, p, q)))
-             for n, p, q in grid.cases())
-    return _exact_report("endpoint-value", grid.describe(), cases)
+             for n, p, q in _sweep_cases(_as_degree_bound(n_max)))
+    return _exact_report("endpoint-value", _sweep_grid(n_max), cases)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -467,7 +451,7 @@ def audit_ultraspherical() -> list[VerificationReport]:
     worst = 0.0
     witness = None
     fault = None
-    annihilated_upper = 1
+    residual_from = _ULTRA_N_MAX + 1    # the lowest degree the variant leaves a residual at
     for row in specs:
         for spec in row:
             p = ultraspherical(spec)
@@ -483,19 +467,24 @@ def audit_ultraspherical() -> list[VerificationReport]:
                           "not the variant's expected residual. max_residual taken at "
                           f"order {_ULTRA_ORDERS[0]}.")
             variant = ultraspherical_ode_residual(p, spec)
-            if not variant.is_zero and spec.n <= 1:
-                annihilated_upper = 0
+            if not variant.is_zero:
+                residual_from = min(residual_from, spec.n)
             size = _residual_size(variant, top)
             if size > worst:
                 worst = size
                 witness = f"beta={spec.beta}, n={spec.n}, order={top}: residual = {variant}"
+    if not residual_from:
+        reach = "leaves a residual already at degree 0"
+    elif residual_from > _ULTRA_N_MAX:
+        reach = f"annihilates every case to n <= {_ULTRA_N_MAX}"
+    else:
+        reach = f"annihilates only n <= {residual_from - 1}"
     reports.append(fault or VerificationReport(
         "ultraspherical-ode-variant-operator", grid,
         "fail" if witness else "exact-pass",
         max_residual=worst or None, witness=witness, asserted=False,
         notes="variant lacks the (1 - x^(2a)) factor on the second-derivative "
-              f"term; it annihilates only n <= {annihilated_upper}. The weighted "
-              "operator annihilates every case exactly."))
+              f"term; it {reach}. The weighted operator annihilates every case exactly."))
 
     # Series-form consistency at lam = beta + 1/2, against the independent
     # binomial expansion of the generating function.
@@ -584,32 +573,32 @@ def audit_chebyshev_limit() -> list[VerificationReport]:
 
 
 # Every asserted suite by its name in `report.SUITE_NAMES`, in that order.
-# Each builder takes the grid and looks its check up by name at call time, so
-# a check rebound in this module (as the perfbench tracer does, or a test that
-# patches one) is the one that runs.
-SUITES: dict[str, Callable[[ParamGrid], VerificationReport]] = dict(zip(SUITE_NAMES, (
-    lambda grid: check_constructor_agreement(grid),
-    lambda grid: check_ode_annihilation(grid),
-    lambda grid: check_generating_function(),
-    lambda grid: check_derivative_ladder(grid),
-    lambda grid: check_recurrences(grid),
-    lambda grid: check_endpoint_values(grid),
-    lambda grid: check_special_cases(),
-    lambda grid: orthogonality_check(n_max=grid.n_max),
-    lambda grid: normalization_audit(),
+# Each builder takes the degree bound and looks its check up by name at call
+# time, so a check rebound in this module (as the perfbench tracer does, or a
+# test that patches one) is the one that runs.
+SUITES: dict[str, Callable[[int], VerificationReport]] = dict(zip(SUITE_NAMES, (
+    lambda n_max: check_constructor_agreement(n_max),
+    lambda n_max: check_ode_annihilation(n_max),
+    lambda n_max: check_generating_function(),
+    lambda n_max: check_derivative_ladder(n_max),
+    lambda n_max: check_recurrences(n_max),
+    lambda n_max: check_endpoint_values(n_max),
+    lambda n_max: check_special_cases(),
+    lambda n_max: orthogonality_check(n_max=n_max),
+    lambda n_max: normalization_audit(),
 ), strict=True))
 
 
-def run_asserted_checks(
-        grid: ParamGrid = STANDARD_GRID, *, suite: str = "all") -> list[VerificationReport]:
+def run_asserted_checks(n_max: int = 12, *, suite: str = "all") -> list[VerificationReport]:
     """The asserted suites of `SUITES` in report order: every one, or only
-    the one named by `suite`.  The sweeps need a grid reaching degree 3."""
+    the one named by `suite`.  The sweeps need n_max >= 3."""
+    _as_degree_bound(n_max)
     if suite != "all" and suite not in SUITES:
         raise ParameterError(
             f"unknown suite {suite!r}; choose from {', '.join(('all', *SUITES))}")
-    if grid.n_max < 3:
-        raise ParameterError(f"--n-max must be >= 3 for the sweeps, got {grid.n_max}")
-    return [build(grid) for name, build in SUITES.items() if suite in ("all", name)]
+    if n_max < 3:
+        raise ParameterError(f"--n-max must be >= 3 for the sweeps, got {n_max}")
+    return [build(n_max) for name, build in SUITES.items() if suite in ("all", name)]
 
 
 @functools.cache

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from congeg.cli import main
 from congeg.quadrature import normalization_audit, orthogonality_check
-from congeg.verify import (STANDARD_GRID, check_constructor_agreement,
+from congeg.verify import (check_constructor_agreement,
                            check_derivative_ladder, check_endpoint_values,
                            check_generating_function, check_ode_annihilation,
                            check_recurrences, check_special_cases)
@@ -40,17 +40,15 @@ def criterion_line(capsys, number, label):
 def test_criterion_1_constructor_agreement(capsys):
     with criterion_line(capsys, 1,
                         "series/recurrence/Rodrigues agree exactly on the full grid"):
-        assert STANDARD_GRID.n_max == 12
-        assert STANDARD_GRID.lambdas == (Fraction(1, 2), Fraction(1),
-                                         Fraction(5, 2), Fraction(3))
-        rep = check_constructor_agreement(STANDARD_GRID)
+        rep = check_constructor_agreement()
+        assert rep.grid == "n <= 12, weight in {1/2, 1, 5/2, 3}; exact, order-free"
         assert rep.status == "exact-pass", rep.to_text()
 
 
 def test_criterion_2_ode_annihilation(capsys):
     with criterion_line(capsys, 2,
                         "differential operator annihilates every member exactly"):
-        rep = check_ode_annihilation(STANDARD_GRID)
+        rep = check_ode_annihilation()
         assert rep.status == "exact-pass", rep.to_text()
 
 
@@ -65,11 +63,11 @@ def test_criterion_3_generating_function(capsys):
 def test_criterion_4_identity_suite(capsys):
     with criterion_line(capsys, 4,
                         "derivative ladder, recurrences, endpoint values exact"):
-        ladder = check_derivative_ladder(STANDARD_GRID)
+        ladder = check_derivative_ladder()
         assert ladder.grid == "n <= 8, m <= 3, weight in {1/2, 1, 5/2, 3}; exact, order-free"
-        recur = check_recurrences(STANDARD_GRID)
+        recur = check_recurrences()
         assert recur.grid == "n <= 11 (pivots), weight in {1/2, 1, 5/2, 3}; exact, order-free"
-        ends = check_endpoint_values(STANDARD_GRID)
+        ends = check_endpoint_values()
         for rep in (ladder, recur, ends):
             assert rep.status == "exact-pass", rep.to_text()
 

@@ -337,6 +337,11 @@ class TestEvaluate:
             with pytest.raises(ParameterError, match="order must"):
                 p.evaluate(0.5, order)
 
+    @pytest.mark.parametrize("order", ["x", None, 1j], ids=repr)
+    def test_values_refuse_an_order_that_is_not_a_real_number(self, order):
+        with pytest.raises(ParameterError, match="^order must be a real number, got "):
+            AlphaPoly((0, 6)).values([0.5], order)
+
     @given(orders, coeff_lists, st.floats(0.01, 1.0))
     def test_even_parity_is_exact(self, alpha, cs, x):
         coeffs = []

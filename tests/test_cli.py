@@ -151,6 +151,15 @@ class TestPlotData:
             "--out", str(target))
         assert target.read_bytes() == first
 
+    def test_flag_given_a_value_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["plot-data", "--signed-domain=1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("congeg plot-data: error: argument --signed-domain: "
+                                "takes no value, got '1'\n")
+
     def test_bad_samples_exits_2(self, capsys):
         code, _, err = run(capsys, "plot-data", "--samples", "1")
         assert code == 2 and err == "error: --samples must be >= 2, got 1\n"
@@ -427,6 +436,13 @@ class TestConfigFile:
         code, out, _ = run(capsys, "plot-data", "--config", str(cfg))
         assert code == 0
         assert out.splitlines()[1].startswith("-1.0,")
+
+    def test_json_array_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"n_max": 2}]))
+        code, out, err = run(capsys, "table", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: config file must hold a JSON object\n"
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -19,7 +19,7 @@ from congeg.quadrature import (AuditRow, QuadratureResult, _cell, classical_norm
                                normalization_audit, normalization_closed_form,
                                orthogonality_check)
 from congeg.report import VerificationReport
-from congeg.verify import ParamGrid, generating_function_coeffs
+from congeg.verify import generating_function_coeffs
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -123,8 +123,6 @@ RECORDS = [
      AuditRow(1, ONE, HALF, 1.0, 2.0, 3.0, 1.0, 0.5),
      "AuditRow(n=1, lam=Fraction(1, 1), alpha=Fraction(1, 2), quadrature=1.0, "
      "closed_form=2.0, gamma_product=3.0, derived=1.0, rel_diff_quadrature_vs_derived=0.0)"),
-    (lambda: ParamGrid(3, ["1/2", 2]), ParamGrid(3, [HALF]),
-     "ParamGrid(n_max=3, lambdas=(Fraction(1, 2), Fraction(2, 1)))"),
 ]
 
 

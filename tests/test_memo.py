@@ -28,7 +28,7 @@ from congeg.gegenbauer import (GegenbauerSpec, classical_oracle, from_recurrence
                                from_rodrigues, from_series)
 from congeg.quadrature import (conformable_inner_product, normalization_audit,
                                orthogonality_check)
-from congeg.verify import (STANDARD_GRID, ParamGrid, check_constructor_agreement,
+from congeg.verify import (check_constructor_agreement,
                            run_asserted_checks, run_recorded_audits)
 
 ROUTES = {"series": (from_series, "_series_coeffs"),
@@ -99,9 +99,9 @@ def test_each_route_computes_its_own_integers(monkeypatch, fresh_memos, route):
         return AlphaPoly._of([poly.nums[0] + 1, *poly.nums[1:]], poly.den, poly.grade)
 
     monkeypatch.setattr(gegenbauer, name, skewed)
-    report = check_constructor_agreement(ParamGrid(n_max=6))
+    report = check_constructor_agreement(6)
     assert report.status == "fail"
-    spec = GegenbauerSpec(5, STANDARD_GRID.lambdas[0])
+    spec = GegenbauerSpec(5, Fraction(*verify._SWEEP_WEIGHTS[0]))
     assert report.witness.startswith(f"{spec}: ")
     assert f"{route} = {public(spec)}" in report.witness
 
@@ -129,7 +129,7 @@ def test_classical_oracle_returns_a_new_list(fresh_memos):
 def test_memos_are_bounded_and_cover_a_sweep_at_degree_96():
     # each suite of a run scans the degrees of every weight once; an LRU
     # memo smaller than that cycle would never hit in the next suite
-    cycle = len(STANDARD_GRID.lambdas) * 97
+    cycle = len(verify._SWEEP_WEIGHTS) * 97
     weights = inspect.signature(orthogonality_check).parameters["lambdas"].default
     for memo in MEMOS:
         size = memo.cache_info().maxsize
@@ -144,7 +144,7 @@ def test_every_memo_is_reused_by_the_asserted_suites(fresh_memos):
     # a memo that two full runs never hit keeps work nobody asks for again
     for _ in range(2):
         misses = [memo.cache_info().misses for memo in MEMOS]
-        run_asserted_checks(ParamGrid(n_max=12))
+        run_asserted_checks()
     assert all(memo.cache_info().hits > 0 for memo in MEMOS), [
         (memo.__name__, memo.cache_info()) for memo in MEMOS]
     # nor is anything of the first run evicted before the second asks again
@@ -176,9 +176,9 @@ def test_no_fraction_is_hashed_cold_or_warm(monkeypatch, capsys, fresh_memos):
     monkeypatch.setattr(Fraction, "__hash__", refuse)
     verify._recorded_audits.cache_clear()
     for _ in range(2):  # every memo cold, then warm
-        assert all(r.passed for r in run_asserted_checks(ParamGrid(n_max=12)))
+        assert all(r.passed for r in run_asserted_checks())
         assert len(run_recorded_audits()) == 5
-        assert normalization_audit(12, (1, Fraction(5, 2), "3"), (Fraction(1, 4), 1.0)).passed
+        assert normalization_audit(12).passed
         assert orthogonality_check(12, (1, Fraction(5, 2), "3"), (Fraction(1, 4), 1.0)).passed
         assert conformable_inner_product(4, 4, Fraction(5, 2), Fraction(1, 2)).value > 0
         assert main(["eval", "--n", "5", "--lambda", "5/2", "--alpha", "1/2",

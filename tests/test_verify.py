@@ -14,8 +14,8 @@ from congeg.report import VerificationReport, reports_to_json, reports_to_text
 import congeg.gegenbauer as gegenbauer
 import congeg.quadrature as quadrature
 import congeg.verify as verify
-from congeg.verify import (STANDARD_GRID, ParamGrid, audit_chebyshev_limit,
-                           audit_ultraspherical,
+from congeg.quadrature import normalization_audit
+from congeg.verify import (audit_chebyshev_limit, audit_ultraspherical,
                            check_constructor_agreement, check_derivative_ladder,
                            check_endpoint_values, check_ode_annihilation, check_recurrences,
                            check_special_cases, generating_function_coeffs,
@@ -23,7 +23,7 @@ from congeg.verify import (STANDARD_GRID, ParamGrid, audit_chebyshev_limit,
                            run_recorded_audits, ultraspherical_ode_residual)
 
 HALF = Fraction(1, 2)
-SMALL = ParamGrid(n_max=5)
+SMALL = 5
 
 
 class TestOdeResidual:
@@ -44,6 +44,11 @@ class TestOdeResidual:
         residual = ode_residual(AlphaPoly((0, 1)), spec)
         assert residual == AlphaPoly((0, 9), grade=2)
         assert str(residual) == "(9*a^2) x^a"
+
+    @pytest.mark.parametrize("poly", [[1, 2], (1, 2), None], ids=repr)
+    def test_refuses_what_is_not_an_alphapoly(self, poly):
+        with pytest.raises(ParameterError, match="^expected an AlphaPoly$"):
+            ode_residual(poly, GegenbauerSpec(2, Fraction(3)))
 
     def test_member_annihilated_whatever_the_spec_order(self):
         # neither the member nor the operator's spec has an order, so the one
@@ -155,13 +160,17 @@ class TestGeneratingFunction:
             assert all(type(c) is Fraction for row in rows for c in row)
 
 
+# the checks that sweep degrees to their n_max
+SWEEPS = (check_constructor_agreement, check_ode_annihilation, check_derivative_ladder,
+          check_recurrences, check_endpoint_values)
+
 # checks whose sweep holds no case; each once passed after comparing nothing
 NO_CASE = {
-    "constructors": lambda: check_constructor_agreement(ParamGrid(n_max=-1)),
-    "ode": lambda: check_ode_annihilation(ParamGrid(n_max=-1)),
-    "endpoints": lambda: check_endpoint_values(ParamGrid(n_max=-1)),
-    "recurrences": lambda: check_recurrences(ParamGrid(n_max=0)),
-    "ladder n_max=0": lambda: check_derivative_ladder(ParamGrid(n_max=0)),
+    "constructors": lambda: check_constructor_agreement(-1),
+    "ode": lambda: check_ode_annihilation(-1),
+    "endpoints": lambda: check_endpoint_values(-1),
+    "recurrences": lambda: check_recurrences(0),
+    "ladder n_max=0": lambda: check_derivative_ladder(0),
 }
 
 
@@ -220,7 +229,7 @@ class TestOrderFreeSweeps:
         residual = verify._ode_residual
         monkeypatch.setattr(verify, "_ode_residual",
                             lambda poly, n, p, q: seen.append((n, p, q)) or residual(poly, n, p, q))
-        assert check_ode_annihilation(STANDARD_GRID).passed
+        assert check_ode_annihilation().passed
         assert len(seen) == len(set(seen)) == 4 * 13
 
     def test_exact_reports_list_their_weights_and_say_where_they_ran(self):
@@ -260,13 +269,13 @@ class TestIntegerCases:
 
     @pytest.mark.parametrize("suite", EXACT_SUITES)
     def test_a_warm_sweep_builds_no_spec(self, monkeypatch, suite):
-        assert run_asserted_checks(STANDARD_GRID, suite=suite)[0].passed
+        assert run_asserted_checks(suite=suite)[0].passed
 
         def refuse(self, *args):
             raise AssertionError(f"a sweep built GegenbauerSpec{args}")
 
         monkeypatch.setattr(GegenbauerSpec, "__init__", refuse)
-        assert run_asserted_checks(STANDARD_GRID, suite=suite)[0].passed
+        assert run_asserted_checks(suite=suite)[0].passed
 
     @pytest.mark.parametrize("suite,witness", [
         ("constructors", SPEC.format(1) + "series = x^a + 1; recurrence = x^a"),
@@ -301,6 +310,25 @@ class TestRecordedAudits:
         rep = audits["ultraspherical-ode-variant-operator"]
         assert rep.status == "fail"
         assert rep.witness is not None
+
+    @pytest.mark.parametrize("residual_at,reach", [
+        (None, "it annihilates only n <= 1"),
+        ((0,), "it leaves a residual already at degree 0"),
+        ((1,), "it annihilates only n <= 0"),
+        ((), "it annihilates every case to n <= 6"),
+    ], ids=["as-is", "residual-at-0", "residual-at-1", "no-residual"])
+    def test_variant_reach_is_measured(self, monkeypatch, residual_at, reach):
+        # the variant as it is (None), or one with a residual at the given
+        # degrees only; the notes once read "n <= 0" with degree 0 not annihilated
+        if residual_at is not None:
+            monkeypatch.setattr(verify, "ultraspherical_ode_residual", lambda p, spec: (
+                AlphaPoly.constant(1) if spec.n in residual_at else AlphaPoly.zero()))
+        rep = audit_ultraspherical()[0]
+        assert rep.identity == "ultraspherical-ode-variant-operator"
+        assert rep.status == ("exact-pass" if residual_at == () else "fail")
+        assert rep.notes == ("variant lacks the (1 - x^(2a)) factor on the second-derivative "
+                             f"term; {reach}. The weighted operator annihilates every case "
+                             "exactly.")
 
     def test_series_form_exact(self, audits):
         assert audits["ultraspherical-series-form"].status == "exact-pass"
@@ -406,12 +434,18 @@ class TestRecordedAuditsOncePerProcess:
 
 
 class TestFixedBounds:
-    """The fixed-degree suites and the recorded audits take no bounds: each
-    is a named constant in `verify`, and a sweep takes only its grid."""
+    """The fixed-degree suites and the recorded audits take no bounds, and the
+    sweeps' weights and the normalization audit's weights and orders are
+    named constants: a sweep takes only its degree bound, the drivers only
+    that, the suite and the audit's tolerance."""
 
     @pytest.mark.parametrize("name", [n for n in verify.__all__ if n.startswith("check_")])
     def test_a_check_takes_at_most_a_grid(self, name):
-        assert set(inspect.signature(getattr(verify, name)).parameters) <= {"grid"}
+        assert set(inspect.signature(getattr(verify, name)).parameters) <= {"n_max"}
+
+    def test_the_drivers_take_a_degree_bound(self):
+        assert list(inspect.signature(run_asserted_checks).parameters) == ["n_max", "suite"]
+        assert list(inspect.signature(normalization_audit).parameters) == ["n_max", "rel_tol"]
 
     @pytest.mark.parametrize("audit", [audit_ultraspherical, audit_chebyshev_limit],
                              ids=lambda audit: audit.__name__)
@@ -429,7 +463,7 @@ class TestReportPlumbing:
         assert "does not gate" in text
 
     def test_json_round_trip(self):
-        reports = run_asserted_checks(ParamGrid(n_max=3))
+        reports = run_asserted_checks(3)
         data = json.loads(reports_to_json(reports))
         assert [d["identity"] for d in data] == [r.identity for r in reports]
         assert all(set(d) == {"identity", "grid", "status", "max_residual",
@@ -450,37 +484,26 @@ class TestReportPlumbing:
         text = reports_to_text(reports)
         assert "identity: a" in text and "identity: b" in text
 
-    def test_param_grid_size(self):
-        grid = ParamGrid(n_max=2, lambdas=(HALF, 1, "5/2", 3))
-        assert list(grid.cases()) == [(n, p, q) for p, q in ((1, 2), (1, 1), (5, 2), (3, 1))
-                                      for n in range(3)]
-        assert len(list(grid.cases(1))) == 2 * 4
+    def test_sweep_cases(self):
+        assert list(verify._sweep_cases(2)) == [
+            (n, p, q) for p, q in ((1, 2), (1, 1), (5, 2), (3, 1)) for n in range(3)]
+        assert list(verify._sweep_cases(-1)) == []
 
-    @pytest.mark.parametrize("fields", [
-        {"n_max": 3.5}, {"n_max": True}, {"n_max": "4"},
-        {"lambdas": (HALF, 0)}, {"lambdas": ("x",)}, {"lambdas": (HALF, True)},
-    ])
-    def test_param_grid_rejects_bad_fields(self, fields):
-        # n_max=3.5 once raised a bare TypeError inside the first sweep
-        with pytest.raises(ParameterError):
-            ParamGrid(**fields)
-
-    @pytest.mark.parametrize("fields", [{"lambdas": ()}, {"lambdas": []}])
-    def test_param_grid_refuses_empty_lists(self, fields):
-        # ParamGrid(n_max=4, lambdas=()) once passed all 9 suites over 0 triples
-        with pytest.raises(ParameterError, match="must not be empty"):
-            ParamGrid(n_max=4, **fields)
-
-    def test_param_grid_negative_degree_is_refused_by_the_sweeps(self):
-        grid = ParamGrid(n_max=-1)
-        assert list(grid.cases()) == []
+    def test_a_negative_degree_is_refused_by_the_sweeps(self):
+        # a negative bound gives no case, which every sweep refuses
+        for sweep in SWEEPS:
+            with pytest.raises(ParameterError, match="has no case to check over n <= -"):
+                sweep(-1)
         with pytest.raises(ParameterError, match="must be >= 3"):
-            run_asserted_checks(grid)
+            run_asserted_checks(-1)
 
-    def test_param_grid_stores_fractions(self):
-        grid = ParamGrid(n_max=3, lambdas=["1/2", 3, 0.25])
-        assert grid.lambdas == (HALF, Fraction(3), Fraction(1, 4))
-        assert all(type(v) is Fraction for v in grid.lambdas)
+    @pytest.mark.parametrize("fields", [{"n_max": 3.5}, {"n_max": True}, {"n_max": "4"}])
+    def test_a_degree_bound_that_is_not_an_int_is_refused(self, fields):
+        # n_max=3.5 once raised a bare TypeError inside the first sweep
+        message = f"^n_max must be an integer, got {fields['n_max']!r}$"
+        for entry in (run_asserted_checks, *SWEEPS):
+            with pytest.raises(ParameterError, match=message):
+                entry(**fields)
 
 
 class TestUltrasphericalOperator:
@@ -525,7 +548,7 @@ class TestRunAssertedChecks:
     def test_grid_below_degree_3(self, n_max):
         # an empty grid once passed every suite after checking nothing
         with pytest.raises(ParameterError, match="must be >= 3"):
-            run_asserted_checks(ParamGrid(n_max=n_max))
+            run_asserted_checks(n_max)
 
 
 class TestPlainFloatReferences:
@@ -633,7 +656,7 @@ class TestNoPolynomialProduct:
 
         monkeypatch.setattr(AlphaPoly, "__mul__", refuse)
         _clear_every_memo()
-        assert all(r.passed for r in run_asserted_checks(ParamGrid(n_max=12)))
+        assert all(r.passed for r in run_asserted_checks())
         assert audit_ultraspherical() + audit_chebyshev_limit() == audits
         for argv in (["eval", "--n", "5", "--x", "0.5"], ["plot-data"], ["table"], ["audit"]):
             assert main(argv) == 0, argv
