@@ -595,13 +595,15 @@ def _sample_grid(lo: float, samples: int) -> list[float]:
 # exact rising factorial
 
 
+def _rising(start: int, step: int, m: int) -> int:
+    """prod_(i<m) (start + step i) for integers with step > 0: the numerator
+    of every exact constant, since (p/q)_m = _rising(p, q, m) / q^m."""
+    return math.prod(range(start, start + step * m, step))
+
+
 def pochhammer(base: RationalLike, m: int) -> Fraction:
     """Rising factorial (base)_m = base*(base+1)*...*(base+m-1), exactly."""
     _as_count(m, "rising factorial length")
     b = _as_fraction(base)
-    p, q = b.numerator, b.denominator
-    num = 1  # prod (b + i) = prod (p + q i) / q^m
-    for i in range(m):
-        num *= p + q * i
-    return Fraction(num, q ** m)
+    return Fraction(_rising(b.numerator, b.denominator, m), b.denominator ** m)
 

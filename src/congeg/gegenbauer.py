@@ -10,7 +10,7 @@ Each route runs in Python integers: with the weight lam = p/q it carries
 integer coefficients over one integer denominator (a power of q times
 factorials for the series and the recurrence, a fixed power of the
 denominator of lam - 1/2 for the Rodrigues kernel), and the Rodrigues
-prefactor is a quotient of two integer running products of the same kind;
+prefactor is a quotient of two integer rising products (`alphapoly._rising`);
 no route does arithmetic on a Fraction.  No route calls another; each
 keeps its own derivation, so their agreement remains a check.
 
@@ -45,6 +45,7 @@ from .alphapoly import (
     _fits_horner,
     _float_values,
     _horner_values,
+    _rising,
 )
 
 __all__ = [
@@ -119,9 +120,7 @@ def _series_coeffs(n: int, p: int, q: int) -> AlphaPoly:
     k = n - 2s, is (-1)^s 2^k prod_(i<n-s) (p + q i) q^s n! / (s! k!) / D,
     and n! / (s! k!) is an integer.  So each follows from the one before it
     by the ratio -k (k-1) q / (4 (s+1) (p + q(n-s-1))) in one exact division."""
-    num = 2 ** n  # term s = 0: 2^n prod(p + q i)
-    for i in range(n):
-        num *= p + q * i
+    num = _rising(p, q, n) << n  # term s = 0: 2^n prod(p + q i)
     nums = [0] * (n + 1)
     for s in range(n // 2 + 1):
         k = n - 2 * s
@@ -150,7 +149,7 @@ def _member_form(n: int, p: int, q: int) -> tuple:
     B_0 = prod_(i<n) (p + q i) by the exact ratio
     B_(k+1) = B_k (p + qk)(n - k) / ((k + 1)(p + q(n - k - 1))).  Every
     b_j > 0 for lam > 0, so sum |b_j| = p(1) = (2 lam)_n / n! (DLMF 18.6.1),
-    over D the integer total = prod_(i<n) (2p + q i), formed with B_0.
+    over D the integer total = prod_(i<n) (2p + q i).
     Horner is decided as `AlphaPoly._horner` decides it: when the leading
     coefficient 2^n B_0 / D alone fails Horner's test, so does sum |c_k|;
     otherwise the series is built and tested exactly.  Past Horner, a
@@ -188,10 +187,7 @@ def _member_form(n: int, p: int, q: int) -> tuple:
       2 eps |S| <= 2 eps sum |c_j|: at most j + 2;
     - adding the two parity parts: 1.
     A member has one part, so the last term is slack."""
-    num = total = 1
-    for i in range(n):
-        num *= p + q * i
-        total *= 2 * p + q * i
+    num, total = _rising(p, q, n), _rising(2 * p, q, n)
     den = q ** n * math.factorial(n)
     if _fits_horner(n, num << n, den, total):
         horner = _series_coeffs(n, p, q)._horner
@@ -285,9 +281,7 @@ def _rodrigues_kernel(n: int, c: Fraction) -> AlphaPoly:
     sum stays over t^n.  The a^n from the n derivatives is the kernel's grade.
     """
     r, t = c.numerator, c.denominator
-    num = 1
-    for i in range(1, n + 1):
-        num *= r + t * i
+    num = _rising(r + t, t, n)
     total: list[int] = []   # sum so far, integer coefficients over t^n
     minus_power = [1]       # (x^a - 1)^(n-k)
     for k in range(n, -1, -1):
@@ -310,10 +304,8 @@ def _rodrigues_coeffs(n: int, p: int, q: int) -> AlphaPoly:
     q and of 2 cancel and the magnitude is the integer quotient
     top / bottom, top = prod_(i<n) (2p + q i) and
     bottom = n! prod_(i<n) (2p + q + 2q i), applied in one `_times`."""
-    top, bottom = 1, math.factorial(n)
-    for i in range(n):
-        top *= 2 * p + q * i
-        bottom *= 2 * p + q + 2 * q * i
+    top = _rising(2 * p, q, n)
+    bottom = math.factorial(n) * _rising(2 * p + q, 2 * q, n)
     return _rodrigues_kernel(n, Fraction(2 * p - q, 2 * q))._times(top, bottom, -n)
 
 

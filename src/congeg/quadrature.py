@@ -46,7 +46,7 @@ from functools import cache, cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .alphapoly import (AccuracyError, DomainError, RationalLike, _Record, _as_cases,
-                        _as_count, _as_order, _as_tolerance)
+                        _as_count, _as_order, _as_tolerance, _rising)
 from .gegenbauer import _check_weight, _series_coeffs
 from .report import VerificationReport
 
@@ -124,15 +124,13 @@ def _scaled_moments(p: int, q: int, count: int) -> tuple[tuple[int, ...], int]:
 
     In integers, with lam = p/q and base = b/q (b = p mod q): factor t of the
     Pochhammer quotient is (b/q + 1/2 + t) / (b/q + 1 + t)
-    = (2b + (2t + 1) q) / (2 (b + (t + 1) q)), and mu_(2k+2) / mu_2k
+    = (2b + (2t + 1) q) / (2 (b + (t + 1) q)), so over t < s it is two
+    rising products, and mu_(2k+2) / mu_2k
     = (k + 1/2) / (p/q + 1 + k) = (2k + 1) q / (2 (p + q + qk)).  One gcd per
     step keeps each moment in lowest terms, as a Fraction would be, and the
     common denominator is the lcm of theirs."""
-    b = p % q
-    num = den = 1
-    for t in range(p // q):
-        num *= 2 * b + (2 * t + 1) * q
-        den *= 2 * (b + (t + 1) * q)
+    b, s = p % q, p // q
+    num, den = _rising(2 * b + q, 2 * q, s), _rising(b + q, q, s) << s
     nums, dens = [], []
     for k in range(count):
         g = math.gcd(num, den)

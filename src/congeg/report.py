@@ -45,15 +45,8 @@ class VerificationReport(_Record):
         return self.status in ("exact-pass", "numeric-pass")
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "grid": self.grid,
-            "status": self.status,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-            "notes": self.notes,
-            "asserted": self.asserted,
-        }
+        return {name: getattr(self, name) for name in self._fields
+                if name not in self._unprinted}
 
     def to_text(self) -> str:
         lines = [f"identity: {self.identity}", f"  grid: {self.grid}",

@@ -24,7 +24,8 @@ from itertools import zip_longest
 from typing import Callable, Iterable, Iterator
 
 from . import gegenbauer
-from .alphapoly import AlphaPoly, ParameterError, RationalLike, _as_count, _sample_grid
+from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_count, _rising,
+                        _sample_grid)
 from .gegenbauer import (
     _MEMO_SIZE,
     GegenbauerSpec,
@@ -191,16 +192,14 @@ def _generating_rows(p: int, q: int, max_n: int) -> tuple[tuple[Fraction, ...], 
     """Body of `generating_function_coeffs`.  Term i of w^j carries
     s^(j+i) u^(j-i) with the factor (lam)_j / j! * C(j, i) 2^(j-i) (-1)^i,
     so each (s, u) power pair gets exactly one term.  With lam = p/q,
-    (lam)_j / j! is prod(p + q k) / (q^j j!) over k < j, carried as two
-    running integers; each coefficient is one Fraction of integers."""
+    (lam)_j / j! is prod(p + q k) / (q^j j!) over k < j, so each
+    coefficient is one Fraction of integers."""
     rows = [[Fraction(0)] * (n + 1) for n in range(max_n + 1)]
-    num, den = 1, 1
     for j in range(max_n + 1):
+        num, den = _rising(p, q, j), q ** j * math.factorial(j)
         for i in range(min(j, max_n - j) + 1):
             term = math.comb(j, i) * num << (j - i)
             rows[j + i][j - i] = Fraction(-term if i % 2 else term, den)
-        num *= p + q * j
-        den *= q * (j + 1)
     return tuple(map(tuple, rows))
 
 
@@ -210,11 +209,9 @@ def _ladder_cases(n: int, p: int, q: int, m_top: int) -> Iterator[tuple]:
     in lowest terms as the kernel's memo keys must be."""
     series = gegenbauer._series_coeffs
     lhs = series(n, p, q)
-    factor = 1
     for m in range(1, m_top + 1):
         lhs = lhs.d_alpha()
-        factor *= 2 * (p + q * (m - 1))
-        rhs = series(n - m, p + m * q, q)._times(factor, q ** m, m)
+        rhs = series(n - m, p + m * q, q)._times(_rising(2 * p, 2 * q, m), q ** m, m)
         yield (n, p, q), (f"d_alpha^{m} C_n", lhs), ("2^m a^m (lam)_m C_(n-m)^(lam+m)", rhs)
 
 
@@ -250,10 +247,7 @@ def _endpoint_value(n: int, p: int, q: int) -> Fraction:
     """The closed form G(2 lam + n) / (G(2 lam) n!) = (2 lam)_n / n!, per
     (n, p, q) for lam = p/q.  With (2 lam)_n = prod_(i<n) (2p + q i) / q^n
     it is the integer quotient prod_(i<n) (2p + q i) / (q^n n!)."""
-    top = 1
-    for i in range(n):
-        top *= 2 * p + q * i
-    return Fraction(top, q ** n * math.factorial(n))
+    return Fraction(_rising(2 * p, q, n), q ** n * math.factorial(n))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congeg.alphapoly import AlphaPoly, ParameterError, pochhammer
+from congeg.alphapoly import AlphaPoly, ParameterError, _rising, pochhammer
 
 HALF = Fraction(1, 2)
 
@@ -405,6 +405,9 @@ class TestPochhammer:
         assert pochhammer(Fraction(5, 2), 3) == Fraction(315, 8)
         assert pochhammer(Fraction(7, 3), 0) == 1
         assert pochhammer(-2, 3) == 0
+        assert _rising(7, 3, 0) == 1
+        assert _rising(-2, 1, 3) == 0
+        assert _rising(11, 14, 3) == 11 * 25 * 39  # the Rodrigues start at c = -3/14
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -413,13 +416,15 @@ class TestPochhammer:
             with pytest.raises(ParameterError):
                 pochhammer(1, m)
 
-    @given(rationals, st.integers(0, 12))
-    def test_matches_fraction_product(self, x, m):
-        want = Fraction(1)
+    @given(rationals, st.integers(0, 12), st.integers(-40, 40), st.integers(1, 20))
+    def test_matches_fraction_product(self, x, m, start, step):
+        want, want_int = Fraction(1), 1
         for i in range(m):
             want *= x + i
+            want_int *= start + step * i
         got = pochhammer(x, m)
         assert type(got) is Fraction and got == want
+        assert _rising(start, step, m) == want_int
 
     @given(rationals, st.integers(0, 8))
     def test_recurrence(self, x, m):

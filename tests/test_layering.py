@@ -130,6 +130,44 @@ def test_gegenbauer_does_not_know_the_column_threshold():
     assert "_COLUMN_POINTS" not in names
 
 
+def _functions_with_product_loops():
+    """module.function for every function in the package whose own body has
+    a `*=` inside a `for` loop that reads that loop's variable: a product
+    over a progression written by hand."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                if any(_multiplies_by_loop_variable(loop)
+                       for loop in _own_nodes(child) if isinstance(loop, ast.For)):
+                    found.append(name)
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    for path in sorted(Path(congeg.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def _multiplies_by_loop_variable(loop):
+    names = {node.id for node in ast.walk(loop.target) if isinstance(node, ast.Name)}
+    return any(isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+               and any(isinstance(read, ast.Name) and read.id in names
+                       for read in ast.walk(node.value))
+               for node in _own_nodes(loop))
+
+
+def test_rising_products_are_formed_by_the_one_helper():
+    # every full product over an arithmetic progression is alphapoly._rising;
+    # the moment walk keeps each reduced prefix, so it stays a loop
+    assert _functions_with_product_loops() == ["quadrature._scaled_moments"]
+
+
 COMMAND_ARGVS = [
     ("-c", "import congeg.cli"), ("-m", "congeg", "table"),
     ("-m", "congeg", "eval", "--n", "4", "--x", "0.5"), ("-m", "congeg", "plot-data"),
