@@ -75,16 +75,16 @@ def test_plot_data_loads_numpy_only_for_long_point_lists(samples, loads_numpy):
     assert "congeg" in modules and ("numpy" in modules) == loads_numpy
 
 
-def _functions_importing_numpy():
+def _functions_where(holds):
     """module.function for every function in the package whose own body,
-    outside any function nested in it, imports numpy."""
+    outside any function nested in it, has a node for which `holds` is true."""
     found = []
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = f"{prefix}.{child.name}"
-                if any(_imports_numpy(statement) for statement in _own_nodes(child)):
+                if any(map(holds, _own_nodes(child))):
                     found.append(name)
                 visit(child, name)
             elif isinstance(child, ast.ClassDef):
@@ -98,7 +98,8 @@ def _functions_importing_numpy():
 
 
 def _own_nodes(function):
-    """The nodes of a function's body, not descending into nested functions."""
+    """The nodes of a function's or a loop's body, not descending into nested
+    functions."""
     stack = list(function.body)
     while stack:
         node = stack.pop()
@@ -116,7 +117,7 @@ def _imports_numpy(node):
 def test_numpy_is_imported_by_the_one_dispatcher_and_the_direct_route():
     # float evaluation's loop bodies run on a float or a numpy column alike;
     # only the dispatcher knows which, and only it imports numpy
-    assert sorted(_functions_importing_numpy()) == [
+    assert sorted(_functions_where(_imports_numpy)) == [
         "alphapoly._by_point_or_column",
         "quadrature._tanh_sinh_nodes",
         "quadrature.conformable_inner_product_direct",
@@ -130,42 +131,22 @@ def test_gegenbauer_does_not_know_the_column_threshold():
     assert "_COLUMN_POINTS" not in names
 
 
-def _functions_with_product_loops():
-    """module.function for every function in the package whose own body has
-    a `*=` inside a `for` loop that reads that loop's variable: a product
-    over a progression written by hand."""
-    found = []
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = f"{prefix}.{child.name}"
-                if any(_multiplies_by_loop_variable(loop)
-                       for loop in _own_nodes(child) if isinstance(loop, ast.For)):
-                    found.append(name)
-                visit(child, name)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}.{child.name}")
-            else:
-                visit(child, prefix)
-
-    for path in sorted(Path(congeg.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return found
-
-
-def _multiplies_by_loop_variable(loop):
-    names = {node.id for node in ast.walk(loop.target) if isinstance(node, ast.Name)}
-    return any(isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+def _is_product_loop(node):
+    """A `for` loop with a `*=` whose right-hand side reads the loop's
+    variable: a product over a progression written by hand."""
+    if not isinstance(node, ast.For):
+        return False
+    names = {name.id for name in ast.walk(node.target) if isinstance(name, ast.Name)}
+    return any(isinstance(step, ast.AugAssign) and isinstance(step.op, ast.Mult)
                and any(isinstance(read, ast.Name) and read.id in names
-                       for read in ast.walk(node.value))
-               for node in _own_nodes(loop))
+                       for read in ast.walk(step.value))
+               for step in _own_nodes(node))
 
 
 def test_rising_products_are_formed_by_the_one_helper():
     # every full product over an arithmetic progression is alphapoly._rising;
     # the moment walk keeps each reduced prefix, so it stays a loop
-    assert _functions_with_product_loops() == ["quadrature._scaled_moments"]
+    assert _functions_where(_is_product_loop) == ["quadrature._scaled_moments"]
 
 
 COMMAND_ARGVS = [
