@@ -138,14 +138,25 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 
 def _as_order(value: RationalLike) -> Fraction:
-    """Validate a derivative order: an exact rational in (0, 1]."""
+    """Validate a derivative order: an exact rational in (0, 1] whose float
+    is not 0.0, since every float made from an order divides by it or
+    raises to its power."""
     try:
         a = _as_fraction(value)
     except ParameterError:
         raise ParameterError(f"order must be a real number, got {value!r}") from None
     if not 0 < a <= 1:
         raise ParameterError(f"order must lie in (0, 1], got {a}")
+    if not float(a):
+        raise ParameterError("order rounds to 0.0 as a float, outside (0, 1]")
     return a
+
+
+def _as_int(value: int, what: str) -> int:
+    """Validate an integer argument (a grade, power or degree bound): an int, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _as_count(value: int, what: str) -> int:
@@ -253,22 +264,16 @@ def _float_values(xs: Iterable[float], a: float, degree: int, grade: int,
     """Values at the points xs and order a, under the signed-power
     convention, of a polynomial of the given degree (-1 for zero) and grade:
     `evaluate` maps the list of u = x^a to the values, which are multiplied
-    by a**grade when the grade is nonzero.  The order is checked once and
-    u is built once per point before `evaluate` is called; a u that is not
-    finite raises ParameterError, whichever evaluator would run.  An
+    by a**grade when the grade is nonzero.  A float order in (0, 1], as the
+    CLI passes, is used as it is; any other order goes through `_as_order`,
+    with its messages, and is used as its float.  The order is checked once
+    and u is built once per point before `evaluate` is called; a u that is
+    not finite raises ParameterError, whichever evaluator would run.  An
     OverflowError from `evaluate`, which rounds the coefficients it needs
     on first use, or from a**grade becomes AccuracyError, and so does a
     value that is not finite, as a float intermediate past the range gives."""
-    if type(a) is not float:  # a float order, as the CLI passes, is kept
-        if isinstance(a, bool):
-            raise ParameterError(f"order must be a real number, got {a!r}")
-        try:
-            a = float(a)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"order must be a real number, got {a!r}") from exc
-    # the chained comparison also rejects nan
-    if not 0 < a <= 1:
-        raise ParameterError(f"order must lie in (0, 1], got {a!r}")
+    if not (type(a) is float and 0 < a <= 1):
+        a = float(_as_order(a))
     # at order 1, x^a is x itself, -0.0 included
     us = (list(map(float, xs)) if a == 1.0
           else [math.copysign(abs(x) ** a, x) for x in map(float, xs)])
@@ -356,8 +361,7 @@ class AlphaPoly(_Record):
     grade: int
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]] = (), grade: int = 0) -> None:
-        if not isinstance(grade, int) or isinstance(grade, bool):
-            raise ParameterError(f"grade must be an integer, got {grade!r}")
+        _as_int(grade, "grade")
         fracs = [_as_coeff(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in fracs))
         self._store([c.numerator * (den // c.denominator) for c in fracs], den, grade)
@@ -475,8 +479,7 @@ class AlphaPoly(_Record):
     def scale(self, factor: RationalLike, power: int = 0) -> AlphaPoly:
         """Multiply by factor * a**power (exact)."""
         r = _as_fraction(factor)
-        if not isinstance(power, int) or isinstance(power, bool):
-            raise ParameterError(f"power must be an integer, got {power!r}")
+        _as_int(power, "power")
         return self._times(r.numerator, r.denominator, power)
 
     def _times(self, num: int, den: int = 1, power: int = 0) -> AlphaPoly:

@@ -181,14 +181,6 @@ def _apply_config(args: SimpleNamespace) -> None:
             setattr(args, opt[1], opt[5])
 
 
-def _float_order(alpha: Fraction) -> float:
-    """A checked order as the float that is evaluated and printed."""
-    a = float(_as_order(alpha))
-    if a == 0.0:
-        raise ParameterError("order rounds to 0.0 as a float, outside (0, 1]")
-    return a
-
-
 def _cmd_table(args: SimpleNamespace) -> int:
     _as_count(args.n_max, "--n-max")
     lines = [str(from_series(GegenbauerSpec(k, args.lam))) for k in range(args.n_max + 1)]
@@ -206,7 +198,7 @@ def _cmd_eval(args: SimpleNamespace) -> int:
         if not -1.0 <= x <= 1.0:
             raise ParameterError(f"eval points must lie in [-1, 1], got {x!r}")
     spec = GegenbauerSpec(args.n, args.lam)
-    a = _float_order(args.alpha)
+    a = float(_as_order(args.alpha))
     label = f",{a!r},"
     values = _member_values(spec.n, *spec.lam.as_integer_ratio(), args.x, a)
     rows = [f"{x!r}{label}{v!r}" for x, v in zip(args.x, values)]
@@ -221,7 +213,7 @@ def _cmd_plot_data(args: SimpleNamespace) -> int:
     spec = GegenbauerSpec(args.n, args.lam)
     # checked in sorted order, so the first error is the smallest order's;
     # two orders that round to one float are one curve
-    alphas = dict.fromkeys(_float_order(alpha) for alpha in sorted(args.alphas))
+    alphas = dict.fromkeys(float(_as_order(alpha)) for alpha in sorted(args.alphas))
     p, q = spec.lam.as_integer_ratio()
     # every curve is evaluated before a byte is written, so a refusal
     # writes nothing; then the rows go out one curve at a time

@@ -235,10 +235,18 @@ def conformable_inner_product(
     coefficient products against the weight's moments, divided by a.
 
     The error is a bound on the rounding of the final float scaling (0.0
-    when the sum is exactly zero); no evaluation nodes are used."""
+    when the sum is exactly zero); no evaluation nodes are used.  A value
+    past the float range, from the exact sum's quotient or from the scaling,
+    raises AccuracyError."""
     cell = _cell(lam, alpha)
     m, n = sorted((_as_count(m, "degree"), _as_count(n, "degree")))
-    value = _inner_product(m, n, cell)
+    try:
+        value = _inner_product(m, n, cell)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise AccuracyError(f"<C_{m}, C_{n}> at weight {cell.lam} and order {cell.a!r} "
+                            "lies past the float range")
     # two math.gamma calls (measured within 7 units of 2^-53 on [1/2, 2])
     # plus about six correctly rounded steps stay under 32 units of 2^-53
     return QuadratureResult(value, 16 * sys.float_info.epsilon * abs(value), 0)

@@ -24,7 +24,7 @@ from itertools import zip_longest
 from typing import Callable, Iterable, Iterator
 
 from . import gegenbauer
-from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_count, _rising,
+from .alphapoly import (AlphaPoly, ParameterError, RationalLike, _as_count, _as_int, _rising,
                         _sample_grid)
 from .gegenbauer import (
     _MEMO_SIZE,
@@ -75,14 +75,6 @@ _SWEEP_MEMO_SIZE = 32
 # exact check that holds for it holds at every order.
 _SWEEP_WEIGHTS = ((1, 2), (1, 1), (5, 2), (3, 1))
 _SWEEP_WEIGHT_TEXT = ", ".join(str(Fraction(p, q)) for p, q in _SWEEP_WEIGHTS)
-
-
-def _as_degree_bound(n_max: int) -> int:
-    """Validate a sweep's degree bound: an int, not a bool.  A negative one
-    gives no case, which the exact sweeps and `run_asserted_checks` refuse."""
-    if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise ParameterError(f"n_max must be an integer, got {n_max!r}")
-    return n_max
 
 
 def _sweep_cases(top: int) -> Iterator[tuple[int, int, int]]:
@@ -260,7 +252,7 @@ def check_constructor_agreement(n_max: int = 12) -> VerificationReport:
     """All three construction routes emit identical exact coefficients.  The
     coefficients are order-free by construction, since each route keys its
     polynomial by (n, weight) and an `AlphaPoly` carries no order."""
-    _as_degree_bound(n_max)
+    _as_int(n_max, "n_max")
 
     def cases() -> Iterator[tuple]:
         series, recurrence = gegenbauer._series_coeffs, gegenbauer._recurrence_coeffs
@@ -280,7 +272,7 @@ def check_ode_annihilation(n_max: int = 12) -> VerificationReport:
     """The weighted operator annihilates every family member, symbolically."""
     series, zero = gegenbauer._series_coeffs, ("zero", AlphaPoly.zero())
     cases = (((n, p, q), ("residual", _ode_residual(series(n, p, q), n, p, q)), zero)
-             for n, p, q in _sweep_cases(_as_degree_bound(n_max)))
+             for n, p, q in _sweep_cases(_as_int(n_max, "n_max")))
     return _exact_report(
         "ode-annihilation", _sweep_grid(n_max), cases,
         notes=lambda count: f"{count} (degree, weight) pairs, residual exactly zero")
@@ -310,7 +302,7 @@ _LADDER_N_MAX, _LADDER_M_MAX = 8, 3
 def check_derivative_ladder(n_max: int = 12) -> VerificationReport:
     """Derivative ladder to degree min(n_max, `_LADDER_N_MAX`), ladder
     length m <= min(`_LADDER_M_MAX`, n)."""
-    top = min(_as_degree_bound(n_max), _LADDER_N_MAX)
+    top = min(_as_int(n_max, "n_max"), _LADDER_N_MAX)
     cases = (case for n, p, q in _sweep_cases(top)
              for case in _ladder_cases(n, p, q, min(_LADDER_M_MAX, n)))
     return _exact_report(
@@ -322,7 +314,7 @@ _RECURRENCE_PIVOT_MAX = 11
 
 def check_recurrences(n_max: int = 12) -> VerificationReport:
     """Both recurrences at every pivot to min(n_max - 1, `_RECURRENCE_PIVOT_MAX`)."""
-    top = min(_RECURRENCE_PIVOT_MAX, _as_degree_bound(n_max) - 1)
+    top = min(_RECURRENCE_PIVOT_MAX, _as_int(n_max, "n_max") - 1)
     cases = (case for n, p, q in _sweep_cases(top) for case in _recurrence_cases(n, p, q))
     return _exact_report("recurrences", _sweep_grid(top, " (pivots)"), cases)
 
@@ -332,7 +324,7 @@ def check_endpoint_values(n_max: int = 12) -> VerificationReport:
     series = gegenbauer._series_coeffs
     cases = (((n, p, q), ("coefficient sum", series(n, p, q).coefficient_sum()),
               ("G(2 lam + n) / (G(2 lam) n!)", _endpoint_value(n, p, q)))
-             for n, p, q in _sweep_cases(_as_degree_bound(n_max)))
+             for n, p, q in _sweep_cases(_as_int(n_max, "n_max")))
     return _exact_report("endpoint-value", _sweep_grid(n_max), cases)
 
 
@@ -586,7 +578,7 @@ SUITES: dict[str, Callable[[int], VerificationReport]] = dict(zip(SUITE_NAMES, (
 def run_asserted_checks(n_max: int = 12, *, suite: str = "all") -> list[VerificationReport]:
     """The asserted suites of `SUITES` in report order: every one, or only
     the one named by `suite`.  The sweeps need n_max >= 3."""
-    _as_degree_bound(n_max)
+    _as_int(n_max, "n_max")
     if suite != "all" and suite not in SUITES:
         raise ParameterError(
             f"unknown suite {suite!r}; choose from {', '.join(('all', *SUITES))}")

@@ -17,7 +17,7 @@ from congeg.gegenbauer import (GegenbauerSpec, UltrasphericalSpec, _rodrigues_ke
 from congeg.quadrature import (AuditRow, QuadratureResult, _cell, classical_norm,
                                conformable_inner_product, conformable_inner_product_direct,
                                normalization_audit, normalization_closed_form,
-                               orthogonality_check)
+                               normalization_gamma_product, orthogonality_check)
 from congeg.report import VerificationReport
 from congeg.verify import generating_function_coeffs
 
@@ -392,10 +392,15 @@ class TestCountCheck:
             entry(k)
 
 
-# where an exact order enters: the orthogonality proof's orders, and the
-# inner product, whose value divides by the order
+# where an order enters: the orthogonality proof's orders, both inner
+# products, the two normalization formulas and float evaluation, each of
+# which checks it with alphapoly._as_order
 ORDER_ENTRY_POINTS = (lambda alpha: orthogonality_check(1, (1,), (alpha,)),
-                      lambda alpha: conformable_inner_product(5, 5, 3, alpha))
+                      lambda alpha: conformable_inner_product(5, 5, 3, alpha),
+                      lambda alpha: conformable_inner_product_direct(0, 0, 1, alpha),
+                      lambda alpha: normalization_closed_form(1, 1, alpha),
+                      lambda alpha: normalization_gamma_product(1, 1, alpha),
+                      lambda alpha: AlphaPoly((0, 6)).values([0.5], alpha))
 
 
 class TestExactOrder:
@@ -421,6 +426,14 @@ class TestExactOrder:
         for entry in ORDER_ENTRY_POINTS:
             with pytest.raises(ParameterError, match=r"order must lie in \(0, 1\]"):
                 entry(alpha)
+
+    @pytest.mark.parametrize("entry", ORDER_ENTRY_POINTS, ids=[
+        "orthogonality_check", "inner_product", "inner_product_direct", "closed_form",
+        "gamma_product", "values"])
+    def test_order_whose_float_is_zero(self, entry):
+        # every float made from an order divides by it or raises to its power
+        with pytest.raises(ParameterError, match=r"order rounds to 0\.0 as a float"):
+            entry(Fraction(1, 10 ** 400))
 
 
 def _leibniz_reference(n, c):

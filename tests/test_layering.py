@@ -149,6 +149,20 @@ def test_rising_products_are_formed_by_the_one_helper():
     assert _functions_where(_is_product_loop) == ["quadrature._scaled_moments"]
 
 
+def _checks_for_bool(node):
+    """A call isinstance(<x>, bool): a hand-written check of an argument's kind."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Name) and node.args[1].id == "bool")
+
+
+def test_argument_kinds_are_checked_in_alphapoly_alone():
+    # an order, an integer, a count, a rational, a tolerance and a
+    # coefficient each have one checker in alphapoly; every layer calls it
+    found = _functions_where(_checks_for_bool)
+    assert found and all(name.startswith("alphapoly._as_") for name in found), found
+
+
 COMMAND_ARGVS = [
     ("-c", "import congeg.cli"), ("-m", "congeg", "table"),
     ("-m", "congeg", "eval", "--n", "4", "--x", "0.5"), ("-m", "congeg", "plot-data"),

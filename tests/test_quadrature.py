@@ -51,6 +51,15 @@ class TestDiagonals:
         with pytest.raises(ParameterError):
             conformable_inner_product(0, 0, Fraction(0), ONE)
 
+    # the exact sum is finite and dividing by the smallest subnormal order
+    # is not; at degree 250, weight 1000 the exact sum's int / int overflows
+    @pytest.mark.parametrize("n,lam,alpha,shown", [(1, ONE, 5e-324, "5e-324"),
+                                                   (250, 1000, ONE, "1.0")],
+                             ids=["scaling", "exact-sum"])
+    def test_value_past_the_float_range_is_refused(self, n, lam, alpha, shown):
+        with pytest.raises(AccuracyError, match=f"order {shown} lies past the float range"):
+            conformable_inner_product(n, n, lam, alpha)
+
 
 class TestOffDiagonals:
     @pytest.mark.parametrize("m,n", [(0, 1), (1, 3), (2, 4), (0, 2)])
