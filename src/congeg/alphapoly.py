@@ -126,11 +126,14 @@ def _as_fraction(value: RationalLike) -> Fraction:
     # Floats are admitted because every finite one is exactly a dyadic
     # rational; the conversion loses nothing.  nan, inf and "1/0" have no
     # rational value.  A bool is an int to Python, but True standing for 1
-    # is a caller's mistake, so it is refused.
+    # is a caller's mistake, so it is refused.  Any other real number that
+    # Fraction does not take, such as numpy.float32, is taken as its float.
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ParameterError(f"expected an exact rational, got {value!r}")
+    if isinstance(value, numbers.Real) and not isinstance(value, (float, numbers.Rational)):
+        value = float(value)
     try:
         return Fraction(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -264,16 +267,15 @@ def _float_values(xs: Iterable[float], a: float, degree: int, grade: int,
     """Values at the points xs and order a, under the signed-power
     convention, of a polynomial of the given degree (-1 for zero) and grade:
     `evaluate` maps the list of u = x^a to the values, which are multiplied
-    by a**grade when the grade is nonzero.  A float order in (0, 1], as the
-    CLI passes, is used as it is; any other order goes through `_as_order`,
-    with its messages, and is used as its float.  The order is checked once
+    by a**grade when the grade is nonzero.  The order goes through
+    `_as_order`, with its messages, and is used as its float, which for a
+    float order in (0, 1] is that float itself.  The order is checked once
     and u is built once per point before `evaluate` is called; a u that is
     not finite raises ParameterError, whichever evaluator would run.  An
     OverflowError from `evaluate`, which rounds the coefficients it needs
     on first use, or from a**grade becomes AccuracyError, and so does a
     value that is not finite, as a float intermediate past the range gives."""
-    if not (type(a) is float and 0 < a <= 1):
-        a = float(_as_order(a))
+    a = float(_as_order(a))
     # at order 1, x^a is x itself, -0.0 included
     us = (list(map(float, xs)) if a == 1.0
           else [math.copysign(abs(x) ** a, x) for x in map(float, xs)])

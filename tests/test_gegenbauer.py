@@ -421,6 +421,19 @@ class TestExactOrder:
             with pytest.raises(ParameterError, match="order must be a real number"):
                 entry(alpha)
 
+    def test_numpy_float_order_is_taken_as_its_float(self):
+        np = pytest.importorskip("numpy")
+
+        def outcome(entry, alpha):
+            # some entries meet a pole at these arguments; they must meet it alike
+            try:
+                return entry(alpha)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        for entry in ORDER_ENTRY_POINTS:
+            assert outcome(entry, np.float32(0.5)) == outcome(entry, 0.5)
+
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
     def test_float_order_outside_range(self, alpha):
         for entry in ORDER_ENTRY_POINTS:
