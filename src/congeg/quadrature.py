@@ -345,6 +345,17 @@ def _or_nan(formula, n: int, cell: _Cell) -> float:
         return math.nan
 
 
+def _in_range(kernel, n: int, *args, name: str, lam: Fraction, order=None) -> float:
+    """kernel(n, *args) for the public formula `name`; AccuracyError where a
+    float gamma value or power on the way overflows (the value may not)."""
+    try:
+        return kernel(n, *args)
+    except OverflowError:
+        at = f"degree {n}, weight {lam}" + ("" if order is None else f", order {order!r}")
+        raise AccuracyError(f"{name} at {at}: a float gamma value or power on the way "
+                            "lies past the float range") from None
+
+
 def normalization_closed_form(n: int, lam, alpha) -> float:
     """Closed-form candidate for the diagonal inner product:
 
@@ -353,9 +364,11 @@ def normalization_closed_form(n: int, lam, alpha) -> float:
 
     Kept exactly as stated so the audit can compare it against the diagonal;
     known to disagree (the audit flags it) and to hit gamma poles at some
-    orders, e.g. a = 1/2."""
+    orders, e.g. a = 1/2.  AccuracyError where a float gamma value or power
+    on the way lies past the float range."""
     _as_count(n, "degree")
-    return _closed_form(n, _cell(lam, alpha))
+    cell = _cell(lam, alpha)
+    return _in_range(_closed_form, n, cell, name="closed form", lam=cell.lam, order=cell.a)
 
 
 def normalization_gamma_product(n: int, lam, alpha) -> float:
@@ -365,17 +378,21 @@ def normalization_gamma_product(n: int, lam, alpha) -> float:
         G(n+lam+3/2 - 1/a) / (n! G(2lam) G(lam+n+1/2) G(lam) G(n+lam+2-a))
 
     Differs from the closed form by sqrt(pi) * a^(1/2) (a duplication-step
-    slip in the closed form); at order 1 it reduces to the classical value."""
+    slip in the closed form); at order 1 it reduces to the classical value.
+    AccuracyError as for the closed form."""
     _as_count(n, "degree")
-    return _gamma_product(n, _cell(lam, alpha))
+    cell = _cell(lam, alpha)
+    return _in_range(_gamma_product, n, cell, name="product form", lam=cell.lam, order=cell.a)
 
 
 def classical_norm(n: int, lam) -> float:
     """Classical Gegenbauer diagonal value
     pi 2^(1-2lam) G(n+2lam) / (n! (n+lam) G(lam)^2); the substitution
-    predicts the conformable diagonal as this divided by the order."""
+    predicts the conformable diagonal as this divided by the order.
+    AccuracyError as for the closed form."""
     _as_count(n, "degree")
-    return _classical_norm(n, *_check_weight(lam).as_integer_ratio())
+    lam = _check_weight(lam)
+    return _in_range(_classical_norm, n, *lam.as_integer_ratio(), name="classical norm", lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -494,43 +511,34 @@ def normalization_audit(n_max: int = 6, rel_tol: float = 1e-6) -> VerificationRe
     _as_tolerance(rel_tol, "rel_tol")
     rows = [_audit_row(n, p, q, r, s)
             for p, q in _AUDIT_WEIGHTS for r, s in _AUDIT_ORDERS for n in range(n_max + 1)]
-    flagged = 0
-    first_flag = anchor = witness = None
-    worst = 0.0
-    for row in rows:
-        derived = row.derived
-        if row.rel_diff_quadrature_vs_derived > worst:
-            worst = row.rel_diff_quadrature_vs_derived
-            witness = (f"n={row.n}, weight={row.lam}, order={row.alpha}: quadrature "
-                       f"{row.quadrature!r} vs derived {derived!r}")
-        for name, value in (("closed form", row.closed_form),
-                            ("product form", row.gamma_product)):
-            if math.isnan(value) or abs(value - derived) > rel_tol * abs(derived):
-                if not flagged:
-                    first_flag = f"n={row.n}, weight={row.lam}, order={row.alpha} ({name})"
-                flagged += 1
-        if anchor is None and row.n == 0 and row.lam == row.alpha == 1:
-            anchor = row
-    status = "numeric-pass" if worst <= rel_tol else "fail"
-    summary = (f"{flagged} of {2 * len(rows)} formula comparisons flagged "
-               f"(recorded, not asserted)")
-    if flagged:
-        summary += "; first: " + first_flag
-        summary += ("; the product form equals sqrt(pi) * sqrt(order) * closed form, "
-                    "so at order 1 only the closed form disagrees (by 1/sqrt(pi))")
-    if anchor is not None and (math.isnan(anchor.closed_form) or
-                               abs(anchor.closed_form - anchor.derived)
-                               > rel_tol * abs(anchor.derived)):
+    flags = [(row, name) for row in rows
+             for name, value in (("closed form", row.closed_form),
+                                 ("product form", row.gamma_product))
+             if math.isnan(value) or abs(value - row.derived) > rel_tol * abs(row.derived)]
+    worst = max(rows, key=operator.attrgetter("rel_diff_quadrature_vs_derived"))
+    status = "numeric-pass" if worst.rel_diff_quadrature_vs_derived <= rel_tol else "fail"
+    summary = (f"{len(flags)} of {2 * len(rows)} formula comparisons flagged "
+               "(recorded, not asserted)")
+    if flags:
+        row, name = flags[0]
+        summary += (f"; first: n={row.n}, weight={row.lam}, order={row.alpha} ({name}); the "
+                    "product form equals sqrt(pi) * sqrt(order) * closed form, so at order 1 "
+                    "only the closed form disagrees (by 1/sqrt(pi))")
+    # degree 0 at weight 1 and order 1: the first weight's third order
+    anchor = rows[2 * (n_max + 1)]
+    if (math.isnan(anchor.closed_form)
+            or abs(anchor.closed_form - anchor.derived) > rel_tol * abs(anchor.derived)):
         summary += (f"; flagged at degree 0, weight 1, order 1: closed form "
                     f"{anchor.closed_form!r} vs quadrature {anchor.quadrature!r}")
-    grid_text = (f"{len(rows)} diagonal entries over (degree, weight, order) triples; "
-                 f"asserted tolerance {rel_tol:g} relative")
     return VerificationReport(
         "normalization-audit",
-        grid_text,
+        f"{len(rows)} diagonal entries over (degree, weight, order) triples; "
+        f"asserted tolerance {rel_tol:g} relative",
         status,
-        max_residual=worst,
-        witness=None if status == "numeric-pass" else witness,
+        max_residual=worst.rel_diff_quadrature_vs_derived,
+        witness=None if status == "numeric-pass" else (
+            f"n={worst.n}, weight={worst.lam}, order={worst.alpha}: quadrature "
+            f"{worst.quadrature!r} vs derived {worst.derived!r}"),
         notes=summary,
         table=tuple(rows),
     )

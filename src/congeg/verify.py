@@ -434,43 +434,40 @@ def audit_ultraspherical() -> list[VerificationReport]:
     # it does not is faulty, and fails the report in place of the variant.
     # The variant residual has grade 2, so its size grows with the order.
     top = max(_ULTRA_ORDERS)
-    worst = 0.0
-    witness = None
-    fault = None
-    residual_from = _ULTRA_N_MAX + 1    # the lowest degree the variant leaves a residual at
-    for row in specs:
-        for spec in row:
-            p = ultraspherical(spec)
-            full = ode_residual(p, GegenbauerSpec(spec.n, spec.lam))
-            if not full.is_zero and fault is None:
-                fault = VerificationReport(
-                    "ultraspherical-ode-variant-operator", grid, "fail",
-                    max_residual=_residual_size(full, _ULTRA_ORDERS[0]),
-                    witness=f"beta={spec.beta}, n={spec.n}: weighted residual = {full}",
-                    asserted=False,
-                    notes="the weighted operator, which annihilates every true member, "
-                          "leaves this residual, so the member itself is faulty; it is "
-                          "not the variant's expected residual. max_residual taken at "
-                          f"order {_ULTRA_ORDERS[0]}.")
-            variant = ultraspherical_ode_residual(p, spec)
-            if not variant.is_zero:
-                residual_from = min(residual_from, spec.n)
-            size = _residual_size(variant, top)
-            if size > worst:
-                worst = size
-                witness = f"beta={spec.beta}, n={spec.n}, order={top}: residual = {variant}"
-    if not residual_from:
-        reach = "leaves a residual already at degree 0"
-    elif residual_from > _ULTRA_N_MAX:
-        reach = f"annihilates every case to n <= {_ULTRA_N_MAX}"
+    members = [(spec, ultraspherical(spec)) for row in specs for spec in row]
+    weighted = ((spec, ode_residual(member, GegenbauerSpec(spec.n, spec.lam)))
+                for spec, member in members)
+    if fault := next(((spec, full) for spec, full in weighted if not full.is_zero), None):
+        spec, full = fault
+        reports.append(VerificationReport(
+            "ultraspherical-ode-variant-operator", grid, "fail",
+            max_residual=_residual_size(full, _ULTRA_ORDERS[0]),
+            witness=f"beta={spec.beta}, n={spec.n}: weighted residual = {full}",
+            asserted=False,
+            notes="the weighted operator, which annihilates every true member, "
+                  "leaves this residual, so the member itself is faulty; it is "
+                  "not the variant's expected residual. max_residual taken at "
+                  f"order {_ULTRA_ORDERS[0]}."))
     else:
-        reach = f"annihilates only n <= {residual_from - 1}"
-    reports.append(fault or VerificationReport(
-        "ultraspherical-ode-variant-operator", grid,
-        "fail" if witness else "exact-pass",
-        max_residual=worst or None, witness=witness, asserted=False,
-        notes="variant lacks the (1 - x^(2a)) factor on the second-derivative "
-              f"term; it {reach}. The weighted operator annihilates every case exactly."))
+        variants = [(spec, ultraspherical_ode_residual(member, spec)) for spec, member in members]
+        # the first largest residual (size 0.0 where none is left), and the
+        # lowest degree the variant leaves a residual at
+        worst, spec, variant = max(((_residual_size(v, top), s, v) for s, v in variants),
+                                   key=operator.itemgetter(0))
+        residual_from = min((s.n for s, v in variants if not v.is_zero), default=_ULTRA_N_MAX + 1)
+        if not residual_from:
+            reach = "leaves a residual already at degree 0"
+        elif residual_from > _ULTRA_N_MAX:
+            reach = f"annihilates every case to n <= {_ULTRA_N_MAX}"
+        else:
+            reach = f"annihilates only n <= {residual_from - 1}"
+        reports.append(VerificationReport(
+            "ultraspherical-ode-variant-operator", grid,
+            "fail" if worst else "exact-pass", max_residual=worst or None,
+            witness=f"beta={spec.beta}, n={spec.n}, order={top}: residual = {variant}"
+            if worst else None, asserted=False,
+            notes="variant lacks the (1 - x^(2a)) factor on the second-derivative "
+                  f"term; it {reach}. The weighted operator annihilates every case exactly."))
 
     # Series-form consistency at lam = beta + 1/2, against the independent
     # binomial expansion of the generating function.
@@ -532,24 +529,21 @@ def audit_chebyshev_limit() -> list[VerificationReport]:
 
     # Ladder out of the first kind: the variant constant 2^m a^m (m-1)! is
     # short by n/2; measure the exact ratio.
-    mismatch = None
-    exact_ratio = True
+    cases = []
     for n in range(1, _CHEBYSHEV_N_MAX + 1):
         lhs = chebyshev_t(n)
         for m in range(1, min(_CHEBYSHEV_M_MAX, n) + 1):
             lhs = lhs.d_alpha()
-            target = from_series(GegenbauerSpec(n - m, m))
-            variant = target.scale(Fraction(2) ** m * math.factorial(m - 1), power=m)
-            if lhs != variant.scale(Fraction(n, 2)):
-                exact_ratio = False
-            if lhs != variant and mismatch is None:
-                mismatch = f"n={n}, m={m}"
+            variant = from_series(GegenbauerSpec(n - m, m)).scale(
+                Fraction(2) ** m * math.factorial(m - 1), power=m)
+            cases.append((n, m, lhs, variant))
+    mismatch = next((f"n={n}, m={m}" for n, m, lhs, variant in cases if lhs != variant), None)
     reports.append(VerificationReport(
         "chebyshev-derivative-ladder", grid + f", m <= {_CHEBYSHEV_M_MAX}",
         "fail" if mismatch else "exact-pass",
         witness=mismatch, asserted=False,
         notes="measured ratio lhs/variant is exactly n/2 for every case"
-              if exact_ratio else
+              if all(lhs == variant.scale(Fraction(n, 2)) for n, m, lhs, variant in cases) else
               "measured ratio lhs/variant is NOT the uniform n/2",))
     return reports
 

@@ -371,6 +371,25 @@ class TestNormalizationFormulas:
         with pytest.raises(ParameterError):
             classical_norm(degree, ONE)
 
+    # a float power or gamma on the way overflows, where the value itself
+    # may not: B(1/2, 200.5) ~ 0.125 needs G(400), and the closed form at
+    # degree 200 (~ 0.886) needs G(202); each once raised a bare OverflowError
+    @pytest.mark.parametrize("formula,args,at", [
+        (normalization_closed_form, (0, ONE, 1e-10), "closed form at degree 0, weight 1, "
+                                                     "order 1e-10"),
+        (normalization_gamma_product, (0, ONE, 1e-10), "product form at degree 0, weight 1, "
+                                                       "order 1e-10"),
+        (classical_norm, (200, ONE), "classical norm at degree 200, weight 1"),
+        (classical_norm, (0, 200), "classical norm at degree 0, weight 200"),
+        (normalization_closed_form, (200, ONE, ONE), "closed form at degree 200, weight 1, "
+                                                     "order 1.0"),
+    ], ids=["closed-form-power", "product-form-power", "classical-degree", "classical-weight",
+            "closed-form-degree"])
+    def test_overflow_on_the_way_is_refused(self, formula, args, at):
+        message = f"{at}: a float gamma value or power on the way lies past the float range"
+        with pytest.raises(AccuracyError, match=f"^{re.escape(message)}$"):
+            formula(*args)
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -417,6 +436,33 @@ class TestAudit:
         assert row.closed_form == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
         assert row.quadrature == pytest.approx(math.pi / 2, rel=1e-10)
         assert "degree 0, weight 1, order 1" in report.notes
+
+    _FIRST = ("first: n=0, weight=1, order=1/4 (closed form); the product form equals "
+              "sqrt(pi) * sqrt(order) * closed form, so at order 1 only the closed form "
+              "disagrees (by 1/sqrt(pi))")
+
+    @pytest.mark.parametrize("rel_tol,notes", [
+        (1e-6, f"70 of 84 formula comparisons flagged (recorded, not asserted); {_FIRST}; "
+               "flagged at degree 0, weight 1, order 1: closed form 0.8862269254527579 vs "
+               "quadrature 1.5707963267948966"),
+        # the anchor's closed form is off by 1 - 1/sqrt(pi) ~ 0.44, inside 0.5
+        (0.5, f"56 of 84 formula comparisons flagged (recorded, not asserted); {_FIRST}"),
+    ], ids=["default", "anchor-inside-tolerance"])
+    def test_notes(self, rel_tol, notes):
+        report = normalization_audit(6, rel_tol)
+        assert report.notes == notes
+        assert report.status == "numeric-pass" and report.witness is None
+
+    @pytest.mark.parametrize("n_max,witness", [
+        (6, "n=5, weight=3, order=1/4: quadrature 371.1006322052943 vs derived "
+            "371.10063220529435"),
+        (0, "n=0, weight=3, order=1/4: quadrature 3.9269908169872414 vs derived "
+            "3.926990816987241"),
+    ])
+    def test_failing_witness_names_the_worst_row(self, n_max, witness):
+        # past the diagonal's last bits only the worst row is named
+        report = normalization_audit(n_max, 1e-17)
+        assert report.status == "fail" and report.witness == witness
 
     def test_rows_keep_rel_diff(self, report):
         assert all(r.rel_diff_quadrature_vs_derived <= 1e-6 for r in report.table)
