@@ -1,52 +1,35 @@
-"""Run the perfbench workload, or CLI commands in fresh interpreters, on two
-commits in alternating pairs and compare their end-to-end metrics.
+"""Run perfbench workloads and CLI commands on two commits in alternating
+pairs and compare their end-to-end metrics.
 
-    python scripts/bench_pairs.py --workload quadrature --pairs 10 --seed0 9200
-    python scripts/bench_pairs.py --workload verify --pairs 12 --seed0 7100 \
-        --parent main --change "$(git stash create)" --claim wall_s
-    python scripts/bench_pairs.py --pairs 9 --cli table --cli "eval --n 4 --x 0.5"
+    python scripts/bench_pairs.py --pairs 12 --workload verify --seed0 7100 \
+        --parent main --change "$(git stash create)" --claim verify/wall_s
+    python scripts/bench_pairs.py --pairs 20 --workload verify --workload curves \
+        --seed0 5800 --cli verify --cli "eval --n 4 --x 0.5" --json BENCH.json
 
-Each ref is exported with `git archive` into its own temporary directory, so
-neither tree carries bytecode, and every run gets PYTHONDONTWRITEBYTECODE=1,
-so both sides compile every import alike and `setup_s` compares like with
-like.  Pair i runs seed seed0 + i on both trees with
-`perfbench/run.py --seconds 30 --trace 0`, the parent first in even pairs
-and the change first in odd ones.  A working tree with uncommitted edits can
-be compared through `git stash create`, which names it as a commit without
-touching any branch.
+Each ref is exported with `git archive` into its own temporary directory
+(`git stash create` names a dirty working tree as a commit), and every run
+gets PYTHONDONTWRITEBYTECODE=1, so both sides compile every import alike.
+A run is a list of jobs: each `--workload NAME` runs `perfbench/run.py
+--workload NAME --seed SEED0+i --seconds 30 --trace 0` in pair i, and each
+`--cli "ARGS"`, the job `cli ARGS`, times `python -m congeg ARGS` from the
+tree's `src/` in a fresh interpreter, its output discarded.  Pair i runs
+every job on both trees, the parent first in even pairs, the change first
+in odd ones.
 
-For each metric the script prints the parent and change medians, the
-change/parent ratio, the parent's interquartile range, how many pairs the
-change won (lower is better, except `ok_share`) and a verdict:
-
-- for a metric named by `--claim`, whether the gain holds: the change won at
-  least nine tenths of the pairs, its median is better than the parent's
-  by more than the parent's interquartile range, and its median gain, the
-  share of the parent's median, exceeds the metric's relative `bound`; the
-  verdict states that gain next to the bound (`gain 44% vs bound 25%`);
-- for any other metric, whether the change's median is worse than the
-  parent's by more than the metric's relative `bound` in the repository's
-  BENCHMARK.json (which the script only reads), or `unresolved` where the
-  parent's interquartile range is wider than that bound and not every change
-  run beats every parent run.
-
-It then lists every run whose value lies more than 1.5x above or below its
-own side's median (a run whose speed calibration went astray moves all its
-timings at once).  `--json PATH` also writes every run's metrics and the
-verdicts.  The exit code is 1 if any
-run reports `correct: false` or a failed request, 2 if a run produces no
-result.
-
-`--cli "ARGS"` (repeatable) runs `python -m congeg ARGS` instead, from each
-tree's `src/` in a fresh interpreter with PYTHONDONTWRITEBYTECODE=1, every
-command once per pair in the same alternating order, its output discarded.
-Per command and side it prints the median and interquartile range of the
-wall time and of the peak resident set size (`ru_maxrss` of RUSAGE_CHILDREN
-in a small interpreter that spawns the command), the pairs the change won,
-a verdict (`lower` or `higher` where the medians differ by more than the
-parent's interquartile range, else `no change past the parent's IQR`) and
-the exit codes.  It flags a command whose exit codes differ between the trees, and
-then exits 1.  `--json PATH` writes a `cli` section for a BENCH file.
+Per job and metric the script prints each side's median and interquartile
+range, the change/parent ratio, the pairs the change won (lower is better,
+except `ok_share`) and `verdict`'s judgement: a metric named by
+`--claim WORKLOAD/METRIC` must win nine tenths of the pairs and gain more
+than the parent's IQR and its relative `bound` in BENCHMARK.json (which the
+script only reads); another workload metric must stay within its bound, or
+reads `unresolved` where the parent's IQR is wider; a metric with no bound,
+as every CLI metric is, moves `lower` or `higher` only past the parent's
+IQR.  Then it lists every run more than 1.5x above or below its side's
+median (a run whose speed calibration went astray moves all its timings).
+`--json PATH` writes every run's metrics, the verdicts and each tree's line
+count of `src/congeg/*.py`.  The exit code is 1 if a workload run reports
+`correct: false` or a failed request, or a command's exit codes differ
+between the trees; 2 if a run gives no result.
 """
 from __future__ import annotations
 
@@ -113,11 +96,19 @@ def run_cli(tree: Path, args: str) -> dict:
                                                       os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-S", "-c", _SPAWN, sys.executable, "-m", "congeg",
                            *shlex.split(args)],
-                          cwd=tree, env=env, capture_output=True, text=True, check=True)
-    wall, rss, code = proc.stdout.split()
+                          cwd=tree, env=env, capture_output=True, text=True)
+    fields = proc.stdout.split()
+    if proc.returncode or len(fields) != 3:
+        raise RuntimeError(f"{tree.name} `{args}`: exit {proc.returncode}\n{proc.stderr}")
+    wall, rss, code = fields
     return {"metrics": {"wall_s": {"value": float(wall)},
                         "peak_rss_mib": {"value": int(rss) / 1024}},  # ru_maxrss is in KiB,
             "exit_code": int(code)}
+
+
+def source_lines(tree: Path) -> int:
+    """The line count of `src/congeg/*.py` in `tree`."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "congeg").glob("*.py"))
 
 
 def iqr(values: list[float]) -> float:
@@ -178,24 +169,18 @@ def verdict(name: str, row: dict, bound: float | None, claimed: bool) -> str:
         holds = won and -worse_by > row["parent_iqr"] and gain > bound
         return (f"{'claim holds' if holds else 'claim not met'}: "
                 f"gain {gain:.0%} vs bound {bound:.0%}")
-    if bound is None:
-        return "no bound"
+    if bound is None:  # a change counts only past the parent's interquartile range
+        gap = row["change_median"] - row["parent_median"]
+        if abs(gap) <= row["parent_iqr"]:
+            return "no change past the parent's IQR"
+        share = abs(gap) / scale if scale else float("nan")
+        return f"{'higher' if gap > 0 else 'lower'} by {share:.0%}"
     if worse_by > bound * scale:
         return f"worse than its bound {bound:g}"
     all_better = (min(change) > max(parent)) if higher else (max(change) < min(parent))
     if row["parent_iqr"] > bound * scale and not all_better:
         return f"unresolved: parent IQR wider than its bound {bound:g}"
     return f"within its bound {bound:g}"
-
-
-def cli_verdict(row: dict) -> str:
-    """The verdict on one metric of a `--cli` command (lower is better): a
-    change counts only past the parent's interquartile range."""
-    gap = row["parent_median"] - row["change_median"]
-    if abs(gap) <= row["parent_iqr"]:
-        return "no change past the parent's IQR"
-    share = abs(gap) / row["parent_median"] if row["parent_median"] else float("nan")
-    return f"{'lower' if gap > 0 else 'higher'} by {share:.0%}"
 
 
 def exit_code_flag(parent: list[int], change: list[int]) -> str | None:
@@ -206,118 +191,98 @@ def exit_code_flag(parent: list[int], change: list[int]) -> str | None:
             f"change {sorted(set(change))}")
 
 
-def main_cli(args: argparse.Namespace, trees: dict[str, Path], commits: dict[str, str]) -> int:
-    """The `--cli` mode: every command once per pair on each tree."""
-    runs = {cmd: {"parent": [], "change": []} for cmd in args.cli}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for cmd in args.cli:
-            for side in order:
-                runs[cmd][side].append(run_cli(trees[side], cmd))
-        print(f"# pair {i + 1}/{args.pairs} done", file=sys.stderr)
-
-    print(f"cli: {args.pairs} alternating pairs; parent {commits['parent'][:12]}, "
-          f"change {commits['change'][:12]}")
-    print(f"{'command / metric':<40}{'parent':>10}{'IQR':>9}{'change':>10}{'IQR':>9}"
-          f"{'better':>8}  verdict")
-    section, differ = {}, False
-    for cmd, sides in runs.items():
-        table = summarize(sides)
-        codes = {side: [r["exit_code"] for r in side_runs] for side, side_runs in sides.items()}
-        flag = exit_code_flag(codes["parent"], codes["change"])
-        differ |= flag is not None
-        print(f"{cmd}  (exit codes: parent {sorted(set(codes['parent']))}, "
-              f"change {sorted(set(codes['change']))})")
-        for name, row in table.items():
-            row["change_iqr"] = iqr(row["change_runs"])
-            row["verdict"] = cli_verdict(row)
-            print(f"  {name:<38}{row['parent_median']:>10.4g}{row['parent_iqr']:>9.3g}"
-                  f"{row['change_median']:>10.4g}{row['change_iqr']:>9.3g}"
-                  f"{row['change_better_pairs']:>5}/{args.pairs}  {row['verdict']}")
-        if flag:
-            print(f"  {flag}", file=sys.stderr)
-        section[cmd] = {"metrics": table, "exit_codes": codes, "exit_codes_differ": bool(flag)}
-    if args.json is not None:
-        args.json.write_text(json.dumps(
-            {"pairs": args.pairs, "commits": commits, "cli": section}, indent=1) + "\n")
-    return 1 if differ else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload")
+    parser.add_argument("--workload", action="append", default=[], metavar="NAME",
+                        help="a perfbench workload (repeatable)")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed0", type=int)
+    parser.add_argument("--seed0", type=int, help="pair i runs the workloads at seed SEED0 + i")
     parser.add_argument("--cli", action="append", default=[], metavar="ARGS",
-                        help="time `python -m congeg ARGS` instead of a workload "
-                             "(repeatable)")
+                        help="time `python -m congeg ARGS` (repeatable)")
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--json", type=Path, help="also write every run's metrics here")
-    parser.add_argument("--claim", action="append", default=[], metavar="METRIC",
-                        help="a metric the change claims to improve (repeatable)")
+    parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD/METRIC",
+                        help="a workload's metric the change claims to improve (repeatable)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.cli and (args.workload or args.seed0 is not None or args.claim):
-        parser.error("--cli takes no --workload, --seed0 or --claim")
-    if not args.cli and (args.workload is None or args.seed0 is None):
-        parser.error("--workload and --seed0 are required without --cli")
+    if args.workload and args.seed0 is None:
+        parser.error("--seed0 is required with --workload")
     limits = bounds()
-    if unknown := set(args.claim) - limits.keys():
-        parser.error(f"--claim names no end-to-end metric: {', '.join(sorted(unknown))}")
+    if unknown := sorted(set(args.claim) - {f"{w}/{m}" for w in args.workload for m in limits}):
+        parser.error("--claim names no end-to-end metric of a measured workload: "
+                     + ", ".join(unknown))
 
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    # each job runs on a tree in pair i
+    jobs = {name: lambda tree, i, name=name: run_once(tree, name, args.seed0 + i)
+            for name in args.workload}
+    jobs.update({f"cli {cmd}": lambda tree, i, cmd=cmd: run_cli(tree, cmd) for cmd in args.cli})
+    runs = {job: {"parent": [], "change": []} for job in jobs}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        trees = {side: Path(tmp) / side for side in runs}
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: export(ref, trees[side])
                    for side, ref in (("parent", args.parent), ("change", args.change))}
-        if args.cli:
-            return main_cli(args, trees, commits)
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
         for i in range(args.pairs):
-            seed = args.seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                try:
-                    runs[side].append(run_once(trees[side], args.workload, seed))
-                except RuntimeError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-            print(f"# pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+            for job, run in jobs.items():
+                for side in order:
+                    try:
+                        runs[job][side].append(run(trees[side], i))
+                    except RuntimeError as exc:
+                        print(f"error: {exc}", file=sys.stderr)
+                        return 2
+            print(f"# pair {i + 1}/{args.pairs} done", file=sys.stderr)
 
-    table = summarize(runs)
-    for name, row in table.items():
-        row["verdict"] = verdict(name, row, limits.get(name), name in args.claim)
-    print(f"{args.workload}: {args.pairs} alternating pairs, seeds {args.seed0}-"
-          f"{args.seed0 + args.pairs - 1}; parent {commits['parent'][:12]}, "
-          f"change {commits['change'][:12]}")
-    print(f"{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>9}{'parent IQR':>12}"
-          f"{'better':>9}  verdict")
-    for name, row in table.items():
-        print(f"{name:<14}{row['parent_median']:>12.5g}{row['change_median']:>12.5g}"
-              f"{row['change_vs_parent']:>9.4f}{row['parent_iqr']:>12.4g}"
-              f"{row['change_better_pairs']:>6}/{args.pairs}  {row['verdict']}")
-    for name, row in table.items():
-        for side in runs:
-            median = row[f"{side}_median"]
-            for i in row[f"{side}_outliers"]:
-                print(f"outlier: {name} {side} run, pair {i + 1} (seed {args.seed0 + i}): "
-                      f"{row[f'{side}_runs'][i]:.5g} against its side's median {median:.5g}")
-    bad = [(side, args.seed0 + i) for side, side_runs in runs.items()
-           for i, r in enumerate(side_runs) if not r["correct"] or r["failed"]]
-    for side, seed in bad:
-        print(f"error: {side} run at seed {seed} was not correct or failed a request",
-              file=sys.stderr)
+    seeds = f", seeds {args.seed0}-{args.seed0 + args.pairs - 1}" if args.workload else ""
+    print(f"{args.pairs} alternating pairs{seeds}; parent {commits['parent'][:12]} "
+          f"({lines['parent']} lines of src/congeg), change {commits['change'][:12]} "
+          f"({lines['change']} lines)")
+    print(f"{'job / metric':<36}{'parent':>11}{'IQR':>9}{'change':>11}{'IQR':>9}"
+          f"{'ratio':>8}{'better':>8}  verdict")
+    entries, errors, outlying = {}, [], []
+    for job, sides in runs.items():
+        # each side's values of every key a run reports beside its metrics
+        entry = {key: {side: [r[key] for r in side_runs] for side, side_runs in sides.items()}
+                 for key in sides["parent"][0] if key != "metrics"}
+        entry["metrics"] = summarize(sides)
+        if job in args.workload:
+            errors += [f"{job}: {side} run in pair {i + 1} was not correct or failed a request"
+                       for side, side_runs in sides.items()
+                       for i, r in enumerate(side_runs) if not r["correct"] or r["failed"]]
+            print(job)
+        else:
+            codes = entry["exit_codes"] = entry.pop("exit_code")
+            flag = exit_code_flag(codes["parent"], codes["change"])
+            entry["exit_codes_differ"] = flag is not None
+            if flag:
+                errors.append(f"{job}: {flag}")
+            print(f"{job}  (exit codes: parent {sorted(set(codes['parent']))}, "
+                  f"change {sorted(set(codes['change']))})")
+        for name, row in entry["metrics"].items():
+            row["change_iqr"] = iqr(row["change_runs"])
+            bound = limits.get(name) if job in args.workload else None
+            row["verdict"] = verdict(name, row, bound, f"{job}/{name}" in args.claim)
+            print(f"  {name:<34}{row['parent_median']:>11.5g}{row['parent_iqr']:>9.3g}"
+                  f"{row['change_median']:>11.5g}{row['change_iqr']:>9.3g}"
+                  f"{row['change_vs_parent']:>8.4f}{row['change_better_pairs']:>5}/"
+                  f"{args.pairs:<2}  {row['verdict']}")
+            outlying += [f"outlier: {job} {name} {side} run, pair {i + 1}: "
+                         f"{row[f'{side}_runs'][i]:.5g} against its side's median "
+                         f"{row[f'{side}_median']:.5g}"
+                         for side in sides for i in row[f"{side}_outliers"]]
+        entries[job] = entry
+    for line in outlying:
+        print(line)
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
     if args.json is not None:
         args.json.write_text(json.dumps(
-            {"workload": args.workload, "pairs": args.pairs, "seed0": args.seed0,
-             "commits": commits, "metrics": table,
-             "attempted": {side: [r["attempted"] for r in side_runs]
-                           for side, side_runs in runs.items()},
-             "failed": {side: [r["failed"] for r in side_runs]
-                        for side, side_runs in runs.items()},
-             "all_runs_correct": not bad}, indent=1) + "\n")
-    return 1 if bad else 0
+            {"schema": 1, "argv": sys.argv[1:] if argv is None else list(argv),
+             "pairs": args.pairs, "seed0": args.seed0, "commits": commits,
+             "src_congeg_lines": lines, "jobs": entries}, indent=1) + "\n")
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

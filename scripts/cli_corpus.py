@@ -41,12 +41,16 @@ CORPUS = (
     ("eval", "--n", "808", "--lambda", "1/2", "--x", "0.5"),
     ("eval", "--n", "4000", "--lambda", "3", "--alpha", "1", "--x", "0.5"),
     ("plot-data", "--n", "64", "--samples", "300", "--signed-domain"),
-    # refusals: an order, a weight, a point, a bad integer, an unknown command
+    # refusals: an order, a weight, a point, bad integers and reals, an unknown command
     ("eval", "--n", "3", "--alpha", "0", "--x", "0.5"),
     ("eval", "--n", "3", "--alpha", "3/2", "--x", "0.5"),
     ("table", "--lambda", "-1/2"),
     ("eval", "--n", "3", "--x", "1.5"),
     ("verify", "--n-max", "x"),
+    ("eval", "--n", "2.5", "--x", "0.5"),
+    ("plot-data", "--samples", "x"),
+    ("eval", "--n", "3", "--x", "abc"),
+    ("audit", "--tol", "abc"),
     ("frobnicate",),
 )
 

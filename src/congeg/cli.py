@@ -45,6 +45,20 @@ def _fraction(text) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+def _integer(text) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValueError(f"not an integer: {text!r}") from exc
+
+
+def _real(text) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValueError(f"not a real number: {text!r}") from exc
+
+
 def _out_path(text: str) -> str:
     # an empty path names no file, and must not pass for "not given"
     if not text:
@@ -59,7 +73,7 @@ def _suite(text: str) -> str:
 
 
 def _tolerance(text) -> float:
-    return _as_tolerance(float(text), "--tol")  # out of range: a domain error, not usage
+    return _as_tolerance(_real(text), "--tol")  # out of range: a domain error, not usage
 
 
 def _help(command: Optional[str]):
@@ -277,33 +291,33 @@ _HELP = ("--help", "help", "help", None, None, None, "show this help and exit")
 # ValueError is a usage error); a JSON type of None marks no config key.
 _COMMANDS = {
     "table": (_cmd_table, "print C_0..C_n as exact expressions", (
-        ("--n-max", "n_max", "one", int, _INT, 6, "highest degree"),
+        ("--n-max", "n_max", "one", _integer, _INT, 6, "highest degree"),
         _LAMBDA, _CONFIG)),
     "eval": (_cmd_eval, "evaluate C_n at given points (CSV)", (
-        ("--n", "n", "one", int, _INT, None, "degree"),
+        ("--n", "n", "one", _integer, _INT, None, "degree"),
         _LAMBDA,
         ("--alpha", "alpha", "one", _fraction, _RATIONAL, Fraction(1, 2), "order in (0, 1]"),
-        ("--x", "x", "many", float, _NUMBER, None, "points in [-1, 1]; repeat to add more"),
+        ("--x", "x", "many", _real, _NUMBER, None, "points in [-1, 1]; repeat to add more"),
         _CONFIG)),
     "plot-data": (_cmd_plot_data, "CSV grid of one member across several orders", (
-        ("--n", "n", "one", int, _INT, 4, "degree"),
+        ("--n", "n", "one", _integer, _INT, 4, "degree"),
         _LAMBDA,
         ("--alpha", "alphas", "append", _fraction, _RATIONAL,
          (Fraction(1, 2), Fraction(7, 10), Fraction(9, 10), Fraction(1)),
          "order; repeat for several curves (default: 1/2, 7/10, 9/10, 1)"),
-        ("--samples", "samples", "one", int, _INT, 201, "points per curve"),
+        ("--samples", "samples", "one", _integer, _INT, 201, "points per curve"),
         ("--signed-domain", "signed_domain", "flag", bool, _BOOL, False,
          "sample x in [-1, 1] instead of [0, 1]"),
         ("--out", "out", "one", _out_path, _STRING, None, "write CSV here instead of stdout"),
         _CONFIG)),
     "verify": (_cmd_verify, "run asserted identity checks and recorded audits", (
-        ("--n-max", "n_max", "one", int, _INT, 8, "highest degree in the sweep"),
+        ("--n-max", "n_max", "one", _integer, _INT, 8, "highest degree in the sweep"),
         ("--suite", "suite", "one", _suite, _STRING, "all",
          f"run a single asserted suite (default: all): {', '.join(_SUITES)}"),
         ("--json", "json", "flag", bool, _BOOL, False, "emit the report as JSON"),
         _CONFIG)),
     "audit": (_cmd_audit, "normalization audit table (CSV) and report", (
-        ("--n-max", "n_max", "one", int, _INT, 6, "highest degree per (weight, order) cell"),
+        ("--n-max", "n_max", "one", _integer, _INT, 6, "highest degree per (weight, order) cell"),
         ("--tol", "tol", "one", _tolerance, _NUMBER, 1e-6,
          "asserted relative tolerance, quadrature vs derived, in (0, 1)"),
         ("--out", "out", "one", _out_path, _STRING, None, "write the CSV here instead of stdout"),

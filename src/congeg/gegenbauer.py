@@ -197,7 +197,7 @@ def _member_form(n: int, p: int, q: int) -> tuple:
     bound, scale = (5.5 * m * m + 7.5 * m + 6) * 2.0 ** -53 * p1, max(1.0, p1)
     if bound > 1e-10 * scale:
         raise AccuracyError(
-            f"Chebyshev evaluation bound {bound:.3g} exceeds 1e-10 of the "
+            f"Chebyshev evaluation bound {bound!r} exceeds 1e-10 of the "
             f"scale {scale:.6g} at degree {n}")
     coeffs = []
     for k in range(n // 2):

@@ -476,6 +476,12 @@ class TestConfigExitCodes:
         err = self.refused(tmp_path, monkeypatch, capsys, "plot-data", raw)
         assert "config key 'out': expected a string" in err
 
+    def test_integer_string_must_read_as_one(self, tmp_path, monkeypatch, capsys):
+        # a JSON string is an integer's text, read as --n-max x is
+        raw = json.dumps({"n_max": "x"}).encode()
+        err = self.refused(tmp_path, monkeypatch, capsys, "verify", raw)
+        assert err == "error: config key 'n_max': not an integer: 'x'\n"
+
     def test_suite_must_be_a_string(self, tmp_path, monkeypatch, capsys):
         raw = json.dumps({"suite": 5}).encode()
         err = self.refused(tmp_path, monkeypatch, capsys, "verify", raw)

@@ -389,11 +389,14 @@ class TestWorkingRange:
         assert math.isfinite(gegenbauer._member_values(first - 1, 1, 2, [0.5], 1.0)[0])
 
     @pytest.mark.parametrize("n, lam, message", [
-        (808, Fraction(1, 2), "1e-10 exceeds 1e-10 of the scale 1 at degree 808"),
-        (808, Fraction(1), "8.09e-08 exceeds 1e-10 of the scale 809 at degree 808"),
-        (1600, Fraction(3), "3.45e+04 exceeds 1e-10 of the scale 8.82034e+13 at degree 1600"),
-        (4000, Fraction(3), "2.09e+07 exceeds 1e-10 of the scale 8.56538e+15 at degree 4000"),
-        (20000, Fraction(3), "1.63e+12 exceeds 1e-10 of the scale 2.66867e+19 at degree 20000"),
+        (808, Fraction(1, 2), "1.0000045236324695e-10 exceeds 1e-10 of the scale 1 at degree 808"),
+        (808, Fraction(1), "8.090036596186678e-08 exceeds 1e-10 of the scale 809 at degree 808"),
+        (1600, Fraction(3), "34528.58630048502 exceeds 1e-10 of the scale 8.82034e+13 "
+         "at degree 1600"),
+        (4000, Fraction(3), "20935127.342757147 exceeds 1e-10 of the scale 8.56538e+15 "
+         "at degree 4000"),
+        (20000, Fraction(3), "1629770923138.4238 exceeds 1e-10 of the scale 2.66867e+19 "
+         "at degree 20000"),
     ], ids=["808-1/2", "808-1", "1600-3", "4000-3", "20000-3"])
     def test_member_form_refuses_its_bound(self, fresh_member_forms, n, lam, message):
         # decided from C_n(1) before a coefficient is carried; a refused
@@ -589,7 +592,7 @@ class TestEvalCommand:
         code, out, err = _run(capsys, "eval", "--n", "20000", "--lambda", "3",
                               "--alpha", "1", "--x", "0.5")
         assert (code, out) == (3, "")
-        assert err == ("accuracy failure: Chebyshev evaluation bound 1.63e+12 exceeds "
+        assert err == ("accuracy failure: Chebyshev evaluation bound 1629770923138.4238 exceeds "
                        "1e-10 of the scale 2.66867e+19 at degree 20000\n")
 
     @pytest.mark.parametrize("command", [("eval", "--x", "0.5"), ("plot-data", "--samples", "3")])
